@@ -3,9 +3,10 @@
 Rows are scaled to integer coordinate vectors, then eliminated with
 one-step fraction-free (Bareiss) updates: entries stay genuine minors of
 the input, so the division by the previous pivot is exact in the ring of
-integer vectors modulo the cyclotomic polynomial.  Pivots are chosen by
-coefficient size among eligible rows, with index order breaking ties, so
-ranks are deterministic.
+integer vectors modulo the cyclotomic polynomial.  Entries are multiplied
+by the field's one product kernel, `cyclotomic.vector_product`.  Pivots
+are chosen by coefficient size among eligible rows, with index order
+breaking ties, so ranks are deterministic.
 """
 
 from __future__ import annotations
@@ -13,48 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycNum, canonical_conductor, euler_phi, _reduction_rows
-
-
-def _to_integer_rows(rows, conductor):
-    deg = euler_phi(conductor)
-    out = []
-    for row in rows:
-        lifted = [entry._lift(conductor) for entry in row]
-        den = 1
-        for vec in lifted:
-            for c in vec:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        int_row = []
-        for vec in lifted:
-            int_row.append([int(c * den) for c in vec])
-        out.append(int_row)
-    return out, deg
-
-
-def _make_poly_ops(conductor: int, deg: int):
-    rows = _reduction_rows(conductor) if deg > 1 else ()
-
-    def pmul(a, b):
-        conv = [0] * (2 * deg - 1) if deg > 1 else [0]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        if deg == 1:
-            return conv
-        out = conv[:deg]
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
-            if c:
-                red = rows[k - deg]
-                for j in range(deg):
-                    if red[j]:
-                        out[j] += c * red[j]
-        return out
-
-    return pmul
+from .cyclotomic import CycNum, canonical_conductor, vector_product
 
 
 def _exact_div(vec, d):
@@ -75,8 +35,8 @@ def exact_rank(matrix: list[list[CycNum]]) -> int:
     for row in matrix:
         for entry in row:
             conductor = canonical_conductor(math.lcm(conductor, entry.conductor))
-    rows, _ = _to_integer_rows(matrix, conductor)
-    return exact_rank_vectors(rows, conductor)
+    return exact_rank_vectors([[entry._lift(conductor) for entry in row] for row in matrix],
+                              conductor)
 
 
 def exact_rank_vectors(rows, conductor: int) -> int:
@@ -85,7 +45,6 @@ def exact_rank_vectors(rows, conductor: int) -> int:
     are scaled per row first (which preserves rank)."""
     if not rows or not rows[0]:
         return 0
-    deg = euler_phi(conductor)
     cleaned = []
     for row in rows:
         if any(isinstance(c, Fraction) and c.denominator != 1 for vec in row for c in vec):
@@ -98,7 +57,7 @@ def exact_rank_vectors(rows, conductor: int) -> int:
         else:
             cleaned.append([[int(c) for c in vec] for vec in row])
     rows = cleaned
-    pmul = _make_poly_ops(conductor, deg)
+    pmul = vector_product(conductor)
     n_rows, n_cols = len(rows), len(rows[0])
 
     def size(vec):

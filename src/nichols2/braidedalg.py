@@ -10,10 +10,10 @@ homogeneous with multidegree equal to the node's Stern-Brocot label.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycNum, ONE, ZERO, canonical_conductor, euler_phi, root_of_unity
+from .cyclotomic import (CycNum, ONE, ZERO, as_root_exponent, canonical_conductor, euler_phi,
+                         root_of_unity)
 from .fbtree import LGH, RGH, FullBinaryTree
 from .lyndon import Word, is_lyndon, shirshow
 
@@ -50,17 +50,11 @@ class Braiding:
         # of order L; a bicharacter value is then a single power of zeta_L,
         # which makes chi an O(1) table lookup instead of four bignum powers.
         # Exponents are found at each entry's own (small) order and rescaled.
-        orders = [q.order() for q in (self.q11, self.q12, self.q21, self.q22)]
-        if any(o is None for o in orders):
+        roots = [as_root_exponent(q) for q in (self.q11, self.q12, self.q21, self.q22)]
+        if None in roots:
             return None
-        L = math.lcm(2, *orders)
-        exps = []
-        for q, o in zip((self.q11, self.q12, self.q21, self.q22), orders):
-            e = next((k for k in range(o) if root_of_unity(k, o) == q), None)
-            if e is None:
-                return None  # pragma: no cover - q has order o by construction
-            exps.append(e * (L // o) % L)
-        return L, tuple(exps)
+        L = math.lcm(2, *(o for _, o in roots))
+        return L, tuple(e * (L // o) % L for e, o in roots)
 
     def entries(self) -> tuple[CycNum, CycNum, CycNum, CycNum]:
         return (self.q11, self.q12, self.q21, self.q22)
@@ -93,10 +87,6 @@ class Braiding:
     def chi_nodes(self, t: FullBinaryTree, a, b) -> CycNum:
         """chi evaluated on the labels of two extended nodes."""
         return self.chi(t.stern_brocot(a), t.stern_brocot(b))
-
-
-def chi(b: Braiding, d: tuple[int, int], e: tuple[int, int]) -> CycNum:
-    return b.chi(d, e)
 
 
 _LETTER_DEGREE = {1: (1, 0), 2: (0, 1)}
@@ -280,59 +270,46 @@ def _bracket_cached(b: Braiding, u: Word) -> NCPoly:
 class _SymEngine:
     """Per-braiding workspace for symmetrizer images.
 
-    When every braiding entry is a root of unity, image coefficients are
+    Every braiding entry must be a root of unity.  Image coefficients are
     carried in the group ring of the cyclic root group (exponent ->
     multiplicity), where the inverse twists of the symmetrizer are plain
     exponent shifts; the coefficients become integer coordinate vectors
-    only on the way out.  Otherwise coefficients are generic coordinate
-    vectors in the common cyclotomic field.
+    only on the way out.  Callers that scale those vectors multiply them
+    with `cyclotomic.vector_product`.
     """
 
     def __init__(self, b: Braiding):
+        if b._root_data is None:
+            raise BraidedError("the symmetrizer needs a braiding whose entries are "
+                               f"roots of unity, got {b!r}")
         self.b = b
-        rd = b._root_data
-        if rd is not None:
-            self.L, self.exps = rd
-            self.conductor = canonical_conductor(self.L)
-        else:
-            self.L = None
-            n = 1
-            for q in b.entries():
-                n = math.lcm(n, q.conductor)
-            self.conductor = canonical_conductor(n)
+        self.L, self.exps = b._root_data
+        self.conductor = canonical_conductor(self.L)
         self.deg = euler_phi(self.conductor)
         self._rootvecs: dict[int, tuple[int, ...]] = {}
         self.cache: dict[tuple[int, ...], dict] = {}
         self._vec_cache: dict[tuple[int, ...], dict] = {}
-        if rd is not None:
-            e11, e12, e21, e22 = self.exps
-            # Exponent of chi(e_i, e_j) in the root group, indexed [i][j].
-            self._chi_exp = {(1, 1): e11, (1, 2): e12, (2, 1): e21, (2, 2): e22}
-
-    # -- root-mode coefficient helpers --------------------------------------
+        e11, e12, e21, e22 = self.exps
+        # Exponent of chi(e_i, e_j) in the root group, indexed [i][j].
+        self._chi_exp = {(1, 1): e11, (1, 2): e12, (2, 1): e21, (2, 2): e22}
 
     def _rootvec(self, k: int) -> tuple[int, ...]:
         vec = self._rootvecs.get(k)
         if vec is None:
-            from .cyclotomic import root_of_unity as _ru
-            vec = tuple(int(c) for c in _ru(k, self.L)._lift(self.conductor))
+            vec = tuple(int(c) for c in root_of_unity(k, self.L)._lift(self.conductor))
             self._rootvecs[k] = vec
         return vec
 
     def image(self, word: tuple[int, ...]) -> dict:
-        """Raw image of a basis word; coefficients in engine representation."""
+        """Raw image of a basis word; coefficients map root exponents to
+        multiplicities."""
         hit = self.cache.get(word)
-        if hit is not None:
-            return hit
-        m = len(word)
-        if self.L is not None:
-            res = self._image_root(word, m)
-        else:
-            res = self._image_generic(word, m)
-        self.cache[word] = res
-        return res
+        if hit is None:
+            hit = self.cache[word] = self._image(word)
+        return hit
 
-    def _image_root(self, word, m):
+    def _image(self, word):
+        m = len(word)
         if m <= 1:
             return {word: {0: 1}}
         L = self.L
@@ -355,52 +332,8 @@ class _SymEngine:
                     acc[key] = acc.get(key, 0) + mult
         return out
 
-    def _image_generic(self, word, m):
-        unit = tuple([Fraction(1)] + [Fraction(0)] * (self.deg - 1))
-        if m <= 1:
-            return {word: unit}
-        out: dict = {}
-        for k in range(m):
-            letter = word[k]
-            coeff = ONE
-            ek = _LETTER_DEGREE[letter]
-            for l in range(k):
-                coeff = coeff * self.b.chi(ek, _LETTER_DEGREE[word[l]]).inv()
-            cvec = coeff._lift(self.conductor)
-            rest = word[:k] + word[k + 1:]
-            for tail, tvec in self.image(rest).items():
-                w = (letter,) + tail
-                prod = self._vec_mul(cvec, tvec)
-                acc = out.get(w)
-                out[w] = prod if acc is None else tuple(x + y for x, y in zip(acc, prod))
-        return out
-
-    def _vec_mul(self, a, b):
-        deg = self.deg
-        if deg == 1:
-            return (a[0] * b[0],)
-        conv = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        from .cyclotomic import _reduction_rows
-        rows = _reduction_rows(self.conductor)
-        out = conv[:deg]
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
-            if c:
-                red = rows[k - deg]
-                for j in range(deg):
-                    if red[j]:
-                        out[j] += c * red[j]
-        return tuple(out)
-
     def coeff_to_vec(self, coeff) -> tuple:
         """Engine coefficient to a coordinate vector at self.conductor."""
-        if self.L is None:
-            return tuple(coeff)
         out = [0] * self.deg
         for e, mult in coeff.items():
             if mult:

@@ -79,50 +79,43 @@ def match_condition(b: Braiding) -> list[tuple[int, int]]:
     return [(n, c) for n, c, pred in _CONDITIONS if pred(b.q11, q, b.q22)]
 
 
-def _z(k: int, n: int) -> CycNum:
-    return root_of_unity(k, n)
-
-
-def _braiding(q11, q12, q21, q22) -> Braiding:
-    return Braiding(q11, q12, q21, q22)
-
-
 def fixtures() -> dict[tuple[int, int], Braiding]:
     """One minimal-order sample braiding per condition case, with q21 = 1."""
     one = ONE
     m1 = MINUS_ONE
+    z = root_of_unity
     out = {
-        (1, 1): _braiding(m1, one, one, m1),
-        (2, 1): _braiding(_z(1, 3), _z(2, 3), one, _z(1, 3)),
-        (3, 1): _braiding(_z(1, 5), _z(3, 5), one, _z(2, 5)),
-        (3, 2): _braiding(_z(1, 3), m1, one, m1),
-        (3, 3): _braiding(_z(1, 3), -_z(1, 3), one, m1),
-        (4, 1): _braiding(_z(4, 12), _z(9, 12), one, -_z(2, 12)),
-        (4, 2): _braiding(-_z(2, 12), _z(1, 12), one, -_z(2, 12)),
-        (5, 1): _braiding(-_z(2, 12), _z(1, 12), one, m1),
-        (5, 2): _braiding(_z(4, 12), _z(9, 12), one, m1),
-        (6, 1): _braiding(_z(1, 18), _z(16, 18), one, -_z(3, 18)),
-        (7, 1): _braiding(_z(1, 12), _z(9, 12), one, m1),
-        (7, 2): _braiding(_z(9, 12), _z(1, 12), one, m1),
-        (8, 1): _braiding(_z(1, 4), _z(1, 4), one, _z(3, 4)),
-        (8, 2): _braiding(-_z(1, 8), _z(1, 8), one, m1),
-        (8, 3): _braiding(_z(6, 8), _z(1, 8), one, m1),
-        (8, 4): _braiding(_z(2, 8), _z(1, 8), one, _z(7, 8)),
-        (9, 1): _braiding(_z(6, 9), _z(1, 9), one, m1),
-        (10, 1): _braiding(_z(18, 24), _z(1, 24), one, _z(16, 24)),
-        (11, 1): _braiding(_z(1, 5), _z(2, 5), one, m1),
-        (12, 1): _braiding(_z(1, 30), _z(27, 30), one, -_z(5, 30)),
-        (13, 1): _braiding(_z(6, 24), _z(1, 24), one, _z(23, 24)),
-        (14, 1): _braiding(_z(1, 18), _z(14, 18), one, m1),
-        (15, 1): _braiding(-_z(27, 30), _z(1, 30), one, _z(29, 30)),
-        (16, 1): _braiding(_z(1, 10), _z(6, 10), one, m1),
-        (16, 2): _braiding(_z(16, 20), _z(1, 20), one, m1),
-        (17, 1): _braiding(-_z(4, 24), _z(1, 24), one, m1),
-        (18, 1): _braiding(-_z(5, 30), _z(1, 30), one, m1),
-        (19, 1): _braiding(_z(1, 14), _z(11, 14), one, m1),
-        (20, 1): _braiding(_z(24, 30), _z(1, 30), one, m1),
-        (21, 1): _braiding(_z(1, 24), _z(19, 24), one, m1),
-        (22, 1): _braiding(_z(1, 14), _z(9, 14), one, m1),
+        (1, 1): Braiding(m1, one, one, m1),
+        (2, 1): Braiding(z(1, 3), z(2, 3), one, z(1, 3)),
+        (3, 1): Braiding(z(1, 5), z(3, 5), one, z(2, 5)),
+        (3, 2): Braiding(z(1, 3), m1, one, m1),
+        (3, 3): Braiding(z(1, 3), -z(1, 3), one, m1),
+        (4, 1): Braiding(z(4, 12), z(9, 12), one, -z(2, 12)),
+        (4, 2): Braiding(-z(2, 12), z(1, 12), one, -z(2, 12)),
+        (5, 1): Braiding(-z(2, 12), z(1, 12), one, m1),
+        (5, 2): Braiding(z(4, 12), z(9, 12), one, m1),
+        (6, 1): Braiding(z(1, 18), z(16, 18), one, -z(3, 18)),
+        (7, 1): Braiding(z(1, 12), z(9, 12), one, m1),
+        (7, 2): Braiding(z(9, 12), z(1, 12), one, m1),
+        (8, 1): Braiding(z(1, 4), z(1, 4), one, z(3, 4)),
+        (8, 2): Braiding(-z(1, 8), z(1, 8), one, m1),
+        (8, 3): Braiding(z(6, 8), z(1, 8), one, m1),
+        (8, 4): Braiding(z(2, 8), z(1, 8), one, z(7, 8)),
+        (9, 1): Braiding(z(6, 9), z(1, 9), one, m1),
+        (10, 1): Braiding(z(18, 24), z(1, 24), one, z(16, 24)),
+        (11, 1): Braiding(z(1, 5), z(2, 5), one, m1),
+        (12, 1): Braiding(z(1, 30), z(27, 30), one, -z(5, 30)),
+        (13, 1): Braiding(z(6, 24), z(1, 24), one, z(23, 24)),
+        (14, 1): Braiding(z(1, 18), z(14, 18), one, m1),
+        (15, 1): Braiding(-z(27, 30), z(1, 30), one, z(29, 30)),
+        (16, 1): Braiding(z(1, 10), z(6, 10), one, m1),
+        (16, 2): Braiding(z(16, 20), z(1, 20), one, m1),
+        (17, 1): Braiding(-z(4, 24), z(1, 24), one, m1),
+        (18, 1): Braiding(-z(5, 30), z(1, 30), one, m1),
+        (19, 1): Braiding(z(1, 14), z(11, 14), one, m1),
+        (20, 1): Braiding(z(24, 30), z(1, 30), one, m1),
+        (21, 1): Braiding(z(1, 24), z(19, 24), one, m1),
+        (22, 1): Braiding(z(1, 14), z(9, 14), one, m1),
     }
     return out
 
@@ -205,11 +198,11 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
 
 
 def relation_set_safe(tree, b, degree_cap, notes):
-    from .nicholscore import relation_set
+    from .nicholscore import _relation_generators, relation_set
 
     try:
         capped = relation_set(tree, b, max_degree=degree_cap)
-        full_count = len(relation_set_descriptors(tree, b))
+        full_count = len(_relation_generators(tree, b))
         if full_count > len(capped):
             notes.append(f"{full_count - len(capped)} relation generators above "
                          f"degree {degree_cap} not expanded")
@@ -217,24 +210,6 @@ def relation_set_safe(tree, b, degree_cap, notes):
     except NicholsError as exc:
         notes.append(f"relations unavailable: {exc}")
         return []
-
-
-def relation_set_descriptors(tree, b) -> list[tuple[str, int]]:
-    """(kind, total degree) of every relation generator, without expanding."""
-    from .admissibility import p_of
-
-    out = []
-    for a in tree.leaves():
-        out.append(("leaf", tree.weight(a)))
-    for a in tree.nbar2():
-        o = p_of(tree, b, a).order()
-        if o is not None:
-            out.append(("power", o * tree.weight(a)))
-    for bb in tree.internal():
-        c = tree.lgf(bb)
-        if isinstance(c, int) and not tree.is_leaf(c):
-            out.append(("mixed", tree.weight(bb) + tree.weight(tree.lgf(c))))
-    return out
 
 
 @dataclass

@@ -123,20 +123,41 @@ def power_vector(n: int, e: int) -> tuple[int, ...]:
     return _reduction_rows(n)[e - deg]
 
 
-def _reduce_product(coeffs: list, n: int) -> list:
-    # Reduce a raw convolution of length <= 2*deg-1 modulo Phi_n.
+@lru_cache(maxsize=None)
+def vector_product(n: int):
+    """The product of Q(zeta_n): mul(a, b) multiplies two coordinate
+    vectors and returns the coordinate list of the product modulo Phi_n.
+
+    This is the one place products of coordinate vectors are formed.  No
+    coordinate is converted: integer inputs give integer outputs, and
+    Fraction inputs Fraction outputs, so fraction-free callers stay on
+    plain integer arithmetic.
+    """
     deg = euler_phi(n)
-    if len(coeffs) <= deg:
-        return coeffs + [0] * (deg - len(coeffs))
-    rows = _reduction_rows(n)
-    out = list(coeffs[:deg])
-    for k, c in enumerate(coeffs[deg:]):
-        if c:
-            row = rows[k]
-            for j in range(deg):
-                if row[j]:
-                    out[j] += c * row[j]
-    return out
+    if deg == 1:
+        def mul(a, b):
+            return [a[0] * b[0]]
+        return mul
+    # z^(deg+k) mod Phi_n for the degrees a raw product can reach, with the
+    # zero coordinates dropped.
+    rows = tuple(tuple((j, r) for j, r in enumerate(row) if r)
+                 for row in _reduction_rows(n)[:deg - 1])
+
+    def mul(a, b):
+        conv = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        out = conv[:deg]
+        for c, row in zip(conv[deg:], rows):
+            if c:
+                for j, r in row:
+                    out[j] += c * r
+        return out
+
+    return mul
 
 
 @lru_cache(maxsize=None)
@@ -304,14 +325,7 @@ class CycNum:
         if other is NotImplemented:
             return NotImplemented
         n, a, b = self._common(other)
-        deg = len(a)
-        conv = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return CycNum(n, _reduce_product(conv, n))
+        return CycNum(n, vector_product(n)(a, b))
 
     __rmul__ = __mul__
 
@@ -336,9 +350,8 @@ class CycNum:
             q, rem = _poly_divmod_q(r0, r1)
             r0, r1 = r1, rem
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        deg = euler_phi(n)
-        red = _reduce_product([Fraction(c) for c in coeffs][: 2 * deg - 1], n)
-        return CycNum(n, red)
+        # The Bezout coefficient has degree below phi(n): pad, no reduction.
+        return CycNum(n, coeffs + [0] * (euler_phi(n) - len(coeffs)))
 
     def __truediv__(self, other) -> CycNum:
         other = _coerce(other)

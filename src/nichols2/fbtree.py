@@ -275,31 +275,6 @@ def serialize_tree(t: FullBinaryTree) -> str:
     return rec(0)
 
 
-def lgf(t: FullBinaryTree, a: int):
-    return t.lgf(a)
-
-
-def rgf(t: FullBinaryTree, a: int):
-    return t.rgf(a)
-
-
-def branch_lengths(t: FullBinaryTree, a: int):
-    return t.branch_lengths(a)
-
-
-def stern_brocot(t: FullBinaryTree, a):
-    return t.stern_brocot(a)
-
-
-def cmp_q(t: FullBinaryTree, a, b) -> int:
-    return t.cmp_q(a, b)
-
-
-def node_sets(t: FullBinaryTree):
-    """(leaves, inner nodes, inner nodes with virtuals sorted by the Q order)."""
-    return t.leaves(), t.internal(), t.nbar2()
-
-
 @functools.lru_cache(maxsize=None)
 def _catalan(n: int) -> int:
     if n == 0:

@@ -11,11 +11,13 @@ work units: each one is a pure function of (braiding, degree).
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from ._linalg import exact_rank_vectors
 from .braidedalg import Braiding, NCPoly, _engine, basis_words, tau0
-from .cyclotomic import CycNum, qfact
+from .cyclotomic import qfact, vector_product
 from .fbtree import FullBinaryTree
 from .admissibility import mu_of, p_of
 
@@ -192,6 +194,7 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
         if mo.weighted_degree() >= 2:
             by_bidegree[mo.multidegree(labels)].append(mo)
     zero = (0,) * eng.deg
+    mul = vector_product(eng.conductor)
     for bideg, group in sorted(by_bidegree.items()):
         words = [w for w in basis_words(bideg[0] + bideg[1]) if w.count(1) == bideg[0]]
         idx = {w: i for i, w in enumerate(words)}
@@ -200,9 +203,10 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
             poly = evaluate_monomial(t, b, mo)
             vec = [zero] * len(words)
             for w, c in poly.terms.items():
+                cv = c._lift(eng.conductor)
                 for ww, v in eng.image_vectors(w).items():
                     cur = vec[idx[ww]]
-                    add = _scaled_vec(eng, c, v)
+                    add = mul(cv, v)
                     vec[idx[ww]] = add if cur is zero else tuple(x + y for x, y in zip(cur, add))
             rows.append(vec)
         rank = exact_rank_vectors(rows, eng.conductor)
@@ -215,9 +219,36 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
     return TypeVerdict(True, None, None, counts, dims, heavy)
 
 
-def _scaled_vec(eng, c: CycNum, vec):
-    cv = c._lift(eng.conductor)
-    return eng._vec_mul(tuple(cv), vec)
+def _relation_generators(t: FullBinaryTree, b: Braiding) -> list[tuple[int, Callable]]:
+    """(total degree, builder) for every generator of the relation ideal,
+    in the order relation_set lists them.  Degrees are known up front from
+    weight and order; a builder expands its generator only when called."""
+    gens = []
+    for a in sorted(t.leaves(), key=t.q_value):
+        gens.append((t.weight(a), partial(tau0, t, b, a)))
+    for a in t.nbar2():
+        o = p_of(t, b, a).order()
+        if o is None:
+            raise NicholsError(f"p at node {a!r} is not a root of unity")
+        gens.append((o * t.weight(a), lambda a=a, o=o: tau0(t, b, a) ** o))
+    for bb in sorted(t.internal(), key=t.q_value):
+        c = t.lgf(bb)
+        if isinstance(c, int) and not t.is_leaf(c):
+            gens.append((t.weight(bb) + t.weight(t.lgf(c)), partial(_mixed_relation, t, b, bb)))
+    return gens
+
+
+def _mixed_relation(t: FullBinaryTree, b: Braiding, bb: int) -> NCPoly:
+    c = t.lgf(bb)
+    lgc = t.lgf(c)
+    k = t.rgfl(bb)
+    denom = qfact(k + 1, p_of(t, b, c))
+    if denom.is_zero():
+        raise NicholsError(f"inadmissible: vanishing q-factorial at node {bb}")
+    coeff = mu_of(t, b, bb) * denom.inv()
+    return (tau0(t, b, bb) * tau0(t, b, lgc)
+            - b.chi_nodes(t, bb, lgc) * (tau0(t, b, lgc) * tau0(t, b, bb))
+            - coeff * tau0(t, b, c) ** (k + 1))
 
 
 def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None) -> list[NCPoly]:
@@ -229,37 +260,8 @@ def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None) 
     which generators are materialized (their degrees are known up front
     from weight and order); None expands everything.
     """
-
-    def want(d: int) -> bool:
-        return max_degree is None or d <= max_degree
-
-    rels: list[NCPoly] = []
-    for a in sorted(t.leaves(), key=lambda x: t.q_value(x)):
-        if want(t.weight(a)):
-            rels.append(tau0(t, b, a))
-    for a in t.nbar2():
-        p_a = p_of(t, b, a)
-        o = p_a.order()
-        if o is None:
-            raise NicholsError(f"p at node {a!r} is not a root of unity")
-        if want(o * t.weight(a)):
-            rels.append(tau0(t, b, a) ** o)
-    for bb in sorted(t.internal(), key=lambda x: t.q_value(x)):
-        c = t.lgf(bb)
-        if not (isinstance(c, int) and not t.is_leaf(c)):
-            continue
-        lgc = t.lgf(c)
-        if not want(t.weight(bb) + t.weight(lgc)):
-            continue
-        k = t.rgfl(bb)
-        denom = qfact(k + 1, p_of(t, b, c))
-        if denom.is_zero():
-            raise NicholsError(f"inadmissible: vanishing q-factorial at node {bb}")
-        coeff = mu_of(t, b, bb) * denom.inv()
-        rels.append(tau0(t, b, bb) * tau0(t, b, lgc)
-                    - b.chi_nodes(t, bb, lgc) * (tau0(t, b, lgc) * tau0(t, b, bb))
-                    - coeff * tau0(t, b, c) ** (k + 1))
-    return rels
+    return [build() for d, build in _relation_generators(t, b)
+            if max_degree is None or d <= max_degree]
 
 
 def check_relations_vanish(t: FullBinaryTree, b: Braiding, n: int) -> bool:

@@ -6,7 +6,7 @@ from conftest import naive_rank, random_root_braiding
 
 from nichols2.cyclotomic import MINUS_ONE, ONE, ZERO, root_of_unity
 from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, basis_words, bracket_word,
-                                 chi, format_ncpoly, is_zero_in_nichols, pair,
+                                 format_ncpoly, is_zero_in_nichols, pair,
                                  skew_derivation, symmetrize_poly, symmetrizer, tau0)
 from nichols2.fbtree import LGH, RGH, TREES
 from nichols2.lyndon import Word, gamma
@@ -34,11 +34,23 @@ def test_braiding_rejects_zero_entries():
         Braiding(ZERO, ONE, ONE, ONE)
 
 
+def test_symmetrizer_rejects_entries_that_are_not_roots_of_unity():
+    from nichols2.nicholscore import dim_at_degree
+
+    b = Braiding(MINUS_ONE, ONE, ONE, ONE + ONE)
+    with pytest.raises(BraidedError, match="roots of unity"):
+        dim_at_degree(b, 2)
+    with pytest.raises(BraidedError, match="roots of unity"):
+        symmetrizer(b, 2)
+    with pytest.raises(BraidedError, match="roots of unity"):
+        is_zero_in_nichols(b, x(1) * x(2), "symmetrizer")
+
+
 def test_chi_examples():
     b = cartan_a2()
-    assert chi(b, (1, 0), (0, 1)) == b.q12
-    assert chi(b, (0, 0), (3, 5)) == ONE
-    assert chi(b, (1, 1), (1, 0)) == b.q11 * b.q21
+    assert b.chi((1, 0), (0, 1)) == b.q12
+    assert b.chi((0, 0), (3, 5)) == ONE
+    assert b.chi((1, 1), (1, 0)) == b.q11 * b.q21
 
 
 def test_chi_biadditive(rng):
@@ -48,14 +60,14 @@ def test_chi_biadditive(rng):
         d2 = (rng.randrange(4), rng.randrange(4))
         e = (rng.randrange(4), rng.randrange(4))
         s = (d1[0] + d2[0], d1[1] + d2[1])
-        assert chi(b, s, e) == chi(b, d1, e) * chi(b, d2, e)
-        assert chi(b, e, s) == chi(b, e, d1) * chi(b, e, d2)
+        assert b.chi(s, e) == b.chi(d1, e) * b.chi(d2, e)
+        assert b.chi(e, s) == b.chi(e, d1) * b.chi(e, d2)
 
 
 def test_chi_not_assumed_symmetric():
     z5 = root_of_unity(1, 5)
     b = Braiding(ONE, z5, ONE, ONE)
-    assert chi(b, (1, 0), (0, 1)) != chi(b, (0, 1), (1, 0))
+    assert b.chi((1, 0), (0, 1)) != b.chi((0, 1), (1, 0))
 
 
 def test_tau0_examples():
@@ -143,7 +155,7 @@ def test_leibniz_rule(rng):
         rho, rho2 = NCPoly({w1: ONE}), NCPoly({w2: ONE})
         for i in (1, 2):
             lhs = skew_derivation(b, i, rho * rho2)
-            twist = chi(b, (1, 0) if i == 1 else (0, 1), rho.multidegree()).inv()
+            twist = b.chi((1, 0) if i == 1 else (0, 1), rho.multidegree()).inv()
             rhs = skew_derivation(b, i, rho) * rho2 + twist * (rho * skew_derivation(b, i, rho2))
             assert lhs == rhs
 
@@ -234,8 +246,8 @@ def naive_symmetrizer(b, m):
         out = [[ZERO] * n for _ in range(n)]
         for j, w in enumerate(words):
             i1, i2 = w[pos], w[pos + 1]
-            coeff = chi(b, (1, 0) if i2 == 1 else (0, 1),
-                        (1, 0) if i1 == 1 else (0, 1)).inv()
+            coeff = b.chi((1, 0) if i2 == 1 else (0, 1),
+                          (1, 0) if i1 == 1 else (0, 1)).inv()
             swapped = w[:pos] + (i2, i1) + w[pos + 2:]
             out[index[swapped]][j] = coeff
         return out
@@ -288,8 +300,8 @@ def test_skew_derivation_matches_front_operator(rng):
     # Leibniz-style implementation against that operator directly.
     def sigma_inv_at(b, word, pos):
         i1, i2 = word[pos], word[pos + 1]
-        coeff = chi(b, (1, 0) if i2 == 1 else (0, 1),
-                    (1, 0) if i1 == 1 else (0, 1)).inv()
+        coeff = b.chi((1, 0) if i2 == 1 else (0, 1),
+                      (1, 0) if i1 == 1 else (0, 1)).inv()
         return word[:pos] + (i2, i1) + word[pos + 2:], coeff
 
     def front_operator_images(b, m):

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, as_root_exponent,
                                  cyclotomic_polynomial, euler_phi, format_scalar, order,
-                                 parse_scalar, qfact, qnum, root_of_unity)
+                                 parse_scalar, qfact, qnum, root_of_unity, vector_product)
 
 
 def test_cyclotomic_polynomials():
@@ -16,6 +17,41 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     for n in range(1, 40):
         assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n)
+
+
+def schoolbook_product(a, b, n):
+    """Reference product modulo Phi_n: full convolution, then long division
+    by the (monic) cyclotomic polynomial."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    for top in range(len(conv) - 1, deg - 1, -1):
+        c = conv[top]
+        for j, p in enumerate(phi):
+            conv[top - deg + j] -= c * p
+    return conv[:deg]
+
+
+def test_vector_product_matches_long_division(rng):
+    for n in (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30):
+        mul = vector_product(n)
+        deg = euler_phi(n)
+        for _ in range(25):
+            a = [rng.choice((0, 0, rng.randrange(-99, 100))) for _ in range(deg)]
+            b = [rng.randrange(-99, 100) for _ in range(deg)]
+            got = mul(a, b)
+            assert got == schoolbook_product(a, b, n)
+            assert all(type(c) is int for c in got)
+            fa = [Fraction(rng.choice((-1, 1)) * rng.randrange(1, 30), rng.randrange(1, 9))
+                  for _ in range(deg)]
+            fb = [Fraction(rng.choice((-1, 1)) * rng.randrange(1, 30), rng.randrange(1, 9))
+                  for _ in range(deg)]
+            got = mul(fa, fb)
+            assert got == schoolbook_product(fa, fb, n)
+            assert all(isinstance(c, Fraction) for c in got)
 
 
 def test_primitive_root_sum_reduces():

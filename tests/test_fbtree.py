@@ -2,9 +2,8 @@ import math
 
 import pytest
 
-from nichols2.fbtree import (LGH, RGH, TREES, FullBinaryTree, TreeParseError, branch_lengths,
-                             cmp_q, lgf, node_sets, parse_tree, random_full_tree, rgf,
-                             serialize_tree, stern_brocot)
+from nichols2.fbtree import (LGH, RGH, TREES, FullBinaryTree, TreeParseError, parse_tree,
+                             random_full_tree, serialize_tree)
 
 
 def corpus(rng, extra=1000, max_internal=16):
@@ -35,42 +34,41 @@ def test_parse_errors_carry_position():
 
 def test_godfather_examples():
     t = TREES[2]
-    assert lgf(t, t.root) is LGH
-    assert rgf(t, t.root) is RGH
-    assert rgf(t, t.lch(t.root)) == t.root
-    assert lgf(t, t.rch(t.root)) == t.root
+    assert t.lgf(t.root) is LGH
+    assert t.rgf(t.root) is RGH
+    assert t.rgf(t.lch(t.root)) == t.root
+    assert t.lgf(t.rch(t.root)) == t.root
 
 
 def test_branch_length_examples():
     t = TREES[2]
     leaf = t.lch(t.root)
-    assert branch_lengths(t, leaf)[2:] == (1, 1)
-    assert branch_lengths(t, t.root) == (1, 1, 2, 2)
+    assert t.branch_lengths(leaf)[2:] == (1, 1)
+    assert t.branch_lengths(t.root) == (1, 1, 2, 2)
 
 
 def test_label_examples():
     t = TREES[2]
-    assert stern_brocot(t, LGH) == (0, 1)
-    assert stern_brocot(t, RGH) == (1, 0)
-    assert stern_brocot(t, t.root) == (1, 1)
-    assert stern_brocot(t, t.lch(t.root)) == (1, 2)
+    assert t.stern_brocot(LGH) == (0, 1)
+    assert t.stern_brocot(RGH) == (1, 0)
+    assert t.stern_brocot(t.root) == (1, 1)
+    assert t.stern_brocot(t.lch(t.root)) == (1, 2)
 
 
 def test_order_examples():
     t4 = TREES[4]
     r = t4.root
-    assert cmp_q(t4, LGH, r) < 0 and cmp_q(t4, r, RGH) < 0
-    assert cmp_q(t4, t4.lch(r), r) < 0 < cmp_q(t4, t4.rch(r), r)
+    assert t4.cmp_q(LGH, r) < 0 and t4.cmp_q(r, RGH) < 0
+    assert t4.cmp_q(t4.lch(r), r) < 0 < t4.cmp_q(t4.rch(r), r)
     for a in t4.nodes():
-        assert cmp_q(t4, lgf(t4, a), a) < 0 < cmp_q(t4, rgf(t4, a), a)
+        assert t4.cmp_q(t4.lgf(a), a) < 0 < t4.cmp_q(t4.rgf(a), a)
 
 
 def test_node_sets():
-    n0, n2, nbar2 = node_sets(TREES[1])
-    assert len(n0) == 1 and len(n2) == 0 and nbar2 == (LGH, RGH)
-    _, _, nbar2 = node_sets(TREES[2])
-    assert nbar2 == (LGH, TREES[2].root, RGH)
-    assert len(node_sets(TREES[3])[1]) == 2
+    t = TREES[1]
+    assert len(t.leaves()) == 1 and len(t.internal()) == 0 and t.nbar2() == (LGH, RGH)
+    assert TREES[2].nbar2() == (LGH, TREES[2].root, RGH)
+    assert len(TREES[3].internal()) == 2
 
 
 def check_label_identities(t: FullBinaryTree):
