@@ -4,7 +4,9 @@ Rows are scaled to integer coordinate vectors, then eliminated with
 one-step fraction-free (Bareiss) updates: entries stay genuine minors of
 the input, so the division by the previous pivot is exact in the ring of
 integer vectors modulo the cyclotomic polynomial.  Entries are multiplied
-by the field's one product kernel, `cyclotomic.vector_product`.  Pivots
+by the field's one product kernel, `cyclotomic.vector_product`, and the
+division by the previous pivot multiplies by its integer inverse from
+`cyclotomic.vector_inverse` and divides exactly by the denominator.  Pivots
 are chosen by coefficient size among eligible rows, with index order
 breaking ties, so ranks are deterministic.
 """
@@ -14,17 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycNum, canonical_conductor, vector_product
-
-
-def _exact_div(vec, d):
-    out = []
-    for q in vec:
-        quot, rem = divmod(q, d)
-        if rem:
-            raise ArithmeticError("fraction-free elimination produced an inexact division")
-        out.append(quot)
-    return out
+from .cyclotomic import CycNum, _exact_div, canonical_conductor, vector_inverse, vector_product
 
 
 def exact_rank(matrix: list[list[CycNum]]) -> int:
@@ -99,13 +91,7 @@ def exact_rank_vectors(rows, conductor: int) -> int:
                     t = pmul(t, W)
                     t = _exact_div(t, d)
                 row[j] = t
-        # Inverse of the new pivot, as an integer vector over a denominator.
-        piv_num = CycNum(conductor, pivot, _demote=False)
-        inv = piv_num.inv()._lift(conductor)
-        den = 1
-        for c in inv:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        prev_inv = ([int(c * den) for c in inv], den)
+        prev_inv = vector_inverse(conductor, pivot)
         rank += 1
         col += 1
     return rank

@@ -421,6 +421,8 @@ def skew_derivation(b: Braiding, i: int, rho: NCPoly) -> NCPoly:
     if i not in (1, 2):
         raise BraidedError("derivation index must be 1 or 2")
     ei = _LETTER_DEGREE[i]
+    # The twist a letter contributes depends on the letter alone.
+    step = {letter: b.chi(ei, deg).inv() for letter, deg in _LETTER_DEGREE.items()}
     out: dict = {}
     for word, c in rho.terms.items():
         twist = ONE
@@ -430,7 +432,7 @@ def skew_derivation(b: Braiding, i: int, rho: NCPoly) -> NCPoly:
                 add = c * twist
                 s = out.get(w)
                 out[w] = add if s is None else s + add
-            twist = twist * b.chi(ei, _LETTER_DEGREE[letter]).inv()
+            twist = twist * step[letter]
     return NCPoly(out, False)
 
 

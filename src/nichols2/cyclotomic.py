@@ -8,6 +8,11 @@ root is immaterial.  Conductors are kept canonical (never congruent to
 2 mod 4, since Q(zeta_{2m}) = Q(zeta_m) for odd m) and results of
 arithmetic are demoted to the smallest cyclotomic subfield containing
 them, which keeps matrix entries small in the rank oracle.
+
+Roots of unity are recognized by lookup: those of Q(zeta_n) are exactly the
++-z^e with 0 <= e < n, so order and exponent come from the coordinate
+vector without powering.  Other inverses are fraction-free integer solves
+(`vector_inverse`), with every division checked to be exact.
 """
 
 from __future__ import annotations
@@ -158,6 +163,91 @@ def vector_product(n: int):
         return out
 
     return mul
+
+
+def _exact_div(vec, d) -> list[int]:
+    """Divide every entry of an integer vector by d, which must divide it."""
+    out = []
+    for q in vec:
+        quot, rem = divmod(q, d)
+        if rem:
+            raise ArithmeticError("fraction-free elimination produced an inexact division")
+        out.append(quot)
+    return out
+
+
+def vector_inverse(n: int, vec) -> tuple[list[int], int]:
+    """Inverse of a nonzero integer coordinate vector of Q(zeta_n), as an
+    integer vector over a denominator: (W, d) with d > 0, gcd(W, d) = 1 and
+    vec * W = d.
+
+    Solves M x = e_0, where column j of M is vec * z^j, by fraction-free
+    (Bareiss) elimination and integer back-substitution; W = det(M) x is
+    integral by Cramer's rule.  Every division is checked to be exact.
+    """
+    mul = vector_product(n)
+    deg = euler_phi(n)
+    cols = [mul(vec, power_vector(n, j)) for j in range(deg)]
+    rows = [[col[r] for col in cols] + [int(r == 0)] for r in range(deg)]
+    prev = 1
+    for k in range(deg):
+        sel = next((r for r in range(k, deg) if rows[r][k]), None)
+        if sel is None:
+            raise CycError("inversion of zero")
+        rows[k], rows[sel] = rows[sel], rows[k]
+        top = rows[k]
+        piv = top[k]
+        for r in range(k + 1, deg):
+            row = rows[r]
+            f = row[k]
+            row[k + 1:] = _exact_div([piv * x - f * y for x, y in zip(row[k + 1:], top[k + 1:])],
+                                     prev)
+            row[k] = 0
+        prev = piv
+    det = prev
+    W = [0] * deg
+    for i in range(deg - 1, -1, -1):
+        row = rows[i]
+        s = det * row[deg] - sum(row[j] * W[j] for j in range(i + 1, deg))
+        W[i] = _exact_div((s,), row[i])[0]
+    g = math.gcd(det, *W)
+    if det < 0:
+        g = -g
+    return [w // g for w in W], det // g
+
+
+@lru_cache(maxsize=None)
+def _root_table(n: int) -> dict[tuple, int]:
+    # z^e -> e for phi(n) <= e < n.  The keys are the rows _reduction_rows
+    # already holds, not copies of them.
+    deg = euler_phi(n)
+    return {row: deg + i for i, row in enumerate(_reduction_rows(n)[:n - deg])}
+
+
+def _root_exponent(n: int, coeffs: tuple) -> tuple[int, int] | None:
+    """(k, d) with gcd(k, d) = 1 if coeffs, at canonical conductor n, is
+    zeta_d^k, else None.
+
+    The roots of unity of Q(zeta_n) are exactly the +-z^e with 0 <= e < n,
+    so this is a lookup: a single coordinate +-1 below phi(n), or a row of
+    _root_table(n) up to sign.
+    """
+    support = [j for j, c in enumerate(coeffs) if c]
+    if len(support) == 1 and coeffs[support[0]] in (1, -1):
+        e = support[0]
+        negative = coeffs[e] == -1
+    else:
+        table = _root_table(n)
+        e = table.get(coeffs)
+        negative = e is None
+        if negative:
+            e = table.get(tuple(-c for c in coeffs))
+            if e is None:
+                return None
+    # +z^e = zeta_{2n}^(2e) and -z^e = zeta_{2n}^(2e + n).
+    k = (2 * e + n) % (2 * n) if negative else 2 * e
+    g = math.gcd(k, 2 * n)
+    return k // g, 2 * n // g
 
 
 @lru_cache(maxsize=None)
@@ -333,25 +423,15 @@ class CycNum:
         """Multiplicative inverse; raises CycError on zero."""
         if self.is_zero():
             raise CycError("inversion of zero")
-        n = self.conductor
-        if n == 1:
-            return CycNum(1, (Fraction(self.coeffs[0]) ** -1,), _demote=False)
-        # Extended Euclid in Q[x] against Phi_n.
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r0, r1 = phi, [Fraction(c) for c in self.coeffs]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                c = r1[0]
-                coeffs = [v / c for v in s1]
-                break
-            q, rem = _poly_divmod_q(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # The Bezout coefficient has degree below phi(n): pad, no reduction.
-        return CycNum(n, coeffs + [0] * (euler_phi(n) - len(coeffs)))
+        root = _root_exponent(self.conductor, self.coeffs)
+        if root is not None:
+            return root_of_unity(-root[0], root[1])
+        den = 1
+        for c in self.coeffs:
+            if type(c) is not int:
+                den = math.lcm(den, c.denominator)
+        W, d = vector_inverse(self.conductor, [int(c * den) for c in self.coeffs])
+        return CycNum(self.conductor, [Fraction(w * den, d) for w in W])
 
     def __truediv__(self, other) -> CycNum:
         other = _coerce(other)
@@ -408,18 +488,9 @@ class CycNum:
     # -- root-of-unity structure --------------------------------------------
 
     def order(self) -> int | None:
-        """Multiplicative order if self is a root of unity, else None.
-
-        Any root of unity in Q(zeta_N) has order dividing lcm(2, N), so the
-        divisor sweep below is an exact test, not a heuristic.
-        """
-        if self.is_zero():
-            return None
-        bound = math.lcm(2, self.conductor)
-        for d in divisors(bound):
-            if (self ** d).is_one():
-                return d
-        return None
+        """Multiplicative order if self is a root of unity, else None."""
+        root = _root_exponent(self.conductor, self.coeffs)
+        return None if root is None else root[1]
 
 
 ZERO = CycNum(1, (0,), _demote=False)
@@ -459,6 +530,17 @@ def _fixed_by(coeffs, mats, deg) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _subfield_conductors(n: int) -> tuple[int, ...]:
+    # Canonical conductors of the proper subfields of Q(zeta_n) other than
+    # Q, smallest field first.
+    deg = euler_phi(n)
+    return tuple(sorted((d for d in divisors(n)
+                         if d != n and canonical_conductor(d) == d and d > 1
+                         and euler_phi(d) < deg),
+                        key=lambda d: (euler_phi(d), d)))
+
+
 def _demoted(conductor: int, coeffs: tuple) -> tuple[int, tuple]:
     # Smallest cyclotomic subfield containing the element.  Membership in
     # Q(zeta_d) for d | N is exactly invariance under the Galois subgroup
@@ -468,11 +550,7 @@ def _demoted(conductor: int, coeffs: tuple) -> tuple[int, tuple]:
     if not any(coeffs[1:]):
         return 1, (coeffs[0],)
     deg = len(coeffs)
-    cands = [d for d in divisors(conductor)
-             if d != conductor and canonical_conductor(d) == d and d > 1
-             and euler_phi(d) < deg]
-    cands.sort(key=lambda d: (euler_phi(d), d))
-    for d in cands:
+    for d in _subfield_conductors(conductor):
         if not _fixed_by(coeffs, _conjugation_matrices(conductor, d), deg):
             continue
         cols, pivots, inv = _embedding_solver(d, conductor)
@@ -481,41 +559,6 @@ def _demoted(conductor: int, coeffs: tuple) -> tuple[int, tuple]:
                     for i in range(len(rhs)))
         return d, sol
     return conductor, coeffs
-
-
-def _poly_divmod_q(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    deg_d = len(den) - 1
-    if len(num) - 1 < deg_d:
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - deg_d)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        c = num[i] * inv_lead
-        if c:
-            quot[i - deg_d] = c
-            for j, dj in enumerate(den):
-                num[i - deg_d + j] -= c * dj
-    return quot, num[:deg_d] or [Fraction(0)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def root_of_unity(k: int, n: int) -> CycNum:
@@ -536,8 +579,11 @@ def root_of_unity(k: int, n: int) -> CycNum:
         sign = -1 if e % 2 == 1 else 1
         e = (e * ((m + 1) // 2)) % m
         d = m
+    # A primitive d-th root (or its negative, for d odd) generates
+    # Q(zeta_d): the conductor is already minimal, so there is nothing to
+    # demote.
     vec = power_vector(d, e)
-    return CycNum(d, tuple(sign * c for c in vec))
+    return CycNum(d, tuple(sign * c for c in vec), _demote=False)
 
 
 def order(a: CycNum) -> int | None:
@@ -547,14 +593,7 @@ def order(a: CycNum) -> int | None:
 
 def as_root_exponent(a: CycNum) -> tuple[int, int] | None:
     """Return (k, d) with a = zeta_d^k, gcd(k, d) = 1, if a is a root of unity."""
-    d = a.order()
-    if d is None:
-        return None
-    for k in range(d):
-        if math.gcd(k, d) == 1 or d == 1:
-            if root_of_unity(k, d) == a:
-                return k, d
-    return None  # pragma: no cover - every root of unity is primitive for its order
+    return _root_exponent(a.conductor, a.coeffs)
 
 
 def qnum(m: int, p: CycNum) -> CycNum:

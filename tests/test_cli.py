@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import nichols2
 from nichols2.cli import main
 
 
@@ -25,6 +30,15 @@ def test_dims_cartan(capsys):
                        "--q21", "0/1", "--q22", "1/3", "--degree-cap", "8")
     assert code == 0
     assert json.loads(out) == [1, 2, 4, 4, 5, 4, 4, 2, 1]
+
+
+def test_python_dash_m_runs_the_command():
+    env = dict(os.environ, PYTHONPATH=str(Path(nichols2.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "nichols2", "dims", "--q11", "1/3", "--q12", "2/3",
+                           "--q21", "0/1", "--q22", "1/3", "--degree-cap", "4"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [1, 2, 4, 4, 5]
 
 
 def test_tree_exterior(capsys):

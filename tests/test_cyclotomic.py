@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, as_root_exponent,
-                                 cyclotomic_polynomial, euler_phi, format_scalar, order,
-                                 parse_scalar, qfact, qnum, root_of_unity, vector_product)
+                                 cyclotomic_polynomial, divisors, euler_phi, format_scalar,
+                                 order, parse_scalar, qfact, qnum, root_of_unity,
+                                 vector_inverse, vector_product)
+
+INVERSE_CONDUCTORS = (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30)
 
 
 def test_cyclotomic_polynomials():
@@ -36,7 +40,7 @@ def schoolbook_product(a, b, n):
 
 
 def test_vector_product_matches_long_division(rng):
-    for n in (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30):
+    for n in INVERSE_CONDUCTORS:
         mul = vector_product(n)
         deg = euler_phi(n)
         for _ in range(25):
@@ -68,6 +72,34 @@ def test_inverse_is_multiplicative_inverse(rng):
         assert a * a.inv() == ONE
 
 
+def test_vector_inverse_is_integral(rng):
+    for n in INVERSE_CONDUCTORS:
+        mul = vector_product(n)
+        deg = euler_phi(n)
+        for _ in range(25):
+            vec = [rng.choice((0, rng.randrange(-99, 100))) for _ in range(deg)]
+            if not any(vec):
+                continue
+            W, d = vector_inverse(n, vec)
+            assert all(type(c) is int for c in W) and type(d) is int
+            assert d > 0 and math.gcd(d, *W) == 1
+            assert mul(vec, W) == [d] + [0] * (deg - 1)
+    with pytest.raises(CycError):
+        vector_inverse(5, [0, 0, 0, 0])
+
+
+def test_inverse_of_rational_coordinates(rng):
+    for n in INVERSE_CONDUCTORS:
+        deg = euler_phi(n)
+        for _ in range(10):
+            coeffs = [Fraction(rng.randrange(-30, 31), rng.randrange(1, 9)) for _ in range(deg)]
+            coeffs[rng.randrange(deg)] = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 30),
+                                                  rng.choice((2, 3, 7)))
+            a = CycNum(n, coeffs)
+            assert a * a.inv() == ONE
+            assert a.inv().inv() == a
+
+
 def test_neg_zero_is_zero():
     assert -ZERO == ZERO
 
@@ -93,6 +125,65 @@ def test_order_matches_exponent_arithmetic():
     for n in range(1, 31):
         for k in range(1, n + 1):
             assert order(root_of_unity(k, n)) == n // math.gcd(k, n)
+
+
+def _reference_order(a):
+    # The divisor sweep: every root of unity in Q(zeta_N) has order
+    # dividing lcm(2, N).
+    for d in divisors(math.lcm(2, a.conductor)):
+        if (a ** d).is_one():
+            return d
+    return None
+
+
+@lru_cache(maxsize=None)
+def _primitive_roots(d):
+    return tuple((k, root_of_unity(k, d)) for k in range(d) if math.gcd(k, d) == 1)
+
+
+def _reference_exponent(a):
+    # The exponent search: the primitive d-th root equal to a.
+    d = _reference_order(a)
+    if d is None:
+        return None
+    return next((k, d) for k, r in _primitive_roots(d) if r == a)
+
+
+def test_root_lookup_matches_power_sweep():
+    for n in range(1, 61):
+        for k in range(n):
+            for a in (root_of_unity(k, n), -root_of_unity(k, n)):
+                expected = _reference_exponent(a)
+                assert as_root_exponent(a) == expected
+                assert order(a) == expected[1]
+
+
+def test_non_roots_are_not_recognized():
+    z5 = root_of_unity(1, 5)
+    for a in (2 + z5, z5 / 2, 1 + z5, ONE / 2, CycNum.from_rational(2), ZERO,
+              root_of_unity(1, 12) - 1):
+        assert as_root_exponent(a) is None
+        assert order(a) is None
+
+
+def test_roots_at_non_minimal_conductor_are_recognized():
+    # Fraction-free elimination and the symmetrizer keep values at a common
+    # conductor without demoting them.
+    for k, n, big in ((1, 3, 12), (2, 3, 12), (1, 4, 12), (1, 5, 20), (3, 8, 24), (1, 1, 15),
+                      (1, 2, 9), (7, 15, 60)):
+        for a in (root_of_unity(k, n), -root_of_unity(k, n)):
+            lifted = CycNum(big, a._lift(big), _demote=False)
+            assert lifted.conductor == big
+            assert as_root_exponent(lifted) == as_root_exponent(a)
+            assert order(lifted) == order(a)
+            assert lifted.inv() == a.inv()
+            assert lifted * lifted.inv() == ONE
+
+
+def test_large_conductor_root():
+    assert as_root_exponent(root_of_unity(7, 1000)) == (7, 1000)
+    assert as_root_exponent(-root_of_unity(7, 1000)) == (507, 1000)
+    assert order(root_of_unity(7, 1000)) == 1000
 
 
 def test_order_examples():
