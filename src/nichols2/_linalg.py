@@ -16,25 +16,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycNum, _exact_div, canonical_conductor, vector_inverse, vector_product
+from .cyclotomic import _exact_div, vector_inverse, vector_product
 
 
-def exact_rank(matrix: list[list[CycNum]]) -> int:
-    """Rank of a matrix of cyclotomic scalars, fully exact."""
-    if not matrix or not matrix[0]:
-        return 0
-    conductor = 1
-    for row in matrix:
-        for entry in row:
-            conductor = canonical_conductor(math.lcm(conductor, entry.conductor))
-    return exact_rank_vectors([[entry._lift(conductor) for entry in row] for row in matrix],
-                              conductor)
-
-
-def exact_rank_vectors(rows, conductor: int) -> int:
+def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None) -> int:
     """Rank of a matrix whose entries are coordinate vectors at a fixed
     conductor.  Integer entries go straight to elimination; rational ones
-    are scaled per row first (which preserves rank)."""
+    are scaled per row first (which preserves rank).
+
+    If pivot_rows is given, its contents are replaced by the sorted input
+    indices of the pivot rows: those rows are independent and span the
+    row space.
+    """
+    if pivot_rows is not None:
+        pivot_rows.clear()
     if not rows or not rows[0]:
         return 0
     cleaned = []
@@ -55,6 +50,7 @@ def exact_rank_vectors(rows, conductor: int) -> int:
     def size(vec):
         return sum(c.bit_length() if c >= 0 else (-c).bit_length() for c in vec)
 
+    order = list(range(n_rows))  # input index of the row now at each position
     rank = 0
     prev_inv = None  # (W, r): previous pivot inverse as W / r
     col = 0
@@ -71,6 +67,7 @@ def exact_rank_vectors(rows, conductor: int) -> int:
             continue
         i = best[1]
         rows[rank], rows[i] = rows[i], rows[rank]
+        order[rank], order[i] = order[i], order[rank]
         pivot_row = rows[rank]
         pivot = pivot_row[col]
         for r in range(rank + 1, n_rows):
@@ -94,4 +91,6 @@ def exact_rank_vectors(rows, conductor: int) -> int:
         prev_inv = vector_inverse(conductor, pivot)
         rank += 1
         col += 1
+    if pivot_rows is not None:
+        pivot_rows.extend(sorted(order[:rank]))
     return rank

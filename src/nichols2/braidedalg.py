@@ -276,6 +276,10 @@ class _SymEngine:
     exponent shifts; the coefficients become integer coordinate vectors
     only on the way out.  Callers that scale those vectors multiply them
     with `cyclotomic.vector_product`.
+
+    pivot_words maps each bidegree the rank oracle has reached to words
+    whose classes form a basis of that graded piece (filled by
+    `nicholscore.dim_at_degree`).
     """
 
     def __init__(self, b: Braiding):
@@ -289,6 +293,7 @@ class _SymEngine:
         self._rootvecs: dict[int, tuple[int, ...]] = {}
         self.cache: dict[tuple[int, ...], dict] = {}
         self._vec_cache: dict[tuple[int, ...], dict] = {}
+        self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         e11, e12, e21, e22 = self.exps
         # Exponent of chi(e_i, e_j) in the root group, indexed [i][j].
         self._chi_exp = {(1, 1): e11, (1, 2): e12, (2, 1): e21, (2, 2): e22}

@@ -3,8 +3,10 @@
 Braiding entries use the scalar grammar `[-]k/N` meaning an optionally
 negated root of unity zeta_N^k, e.g. `1/2` is -1 and `-2/12` is the
 negated twelfth root squared.  Reports are JSON by default; exit status is
-0 on success or a verified result, 1 on a verification failure, and 2 on
-an input error.
+0 on success or a verified result, 1 on a verification failure, 2 on an
+input error (bad arguments, scalars, tree text or caps), and 3 on an
+internal error, which is reported with its command, exception type and
+traceback.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .cyclotomic import CycError, parse_scalar
 from .braidedalg import Braiding, BraidedError
 from .fbtree import TreeParseError, parse_tree, serialize_tree
-from .admissibility import ReconstructionError, StructureError, reconstruct_tree
+from .admissibility import ReconstructionError, reconstruct_tree
 from .classify import classify_full, run_fixture_matrix
 from .nicholscore import NicholsError, hilbert_prefix, verify_type
 
@@ -41,6 +44,16 @@ def _braiding_from_args(args) -> Braiding:
         raise InputError(str(exc)) from exc
 
 
+def _int_at_least(minimum: int):
+    # argparse names the type by its function in "invalid integer value: ..."
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
 def _add_braiding_flags(p: argparse.ArgumentParser):
     for name in ("q11", "q12", "q21", "q22"):
         p.add_argument(f"--{name}", metavar="K/N", help=f"braiding entry {name}")
@@ -48,10 +61,10 @@ def _add_braiding_flags(p: argparse.ArgumentParser):
 
 def _add_common_flags(p: argparse.ArgumentParser, caps=("degree", "weight")):
     if "degree" in caps:
-        p.add_argument("--degree-cap", type=int, default=8,
+        p.add_argument("--degree-cap", type=_int_at_least(0), default=8,
                        help="total degree through which the oracle verifies (default 8)")
     if "weight" in caps:
-        p.add_argument("--weight-cap", type=int, default=16,
+        p.add_argument("--weight-cap", type=_int_at_least(2), default=16,
                        help="largest label weight a branching node may reach (default 16)")
     p.add_argument("--format", choices=("json", "text"), default="json",
                    dest="fmt", help="output format (default json)")
@@ -226,9 +239,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (StructureError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error in {args.command} ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

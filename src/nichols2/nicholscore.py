@@ -1,11 +1,21 @@
 """Degree-truncated oracle for the braided quotient algebra.
 
 The dimension of each graded piece is the exact rank of the quantum
-symmetrizer, computed blockwise over the bidegree splitting (which the
-symmetrizer preserves).  Monomial bases predicted by a tree are verified
-against that oracle both by counting and by rank of the symmetrized
-monomial matrix, so a wrong tree fails loudly.  Degrees are independent
-work units: each one is a pure function of (braiding, degree).
+symmetrizer over Q(zeta_N), computed per bidegree (the symmetrizer
+preserves the bidegree splitting).  The ranks are taken over a spanning
+set rather than over all words.  The kernels of the symmetrizers S_m
+together form the Nichols ideal, a two-sided ideal: the kernel of the
+algebra map to the quantum shuffle algebra (Andruskiewitsch-Schneider,
+"Pointed Hopf algebras", 2002).  So if the classes of the words w form a
+basis of degree m - 1, the image of S_m is spanned by the S_m(x_j w), and
+the words of the pivot rows of that matrix form a basis of degree m.  Each
+bidegree (r, s) therefore ranks only the candidates 1.w and 2.w for the
+basis words w of (r - 1, s) and (r, s - 1); the basis words are kept per
+braiding, so a degree is computed from the degree below it.
+
+Monomial bases predicted by a tree are verified against that oracle both
+by counting and by rank of the symmetrized monomial matrix, so a wrong
+tree fails loudly.
 """
 
 from __future__ import annotations
@@ -45,30 +55,46 @@ class HilbertPrefix:
         return sum(self.dims)
 
 
+def _pivot_words(eng, r: int, s: int) -> list:
+    """Words whose classes form a basis of the bidegree-(r, s) piece, from
+    the basis words of the two bidegrees below it (which must be known)."""
+    cands = []
+    if r:
+        cands += [(1,) + w for w in eng.pivot_words[(r - 1, s)]]
+    if s:
+        cands += [(2,) + w for w in eng.pivot_words[(r, s - 1)]]
+    if not cands:
+        return []
+    images = [eng.image_vectors(w) for w in cands]
+    cols = {w: j for j, w in enumerate(sorted({w for img in images for w in img}))}
+    zero = (0,) * eng.deg
+    rows = []
+    for img in images:
+        vec = [zero] * len(cols)
+        for w, v in img.items():
+            vec[cols[w]] = v
+        rows.append(vec)
+    pivots: list[int] = []
+    exact_rank_vectors(rows, eng.conductor, pivot_rows=pivots)
+    return [cands[i] for i in pivots]
+
+
 def dim_at_degree(b: Braiding, m: int) -> int:
-    """Exact dimension of the degree-m piece: the symmetrizer rank."""
+    """Exact dimension of the degree-m piece: the symmetrizer rank, taken
+    over the spanning set x_j.w built from the basis words of degree m - 1.
+    Lower degrees not yet known for this braiding are computed first, and
+    a zero degree makes every higher one zero."""
     if m < 0:
         raise NicholsError("degree must be nonnegative")
-    if m == 0:
-        return 1
-    if m == 1:
-        return 2
     eng = _engine(b)
-    zero = (0,) * eng.deg
-    total = 0
-    blocks: dict[int, list] = defaultdict(list)
-    for w in basis_words(m):
-        blocks[w.count(1)].append(w)
-    for words in blocks.values():
-        idx = {w: i for i, w in enumerate(words)}
-        rows = []
-        for w in words:
-            vec = [zero] * len(words)
-            for ww, v in eng.image_vectors(w).items():
-                vec[idx[ww]] = v
-            rows.append(vec)
-        total += exact_rank_vectors(rows, eng.conductor)
-    return total
+    known = eng.pivot_words
+    for d in range(1, m + 1):
+        for r in range(d + 1):
+            if (r, d - r) not in known:
+                known[(r, d - r)] = _pivot_words(eng, r, d - r)
+        if not any(known[(r, d - r)] for r in range(d + 1)):
+            return 0  # every higher degree is spanned from this empty one
+    return sum(len(known[(r, m - r)]) for r in range(m + 1))
 
 
 def hilbert_prefix(b: Braiding, n: int) -> HilbertPrefix:

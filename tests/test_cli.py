@@ -128,3 +128,22 @@ def test_fixtures_exit_reflects_failures(capsys, monkeypatch):
     bad = FixtureRow(1, 1, False, True, True, True, True, True, True, True, 4, 2, 0.0)
     monkeypatch.setattr(cli, "run_fixture_matrix", lambda **kw: [bad])
     assert main(["fixtures"]) == 1
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    import nichols2.cli as cli
+
+    def broken(b, n):
+        raise ValueError("simulated defect")
+
+    monkeypatch.setattr(cli, "hilbert_prefix", broken)
+    args = ("--q11", "1/3", "--q12", "2/3", "--q21", "0/1", "--q22", "1/3")
+    code, out, err = run(capsys, "dims", *args, "--degree-cap", "4")
+    assert code == 3 and out == ""
+    assert "internal error in dims (ValueError): simulated defect" in err
+    assert "input error" not in err
+    # Caps are validated while parsing, before any work.
+    code, _, err = run(capsys, "dims", *args, "--degree-cap", "-1")
+    assert code == 2 and "--degree-cap" in err
+    code, _, err = run(capsys, "tree", *args, "--weight-cap", "1")
+    assert code == 2 and "--weight-cap" in err

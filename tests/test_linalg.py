@@ -1,7 +1,20 @@
+import math
+
 from conftest import naive_rank
 
-from nichols2._linalg import exact_rank, exact_rank_vectors
-from nichols2.cyclotomic import CycNum, ZERO, root_of_unity
+from nichols2._linalg import exact_rank_vectors
+from nichols2.cyclotomic import CycNum, ZERO, canonical_conductor, root_of_unity
+
+
+def lifted_rank(matrix, pivot_rows=None):
+    """Rank of a matrix of cyclotomic scalars: every entry is lifted to the
+    common conductor and the coordinate vectors are eliminated."""
+    conductor = 1
+    for row in matrix:
+        for entry in row:
+            conductor = canonical_conductor(math.lcm(conductor, entry.conductor))
+    return exact_rank_vectors([[entry._lift(conductor) for entry in row] for row in matrix],
+                              conductor, pivot_rows=pivot_rows)
 
 
 def random_matrix(rng, rows, cols, rational=False):
@@ -29,27 +42,27 @@ def test_rank_matches_naive_gaussian(rng):
         # inject linear dependence half the time
         if rows >= 2 and rng.random() < 0.5:
             m[-1] = [a + b for a, b in zip(m[0], m[rng.randrange(rows - 1)])]
-        assert exact_rank(m) == naive_rank(m)
+        assert lifted_rank(m) == naive_rank(m)
 
 
 def test_rank_edge_cases():
-    assert exact_rank([]) == 0
-    assert exact_rank([[ZERO, ZERO]]) == 0
+    assert lifted_rank([]) == 0
+    assert lifted_rank([[ZERO, ZERO]]) == 0
     one = CycNum.from_rational(1)
-    assert exact_rank([[one]]) == 1
-    assert exact_rank([[one, one], [one, one]]) == 1
+    assert lifted_rank([[one]]) == 1
+    assert lifted_rank([[one, one], [one, one]]) == 1
 
 
 def test_rank_vectors_entry_point(rng):
     z5 = root_of_unity(1, 5)
     m = [[z5, z5 * z5], [z5 * z5, z5 ** 4]]
     lifted = [[tuple(e._lift(5)) for e in row] for row in m]
-    assert exact_rank_vectors(lifted, 5) == exact_rank(m)
+    assert exact_rank_vectors(lifted, 5) == lifted_rank(m) == naive_rank(m)
 
 
 def test_rank_deterministic(rng):
     m = random_matrix(rng, 6, 6)
-    assert exact_rank(m) == exact_rank(m)
+    assert lifted_rank(m) == lifted_rank(m)
 
 
 def test_rank_on_symmetrizer_blocks(rng):
@@ -65,4 +78,44 @@ def test_rank_on_symmetrizer_blocks(rng):
         for k in range(5):
             cols = [j for j, w in enumerate(words) if w.count(1) == k]
             block = [[mat[i][j] for j in cols] for i in cols]
-            assert exact_rank(block) == naive_rank(block)
+            assert lifted_rank(block) == naive_rank(block)
+
+
+def test_pivot_rows_index_an_independent_spanning_subset(rng):
+    reordered = 0
+    for trial in range(60):
+        rows = rng.randrange(2, 8)
+        cols = rng.randrange(1, 7)
+        m = random_matrix(rng, rows, cols)
+        # A zero leading entry in the first row makes the first pivot come
+        # from further down, so the elimination has to swap rows.
+        m[0][0] = ZERO
+        if all(row[0].is_zero() for row in m):
+            m[-1][0] = root_of_unity(trial, 12)
+        # Dependent rows: a sum of two others, a multiple, or zero.
+        k = rng.randrange(rows)
+        choice = trial % 3
+        if choice == 0:
+            i, j = rng.randrange(rows), rng.randrange(rows)
+            m[k] = [a + b for a, b in zip(m[i], m[j])]
+        elif choice == 1:
+            c = root_of_unity(rng.randrange(12), 12)
+            m[k] = [c * a for a in m[rng.randrange(rows)]]
+        else:
+            m[k] = [ZERO] * cols
+        pivots = [-1, 99]  # replaced, not appended to
+        rank = lifted_rank(m, pivot_rows=pivots)
+        assert rank == lifted_rank(m) == naive_rank(m)
+        assert pivots == sorted(set(pivots)) and len(pivots) == rank
+        assert all(0 <= i < rows for i in pivots)
+        sub = [m[i] for i in pivots]
+        assert lifted_rank(sub) == naive_rank(sub) == rank
+        reordered += pivots != list(range(rank))
+    assert reordered > 0
+
+
+def test_pivot_rows_of_empty_and_zero_matrices():
+    pivots = [3]
+    assert exact_rank_vectors([], 12, pivot_rows=pivots) == 0 and pivots == []
+    pivots = [3]
+    assert lifted_rank([[ZERO, ZERO], [ZERO, ZERO]], pivot_rows=pivots) == 0 and pivots == []

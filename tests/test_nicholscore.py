@@ -5,7 +5,7 @@ from nichols2.braidedalg import Braiding, NCPoly, is_zero_in_nichols, tau0
 from nichols2.fbtree import TREES
 from nichols2.admissibility import lambda_of, mu_of, p_of
 from nichols2.nicholscore import (NicholsError, check_relations_vanish, count_by_degree,
-                                  dimension, evaluate_monomial, hilbert_prefix,
+                                  dim_at_degree, dimension, evaluate_monomial, hilbert_prefix,
                                   pbw_monomials, relation_set, top_total_degree,
                                   verify_type)
 
@@ -222,3 +222,60 @@ def test_evaluate_monomial_degree():
         poly = evaluate_monomial(t, b, mono)
         labels = [t.stern_brocot(a) for a in t.nbar2()]
         assert poly.multidegree() == mono.multidegree(labels)
+
+
+def full_block_dims(b, n):
+    """Independent oracle: the symmetrizer rank over every word of each
+    bidegree, with no spanning-set reduction."""
+    from nichols2._linalg import exact_rank_vectors
+    from nichols2.braidedalg import _engine, basis_words
+
+    eng = _engine(b)
+    zero = (0,) * eng.deg
+    dims = []
+    for m in range(n + 1):
+        total = 0
+        for r in range(m + 1):
+            words = [w for w in basis_words(m) if w.count(1) == r]
+            idx = {w: i for i, w in enumerate(words)}
+            rows = []
+            for w in words:
+                vec = [zero] * len(words)
+                for ww, v in eng.image_vectors(w).items():
+                    vec[idx[ww]] = v
+                rows.append(vec)
+            total += exact_rank_vectors(rows, eng.conductor)
+        dims.append(total)
+    return dims
+
+
+def test_hilbert_prefix_matches_full_block_rank(rng):
+    from conftest import random_root_braiding
+    from nichols2.classify import fixtures
+
+    for b in fixtures().values():
+        assert list(hilbert_prefix(b, 6)) == full_block_dims(b, 6), b
+    for _ in range(20):
+        b = random_root_braiding(rng)
+        assert list(hilbert_prefix(b, 5)) == full_block_dims(b, 5), b
+
+
+def test_dim_at_degree_on_a_cold_engine():
+    from nichols2.braidedalg import _engine, clear_caches
+    from nichols2.classify import fixtures
+
+    for key in ((2, 1), (7, 1), (15, 1)):
+        b = fixtures()[key]
+        clear_caches()
+        prefix = hilbert_prefix(b, 6)
+        clear_caches()
+        assert dim_at_degree(b, 6) == prefix[6]
+        clear_caches()
+        assert [dim_at_degree(b, m) for m in (4, 1, 6, 0, 3, 5, 2)] == \
+            [prefix[m] for m in (4, 1, 6, 0, 3, 5, 2)]
+    # The Cartan A2 braiding has top degree 8: degree 9 ranks the two
+    # products of the top word to 0, so degree 10 has no candidates and no
+    # word of length 10 is imaged.
+    clear_caches()
+    assert list(hilbert_prefix(cartan_a2(), 10)) == [1, 2, 4, 4, 5, 4, 4, 2, 1, 0, 0]
+    assert max(len(w) for w in _engine(cartan_a2()).cache) == 9
