@@ -19,17 +19,20 @@ from fractions import Fraction
 from .cyclotomic import _exact_div, vector_inverse, vector_product
 
 
-def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None) -> int:
+def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None,
+                       pivot_cols: list[int] | None = None) -> int:
     """Rank of a matrix whose entries are coordinate vectors at a fixed
     conductor.  Integer entries go straight to elimination; rational ones
     are scaled per row first (which preserves rank).
 
     If pivot_rows is given, its contents are replaced by the sorted input
     indices of the pivot rows: those rows are independent and span the
-    row space.
+    row space.  Likewise pivot_cols receives the sorted indices of the
+    pivot columns, which are independent and span the column space.
     """
-    if pivot_rows is not None:
-        pivot_rows.clear()
+    for pivots in (pivot_rows, pivot_cols):
+        if pivots is not None:
+            pivots.clear()
     if not rows or not rows[0]:
         return 0
     cleaned = []
@@ -89,6 +92,8 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
                     t = _exact_div(t, d)
                 row[j] = t
         prev_inv = vector_inverse(conductor, pivot)
+        if pivot_cols is not None:
+            pivot_cols.append(col)
         rank += 1
         col += 1
     if pivot_rows is not None:

@@ -278,8 +278,10 @@ class _SymEngine:
     with `cyclotomic.vector_product`.
 
     pivot_words maps each bidegree the rank oracle has reached to words
-    whose classes form a basis of that graded piece (filled by
-    `nicholscore.dim_at_degree`).
+    whose classes form a basis of that graded piece, and pivot_cols maps it
+    to the words of the pivot columns of its rank, whose images under the
+    symmetrizer of the transposed braiding form a basis of that piece of
+    its quotient (both filled by `nicholscore.dim_at_degree`).
     """
 
     def __init__(self, b: Braiding):
@@ -294,6 +296,7 @@ class _SymEngine:
         self.cache: dict[tuple[int, ...], dict] = {}
         self._vec_cache: dict[tuple[int, ...], dict] = {}
         self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
+        self.pivot_cols: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         e11, e12, e21, e22 = self.exps
         # Exponent of chi(e_i, e_j) in the root group, indexed [i][j].
         self._chi_exp = {(1, 1): e11, (1, 2): e12, (2, 1): e21, (2, 2): e22}
@@ -348,9 +351,21 @@ class _SymEngine:
                         out[j] += mult * vec[j]
         return tuple(out)
 
-    def image_vectors(self, word: tuple[int, ...]) -> dict:
+    def image_vectors(self, word: tuple[int, ...], columns=None) -> dict:
         """Image of a basis word with coefficients as coordinate vectors,
-        zero coefficients dropped."""
+        zero coefficients dropped.  Given a collection of words as columns,
+        only the coefficients at those words are converted (and the result
+        is not cached)."""
+        if columns is not None:
+            image = self.image(word)
+            out = {}
+            for w in columns:
+                coeff = image.get(w)
+                if coeff is not None:
+                    vec = self.coeff_to_vec(coeff)
+                    if any(vec):
+                        out[w] = vec
+            return out
         hit = self._vec_cache.get(word)
         if hit is None:
             hit = {}

@@ -8,14 +8,25 @@ together form the Nichols ideal, a two-sided ideal: the kernel of the
 algebra map to the quantum shuffle algebra (Andruskiewitsch-Schneider,
 "Pointed Hopf algebras", 2002).  So if the classes of the words w form a
 basis of degree m - 1, the image of S_m is spanned by the S_m(x_j w), and
-the words of the pivot rows of that matrix form a basis of degree m.  Each
-bidegree (r, s) therefore ranks only the candidates 1.w and 2.w for the
-basis words w of (r - 1, s) and (r, s - 1); the basis words are kept per
-braiding, so a degree is computed from the degree below it.
+the words of the pivot rows of that matrix form a basis of degree m.
+
+The columns are reduced the same way.  The coefficient of u in S_m(v) is
+the coefficient of v in S_m'(u), where S_m' is the symmetrizer of the
+transposed braiding (q11, q21, q12, q22); so the columns are S_m'-images,
+and by the same ideal argument they are spanned by the columns at x_j u
+for words u whose S_m'-images form a basis one degree down.  The pivot
+columns of a rank are such words.  Rows spanning the row space and
+columns spanning the column space give a submatrix of full rank, whose
+pivot rows are still basis words.  Each bidegree (r, s) therefore ranks
+a square block: the candidates 1.w and 2.w for the basis words w of
+(r - 1, s) and (r, s - 1), at the columns 1.u and 2.u for their pivot
+column words u.  Both word lists are kept per braiding, so a degree is
+computed from the degree below it.
 
 Monomial bases predicted by a tree are verified against that oracle both
-by counting and by rank of the symmetrized monomial matrix, so a wrong
-tree fails loudly.
+by counting and by rank of the symmetrized monomial matrix (taken at the
+column words of each bidegree, which keeps the rank), so a wrong tree
+fails loudly.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from ._linalg import exact_rank_vectors
-from .braidedalg import Braiding, NCPoly, _engine, basis_words, tau0
+from .braidedalg import Braiding, NCPoly, _engine, tau0
 from .cyclotomic import qfact, vector_product
 from .fbtree import FullBinaryTree
 from .admissibility import mu_of, p_of
@@ -55,33 +66,34 @@ class HilbertPrefix:
         return sum(self.dims)
 
 
-def _pivot_words(eng, r: int, s: int) -> list:
-    """Words whose classes form a basis of the bidegree-(r, s) piece, from
-    the basis words of the two bidegrees below it (which must be known)."""
-    cands = []
+def _pivot_words(eng, r: int, s: int) -> tuple[list, list]:
+    """Basis words of the bidegree-(r, s) piece and the words of the pivot
+    columns of its rank, from those of the two bidegrees below it (which
+    must be known)."""
+    cands, cols = [], []
     if r:
         cands += [(1,) + w for w in eng.pivot_words[(r - 1, s)]]
+        cols += [(1,) + u for u in eng.pivot_cols[(r - 1, s)]]
     if s:
         cands += [(2,) + w for w in eng.pivot_words[(r, s - 1)]]
+        cols += [(2,) + u for u in eng.pivot_cols[(r, s - 1)]]
     if not cands:
-        return []
-    images = [eng.image_vectors(w) for w in cands]
-    cols = {w: j for j, w in enumerate(sorted({w for img in images for w in img}))}
+        return [], []
     zero = (0,) * eng.deg
     rows = []
-    for img in images:
-        vec = [zero] * len(cols)
-        for w, v in img.items():
-            vec[cols[w]] = v
-        rows.append(vec)
-    pivots: list[int] = []
-    exact_rank_vectors(rows, eng.conductor, pivot_rows=pivots)
-    return [cands[i] for i in pivots]
+    for w in cands:
+        img = eng.image_vectors(w, cols)
+        rows.append([img.get(u, zero) for u in cols])
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    exact_rank_vectors(rows, eng.conductor, pivot_rows=pivot_rows, pivot_cols=pivot_cols)
+    return [cands[i] for i in pivot_rows], [cols[j] for j in pivot_cols]
 
 
 def dim_at_degree(b: Braiding, m: int) -> int:
     """Exact dimension of the degree-m piece: the symmetrizer rank, taken
-    over the spanning set x_j.w built from the basis words of degree m - 1.
+    over the spanning set x_j.w built from the basis words of degree m - 1,
+    at the columns x_j.u built from its pivot column words.
     Lower degrees not yet known for this braiding are computed first, and
     a zero degree makes every higher one zero."""
     if m < 0:
@@ -91,7 +103,7 @@ def dim_at_degree(b: Braiding, m: int) -> int:
     for d in range(1, m + 1):
         for r in range(d + 1):
             if (r, d - r) not in known:
-                known[(r, d - r)] = _pivot_words(eng, r, d - r)
+                known[(r, d - r)], eng.pivot_cols[(r, d - r)] = _pivot_words(eng, r, d - r)
         if not any(known[(r, d - r)] for r in range(d + 1)):
             return 0  # every higher degree is spanned from this empty one
     return sum(len(known[(r, m - r)]) for r in range(m + 1))
@@ -222,7 +234,7 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
     zero = (0,) * eng.deg
     mul = vector_product(eng.conductor)
     for bideg, group in sorted(by_bidegree.items()):
-        words = [w for w in basis_words(bideg[0] + bideg[1]) if w.count(1) == bideg[0]]
+        words = eng.pivot_cols[bideg]
         idx = {w: i for i, w in enumerate(words)}
         rows = []
         for mo in group:
@@ -231,9 +243,12 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
             for w, c in poly.terms.items():
                 cv = c._lift(eng.conductor)
                 for ww, v in eng.image_vectors(w).items():
-                    cur = vec[idx[ww]]
+                    j = idx.get(ww)
+                    if j is None:
+                        continue
+                    cur = vec[j]
                     add = mul(cv, v)
-                    vec[idx[ww]] = add if cur is zero else tuple(x + y for x, y in zip(cur, add))
+                    vec[j] = add if cur is zero else tuple(x + y for x, y in zip(cur, add))
             rows.append(vec)
         rank = exact_rank_vectors(rows, eng.conductor)
         if rank != len(group):

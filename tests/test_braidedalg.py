@@ -294,6 +294,23 @@ def test_symmetrizer_matches_operator_product(rng):
         assert fast == slow, m
 
 
+def test_transposed_symmetrizer_is_the_symmetrizer_of_the_transposed_braiding(rng):
+    # The rank oracle reduces the columns of its blocks with this identity:
+    # the columns of a symmetrizer block are images under the symmetrizer
+    # of the transposed braiding (q11, q21, q12, q22).
+    from nichols2.classify import fixtures
+
+    cases = [(b, m) for b in fixtures().values() for m in (1, 2, 3, 4)]
+    for _ in range(20):
+        b = random_root_braiding(rng)
+        cases += [(b, m) for m in (1, 2, 3, 4, 5)]
+    for b, m in cases:
+        mat = symmetrizer(b, m)
+        transposed = symmetrizer(Braiding(b.q11, b.q21, b.q12, b.q22), m)
+        n = len(mat)
+        assert all(mat[i][j] == transposed[j][i] for i in range(n) for j in range(n)), (b, m)
+
+
 def test_skew_derivation_matches_front_operator(rng):
     # By definition the derivation is evaluation against the first tensor
     # leg of the front operator id + s_01 + s_01 s_12 + ...; check the

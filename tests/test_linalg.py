@@ -6,7 +6,7 @@ from nichols2._linalg import exact_rank_vectors
 from nichols2.cyclotomic import CycNum, ZERO, canonical_conductor, root_of_unity
 
 
-def lifted_rank(matrix, pivot_rows=None):
+def lifted_rank(matrix, pivot_rows=None, pivot_cols=None):
     """Rank of a matrix of cyclotomic scalars: every entry is lifted to the
     common conductor and the coordinate vectors are eliminated."""
     conductor = 1
@@ -14,7 +14,7 @@ def lifted_rank(matrix, pivot_rows=None):
         for entry in row:
             conductor = canonical_conductor(math.lcm(conductor, entry.conductor))
     return exact_rank_vectors([[entry._lift(conductor) for entry in row] for row in matrix],
-                              conductor, pivot_rows=pivot_rows)
+                              conductor, pivot_rows=pivot_rows, pivot_cols=pivot_cols)
 
 
 def random_matrix(rng, rows, cols, rational=False):
@@ -114,8 +114,46 @@ def test_pivot_rows_index_an_independent_spanning_subset(rng):
     assert reordered > 0
 
 
+def test_pivot_cols_index_an_independent_spanning_subset(rng):
+    reordered = 0
+    for trial in range(60):
+        rows = rng.randrange(1, 7)
+        cols = rng.randrange(2, 8)
+        m = random_matrix(rng, rows, cols)
+        # A zero first column, or a column dependent on the ones before it
+        # (a sum, a multiple, or zero), is not a pivot column.
+        k = rng.randrange(1, cols)
+        choice = trial % 4
+        if choice == 0:
+            for row in m:
+                row[0] = ZERO
+        elif choice == 1:
+            i, j = rng.randrange(k), rng.randrange(k)
+            for row in m:
+                row[k] = row[i] + row[j]
+        elif choice == 2:
+            c = root_of_unity(rng.randrange(12), 12)
+            i = rng.randrange(k)
+            for row in m:
+                row[k] = c * row[i]
+        else:
+            for row in m:
+                row[k] = ZERO
+        pivots = [-1, 99]  # replaced, not appended to
+        rank = lifted_rank(m, pivot_cols=pivots)
+        assert rank == lifted_rank(m) == naive_rank(m)
+        assert pivots == sorted(set(pivots)) and len(pivots) == rank
+        assert all(0 <= j < cols for j in pivots)
+        sub = [[row[j] for j in pivots] for row in m]
+        assert lifted_rank(sub) == naive_rank(sub) == rank
+        reordered += pivots != list(range(rank))
+    assert reordered > 0
+
+
 def test_pivot_rows_of_empty_and_zero_matrices():
-    pivots = [3]
-    assert exact_rank_vectors([], 12, pivot_rows=pivots) == 0 and pivots == []
-    pivots = [3]
-    assert lifted_rank([[ZERO, ZERO], [ZERO, ZERO]], pivot_rows=pivots) == 0 and pivots == []
+    pivots, cols = [3], [4]
+    assert exact_rank_vectors([], 12, pivot_rows=pivots, pivot_cols=cols) == 0
+    assert pivots == [] and cols == []
+    pivots, cols = [3], [4]
+    assert lifted_rank([[ZERO, ZERO], [ZERO, ZERO]], pivot_rows=pivots, pivot_cols=cols) == 0
+    assert pivots == [] and cols == []

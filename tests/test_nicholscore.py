@@ -224,29 +224,35 @@ def test_evaluate_monomial_degree():
         assert poly.multidegree() == mono.multidegree(labels)
 
 
-def full_block_dims(b, n):
-    """Independent oracle: the symmetrizer rank over every word of each
-    bidegree, with no spanning-set reduction."""
-    from nichols2._linalg import exact_rank_vectors
+def full_block(b, r, s):
+    """The bidegree-(r, s) block of the symmetrizer over every word of that
+    bidegree, with no reduction of rows or columns: (words, rows), where
+    row i holds the image of words[i] at each word."""
     from nichols2.braidedalg import _engine, basis_words
 
     eng = _engine(b)
     zero = (0,) * eng.deg
-    dims = []
-    for m in range(n + 1):
-        total = 0
-        for r in range(m + 1):
-            words = [w for w in basis_words(m) if w.count(1) == r]
-            idx = {w: i for i, w in enumerate(words)}
-            rows = []
-            for w in words:
-                vec = [zero] * len(words)
-                for ww, v in eng.image_vectors(w).items():
-                    vec[idx[ww]] = v
-                rows.append(vec)
-            total += exact_rank_vectors(rows, eng.conductor)
-        dims.append(total)
-    return dims
+    words = [w for w in basis_words(r + s) if w.count(1) == r]
+    idx = {w: i for i, w in enumerate(words)}
+    rows = []
+    for w in words:
+        vec = [zero] * len(words)
+        for ww, v in eng.image_vectors(w).items():
+            vec[idx[ww]] = v
+        rows.append(vec)
+    return words, rows
+
+
+def full_block_dims(b, n):
+    """Independent oracle: the symmetrizer rank over every word of each
+    bidegree, with no spanning-set reduction."""
+    from nichols2._linalg import exact_rank_vectors
+    from nichols2.braidedalg import _engine
+
+    conductor = _engine(b).conductor
+    return [sum(exact_rank_vectors(full_block(b, r, m - r)[1], conductor)
+                for r in range(m + 1))
+            for m in range(n + 1)]
 
 
 def test_hilbert_prefix_matches_full_block_rank(rng):
@@ -258,6 +264,29 @@ def test_hilbert_prefix_matches_full_block_rank(rng):
     for _ in range(20):
         b = random_root_braiding(rng)
         assert list(hilbert_prefix(b, 5)) == full_block_dims(b, 5), b
+
+
+def test_column_words_select_full_rank_columns():
+    # The oracle ranks each bidegree on the words (j,) + u for the pivot
+    # column words u of the bidegrees below, and passes its own pivot
+    # column words up.  In the block over every word, the columns at those
+    # words must be independent and have the full rank.
+    from nichols2._linalg import exact_rank_vectors
+    from nichols2.braidedalg import _engine
+    from nichols2.classify import fixtures
+
+    for b in fixtures().values():
+        hilbert_prefix(b, 6)
+        eng = _engine(b)
+        for m in range(7):
+            for r in range(m + 1):
+                cols = eng.pivot_cols.get((r, m - r), [])
+                dim = len(eng.pivot_words.get((r, m - r), []))
+                assert len(cols) == dim, (b, r, m - r)
+                words, rows = full_block(b, r, m - r)
+                at = [words.index(u) for u in cols]
+                sub = [[row[j] for j in at] for row in rows]
+                assert exact_rank_vectors(sub, eng.conductor) == dim, (b, r, m - r)
 
 
 def test_dim_at_degree_on_a_cold_engine():
