@@ -351,21 +351,9 @@ class _SymEngine:
                         out[j] += mult * vec[j]
         return tuple(out)
 
-    def image_vectors(self, word: tuple[int, ...], columns=None) -> dict:
+    def image_vectors(self, word: tuple[int, ...]) -> dict:
         """Image of a basis word with coefficients as coordinate vectors,
-        zero coefficients dropped.  Given a collection of words as columns,
-        only the coefficients at those words are converted (and the result
-        is not cached)."""
-        if columns is not None:
-            image = self.image(word)
-            out = {}
-            for w in columns:
-                coeff = image.get(w)
-                if coeff is not None:
-                    vec = self.coeff_to_vec(coeff)
-                    if any(vec):
-                        out[w] = vec
-            return out
+        zero coefficients dropped."""
         hit = self._vec_cache.get(word)
         if hit is None:
             hit = {}

@@ -82,7 +82,7 @@ def _pivot_words(eng, r: int, s: int) -> tuple[list, list]:
     zero = (0,) * eng.deg
     rows = []
     for w in cands:
-        img = eng.image_vectors(w, cols)
+        img = eng.image_vectors(w)
         rows.append([img.get(u, zero) for u in cols])
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
