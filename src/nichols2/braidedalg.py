@@ -365,7 +365,7 @@ class _SymEngine:
         return hit
 
     def image_cycnums(self, word: tuple[int, ...]) -> dict:
-        return {w: CycNum(self.conductor, vec, _demote=False)
+        return {w: CycNum(self.conductor, vec)
                 for w, vec in self.image_vectors(word).items()}
 
 

@@ -5,9 +5,11 @@ Q(zeta_N), where z is an abstract primitive N-th root of unity reduced
 modulo the N-th cyclotomic polynomial.  No complex embedding is ever used:
 every identity checked downstream is algebraic, so the choice of primitive
 root is immaterial.  Conductors are kept canonical (never congruent to
-2 mod 4, since Q(zeta_{2m}) = Q(zeta_m) for odd m) and results of
-arithmetic are demoted to the smallest cyclotomic subfield containing
-them, which keeps matrix entries small in the rank oracle.
+2 mod 4, since Q(zeta_{2m}) = Q(zeta_m) for odd m).  Arithmetic stays at
+the common conductor of its operands; a value is demoted to the smallest
+cyclotomic subfield containing it only where it leaves the arithmetic: in
+its hash, so equal values at different conductors hash alike, and in its
+text, so every printed scalar is canonical.
 
 Roots of unity are recognized by lookup: those of Q(zeta_n) are exactly the
 +-z^e with 0 <= e < n, so order and exponent come from the coordinate
@@ -252,53 +254,26 @@ def _root_exponent(n: int, coeffs: tuple) -> tuple[int, int] | None:
 
 @lru_cache(maxsize=None)
 def _embedding_solver(small: int, big: int):
-    # Data for deciding membership of a Q(zeta_big) element in Q(zeta_small):
-    # the embedding matrix E (columns = images of the power basis) plus the
-    # inverse of an invertible square subsystem of E.
+    # Left inverse of the embedding Q(zeta_small) -> Q(zeta_big), whose
+    # matrix E has the images of the power basis as columns: one
+    # Gauss-Jordan pass over [E | I] leaves P E = I in the pivot rows of
+    # the right half, and P x recovers the coordinates of any x in the
+    # image.  Row i is kept sparse, as (j, P[i][j]) for the nonzero entries.
     deg_s, deg_b = euler_phi(small), euler_phi(big)
     step = big // small
     cols = [power_vector(big, j * step) for j in range(deg_s)]
-    # Row reduce [E | I] over Q to find deg_s pivot rows and the solving map.
-    aug = [[Fraction(cols[c][r]) for c in range(deg_s)] for r in range(deg_b)]
-    idx = list(range(deg_b))
-    pivots = []
-    solve_rows = []
-    col = 0
-    work = [row[:] for row in aug]
+    work = [[Fraction(cols[c][r]) for c in range(deg_s)]
+            + [Fraction(int(r == j)) for j in range(deg_b)] for r in range(deg_b)]
     for col in range(deg_s):
-        sel = None
-        for r in range(col, deg_b):
-            if work[r][col]:
-                sel = r
-                break
+        sel = next(r for r in range(col, deg_b) if work[r][col])
         work[col], work[sel] = work[sel], work[col]
-        idx[col], idx[sel] = idx[sel], idx[col]
         piv = work[col][col]
         work[col] = [v / piv for v in work[col]]
         for r in range(deg_b):
             if r != col and work[r][col]:
                 f = work[r][col]
                 work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        pivots.append(idx[col])
-    # Invert the square submatrix picked out by the pivot rows.
-    sub = [[Fraction(cols[c][r]) for c in range(deg_s)] for r in pivots]
-    inv = _invert_matrix(sub)
-    return cols, pivots, inv
-
-
-def _invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        sel = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[sel] = aug[sel], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return tuple(tuple((j, v) for j, v in enumerate(row[deg_s:]) if v) for row in work[:deg_s])
 
 
 def _norm_coeff(c):
@@ -319,7 +294,7 @@ class CycNum:
 
     __slots__ = ("conductor", "coeffs", "_hash")
 
-    def __init__(self, conductor: int, coeffs, _demote: bool = True):
+    def __init__(self, conductor: int, coeffs):
         coeffs = tuple(_norm_coeff(c) for c in coeffs)
         if conductor != canonical_conductor(conductor):
             # Coordinates arrive in the zeta_{2m} basis (m odd): rewrite them
@@ -339,8 +314,6 @@ class CycNum:
         deg = euler_phi(conductor)
         if len(coeffs) != deg:
             raise CycError(f"need {deg} coordinates at conductor {conductor}, got {len(coeffs)}")
-        if _demote and conductor > 1:
-            conductor, coeffs = _demoted(conductor, coeffs)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", None)
@@ -352,7 +325,7 @@ class CycNum:
 
     @staticmethod
     def from_rational(q) -> CycNum:
-        return CycNum(1, (q,), _demote=False)
+        return CycNum(1, (q,))
 
     # -- basic predicates --------------------------------------------------
 
@@ -360,7 +333,7 @@ class CycNum:
         return not any(self.coeffs)
 
     def is_one(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 1
+        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -408,7 +381,7 @@ class CycNum:
         return other + (-self)
 
     def __neg__(self) -> CycNum:
-        return CycNum(self.conductor, tuple(-c for c in self.coeffs), _demote=False)
+        return CycNum(self.conductor, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> CycNum:
         other = _coerce(other)
@@ -474,8 +447,7 @@ class CycNum:
         # conductors collide.
         h = self._hash
         if h is None:
-            n, c = _demoted(self.conductor, self.coeffs) if self.conductor > 1 else (1, self.coeffs)
-            h = hash((n, c))
+            h = hash(_demoted(self.conductor, self.coeffs))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -493,9 +465,9 @@ class CycNum:
         return None if root is None else root[1]
 
 
-ZERO = CycNum(1, (0,), _demote=False)
-ONE = CycNum(1, (1,), _demote=False)
-MINUS_ONE = CycNum(1, (-1,), _demote=False)
+ZERO = CycNum(1, (0,))
+ONE = CycNum(1, (1,))
+MINUS_ONE = CycNum(1, (-1,))
 
 
 def _coerce(x):
@@ -553,11 +525,8 @@ def _demoted(conductor: int, coeffs: tuple) -> tuple[int, tuple]:
     for d in _subfield_conductors(conductor):
         if not _fixed_by(coeffs, _conjugation_matrices(conductor, d), deg):
             continue
-        cols, pivots, inv = _embedding_solver(d, conductor)
-        rhs = [coeffs[r] for r in pivots]
-        sol = tuple(_norm_coeff(sum(inv[i][j] * rhs[j] for j in range(len(rhs))))
-                    for i in range(len(rhs)))
-        return d, sol
+        return d, tuple(_norm_coeff(sum(v * coeffs[j] for j, v in row))
+                        for row in _embedding_solver(d, conductor))
     return conductor, coeffs
 
 
@@ -580,10 +549,9 @@ def root_of_unity(k: int, n: int) -> CycNum:
         e = (e * ((m + 1) // 2)) % m
         d = m
     # A primitive d-th root (or its negative, for d odd) generates
-    # Q(zeta_d): the conductor is already minimal, so there is nothing to
-    # demote.
+    # Q(zeta_d), so d is the smallest conductor presenting it.
     vec = power_vector(d, e)
-    return CycNum(d, tuple(sign * c for c in vec), _demote=False)
+    return CycNum(d, tuple(sign * c for c in vec))
 
 
 def order(a: CycNum) -> int | None:
@@ -642,8 +610,9 @@ def format_scalar(a: CycNum) -> str:
         return f"{k}/{d}"
     if a.is_zero():
         return "0"
+    n, coeffs = _demoted(a.conductor, a.coeffs)
     parts = []
-    for j, c in enumerate(a.coeffs):
+    for j, c in enumerate(coeffs):
         if c:
-            parts.append(f"{c}*z{a.conductor}^{j}" if j else f"{c}")
+            parts.append(f"{c}*z{n}^{j}" if j else f"{c}")
     return "(" + " + ".join(parts) + ")"

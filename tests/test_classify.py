@@ -102,3 +102,41 @@ def test_fixture_matrix_small_cap():
     assert all(r.passed for r in rows)
     t1 = next(r for r in rows if (r.type_id, r.case_id) == (1, 1))
     assert t1.dim_value == 4 and t1.verified_degree == 2
+
+
+# Relations of the (4, 1) fixture at degree cap 6, recorded from the
+# classifier.  The mixed relation's coefficients are computed at conductor
+# 12; those lying in Q(i) print at conductor 4.
+GOLDEN_RELATIONS_4_1 = [
+    "x1 x2 x2 x2 - (1/4) x2 x2 x2 x1",
+    ("x1 x2 x1 x2 x2 + ((1*z12^1 + -1*z12^2)) x1 x2 x2 x1 x2"
+     " + ((1*z12^1 + 1*z12^2 + -1*z12^3)) x1 x2 x2 x2 x1 + (1/4) x2 x1 x1 x2 x2"
+     " + ((-1 + 1*z12^2 + -1*z12^3)) x2 x1 x2 x1 x2"
+     " + ((1 + -1*z12^1 + 1*z12^3)) x2 x1 x2 x2 x1 - (1/3) x2 x2 x1 x1 x2"
+     " + (1/12) x2 x2 x1 x2 x1"),
+    ("x1 x1 x2 x1 x2 + (1/4) x1 x1 x2 x2 x1"
+     " + ((-1 + -1*z12^1 + 1*z12^2 + 1*z12^3)) x1 x2 x1 x1 x2"
+     " + ((-1*z12^2 + -1*z12^3)) x1 x2 x1 x2 x1 - (2/3) x1 x2 x2 x1 x1"
+     " + ((1 + -1*z12^1 + -1*z12^2)) x2 x1 x1 x1 x2"
+     " + ((1 + 1*z12^1)) x2 x1 x1 x2 x1 + (5/12) x2 x1 x2 x1 x1"),
+    "x1 x1 x1 x2 - (1/4) x2 x1 x1 x1",
+    "x2 x2 x2",
+    ("x1 x2 x2 x1 x2 x2 + (1/12) x1 x2 x2 x2 x1 x2 - (2/3) x1 x2 x2 x2 x2 x1"
+     " + (1/12) x2 x1 x2 x1 x2 x2 - (2/3) x2 x1 x2 x2 x1 x2"
+     " + (1/4) x2 x1 x2 x2 x2 x1 - (2/3) x2 x2 x1 x1 x2 x2"
+     " + (1/4) x2 x2 x1 x2 x1 x2 + (1/3) x2 x2 x1 x2 x2 x1"),
+    ("x1 x1 x2 x1 x1 x2 + (5/12) x1 x1 x2 x1 x2 x1 - (1/3) x1 x1 x2 x2 x1 x1"
+     " + (5/12) x1 x2 x1 x1 x1 x2 - (1/3) x1 x2 x1 x1 x2 x1"
+     " + (1/4) x1 x2 x1 x2 x1 x1 - (1/3) x2 x1 x1 x1 x1 x2"
+     " + (1/4) x2 x1 x1 x1 x2 x1 + (2/3) x2 x1 x1 x2 x1 x1"),
+    "x1 x1 x1",
+    ("x1 x1 x2 x2 + ((-1/2 + 1/2*z4^1)) x1 x2 x1 x2"
+     " + ((-1/2 + 1*z12^2 + -1/2*z12^3)) x1 x2 x2 x1"
+     " + ((1/2 + -1*z12^2 + -1/2*z12^3)) x2 x1 x1 x2"
+     " + ((1/2 + 1/2*z4^1)) x2 x1 x2 x1 - x2 x2 x1 x1"),
+]
+
+
+def test_relation_text_is_golden():
+    doc = classify_full(fixtures()[(4, 1)], degree_cap=6).to_json_dict()
+    assert doc["relations"] == GOLDEN_RELATIONS_4_1

@@ -167,15 +167,18 @@ def test_non_roots_are_not_recognized():
 
 
 def test_roots_at_non_minimal_conductor_are_recognized():
-    # Fraction-free elimination and the symmetrizer keep values at a common
-    # conductor without demoting them.
+    # Arithmetic keeps values at the common conductor of its operands, so a
+    # root of unity may sit in a larger field than the one it generates.
     for k, n, big in ((1, 3, 12), (2, 3, 12), (1, 4, 12), (1, 5, 20), (3, 8, 24), (1, 1, 15),
                       (1, 2, 9), (7, 15, 60)):
         for a in (root_of_unity(k, n), -root_of_unity(k, n)):
-            lifted = CycNum(big, a._lift(big), _demote=False)
+            lifted = CycNum(big, a._lift(big))
             assert lifted.conductor == big
             assert as_root_exponent(lifted) == as_root_exponent(a)
             assert order(lifted) == order(a)
+            assert hash(lifted) == hash(a)
+            assert format_scalar(lifted) == format_scalar(a)
+            assert lifted.is_one() == a.is_one()
             assert lifted.inv() == a.inv()
             assert lifted * lifted.inv() == ONE
 
@@ -213,8 +216,11 @@ def test_embedding_commutes_with_arithmetic(k, n, factor):
     # The lift into a larger conductor is a ring map.
     a = root_of_unity(k, n) + ONE
     big = n * factor
-    lifted = CycNum(big, a._lift(big), _demote=False)
+    lifted = CycNum(big, a._lift(big))
     assert lifted == a
+    assert hash(lifted) == hash(a)
+    assert format_scalar(lifted) == format_scalar(a)
+    assert lifted.is_one() == a.is_one()
     assert lifted * lifted == a * a
     assert lifted + lifted == a + a
 
@@ -260,10 +266,31 @@ def test_format_prefers_canonical_root():
 
 
 def test_demotion_to_minimal_conductor():
-    assert (root_of_unity(1, 12) ** 4).conductor == 3
-    assert (root_of_unity(1, 8) * root_of_unity(3, 8)).conductor == 1
+    # Arithmetic stays at the operands' common conductor; only the hash and
+    # the text see the smallest subfield containing the value.
+    cube = root_of_unity(1, 12) ** 4
+    assert cube.conductor == 12
+    assert cube == root_of_unity(1, 3)
+    assert str(cube) == "1/3"
+    assert hash(cube) == hash(root_of_unity(1, 3))
+    minus = root_of_unity(1, 8) * root_of_unity(3, 8)
+    assert minus.conductor == 8
+    assert str(minus) == "1/2"
+    assert hash(minus) == hash(MINUS_ONE)
+    assert (minus * minus).is_one() and not minus.is_one()
     mixed = root_of_unity(1, 3) * root_of_unity(1, 4)
     assert mixed.conductor == 12
+    assert str(mixed) == "7/12"
+    # A non-root computed at conductor 12 that lies in Q(i) prints at
+    # conductor 4.
+    z3, z4 = root_of_unity(1, 3), root_of_unity(1, 4)
+    gauss = (z3 + z3 * z4) * z3.inv() / 2 - 1
+    assert gauss.conductor == 12
+    assert gauss == (z4 - 1) / 2
+    assert str(gauss) == "(-1/2 + 1/2*z4^1)"
+    assert hash(gauss) == hash((z4 - 1) / 2)
+    # (z^3 - 1) z^4 / 2 = (1 - z - z^2) / 2 for z = zeta_12 needs all of Q(zeta_12).
+    assert str(gauss * z3) == "(1/2 + -1/2*z12^1 + -1/2*z12^2)"
 
 
 def test_conductor_two_mod_four_is_folded():
