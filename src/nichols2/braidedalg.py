@@ -13,7 +13,7 @@ import math
 from functools import lru_cache
 
 from .cyclotomic import (CycNum, ONE, ZERO, as_root_exponent, canonical_conductor, euler_phi,
-                         root_of_unity)
+                         root_of_unity, vector_product)
 from .fbtree import LGH, RGH, FullBinaryTree
 from .lyndon import Word, is_lyndon, shirshow
 
@@ -87,9 +87,6 @@ class Braiding:
     def chi_nodes(self, t: FullBinaryTree, a, b) -> CycNum:
         """chi evaluated on the labels of two extended nodes."""
         return self.chi(t.stern_brocot(a), t.stern_brocot(b))
-
-
-_LETTER_DEGREE = {1: (1, 0), 2: (0, 1)}
 
 
 class NCPoly:
@@ -166,12 +163,9 @@ class NCPoly:
         return self.scale(other)
 
     def scale(self, c) -> NCPoly:
-        if isinstance(c, int):
-            from fractions import Fraction
-            c = CycNum.from_rational(Fraction(c))
-        if c.is_zero():
+        if not c:
             return NCPoly.zero(self.dual)
-        return NCPoly({w: c * v for w, v in self.terms.items()}, self.dual)
+        return NCPoly({w: v * c for w, v in self.terms.items()}, self.dual)
 
     def __pow__(self, e: int) -> NCPoly:
         if e < 0:
@@ -274,8 +268,8 @@ class _SymEngine:
     carried in the group ring of the cyclic root group (exponent ->
     multiplicity), where the inverse twists of the symmetrizer are plain
     exponent shifts; the coefficients become integer coordinate vectors
-    only on the way out.  Callers that scale those vectors multiply them
-    with `cyclotomic.vector_product`.
+    only on the way out.  `symmetrize` is the one place where those vectors
+    meet the coefficients of a polynomial.
 
     pivot_words maps each bidegree the rank oracle has reached to words
     whose classes form a basis of that graded piece, and pivot_cols maps it
@@ -364,9 +358,23 @@ class _SymEngine:
             self._vec_cache[word] = hit
         return hit
 
-    def image_cycnums(self, word: tuple[int, ...]) -> dict:
-        return {w: CycNum(self.conductor, vec)
-                for w, vec in self.image_vectors(word).items()}
+    def symmetrize(self, rho: NCPoly, n: int, words=None) -> dict:
+        """Symmetrizer image of a polynomial whose coefficients lie in
+        Q(zeta_n), where self.conductor divides n: word -> coordinate list
+        at conductor n, restricted to the given words if any."""
+        mul = vector_product(n)
+        out: dict = {}
+        for w, c in rho.terms.items():
+            cv = c._lift(n)
+            for img, v in self.image_vectors(w).items():
+                if words is not None and img not in words:
+                    continue
+                if n != self.conductor:
+                    v = CycNum(self.conductor, v)._lift(n)
+                add = mul(cv, v)
+                cur = out.get(img)
+                out[img] = add if cur is None else [x + y for x, y in zip(cur, add)]
+        return out
 
 
 _ENGINES: dict[Braiding, _SymEngine] = {}
@@ -401,8 +409,8 @@ def symmetrizer(b: Braiding, m: int) -> list[list[CycNum]]:
     n = len(words)
     mat = [[ZERO] * n for _ in range(n)]
     for j, w in enumerate(words):
-        for img, c in eng.image_cycnums(w).items():
-            mat[index[img]][j] = c
+        for img, vec in eng.image_vectors(w).items():
+            mat[index[img]][j] = CycNum(eng.conductor, vec)
     return mat
 
 
@@ -410,13 +418,8 @@ def symmetrize_poly(b: Braiding, rho: NCPoly) -> NCPoly:
     """Apply the quantum symmetrizer of the appropriate degree to a
     homogeneous polynomial."""
     eng = _engine(b)
-    out: dict = {}
-    for w, c in rho.terms.items():
-        for img, k in eng.image_cycnums(w).items():
-            add = c * k
-            s = out.get(img)
-            out[img] = add if s is None else s + add
-    return NCPoly(out, rho.dual)
+    n = canonical_conductor(math.lcm(eng.conductor, *(c.conductor for c in rho.terms.values())))
+    return NCPoly({w: CycNum(n, vec) for w, vec in eng.symmetrize(rho, n).items()}, rho.dual)
 
 
 # -- skew derivations and the pairing ----------------------------------------
@@ -428,19 +431,18 @@ def skew_derivation(b: Braiding, i: int, rho: NCPoly) -> NCPoly:
         raise BraidedError("skew derivations act on primal polynomials")
     if i not in (1, 2):
         raise BraidedError("derivation index must be 1 or 2")
-    ei = _LETTER_DEGREE[i]
-    # The twist a letter contributes depends on the letter alone.
-    step = {letter: b.chi(ei, deg).inv() for letter, deg in _LETTER_DEGREE.items()}
+    # Deleting the letter at position k twists by chi(e_i, deg word[:k])^-1,
+    # which bimultiplicativity turns into one value of chi.
+    minus_ei = (-1, 0) if i == 1 else (0, -1)
     out: dict = {}
     for word, c in rho.terms.items():
-        twist = ONE
         for k, letter in enumerate(word):
             if letter == i:
                 w = word[:k] + word[k + 1:]
-                add = c * twist
+                ones = word[:k].count(1)
+                add = c * b.chi(minus_ei, (ones, k - ones))
                 s = out.get(w)
                 out[w] = add if s is None else s + add
-            twist = twist * step[letter]
     return NCPoly(out, False)
 
 

@@ -372,13 +372,14 @@ class CycNum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        n, a, b = self._common(other)
+        return CycNum(n, tuple(x - y for x, y in zip(a, b)))
 
     def __rsub__(self, other) -> CycNum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __neg__(self) -> CycNum:
         return CycNum(self.conductor, tuple(-c for c in self.coeffs))
@@ -444,10 +445,12 @@ class CycNum:
 
     def __hash__(self):
         # Hash the fully demoted form so equal values at different
-        # conductors collide.
+        # conductors collide, and a rational value like the int or Fraction
+        # it equals.
         h = self._hash
         if h is None:
-            h = hash(_demoted(self.conductor, self.coeffs))
+            n, coeffs = _demoted(self.conductor, self.coeffs)
+            h = hash(coeffs[0]) if n == 1 else hash((n, coeffs))
             object.__setattr__(self, "_hash", h)
         return h
 

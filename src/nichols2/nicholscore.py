@@ -38,7 +38,7 @@ from functools import partial
 
 from ._linalg import exact_rank_vectors
 from .braidedalg import Braiding, NCPoly, _engine, tau0
-from .cyclotomic import qfact, vector_product
+from .cyclotomic import qfact
 from .fbtree import FullBinaryTree
 from .admissibility import mu_of, p_of
 
@@ -232,24 +232,15 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
         if mo.weighted_degree() >= 2:
             by_bidegree[mo.multidegree(labels)].append(mo)
     zero = (0,) * eng.deg
-    mul = vector_product(eng.conductor)
     for bideg, group in sorted(by_bidegree.items()):
         words = eng.pivot_cols[bideg]
-        idx = {w: i for i, w in enumerate(words)}
+        cols = set(words)
         rows = []
         for mo in group:
-            poly = evaluate_monomial(t, b, mo)
-            vec = [zero] * len(words)
-            for w, c in poly.terms.items():
-                cv = c._lift(eng.conductor)
-                for ww, v in eng.image_vectors(w).items():
-                    j = idx.get(ww)
-                    if j is None:
-                        continue
-                    cur = vec[j]
-                    add = mul(cv, v)
-                    vec[j] = add if cur is zero else tuple(x + y for x, y in zip(cur, add))
-            rows.append(vec)
+            # The coefficients are products of chi values, so they lie in the
+            # engine's field.
+            img = eng.symmetrize(evaluate_monomial(t, b, mo), eng.conductor, cols)
+            rows.append([img.get(w, zero) for w in words])
         rank = exact_rank_vectors(rows, eng.conductor)
         if rank != len(group):
             m = bideg[0] + bideg[1]

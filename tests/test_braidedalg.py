@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -337,27 +338,44 @@ def test_skew_derivation_matches_front_operator(rng):
             total[w] = acc
         return total
 
+    # Entries that are not roots of unity take the power branch of chi.
+    scaled = Braiding(root_of_unity(1, 4), 2 * root_of_unity(1, 5),
+                      root_of_unity(1, 3) / 2, MINUS_ONE)
+    assert scaled._root_data is None
     for m in (2, 3, 5):
-        b = random_root_braiding(rng, max_conductor=9)
-        images = front_operator_images(b, m)
-        for w, img in images.items():
-            for i in (1, 2):
-                expect = {}
-                for v, c in img.items():
-                    if v[0] == i and not c.is_zero():
-                        expect[v[1:]] = expect.get(v[1:], ZERO) + c
-                got = skew_derivation(b, i, NCPoly({w: ONE}))
-                assert got == NCPoly(expect), (m, w, i)
+        for b in (random_root_braiding(rng, max_conductor=9), scaled):
+            images = front_operator_images(b, m)
+            for w, img in images.items():
+                for i in (1, 2):
+                    expect = {}
+                    for v, c in img.items():
+                        if v[0] == i and not c.is_zero():
+                            expect[v[1:]] = expect.get(v[1:], ZERO) + c
+                    got = skew_derivation(b, i, NCPoly({w: ONE}))
+                    assert got == NCPoly(expect), (b, m, w, i)
 
 
 def test_symmetrize_poly_matches_matrix(rng):
-    b = random_root_braiding(rng)
-    words = basis_words(3)
-    mat = symmetrizer(b, 3)
-    for j, w in enumerate(words):
-        img = symmetrize_poly(b, NCPoly({w: ONE}))
-        for i, ww in enumerate(words):
-            assert img.terms.get(ww, ZERO) == mat[i][j]
+    # A word maps to its column; a polynomial to the sum of its coefficients
+    # times the columns, also when the coefficients lie outside the
+    # braiding's field (zeta_9 + 1/2 against conductor 4 and 12).
+    z4 = root_of_unity(1, 4)
+    coeffs = [root_of_unity(1, 9) + Fraction(1, 2), root_of_unity(2, 5) - 3,
+              ONE / 3, root_of_unity(5, 12)]
+    for b in (random_root_braiding(rng), Braiding(z4, MINUS_ONE, z4 ** 3, ONE)):
+        for m in (2, 3):
+            words = basis_words(m)
+            mat = symmetrizer(b, m)
+            for j, w in enumerate(words):
+                img = symmetrize_poly(b, NCPoly({w: ONE}))
+                for i, ww in enumerate(words):
+                    assert img.terms.get(ww, ZERO) == mat[i][j]
+            for _ in range(4):
+                rho = {w: rng.choice(coeffs) for w in rng.sample(words, 3)}
+                img = symmetrize_poly(b, NCPoly(rho))
+                for i, ww in enumerate(words):
+                    expect = sum((c * mat[i][words.index(w)] for w, c in rho.items()), ZERO)
+                    assert img.terms.get(ww, ZERO) == expect, (b, rho, ww)
 
 
 def test_iota_is_flag_flip():
@@ -365,6 +383,8 @@ def test_iota_is_flag_flip():
     el = tau0(TREES[2], b, TREES[2].root)
     dual = el.iota()
     assert dual.dual and dual.terms == el.terms
+    half = el.scale(Fraction(1, 2))
+    assert half + half == el and 2 * half == el
 
 
 def test_format_ncpoly():

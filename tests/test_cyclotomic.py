@@ -208,6 +208,7 @@ def test_field_axioms_across_conductors(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
+    assert (a - b) + b == a and 1 - a == -(a - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,6 +278,9 @@ def test_demotion_to_minimal_conductor():
     assert minus.conductor == 8
     assert str(minus) == "1/2"
     assert hash(minus) == hash(MINUS_ONE)
+    # A rational value hashes like the int or Fraction it equals.
+    assert hash(MINUS_ONE) == hash(-1)
+    assert hash(ONE / 2) == hash(Fraction(1, 2))
     assert (minus * minus).is_one() and not minus.is_one()
     mixed = root_of_unity(1, 3) * root_of_unity(1, 4)
     assert mixed.conductor == 12
