@@ -5,6 +5,10 @@ so fixtures set q21 = 1 and carry the whole product in q12 (the rescaling
 invariance tests justify this normal form).  A braiding may match several
 families; all matches are reported and the verifier simply checks each
 reconstructed tree on its own.
+
+`classify_full` is the one classification pipeline.  The fixture matrix
+runs it on each family's sample braiding and then checks the report
+against the family.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ import time
 from dataclasses import dataclass, field
 
 from .cyclotomic import CycNum, MINUS_ONE, ONE, root_of_unity
-from .braidedalg import Braiding, format_ncpoly
+from .braidedalg import Braiding, NCPoly, format_ncpoly
 from .fbtree import TREES, FullBinaryTree, serialize_tree
 from .admissibility import (AdmissibilityReport, ReconstructionError, is_admissible,
                             lambda_table, p_table, reconstruct_tree)
-from .nicholscore import (NicholsError, check_relations_vanish, dimension,
-                          top_total_degree, verify_type)
+from .nicholscore import (NicholsError, TypeVerdict, _relation_generators, dimension,
+                          relation_set, relation_vanishes, top_total_degree, verify_type)
 
 
 def _ord(x: CycNum) -> int:
@@ -127,12 +131,32 @@ class ClassificationReport:
     tree_failure: str | None
     pbw: list[tuple[int, int | None]]
     dimension_value: int | None
-    relations: list[str]
+    relations: list[NCPoly]
     verified_up_to: int
-    verify_holds: bool | None  # None when verification was not applicable
-    verify_detail: str | None
+    # The oracle verdict and the relation zero tests through verified_up_to;
+    # None when they were not run.
+    verdict: TypeVerdict | None
+    relations_vanish: bool | None
+    relations_error: str | None  # why the relations could not be expanded
     admissibility: AdmissibilityReport | None
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def verify_holds(self) -> bool | None:
+        if self.verdict is None:
+            return None
+        return self.verdict.holds and self.relations_vanish is True
+
+    @property
+    def verify_detail(self) -> str | None:
+        if self.verdict is None:
+            return self.tree_failure
+        parts = [self.verdict.detail]
+        if self.relations_error is not None:
+            parts.append(f"relations unavailable: {self.relations_error}")
+        elif not self.relations_vanish:
+            parts.append("a relation fails to vanish")
+        return "; ".join(p for p in parts if p) or None
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,11 +165,13 @@ class ClassificationReport:
             "pbw": [list(p) for p in self.pbw],
             "dimension": (self.dimension_value if self.dimension_value is not None
                           else "not finite by this method"),
-            "relations": list(self.relations),
+            "relations": [format_ncpoly(r) for r in self.relations],
             "verified_up_to": self.verified_up_to,
             "admissibility": (None if self.admissibility is None
                               else self.admissibility.to_json_dict()),
             "notes": list(self.notes)
+            + ([f"verification failed: {self.verify_detail}"] if self.verify_holds is False
+               else [])
             + ([] if self.matches else ["no classification condition matched"]),
         }
 
@@ -153,7 +179,9 @@ class ClassificationReport:
 def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> ClassificationReport:
     """Assemble the full report: condition matches, reconstructed tree,
     generator degrees and orders, dimension, relations, and the oracle
-    verification through the degree cap (recorded honestly)."""
+    verification through the degree cap (recorded honestly).  Relations are
+    expanded once, through the degree cap, and those within the verified
+    degree are tested under both zero tests."""
     matches = match_condition(b)
     notes: list[str] = []
     try:
@@ -165,51 +193,38 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
         notes.append(f"tree reconstruction failed: {exc}")
 
     pbw: list[tuple[int, int | None]] = []
-    dim: int | None = None
-    relations: list[str] = []
+    relations: list[NCPoly] = []
     verified_up_to = 0
-    verify_holds: bool | None = None
-    verify_detail = tree_failure
-    adm = None
+    dim = verdict = relations_vanish = relations_error = adm = None
     if tree is not None:
         orders = [b.chi_nodes(tree, a, a).order() for a in tree.nbar2()]
         pbw = [(tree.weight(a), o) for a, o in zip(tree.nbar2(), orders)]
         if all(o is not None and o != 1 for o in orders):
             dim = dimension(tree, b)
-            relations = [format_ncpoly(r) for r in relation_set_safe(tree, b, degree_cap, notes)]
+            try:
+                relations = relation_set(tree, b, max_degree=degree_cap)
+            except NicholsError as exc:
+                relations_error = str(exc)
+            else:
+                skipped = len(_relation_generators(tree, b)) - len(relations)
+                if skipped:
+                    notes.append(f"{skipped} relation generators above "
+                                 f"degree {degree_cap} not expanded")
             verified_up_to = min(degree_cap, top_total_degree(tree, b))
             verdict = verify_type(tree, b, verified_up_to)
-            verify_holds = verdict.holds
-            verify_detail = verdict.detail
             if verdict.unexercised_nodes:
                 notes.append(f"{len(verdict.unexercised_nodes)} generators lie above "
                              f"degree {verified_up_to}; their strata were not exercised")
-            if not check_relations_vanish(tree, b, verified_up_to):
-                verify_holds = False
-                verify_detail = (verify_detail or "") + "; a relation fails to vanish"
-            if verify_holds is False:
-                notes.append(f"verification failed: {verify_detail}")
+            if relations_error is None:
+                relations_vanish = all(relation_vanishes(b, rel) for rel in relations
+                                       if rel.total_degree() <= verified_up_to)
         else:
             notes.append("a generator order is infinite or one; "
                          "dimension not finite by this method")
         adm = is_admissible(tree, b, degree_cap)
     return ClassificationReport(matches, tree, tree_failure, pbw, dim, relations,
-                                verified_up_to, verify_holds, verify_detail, adm, notes)
-
-
-def relation_set_safe(tree, b, degree_cap, notes):
-    from .nicholscore import _relation_generators, relation_set
-
-    try:
-        capped = relation_set(tree, b, max_degree=degree_cap)
-        full_count = len(_relation_generators(tree, b))
-        if full_count > len(capped):
-            notes.append(f"{full_count - len(capped)} relation generators above "
-                         f"degree {degree_cap} not expanded")
-        return capped
-    except NicholsError as exc:
-        notes.append(f"relations unavailable: {exc}")
-        return []
+                                verified_up_to, verdict, relations_vanish,
+                                relations_error, adm, notes)
 
 
 @dataclass
@@ -235,47 +250,37 @@ class FixtureRow:
                 and self.relations_ok)
 
 
+def _matches_table(table, n: int, b: Braiding, c: int) -> bool:
+    try:
+        table(n, b, c)
+    except AssertionError:
+        return False
+    return True
+
+
 def run_fixture_matrix(degree_cap: int = 8, weight_cap: int = 16) -> list[FixtureRow]:
-    """Run the per-family acceptance battery: condition self-match, golden
-    scalar tables, tree reconstruction, admissibility, degree-capped
-    dimension agreement with the monomial prediction, and relation
-    vanishing under both zero tests."""
+    """Classify each family's sample braiding and check the report against
+    the family: condition self-match, golden scalar tables, the family tree,
+    admissibility, degree-capped dimension agreement with the monomial
+    prediction, basis independence, and relation vanishing under both zero
+    tests."""
     rows = []
     for (n, c), b in sorted(fixtures().items()):
         t0 = time.monotonic()
-        matched = (n, c) in match_condition(b)
-        try:
-            p_table(n, b, c)
-            p_ok = True
-        except AssertionError:
-            p_ok = False
-        try:
-            lambda_table(n, b, c)
-            l_ok = True
-        except AssertionError:
-            l_ok = False
-        try:
-            tree = reconstruct_tree(b, weight_cap)
-            tree_ok = tree == TREES[n]
-        except ReconstructionError:
-            tree = None
-            tree_ok = False
-        adm_ok = hilbert_ok = basis_ok = rel_ok = False
-        dim_value = 0
-        cap = 0
-        if tree is not None:
-            # Admissibility is cheap scalar arithmetic, so check it at a
-            # bound covering every node of every family tree.
-            adm_ok = is_admissible(tree, b, max(degree_cap, 64)).admissible
-            cap = min(degree_cap, top_total_degree(tree, b))
-            verdict = verify_type(tree, b, cap)
-            hilbert_ok = all(verdict.counts[m] == verdict.dims[m] for m in range(cap + 1))
-            basis_ok = verdict.holds
-            rel_ok = check_relations_vanish(tree, b, cap)
-            dim_value = dimension(tree, b)
-            if cap >= top_total_degree(tree, b):
-                hilbert_ok = hilbert_ok and verdict.dims.total() == dim_value
-        rows.append(FixtureRow(n, c, matched, p_ok, l_ok, tree_ok, adm_ok,
-                               hilbert_ok, basis_ok, rel_ok, dim_value, cap,
+        report = classify_full(b, degree_cap, weight_cap)
+        tree, verdict = report.tree, report.verdict
+        # Admissibility is cheap scalar arithmetic, so check it at a bound
+        # covering every node of every family tree, not at the degree cap.
+        adm_ok = tree is not None and is_admissible(tree, b, max(degree_cap, 64)).admissible
+        hilbert_ok = verdict is not None and verdict.counts == verdict.dims
+        if hilbert_ok and report.verified_up_to == top_total_degree(tree, b):
+            hilbert_ok = verdict.dims.total() == report.dimension_value
+        rows.append(FixtureRow(n, c, (n, c) in report.matches,
+                               _matches_table(p_table, n, b, c),
+                               _matches_table(lambda_table, n, b, c),
+                               tree == TREES[n], adm_ok, hilbert_ok,
+                               verdict is not None and verdict.holds,
+                               report.relations_vanish is True,
+                               report.dimension_value or 0, report.verified_up_to,
                                time.monotonic() - t0))
     return rows

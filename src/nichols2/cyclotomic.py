@@ -23,8 +23,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-Rational = Fraction
-
 
 class CycError(ValueError):
     """Domain error in cyclotomic arithmetic (e.g. inverting zero)."""
@@ -295,7 +293,7 @@ class CycNum:
     __slots__ = ("conductor", "coeffs", "_hash")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(_norm_coeff(c) for c in coeffs)
+        coeffs = tuple(c if type(c) is int else _norm_coeff(c) for c in coeffs)
         if conductor != canonical_conductor(conductor):
             # Coordinates arrive in the zeta_{2m} basis (m odd): rewrite them
             # in the zeta_m basis via zeta_{2m} = -zeta_m^((m+1)/2).

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from ._linalg import exact_rank_vectors
-from .braidedalg import Braiding, NCPoly, _engine, tau0
+from .braidedalg import Braiding, NCPoly, _engine, is_zero_in_nichols, tau0
 from .cyclotomic import qfact
 from .fbtree import FullBinaryTree
 from .admissibility import mu_of, p_of
@@ -296,20 +296,16 @@ def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None) 
             if max_degree is None or d <= max_degree]
 
 
-def check_relations_vanish(t: FullBinaryTree, b: Braiding, n: int) -> bool:
-    """Every relation of total degree at most n is zero in the quotient
-    under both the symmetrizer and the skew-derivation test."""
-    from .braidedalg import is_zero_in_nichols
+def relation_vanishes(b: Braiding, rel: NCPoly) -> bool:
+    """The relation is zero in the quotient under both the symmetrizer and
+    the skew-derivation test."""
+    return (is_zero_in_nichols(b, rel, "symmetrizer")
+            and is_zero_in_nichols(b, rel, "derivations"))
 
-    for rel in relation_set(t, b, max_degree=n):
-        d = rel.total_degree()
-        if d is None or d > n:
-            continue
-        if not is_zero_in_nichols(b, rel, "symmetrizer"):
-            return False
-        if not is_zero_in_nichols(b, rel, "derivations"):
-            return False
-    return True
+
+def check_relations_vanish(t: FullBinaryTree, b: Braiding, n: int) -> bool:
+    """Every relation of total degree at most n vanishes in the quotient."""
+    return all(relation_vanishes(b, rel) for rel in relation_set(t, b, max_degree=n))
 
 
 def dimension(t: FullBinaryTree, b: Braiding) -> int:

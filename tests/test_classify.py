@@ -140,3 +140,32 @@ GOLDEN_RELATIONS_4_1 = [
 def test_relation_text_is_golden():
     doc = classify_full(fixtures()[(4, 1)], degree_cap=6).to_json_dict()
     assert doc["relations"] == GOLDEN_RELATIONS_4_1
+
+
+def test_classify_expands_each_relation_once(monkeypatch):
+    from nichols2 import nicholscore
+
+    built = []
+    mixed_relation = nicholscore._mixed_relation
+
+    def counting(t, b, bb):
+        built.append(bb)
+        return mixed_relation(t, b, bb)
+
+    monkeypatch.setattr(nicholscore, "_mixed_relation", counting)
+    classify_full(fixtures()[(4, 1)], degree_cap=6)
+    assert built and len(built) == len(set(built))
+
+
+def test_relation_expansion_failure_fails_verification(monkeypatch):
+    from nichols2 import nicholscore
+
+    def broken(t, b, bb):
+        raise nicholscore.NicholsError("simulated expansion failure")
+
+    monkeypatch.setattr(nicholscore, "_mixed_relation", broken)
+    rep = classify_full(fixtures()[(4, 1)], degree_cap=6)
+    assert rep.verify_holds is False and rep.relations == []
+    assert rep.verify_detail == "relations unavailable: simulated expansion failure"
+    assert rep.to_json_dict()["notes"][-1] == ("verification failed: relations unavailable: "
+                                               "simulated expansion failure")

@@ -130,6 +130,19 @@ def test_fixtures_exit_reflects_failures(capsys, monkeypatch):
     assert main(["fixtures"]) == 1
 
 
+def test_classify_exits_one_when_relations_are_unavailable(capsys, monkeypatch):
+    import nichols2.nicholscore as core
+
+    def broken(t, b, bb):
+        raise core.NicholsError("simulated expansion failure")
+
+    monkeypatch.setattr(core, "_mixed_relation", broken)
+    code, out, err = run(capsys, "classify", "--q11", "4/12", "--q12", "9/12",
+                         "--q21", "0/1", "--q22", "-2/12", "--degree-cap", "6")
+    assert code == 1 and err == ""
+    assert "verification failed: relations unavailable" in json.loads(out)["notes"][-1]
+
+
 def test_internal_errors_exit_three(capsys, monkeypatch):
     import nichols2.cli as cli
 
