@@ -1,14 +1,37 @@
 """Exact rank of matrices over cyclotomic fields.
 
-Rows are scaled to integer coordinate vectors, then eliminated with
-one-step fraction-free (Bareiss) updates: entries stay genuine minors of
-the input, so the division by the previous pivot is exact in the ring of
-integer vectors modulo the cyclotomic polynomial.  Entries are multiplied
-by the field's one product kernel, `cyclotomic.vector_product`, and the
-division by the previous pivot multiplies by its integer inverse from
-`cyclotomic.vector_inverse` and divides exactly by the denominator.  Pivots
-are chosen by coefficient size among eligible rows, with index order
-breaking ties, so ranks are deterministic.
+Rows are scaled to integer coordinate vectors in the power basis of
+Q(zeta_N).  The rank is then found by a certified modular route
+(`_modular.certified_rank`), and only where that route cannot certify its
+answer by exact elimination.
+
+The modular route works at p, the smallest prime above 2^62 with
+p = 1 (mod N).  Modulo p the cyclotomic polynomial Phi_N splits into
+phi(N) linear factors z - w, one per primitive N-th root of unity w in F_p,
+and z -> w is a ring map from the integer coordinate vectors to F_p.
+
+1. Lower bound.  The entries are mapped at the first root and eliminated
+   over F_p in input row order.  This gives pivot rows R and pivot columns
+   C with a nonzero R x C minor mod p.  A minor that is nonzero modulo a
+   prime ideal is nonzero, so the rank is at least |R|.  If |R| is the
+   number of rows or of columns, that is the rank.
+2. Upper bound.  Otherwise every root is eliminated, and each must give
+   the same R.  The coefficients of every other row on the rows R are then
+   known at each root; they are interpolated to power-basis coordinates
+   mod p, lifted to rationals by rational reconstruction (Wang, Guy and
+   Davenport, "P-adic reconstruction of rational numbers", 1982), cleared
+   of denominators, and checked exactly: D row_i = sum_k (D c_k) row_k, one
+   `vector_product` per entry.  Every row then lies in the span of R, so the
+   rank is at most |R|.
+
+A mod-p rank is never reported without both certificates.  Where the roots
+disagree, a reconstruction fails or a check fails, the rows go to one-step
+fraction-free (Bareiss) elimination, `_bareiss_rank`: entries stay genuine
+minors of the input, so the division by the previous pivot (a product with
+its integer inverse from `cyclotomic.vector_inverse`, then an exact integer
+division) is exact.  Its pivots are chosen by coefficient size among
+eligible rows, with index order breaking ties; the modular route's pivot
+rows are the first independent rows in input order.  Both are deterministic.
 """
 
 from __future__ import annotations
@@ -19,22 +42,9 @@ from fractions import Fraction
 from .cyclotomic import _exact_div, vector_inverse, vector_product
 
 
-def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None,
-                       pivot_cols: list[int] | None = None) -> int:
-    """Rank of a matrix whose entries are coordinate vectors at a fixed
-    conductor.  Integer entries go straight to elimination; rational ones
-    are scaled per row first (which preserves rank).
-
-    If pivot_rows is given, its contents are replaced by the sorted input
-    indices of the pivot rows: those rows are independent and span the
-    row space.  Likewise pivot_cols receives the sorted indices of the
-    pivot columns, which are independent and span the column space.
-    """
-    for pivots in (pivot_rows, pivot_cols):
-        if pivots is not None:
-            pivots.clear()
-    if not rows or not rows[0]:
-        return 0
+def _integer_rows(rows) -> list[list[list[int]]]:
+    """The rows as integer coordinate vectors; a row with rational entries
+    is scaled by the lcm of their denominators, which preserves rank."""
     cleaned = []
     for row in rows:
         if any(isinstance(c, Fraction) and c.denominator != 1 for vec in row for c in vec):
@@ -46,7 +56,51 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
             cleaned.append([[int(c * den) for c in vec] for vec in row])
         else:
             cleaned.append([[int(c) for c in vec] for vec in row])
-    rows = cleaned
+    return cleaned
+
+
+def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None,
+                       pivot_cols: list[int] | None = None) -> int:
+    """Rank of a matrix whose entries are coordinate vectors at a fixed
+    conductor.  Rational entries are scaled per row first (which preserves
+    rank).  A rank found mod p is returned only with two certificates (see
+    the module docstring): a nonzero minor mod p on the pivot rows, and an
+    exact check that every other row is the lifted combination of them.
+    A mod-p rank is never returned on its own; without both certificates
+    the rank comes from Bareiss elimination.
+
+    If pivot_rows is given, its contents are replaced by the sorted input
+    indices of the pivot rows: those rows are independent and span the
+    row space.  Likewise pivot_cols receives the sorted indices of the
+    pivot columns, which are independent and span the column space.  On
+    the certified route the pivot rows are the first independent rows in
+    input order; Bareiss picks them by coefficient size.
+    """
+    for pivots in (pivot_rows, pivot_cols):
+        if pivots is not None:
+            pivots.clear()
+    if not rows or not rows[0]:
+        return 0
+    rows = _integer_rows(rows)
+    # Imported on the first rank, so that commands which never rank do not
+    # load the modular route.
+    from ._modular import certified_rank
+
+    found = certified_rank(rows, conductor)
+    if found is None:
+        found = _bareiss_rank(rows, conductor)
+    rank_rows, rank_cols = found
+    if pivot_rows is not None:
+        pivot_rows.extend(rank_rows)
+    if pivot_cols is not None:
+        pivot_cols.extend(rank_cols)
+    return len(rank_rows)
+
+
+def _bareiss_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
+    """(sorted pivot rows, pivot columns) of integer rows by fraction-free
+    elimination; the input rows are left as they are."""
+    rows = [list(row) for row in rows]
     pmul = vector_product(conductor)
     n_rows, n_cols = len(rows), len(rows[0])
 
@@ -54,6 +108,7 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
         return sum(c.bit_length() if c >= 0 else (-c).bit_length() for c in vec)
 
     order = list(range(n_rows))  # input index of the row now at each position
+    pivot_cols = []
     rank = 0
     prev_inv = None  # (W, r): previous pivot inverse as W / r
     col = 0
@@ -92,10 +147,7 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
                     t = _exact_div(t, d)
                 row[j] = t
         prev_inv = vector_inverse(conductor, pivot)
-        if pivot_cols is not None:
-            pivot_cols.append(col)
+        pivot_cols.append(col)
         rank += 1
         col += 1
-    if pivot_rows is not None:
-        pivot_rows.extend(sorted(order[:rank]))
-    return rank
+    return sorted(order[:rank]), pivot_cols

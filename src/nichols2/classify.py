@@ -22,7 +22,7 @@ from .fbtree import TREES, FullBinaryTree, serialize_tree
 from .admissibility import (AdmissibilityReport, ReconstructionError, is_admissible,
                             lambda_table, p_table, reconstruct_tree)
 from .nicholscore import (NicholsError, TypeVerdict, _relation_generators, dimension,
-                          relation_set, relation_vanishes, top_total_degree, verify_type)
+                          relation_vanishes, top_total_degree, verify_type)
 
 
 def _ord(x: CycNum) -> int:
@@ -202,11 +202,12 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
         if all(o is not None and o != 1 for o in orders):
             dim = dimension(tree, b)
             try:
-                relations = relation_set(tree, b, max_degree=degree_cap)
+                gens = _relation_generators(tree, b)
+                relations = [build() for d, build in gens if d <= degree_cap]
             except NicholsError as exc:
                 relations_error = str(exc)
             else:
-                skipped = len(_relation_generators(tree, b)) - len(relations)
+                skipped = len(gens) - len(relations)
                 if skipped:
                     notes.append(f"{skipped} relation generators above "
                                  f"degree {degree_cap} not expanded")
@@ -273,8 +274,6 @@ def run_fixture_matrix(degree_cap: int = 8, weight_cap: int = 16) -> list[Fixtur
         # covering every node of every family tree, not at the degree cap.
         adm_ok = tree is not None and is_admissible(tree, b, max(degree_cap, 64)).admissible
         hilbert_ok = verdict is not None and verdict.counts == verdict.dims
-        if hilbert_ok and report.verified_up_to == top_total_degree(tree, b):
-            hilbert_ok = verdict.dims.total() == report.dimension_value
         rows.append(FixtureRow(n, c, (n, c) in report.matches,
                                _matches_table(p_table, n, b, c),
                                _matches_table(lambda_table, n, b, c),

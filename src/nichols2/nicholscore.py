@@ -23,6 +23,14 @@ a square block: the candidates 1.w and 2.w for the basis words w of
 column words u.  Both word lists are kept per braiding, so a degree is
 computed from the degree below it.
 
+Every rank is exact (`_linalg.exact_rank_vectors`).  It is found modulo a
+prime p = 1 (mod N) and reported only with two certificates: a nonzero
+minor mod p on the pivot rows, which proves them independent, and an exact
+check of every other row's dependency on them, lifted from mod p by
+rational reconstruction, which proves they span.  A mod-p rank is never
+reported on its own; where a certificate fails, exact fraction-free
+elimination decides.
+
 Monomial bases predicted by a tree are verified against that oracle both
 by counting and by rank of the symmetrized monomial matrix (taken at the
 column words of each bidegree, which keeps the rank), so a wrong tree
