@@ -10,6 +10,7 @@ homogeneous with multidegree equal to the node's Stern-Brocot label.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from .cyclotomic import (CycNum, ONE, ZERO, as_root_exponent, canonical_conductor, euler_phi,
@@ -264,12 +265,26 @@ def _bracket_cached(b: Braiding, u: Word) -> NCPoly:
 class _SymEngine:
     """Per-braiding workspace for symmetrizer images.
 
-    Every braiding entry must be a root of unity.  Image coefficients are
-    carried in the group ring of the cyclic root group (exponent ->
-    multiplicity), where the inverse twists of the symmetrizer are plain
-    exponent shifts; the coefficients become integer coordinate vectors
-    only on the way out.  `symmetrize` is the one place where those vectors
-    meet the coefficients of a polynomial.
+    Every braiding entry must be a root of unity, so each twist chi(e_i,
+    e_j) is a power of one root zeta_L, and an image coefficient lies in the
+    group ring of the cyclic group it generates: a sum of powers zeta_L^e
+    with nonnegative multiplicities.  Such a coefficient is packed into one
+    int whose slot e, bits e*B to (e+1)*B - 1, holds the multiplicity of
+    zeta_L^e.  An inverse twist of the symmetrizer rotates the slots, and
+    adding coefficients adds the ints.
+
+    No slot ever carries into the next.  The image of a word of length m is
+    a sum of m! terms, each a root of unity times a word, so a slot holds at
+    most m!, and the width B is the least multiple of 64 bits with m! < 2^B.
+    All images of one engine share one width; a word too long for it widens
+    the slots and repacks every cached image (first at length 21).
+
+    `cache` holds the packed image of every word imaged so far.  A packed
+    coefficient becomes an integer coordinate vector at self.conductor only
+    where it is read, through `coeff_to_vec`, which converts each distinct
+    packed value once and keeps the result in `_vec_cache`.  `symmetrize`
+    is the one place where those vectors meet the coefficients of a
+    polynomial.
 
     pivot_words maps each bidegree the rank oracle has reached to words
     whose classes form a basis of that graded piece, and pivot_cols maps it
@@ -286,77 +301,92 @@ class _SymEngine:
         self.L, self.exps = b._root_data
         self.conductor = canonical_conductor(self.L)
         self.deg = euler_phi(self.conductor)
-        self._rootvecs: dict[int, tuple[int, ...]] = {}
-        self.cache: dict[tuple[int, ...], dict] = {}
-        self._vec_cache: dict[tuple[int, ...], dict] = {}
+        # Coordinate j of zeta_L^e at self.conductor, as the slots e where it
+        # is nonzero and its values there; most are zero at a large conductor.
+        roots = [root_of_unity(e, self.L)._lift(self.conductor) for e in range(self.L)]
+        self._cols = tuple((tuple(e for e, vec in enumerate(roots) if vec[j]),
+                            tuple(int(vec[j]) for vec in roots if vec[j]))
+                           for j in range(self.deg))
+        self.cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        self._vec_cache: dict[int, tuple[int, ...]] = {}
+        self._bits = 0  # the slot width B, set by the first image
         self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         self.pivot_cols: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         e11, e12, e21, e22 = self.exps
         # Exponent of chi(e_i, e_j) in the root group, indexed [i][j].
         self._chi_exp = {(1, 1): e11, (1, 2): e12, (2, 1): e21, (2, 2): e22}
 
-    def _rootvec(self, k: int) -> tuple[int, ...]:
-        vec = self._rootvecs.get(k)
-        if vec is None:
-            vec = tuple(int(c) for c in root_of_unity(k, self.L)._lift(self.conductor))
-            self._rootvecs[k] = vec
-        return vec
+    def _widen(self, m: int):
+        """Make the slots wide enough for images of words of length m."""
+        old, L = self._bits, self.L
+        bits = self._bits = 64 * -(-math.factorial(m).bit_length() // 64)
+        self._full = (1 << L * bits) - 1
+        mask = (1 << old) - 1
+        for img in self.cache.values():
+            for w, c in img.items():
+                img[w] = sum(((c >> e * old) & mask) << e * bits for e in range(L))
+        self._vec_cache.clear()
 
     def image(self, word: tuple[int, ...]) -> dict:
-        """Raw image of a basis word; coefficients map root exponents to
-        multiplicities."""
+        """Raw image of a basis word, with packed coefficients."""
         hit = self.cache.get(word)
         if hit is None:
+            if math.factorial(len(word)).bit_length() > self._bits:
+                self._widen(len(word))
             hit = self.cache[word] = self._image(word)
         return hit
 
     def _image(self, word):
         m = len(word)
         if m <= 1:
-            return {word: {0: 1}}
-        L = self.L
+            return {word: 1}
+        L, bits, full = self.L, self._bits, self._full
         chi_exp = self._chi_exp
         out: dict = {}
-        for k in range(m):
-            letter = word[k]
-            shift = 0
-            for l in range(k):
-                shift -= chi_exp[(letter, word[l])]
-            shift %= L
-            rest = word[:k] + word[k + 1:]
-            for tail, coeff in self.image(rest).items():
+        get = out.get
+        # Deleting the letter at position k twists by chi(letter, deg
+        # word[:k])^-1; twist[i] is the exponent of chi(e_i, deg word[:k]).
+        twist = {1: 0, 2: 0}
+        for k, letter in enumerate(word):
+            s = -twist[letter] % L
+            low, high = s * bits, (L - s) * bits
+            for tail, c in self.image(word[:k] + word[k + 1:]).items():
+                if s:
+                    c = ((c << low) & full) | (c >> high)
                 w = (letter,) + tail
-                acc = out.get(w)
-                if acc is None:
-                    acc = out[w] = {}
-                for e, mult in coeff.items():
-                    key = (e + shift) % L
-                    acc[key] = acc.get(key, 0) + mult
+                out[w] = get(w, 0) + c
+            twist[1] += chi_exp[(1, letter)]
+            twist[2] += chi_exp[(2, letter)]
         return out
 
-    def coeff_to_vec(self, coeff) -> tuple:
-        """Engine coefficient to a coordinate vector at self.conductor."""
-        out = [0] * self.deg
-        for e, mult in coeff.items():
-            if mult:
-                vec = self._rootvec(e)
-                for j in range(self.deg):
-                    if vec[j]:
-                        out[j] += mult * vec[j]
-        return tuple(out)
+    def coeff_to_vec(self, coeff: int) -> tuple[int, ...]:
+        """Packed coefficient to a coordinate vector at self.conductor."""
+        vec = self._vec_cache.get(coeff)
+        if vec is None:
+            step = self._bits // 8
+            raw = coeff.to_bytes(self.L * step, "little")
+            if step == 8:
+                slots = memoryview(raw).cast("Q").tolist()
+            else:
+                slots = [int.from_bytes(raw[i:i + step], "little")
+                         for i in range(0, len(raw), step)]
+            at = slots.__getitem__
+            vec = self._vec_cache[coeff] = tuple(sum(map(operator.mul, map(at, where), values))
+                                                 for where, values in self._cols)
+        return vec
 
-    def image_vectors(self, word: tuple[int, ...]) -> dict:
+    def image_vectors(self, word: tuple[int, ...], words=None) -> dict:
         """Image of a basis word with coefficients as coordinate vectors,
-        zero coefficients dropped."""
-        hit = self._vec_cache.get(word)
-        if hit is None:
-            hit = {}
-            for w, coeff in self.image(word).items():
-                vec = self.coeff_to_vec(coeff)
-                if any(vec):
-                    hit[w] = vec
-            self._vec_cache[word] = hit
-        return hit
+        zero coefficients dropped, restricted to the given words if any."""
+        img = self.image(word)
+        if words is not None:
+            img = {u: img[u] for u in words if u in img}
+        out = {}
+        for u, c in img.items():
+            vec = self.coeff_to_vec(c)
+            if any(vec):
+                out[u] = vec
+        return out
 
     def symmetrize(self, rho: NCPoly, n: int, words=None) -> dict:
         """Symmetrizer image of a polynomial whose coefficients lie in
@@ -366,9 +396,7 @@ class _SymEngine:
         out: dict = {}
         for w, c in rho.terms.items():
             cv = c._lift(n)
-            for img, v in self.image_vectors(w).items():
-                if words is not None and img not in words:
-                    continue
+            for img, v in self.image_vectors(w, words).items():
                 if n != self.conductor:
                     v = CycNum(self.conductor, v)._lift(n)
                 add = mul(cv, v)

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import naive_rank, random_root_braiding
 
-from nichols2.cyclotomic import MINUS_ONE, ONE, ZERO, root_of_unity
-from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, basis_words, bracket_word,
-                                 format_ncpoly, is_zero_in_nichols, pair,
-                                 skew_derivation, symmetrize_poly, symmetrizer, tau0)
+from nichols2.cyclotomic import MINUS_ONE, ONE, ZERO, qfact, root_of_unity
+from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, basis_words,
+                                 bracket_word, clear_caches, format_ncpoly, is_zero_in_nichols,
+                                 pair, skew_derivation, symmetrize_poly, symmetrizer, tau0)
 from nichols2.fbtree import LGH, RGH, TREES
 from nichols2.lyndon import Word, gamma
 
@@ -293,6 +293,60 @@ def test_symmetrizer_matches_operator_product(rng):
         fast = symmetrizer(b, m)
         slow = naive_symmetrizer(b, m)
         assert fast == slow, m
+
+
+def test_symmetrizer_matches_operator_product_up_to_conductor_30(rng):
+    from nichols2.classify import fixtures
+
+    for n in (16, 21, 24, 27, 30):
+        b = Braiding(*(root_of_unity(rng.randrange(n), n) for _ in range(4)))
+        for m in (2, 3, 4):
+            assert symmetrizer(b, m) == naive_symmetrizer(b, m), (b, m)
+    b = fixtures()[(15, 1)]
+    assert _engine(b).conductor == 15
+    assert symmetrizer(b, 5) == naive_symmetrizer(b, 5)
+
+
+def test_symmetrizer_slots_do_not_carry():
+    # x1^m symmetrizes to [m]_p! x1^m with p = q11^-1.  At q11 = 1 the
+    # single slot holds m!, past 2^64 from m = 21 on; at q11 of order 26
+    # the slots hold the numbers of permutations of m letters per inversion
+    # count mod 26, past 2^64 from m = 22 on.  Words imaged before a widening
+    # must read the same from the repacked cache after it.
+    mixed = NCPoly({(1, 1, 2, 1, 2, 2): ONE, (2, 1, 2, 1, 1, 2): root_of_unity(1, 3)})
+    for q11 in (ONE, root_of_unity(1, 26)):
+        b = Braiding(q11, root_of_unity(1, 3), ONE, MINUS_ONE)
+        clear_caches()
+        before = symmetrize_poly(b, mixed)
+        for m in (6, 20, 21, 22, 25, 6, 20):
+            img = symmetrize_poly(b, x(1) ** m)
+            assert img.terms == {(1,) * m: qfact(m, q11.inv())}, (q11, m)
+        assert symmetrize_poly(b, mixed) == before
+        clear_caches()
+        assert symmetrize_poly(b, x(1) ** 25).terms == {(1,) * 25: qfact(25, q11.inv())}
+
+
+def test_restricted_symmetrize_is_the_restriction(rng):
+    for _ in range(6):
+        b = random_root_braiding(rng, max_conductor=30)
+        clear_caches()
+        eng = _engine(b)
+        for n in (eng.conductor, 3 * eng.conductor):
+            for m in (3, 4, 5):
+                words = basis_words(m)
+                rho = NCPoly({w: root_of_unity(rng.randrange(n), n) * rng.randint(1, 3)
+                              + Fraction(rng.randint(-2, 2), 3)
+                              for w in rng.sample(words, 4)})
+                full = eng.symmetrize(rho, n)
+                for k in (0, 1, 5, len(words)):
+                    some = rng.sample(words, k)
+                    assert eng.symmetrize(rho, n, some) == \
+                        {w: v for w, v in full.items() if w in some}, (b, n, rho, some)
+    # Only the requested coefficients are converted.
+    clear_caches()
+    eng = _engine(b)
+    eng.symmetrize(NCPoly({(1, 2, 1, 2, 2): ONE}), eng.conductor, [(2, 2, 1, 1, 2)])
+    assert len(eng._vec_cache) == 1
 
 
 def test_transposed_symmetrizer_is_the_symmetrizer_of_the_transposed_braiding(rng):
