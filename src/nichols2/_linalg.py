@@ -21,7 +21,8 @@ and z -> w is a ring map from the integer coordinate vectors to F_p.
    mod p, lifted to rationals by rational reconstruction (Wang, Guy and
    Davenport, "P-adic reconstruction of rational numbers", 1982), cleared
    of denominators, and checked exactly: D row_i = sum_k (D c_k) row_k, one
-   `vector_product` per entry.  Every row then lies in the span of R, so the
+   big-int product per row of R by Kronecker substitution (Harvey, 2009;
+   layouts in `_modular`).  Every row then lies in the span of R, so the
    rank is at most |R|.
 
 A mod-p rank is never reported without both certificates.  Where the roots
@@ -38,24 +39,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .cyclotomic import _exact_div, vector_inverse, vector_product
 
 
-def _integer_rows(rows) -> list[list[list[int]]]:
-    """The rows as integer coordinate vectors; a row with rational entries
-    is scaled by the lcm of their denominators, which preserves rank."""
+def _integer_rows(rows) -> list:
+    """The rows as integer coordinate vectors: a row of ints as it is, and a
+    row holding a Fraction scaled by the lcm of its denominators (rank kept)."""
     cleaned = []
     for row in rows:
-        if any(isinstance(c, Fraction) and c.denominator != 1 for vec in row for c in vec):
-            den = 1
-            for vec in row:
-                for c in vec:
-                    d = c.denominator if isinstance(c, Fraction) else 1
-                    den = den * d // math.gcd(den, d)
-            cleaned.append([[int(c * den) for c in vec] for vec in row])
-        else:
-            cleaned.append([[int(c) for c in vec] for vec in row])
+        if Fraction in set(map(type, chain.from_iterable(row))):
+            den = math.lcm(*(c.denominator for vec in row for c in vec))
+            row = [[int(c * den) for c in vec] for vec in row]
+        cleaned.append(row)
     return cleaned
 
 

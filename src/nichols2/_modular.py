@@ -2,15 +2,32 @@
 
 `certified_rank` proves a rank found mod p from both sides, as described
 in the `_linalg` docstring, or gives up; it never returns a rank without
-both certificates.
+both certificates.  It works on packed rows: one int per row, whose slot
+j, bytes j s to (j + 1) s - 1, holds entry j.
+
+- Evaluation: coordinate a of each entry, reduced mod p, is packed once
+  per row as C_a; the row at a root w is sum_a C_a w^a (slots < phi(N) p^2).
+- Elimination: a row operation x += (p - f) pivot, the pivot row reduced,
+  adds less than p^2 to a slot, and a slot is reduced only when a pivot
+  reads it, so s is 2 bitlen(p) + bitlen(phi(N) + rows) bits, rounded up
+  to bytes.  Identity slots after the columns record each row's pivot
+  combination, which is interpolated from the roots at the same width.
+- Exact check, by 2-D Kronecker substitution: a pivot row is packed with
+  2 phi(N) - 1 digits per entry, so its product with a packed coefficient
+  holds each entry's unreduced product in its own digits.  A digit of the
+  sum over the pivots is below pivots phi(N) 2^(cbits + rbits) in
+  magnitude, for the bit lengths of the largest lifted coefficient and row
+  coordinate; digits are one bit wider, so they decode exactly, balanced.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from io import BytesIO
+from itertools import chain, repeat
 
-from .cyclotomic import cyclotomic_polynomial, divisors, euler_phi, vector_product
+from .cyclotomic import _reduction_rows, cyclotomic_polynomial, divisors, euler_phi
 
 # Deterministic Miller-Rabin: these bases decide primality below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -89,41 +106,50 @@ def split_roots(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, .
     return tuple(powers), tuple(zip(*columns))
 
 
-def _eliminate_mod(mat, p: int, track: bool):
-    """Elimination over F_p, one row at a time in input order.
+def _slot_bytes(p: int, deg: int, n_rows: int) -> int:
+    """Bytes per slot of a packed row mod p (see the module docstring)."""
+    return (2 * p.bit_length() + (deg + n_rows).bit_length() + 7) // 8
 
-    Returns (pivot rows, their pivot columns, dependencies).  With track,
-    dependencies maps each row that reduces to zero to its coefficients on
-    the pivot rows, in their order.
-    """
-    n_cols = len(mat[0])
-    basis = []  # (pivot column, reduced row with 1 there, its combination of input rows)
+
+def _pack(values, step: int) -> int:
+    """Nonnegative ints below 2^(8 step) as the slots of one int."""
+    return int.from_bytes(b"".join([v.to_bytes(step, "little") for v in values]), "little")
+
+
+def _unpack(x: int, n: int, step: int) -> list[int]:
+    """The n slots of a packed int."""
+    chunks = iter(partial(BytesIO(x.to_bytes(n * step, "little")).read, step), b"")
+    return list(map(int.from_bytes, chunks, repeat("little")))
+
+
+def _eliminate(rows, n_cols: int, p: int, step: int):
+    """Elimination over F_p of packed rows, one row at a time in input order:
+    (pivot rows, their pivot columns, {dependent row: its coefficients on
+    the pivot rows, in their order})."""
+    bits, mask = 8 * step, (1 << 8 * step) - 1
+    basis = []  # (bit offset of its pivot slot, reduced row with 1 there)
     prows, pcols, zero_combs = [], [], {}
-    for i, row in enumerate(mat):
-        x = list(row)
-        comb = {i: 1} if track else None
-        for col, vec, vcomb in basis:
-            f = x[col]
+    for i, x in enumerate(rows):
+        r = len(basis)
+        # Slot n_cols + k carries the coefficient of the k-th pivot row, and
+        # slot n_cols + r that of this row.
+        x += 1 << (n_cols + r) * bits
+        for shift, piv in basis:
+            f = (x >> shift & mask) % p
             if f:
-                x = [(a - f * b) % p for a, b in zip(x, vec)]
-                if track:
-                    for k, c in vcomb.items():
-                        comb[k] = (comb.get(k, 0) - f * c) % p
-        col = next((j for j in range(n_cols) if x[j]), None)
+                x += (p - f) * piv
+        slots = [s % p for s in _unpack(x, n_cols + r + 1, step)]
+        col = next(filter(slots.__getitem__, range(n_cols)), None)
         if col is None:
-            if track:
-                zero_combs[i] = comb
+            zero_combs[i] = slots[n_cols:-1]
             continue
-        inv = pow(x[col], -1, p)
-        x = [a * inv % p for a in x]
-        if track:
-            comb = {k: c * inv % p for k, c in comb.items()}
-        basis.append((col, x, comb))
+        inv = pow(slots[col], -1, p)
+        basis.append((col * bits, _pack([s * inv % p for s in slots], step)))
         prows.append(i)
         pcols.append(col)
     # 0 = row_i + sum_k comb[k] row_k, so row_i = -sum_k comb[k] row_k.
-    deps = {i: [-comb.get(k, 0) % p for k in prows] for i, comb in zero_combs.items()}
-    return prows, pcols, deps
+    return prows, pcols, {i: [-c % p for c in comb] + [0] * (len(prows) - len(comb))
+                          for i, comb in zero_combs.items()}
 
 
 def _rational_lift(a: int, p: int, bound: int) -> tuple[int, int] | None:
@@ -143,50 +169,72 @@ def _rational_lift(a: int, p: int, bound: int) -> tuple[int, int] | None:
 def certified_rank(rows, conductor: int) -> tuple[list[int], list[int]] | None:
     """(pivot rows, pivot columns) of integer rows, certified by the modular
     route, or None where a certificate is missing."""
+    # A zero row is never a pivot row and lies in every span.
+    live = [i for i, row in enumerate(rows) if any(map(any, row))]
     p = split_prime(conductor)
     powers, vinv = split_roots(conductor)
+    deg, n_cols = len(vinv), len(rows[0])
+    rows = [rows[i] for i in live]
+    step = _slot_bytes(p, deg, len(rows))
+    packed = [_unpack(_pack([c % p for coords in zip(*row) for c in coords], step),
+                      deg, step * n_cols) for row in rows]  # packed[r][a]: C_a of row r
 
     def at(pw):
-        return [[sum(c * w for c, w in zip(vec, pw)) % p if any(vec) else 0 for vec in row]
-                for row in rows]
+        return [sum(c * w for c, w in zip(cs, pw)) for cs in packed]
 
-    first = at(powers[0])
-    prows, pcols, _ = _eliminate_mod(first, p, track=False)
-    if len(prows) == min(len(rows), len(rows[0])):
-        return prows, sorted(pcols)
+    prows, pcols, deps = _eliminate(at(powers[0]), n_cols, p, step)
+    found = [live[k] for k in prows], sorted(pcols)
+    if len(prows) == min(len(rows), n_cols):
+        return found
     # The coefficients of each dependent row on the pivot rows, at every root.
-    per_root = []
-    for t, pw in enumerate(powers):
-        rs, _, deps = _eliminate_mod(first if t == 0 else at(pw), p, track=True)
+    per_root = [deps]
+    for pw in powers[1:]:
+        rs, _, deps = _eliminate(at(pw), n_cols, p, step)
         if rs != prows:
             return None
         per_root.append(deps)
-    bound = math.isqrt((p - 1) // 2)
-    pmul = vector_product(conductor)
-    deg = len(powers)
+    # Interpolate them to coordinates, packed over the pivot rows, and lift.
+    rank, bound = len(prows), math.isqrt((p - 1) // 2)
+    lifted = []
     for i in per_root[0]:
-        lifted = []
-        for k in range(len(prows)):
-            values = [deps[i][k] for deps in per_root]
-            coeffs = []
-            for vrow in vinv:
-                c = _rational_lift(sum(v * x for v, x in zip(vrow, values)) % p, p, bound)
-                if c is None:
-                    return None
-                coeffs.append(c)
-            lifted.append(coeffs)
-        den = 1
-        for coeffs in lifted:
-            for _, d in coeffs:
-                den = den * d // math.gcd(den, d)
-        terms = [(rows[prows[k]], [num * (den // d) for num, d in coeffs])
-                 for k, coeffs in enumerate(lifted) if any(num for num, _ in coeffs)]
+        values = [_pack(deps[i], step) for deps in per_root]
+        coords = [[a % p for a in _unpack(sum(v * x for v, x in zip(vrow, values)), rank, step)]
+                  for vrow in vinv]
+        coeffs = [[_rational_lift(a, p, bound) if a else (0, 1) for a in vec]
+                  for vec in zip(*coords)]
+        if None in chain.from_iterable(coeffs):
+            return None
+        den = math.lcm(*(d for cs in coeffs for _, d in cs))
+        lifted.append((i, den, [[num * (den // d) for num, d in cs] for cs in coeffs]))
+    return found if _spans(rows, conductor, prows, lifted) else None
+
+
+def _spans(rows, conductor: int, prows: list[int], lifted) -> bool:
+    """Whether D row_i = sum_k num_k row_k exactly in Z[z]/Phi_N for every
+    (i, D, num) in lifted, by Kronecker substitution (see the module
+    docstring); num_k is a coordinate vector."""
+    deg = euler_phi(conductor)
+    width, n_digits = 2 * deg - 1, len(rows[0]) * (2 * deg - 1)
+    flat = chain.from_iterable
+    cbits = max(map(abs, flat(flat(nums for _, _, nums in lifted))), default=0).bit_length()
+    rbits = max(map(abs, flat(flat(rows[k] for k in prows))), default=0).bit_length()
+    step = ((len(prows) * deg).bit_length() + cbits + rbits + 8) // 8
+    half = 1 << 8 * step - 1
+    offset = _pack([half] * n_digits, step)
+    pivots = [_pack([c + half for vec in rows[k] for c in [*vec] + [0] * (deg - 1)], step)
+              - offset for k in prows]
+    reduce_rows = _reduction_rows(conductor)[:deg - 1]
+    for i, den, nums in lifted:
+        total = offset + sum(piv * sum(c << 8 * step * b for b, c in enumerate(vec))
+                             for piv, vec in zip(pivots, nums) if any(vec))
+        if total < 0 or total >> 8 * step * n_digits:
+            return False
+        digits = [d - half for d in _unpack(total, n_digits, step)]
         for j, target in enumerate(rows[i]):
-            acc = [0] * deg
-            for prow, c in terms:
-                v = prow[j]
-                if any(v):
-                    acc = [a + b for a, b in zip(acc, pmul(c, v))]
-            if acc != [den * x for x in target]:
-                return None
-    return prows, sorted(pcols)
+            out = digits[j * width:j * width + deg]
+            for c, red in zip(digits[j * width + deg:(j + 1) * width], reduce_rows):
+                if c:
+                    out = [a + c * r for a, r in zip(out, red)]
+            if out != [den * x for x in target]:
+                return False
+    return True

@@ -311,11 +311,6 @@ def relation_vanishes(b: Braiding, rel: NCPoly) -> bool:
             and is_zero_in_nichols(b, rel, "derivations"))
 
 
-def check_relations_vanish(t: FullBinaryTree, b: Braiding, n: int) -> bool:
-    """Every relation of total degree at most n vanishes in the quotient."""
-    return all(relation_vanishes(b, rel) for rel in relation_set(t, b, max_degree=n))
-
-
 def dimension(t: FullBinaryTree, b: Braiding) -> int:
     """Product of the generator orders over the extended inner nodes."""
     total = 1

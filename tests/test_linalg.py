@@ -5,10 +5,12 @@ import pytest
 
 from conftest import naive_rank
 
-from nichols2 import _linalg
+from nichols2 import _linalg, _modular
 from nichols2._linalg import _bareiss_rank, _integer_rows, exact_rank_vectors
-from nichols2._modular import split_prime, split_roots
-from nichols2.cyclotomic import CycNum, ZERO, canonical_conductor, euler_phi, root_of_unity
+from nichols2._modular import (_eliminate, _is_prime, _pack, _slot_bytes, certified_rank,
+                               split_prime, split_roots)
+from nichols2.cyclotomic import (CycNum, ZERO, canonical_conductor, euler_phi, root_of_unity,
+                                 vector_product)
 
 
 def lifted_rank(matrix, pivot_rows=None, pivot_cols=None):
@@ -87,6 +89,14 @@ def test_rank_vectors_entry_point(rng):
     m = [[z5, z5 * z5], [z5 * z5, z5 ** 4]]
     lifted = [[tuple(e._lift(5)) for e in row] for row in m]
     assert exact_rank_vectors(lifted, 5) == lifted_rank(m) == naive_rank(m)
+
+
+def test_integer_rows_keeps_int_rows_and_scales_fraction_rows():
+    ints = [(1, -2), (0, 3)]
+    fracs = [(Fraction(1, 2), 0), (Fraction(3, 1), Fraction(-1, 3))]
+    out = _integer_rows([ints, fracs])
+    assert out[0] is ints
+    assert out[1] == [[3, 0], [18, -2]] and all(type(c) is int for vec in out[1] for c in vec)
 
 
 def test_rank_deterministic(rng):
@@ -309,3 +319,163 @@ def test_certified_rank_on_fixture_matrix_blocks(monkeypatch, fallbacks):
     for rows, conductor, rank in blocks:
         if rows and rows[0]:
             assert len(_bareiss_rank(_integer_rows(rows), conductor)[0]) == rank
+
+
+def _eliminate_mod(mat, p: int):
+    """Reference elimination over F_p, one slot at a time, in input row order:
+    (pivot rows, their pivot columns, dependencies), where dependencies maps
+    each row that reduces to zero to its coefficients on the pivot rows, in
+    their order.
+    """
+    n_cols = len(mat[0])
+    basis = []  # (pivot column, reduced row with 1 there, its combination of input rows)
+    prows, pcols, zero_combs = [], [], {}
+    for i, row in enumerate(mat):
+        x = list(row)
+        comb = {i: 1}
+        for col, vec, vcomb in basis:
+            f = x[col]
+            if f:
+                x = [(a - f * b) % p for a, b in zip(x, vec)]
+                for k, c in vcomb.items():
+                    comb[k] = (comb.get(k, 0) - f * c) % p
+        col = next((j for j in range(n_cols) if x[j]), None)
+        if col is None:
+            zero_combs[i] = comb
+            continue
+        inv = pow(x[col], -1, p)
+        x = [a * inv % p for a in x]
+        comb = {k: c * inv % p for k, c in comb.items()}
+        basis.append((col, x, comb))
+        prows.append(i)
+        pcols.append(col)
+    # 0 = row_i + sum_k comb[k] row_k, so row_i = -sum_k comb[k] row_k.
+    deps = {i: [-comb.get(k, 0) % p for k in prows] for i, comb in zero_combs.items()}
+    return prows, pcols, deps
+
+
+def packed_elimination(mat, p, deg):
+    """`_eliminate` on the rows of mat, residues mod p, each slot packed as
+    the largest value below deg p^2 with its residue: the top of the range
+    an evaluated slot starts in."""
+    step = _slot_bytes(p, deg, len(mat))
+    top = deg * p * p - 1
+    rows = [_pack([v + (top - v) // p * p for v in row], step) for row in mat]
+    return _eliminate(rows, len(mat[0]), p, step)
+
+
+def staircase(n, p):
+    """n - 1 rows e_k - sum_{j>k} e_j, then the row (1 - k)_k: eliminating it
+    reads f = 1 at every pivot, so each of its n - 1 row operations adds
+    (p - 1)^2 to every later slot, the most a row operation can add."""
+    rows = [[0] * k + [1] + [p - 1] * (n - 1 - k) for k in range(n - 1)]
+    return rows + [[(1 - k) % p for k in range(n)]]
+
+
+# 2^63 - 25 is the largest prime below 2^63: only for p this close to a power
+# of two is the bound 2 bitlen(p) + bitlen(deg + rows) nearly reached.
+@pytest.mark.parametrize("p", [split_prime(12), 2 ** 63 - 25])
+def test_packed_elimination_matches_reference(rng, p):
+    assert _is_prime(p)
+    mats = []
+    for trial in range(40):
+        rows, cols = rng.randrange(1, 13), rng.randrange(1, 13)
+        m = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 3:
+            a, b = rng.sample(range(rows - 1), 2)
+            m[-1] = [(x + rng.randrange(p) * y) % p for x, y in zip(m[a], m[b])]
+            m[rng.randrange(rows - 1)] = [0] * cols
+        mats.append(m)
+    mats.append([[p - 1] * 7 for _ in range(9)])
+    for n in (2, 5, 8):
+        # Dependent rows after the staircase: the sum of two of its rows, and
+        # a row of p - 1.
+        m = staircase(n, p)
+        mats.append(m + [[(x + y) % p for x, y in zip(m[0], m[-1])], [p - 1] * n])
+    for m in mats:
+        for deg in (1, 4, 8):
+            assert packed_elimination(m, p, deg) == _eliminate_mod(m, p)
+
+
+def test_packed_elimination_of_a_500_row_block():
+    p = 2 ** 63 - 25
+    m = staircase(499, p)
+    m.append([(x + 2 * y) % p for x, y in zip(m[3], m[-1])])
+    assert len(m) == 500
+    prows, pcols, deps = packed_elimination(m, p, 8)
+    assert (prows, pcols, deps) == _eliminate_mod(m, p)
+    assert prows == pcols == list(range(499))
+    assert deps[499] == [0, 0, 0, 1] + [0] * 494 + [2]
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_exact_check_at_the_digit_bound(fallbacks, n):
+    # Three pivot rows whose first column has every coordinate -(2^62 - 1),
+    # the largest bit length below p, and two dependent rows whose lifted
+    # coefficients have every coordinate 2^30 - 1, then -(2^30 - 1): the
+    # middle digit of that column's product is a sum of 3 deg products of
+    # the largest magnitude, of either sign.
+    deg, pmul = euler_phi(n), vector_product(n)
+    big, zero = (-(2 ** 62 - 1),) * deg, (0,) * deg
+    pivots = [[big] + [zero] * k + [(-(2 ** 62 - 1),) + zero[1:]] + [zero] * (2 - k)
+              for k in range(3)]
+    rows = list(pivots)
+    for sign in (1, -1):
+        c = [sign * (2 ** 30 - 1)] * deg
+        rows.append([[sum(t) for t in zip(*(pmul(c, row[j]) for row in pivots))]
+                     for j in range(4)])
+    assert certified_rank(rows, n) == ([0, 1, 2], [0, 1, 2])
+    pivot_rows = []
+    assert exact_rank_vectors(rows, n, pivot_rows) == 3 == len(_bareiss_rank(rows, n)[0])
+    assert pivot_rows == [0, 1, 2] and fallbacks == []
+
+
+def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbacks):
+    # The first coefficient lifted one too large: the dependency no longer
+    # holds exactly, so the certified route gives up and Bareiss decides.
+    cb = root_of_unity(1, 12) + CycNum.from_rational(Fraction(1, 3))
+    m = [[random_cyclotomic(rng, 12) for _ in range(4)] for _ in range(3)]
+    ca = random_cyclotomic(rng, 12)
+    m.append([ca * x + cb * y for x, y in zip(m[0], m[2])])
+    rows = _integer_rows([[e._lift(12) for e in row] for row in m])
+    assert certified_rank(rows, 12)[0] == [0, 1, 2]
+    lift = _modular._rational_lift
+    calls = []
+
+    def off_by_one(a, p, bound):
+        num, den = lift(a, p, bound)
+        calls.append(a)
+        return (num + 1 if len(calls) == 1 else num), den
+
+    monkeypatch.setattr(_modular, "_rational_lift", off_by_one)
+    assert certified_rank(rows, 12) is None
+    calls.clear()
+    assert lifted_rank(m) == naive_rank(m) == 3
+    assert fallbacks == [4]
+
+
+def test_certified_rank_on_deep_blocks(monkeypatch, fallbacks):
+    # Every oracle block of the (15,1) sample to degree 8, up to 25 rows at
+    # conductor 15, is certified mod p, with the rank of exact elimination.
+    from nichols2 import nicholscore
+    from nichols2.braidedalg import clear_caches
+    from nichols2.classify import fixtures
+
+    blocks = []
+
+    def recording(rows, conductor, pivot_rows=None, pivot_cols=None):
+        rank = exact_rank_vectors(rows, conductor, pivot_rows, pivot_cols)
+        blocks.append((rows, conductor, rank))
+        return rank
+
+    monkeypatch.setattr(nicholscore, "exact_rank_vectors", recording)
+    clear_caches()
+    try:
+        dims = nicholscore.hilbert_prefix(fixtures()[(15, 1)], 8)
+    finally:
+        clear_caches()
+    assert tuple(dims) == (1, 2, 4, 7, 12, 19, 29, 43, 62)
+    assert fallbacks == []
+    assert max(len(rows) for rows, _, _ in blocks) == 25
+    for rows, conductor, rank in blocks:
+        assert len(_bareiss_rank(_integer_rows(rows), conductor)[0]) == rank
