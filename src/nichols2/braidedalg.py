@@ -26,7 +26,7 @@ class BraidedError(ValueError):
 class Braiding:
     """Immutable 2x2 matrix (q_ij) of nonzero scalars."""
 
-    __slots__ = ("q11", "q12", "q21", "q22", "_root_data", "_chi_cache", "_hash")
+    __slots__ = ("q11", "q12", "q21", "q22", "_root_data", "_hash")
 
     def __init__(self, q11: CycNum, q12: CycNum, q21: CycNum, q22: CycNum):
         entries = (q11, q12, q21, q22)
@@ -40,7 +40,6 @@ class Braiding:
         object.__setattr__(self, "q21", q21)
         object.__setattr__(self, "q22", q22)
         object.__setattr__(self, "_root_data", self._find_root_data())
-        object.__setattr__(self, "_chi_cache", {})
         object.__setattr__(self, "_hash", hash(entries))
 
     def __setattr__(self, *args):
@@ -49,7 +48,7 @@ class Braiding:
     def _find_root_data(self):
         # When all entries are roots of unity they generate a cyclic group
         # of order L; a bicharacter value is then a single power of zeta_L,
-        # which makes chi an O(1) table lookup instead of four bignum powers.
+        # which makes chi one cached root_of_unity instead of four powers.
         # Exponents are found at each entry's own (small) order and rescaled.
         roots = [as_root_exponent(q) for q in (self.q11, self.q12, self.q21, self.q22)]
         if None in roots:
@@ -77,11 +76,7 @@ class Braiding:
         e1, e2 = e
         if self._root_data is not None:
             L, (a11, a12, a21, a22) = self._root_data
-            k = (a11 * d1 * e1 + a12 * d1 * e2 + a21 * d2 * e1 + a22 * d2 * e2) % L
-            cached = self._chi_cache.get(k)
-            if cached is None:
-                cached = self._chi_cache[k] = root_of_unity(k, L)
-            return cached
+            return root_of_unity(a11 * d1 * e1 + a12 * d1 * e2 + a21 * d2 * e1 + a22 * d2 * e2, L)
         return (self.q11 ** (d1 * e1) * self.q12 ** (d1 * e2)
                 * self.q21 ** (d2 * e1) * self.q22 ** (d2 * e2))
 
@@ -91,18 +86,16 @@ class Braiding:
 
 
 class NCPoly:
-    """Sparse noncommutative polynomial in x1, x2 (or the dual y1, y2).
+    """Sparse noncommutative polynomial in x1, x2.
 
     Terms map words over the index alphabet {1, 2} to nonzero coefficients.
-    The dual flag distinguishes the y-side; mixing sides is an error.
     """
 
-    __slots__ = ("terms", "dual")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict, dual: bool = False):
+    def __init__(self, terms: dict):
         clean = {w: c for w, c in terms.items() if not c.is_zero()}
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "dual", dual)
 
     def __setattr__(self, *args):
         raise AttributeError("NCPoly is immutable")
@@ -110,46 +103,40 @@ class NCPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zero(dual: bool = False) -> NCPoly:
-        return NCPoly({}, dual)
+    def zero() -> NCPoly:
+        return NCPoly({})
 
     @staticmethod
-    def unit(dual: bool = False) -> NCPoly:
-        return NCPoly({(): ONE}, dual)
+    def unit() -> NCPoly:
+        return NCPoly({(): ONE})
 
     @staticmethod
-    def generator(i: int, dual: bool = False) -> NCPoly:
+    def generator(i: int) -> NCPoly:
         if i not in (1, 2):
             raise BraidedError("generator index must be 1 or 2")
-        return NCPoly({(i,): ONE}, dual)
+        return NCPoly({(i,): ONE})
 
     @staticmethod
-    def scalar(c: CycNum, dual: bool = False) -> NCPoly:
-        return NCPoly({(): c}, dual)
+    def scalar(c: CycNum) -> NCPoly:
+        return NCPoly({(): c})
 
     # -- ring operations ----------------------------------------------------
 
-    def _check_side(self, other: NCPoly):
-        if self.dual != other.dual:
-            raise BraidedError("cannot mix primal and dual polynomials")
-
     def __add__(self, other: NCPoly) -> NCPoly:
-        self._check_side(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             s = out.get(w)
             out[w] = c if s is None else s + c
-        return NCPoly(out, self.dual)
+        return NCPoly(out)
 
     def __sub__(self, other: NCPoly) -> NCPoly:
         return self + (-other)
 
     def __neg__(self) -> NCPoly:
-        return NCPoly({w: -c for w, c in self.terms.items()}, self.dual)
+        return NCPoly({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other) -> NCPoly:
         if isinstance(other, NCPoly):
-            self._check_side(other)
             out: dict = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
@@ -157,7 +144,7 @@ class NCPoly:
                     c = c1 * c2
                     s = out.get(w)
                     out[w] = c if s is None else s + c
-            return NCPoly(out, self.dual)
+            return NCPoly(out)
         return self.scale(other)
 
     def __rmul__(self, other) -> NCPoly:
@@ -165,13 +152,13 @@ class NCPoly:
 
     def scale(self, c) -> NCPoly:
         if not c:
-            return NCPoly.zero(self.dual)
-        return NCPoly({w: v * c for w, v in self.terms.items()}, self.dual)
+            return NCPoly.zero()
+        return NCPoly({w: v * c for w, v in self.terms.items()})
 
     def __pow__(self, e: int) -> NCPoly:
         if e < 0:
             raise BraidedError("negative power of a polynomial")
-        out = NCPoly.unit(self.dual)
+        out = NCPoly.unit()
         for _ in range(e):
             out = out * self
         return out
@@ -179,10 +166,10 @@ class NCPoly:
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self.dual == other.dual and self.terms == other.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.dual, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -204,10 +191,6 @@ class NCPoly:
 
     def is_homogeneous(self) -> bool:
         return self.multidegree() is not None
-
-    def iota(self) -> NCPoly:
-        """The side-swapping algebra isomorphism x_i <-> y_i (a flag flip)."""
-        return NCPoly(dict(self.terms), not self.dual)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -447,16 +430,14 @@ def symmetrize_poly(b: Braiding, rho: NCPoly) -> NCPoly:
     homogeneous polynomial."""
     eng = _engine(b)
     n = canonical_conductor(math.lcm(eng.conductor, *(c.conductor for c in rho.terms.values())))
-    return NCPoly({w: CycNum(n, vec) for w, vec in eng.symmetrize(rho, n).items()}, rho.dual)
+    return NCPoly({w: CycNum(n, vec) for w, vec in eng.symmetrize(rho, n).items()})
 
 
-# -- skew derivations and the pairing ----------------------------------------
+# -- skew derivations ----------------------------------------------------------
 
 
 def skew_derivation(b: Braiding, i: int, rho: NCPoly) -> NCPoly:
-    """The twisted letter-deleting operator <y_i, .> on primal polynomials."""
-    if rho.dual:
-        raise BraidedError("skew derivations act on primal polynomials")
+    """The twisted letter-deleting operator <y_i, .> on polynomials."""
     if i not in (1, 2):
         raise BraidedError("derivation index must be 1 or 2")
     # Deleting the letter at position k twists by chi(e_i, deg word[:k])^-1,
@@ -471,25 +452,7 @@ def skew_derivation(b: Braiding, i: int, rho: NCPoly) -> NCPoly:
                 add = c * b.chi(minus_ei, (ones, k - ones))
                 s = out.get(w)
                 out[w] = add if s is None else s + add
-    return NCPoly(out, False)
-
-
-def pair(b: Braiding, f: NCPoly, rho: NCPoly) -> NCPoly:
-    """Evaluate a dual polynomial on a primal one: a word y_{i1}...y_{im}
-    acts as the composition of skew derivations, innermost letter first."""
-    if not f.dual:
-        raise BraidedError("first pairing argument must be dual")
-    if rho.dual:
-        raise BraidedError("second pairing argument must be primal")
-    total = NCPoly.zero()
-    for word, c in f.terms.items():
-        acc = rho
-        for letter in reversed(word):
-            if acc.is_zero():
-                break
-            acc = skew_derivation(b, letter, acc)
-        total = total + c * acc
-    return total
+    return NCPoly(out)
 
 
 def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") -> bool:
@@ -499,8 +462,6 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
     degree-m symmetrizer.  method "derivations": recursively, both skew
     derivations vanish (a degree-0 element is zero iff its scalar is).
     """
-    if rho.dual:
-        raise BraidedError("zero test applies to primal polynomials")
     if rho.is_zero():
         return True
     if len({len(w) for w in rho.terms}) > 1:
@@ -543,11 +504,10 @@ def format_ncpoly(p: NCPoly) -> str:
     """Human-diffable text: sums of coefficient-tagged words."""
     if p.is_zero():
         return "0"
-    letter = "y" if p.dual else "x"
     chunks = []
     for word, c in p.sorted_terms():
         sign, body = _format_coeff(c)
-        mono = " ".join(f"{letter}{i}" for i in word) or "1"
+        mono = " ".join(f"x{i}" for i in word) or "1"
         text = f"{body} {mono}".strip()
         if not chunks:
             chunks.append(text if sign == "+" else f"-{text}")

@@ -11,10 +11,16 @@ cyclotomic subfield containing it only where it leaves the arithmetic: in
 its hash, so equal values at different conductors hash alike, and in its
 text, so every printed scalar is canonical.
 
-Roots of unity are recognized by lookup: those of Q(zeta_n) are exactly the
-+-z^e with 0 <= e < n, so order and exponent come from the coordinate
-vector without powering.  Other inverses are fraction-free integer solves
-(`vector_inverse`), with every division checked to be exact.
+A root of unity carries its exponent (k, d), zeta_d^k with gcd(k, d) = 1:
+`root_of_unity` sets it, and `order`, `as_root_exponent` and `inv` store it
+after a lookup (the roots of Q(zeta_n) are exactly the +-z^e, 0 <= e < n).
+When both operands carry one, products, quotients, inverses, powers, negation
+and equality are exponent arithmetic.  Each result comes from one cache of at
+most ROOT_CACHE_SIZE values keyed by the reduced exponent and the conductor,
+at the conductor the vector path gives: the operands' common one for products
+and positive powers, the root's own for inverses and negative powers.  Sums
+and non-roots take the vector path; their inverses are fraction-free integer
+solves (`vector_inverse`), with every division checked to be exact.
 """
 
 from __future__ import annotations
@@ -274,6 +280,10 @@ def _embedding_solver(small: int, big: int):
     return tuple(tuple((j, v) for j, v in enumerate(row[deg_s:]) if v) for row in work[:deg_s])
 
 
+_INT = frozenset((int,))
+_set = object.__setattr__
+
+
 def _norm_coeff(c):
     if type(c) is int:
         return c
@@ -287,14 +297,17 @@ class CycNum:
     Coordinates that are integers are stored as plain ints (a Fraction with
     denominator one hashes and compares equal to its int, so the two mix
     freely); this keeps the overwhelmingly common integral case on fast
-    integer arithmetic.
+    integer arithmetic.  `_root` is the exponent (k, d) of a root of unity,
+    None for any other value, or False before anything has looked.
     """
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    __slots__ = ("conductor", "coeffs", "_hash", "_root")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(c if type(c) is int else _norm_coeff(c) for c in coeffs)
-        if conductor != canonical_conductor(conductor):
+        coeffs = tuple(coeffs)
+        if not set(map(type, coeffs)) <= _INT:
+            coeffs = tuple(map(_norm_coeff, coeffs))
+        if conductor % 4 == 2:
             # Coordinates arrive in the zeta_{2m} basis (m odd): rewrite them
             # in the zeta_m basis via zeta_{2m} = -zeta_m^((m+1)/2).
             m = conductor // 2
@@ -312,9 +325,10 @@ class CycNum:
         deg = euler_phi(conductor)
         if len(coeffs) != deg:
             raise CycError(f"need {deg} coordinates at conductor {conductor}, got {len(coeffs)}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
+        _set(self, "conductor", conductor)
+        _set(self, "coeffs", coeffs)
+        _set(self, "_hash", None)
+        _set(self, "_root", False)
 
     def __setattr__(self, *args):
         raise AttributeError("CycNum is immutable")
@@ -380,14 +394,24 @@ class CycNum:
         return other - self
 
     def __neg__(self) -> CycNum:
+        r = self._root
+        if r:
+            # -zeta_d^k = zeta_2d^(2k + d).
+            return _root_at(2 * r[0] + r[1], 2 * r[1], self.conductor)
         return CycNum(self.conductor, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> CycNum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n, a, b = self._common(other)
-        return CycNum(n, vector_product(n)(a, b))
+        n = self.conductor
+        if n != other.conductor:
+            n = canonical_conductor(math.lcm(n, other.conductor))
+        ra, rb = self._root, other._root
+        if ra and rb:
+            d = math.lcm(ra[1], rb[1])
+            return _root_at(ra[0] * (d // ra[1]) + rb[0] * (d // rb[1]), d, n)
+        return CycNum(n, vector_product(n)(self._lift(n), other._lift(n)))
 
     __rmul__ = __mul__
 
@@ -395,9 +419,9 @@ class CycNum:
         """Multiplicative inverse; raises CycError on zero."""
         if self.is_zero():
             raise CycError("inversion of zero")
-        root = _root_exponent(self.conductor, self.coeffs)
+        root = self._exponent()
         if root is not None:
-            return root_of_unity(-root[0], root[1])
+            return _root_at(-root[0], root[1], canonical_conductor(root[1]))
         den = 1
         for c in self.coeffs:
             if type(c) is not int:
@@ -418,6 +442,13 @@ class CycNum:
         return other * self.inv()
 
     def __pow__(self, e: int) -> CycNum:
+        r = self._root
+        if r:
+            # Positive powers stay at this conductor, negative ones are powers
+            # of the inverse at the root's own, and the zeroth is 1.
+            k, d = r
+            n = self.conductor if e > 0 else canonical_conductor(d) if e else 1
+            return _root_at(k * e, d, n)
         if e < 0:
             return self.inv() ** (-e)
         result = CycNum.from_rational(1)
@@ -436,6 +467,8 @@ class CycNum:
             other = CycNum.from_rational(other)
         elif not isinstance(other, CycNum):
             return NotImplemented
+        if self._root and other._root:
+            return self._root == other._root
         if self.conductor == other.conductor:
             return self.coeffs == other.coeffs
         n, a, b = self._common(other)
@@ -449,7 +482,7 @@ class CycNum:
         if h is None:
             n, coeffs = _demoted(self.conductor, self.coeffs)
             h = hash(coeffs[0]) if n == 1 else hash((n, coeffs))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     def __repr__(self):
@@ -460,15 +493,24 @@ class CycNum:
 
     # -- root-of-unity structure --------------------------------------------
 
+    def _exponent(self) -> tuple[int, int] | None:
+        root = self._root
+        if root is False:
+            root = _root_exponent(self.conductor, self.coeffs)
+            _set(self, "_root", root)
+        return root
+
     def order(self) -> int | None:
         """Multiplicative order if self is a root of unity, else None."""
-        root = _root_exponent(self.conductor, self.coeffs)
+        root = self._exponent()
         return None if root is None else root[1]
 
 
 ZERO = CycNum(1, (0,))
 ONE = CycNum(1, (1,))
 MINUS_ONE = CycNum(1, (-1,))
+for _value in (ZERO, ONE, MINUS_ONE):
+    _value._exponent()
 
 
 def _coerce(x):
@@ -535,24 +577,37 @@ def root_of_unity(k: int, n: int) -> CycNum:
     """zeta_n^k as an exact scalar, at the canonical minimal conductor."""
     if n < 1:
         raise CycError("conductor must be positive")
-    k %= n
-    g = math.gcd(k, n)
-    d, e = n // g, k // g
-    if d == 1:
-        return ONE
-    if d == 2:
-        return MINUS_ONE
-    sign = 1
-    if d % 2 == 0 and (d // 2) % 2 == 1:
+    return _root_at(k, n, canonical_conductor(n // math.gcd(k, n)))
+
+
+# The bound of the one cache of roots of unity by exponent and conductor.
+ROOT_CACHE_SIZE = 4096
+
+
+def _root_at(k: int, d: int, n: int) -> CycNum:
+    """zeta_d^k at the canonical conductor n, which the root's own divides."""
+    k %= d
+    g = math.gcd(k, d)
+    return _cached_root(k // g, d // g, n)
+
+
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
+def _cached_root(k: int, d: int, n: int) -> CycNum:
+    # zeta_d^k with gcd(k, d) = 1, built at the root's own conductor c and
+    # lifted to n.
+    c, e, sign = d, k, 1
+    if d % 4 == 2:
         # zeta_{2m} = -zeta_m^((m+1)/2) for odd m.
-        m = d // 2
-        sign = -1 if e % 2 == 1 else 1
-        e = (e * ((m + 1) // 2)) % m
-        d = m
-    # A primitive d-th root (or its negative, for d odd) generates
-    # Q(zeta_d), so d is the smallest conductor presenting it.
-    vec = power_vector(d, e)
-    return CycNum(d, tuple(sign * c for c in vec))
+        c = d // 2
+        sign = -1 if k % 2 else 1
+        e = k * ((c + 1) // 2) % c
+    # A primitive d-th root generates Q(zeta_c), so c is the smallest
+    # conductor presenting it.
+    value = CycNum(c, tuple(sign * x for x in power_vector(c, e)))
+    if n != value.conductor:
+        value = CycNum(n, value._lift(n))
+    _set(value, "_root", (k, d))
+    return value
 
 
 def order(a: CycNum) -> int | None:
@@ -562,7 +617,7 @@ def order(a: CycNum) -> int | None:
 
 def as_root_exponent(a: CycNum) -> tuple[int, int] | None:
     """Return (k, d) with a = zeta_d^k, gcd(k, d) = 1, if a is a root of unity."""
-    return _root_exponent(a.conductor, a.coeffs)
+    return a._exponent()
 
 
 def qnum(m: int, p: CycNum) -> CycNum:

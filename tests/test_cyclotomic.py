@@ -5,7 +5,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, as_root_exponent,
+from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, _demoted,
+                                 _root_exponent, as_root_exponent, canonical_conductor,
                                  cyclotomic_polynomial, divisors, euler_phi, format_scalar,
                                  order, parse_scalar, qfact, qnum, root_of_unity,
                                  vector_inverse, vector_product)
@@ -302,3 +303,115 @@ def test_conductor_two_mod_four_is_folded():
     assert z6.conductor == 3
     assert order(z6) == 6
     assert z6 == -root_of_unity(2, 3)
+
+
+# -- roots of unity by exponent against the vector path ---------------------
+#
+# The references below work on (conductor, coeffs) pairs with the vector
+# product on lifted coordinates, exactly as arithmetic without exponents
+# does: products and positive powers at the operands' common conductor,
+# inverses (and so negative powers) at the smallest conductor holding the
+# value, and powers by repeated squaring from the rational 1.
+
+
+def _pair(a):
+    return a.conductor, a.coeffs
+
+
+def _ref_lift(x, n):
+    return CycNum(*x)._lift(n)
+
+
+def _ref_mul(x, y):
+    n = canonical_conductor(math.lcm(x[0], y[0]))
+    return n, tuple(vector_product(n)(_ref_lift(x, n), _ref_lift(y, n)))
+
+
+@lru_cache(maxsize=None)
+def _ref_inv(x):
+    n, coeffs = x
+    root = _root_exponent(n, coeffs)
+    if root is not None:
+        # x^(d-1), in the smallest field holding it.
+        return _demoted(*_ref_pow(x, root[1] - 1))
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    W, d = vector_inverse(n, [int(c * den) for c in coeffs])
+    return _pair(CycNum(n, [Fraction(w * den, d) for w in W]))
+
+
+def _ref_pow(x, e):
+    if e < 0:
+        x, e = _ref_inv(x), -e
+    result = (1, (1,))
+    while e:
+        if e & 1:
+            result = _ref_mul(result, x)
+        x = _ref_mul(x, x) if e > 1 else x
+        e >>= 1
+    return result
+
+
+def _ref_eq(x, y):
+    n = canonical_conductor(math.lcm(x[0], y[0]))
+    return _ref_lift(x, n) == _ref_lift(y, n)
+
+
+def _assert_same(got, expected):
+    assert (got.conductor, got.coeffs) == expected
+    assert got == CycNum(*expected)
+    assert as_root_exponent(got) == _root_exponent(*expected)
+    root = _root_exponent(*expected)
+    assert got.order() == (None if root is None else root[1])
+
+
+def _exponent_operands():
+    # Every root zeta_d^k with d <= 60, carrying its exponent; roots that
+    # sit above their own conductor, some found by lookup; the constants;
+    # values that are not roots.
+    z5, z12 = root_of_unity(1, 5), root_of_unity(1, 12)
+    roots = [root_of_unity(k, d) for d in range(1, 61) for k in range(d) if math.gcd(k, d) == 1]
+    lifted = [z12 ** 4, -root_of_unity(2, 12) * root_of_unity(1, 4) ** 4, z12 ** 6,
+              root_of_unity(1, 8) * root_of_unity(3, 8), root_of_unity(1, 20) * z5.inv() ** 4]
+    for k, n, big in ((1, 3, 12), (1, 5, 20), (3, 8, 24), (1, 2, 9), (7, 15, 60), (0, 1, 8)):
+        found = CycNum(big, root_of_unity(k, n)._lift(big))
+        found.order()
+        lifted.append(found)
+    others = [2 + z5, z12 + Fraction(1, 3), z5 / 2, 1 + z5, ZERO, CycNum.from_rational(3),
+              CycNum(12, root_of_unity(1, 4)._lift(12))]
+    return roots, lifted, [ONE, MINUS_ONE, -ONE, ONE / 1] + others
+
+
+def test_exponent_arithmetic_matches_vector_path(rng):
+    roots, lifted, others = _exponent_operands()
+    special = lifted + others
+    for a in roots + special:
+        # Partners whose common conductor with a keeps the reference
+        # products small.
+        def near(values):
+            return [b for b in values
+                    if canonical_conductor(math.lcm(a.conductor, b.conductor)) <= 120]
+        partners = near(special) + rng.sample(near(roots), 4)
+        x = _pair(a)
+        _assert_same(a, x)
+        _assert_same(-a, (x[0], tuple(-c for c in x[1])))
+        if a:
+            _assert_same(a.inv(), _ref_inv(x))
+        for e in range(-3, 4):
+            if a or e >= 0:
+                _assert_same(a ** e, _ref_pow(x, e))
+        for b in partners:
+            y = _pair(b)
+            _assert_same(a * b, _ref_mul(x, y))
+            if b:
+                _assert_same(a / b, _ref_mul(x, _ref_inv(y)))
+            assert (a == b) == _ref_eq(x, y)
+    assert all(a.conductor != canonical_conductor(a.order()) for a in lifted)
+
+
+def test_lookup_stores_the_exponent():
+    z12 = root_of_unity(1, 12)
+    for a in (CycNum(12, root_of_unity(1, 3)._lift(12)), z12 + 1 - 1, 2 + root_of_unity(1, 5),
+              z12 + Fraction(1, 3)):
+        assert a._root is False
+        assert as_root_exponent(a) == _root_exponent(a.conductor, a.coeffs)
+        assert a._root == _root_exponent(a.conductor, a.coeffs)
