@@ -1,9 +1,9 @@
 """The certified modular rank route of `_linalg.exact_rank_vectors`.
 
-`certified_rank` proves a rank found mod p from both sides, as described
-in the `_linalg` docstring, or gives up; it never returns a rank without
-both certificates.  It works on packed rows: one int per row, whose slot
-j, bytes j s to (j + 1) s - 1, holds entry j.
+`certified_rank` proves a rank found modulo split primes from both sides,
+as described in the `_linalg` docstring; it never returns a rank without
+both certificates.  At each prime p it works on packed rows: one int per
+row, whose slot j, bytes j s to (j + 1) s - 1, holds entry j.
 
 - Evaluation: coordinate a of each entry, reduced mod p, is packed once
   per row as C_a; the row at a root w is sum_a C_a w^a (slots < phi(N) p^2).
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache, partial
 from io import BytesIO
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from .cyclotomic import _reduction_rows, cyclotomic_polynomial, divisors, euler_phi
 
@@ -67,7 +67,24 @@ def split_prime(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def split_roots(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """(powers, inverse Vandermonde) at the roots of Phi_n mod split_prime(n).
+    """`_roots(n, split_prime(n))`, cached per conductor."""
+    return _roots(n, split_prime(n))
+
+
+def _split_primes(n: int):
+    """(p, powers, inverse Vandermonde) for the primes p > 2^62 with
+    p = 1 (mod n), ascending; only the first prime's tables are cached."""
+    p = split_prime(n)
+    yield (p, *split_roots(n))
+    while True:
+        p += n
+        if _is_prime(p):
+            yield (p, *_roots(n, p))
+
+
+def _roots(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(powers, inverse Vandermonde) at the roots of Phi_n mod a prime
+    p = 1 (mod n).
 
     powers[t][i] is w_t^i for the primitive n-th roots w_t = w^k (k prime
     to n, ascending) of the first w found.  The inverse Vandermonde takes
@@ -75,7 +92,6 @@ def split_roots(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, .
     its column t is the Lagrange basis polynomial Phi_n(z) / ((z - w_t)
     Phi_n'(w_t)).
     """
-    p = split_prime(n)
     deg = euler_phi(n)
     proper = divisors(n)[:-1]
     g = 2
@@ -152,9 +168,9 @@ def _eliminate(rows, n_cols: int, p: int, step: int):
                           for i, comb in zero_combs.items()}
 
 
-def _rational_lift(a: int, p: int, bound: int) -> tuple[int, int] | None:
-    """(n, d) with n = a d (mod p), |n| <= bound and 0 < d <= bound, or None."""
-    r0, r1, t0, t1 = p, a, 0, 1
+def _rational_lift(a: int, m: int, bound: int) -> tuple[int, int] | None:
+    """(n, d) with n = a d (mod m), |n| <= bound and 0 < d <= bound, or None."""
+    r0, r1, t0, t1 = m, a, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
@@ -166,15 +182,52 @@ def _rational_lift(a: int, p: int, bound: int) -> tuple[int, int] | None:
     return r1, t1
 
 
-def certified_rank(rows, conductor: int) -> tuple[list[int], list[int]] | None:
-    """(pivot rows, pivot columns) of integer rows, certified by the modular
-    route, or None where a certificate is missing."""
+# A defect must end in an error, not a spin; 64 primes lift coefficients of up to 1983 bits.
+_MAX_PRIMES = 64
+
+
+def certified_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
+    """(pivot rows, pivot columns) of integer rows, certified at one or more
+    split primes (see the `_linalg` docstring): the first rows independent
+    modulo the prime that certified, and their pivot columns there.  Raises
+    ArithmeticError if _MAX_PRIMES primes do not certify."""
+    n_rows, n_cols = len(rows), len(rows[0])
     # A zero row is never a pivot row and lies in every span.
     live = [i for i, row in enumerate(rows) if any(map(any, row))]
-    p = split_prime(conductor)
-    powers, vinv = split_roots(conductor)
-    deg, n_cols = len(vinv), len(rows[0])
     rows = [rows[i] for i in live]
+    best = None  # the key of the primes whose residues, mod their product m, are in acc
+    for p, powers, vinv in islice(_split_primes(conductor), _MAX_PRIMES):
+        mod_p = _at_prime(rows, n_cols, p, powers, vinv)
+        if mod_p is None:
+            continue
+        prows, pcols, residues = mod_p
+        if residues is None:
+            return [live[k] for k in prows], sorted(pcols)
+        # Reduction mod p can only lose pivot rows or move them later, so the
+        # smallest key is the best, and primes of a larger key are bad.
+        key = (-len(prows), prows)
+        if best is not None and key > best:
+            continue
+        if key != best:
+            best, m, acc = key, 1, [0] * len(residues)
+        t = pow(m, -1, p)
+        acc = [a + m * ((r - a) * t % p) for a, r in zip(acc, residues)]
+        m *= p
+        deps = sorted(set(range(len(rows))).difference(prows))
+        lifted = _lift(acc, m, deps, len(prows), len(vinv))
+        if lifted is not None and _spans(rows, conductor, prows, lifted):
+            return [live[k] for k in prows], sorted(pcols)
+    raise ArithmeticError(f"no certified rank for a {n_rows} x {n_cols} block at conductor "
+                          f"{conductor} in {_MAX_PRIMES} split primes")
+
+
+def _at_prime(rows, n_cols: int, p: int, powers, vinv):
+    """(pivot rows, their pivot columns, residues) of integer rows mod p, or
+    None where the roots of Phi_N mod p disagree on the pivot rows.  The
+    residues, None at full rank, are the power-basis coordinates mod p of
+    each other row's coefficients on the pivot rows, flat by (row, pivot
+    row, coordinate)."""
+    deg = len(vinv)
     step = _slot_bytes(p, deg, len(rows))
     packed = [_unpack(_pack([c % p for coords in zip(*row) for c in coords], step),
                       deg, step * n_cols) for row in rows]  # packed[r][a]: C_a of row r
@@ -183,9 +236,8 @@ def certified_rank(rows, conductor: int) -> tuple[list[int], list[int]] | None:
         return [sum(c * w for c, w in zip(cs, pw)) for cs in packed]
 
     prows, pcols, deps = _eliminate(at(powers[0]), n_cols, p, step)
-    found = [live[k] for k in prows], sorted(pcols)
     if len(prows) == min(len(rows), n_cols):
-        return found
+        return prows, pcols, None
     # The coefficients of each dependent row on the pivot rows, at every root.
     per_root = [deps]
     for pw in powers[1:]:
@@ -193,20 +245,31 @@ def certified_rank(rows, conductor: int) -> tuple[list[int], list[int]] | None:
         if rs != prows:
             return None
         per_root.append(deps)
-    # Interpolate them to coordinates, packed over the pivot rows, and lift.
-    rank, bound = len(prows), math.isqrt((p - 1) // 2)
-    lifted = []
+    # Interpolate them to coordinates, packed over the pivot rows.
+    residues = []
     for i in per_root[0]:
         values = [_pack(deps[i], step) for deps in per_root]
-        coords = [[a % p for a in _unpack(sum(v * x for v, x in zip(vrow, values)), rank, step)]
+        coords = [_unpack(sum(v * x for v, x in zip(vrow, values)), len(prows), step)
                   for vrow in vinv]
-        coeffs = [[_rational_lift(a, p, bound) if a else (0, 1) for a in vec]
-                  for vec in zip(*coords)]
-        if None in chain.from_iterable(coeffs):
-            return None
-        den = math.lcm(*(d for cs in coeffs for _, d in cs))
-        lifted.append((i, den, [[num * (den // d) for num, d in cs] for cs in coeffs]))
-    return found if _spans(rows, conductor, prows, lifted) else None
+        residues += [a % p for vec in zip(*coords) for a in vec]
+    return prows, pcols, residues
+
+
+def _lift(residues, m: int, deps: list[int], rank: int, deg: int):
+    """[(i, D, nums)] per dependent row i: its coefficients on the pivot rows,
+    lifted from the residues mod m and cleared by their common denominator
+    D, nums[k] the coordinates on pivot row k; None if one does not lift."""
+    bound = math.isqrt((m - 1) // 2)
+    fracs = [_rational_lift(a, m, bound) if a else (0, 1) for a in residues]
+    if None in fracs:
+        return None
+    lifted, size = [], rank * deg
+    for n, i in enumerate(deps):
+        cs = fracs[n * size:(n + 1) * size]
+        den = math.lcm(*(d for _, d in cs))
+        nums = [num * (den // d) for num, d in cs]
+        lifted.append((i, den, [nums[k:k + deg] for k in range(0, size, deg)]))
+    return lifted
 
 
 def _spans(rows, conductor: int, prows: list[int], lifted) -> bool:

@@ -26,10 +26,10 @@ computed from the degree below it.
 Every rank is exact (`_linalg.exact_rank_vectors`).  It is found modulo a
 prime p = 1 (mod N) and reported only with two certificates: a nonzero
 minor mod p on the pivot rows, which proves them independent, and an exact
-check of every other row's dependency on them, lifted from mod p by
-rational reconstruction, which proves they span.  A mod-p rank is never
-reported on its own; where a certificate fails, exact fraction-free
-elimination decides.
+check of every other row's dependency on them, lifted by rational
+reconstruction from p and any earlier such primes, which proves they span.
+A mod-p rank is never reported on its own; where a certificate fails, the
+next such prime is tried.
 
 Monomial bases predicted by a tree are verified against that oracle both
 by counting and by rank of the symmetrized monomial matrix (taken at the

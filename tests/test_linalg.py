@@ -5,12 +5,12 @@ import pytest
 
 from conftest import naive_rank
 
-from nichols2 import _linalg, _modular
-from nichols2._linalg import _bareiss_rank, _integer_rows, exact_rank_vectors
-from nichols2._modular import (_eliminate, _is_prime, _pack, _slot_bytes, certified_rank,
-                               split_prime, split_roots)
-from nichols2.cyclotomic import (CycNum, ZERO, canonical_conductor, euler_phi, root_of_unity,
-                                 vector_product)
+from nichols2 import _modular
+from nichols2._linalg import _integer_rows, exact_rank_vectors
+from nichols2._modular import (_MAX_PRIMES, _eliminate, _is_prime, _pack, _slot_bytes,
+                               certified_rank, split_prime, split_roots)
+from nichols2.cyclotomic import (CycNum, ZERO, _exact_div, canonical_conductor, euler_phi,
+                                 root_of_unity, vector_inverse, vector_product)
 
 
 def lifted_rank(matrix, pivot_rows=None, pivot_cols=None):
@@ -29,6 +29,62 @@ def common_conductor(matrix):
     return conductor
 
 
+def _bareiss_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
+    """(sorted pivot rows, pivot columns) of integer rows by fraction-free
+    elimination; the input rows are left as they are."""
+    rows = [list(row) for row in rows]
+    pmul = vector_product(conductor)
+    n_rows, n_cols = len(rows), len(rows[0])
+
+    def size(vec):
+        return sum(c.bit_length() if c >= 0 else (-c).bit_length() for c in vec)
+
+    order = list(range(n_rows))  # input index of the row now at each position
+    pivot_cols = []
+    rank = 0
+    prev_inv = None  # (W, r): previous pivot inverse as W / r
+    col = 0
+    while col < n_cols and rank < n_rows:
+        best = None
+        for i in range(rank, n_rows):
+            v = rows[i][col]
+            if any(v):
+                s = size(v)
+                if best is None or s < best[0]:
+                    best = (s, i)
+        if best is None:
+            col += 1
+            continue
+        i = best[1]
+        rows[rank], rows[i] = rows[i], rows[rank]
+        order[rank], order[i] = order[i], order[rank]
+        pivot_row = rows[rank]
+        pivot = pivot_row[col]
+        for r in range(rank + 1, n_rows):
+            row = rows[r]
+            factor = row[col]
+            has_factor = any(factor)
+            for j in range(col, n_cols):
+                if has_factor:
+                    a = pmul(pivot, row[j])
+                    bvec = pmul(factor, pivot_row[j])
+                    t = [x - y for x, y in zip(a, bvec)]
+                elif any(row[j]):
+                    t = pmul(pivot, row[j])
+                else:
+                    continue
+                if prev_inv is not None and any(t):
+                    W, d = prev_inv
+                    t = pmul(t, W)
+                    t = _exact_div(t, d)
+                row[j] = t
+        prev_inv = vector_inverse(conductor, pivot)
+        pivot_cols.append(col)
+        rank += 1
+        col += 1
+    return sorted(order[:rank]), pivot_cols
+
+
 def bareiss_rank(matrix):
     """The exact-elimination reference on the same lifted rows."""
     conductor = common_conductor(matrix)
@@ -38,14 +94,20 @@ def bareiss_rank(matrix):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Input row counts of the calls that fell back to Bareiss elimination."""
+    """The number of split primes each rank used, for the ranks that fell
+    back to a later prime: [] when the first prime certified every rank."""
     seen = []
+    split_primes = _modular._split_primes
 
-    def counting(rows, conductor):
-        seen.append(len(rows))
-        return _bareiss_rank(rows, conductor)
+    def counting(n):
+        primes = split_primes(n)
+        yield next(primes)
+        seen.append(1)
+        for prime in primes:
+            seen[-1] += 1
+            yield prime
 
-    monkeypatch.setattr(_linalg, "_bareiss_rank", counting)
+    monkeypatch.setattr(_modular, "_split_primes", counting)
     return seen
 
 
@@ -254,7 +316,7 @@ def test_certified_rank_of_fraction_rows(rng, fallbacks):
 
 def test_fallback_when_the_prime_divides_an_entry(fallbacks):
     # [[p]] has rank 0 mod p but rank 1; the certificate that every row lies
-    # in the span of no rows fails, and Bareiss decides.
+    # in the span of no rows fails, and the second prime certifies.
     for n in (1, 12, 15):
         p = split_prime(n)
         assert p > 2 ** 62 and (p - 1) % n == 0
@@ -262,12 +324,13 @@ def test_fallback_when_the_prime_divides_an_entry(fallbacks):
         pivot_rows, pivot_cols = [], []
         assert exact_rank_vectors([[entry]], n, pivot_rows, pivot_cols) == 1
         assert pivot_rows == [0] and pivot_cols == [0]
-    assert fallbacks == [1, 1, 1]
+    assert fallbacks == [2, 2, 2]
 
 
 def test_fallback_when_the_roots_disagree(fallbacks):
     # z - w vanishes at the first root w of Phi_12 mod p and at no other, so
-    # the second row depends on the first at that root only.
+    # the second row depends on the first at that root only, and the second
+    # prime certifies.
     w = split_roots(12)[0][0][1]
     one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
     rows = [[one, zero], [one, (-w, 1, 0, 0)]]
@@ -279,8 +342,8 @@ def test_fallback_when_the_roots_disagree(fallbacks):
 
 def test_fallback_when_a_dependency_is_too_large_to_lift(rng, fallbacks):
     # A coefficient with a 40-bit numerator and denominator is beyond
-    # rational reconstruction mod a 63-bit prime, so the dependency cannot be
-    # certified and Bareiss decides.
+    # rational reconstruction mod a 63-bit prime, so the dependency is
+    # certified modulo the product of the first two.
     num, den = (1 << 40) + 15, (1 << 40) - 87
     assert math.gcd(num, den) == 1
     big = CycNum.from_rational(Fraction(num, den)) * root_of_unity(1, 12)
@@ -291,7 +354,55 @@ def test_fallback_when_a_dependency_is_too_large_to_lift(rng, fallbacks):
     rank = lifted_rank(m, pivot_rows, pivot_cols)
     assert rank == naive_rank(m) == 3
     assert_valid_pivots(m, rank, pivot_rows, pivot_cols)
-    assert fallbacks == [4]
+    assert fallbacks == [2]
+
+
+@pytest.mark.parametrize("bits, primes", [(100, 4), (200, 7)])
+def test_certified_rank_lifts_across_primes(rng, fallbacks, bits, primes):
+    # A coefficient whose numerator and denominator have the given bit length
+    # lifts only modulo more than 2^(2 bits + 1): the product of the residues
+    # of 4 or 7 primes above 2^62, joined by the Chinese remainder theorem.
+    num, den = (1 << bits) - 15, (1 << bits) - 87
+    assert math.gcd(num, den) == 1 and num.bit_length() == den.bit_length() == bits
+    big = CycNum.from_rational(Fraction(num, den)) * root_of_unity(1, 12)
+    m = [[random_cyclotomic(rng, 12) for _ in range(4)] for _ in range(2)]
+    m.append([big * x + y for x, y in zip(m[0], m[1])])
+    m.append([random_cyclotomic(rng, 12) for _ in range(4)])
+    pivot_rows, pivot_cols = [], []
+    rank = lifted_rank(m, pivot_rows, pivot_cols)
+    rows = _integer_rows([[e._lift(12) for e in row] for row in m])
+    assert (pivot_rows, pivot_cols) == _bareiss_rank(rows, 12) == ([0, 1, 3], [0, 1, 2])
+    assert rank == bareiss_rank(m) == naive_rank(m) == 3
+    assert fallbacks == [primes]
+
+
+def test_the_prime_loop_ends(rng, monkeypatch, capsys, fallbacks):
+    # A lift that is always wrong never passes the exact check: the rank
+    # gives up after _MAX_PRIMES primes with an error that names the block,
+    # and the command line reports it as an internal error.
+    from nichols2 import cli
+    from nichols2.braidedalg import clear_caches
+
+    lift = _modular._rational_lift
+
+    def off_by_one(a, m, bound):
+        found = lift(a, m, bound)
+        return found and (found[0] + 1, found[1])
+
+    monkeypatch.setattr(_modular, "_rational_lift", off_by_one)
+    m = [[random_cyclotomic(rng, 12) for _ in range(4)] for _ in range(3)]
+    m.append([x + y for x, y in zip(m[0], m[1])])
+    with pytest.raises(ArithmeticError, match=f"4 x 4 block at conductor 12 in {_MAX_PRIMES} "):
+        lifted_rank(m)
+    assert fallbacks == [_MAX_PRIMES]
+    clear_caches()
+    try:
+        code = cli.main(["dims", "--q11", "1/3", "--q12", "2/3", "--q21", "0/1", "--q22", "1/3",
+                         "--degree-cap", "4"])
+    finally:
+        clear_caches()
+    assert code == 3 and fallbacks == [_MAX_PRIMES] * 2
+    assert "internal error in dims (ArithmeticError)" in capsys.readouterr().err
 
 
 def test_certified_rank_on_fixture_matrix_blocks(monkeypatch, fallbacks):
@@ -432,7 +543,8 @@ def test_exact_check_at_the_digit_bound(fallbacks, n):
 
 def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbacks):
     # The first coefficient lifted one too large: the dependency no longer
-    # holds exactly, so the certified route gives up and Bareiss decides.
+    # holds exactly, so the exact check rejects the lift, and the residues of
+    # the first two primes lift correctly.
     cb = root_of_unity(1, 12) + CycNum.from_rational(Fraction(1, 3))
     m = [[random_cyclotomic(rng, 12) for _ in range(4)] for _ in range(3)]
     ca = random_cyclotomic(rng, 12)
@@ -447,11 +559,20 @@ def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbac
         calls.append(a)
         return (num + 1 if len(calls) == 1 else num), den
 
+    spans = _modular._spans
+    checks = []
+
+    def checking(*args):
+        checks.append(spans(*args))
+        return checks[-1]
+
     monkeypatch.setattr(_modular, "_rational_lift", off_by_one)
-    assert certified_rank(rows, 12) is None
+    monkeypatch.setattr(_modular, "_spans", checking)
+    assert certified_rank(rows, 12) == ([0, 1, 2], [0, 1, 2])
+    assert checks == [False, True] and fallbacks == [2]
     calls.clear()
     assert lifted_rank(m) == naive_rank(m) == 3
-    assert fallbacks == [4]
+    assert checks == [False, True] * 2 and fallbacks == [2, 2]
 
 
 def test_certified_rank_on_deep_blocks(monkeypatch, fallbacks):
