@@ -4,16 +4,21 @@ The scalar lambda decides branching (an inner node must have lambda != 0,
 a leaf lambda == 0), mu feeds the coefficients of the mixed commutation
 relations, and nu is the obstruction that must vanish where a mixed
 relation crosses a long left branch.  Tree reconstruction grows a tree
-from the root using lambda alone and then cross-checks the branch lengths
-against independent closed-form minimality conditions.
+from the root using lambda alone, kept as a coordinate tuple at the common
+conductor of the braiding's entries, and then cross-checks the branch
+lengths against independent closed-form minimality conditions.  Those are
+products of a q-integer and a difference, so each is tested factor by
+factor: the q-integer by `qnum_vanishes`, the difference as an equality of
+products, which for roots of unity is exponent arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cyclotomic import CycNum, ONE, ZERO, qfact, qnum
+from .cyclotomic import CycNum, ONE, ZERO, canonical_conductor, euler_phi, qnum
 from .fbtree import LGH, RGH, FullBinaryTree, TREES, Virtual
 from .braidedalg import Braiding
 
@@ -48,6 +53,11 @@ class PTableMismatch(AssertionError):
 def p_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
     """p_a = chi(a, a)^-1, the inverse self-pairing scalar of a node."""
     return b.chi_nodes(t, a, a).inv()
+
+
+def qnum_vanishes(m: int, p: CycNum) -> bool:
+    """Whether [m]_p = 0: [m]_1 = m, and otherwise [m]_p = (p^m - 1)/(p - 1)."""
+    return m == 0 or (p != ONE and p ** m == ONE)
 
 
 @lru_cache(maxsize=None)
@@ -219,7 +229,7 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
             continue
         k = t.rgfl(bb)
         p_c = p_of(t, b, c)
-        if qfact(k + 1, p_c).is_zero():
+        if any(qnum_vanishes(j, p_c) for j in range(1, k + 2)):
             failures.append(("q-factorial", bb, f"[{k + 1}]! at p_c vanishes"))
             continue
         if t.rchl(t.lch(c)) <= k:
@@ -244,71 +254,83 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
 def _branch_length_formula_checks(t: FullBinaryTree, b: Braiding) -> None:
     # Independent validation of the reconstructed branch lengths: each
     # outer spine length and each inner left-branch length must be the
-    # first index where a closed-form expression vanishes.
+    # first index where a closed-form expression vanishes.  Each expression
+    # is a q-integer times a difference, so it vanishes exactly when one
+    # factor does; the difference is tested as an equality of products.
     q11i, q22i = b.q11.inv(), b.q22.inv()
     p_root = (b.q11 * b.q12 * b.q21 * b.q22).inv()
+    q11i_q22i = q11i * q22i
 
-    def right_expr(m):
-        return qnum(m, q11i) * (b.q11 ** (1 - m) * p_root - q11i * q22i)
+    def right_vanishes(m):
+        return qnum_vanishes(m, q11i) or b.q11 ** (1 - m) * p_root == q11i_q22i
 
-    def left_expr(m):
-        return qnum(m, q22i) * (b.q22 ** (1 - m) * p_root - q22i * q11i)
+    def left_vanishes(m):
+        return qnum_vanishes(m, q22i) or b.q22 ** (1 - m) * p_root == q11i_q22i
 
-    def check_min(length, expr, what):
+    def check_min(length, vanishes, what):
         for m in range(1, length + 1):
-            val = expr(m)
-            if m < length and val.is_zero():
+            zero = vanishes(m)
+            if m < length and zero:
                 raise ReconstructionError(f"{what}: expression vanishes early at {m}")
-            if m == length and not val.is_zero():
+            if m == length and not zero:
                 raise ReconstructionError(f"{what}: expression nonzero at {m}")
 
-    check_min(t.rchl(0), right_expr, "right spine length")
-    check_min(t.lchl(0), left_expr, "left spine length")
+    check_min(t.rchl(0), right_vanishes, "right spine length")
+    check_min(t.lchl(0), left_vanishes, "left spine length")
     for a in t.internal():
         p_a = p_of(t, b, a)
         s = t.lchl(t.rch(a))
         p_r = p_of(t, b, t.rgf(a))
         p_l = p_of(t, b, t.lgf(a))
 
-        def inner_expr(m, p_a=p_a, s=s, p_r=p_r, p_l=p_l):
-            return qnum(m + s, p_a) * (p_r * p_a ** s - p_l * p_a ** m)
+        def inner_vanishes(m, p_a=p_a, s=s, p_rs=p_r * p_a ** s, p_l=p_l):
+            return qnum_vanishes(m + s, p_a) or p_rs == p_l * p_a ** m
 
-        check_min(t.rchl(t.lch(a)), inner_expr, f"left branch below node {a}")
+        check_min(t.rchl(t.lch(a)), inner_vanishes, f"left branch below node {a}")
 
 
 def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
     """Grow the tree of a braiding from the root: a node branches exactly
     when its lambda is nonzero.
 
+    Every bicharacter value lies in Q(zeta_n), n the common conductor of
+    the entries, so lambda is carried as its coordinate tuple there: each
+    step adds chi(u, v)^-1 - chi(v, u) coordinate by coordinate, and the
+    zero test reads the tuple.
+
     Fails when a branching node would exceed max_weight (the braiding is
     then possibly of infinite type, or the cap too small) or when a
     branching node's p is not a root of unity.  The finished tree is
-    cross-checked against closed-form branch-length minimality conditions.
+    cross-checked against closed-form branch-length minimality conditions,
+    each product tested factor by factor.
     """
     if max_weight < 2:
         raise ValueError("max_weight must be at least 2")
-    lam_root = b.q21.inv() - b.q12
+    n = canonical_conductor(math.lcm(*(q.conductor for q in b.entries())))
+
+    def step(lam, u, v):
+        # lam + chi(u, v)^-1 - chi(v, u), on coordinates at conductor n.
+        return tuple(x + y - z for x, y, z in
+                     zip(lam, b.chi(u, v).inv()._lift(n), b.chi(v, u)._lift(n)))
 
     def grow(stbr, stbr_lgf, stbr_rgf, lam):
-        if lam.is_zero():
+        if not any(lam):
             return None
         weight = stbr[0] + stbr[1]
         if weight > max_weight:
             raise ReconstructionError(
                 f"branching node at weight {weight} exceeds the cap {max_weight}: "
                 "possibly infinite-dimensional or cap too small")
-        p_a = b.chi(stbr, stbr).inv()
-        if p_a.order() is None:
+        # p = chi(a, a)^-1 is a root of unity exactly when chi(a, a) is.
+        if b.chi(stbr, stbr).order() is None:
             raise ReconstructionError(
                 f"branching node at label {stbr} has non-root-of-unity p")
         lch_stbr = (stbr_lgf[0] + stbr[0], stbr_lgf[1] + stbr[1])
         rch_stbr = (stbr[0] + stbr_rgf[0], stbr[1] + stbr_rgf[1])
-        lam_lch = b.chi(stbr_lgf, stbr).inv() - b.chi(stbr, stbr_lgf) + lam
-        lam_rch = b.chi(stbr, stbr_rgf).inv() - b.chi(stbr_rgf, stbr) + lam
-        return (grow(lch_stbr, stbr_lgf, stbr, lam_lch),
-                grow(rch_stbr, stbr, stbr_rgf, lam_rch))
+        return (grow(lch_stbr, stbr_lgf, stbr, step(lam, stbr_lgf, stbr)),
+                grow(rch_stbr, stbr, stbr_rgf, step(lam, stbr, stbr_rgf)))
 
-    shape = grow((1, 1), (0, 1), (1, 0), lam_root)
+    shape = grow((1, 1), (0, 1), (1, 0), step((0,) * euler_phi(n), (0, 1), (1, 0)))
     t = FullBinaryTree(shape)
     _branch_length_formula_checks(t, b)
     return t

@@ -38,8 +38,8 @@ def _root(x: CycNum) -> bool:
 # counts the or-branches in the order they are stated.
 _CONDITIONS: list[tuple[int, int, object]] = [
     (1, 1, lambda q11, q, q22: _root(q11) and _root(q22) and q == ONE),
-    (2, 1, lambda q11, q, q22: ((ONE - q11 * q) * (ONE + q11)).is_zero()
-        and ((ONE - q * q22) * (ONE + q22)).is_zero() and _root(q)),
+    (2, 1, lambda q11, q, q22: (q11 * q == ONE or q11 == MINUS_ONE)
+        and (q * q22 == ONE or q22 == MINUS_ONE) and _root(q)),
     (3, 1, lambda q11, q, q22: q == q11 ** -2 and (q22 == q11 ** 2 or q22 == MINUS_ONE)
         and _ord(q11) >= 3),
     (3, 2, lambda q11, q, q22: _ord(q11) == 3 and q * q22 == ONE

@@ -1,15 +1,21 @@
+import itertools
+import math
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from conftest import random_root_braiding
 
-from nichols2.cyclotomic import MINUS_ONE, ONE, qnum, root_of_unity
+from nichols2.cyclotomic import (MINUS_ONE, ONE, ZERO, CycNum, canonical_conductor, qnum,
+                                 root_of_unity)
 from nichols2.braidedalg import Braiding
-from nichols2.fbtree import LGH, RGH, TREES, parse_tree
+from nichols2.fbtree import LGH, RGH, TREES, FullBinaryTree, parse_tree, serialize_tree
 from nichols2.admissibility import (PTableMismatch, ReconstructionError, ScalarDomainError,
-                                    StructureError, check_branch_hypothesis, is_admissible,
-                                    lambda_closed, lambda_of, lambda_table, mu_of,
-                                    node_scalars, nu_of, p_of, p_table, reconstruct_tree,
-                                    sorted_internal)
+                                    StructureError, _branch_length_formula_checks,
+                                    check_branch_hypothesis, is_admissible, lambda_closed,
+                                    lambda_of, lambda_table, mu_of, node_scalars, nu_of, p_of,
+                                    p_table, qnum_vanishes, reconstruct_tree, sorted_internal)
 
 
 def cartan_a2():
@@ -228,3 +234,153 @@ def test_sorted_internal_matches_q_order():
     nodes = sorted_internal(t)
     for x, y in zip(nodes, nodes[1:]):
         assert t.cmp_q(x, y) < 0
+
+
+# -- the product-form reference -------------------------------------------------
+
+# Reconstruction with lambda summed as CycNum values and each branch-length
+# expression formed as a product before its zero test.  The library keeps
+# lambda as a coordinate tuple and tests each product factor by factor; the
+# tests below hold it to this form.
+
+def reference_branch_length_formula_checks(t: FullBinaryTree, b: Braiding) -> None:
+    # Independent validation of the reconstructed branch lengths: each
+    # outer spine length and each inner left-branch length must be the
+    # first index where a closed-form expression vanishes.
+    q11i, q22i = b.q11.inv(), b.q22.inv()
+    p_root = (b.q11 * b.q12 * b.q21 * b.q22).inv()
+
+    def right_expr(m):
+        return qnum(m, q11i) * (b.q11 ** (1 - m) * p_root - q11i * q22i)
+
+    def left_expr(m):
+        return qnum(m, q22i) * (b.q22 ** (1 - m) * p_root - q22i * q11i)
+
+    def check_min(length, expr, what):
+        for m in range(1, length + 1):
+            val = expr(m)
+            if m < length and val.is_zero():
+                raise ReconstructionError(f"{what}: expression vanishes early at {m}")
+            if m == length and not val.is_zero():
+                raise ReconstructionError(f"{what}: expression nonzero at {m}")
+
+    check_min(t.rchl(0), right_expr, "right spine length")
+    check_min(t.lchl(0), left_expr, "left spine length")
+    for a in t.internal():
+        p_a = p_of(t, b, a)
+        s = t.lchl(t.rch(a))
+        p_r = p_of(t, b, t.rgf(a))
+        p_l = p_of(t, b, t.lgf(a))
+
+        def inner_expr(m, p_a=p_a, s=s, p_r=p_r, p_l=p_l):
+            return qnum(m + s, p_a) * (p_r * p_a ** s - p_l * p_a ** m)
+
+        check_min(t.rchl(t.lch(a)), inner_expr, f"left branch below node {a}")
+
+
+def reference_reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
+    """Grow the tree of a braiding from the root: a node branches exactly
+    when its lambda is nonzero.
+
+    Fails when a branching node would exceed max_weight (the braiding is
+    then possibly of infinite type, or the cap too small) or when a
+    branching node's p is not a root of unity.  The finished tree is
+    cross-checked against closed-form branch-length minimality conditions.
+    """
+    if max_weight < 2:
+        raise ValueError("max_weight must be at least 2")
+    lam_root = b.q21.inv() - b.q12
+
+    def grow(stbr, stbr_lgf, stbr_rgf, lam):
+        if lam.is_zero():
+            return None
+        weight = stbr[0] + stbr[1]
+        if weight > max_weight:
+            raise ReconstructionError(
+                f"branching node at weight {weight} exceeds the cap {max_weight}: "
+                "possibly infinite-dimensional or cap too small")
+        p_a = b.chi(stbr, stbr).inv()
+        if p_a.order() is None:
+            raise ReconstructionError(
+                f"branching node at label {stbr} has non-root-of-unity p")
+        lch_stbr = (stbr_lgf[0] + stbr[0], stbr_lgf[1] + stbr[1])
+        rch_stbr = (stbr[0] + stbr_rgf[0], stbr[1] + stbr_rgf[1])
+        lam_lch = b.chi(stbr_lgf, stbr).inv() - b.chi(stbr, stbr_lgf) + lam
+        lam_rch = b.chi(stbr, stbr_rgf).inv() - b.chi(stbr_rgf, stbr) + lam
+        return (grow(lch_stbr, stbr_lgf, stbr, lam_lch),
+                grow(rch_stbr, stbr, stbr_rgf, lam_rch))
+
+    shape = grow((1, 1), (0, 1), (1, 0), lam_root)
+    t = FullBinaryTree(shape)
+    reference_branch_length_formula_checks(t, b)
+    return t
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except ReconstructionError as exc:
+        return "error", str(exc)
+    return "tree", None if result is None else serialize_tree(result)
+
+
+def _braidings(*orders):
+    """Every (zeta_N1^a, zeta_N2^c, zeta_N3^e, zeta_N4^d) for the given N."""
+    return [Braiding(*(root_of_unity(k, n) for k, n in zip(ks, orders)))
+            for ks in itertools.product(*(range(n) for n in orders))]
+
+
+def test_reconstruct_matches_product_form_reference():
+    braidings = [b for n in (3, 4, 5, 9, 10, 15, 18) for b in _braidings(n, n, 1, n)]
+    # q21 != 1 and entries of four different orders.
+    braidings += _braidings(4, 3, 5, 6)
+    # Entries that are not roots of unity, among roots and at other conductors.
+    z5, z12 = root_of_unity(1, 5), root_of_unity(1, 12)
+    entries = (ONE + ONE, CycNum.from_rational(Fraction(1, 2)), z5 + Fraction(1, 3), ONE, z12)
+    braidings += [Braiding(*qs) for qs in itertools.product(entries, repeat=4)]
+    seen = Counter()
+    for b in braidings:
+        want = _outcome(reference_reconstruct_tree, b)
+        assert _outcome(reconstruct_tree, b) == want, b
+        # "tree", or the word after "branching node at": "weight" for the
+        # cap, "label" for a p that is not a root of unity.
+        seen[want[0] if want[0] == "tree" else want[1].split(" ")[3]] += 1
+    assert set(seen) == {"tree", "weight", "label"}
+
+
+def test_branch_checks_match_product_form_reference():
+    # Every tree against every braiding, so most pairs are mismatched and
+    # each way of failing the checks is reached.
+    seen = Counter()
+    for n in (6, 8):
+        for b in _braidings(n, n, 1, n):
+            for t in TREES.values():
+                want = _outcome(reference_branch_length_formula_checks, t, b)
+                assert _outcome(_branch_length_formula_checks, t, b) == want, (t, b)
+                why = want[1]
+                seen["pass" if why is None else "early" if "early" in why else why[-1]] += 1
+    assert seen["pass"] == 188 and seen["early"] == 7694
+    assert sum(seen[str(m)] for m in range(1, 7)) == 8134 and all(seen[str(m)] for m in range(1, 7))
+
+
+def test_qnum_vanishes_equals_qnum_zero_test():
+    values = [ONE, MINUS_ONE, ONE + ONE, CycNum.from_rational(Fraction(1, 2)),
+              root_of_unity(1, 12) + Fraction(1, 3)]
+    for d in range(1, 31):
+        for k in range(d):
+            if math.gcd(k, d) != 1:
+                continue
+            r = root_of_unity(k, d)
+            n = canonical_conductor(3 * r.conductor)
+            # At its own conductor; carrying its exponent at 3 times it, as
+            # a product puts it; and, for small orders, as bare coordinates.
+            values += [r, r * root_of_unity(1, n) * root_of_unity(-1, n)]
+            if d <= 12:
+                values.append(CycNum(n, r._lift(n)))
+    for p in values:
+        # [m]_p built term by term, as qnum builds it.
+        acc, term = ZERO, ONE
+        for m in range(41):
+            assert qnum_vanishes(m, p) == acc.is_zero(), (m, p)
+            acc, term = acc + term, term * p
+        assert acc == qnum(41, p)
