@@ -3,13 +3,16 @@
 The scalar lambda decides branching (an inner node must have lambda != 0,
 a leaf lambda == 0), mu feeds the coefficients of the mixed commutation
 relations, and nu is the obstruction that must vanish where a mixed
-relation crosses a long left branch.  Tree reconstruction grows a tree
-from the root using lambda alone, kept as a coordinate tuple at the common
-conductor of the braiding's entries, and then cross-checks the branch
-lengths against independent closed-form minimality conditions.  Those are
-products of a q-integer and a difference, so each is tested factor by
-factor: the q-integer by `qnum_vanishes`, the difference as an equality of
-products, which for roots of unity is exponent arithmetic.
+relation crosses a long left branch.  Every lambda is a coordinate tuple at
+the common conductor of the braiding's entries, grown from its parent's by
+one step, `_lambda_step`: tree reconstruction takes that step while it
+grows a tree from the root, and `_lambdas` takes it over the nodes of a
+given tree, keeping the table of the one (tree, braiding) pair in hand.
+Reconstruction then cross-checks the branch lengths against independent
+closed-form minimality conditions.  Those are products of a q-integer and
+a difference, so each is tested factor by factor: the q-integer by
+`qnum_vanishes`, the difference as an equality of products, which for
+roots of unity is exponent arithmetic.
 """
 
 from __future__ import annotations
@@ -60,21 +63,44 @@ def qnum_vanishes(m: int, p: CycNum) -> bool:
     return m == 0 or (p != ONE and p ** m == ONE)
 
 
-@lru_cache(maxsize=None)
-def _lambda_cached(t: FullBinaryTree, b: Braiding, a) -> CycNum:
-    if isinstance(a, Virtual):
-        return ZERO
-    par = t.parent[a]
-    if par is None:
-        return b.q21.inv() - b.q12
-    step = b.chi_nodes(t, t.lgf(a), t.rgf(a)).inv() - b.chi_nodes(t, t.rgf(a), t.lgf(a))
-    return step + _lambda_cached(t, b, par)
+def _lambda_conductor(b: Braiding) -> int:
+    # Every bicharacter value of b lies in Q(zeta_n) for this n.
+    return canonical_conductor(math.lcm(*(q.conductor for q in b.entries())))
+
+
+def _lambda_step(b: Braiding, n: int, lam: tuple, u, v) -> tuple:
+    """lam + chi(u, v)^-1 - chi(v, u) on coordinates at conductor n: the
+    lambda of the node with godfather labels u (left) and v (right), given
+    its parent's lambda (the zero tuple at the root)."""
+    return tuple(x + y - z for x, y, z in
+                 zip(lam, b.chi(u, v).inv()._lift(n), b.chi(v, u)._lift(n)))
+
+
+@lru_cache(maxsize=1)
+def _lambdas(t: FullBinaryTree, b: Braiding) -> tuple[int, tuple]:
+    """(n, lams): lams[a] is the lambda of real node a at conductor n.
+
+    Nodes are numbered in preorder, so each parent's entry is ready before
+    its children's.  The cache holds the table of one (tree, braiding).
+    """
+    n = _lambda_conductor(b)
+    lams = []
+    for a in t.nodes():
+        par = t.parent[a]
+        lam = (0,) * euler_phi(n) if par is None else lams[par]
+        lams.append(_lambda_step(b, n, lam, t.stern_brocot(t.lgf(a)),
+                                 t.stern_brocot(t.rgf(a))))
+    return n, tuple(lams)
 
 
 def lambda_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
     """The branching scalar: chi(lgf, rgf)^-1 - chi(rgf, lgf) accumulated
-    down the ancestor chain (zero on the virtual nodes)."""
-    return _lambda_cached(t, b, a)
+    down the ancestor chain (zero on the virtual nodes), read from the
+    coordinate table of `_lambdas`."""
+    if isinstance(a, Virtual):
+        return ZERO
+    n, lams = _lambdas(t, b)
+    return CycNum(n, lams[a])
 
 
 def lambda_closed(t: FullBinaryTree, b: Braiding, a: int, side: str) -> CycNum:
@@ -141,27 +167,6 @@ def nu_of(t: FullBinaryTree, b: Braiding, a: int) -> CycNum:
             * (two_f.inv() - three_c.inv()))
 
 
-@dataclass(frozen=True)
-class NodeScalars:
-    lam: CycNum
-    p: CycNum
-    mu: CycNum | None
-    nu: CycNum | None
-
-
-def node_scalars(t: FullBinaryTree, b: Braiding, a: int) -> NodeScalars:
-    """All defined scalars at one node."""
-    mu = nu = None
-    if isinstance(t.lgf(a), int):
-        mu = mu_of(t, b, a)
-        if t.rgfl(a) <= 2:
-            try:
-                nu = nu_of(t, b, a)
-            except NuDenominatorError:
-                nu = None
-    return NodeScalars(lambda_of(t, b, a), p_of(t, b, a), mu, nu)
-
-
 def check_branch_hypothesis(t: FullBinaryTree) -> None:
     """The standing structural hypothesis: below every inner node, either
     the left child's right branch or the right child's left branch has
@@ -193,13 +198,14 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
     check_branch_hypothesis(t)
     failures = []
 
+    lams = _lambdas(t, b)[1]
     for a in t.nodes():
         if t.weight(a) > n:
             continue
-        lam = lambda_of(t, b, a)
-        if t.is_leaf(a) and not lam.is_zero():
+        zero = not any(lams[a])
+        if t.is_leaf(a) and not zero:
             failures.append(("branching", a, "leaf with nonzero lambda"))
-        if not t.is_leaf(a) and lam.is_zero():
+        if not t.is_leaf(a) and zero:
             failures.append(("branching", a, "inner node with lambda = 0"))
 
     for a in t.nbar2():
@@ -295,8 +301,8 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
 
     Every bicharacter value lies in Q(zeta_n), n the common conductor of
     the entries, so lambda is carried as its coordinate tuple there: each
-    step adds chi(u, v)^-1 - chi(v, u) coordinate by coordinate, and the
-    zero test reads the tuple.
+    `_lambda_step` adds chi(u, v)^-1 - chi(v, u) coordinate by coordinate,
+    and the zero test reads the tuple.
 
     Fails when a branching node would exceed max_weight (the braiding is
     then possibly of infinite type, or the cap too small) or when a
@@ -306,12 +312,7 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
     """
     if max_weight < 2:
         raise ValueError("max_weight must be at least 2")
-    n = canonical_conductor(math.lcm(*(q.conductor for q in b.entries())))
-
-    def step(lam, u, v):
-        # lam + chi(u, v)^-1 - chi(v, u), on coordinates at conductor n.
-        return tuple(x + y - z for x, y, z in
-                     zip(lam, b.chi(u, v).inv()._lift(n), b.chi(v, u)._lift(n)))
+    n = _lambda_conductor(b)
 
     def grow(stbr, stbr_lgf, stbr_rgf, lam):
         if not any(lam):
@@ -327,10 +328,10 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
                 f"branching node at label {stbr} has non-root-of-unity p")
         lch_stbr = (stbr_lgf[0] + stbr[0], stbr_lgf[1] + stbr[1])
         rch_stbr = (stbr[0] + stbr_rgf[0], stbr[1] + stbr_rgf[1])
-        return (grow(lch_stbr, stbr_lgf, stbr, step(lam, stbr_lgf, stbr)),
-                grow(rch_stbr, stbr, stbr_rgf, step(lam, stbr, stbr_rgf)))
+        return (grow(lch_stbr, stbr_lgf, stbr, _lambda_step(b, n, lam, stbr_lgf, stbr)),
+                grow(rch_stbr, stbr, stbr_rgf, _lambda_step(b, n, lam, stbr, stbr_rgf)))
 
-    shape = grow((1, 1), (0, 1), (1, 0), step((0,) * euler_phi(n), (0, 1), (1, 0)))
+    shape = grow((1, 1), (0, 1), (1, 0), _lambda_step(b, n, (0,) * euler_phi(n), (0, 1), (1, 0)))
     t = FullBinaryTree(shape)
     _branch_length_formula_checks(t, b)
     return t

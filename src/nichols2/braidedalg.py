@@ -189,9 +189,6 @@ class NCPoly:
         d = self.multidegree()
         return None if d is None else d[0] + d[1]
 
-    def is_homogeneous(self) -> bool:
-        return self.multidegree() is not None
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
@@ -204,21 +201,21 @@ def tau0(t: FullBinaryTree, b: Braiding, a) -> NCPoly:
 
     tau0(LGH) = x2 and tau0(RGH) = x1; an inner or leaf node gets
     tau0(rgf a) tau0(lgf a) - chi(rgf a, lgf a) tau0(lgf a) tau0(rgf a).
-    Its multidegree equals the node's Stern-Brocot label.
+    Its multidegree equals the node's Stern-Brocot label.  Values are kept
+    in one node table, which holds the (tree, braiding) pair in hand.
     """
-    return _tau0_cached(t, b, a)
+    table = _tau0_table(t, b)
+    el = table.get(a)
+    if el is None:
+        hi = tau0(t, b, t.rgf(a))
+        lo = tau0(t, b, t.lgf(a))
+        el = table[a] = hi * lo - b.chi_nodes(t, t.rgf(a), t.lgf(a)) * (lo * hi)
+    return el
 
 
-@lru_cache(maxsize=None)
-def _tau0_cached(t: FullBinaryTree, b: Braiding, a) -> NCPoly:
-    if a is LGH:
-        return NCPoly.generator(2)
-    if a is RGH:
-        return NCPoly.generator(1)
-    hi = _tau0_cached(t, b, t.rgf(a))
-    lo = _tau0_cached(t, b, t.lgf(a))
-    twist = b.chi_nodes(t, t.rgf(a), t.lgf(a))
-    return hi * lo - twist * (lo * hi)
+@lru_cache(maxsize=1)
+def _tau0_table(t: FullBinaryTree, b: Braiding) -> dict:
+    return {LGH: NCPoly.generator(2), RGH: NCPoly.generator(1)}
 
 
 def bracket_word(b: Braiding, u: Word) -> NCPoly:
@@ -517,7 +514,9 @@ def format_ncpoly(p: NCPoly) -> str:
 
 
 def clear_caches():
-    """Drop memoized bracket and symmetrizer data (test hygiene)."""
-    _tau0_cached.cache_clear()
+    """Drop the tau0 table and the memoized bracket and symmetrizer data
+    (test hygiene).  The symmetrizer engines otherwise stay for the life of
+    the process, one per braiding."""
+    _tau0_table.cache_clear()
     _bracket_cached.cache_clear()
     _ENGINES.clear()

@@ -209,14 +209,6 @@ class FullBinaryTree:
 
     # -- shape identity ---------------------------------------------------------
 
-    def shape(self):
-        def rec(a):
-            if self.is_leaf(a):
-                return None
-            return (rec(self.left[a]), rec(self.right[a]))
-
-        return rec(0)
-
     def __eq__(self, other):
         if not isinstance(other, FullBinaryTree):
             return NotImplemented

@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -9,13 +10,15 @@ from conftest import random_root_braiding
 
 from nichols2.cyclotomic import (MINUS_ONE, ONE, ZERO, CycNum, canonical_conductor, qnum,
                                  root_of_unity)
-from nichols2.braidedalg import Braiding
-from nichols2.fbtree import LGH, RGH, TREES, FullBinaryTree, parse_tree, serialize_tree
+from nichols2 import admissibility, braidedalg
+from nichols2.braidedalg import Braiding, tau0
+from nichols2.classify import classify_full, fixtures
+from nichols2.fbtree import LGH, RGH, TREES, FullBinaryTree, Virtual, parse_tree, serialize_tree
 from nichols2.admissibility import (PTableMismatch, ReconstructionError, ScalarDomainError,
                                     StructureError, _branch_length_formula_checks,
                                     check_branch_hypothesis, is_admissible, lambda_closed,
-                                    lambda_of, lambda_table, mu_of, node_scalars, nu_of, p_of,
-                                    p_table, qnum_vanishes, reconstruct_tree, sorted_internal)
+                                    lambda_of, lambda_table, mu_of, nu_of, p_of, p_table,
+                                    qnum_vanishes, reconstruct_tree, sorted_internal)
 
 
 def cartan_a2():
@@ -149,15 +152,6 @@ def test_nu_domain_errors():
     b = cartan_a2()
     with pytest.raises(ScalarDomainError):
         nu_of(TREES[2], b, TREES[2].root)
-
-
-def test_node_scalars_bundle():
-    z18 = root_of_unity(1, 18)
-    b = Braiding(z18, z18 ** 16, ONE, -(z18 ** 3))
-    t = TREES[6]
-    ns = node_scalars(t, b, t.rch(t.root))
-    assert ns.p == p_of(t, b, t.rch(t.root))
-    assert ns.mu is not None and ns.nu is not None
 
 
 def test_branch_hypothesis_on_constants_and_violation():
@@ -316,6 +310,21 @@ def reference_reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryT
     return t
 
 
+# Lambda summed as CycNum values up the ancestor chain, one memo entry per
+# (tree, braiding, node).  The library grows every node's coordinate tuple
+# from its parent's in one pass; the tests below hold it to this form.
+
+@lru_cache(maxsize=None)
+def reference_lambda_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
+    if isinstance(a, Virtual):
+        return ZERO
+    par = t.parent[a]
+    if par is None:
+        return b.q21.inv() - b.q12
+    step = b.chi_nodes(t, t.lgf(a), t.rgf(a)).inv() - b.chi_nodes(t, t.rgf(a), t.lgf(a))
+    return step + reference_lambda_of(t, b, par)
+
+
 def _outcome(fn, *args):
     try:
         result = fn(*args)
@@ -346,6 +355,37 @@ def test_reconstruct_matches_product_form_reference():
         # cap, "label" for a p that is not a root of unity.
         seen[want[0] if want[0] == "tree" else want[1].split(" ")[3]] += 1
     assert set(seen) == {"tree", "weight", "label"}
+
+
+def test_lambda_matches_ancestor_sum_reference():
+    vals = (ONE + ONE, CycNum.from_rational(Fraction(1, 2)), root_of_unity(1, 5) + Fraction(1, 3))
+    braidings = _braidings(6, 6, 1, 6)
+    braidings += [Braiding(q11, q12, ONE, q22) for q11, q12, q22 in itertools.product(vals, repeat=3)]
+    for t in TREES.values():
+        for b in braidings:
+            for a in t.nbar():
+                assert lambda_of(t, b, a) == reference_lambda_of(t, b, a), (t, b, a)
+
+
+def test_tables_hold_one_tree_and_braiding():
+    admissibility._lambdas.cache_clear()
+    braidedalg.clear_caches()
+    first = {}
+    for key in ((3, 1), (6, 1), (11, 1), (2, 1)):
+        b, t = fixtures()[key], TREES[key[0]]
+        classify_full(b, 3)
+        misses = admissibility._lambdas.cache_info().misses, braidedalg._tau0_table.cache_info().misses
+        first[key] = ([lambda_of(t, b, a) for a in t.nbar()], [tau0(t, b, a) for a in t.nbar()])
+        # classify_full left this pair's tables in place: reading them misses nothing.
+        assert admissibility._lambdas.cache_info().misses == misses[0]
+        assert braidedalg._tau0_table.cache_info().misses == misses[1]
+        assert admissibility._lambdas.cache_info().currsize == 1
+        assert braidedalg._tau0_table.cache_info().currsize == 1
+    for key, (lams, taus) in first.items():
+        b, t = fixtures()[key], TREES[key[0]]
+        assert [lambda_of(t, b, a) for a in t.nbar()] == lams
+        assert [tau0(t, b, a) for a in t.nbar()] == taus
+        assert lams == [reference_lambda_of(t, b, a) for a in t.nbar()]
 
 
 def test_branch_checks_match_product_form_reference():
