@@ -221,22 +221,25 @@ def _tau0_table(t: FullBinaryTree, b: Braiding) -> dict:
 def bracket_word(b: Braiding, u: Word) -> NCPoly:
     """Bracket element of a Lyndon word: single letters map to the generators
     (a -> x2, b -> x1) and u = vw splits by the standard decomposition into
-    [w][v] - chi(deg w, deg v) [v][w]."""
-    if len(u) == 0 or not is_lyndon(u):
-        raise BraidedError(f"{u!r} is not a Lyndon word")
-    return _bracket_cached(b, u)
+    [w][v] - chi(deg w, deg v) [v][w].  Values are kept in one word table,
+    which holds the braiding in hand."""
+    table = _bracket_table(b)
+    el = table.get(u)
+    if el is None:
+        if len(u) == 0 or not is_lyndon(u):
+            raise BraidedError(f"{u!r} is not a Lyndon word")
+        v, w = shirshow(u)
+        pv = bracket_word(b, v)
+        pw = bracket_word(b, w)
+        dv = (v.count_b(), len(v) - v.count_b())
+        dw = (w.count_b(), len(w) - w.count_b())
+        el = table[u] = pw * pv - b.chi(dw, dv) * (pv * pw)
+    return el
 
 
-@lru_cache(maxsize=None)
-def _bracket_cached(b: Braiding, u: Word) -> NCPoly:
-    if len(u) == 1:
-        return NCPoly.generator(1 if u.bits else 2)
-    v, w = shirshow(u)
-    pv = _bracket_cached(b, v)
-    pw = _bracket_cached(b, w)
-    dv = (v.count_b(), len(v) - v.count_b())
-    dw = (w.count_b(), len(w) - w.count_b())
-    return pw * pv - b.chi(dw, dv) * (pv * pw)
+@lru_cache(maxsize=1)
+def _bracket_table(b: Braiding) -> dict:
+    return {Word(1, 0): NCPoly.generator(2), Word(1, 1): NCPoly.generator(1)}
 
 
 # -- quantum symmetrizer ------------------------------------------------------
@@ -514,9 +517,9 @@ def format_ncpoly(p: NCPoly) -> str:
 
 
 def clear_caches():
-    """Drop the tau0 table and the memoized bracket and symmetrizer data
+    """Drop the tau0 and bracket tables and the memoized symmetrizer data
     (test hygiene).  The symmetrizer engines otherwise stay for the life of
     the process, one per braiding."""
     _tau0_table.cache_clear()
-    _bracket_cached.cache_clear()
+    _bracket_table.cache_clear()
     _ENGINES.clear()

@@ -19,8 +19,12 @@ and equality are exponent arithmetic.  Each result comes from one cache of at
 most ROOT_CACHE_SIZE values keyed by the reduced exponent and the conductor,
 at the conductor the vector path gives: the operands' common one for products
 and positive powers, the root's own for inverses and negative powers.  Sums
-and non-roots take the vector path; their inverses are fraction-free integer
-solves (`vector_inverse`), with every division checked to be exact.
+and non-roots take the vector path.  A non-root is inverted by its norm: with
+the denominators cleared, x^-1 is the product of the conjugates sigma_k(x),
+k a unit other than 1, over the rational N(x) = x * prod sigma_k(x).
+
+Every field map is one substitution z -> z^k (`_substitute`): the lift into a
+larger conductor, a Galois conjugate, and the fold of zeta_{2m} into zeta_m.
 """
 
 from __future__ import annotations
@@ -171,55 +175,18 @@ def vector_product(n: int):
     return mul
 
 
-def _exact_div(vec, d) -> list[int]:
-    """Divide every entry of an integer vector by d, which must divide it."""
-    out = []
-    for q in vec:
-        quot, rem = divmod(q, d)
-        if rem:
-            raise ArithmeticError("fraction-free elimination produced an inexact division")
-        out.append(quot)
-    return out
-
-
-def vector_inverse(n: int, vec) -> tuple[list[int], int]:
-    """Inverse of a nonzero integer coordinate vector of Q(zeta_n), as an
-    integer vector over a denominator: (W, d) with d > 0, gcd(W, d) = 1 and
-    vec * W = d.
-
-    Solves M x = e_0, where column j of M is vec * z^j, by fraction-free
-    (Bareiss) elimination and integer back-substitution; W = det(M) x is
-    integral by Cramer's rule.  Every division is checked to be exact.
-    """
-    mul = vector_product(n)
+def _substitute(coeffs, k: int, n: int) -> tuple:
+    """Coordinates in Q(zeta_n) of sum_j c_j z^(jk): the one place a
+    polynomial in z is evaluated at a power of z modulo Phi_n."""
     deg = euler_phi(n)
-    cols = [mul(vec, power_vector(n, j)) for j in range(deg)]
-    rows = [[col[r] for col in cols] + [int(r == 0)] for r in range(deg)]
-    prev = 1
-    for k in range(deg):
-        sel = next((r for r in range(k, deg) if rows[r][k]), None)
-        if sel is None:
-            raise CycError("inversion of zero")
-        rows[k], rows[sel] = rows[sel], rows[k]
-        top = rows[k]
-        piv = top[k]
-        for r in range(k + 1, deg):
-            row = rows[r]
-            f = row[k]
-            row[k + 1:] = _exact_div([piv * x - f * y for x, y in zip(row[k + 1:], top[k + 1:])],
-                                     prev)
-            row[k] = 0
-        prev = piv
-    det = prev
-    W = [0] * deg
-    for i in range(deg - 1, -1, -1):
-        row = rows[i]
-        s = det * row[deg] - sum(row[j] * W[j] for j in range(i + 1, deg))
-        W[i] = _exact_div((s,), row[i])[0]
-    g = math.gcd(det, *W)
-    if det < 0:
-        g = -g
-    return [w // g for w in W], det // g
+    out = [0] * deg
+    for j, c in enumerate(coeffs):
+        if c:
+            vec = power_vector(n, j * k % n)
+            for i in range(deg):
+                if vec[i]:
+                    out[i] += c * vec[i]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -311,17 +278,8 @@ class CycNum:
             # Coordinates arrive in the zeta_{2m} basis (m odd): rewrite them
             # in the zeta_m basis via zeta_{2m} = -zeta_m^((m+1)/2).
             m = conductor // 2
-            deg = euler_phi(m)
-            out = [0] * deg
-            half = (m + 1) // 2
-            for j, c in enumerate(coeffs):
-                if c:
-                    sign = -1 if j % 2 else 1
-                    vec = power_vector(m, (j * half) % m)
-                    for i in range(deg):
-                        if vec[i]:
-                            out[i] += sign * c * vec[i]
-            conductor, coeffs = m, tuple(out)
+            flipped = [-c if j % 2 else c for j, c in enumerate(coeffs)]
+            conductor, coeffs = m, _substitute(flipped, (m + 1) // 2, m)
         deg = euler_phi(conductor)
         if len(coeffs) != deg:
             raise CycError(f"need {deg} coordinates at conductor {conductor}, got {len(coeffs)}")
@@ -356,16 +314,7 @@ class CycNum:
         """Coordinates of self in Q(zeta_n), where conductor | n."""
         if n == self.conductor:
             return self.coeffs
-        step = n // self.conductor
-        deg = euler_phi(n)
-        out = [0] * deg
-        for j, c in enumerate(self.coeffs):
-            if c:
-                vec = power_vector(n, j * step)
-                for i in range(deg):
-                    if vec[i]:
-                        out[i] += c * vec[i]
-        return tuple(out)
+        return _substitute(self.coeffs, n // self.conductor, n)
 
     def _common(self, other: CycNum) -> tuple[int, tuple[Fraction, ...], tuple[Fraction, ...]]:
         n = canonical_conductor(math.lcm(self.conductor, other.conductor))
@@ -422,12 +371,21 @@ class CycNum:
         root = self._exponent()
         if root is not None:
             return _root_at(-root[0], root[1], canonical_conductor(root[1]))
+        # x = X / den with X integral; X^-1 = prod sigma_k(X) / N(X).
+        n = self.conductor
         den = 1
         for c in self.coeffs:
             if type(c) is not int:
                 den = math.lcm(den, c.denominator)
-        W, d = vector_inverse(self.conductor, [int(c * den) for c in self.coeffs])
-        return CycNum(self.conductor, [Fraction(w * den, d) for w in W])
+        X = [int(c * den) for c in self.coeffs]
+        mul = vector_product(n)
+        num = [1] + [0] * (len(X) - 1)
+        for k in _conjugation_exponents(n, 1):
+            num = mul(num, _substitute(X, k, n))
+        norm = mul(X, num)
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError("the norm of a nonzero scalar is not a nonzero rational")
+        return CycNum(n, [Fraction(c * den, norm[0]) for c in num])
 
     def __truediv__(self, other) -> CycNum:
         other = _coerce(other)
@@ -522,27 +480,10 @@ def _coerce(x):
 
 
 @lru_cache(maxsize=None)
-def _conjugation_matrices(n: int, d: int):
-    # Basis images of every Galois automorphism fixing Q(zeta_d) pointwise
-    # (x = 1 mod d, coprime to n), excluding the identity.
-    deg = euler_phi(n)
-    mats = []
-    for x in range(1 + d, n, d):
-        if math.gcd(x, n) == 1:
-            mats.append(tuple(power_vector(n, (j * x) % n) for j in range(deg)))
-    return tuple(mats)
-
-
-def _fixed_by(coeffs, mats, deg) -> bool:
-    for rows in mats:
-        for i in range(deg):
-            acc = 0
-            for j, c in enumerate(coeffs):
-                if c:
-                    acc += c * rows[j][i]
-            if acc != coeffs[i]:
-                return False
-    return True
+def _conjugation_exponents(n: int, d: int) -> tuple[int, ...]:
+    # The k of every Galois automorphism z -> z^k of Q(zeta_n) fixing
+    # Q(zeta_d) pointwise (k = 1 mod d, coprime to n), the identity excluded.
+    return tuple(k for k in range(1 + d, n, d) if math.gcd(k, n) == 1)
 
 
 @lru_cache(maxsize=None)
@@ -564,9 +505,9 @@ def _demoted(conductor: int, coeffs: tuple) -> tuple[int, tuple]:
     # so the first hit is minimal.
     if not any(coeffs[1:]):
         return 1, (coeffs[0],)
-    deg = len(coeffs)
     for d in _subfield_conductors(conductor):
-        if not _fixed_by(coeffs, _conjugation_matrices(conductor, d), deg):
+        if any(_substitute(coeffs, k, conductor) != coeffs
+               for k in _conjugation_exponents(conductor, d)):
             continue
         return d, tuple(_norm_coeff(sum(v * coeffs[j] for j, v in row))
                         for row in _embedding_solver(d, conductor))
@@ -593,17 +534,10 @@ def _root_at(k: int, d: int, n: int) -> CycNum:
 
 @lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _cached_root(k: int, d: int, n: int) -> CycNum:
-    # zeta_d^k with gcd(k, d) = 1, built at the root's own conductor c and
-    # lifted to n.
-    c, e, sign = d, k, 1
-    if d % 4 == 2:
-        # zeta_{2m} = -zeta_m^((m+1)/2) for odd m.
-        c = d // 2
-        sign = -1 if k % 2 else 1
-        e = k * ((c + 1) // 2) % c
-    # A primitive d-th root generates Q(zeta_c), so c is the smallest
-    # conductor presenting it.
-    value = CycNum(c, tuple(sign * x for x in power_vector(c, e)))
+    # zeta_d^k with gcd(k, d) = 1, built at d, which CycNum folds to the
+    # canonical conductor of d; a primitive d-th root generates that field,
+    # so it is the smallest presenting the root.  The value is lifted to n.
+    value = CycNum(d, power_vector(d, k))
     if n != value.conductor:
         value = CycNum(n, value._lift(n))
     _set(value, "_root", (k, d))

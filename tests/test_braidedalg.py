@@ -5,6 +5,7 @@ import pytest
 
 from conftest import naive_rank, random_root_braiding
 
+from nichols2 import braidedalg
 from nichols2.cyclotomic import MINUS_ONE, ONE, ZERO, qfact, root_of_unity
 from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, basis_words,
                                  bracket_word, clear_caches, format_ncpoly, is_zero_in_nichols,
@@ -114,6 +115,20 @@ def test_bracket_matches_tree_elements_everywhere(rng):
         g = gamma(t)
         for a in list(t.nodes()) + [LGH, RGH]:
             assert bracket_word(b, g[a]) == tau0(t, b, a)
+
+
+def test_bracket_table_holds_one_braiding():
+    clear_caches()
+    words = [w for a, w in gamma(TREES[13]).items() if a not in (LGH, RGH)]
+    z5 = root_of_unity(1, 5)
+    first = {}
+    for b in (cartan_a2(), Braiding(z5, z5 ** 3, ONE, z5 ** 4)):
+        first[b] = [bracket_word(b, w) for w in words]
+        assert braidedalg._bracket_table.cache_info().currsize == 1
+        assert set(words) <= set(braidedalg._bracket_table(b))
+    for b, values in first.items():
+        assert [bracket_word(b, w) for w in words] == values
+        assert braidedalg._bracket_table.cache_info().currsize == 1
 
 
 def test_symmetrizer_degree_one_is_identity():

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, _demoted,
-                                 _root_exponent, as_root_exponent, canonical_conductor,
-                                 cyclotomic_polynomial, divisors, euler_phi, format_scalar,
-                                 order, parse_scalar, qfact, qnum, root_of_unity,
-                                 vector_inverse, vector_product)
+                                 _root_exponent, _substitute, as_root_exponent,
+                                 canonical_conductor, cyclotomic_polynomial, divisors, euler_phi,
+                                 format_scalar, order, parse_scalar, power_vector, qfact, qnum,
+                                 root_of_unity, vector_product)
 
 INVERSE_CONDUCTORS = (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30)
 
@@ -73,6 +73,72 @@ def test_inverse_is_multiplicative_inverse(rng):
         assert a * a.inv() == ONE
 
 
+# -- the fraction-free reference inverse ---------------------------------------
+#
+# A second exact solver, kept as the reference for `CycNum.inv` (which
+# inverts by the norm) and for the Bareiss rank in test_linalg.
+
+
+def _exact_div(vec, d) -> list[int]:
+    """Divide every entry of an integer vector by d, which must divide it."""
+    out = []
+    for q in vec:
+        quot, rem = divmod(q, d)
+        if rem:
+            raise ArithmeticError("fraction-free elimination produced an inexact division")
+        out.append(quot)
+    return out
+
+
+def vector_inverse(n: int, vec) -> tuple[list[int], int]:
+    """Inverse of a nonzero integer coordinate vector of Q(zeta_n), as an
+    integer vector over a denominator: (W, d) with d > 0, gcd(W, d) = 1 and
+    vec * W = d.
+
+    Solves M x = e_0, where column j of M is vec * z^j, by fraction-free
+    (Bareiss) elimination and integer back-substitution; W = det(M) x is
+    integral by Cramer's rule.  Every division is checked to be exact.
+    """
+    mul = vector_product(n)
+    deg = euler_phi(n)
+    cols = [mul(vec, power_vector(n, j)) for j in range(deg)]
+    rows = [[col[r] for col in cols] + [int(r == 0)] for r in range(deg)]
+    prev = 1
+    for k in range(deg):
+        sel = next((r for r in range(k, deg) if rows[r][k]), None)
+        if sel is None:
+            raise CycError("inversion of zero")
+        rows[k], rows[sel] = rows[sel], rows[k]
+        top = rows[k]
+        piv = top[k]
+        for r in range(k + 1, deg):
+            row = rows[r]
+            f = row[k]
+            row[k + 1:] = _exact_div([piv * x - f * y for x, y in zip(row[k + 1:], top[k + 1:])],
+                                     prev)
+            row[k] = 0
+        prev = piv
+    det = prev
+    W = [0] * deg
+    for i in range(deg - 1, -1, -1):
+        row = rows[i]
+        s = det * row[deg] - sum(row[j] * W[j] for j in range(i + 1, deg))
+        W[i] = _exact_div((s,), row[i])[0]
+    g = math.gcd(det, *W)
+    if det < 0:
+        g = -g
+    return [w // g for w in W], det // g
+
+
+def _bareiss_inverse(n, coeffs):
+    """(conductor, coeffs) of the inverse of a nonzero non-root, by the
+    reference solve on cleared denominators."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    W, d = vector_inverse(n, [int(c * den) for c in coeffs])
+    x = CycNum(n, [Fraction(w * den, d) for w in W])
+    return x.conductor, x.coeffs
+
+
 def test_vector_inverse_is_integral(rng):
     for n in INVERSE_CONDUCTORS:
         mul = vector_product(n)
@@ -87,6 +153,35 @@ def test_vector_inverse_is_integral(rng):
             assert mul(vec, W) == [d] + [0] * (deg - 1)
     with pytest.raises(CycError):
         vector_inverse(5, [0, 0, 0, 0])
+
+
+CANONICAL_CONDUCTORS = [n for n in range(1, 61) if canonical_conductor(n) == n]
+
+
+def test_norm_inverse_matches_bareiss_reference(rng):
+    # Seeded integer and Fraction vectors at every canonical conductor up to
+    # 60, and every non-root 1 + p and 1 + p + p^2 for p a root of order at
+    # most 30.
+    values = []
+    for n in CANONICAL_CONDUCTORS:
+        deg = euler_phi(n)
+        for _ in range(3):
+            values.append(CycNum(n, [rng.randrange(-30, 31) for _ in range(deg)]))
+            values.append(CycNum(n, [Fraction(rng.randrange(-30, 31), rng.randrange(1, 9))
+                                     for _ in range(deg)]))
+    for d in range(1, 31):
+        for k in range(d):
+            if math.gcd(k, d) == 1:
+                p = root_of_unity(k, d)
+                values += [1 + p, 1 + p + p * p]
+    values = [x for x in values if x and as_root_exponent(x) is None]
+    assert len(values) > 700
+    for x in values:
+        got = x.inv()
+        assert (got.conductor, got.coeffs) == _bareiss_inverse(x.conductor, x.coeffs), x
+    for n in (1, 5, 12, 60):
+        with pytest.raises(CycError):
+            CycNum(n, [0] * euler_phi(n)).inv()
 
 
 def test_inverse_of_rational_coordinates(rng):
@@ -303,6 +398,49 @@ def test_conductor_two_mod_four_is_folded():
     assert z6.conductor == 3
     assert order(z6) == 6
     assert z6 == -root_of_unity(2, 3)
+    for d in range(2, 63, 4):
+        for k in range(d):
+            # Any power of z at conductor d lands at d/2, with the coordinates
+            # of zeta_{2m}^k = (-1)^k zeta_m^(k(m+1)/2), m = d/2 odd.
+            m = d // 2
+            sign = -1 if k % 2 else 1
+            expected = (m, tuple(sign * x for x in power_vector(m, k * ((m + 1) // 2) % m)))
+            a = CycNum(d, power_vector(d, k))
+            assert (a.conductor, a.coeffs) == expected
+            if math.gcd(k, d) == 1:
+                a = root_of_unity(k, d)
+                assert (a.conductor, a.coeffs) == expected
+                assert as_root_exponent(a) == (k, d)
+
+
+CANONICAL_UP_TO_30 = [n for n in CANONICAL_CONDUCTORS if n <= 30]
+
+
+def _coordinates(n):
+    deg = euler_phi(n)
+    return st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=3),
+                    min_size=deg, max_size=deg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_substitution_is_a_ring_map_and_lifts_compose(data):
+    # sigma_k: z -> z^k for a unit k mod m is a field automorphism of
+    # Q(zeta_m), and the lifts c -> n -> m compose to c -> m.
+    m = data.draw(st.sampled_from(CANONICAL_UP_TO_30))
+    k = data.draw(st.sampled_from([k for k in range(1, m + 1) if math.gcd(k, m) == 1]))
+    x, y = CycNum(m, data.draw(_coordinates(m))), CycNum(m, data.draw(_coordinates(m)))
+
+    def sigma(a):
+        return CycNum(m, _substitute(a.coeffs, k, m))
+
+    assert sigma(x * y) == sigma(x) * sigma(y)
+    assert sigma(x + y) == sigma(x) + sigma(y)
+    assert sigma(root_of_unity(1, m)) == root_of_unity(k, m)
+    n = data.draw(st.sampled_from([d for d in divisors(m) if d in CANONICAL_UP_TO_30]))
+    c = data.draw(st.sampled_from([d for d in divisors(n) if d in CANONICAL_UP_TO_30]))
+    a = CycNum(c, data.draw(_coordinates(c)))
+    assert CycNum(n, a._lift(n))._lift(m) == a._lift(m)
 
 
 # -- roots of unity by exponent against the vector path ---------------------
@@ -334,9 +472,7 @@ def _ref_inv(x):
     if root is not None:
         # x^(d-1), in the smallest field holding it.
         return _demoted(*_ref_pow(x, root[1] - 1))
-    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    W, d = vector_inverse(n, [int(c * den) for c in coeffs])
-    return _pair(CycNum(n, [Fraction(w * den, d) for w in W]))
+    return _bareiss_inverse(n, coeffs)
 
 
 def _ref_pow(x, e):

@@ -9,8 +9,9 @@ from nichols2 import _modular
 from nichols2._linalg import _integer_rows, exact_rank_vectors
 from nichols2._modular import (_MAX_PRIMES, _eliminate, _is_prime, _pack, _slot_bytes,
                                certified_rank, split_prime, split_roots)
-from nichols2.cyclotomic import (CycNum, ZERO, _exact_div, canonical_conductor, euler_phi,
-                                 root_of_unity, vector_inverse, vector_product)
+from nichols2.cyclotomic import (CycNum, ZERO, canonical_conductor, euler_phi, root_of_unity,
+                                 vector_product)
+from test_cyclotomic import _exact_div, vector_inverse
 
 
 def lifted_rank(matrix, pivot_rows=None, pivot_cols=None):
