@@ -8,6 +8,10 @@ the common conductor of the braiding's entries, grown from its parent's by
 one step, `_lambda_step`: tree reconstruction takes that step while it
 grows a tree from the root, and `_lambdas` takes it over the nodes of a
 given tree, keeping the table of the one (tree, braiding) pair in hand.
+The step adds two bicharacter values read as coordinates by
+`Braiding.chi_at`; bimultiplicativity gives chi(u, v)^-1 = chi(-u, v), so no
+inverse is formed, and for a braiding of roots of unity each value is one
+row of the table `cyclotomic.root_vectors`, picked by its exponent.
 Reconstruction then cross-checks the branch lengths against independent
 closed-form minimality conditions.  Those are products of a q-integer and
 a difference, so each is tested factor by factor: the q-integer by
@@ -71,9 +75,10 @@ def _lambda_conductor(b: Braiding) -> int:
 def _lambda_step(b: Braiding, n: int, lam: tuple, u, v) -> tuple:
     """lam + chi(u, v)^-1 - chi(v, u) on coordinates at conductor n: the
     lambda of the node with godfather labels u (left) and v (right), given
-    its parent's lambda (the zero tuple at the root)."""
-    return tuple(x + y - z for x, y, z in
-                 zip(lam, b.chi(u, v).inv()._lift(n), b.chi(v, u)._lift(n)))
+    its parent's lambda (the zero tuple at the root).  The inverse is
+    chi(-u, v), so both terms are coordinate rows from `Braiding.chi_at`."""
+    return tuple([x + y - z for x, y, z in
+                  zip(lam, b.chi_at((-u[0], -u[1]), v, n), b.chi_at(v, u, n))])
 
 
 @lru_cache(maxsize=1)
@@ -301,7 +306,7 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
 
     Every bicharacter value lies in Q(zeta_n), n the common conductor of
     the entries, so lambda is carried as its coordinate tuple there: each
-    `_lambda_step` adds chi(u, v)^-1 - chi(v, u) coordinate by coordinate,
+    `_lambda_step` adds chi(-u, v) - chi(v, u) coordinate by coordinate,
     and the zero test reads the tuple.
 
     Fails when a branching node would exceed max_weight (the braiding is

@@ -14,7 +14,7 @@ import operator
 from functools import lru_cache
 
 from .cyclotomic import (CycNum, ONE, ZERO, as_root_exponent, canonical_conductor, euler_phi,
-                         root_of_unity, vector_product)
+                         root_of_unity, root_vectors, vector_product)
 from .fbtree import LGH, RGH, FullBinaryTree
 from .lyndon import Word, is_lyndon, shirshow
 
@@ -71,14 +71,36 @@ class Braiding:
         return f"Braiding({self.q11}, {self.q12}, {self.q21}, {self.q22})"
 
     def chi(self, d: tuple[int, int], e: tuple[int, int]) -> CycNum:
-        """chi(d, e) = q11^(d1 e1) q12^(d1 e2) q21^(d2 e1) q22^(d2 e2)."""
+        """chi(d, e) = q11^(d1 e1) q12^(d1 e2) q21^(d2 e1) q22^(d2 e2).
+
+        Values of a braiding with an entry that is not a root of unity are
+        kept in one table, which holds the braiding in hand."""
         d1, d2 = d
         e1, e2 = e
         if self._root_data is not None:
             L, (a11, a12, a21, a22) = self._root_data
             return root_of_unity(a11 * d1 * e1 + a12 * d1 * e2 + a21 * d2 * e1 + a22 * d2 * e2, L)
-        return (self.q11 ** (d1 * e1) * self.q12 ** (d1 * e2)
-                * self.q21 ** (d2 * e1) * self.q22 ** (d2 * e2))
+        # The value depends on the four exponents alone, which key the table.
+        table = _chi_table(self)
+        key = (d1 * e1, d1 * e2, d2 * e1, d2 * e2)
+        value = table.get(key)
+        if value is None:
+            k11, k12, k21, k22 = key
+            value = table[key] = (self.q11 ** k11 * self.q12 ** k12
+                                  * self.q21 ** k21 * self.q22 ** k22)
+        return value
+
+    def chi_at(self, d: tuple[int, int], e: tuple[int, int], n: int) -> tuple:
+        """Coordinates of chi(d, e) at the canonical conductor n, which every
+        entry's conductor divides.  For entries that are roots of unity the
+        value is read by its exponent from the table `root_vectors`."""
+        if self._root_data is not None:
+            L, (a11, a12, a21, a22) = self._root_data
+            d1, d2 = d
+            e1, e2 = e
+            return root_vectors(L, n)[(a11 * d1 * e1 + a12 * d1 * e2
+                                       + a21 * d2 * e1 + a22 * d2 * e2) % L]
+        return self.chi(d, e)._lift(n)
 
     def chi_nodes(self, t: FullBinaryTree, a, b) -> CycNum:
         """chi evaluated on the labels of two extended nodes."""
@@ -214,6 +236,11 @@ def tau0(t: FullBinaryTree, b: Braiding, a) -> NCPoly:
 
 
 @lru_cache(maxsize=1)
+def _chi_table(b: Braiding) -> dict:
+    return {}
+
+
+@lru_cache(maxsize=1)
 def _tau0_table(t: FullBinaryTree, b: Braiding) -> dict:
     return {LGH: NCPoly.generator(2), RGH: NCPoly.generator(1)}
 
@@ -286,9 +313,9 @@ class _SymEngine:
         self.deg = euler_phi(self.conductor)
         # Coordinate j of zeta_L^e at self.conductor, as the slots e where it
         # is nonzero and its values there; most are zero at a large conductor.
-        roots = [root_of_unity(e, self.L)._lift(self.conductor) for e in range(self.L)]
+        roots = root_vectors(self.L, self.conductor)
         self._cols = tuple((tuple(e for e, vec in enumerate(roots) if vec[j]),
-                            tuple(int(vec[j]) for vec in roots if vec[j]))
+                            tuple(vec[j] for vec in roots if vec[j]))
                            for j in range(self.deg))
         self.cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         self._vec_cache: dict[int, tuple[int, ...]] = {}
@@ -517,9 +544,10 @@ def format_ncpoly(p: NCPoly) -> str:
 
 
 def clear_caches():
-    """Drop the tau0 and bracket tables and the memoized symmetrizer data
+    """Drop the chi, tau0 and bracket tables and the memoized symmetrizer data
     (test hygiene).  The symmetrizer engines otherwise stay for the life of
     the process, one per braiding."""
+    _chi_table.cache_clear()
     _tau0_table.cache_clear()
     _bracket_table.cache_clear()
     _ENGINES.clear()

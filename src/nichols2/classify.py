@@ -6,6 +6,14 @@ invariance tests justify this normal form).  A braiding may match several
 families; all matches are reported and the verifier simply checks each
 reconstructed tree on its own.
 
+The conditions are tested on exponents: q11, q and q22 are written as
+powers of one root zeta_L, L = lcm(2, their orders), and each condition
+becomes a congruence mod L.  The exponents are read from q itself, not from
+q12 and q21, which need not be roots of unity when their product is.  A
+braiding where q11, q or q22 is not a root of unity matches nothing: every
+condition forces all three to be roots, by an order test or by an equation
+with a root.
+
 `classify_full` is the one classification pipeline.  The fixture matrix
 runs it on each family's sample braiding and then checks the report
 against the family.
@@ -13,10 +21,11 @@ against the family.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
-from .cyclotomic import CycNum, MINUS_ONE, ONE, root_of_unity
+from .cyclotomic import MINUS_ONE, ONE, as_root_exponent, root_of_unity
 from .braidedalg import Braiding, NCPoly, format_ncpoly
 from .fbtree import TREES, FullBinaryTree, serialize_tree
 from .admissibility import (AdmissibilityReport, ReconstructionError, is_admissible,
@@ -25,12 +34,45 @@ from .nicholscore import (NicholsError, TypeVerdict, _relation_generators, dimen
                           relation_vanishes, top_total_degree, verify_type)
 
 
-def _ord(x: CycNum) -> int:
+class _RootExp:
+    """zeta_L^e for one even L, as the exponent e mod L: the arithmetic the
+    family conditions apply to roots of unity.  Equality holds against
+    another exponent of the same L or against a root-of-unity CycNum such
+    as ONE or MINUS_ONE."""
+
+    __slots__ = ("e", "L")
+
+    def __init__(self, e: int, L: int):
+        self.e = e % L
+        self.L = L
+
+    def __mul__(self, other: _RootExp) -> _RootExp:
+        return _RootExp(self.e + other.e, self.L)
+
+    def __pow__(self, k: int) -> _RootExp:
+        return _RootExp(self.e * k, self.L)
+
+    def __neg__(self) -> _RootExp:
+        # -1 = zeta_L^(L/2).
+        return _RootExp(self.e + self.L // 2, self.L)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _RootExp):
+            return self.e == other.e
+        k, d = as_root_exponent(other)
+        return self.e * d == k * self.L
+
+    def order(self) -> int:
+        return self.L // math.gcd(self.e, self.L)
+
+
+def _ord(x) -> int:
+    # The order of x, 0 for a CycNum that is not a root of unity.
     o = x.order()
     return 0 if o is None else o
 
 
-def _root(x: CycNum) -> bool:
+def _root(x) -> bool:
     return _ord(x) >= 2
 
 
@@ -78,9 +120,14 @@ _CONDITIONS: list[tuple[int, int, object]] = [
 
 
 def match_condition(b: Braiding) -> list[tuple[int, int]]:
-    """All (family, case) pairs whose condition the braiding satisfies."""
-    q = b.q12 * b.q21
-    return [(n, c) for n, c, pred in _CONDITIONS if pred(b.q11, q, b.q22)]
+    """All (family, case) pairs whose condition the braiding satisfies,
+    tested on the exponents of q11, q = q12*q21 and q22."""
+    roots = [as_root_exponent(x) for x in (b.q11, b.q12 * b.q21, b.q22)]
+    if None in roots:
+        return []
+    L = math.lcm(2, *(d for _, d in roots))
+    q11, q, q22 = (_RootExp(k * (L // d), L) for k, d in roots)
+    return [(n, c) for n, c, pred in _CONDITIONS if pred(q11, q, q22)]
 
 
 def fixtures() -> dict[tuple[int, int], Braiding]:

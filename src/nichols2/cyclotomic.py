@@ -25,6 +25,11 @@ k a unit other than 1, over the rational N(x) = x * prod sigma_k(x).
 
 Every field map is one substitution z -> z^k (`_substitute`): the lift into a
 larger conductor, a Galois conjugate, and the fold of zeta_{2m} into zeta_m.
+A root of unity is built directly as a power of z at its conductor, zeta_{2m}
+as -zeta_m^((m+1)/2).  `root_vectors(d, n)` is the table of the coordinates
+of every power of zeta_d at conductor n, for callers that read a bicharacter
+value by its exponent (the symmetrizer engine and the lambda step); at most
+ROOT_TABLE_CACHE_SIZE tables are kept.
 """
 
 from __future__ import annotations
@@ -534,14 +539,34 @@ def _root_at(k: int, d: int, n: int) -> CycNum:
 
 @lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _cached_root(k: int, d: int, n: int) -> CycNum:
-    # zeta_d^k with gcd(k, d) = 1, built at d, which CycNum folds to the
-    # canonical conductor of d; a primitive d-th root generates that field,
-    # so it is the smallest presenting the root.  The value is lifted to n.
-    value = CycNum(d, power_vector(d, k))
-    if n != value.conductor:
-        value = CycNum(n, value._lift(n))
+    # zeta_d^k with gcd(k, d) = 1 at n, built as a power of z there.
+    value = CycNum(n, _root_coords(k, d, n))
     _set(value, "_root", (k, d))
     return value
+
+
+def _root_coords(k: int, d: int, n: int) -> tuple[int, ...]:
+    # Coordinates of zeta_d^k at the canonical conductor n, which the
+    # canonical conductor of d divides.  For d = 2m, m odd, that is m:
+    # zeta_d^k = (-1)^k zeta_m^(k(m+1)/2), the convention of CycNum.__init__,
+    # so no table at d is built.
+    if d % 4 == 2:
+        m = d // 2
+        vec = power_vector(n, k * ((m + 1) // 2) % m * (n // m))
+        return tuple(-c for c in vec) if k % 2 else vec
+    return power_vector(n, k * (n // d))
+
+
+# The bound of the cache of root tables by order and conductor.
+ROOT_TABLE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=ROOT_TABLE_CACHE_SIZE)
+def root_vectors(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates at the canonical conductor n of zeta_d^e for 0 <= e < d,
+    where the canonical conductor of d divides n: entry e is
+    root_of_unity(e, d)._lift(n)."""
+    return tuple(_root_coords(e, d, n) for e in range(d))
 
 
 def order(a: CycNum) -> int | None:

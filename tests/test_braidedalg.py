@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from conftest import naive_rank, random_root_braiding
 
 from nichols2 import braidedalg
-from nichols2.cyclotomic import MINUS_ONE, ONE, ZERO, qfact, root_of_unity
+from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
+                                 root_of_unity)
 from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, basis_words,
                                  bracket_word, clear_caches, format_ncpoly, is_zero_in_nichols,
                                  skew_derivation, symmetrize_poly, symmetrizer, tau0)
@@ -79,6 +81,41 @@ def test_chi_not_assumed_symmetric():
     z5 = root_of_unity(1, 5)
     b = Braiding(ONE, z5, ONE, ONE)
     assert b.chi((1, 0), (0, 1)) != b.chi((0, 1), (1, 0))
+
+
+def non_root_braidings():
+    """Braidings with entries that are not roots of unity: one whose
+    q12*q21 is a root, and one over rationals and zeta_5 + 1/3."""
+    third = CycNum.from_rational(Fraction(1, 3))
+    return [Braiding(root_of_unity(1, 4), 2 * root_of_unity(1, 5), root_of_unity(1, 3) / 2,
+                     MINUS_ONE),
+            Braiding(ONE + ONE, root_of_unity(1, 5) + third, ONE, root_of_unity(1, 12))]
+
+
+def test_chi_at_is_the_lifted_chi(rng):
+    braidings = [random_root_braiding(rng, max_conductor=30) for _ in range(12)]
+    for b in braidings + non_root_braidings():
+        n = canonical_conductor(math.lcm(*(q.conductor for q in b.entries())))
+        for m in (n, canonical_conductor(math.lcm(n, 8))):
+            for _ in range(30):
+                d, e = [(rng.randrange(-7, 8), rng.randrange(-7, 8)) for _ in range(2)]
+                assert b.chi_at(d, e, m) == b.chi(d, e)._lift(m), (b, d, e, m)
+
+
+def test_chi_table_holds_one_braiding():
+    clear_caches()
+    labels = [((a, c), (d, e)) for a, c, d, e in itertools.product(range(-1, 3), repeat=4)]
+    first = {}
+    for b in non_root_braidings():
+        first[b] = [b.chi(d, e) for d, e in labels]
+        assert braidedalg._chi_table.cache_info().currsize == 1
+        assert 0 < len(braidedalg._chi_table(b)) <= len(labels)
+    for b, values in first.items():
+        assert [b.chi(d, e) for d, e in labels] == values
+        assert braidedalg._chi_table.cache_info().currsize == 1
+        assert values == [b.q11 ** (d1 * e1) * b.q12 ** (d1 * e2)
+                          * b.q21 ** (d2 * e1) * b.q22 ** (d2 * e2)
+                          for (d1, d2), (e1, e2) in labels]
 
 
 def test_tau0_examples():

@@ -1,10 +1,20 @@
+import itertools
 import json
+from fractions import Fraction
 
 from conftest import random_root_braiding
 
-from nichols2.cyclotomic import MINUS_ONE, ONE, root_of_unity
+from nichols2.cyclotomic import CycNum, MINUS_ONE, ONE, root_of_unity
 from nichols2.braidedalg import Braiding
-from nichols2.classify import classify_full, fixtures, match_condition, run_fixture_matrix
+from nichols2.classify import (_CONDITIONS, classify_full, fixtures, match_condition,
+                               run_fixture_matrix)
+
+
+def reference_match_condition(b: Braiding) -> list[tuple[int, int]]:
+    """The family conditions evaluated on CycNum scalars: the matcher that
+    match_condition replaced, kept as its reference."""
+    q = b.q12 * b.q21
+    return [(n, c) for n, c, pred in _CONDITIONS if pred(b.q11, q, b.q22)]
 
 
 def test_match_t1():
@@ -54,6 +64,29 @@ def test_match_depends_only_on_product(rng):
             continue
         rescaled = Braiding(b.q11, b.q12 * c, b.q21 * c.inv(), b.q22)
         assert match_condition(b) == match_condition(rescaled)
+
+
+def test_matcher_matches_cycnum_reference():
+    # Root braidings, the same rescaled so that q12 and q21 are not roots but
+    # their product is, and braidings with entries that are not roots.
+    z = root_of_unity
+    third = CycNum.from_rational(Fraction(1, 3))
+    non_roots = [ONE + ONE, z(1, 5) + third]
+    roots = [Braiding(z(a, N), z(c, N), ONE, z(d, N)) for N in (6, 8, 12)
+             for a, c, d in itertools.product(range(N), repeat=3)]
+    braidings = list(roots)
+    for c in non_roots:
+        c_inv = c.inv()
+        braidings += [Braiding(b.q11, b.q12 * c, c_inv, b.q22) for b in roots]
+    values = non_roots + [CycNum.from_rational(Fraction(1, 2)), ONE, z(1, 12)]
+    braidings += [Braiding(q11, q12, ONE, q22)
+                  for q11, q12, q22 in itertools.product(values, repeat=3)]
+    matched = 0
+    for b in braidings:
+        want = reference_match_condition(b)
+        assert match_condition(b) == want, b
+        matched += bool(want)
+    assert matched > 100
 
 
 def test_classify_exterior_report():

@@ -5,11 +5,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nichols2 import cyclotomic
 from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, _demoted,
                                  _root_exponent, _substitute, as_root_exponent,
                                  canonical_conductor, cyclotomic_polynomial, divisors, euler_phi,
                                  format_scalar, order, parse_scalar, power_vector, qfact, qnum,
-                                 root_of_unity, vector_product)
+                                 root_of_unity, root_vectors, vector_product)
 
 INVERSE_CONDUCTORS = (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30)
 
@@ -393,7 +394,7 @@ def test_demotion_to_minimal_conductor():
     assert str(gauss * z3) == "(1/2 + -1/2*z12^1 + -1/2*z12^2)"
 
 
-def test_conductor_two_mod_four_is_folded():
+def test_conductor_two_mod_four_is_folded(monkeypatch):
     z6 = root_of_unity(1, 6)
     assert z6.conductor == 3
     assert order(z6) == 6
@@ -411,6 +412,28 @@ def test_conductor_two_mod_four_is_folded():
                 a = root_of_unity(k, d)
                 assert (a.conductor, a.coeffs) == expected
                 assert as_root_exponent(a) == (k, d)
+    # A root of large order d = 2m, m odd, is built at m: no reduction table
+    # at d is formed.
+    built = []
+    rows = cyclotomic._reduction_rows
+    monkeypatch.setattr(cyclotomic, "_reduction_rows", lambda n: built.append(n) or rows(n))
+    for k, d in ((4001, 4002), (1001, 1002), (997, 1002)):
+        a = root_of_unity(k, d)
+        assert a.conductor == d // 2 and as_root_exponent(a) == (k, d)
+        if d == 1002:
+            # zeta_d^2 = zeta_m, computed on the coordinates.
+            assert vector_product(501)(a.coeffs, a.coeffs) == list(power_vector(501, k))
+    assert not {4002, 1002} & set(built)
+
+
+def test_root_vectors_are_lifted_roots():
+    for d in range(1, 61):
+        for n in range(1, 121):
+            if canonical_conductor(n) == n and n % canonical_conductor(d) == 0:
+                table = root_vectors(d, n)
+                assert len(table) == d
+                for e, vec in enumerate(table):
+                    assert vec == root_of_unity(e, d)._lift(n), (e, d, n)
 
 
 CANONICAL_UP_TO_30 = [n for n in CANONICAL_CONDUCTORS if n <= 30]
