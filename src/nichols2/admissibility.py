@@ -50,6 +50,10 @@ class ReconstructionError(RuntimeError):
     pass
 
 
+class NicholsError(ValueError):
+    pass
+
+
 class PTableMismatch(AssertionError):
     def __init__(self, type_id: int, case_id: int, index: int, got, want):
         super().__init__(
@@ -60,6 +64,19 @@ class PTableMismatch(AssertionError):
 def p_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
     """p_a = chi(a, a)^-1, the inverse self-pairing scalar of a node."""
     return b.chi_nodes(t, a, a).inv()
+
+
+def generator_height(t: FullBinaryTree, b: Braiding, a) -> int:
+    """The height of the PBW generator at extended inner node a: ord chi(a, a),
+    which is also ord p_a.  In characteristic zero it is finite exactly when
+    chi(a, a) is a root of unity other than 1 (Kharchenko's PBW theorem);
+    otherwise the tree does not fit the braiding and NicholsError names a."""
+    o = b.chi_nodes(t, a, a).order()
+    if o is None or o == 1:
+        raise NicholsError(
+            f"tree/braiding mismatch: chi(a, a) at node {a!r} is "
+            f"{'not a root of unity' if o is None else '1'}")
+    return o
 
 
 def qnum_vanishes(m: int, p: CycNum) -> bool:
@@ -216,11 +233,11 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
     for a in t.nbar2():
         if t.weight(a) > n:
             continue
-        ordp = p_of(t, b, a).order()
-        if ordp is None:
-            failures.append(("p-root", a, "p is not a root of unity"))
-        elif ordp == 1:
-            failures.append(("p-root", a, "p = 1"))
+        try:
+            generator_height(t, b, a)
+        except NicholsError:
+            failures.append(("p-root", a, "p = 1" if b.chi_nodes(t, a, a) == ONE
+                             else "p is not a root of unity"))
 
     for a in t.internal():
         if t.is_leaf(a):

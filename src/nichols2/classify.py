@@ -244,10 +244,13 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
     verified_up_to = 0
     dim = verdict = relations_vanish = relations_error = adm = None
     if tree is not None:
-        orders = [b.chi_nodes(tree, a, a).order() for a in tree.nbar2()]
-        pbw = [(tree.weight(a), o) for a, o in zip(tree.nbar2(), orders)]
-        if all(o is not None and o != 1 for o in orders):
+        pbw = [(tree.weight(a), b.chi_nodes(tree, a, a).order()) for a in tree.nbar2()]
+        try:
             dim = dimension(tree, b)
+        except NicholsError:
+            notes.append("a generator order is infinite or one; "
+                         "dimension not finite by this method")
+        else:
             try:
                 gens = _relation_generators(tree, b)
                 relations = [build() for d, build in gens if d <= degree_cap]
@@ -266,9 +269,6 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
             if relations_error is None:
                 relations_vanish = all(relation_vanishes(b, rel) for rel in relations
                                        if rel.total_degree() <= verified_up_to)
-        else:
-            notes.append("a generator order is infinite or one; "
-                         "dimension not finite by this method")
         adm = is_admissible(tree, b, degree_cap)
     return ClassificationReport(matches, tree, tree_failure, pbw, dim, relations,
                                 verified_up_to, verdict, relations_vanish,

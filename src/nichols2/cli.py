@@ -140,8 +140,8 @@ def _cmd_verify(args) -> int:
         "holds": verdict.holds,
         "failed_degree": verdict.failed_degree,
         "detail": verdict.detail,
-        "predicted": list(verdict.counts),
-        "dims": list(verdict.dims),
+        "predicted": verdict.counts,
+        "dims": verdict.dims,
     }
     if args.fmt == "json":
         print(json.dumps(doc))
@@ -168,8 +168,8 @@ def _cmd_tree(args) -> int:
 
 def _cmd_dims(args) -> int:
     b = _braiding_from_args(args)
-    dims = list(hilbert_prefix(b, args.degree_cap))
-    print(json.dumps(dims))
+    dims = hilbert_prefix(b, args.degree_cap)
+    print(json.dumps(dims) if args.fmt == "json" else " ".join(map(str, dims)))
     return 0
 
 

@@ -39,6 +39,7 @@ fails loudly.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -48,30 +49,7 @@ from ._linalg import exact_rank_vectors
 from .braidedalg import Braiding, NCPoly, _engine, is_zero_in_nichols, tau0
 from .cyclotomic import qfact
 from .fbtree import FullBinaryTree
-from .admissibility import mu_of, p_of
-
-
-class NicholsError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class HilbertPrefix:
-    """dims[m] = dimension of the degree-m graded piece, m = 0..n."""
-
-    dims: tuple[int, ...]
-
-    def __getitem__(self, m: int) -> int:
-        return self.dims[m]
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def total(self) -> int:
-        return sum(self.dims)
+from .admissibility import NicholsError, generator_height, mu_of, p_of
 
 
 def _pivot_words(eng, r: int, s: int) -> tuple[list, list]:
@@ -117,11 +95,12 @@ def dim_at_degree(b: Braiding, m: int) -> int:
     return sum(len(known[(r, m - r)]) for r in range(m + 1))
 
 
-def hilbert_prefix(b: Braiding, n: int) -> HilbertPrefix:
-    """Dimensions of all graded pieces through total degree n."""
+def hilbert_prefix(b: Braiding, n: int) -> tuple[int, ...]:
+    """Dimensions of all graded pieces through total degree n: entry m is
+    the dimension of the degree-m piece."""
     if n < 0:
         raise NicholsError("degree cap must be nonnegative")
-    return HilbertPrefix(tuple(dim_at_degree(b, m) for m in range(n + 1)))
+    return tuple(dim_at_degree(b, m) for m in range(n + 1))
 
 
 @dataclass(frozen=True)
@@ -145,20 +124,13 @@ class PBWMonomial:
 
 
 def generator_orders(t: FullBinaryTree, b: Braiding) -> list[int]:
-    """ord chi(a, a) over the extended inner nodes, ascending Q order."""
-    orders = []
-    for a in t.nbar2():
-        o = b.chi_nodes(t, a, a).order()
-        if o is None or o == 1:
-            raise NicholsError(
-                f"tree/braiding mismatch: chi(a, a) at node {a!r} is "
-                f"{'not a root of unity' if o is None else '1'}")
-        orders.append(o)
-    return orders
+    """The generator heights over the extended inner nodes, ascending Q
+    order (see `generator_height`)."""
+    return [generator_height(t, b, a) for a in t.nbar2()]
 
 
 def pbw_monomials(t: FullBinaryTree, b: Braiding, up_to: int) -> list[PBWMonomial]:
-    """All monomials with exponents below the generator orders and weighted
+    """All monomials with exponents below the generator heights and weighted
     degree at most up_to, graded then lexicographic over the node order
     (higher exponent on the Q-smaller node first)."""
     nodes = t.nbar2()
@@ -184,7 +156,7 @@ def pbw_monomials(t: FullBinaryTree, b: Braiding, up_to: int) -> list[PBWMonomia
     return monos
 
 
-def count_by_degree(monomials, up_to: int | None = None) -> HilbertPrefix:
+def count_by_degree(monomials, up_to: int | None = None) -> tuple[int, ...]:
     """Histogram of monomials by weighted degree."""
     if up_to is None:
         up_to = max((mo.weighted_degree() for mo in monomials), default=0)
@@ -193,7 +165,7 @@ def count_by_degree(monomials, up_to: int | None = None) -> HilbertPrefix:
         d = mo.weighted_degree()
         if d <= up_to:
             dims[d] += 1
-    return HilbertPrefix(tuple(dims))
+    return tuple(dims)
 
 
 def evaluate_monomial(t: FullBinaryTree, b: Braiding, mono: PBWMonomial) -> NCPoly:
@@ -211,8 +183,8 @@ class TypeVerdict:
     holds: bool
     failed_degree: int | None
     detail: str | None
-    counts: HilbertPrefix
-    dims: HilbertPrefix
+    counts: tuple[int, ...]
+    dims: tuple[int, ...]
     # Generators too heavy to contribute below the cap; their strata were
     # not exercised and the caller reports the cap honestly.
     unexercised_nodes: tuple = ()
@@ -262,14 +234,11 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
 def _relation_generators(t: FullBinaryTree, b: Braiding) -> list[tuple[int, Callable]]:
     """(total degree, builder) for every generator of the relation ideal,
     in the order relation_set lists them.  Degrees are known up front from
-    weight and order; a builder expands its generator only when called."""
+    weight and height; a builder expands its generator only when called."""
     gens = []
     for a in sorted(t.leaves(), key=t.q_value):
         gens.append((t.weight(a), partial(tau0, t, b, a)))
-    for a in t.nbar2():
-        o = p_of(t, b, a).order()
-        if o is None:
-            raise NicholsError(f"p at node {a!r} is not a root of unity")
+    for a, o in zip(t.nbar2(), generator_orders(t, b)):
         gens.append((o * t.weight(a), lambda a=a, o=o: tau0(t, b, a) ** o))
     for bb in sorted(t.internal(), key=t.q_value):
         c = t.lgf(bb)
@@ -312,15 +281,8 @@ def relation_vanishes(b: Braiding, rel: NCPoly) -> bool:
 
 
 def dimension(t: FullBinaryTree, b: Braiding) -> int:
-    """Product of the generator orders over the extended inner nodes."""
-    total = 1
-    for a in t.nbar2():
-        o = b.chi_nodes(t, a, a).order()
-        if o is None:
-            raise NicholsError(
-                f"not finite dimensional under this tree: infinite order at {a!r}")
-        total *= o
-    return total
+    """Product of the generator heights over the extended inner nodes."""
+    return math.prod(generator_orders(t, b))
 
 
 def top_total_degree(t: FullBinaryTree, b: Braiding) -> int:

@@ -32,6 +32,12 @@ def test_dims_cartan(capsys):
     assert json.loads(out) == [1, 2, 4, 4, 5, 4, 4, 2, 1]
 
 
+def test_dims_text_format(capsys):
+    code, out, _ = run(capsys, "dims", "--q11", "1/3", "--q12", "2/3",
+                       "--q21", "0/1", "--q22", "1/3", "--degree-cap", "4", "--format", "text")
+    assert code == 0 and out == "1 2 4 4 5\n"
+
+
 def test_python_dash_m_runs_the_command():
     env = dict(os.environ, PYTHONPATH=str(Path(nichols2.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-m", "nichols2", "dims", "--q11", "1/3", "--q12", "2/3",

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from nichols2.cyclotomic import MINUS_ONE, ONE, qfact, root_of_unity
@@ -172,6 +174,42 @@ def test_dimension_infinite_order_raises():
         dimension(TREES[1], Braiding(MINUS_ONE, ONE, ONE, ONE + ONE))
 
 
+@pytest.mark.parametrize("q11, dims", [(ONE, [1, 2, 3, 4, 5, 6]),
+                                       (root_of_unity(1, 3), [1, 2, 3, 3, 3, 3])])
+def test_trivial_self_pairing_has_infinite_height(q11, dims):
+    # chi(x2, x2) = 1 makes x2 a polynomial generator: the oracle sees its
+    # powers in every degree, so no PBW or dimension reader may give a
+    # finite answer on the one-leaf tree.
+    b = Braiding(q11, ONE, ONE, ONE)
+    t = TREES[1]
+    for reader in (dimension, relation_set, top_total_degree,
+                   lambda t, b: pbw_monomials(t, b, 5)):
+        with pytest.raises(NicholsError, match="LGH"):
+            reader(t, b)
+    assert list(hilbert_prefix(b, 5)) == dims
+
+
+def test_dimension_agrees_with_classify():
+    from nichols2.admissibility import ReconstructionError, reconstruct_tree
+    from nichols2.classify import classify_full
+
+    finite = 0
+    for n in (6, 8):
+        for a, c, d in itertools.product(range(n), repeat=3):
+            b = Braiding(root_of_unity(a, n), root_of_unity(c, n), ONE, root_of_unity(d, n))
+            try:
+                t = reconstruct_tree(b, 16)
+            except ReconstructionError:
+                continue
+            try:
+                dim = dimension(t, b)
+            except NicholsError:
+                dim = None
+            assert classify_full(b, 0).dimension_value == dim, (n, a, c, d)
+            finite += dim is not None
+    assert finite
+
+
 def test_dimension_equals_hilbert_total_small():
     # Full-range dual route on the three smallest instances: symmetrizer
     # ranks equal the monomial generating function termwise (including a
@@ -183,7 +221,7 @@ def test_dimension_equals_hilbert_total_small():
         top = top_total_degree(t, b)
         dims = hilbert_prefix(b, top + 1)
         assert list(dims) == generating_function_prefix(t, b, top + 1)
-        assert dims.total() == dimension(t, b)
+        assert sum(dims) == dimension(t, b)
 
 
 def test_quadratic_cross_check_identity():
