@@ -24,10 +24,15 @@ from the integer coordinate vectors to F_p.
    layouts in `_modular`).  Every row then lies in the span of R, so the
    rank is at most |R|.
 
-A mod-p rank is never reported without both certificates.  Where the roots
-disagree, a reconstruction fails or a check fails, the next prime is tried.
-Only finitely many primes are bad for a matrix, and the product of the
-good ones outgrows the true coefficients, so some prime certifies.  The
+A caller that needs only a lower bound needs only the first certificate:
+`nicholscore.verify_type` proves PBW monomials independent by a full rank
+mod p of rows it builds in F_p itself (`_modular.rank_mod_p`), and calls
+this exact rank only where that rank falls short.
+
+A mod-p rank is never reported here without both certificates.  Where the
+roots disagree, a reconstruction fails or a check fails, the next prime is
+tried.  Only finitely many primes are bad for a matrix, and the product of
+the good ones outgrows the true coefficients, so some prime certifies.  The
 pivot rows are the first rows independent modulo the prime that certified.
 """
 

@@ -34,7 +34,11 @@ next such prime is tried.
 Monomial bases predicted by a tree are verified against that oracle both
 by counting and by rank of the symmetrized monomial matrix (taken at the
 column words of each bidegree, which keeps the rank), so a wrong tree
-fails loudly.
+fails loudly.  Independence needs only the lower-bound certificate: the
+monomial rows are built in F_p at a root of Phi_N mod p, and full rank
+there proves the monomials independent.  The exact rows, and their exact
+rank, are built only for a bidegree whose rank mod p falls short, which
+is how a dependence is ever reported.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from operator import mul
 
 from ._linalg import exact_rank_vectors
 from .braidedalg import Braiding, NCPoly, _engine, is_zero_in_nichols, tau0
@@ -195,7 +200,13 @@ class TypeVerdict:
 
 def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
     """Check degree by degree through n that the predicted monomials count
-    the oracle dimensions and stay independent modulo the symmetrizer kernel."""
+    the oracle dimensions and stay independent modulo the symmetrizer kernel.
+
+    Independence needs only a lower bound on the rank of each bidegree's
+    monomial rows, so they are first built in F_p (`_MonomialScreen`), and
+    full rank there proves it.  The exact rows are built, and their exact
+    rank decides, only where the rank mod p falls short or a coefficient
+    has no image mod p."""
     monos = pbw_monomials(t, b, n)
     counts = count_by_degree(monos, n)
     dims = hilbert_prefix(b, n)
@@ -206,22 +217,12 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
                                f"predicted {counts[m]} monomials, oracle dimension {dims[m]}",
                                counts, dims, heavy)
     eng = _engine(b)
-    labels = [t.stern_brocot(a) for a in t.nbar2()]
-    by_bidegree: dict[tuple[int, int], list[PBWMonomial]] = defaultdict(list)
-    for mo in monos:
-        if mo.weighted_degree() >= 2:
-            by_bidegree[mo.multidegree(labels)].append(mo)
-    zero = (0,) * eng.deg
-    for bideg, group in sorted(by_bidegree.items()):
+    screen = _MonomialScreen(t, b, eng)
+    for bideg, group in sorted(_monomials_by_bidegree(t, monos).items()):
         words = eng.pivot_cols[bideg]
-        cols = set(words)
-        rows = []
-        for mo in group:
-            # The coefficients are products of chi values, so they lie in the
-            # engine's field.
-            img = eng.symmetrize(evaluate_monomial(t, b, mo), eng.conductor, cols)
-            rows.append([img.get(w, zero) for w in words])
-        rank = exact_rank_vectors(rows, eng.conductor)
+        if screen.rank(group, words) == len(group):
+            continue
+        rank = _exact_monomial_rank(t, b, eng, group, words)
         if rank != len(group):
             m = bideg[0] + bideg[1]
             return TypeVerdict(False, m,
@@ -229,6 +230,135 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
                                f"kernel (rank {rank} of {len(group)})",
                                counts, dims, heavy)
     return TypeVerdict(True, None, None, counts, dims, heavy)
+
+
+def _monomials_by_bidegree(t: FullBinaryTree, monos) -> dict[tuple[int, int], list[PBWMonomial]]:
+    """The monomials of weighted degree at least 2, grouped by bidegree."""
+    labels = [t.stern_brocot(a) for a in t.nbar2()]
+    groups: dict[tuple[int, int], list[PBWMonomial]] = defaultdict(list)
+    for mo in monos:
+        if mo.weighted_degree() >= 2:
+            groups[mo.multidegree(labels)].append(mo)
+    return groups
+
+
+def _exact_monomial_rank(t: FullBinaryTree, b: Braiding, eng, group, words) -> int:
+    """Exact rank of the symmetrized monomials at the column words."""
+    zero = (0,) * eng.deg
+    cols = set(words)
+    rows = []
+    for mo in group:
+        # The coefficients are products of chi values, so they lie in the
+        # engine's field.
+        img = eng.symmetrize(evaluate_monomial(t, b, mo), eng.conductor, cols)
+        rows.append([img.get(w, zero) for w in words])
+    return exact_rank_vectors(rows, eng.conductor)
+
+
+class _MonomialScreen:
+    """The monomial rows of one `verify_type` call in F_p.
+
+    p is `_modular.split_prime(N)` for the engine's conductor N, and z -> w,
+    for the first primitive N-th root of unity w mod p, is a ring map from
+    Z[zeta_N] onto F_p.  Each coefficient of `tau0` on a node and each
+    symmetrizer image coefficient is mapped once; a monomial is then a
+    product of node polynomials mod p, with the powers tau(a)^e kept for
+    the call, and its row at a column word u is sum_v c_v S(v)_u mod p over
+    its terms c_v v.  The rank of these rows is a lower bound on the exact
+    rank, so it can prove independence and never anything else.
+    """
+
+    def __init__(self, t: FullBinaryTree, b: Braiding, eng):
+        # Imported on the first screen, like the rank route in `_linalg`.
+        from ._modular import split_prime, split_roots
+
+        self.t, self.b, self.eng = t, b, eng
+        self.p = split_prime(eng.conductor)
+        self.powers = split_roots(eng.conductor)[0][0]  # w^i for i < phi(N)
+        self._node_powers: dict = {}  # (node, e) -> tau(node)^e mod p, or None
+
+    def coeff(self, c) -> int | None:
+        """c mod p under z -> w; None if a denominator is divisible by p."""
+        p, total = self.p, 0
+        for x, wi in zip(c._lift(self.eng.conductor), self.powers):
+            if type(x) is not int:
+                if x.denominator % p == 0:
+                    return None
+                x = x.numerator * pow(x.denominator, -1, p)
+            total += x * wi
+        return total % p
+
+    def poly(self, rho: NCPoly) -> dict | None:
+        """rho with its coefficients mod p, zeros dropped; None if one has no
+        image mod p."""
+        out = {}
+        for w, c in rho.terms.items():
+            x = self.coeff(c)
+            if x is None:
+                return None
+            if x:
+                out[w] = x
+        return out
+
+    def _mul(self, f: dict, g: dict) -> dict:
+        p, out = self.p, {}
+        get = out.get
+        for w1, c1 in f.items():
+            for w2, c2 in g.items():
+                w = w1 + w2
+                out[w] = get(w, 0) + c1 * c2
+        return {w: c % p for w, c in out.items() if c % p}
+
+    def _power(self, node, e: int) -> dict | None:
+        key = (node, e)
+        if key not in self._node_powers:
+            if e == 1:
+                value = self.poly(tau0(self.t, self.b, node))
+            else:
+                base, prev = self._power(node, 1), self._power(node, e - 1)
+                value = None if base is None else self._mul(prev, base)
+            self._node_powers[key] = value
+        return self._node_powers[key]
+
+    def monomial(self, mono: PBWMonomial) -> dict | None:
+        """`evaluate_monomial` mod p; None if a coefficient has no image."""
+        acc = {(): 1}
+        for node, e in zip(mono.nodes, mono.exponents):
+            if e:
+                factor = self._power(node, e)
+                if factor is None:
+                    return None
+                acc = self._mul(acc, factor)
+        return acc
+
+    def rows(self, polys, words) -> list[list[int]]:
+        """Symmetrizer images mod p of polynomials mod p whose words share
+        one bidegree, at the given words of that bidegree."""
+        p, powers, eng = self.p, self.powers, self.eng
+        index = {u: j for j, u in enumerate(words)}
+        images: dict = {}  # word -> [(column, image coefficient mod p)]
+        out = []
+        for poly in polys:
+            row = [0] * len(words)
+            for v, c in poly.items():
+                img = images.get(v)
+                if img is None:
+                    img = images[v] = [(index[u], sum(map(mul, vec, powers)) % p)
+                                       for u, vec in eng.image_vectors(v, words).items()]
+                for j, x in img:
+                    row[j] += c * x
+            out.append([x % p for x in row])
+        return out
+
+    def rank(self, group, words) -> int | None:
+        """Rank mod p of the group's symmetrized monomials at the words;
+        None if a coefficient has no image mod p."""
+        from ._modular import rank_mod_p
+
+        polys = [self.monomial(mo) for mo in group]
+        if None in polys:
+            return None
+        return rank_mod_p(self.rows(polys, words), self.p)
 
 
 def _relation_generators(t: FullBinaryTree, b: Braiding) -> list[tuple[int, Callable]]:

@@ -407,8 +407,10 @@ def test_the_prime_loop_ends(rng, monkeypatch, capsys, fallbacks):
 
 
 def test_certified_rank_on_fixture_matrix_blocks(monkeypatch, fallbacks):
-    # Every oracle block and every verify_type block of the fixture matrix at
-    # cap 5 is certified mod p, with the same rank as exact elimination.
+    # Every oracle block of the fixture matrix at cap 5 is certified mod p,
+    # with the same rank as exact elimination.  (Its verify_type blocks are
+    # ranked in F_p and reach this route only on a shortfall; their exact
+    # ranks are compared in test_screen_rank_equals_exact_rank_on_fixtures.)
     from nichols2 import nicholscore
     from nichols2.braidedalg import clear_caches
     from nichols2.classify import run_fixture_matrix

@@ -348,3 +348,127 @@ def test_dim_at_degree_on_a_cold_engine():
     clear_caches()
     assert list(hilbert_prefix(cartan_a2(), 10)) == [1, 2, 4, 4, 5, 4, 4, 2, 1, 0, 0]
     assert max(len(w) for w in _engine(cartan_a2()).cache) == 9
+
+
+def _root_map(screen):
+    """(p, w) of a monomial screen, with w checked to be a root of Phi_N mod p."""
+    from nichols2.cyclotomic import cyclotomic_polynomial
+
+    p, powers = screen.p, screen.powers
+    w = powers[1] if len(powers) > 1 else 1
+    n = screen.eng.conductor
+    assert sum(c * pow(w, i, p) for i, c in enumerate(cyclotomic_polynomial(n))) % p == 0
+    assert list(powers) == [pow(w, i, p) for i in range(len(powers))]
+    return p, w
+
+
+def test_screen_rows_are_the_exact_rows_mod_p(rng):
+    # The F_p rows must be the exact symmetrizer rows under z -> w: random
+    # root braidings up to conductor 30, random homogeneous polynomials with
+    # integral coefficients in Z[zeta_N], every word of their bidegree.
+    from conftest import random_root_braiding
+    from nichols2.braidedalg import _engine
+    from nichols2.cyclotomic import CycNum
+    from nichols2.nicholscore import _MonomialScreen
+
+    checked = 0
+    for _ in range(40):
+        b = random_root_braiding(rng, 30)
+        eng = _engine(b)
+        screen = _MonomialScreen(TREES[1], b, eng)
+        p, w = _root_map(screen)
+        m = rng.randrange(1, 6)
+        r = rng.randrange(m + 1)
+        words = [u for u in itertools.product((1, 2), repeat=m) if u.count(1) == r]
+        terms = {}
+        for v in rng.sample(words, rng.randrange(1, len(words) + 1)):
+            terms[v] = CycNum(eng.conductor, [rng.randrange(-9, 10) for _ in range(eng.deg)])
+        rho = NCPoly(terms)
+        exact = eng.symmetrize(rho, eng.conductor, set(words))
+
+        def at_w(vec):
+            return sum(c * pow(w, i, p) for i, c in enumerate(vec)) % p
+
+        poly = screen.poly(rho)
+        assert poly == {v: at_w(c.coeffs) for v, c in rho.terms.items() if at_w(c.coeffs)}
+        want = [at_w(exact.get(u, (0,) * eng.deg)) for u in words]
+        assert screen.rows([poly], words) == [want], b
+        checked += any(want)
+    assert checked >= 30
+
+
+def test_screen_has_no_image_for_a_denominator_divisible_by_p():
+    from fractions import Fraction
+
+    from nichols2.braidedalg import _engine
+    from nichols2.cyclotomic import CycNum
+    from nichols2.nicholscore import _MonomialScreen
+
+    b = cartan_a2()
+    screen = _MonomialScreen(TREES[2], b, _engine(b))
+    assert screen.coeff(CycNum.from_rational(Fraction(1, screen.p))) is None
+    assert screen.poly(NCPoly({(1,): CycNum.from_rational(Fraction(2, screen.p))})) is None
+    assert screen.coeff(CycNum.from_rational(Fraction(1, 3))) * 3 % screen.p == 1
+
+
+def test_screen_rank_equals_exact_rank_on_fixtures():
+    # On every bidegree group of every family sample at cap 6, the monomials
+    # mod p are evaluate_monomial mod p and the rank mod p is the exact rank.
+    from nichols2.braidedalg import _engine
+    from nichols2.classify import fixtures
+    from nichols2.nicholscore import (_MonomialScreen, _exact_monomial_rank,
+                                      _monomials_by_bidegree)
+
+    groups = 0
+    for (n, _), b in sorted(fixtures().items()):
+        t = TREES[n]
+        hilbert_prefix(b, 6)
+        eng = _engine(b)
+        screen = _MonomialScreen(t, b, eng)
+        for bideg, group in _monomials_by_bidegree(t, pbw_monomials(t, b, 6)).items():
+            for mo in group:
+                assert screen.monomial(mo) == screen.poly(evaluate_monomial(t, b, mo))
+            words = eng.pivot_cols[bideg]
+            assert (screen.rank(group, words)
+                    == _exact_monomial_rank(t, b, eng, group, words)), (n, bideg)
+            groups += 1
+    assert groups > 400
+
+
+def test_fixture_matrix_builds_no_exact_monomial_rows(monkeypatch):
+    from nichols2 import nicholscore
+    from nichols2.classify import run_fixture_matrix
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate_monomial(*args)
+
+    monkeypatch.setattr(nicholscore, "evaluate_monomial", counted)
+    rows = run_fixture_matrix(6)
+    assert all(row.passed for row in rows)
+    assert calls == []
+
+
+def test_exact_rows_decide_every_shortfall(monkeypatch):
+    # With the screen reporting a shortfall on every group, the exact rows
+    # decide everything; the verdicts, dependent ones included, must not
+    # change.
+    from nichols2.classify import fixtures
+    from nichols2.nicholscore import _MonomialScreen
+
+    def verdicts():
+        out = []
+        for b in fixtures().values():
+            for key in (8, 14, 20):
+                try:
+                    out.append(verify_type(TREES[key], b, 5))
+                except NicholsError as exc:
+                    out.append(str(exc))
+        return out
+
+    screened = verdicts()
+    monkeypatch.setattr(_MonomialScreen, "rank", lambda self, group, words: 0)
+    assert verdicts() == screened
+    assert sum("dependent" in (v.detail or "") for v in screened if not isinstance(v, str)) == 11
