@@ -1,11 +1,13 @@
 """Exact rank of matrices over cyclotomic fields.
 
-Rows are scaled to integer coordinate vectors in the power basis of
-Q(zeta_N).  The rank is then certified by `_modular.certified_rank` at the
-primes p > 2^62 with p = 1 (mod N), in ascending order.  Modulo such a p
-the cyclotomic polynomial Phi_N splits into phi(N) linear factors z - w,
-one per primitive N-th root of unity w in F_p, and z -> w is a ring map
-from the integer coordinate vectors to F_p.
+The rows are integer coordinate vectors in the power basis of Q(zeta_N),
+that is, entries of Z[zeta_N]: every caller ranks symmetrizer images for a
+braiding of roots of unity, and their coefficients are sums of products of
+roots.  The rank is certified by `_modular.certified_rank` at the primes
+p > 2^62 with p = 1 (mod N), in ascending order.  Modulo such a p the
+cyclotomic polynomial Phi_N splits into phi(N) linear factors z - w, one
+per primitive N-th root of unity w in F_p, and z -> w is a ring map from
+Z[zeta_N] to F_p.
 
 1. Lower bound.  The entries are mapped at the first root and eliminated
    over F_p in input row order.  This gives pivot rows R and pivot columns
@@ -38,32 +40,16 @@ pivot rows are the first rows independent modulo the prime that certified.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from itertools import chain
-
-
-def _integer_rows(rows) -> list:
-    """The rows as integer coordinate vectors: a row of ints as it is, and a
-    row holding a Fraction scaled by the lcm of its denominators (rank kept)."""
-    cleaned = []
-    for row in rows:
-        if Fraction in set(map(type, chain.from_iterable(row))):
-            den = math.lcm(*(c.denominator for vec in row for c in vec))
-            row = [[int(c * den) for c in vec] for vec in row]
-        cleaned.append(row)
-    return cleaned
-
 
 def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None,
                        pivot_cols: list[int] | None = None) -> int:
-    """Rank of a matrix whose entries are coordinate vectors at a fixed
-    conductor.  Rational entries are scaled per row first (which preserves
-    rank).  A rank found mod p is returned only with two certificates (see
-    the module docstring): a nonzero minor mod p on the pivot rows, and an
-    exact check that every other row is the lifted combination of them.
-    A prime without both certificates is followed by the next, up to
-    `_modular._MAX_PRIMES` primes; then ArithmeticError reports a defect.
+    """Rank of a matrix whose entries are integer coordinate vectors at a
+    fixed conductor (elements of Z[zeta_N]).  A rank found mod p is
+    returned only with two certificates (see the module docstring): a
+    nonzero minor mod p on the pivot rows, and an exact check that every
+    other row is the lifted combination of them.  A prime without both
+    certificates is followed by the next, up to `_modular._MAX_PRIMES`
+    primes; then ArithmeticError reports a defect.
 
     If pivot_rows is given, its contents are replaced by the sorted input
     indices of the pivot rows: those rows are independent and span the
@@ -72,19 +58,14 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
     pivot rows are the first rows independent modulo the prime that
     certified.
     """
-    for pivots in (pivot_rows, pivot_cols):
-        if pivots is not None:
-            pivots.clear()
-    if not rows or not rows[0]:
-        return 0
-    rows = _integer_rows(rows)
-    # Imported on the first rank, so that commands which never rank do not
-    # load the modular route.
-    from ._modular import certified_rank
+    found = ([], [])
+    if rows and rows[0]:
+        # Imported on the first rank, so that commands which never rank do
+        # not load the modular route.
+        from ._modular import certified_rank
 
-    rank_rows, rank_cols = certified_rank(rows, conductor)
-    if pivot_rows is not None:
-        pivot_rows.extend(rank_rows)
-    if pivot_cols is not None:
-        pivot_cols.extend(rank_cols)
-    return len(rank_rows)
+        found = certified_rank(rows, conductor)
+    for pivots, indices in zip((pivot_rows, pivot_cols), found):
+        if pivots is not None:
+            pivots[:] = indices
+    return len(found[0])

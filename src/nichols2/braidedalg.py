@@ -13,7 +13,7 @@ import math
 import operator
 from functools import lru_cache
 
-from .cyclotomic import (CycNum, ONE, ZERO, as_root_exponent, canonical_conductor, euler_phi,
+from .cyclotomic import (CycNum, ONE, as_root_exponent, canonical_conductor, euler_phi,
                          root_of_unity, root_vectors, vector_product)
 from .fbtree import LGH, RGH, FullBinaryTree
 from .lyndon import Word, is_lyndon, shirshow
@@ -423,33 +423,6 @@ def _engine(b: Braiding) -> _SymEngine:
     if eng is None:
         eng = _ENGINES[b] = _SymEngine(b)
     return eng
-
-
-def basis_words(m: int) -> list[tuple[int, ...]]:
-    """All words of length m over {1, 2} in lexicographic order."""
-    words = [()]
-    for _ in range(m):
-        words = [w + (i,) for w in words for i in (1, 2)]
-    return sorted(words)
-
-
-def symmetrizer(b: Braiding, m: int) -> list[list[CycNum]]:
-    """Matrix of the degree-m quantum symmetrizer in the word basis.
-
-    Entry [i][j] is the coefficient of basis word i in the image of basis
-    word j; the kernel of this matrix is the degree-m relation space.
-    """
-    if m < 1:
-        raise BraidedError("symmetrizer degree must be positive")
-    words = basis_words(m)
-    index = {w: i for i, w in enumerate(words)}
-    eng = _engine(b)
-    n = len(words)
-    mat = [[ZERO] * n for _ in range(n)]
-    for j, w in enumerate(words):
-        for img, vec in eng.image_vectors(w).items():
-            mat[index[img]][j] = CycNum(eng.conductor, vec)
-    return mat
 
 
 def symmetrize_poly(b: Braiding, rho: NCPoly) -> NCPoly:

@@ -12,8 +12,9 @@ its hash, so equal values at different conductors hash alike, and in its
 text, so every printed scalar is canonical.
 
 A root of unity carries its exponent (k, d), zeta_d^k with gcd(k, d) = 1:
-`root_of_unity` sets it, and `order`, `as_root_exponent` and `inv` store it
-after a lookup (the roots of Q(zeta_n) are exactly the +-z^e, 0 <= e < n).
+`root_of_unity` sets it, and `CycNum.order`, `as_root_exponent` and `inv`
+store it after a lookup (the roots of Q(zeta_n) are exactly the +-z^e,
+0 <= e < n).
 When both operands carry one, products, quotients, inverses, powers, negation
 and equality are exponent arithmetic.  Each result comes from one cache of at
 most ROOT_CACHE_SIZE values keyed by the reduced exponent and the conductor,
@@ -567,11 +568,6 @@ def root_vectors(d: int, n: int) -> tuple[tuple[int, ...], ...]:
     where the canonical conductor of d divides n: entry e is
     root_of_unity(e, d)._lift(n)."""
     return tuple(_root_coords(e, d, n) for e in range(d))
-
-
-def order(a: CycNum) -> int | None:
-    """Multiplicative order of a if it is a root of unity, else None."""
-    return a.order()
 
 
 def as_root_exponent(a: CycNum) -> tuple[int, int] | None:

@@ -205,8 +205,7 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
     Independence needs only a lower bound on the rank of each bidegree's
     monomial rows, so they are first built in F_p (`_MonomialScreen`), and
     full rank there proves it.  The exact rows are built, and their exact
-    rank decides, only where the rank mod p falls short or a coefficient
-    has no image mod p."""
+    rank decides, only where the rank mod p falls short."""
     monos = pbw_monomials(t, b, n)
     counts = count_by_degree(monos, n)
     dims = hilbert_prefix(b, n)
@@ -260,8 +259,10 @@ class _MonomialScreen:
 
     p is `_modular.split_prime(N)` for the engine's conductor N, and z -> w,
     for the first primitive N-th root of unity w mod p, is a ring map from
-    Z[zeta_N] onto F_p.  Each coefficient of `tau0` on a node and each
-    symmetrizer image coefficient is mapped once; a monomial is then a
+    Z[zeta_N] onto F_p.  The braiding's entries are roots of unity, so every
+    coefficient of `tau0` on a node and every symmetrizer image coefficient
+    lies in Z[zeta_N]: its coordinates at N are ints, and `residue` maps
+    them.  Each such coefficient is mapped once; a monomial is then a
     product of node polynomials mod p, with the powers tau(a)^e kept for
     the call, and its row at a column word u is sum_v c_v S(v)_u mod p over
     its terms c_v v.  The rank of these rows is a lower bound on the exact
@@ -275,30 +276,16 @@ class _MonomialScreen:
         self.t, self.b, self.eng = t, b, eng
         self.p = split_prime(eng.conductor)
         self.powers = split_roots(eng.conductor)[0][0]  # w^i for i < phi(N)
-        self._node_powers: dict = {}  # (node, e) -> tau(node)^e mod p, or None
+        self._node_powers: dict = {}  # (node, e) -> tau(node)^e mod p
 
-    def coeff(self, c) -> int | None:
-        """c mod p under z -> w; None if a denominator is divisible by p."""
-        p, total = self.p, 0
-        for x, wi in zip(c._lift(self.eng.conductor), self.powers):
-            if type(x) is not int:
-                if x.denominator % p == 0:
-                    return None
-                x = x.numerator * pow(x.denominator, -1, p)
-            total += x * wi
-        return total % p
+    def residue(self, vec) -> int:
+        """The integer coordinate vector vec at N, mod p under z -> w."""
+        return sum(map(mul, vec, self.powers)) % self.p
 
-    def poly(self, rho: NCPoly) -> dict | None:
-        """rho with its coefficients mod p, zeros dropped; None if one has no
-        image mod p."""
-        out = {}
-        for w, c in rho.terms.items():
-            x = self.coeff(c)
-            if x is None:
-                return None
-            if x:
-                out[w] = x
-        return out
+    def poly(self, rho: NCPoly) -> dict:
+        """rho with its coefficients mod p, zeros dropped."""
+        n = self.eng.conductor
+        return {w: x for w, c in rho.terms.items() if (x := self.residue(c._lift(n)))}
 
     def _mul(self, f: dict, g: dict) -> dict:
         p, out = self.p, {}
@@ -309,32 +296,26 @@ class _MonomialScreen:
                 out[w] = get(w, 0) + c1 * c2
         return {w: c % p for w, c in out.items() if c % p}
 
-    def _power(self, node, e: int) -> dict | None:
+    def _power(self, node, e: int) -> dict:
         key = (node, e)
         if key not in self._node_powers:
-            if e == 1:
-                value = self.poly(tau0(self.t, self.b, node))
-            else:
-                base, prev = self._power(node, 1), self._power(node, e - 1)
-                value = None if base is None else self._mul(prev, base)
-            self._node_powers[key] = value
+            self._node_powers[key] = (
+                self.poly(tau0(self.t, self.b, node)) if e == 1
+                else self._mul(self._power(node, e - 1), self._power(node, 1)))
         return self._node_powers[key]
 
-    def monomial(self, mono: PBWMonomial) -> dict | None:
-        """`evaluate_monomial` mod p; None if a coefficient has no image."""
+    def monomial(self, mono: PBWMonomial) -> dict:
+        """`evaluate_monomial` mod p."""
         acc = {(): 1}
         for node, e in zip(mono.nodes, mono.exponents):
             if e:
-                factor = self._power(node, e)
-                if factor is None:
-                    return None
-                acc = self._mul(acc, factor)
+                acc = self._mul(acc, self._power(node, e))
         return acc
 
     def rows(self, polys, words) -> list[list[int]]:
         """Symmetrizer images mod p of polynomials mod p whose words share
         one bidegree, at the given words of that bidegree."""
-        p, powers, eng = self.p, self.powers, self.eng
+        p, eng = self.p, self.eng
         index = {u: j for j, u in enumerate(words)}
         images: dict = {}  # word -> [(column, image coefficient mod p)]
         out = []
@@ -343,22 +324,18 @@ class _MonomialScreen:
             for v, c in poly.items():
                 img = images.get(v)
                 if img is None:
-                    img = images[v] = [(index[u], sum(map(mul, vec, powers)) % p)
+                    img = images[v] = [(index[u], self.residue(vec))
                                        for u, vec in eng.image_vectors(v, words).items()]
                 for j, x in img:
                     row[j] += c * x
             out.append([x % p for x in row])
         return out
 
-    def rank(self, group, words) -> int | None:
-        """Rank mod p of the group's symmetrized monomials at the words;
-        None if a coefficient has no image mod p."""
+    def rank(self, group, words) -> int:
+        """Rank mod p of the group's symmetrized monomials at the words."""
         from ._modular import rank_mod_p
 
-        polys = [self.monomial(mo) for mo in group]
-        if None in polys:
-            return None
-        return rank_mod_p(self.rows(polys, words), self.p)
+        return rank_mod_p(self.rows([self.monomial(mo) for mo in group], words), self.p)
 
 
 def _relation_generators(t: FullBinaryTree, b: Braiding) -> list[tuple[int, Callable]]:

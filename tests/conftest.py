@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from nichols2.cyclotomic import CycNum, root_of_unity
-from nichols2.braidedalg import Braiding
+from nichols2.cyclotomic import ZERO, CycNum, root_of_unity
+from nichols2.braidedalg import BraidedError, Braiding, _engine
 
 
 def random_root(rng: random.Random, max_conductor: int = 12) -> CycNum:
@@ -20,6 +20,33 @@ def random_root_braiding(rng: random.Random, max_conductor: int = 12) -> Braidin
     """
     n = rng.randrange(2, max_conductor + 1)
     return Braiding(*(root_of_unity(rng.randrange(n), n) for _ in range(4)))
+
+
+def basis_words(m: int) -> list[tuple[int, ...]]:
+    """All words of length m over {1, 2} in lexicographic order."""
+    words = [()]
+    for _ in range(m):
+        words = [w + (i,) for w in words for i in (1, 2)]
+    return sorted(words)
+
+
+def symmetrizer(b: Braiding, m: int) -> list[list[CycNum]]:
+    """Matrix of the degree-m quantum symmetrizer in the word basis.
+
+    Entry [i][j] is the coefficient of basis word i in the image of basis
+    word j; the kernel of this matrix is the degree-m relation space.
+    """
+    if m < 1:
+        raise BraidedError("symmetrizer degree must be positive")
+    words = basis_words(m)
+    index = {w: i for i, w in enumerate(words)}
+    eng = _engine(b)
+    n = len(words)
+    mat = [[ZERO] * n for _ in range(n)]
+    for j, w in enumerate(words):
+        for img, vec in eng.image_vectors(w).items():
+            mat[index[img]][j] = CycNum(eng.conductor, vec)
+    return mat
 
 
 def naive_rank(matrix) -> int:

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import naive_rank, random_root_braiding
+from conftest import basis_words, naive_rank, random_root_braiding, symmetrizer
 
 from nichols2 import braidedalg
 from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
                                  root_of_unity)
-from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, basis_words,
-                                 bracket_word, clear_caches, format_ncpoly, is_zero_in_nichols,
-                                 skew_derivation, symmetrize_poly, symmetrizer, tau0)
+from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, bracket_word,
+                                 clear_caches, format_ncpoly, is_zero_in_nichols,
+                                 skew_derivation, symmetrize_poly, tau0)
 from nichols2.fbtree import LGH, RGH, TREES
 from nichols2.lyndon import Word, gamma
 

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from conftest import naive_rank
 
 from nichols2 import _modular
-from nichols2._linalg import _integer_rows, exact_rank_vectors
+from nichols2._linalg import exact_rank_vectors
 from nichols2._modular import (_MAX_PRIMES, _eliminate, _is_prime, _pack, _slot_bytes,
                                certified_rank, split_prime, split_roots)
 from nichols2.cyclotomic import (CycNum, ZERO, canonical_conductor, euler_phi, root_of_unity,
@@ -14,12 +15,25 @@ from nichols2.cyclotomic import (CycNum, ZERO, canonical_conductor, euler_phi, r
 from test_cyclotomic import _exact_div, vector_inverse
 
 
+def _integer_rows(rows) -> list:
+    """The rows as integer coordinate vectors: a row of ints as it is, and a
+    row holding a Fraction scaled by the lcm of its denominators (rank kept)."""
+    cleaned = []
+    for row in rows:
+        if Fraction in set(map(type, chain.from_iterable(row))):
+            den = math.lcm(*(c.denominator for vec in row for c in vec))
+            row = [[int(c * den) for c in vec] for vec in row]
+        cleaned.append(row)
+    return cleaned
+
+
 def lifted_rank(matrix, pivot_rows=None, pivot_cols=None):
     """Rank of a matrix of cyclotomic scalars: every entry is lifted to the
-    common conductor and the coordinate vectors are eliminated."""
+    common conductor, rows with rational coordinates are scaled to integer
+    ones, and the coordinate vectors are eliminated."""
     conductor = common_conductor(matrix)
-    return exact_rank_vectors([[entry._lift(conductor) for entry in row] for row in matrix],
-                              conductor, pivot_rows=pivot_rows, pivot_cols=pivot_cols)
+    rows = _integer_rows([[entry._lift(conductor) for entry in row] for row in matrix])
+    return exact_rank_vectors(rows, conductor, pivot_rows=pivot_rows, pivot_cols=pivot_cols)
 
 
 def common_conductor(matrix):
@@ -170,8 +184,7 @@ def test_rank_deterministic(rng):
 def test_rank_on_symmetrizer_blocks(rng):
     # Dual-route rank on the real objects the oracle eliminates: bidegree
     # blocks of degree-4 symmetrizers for random braidings.
-    from conftest import random_root_braiding
-    from nichols2.braidedalg import basis_words, symmetrizer
+    from conftest import basis_words, random_root_braiding, symmetrizer
 
     for _ in range(6):
         b = random_root_braiding(rng, max_conductor=9)
@@ -431,8 +444,10 @@ def test_certified_rank_on_fixture_matrix_blocks(monkeypatch, fallbacks):
     assert fallbacks == []
     assert any(rank < min(len(rows), len(rows[0])) for rows, _, rank in blocks if rows)
     for rows, conductor, rank in blocks:
+        # The oracle hands the rank integer coordinates only.
+        assert all(type(c) is int for row in rows for vec in row for c in vec)
         if rows and rows[0]:
-            assert len(_bareiss_rank(_integer_rows(rows), conductor)[0]) == rank
+            assert len(_bareiss_rank(rows, conductor)[0]) == rank
 
 
 def _eliminate_mod(mat, p: int):

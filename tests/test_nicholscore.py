@@ -268,7 +268,8 @@ def full_block(b, r, s):
     """The bidegree-(r, s) block of the symmetrizer over every word of that
     bidegree, with no reduction of rows or columns: (words, rows), where
     row i holds the image of words[i] at each word."""
-    from nichols2.braidedalg import _engine, basis_words
+    from conftest import basis_words
+    from nichols2.braidedalg import _engine
 
     eng = _engine(b)
     zero = (0,) * eng.deg
@@ -397,18 +398,18 @@ def test_screen_rows_are_the_exact_rows_mod_p(rng):
     assert checked >= 30
 
 
-def test_screen_has_no_image_for_a_denominator_divisible_by_p():
-    from fractions import Fraction
-
+def test_tau0_coefficients_are_integral_at_the_engine_conductor():
+    # The screen and the exact rank take integer coordinates only: on every
+    # family sample, each coefficient of tau0 on a PBW generator node of its
+    # own tree has int coordinates at the engine's conductor.
     from nichols2.braidedalg import _engine
-    from nichols2.cyclotomic import CycNum
-    from nichols2.nicholscore import _MonomialScreen
+    from nichols2.classify import fixtures
 
-    b = cartan_a2()
-    screen = _MonomialScreen(TREES[2], b, _engine(b))
-    assert screen.coeff(CycNum.from_rational(Fraction(1, screen.p))) is None
-    assert screen.poly(NCPoly({(1,): CycNum.from_rational(Fraction(2, screen.p))})) is None
-    assert screen.coeff(CycNum.from_rational(Fraction(1, 3))) * 3 % screen.p == 1
+    for (n, _), b in sorted(fixtures().items()):
+        t, conductor = TREES[n], _engine(b).conductor
+        for a in t.nbar2():
+            for c in tau0(t, b, a).terms.values():
+                assert all(type(x) is int for x in c._lift(conductor)), (n, a, c)
 
 
 def test_screen_rank_equals_exact_rank_on_fixtures():
@@ -455,8 +456,9 @@ def test_exact_rows_decide_every_shortfall(monkeypatch):
     # With the screen reporting a shortfall on every group, the exact rows
     # decide everything; the verdicts, dependent ones included, must not
     # change.
+    from nichols2 import nicholscore
     from nichols2.classify import fixtures
-    from nichols2.nicholscore import _MonomialScreen
+    from nichols2.nicholscore import _MonomialScreen, exact_rank_vectors
 
     def verdicts():
         out = []
@@ -469,6 +471,16 @@ def test_exact_rows_decide_every_shortfall(monkeypatch):
         return out
 
     screened = verdicts()
+    blocks = []
+
+    def recording(rows, conductor, pivot_rows=None, pivot_cols=None):
+        blocks.append(rows)
+        return exact_rank_vectors(rows, conductor, pivot_rows, pivot_cols)
+
     monkeypatch.setattr(_MonomialScreen, "rank", lambda self, group, words: 0)
+    monkeypatch.setattr(nicholscore, "exact_rank_vectors", recording)
     assert verdicts() == screened
+    # The exact monomial rows, like the oracle's, have integer coordinates.
+    assert blocks and all(type(c) is int for rows in blocks for row in rows
+                          for vec in row for c in vec)
     assert sum("dependent" in (v.detail or "") for v in screened if not isinstance(v, str)) == 11
