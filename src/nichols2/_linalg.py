@@ -26,16 +26,20 @@ Z[zeta_N] to F_p.
    layouts in `_modular`).  Every row then lies in the span of R, so the
    rank is at most |R|.
 
-A caller that needs only a lower bound needs only the first certificate:
-`nicholscore.verify_type` proves PBW monomials independent by a full rank
-mod p of rows it builds in F_p itself (`_modular.rank_mod_p`), and calls
-this exact rank only where that rank falls short.
-
 A mod-p rank is never reported here without both certificates.  Where the
 roots disagree, a reconstruction fails or a check fails, the next prime is
 tried.  Only finitely many primes are bad for a matrix, and the product of
-the good ones outgrows the true coefficients, so some prime certifies.  The
-pivot rows are the first rows independent modulo the prime that certified.
+the good ones outgrows the true coefficients, so some prime certifies.
+
+The pivot rows are then exactly the rows that raise the exact rank of the
+rows before them, provided every nonzero row is a pivot or the rank is
+below both dimensions.  In the first case there is nothing to show.  In
+the second, the upper bound was certified: elimination in row order
+writes each other row on the pivot rows before it only, and the exact
+check proves that combination.  So each other row lies in the span of the
+pivot rows before it, and each pivot row, independent of them, raises the
+rank.  (A full column rank found by the lower bound alone can put a pivot
+after a row that is independent over Q(zeta_N) but not mod p.)
 """
 
 from __future__ import annotations
@@ -54,9 +58,10 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
     If pivot_rows is given, its contents are replaced by the sorted input
     indices of the pivot rows: those rows are independent and span the
     row space.  Likewise pivot_cols receives the sorted indices of the
-    pivot columns, which are independent and span the column space.  The
-    pivot rows are the first rows independent modulo the prime that
-    certified.
+    pivot columns, which are independent and span the column space.  If
+    every nonzero row is a pivot or the rank is below both dimensions, the
+    pivot rows are exactly the rows that raise the rank of the rows before
+    them (module docstring).
     """
     found = ([], [])
     if rows and rows[0]:

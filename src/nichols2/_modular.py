@@ -168,17 +168,6 @@ def _eliminate(rows, n_cols: int, p: int, step: int):
                           for i, comb in zero_combs.items()}
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of rows of residues mod p.  A nonzero minor mod p is
-    nonzero, so it is a lower bound on the rank of any matrix that a ring
-    map onto F_p takes to these rows."""
-    if not rows or not rows[0]:
-        return 0
-    # Entries start below p and each row operation adds less than p^2.
-    step = _slot_bytes(p, 1, len(rows))
-    return len(_eliminate([_pack(row, step) for row in rows], len(rows[0]), p, step)[0])
-
-
 def _rational_lift(a: int, m: int, bound: int) -> tuple[int, int] | None:
     """(n, d) with n = a d (mod m), |n| <= bound and 0 < d <= bound, or None."""
     r0, r1, t0, t1 = m, a, 0, 1
@@ -199,8 +188,9 @@ _MAX_PRIMES = 64
 
 def certified_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
     """(pivot rows, pivot columns) of integer rows, certified at one or more
-    split primes (see the `_linalg` docstring): the first rows independent
-    modulo the prime that certified, and their pivot columns there.  Raises
+    split primes (see the `_linalg` docstring): the rows independent of the
+    rows before them modulo the prime that certified, and their pivot
+    columns there.  Raises
     ArithmeticError if _MAX_PRIMES primes do not certify."""
     n_rows, n_cols = len(rows), len(rows[0])
     # A zero row is never a pivot row and lies in every span.

@@ -203,6 +203,9 @@ class AdmissibilityReport:
     admissible: bool
     failures: list = field(default_factory=list)  # (condition id, node, explanation)
     checked_up_to: int = 0
+    # The failures above checked_up_to, found by the same evaluation; they
+    # are not part of the report's verdict, equality or JSON form.
+    beyond: list = field(default_factory=list, compare=False, repr=False)
 
     def to_json_dict(self):
         return {
@@ -216,64 +219,64 @@ class AdmissibilityReport:
 
 
 def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport:
-    """Evaluate the four admissibility conditions up to label weight n."""
+    """Evaluate the four admissibility conditions at every node and report
+    those up to label weight n; the rest go to `beyond`."""
     check_branch_hypothesis(t)
-    failures = []
+    failures = []  # (label weight, condition id, node, explanation)
 
     lams = _lambdas(t, b)[1]
     for a in t.nodes():
-        if t.weight(a) > n:
-            continue
         zero = not any(lams[a])
         if t.is_leaf(a) and not zero:
-            failures.append(("branching", a, "leaf with nonzero lambda"))
+            failures.append((t.weight(a), "branching", a, "leaf with nonzero lambda"))
         if not t.is_leaf(a) and zero:
-            failures.append(("branching", a, "inner node with lambda = 0"))
+            failures.append((t.weight(a), "branching", a, "inner node with lambda = 0"))
 
     for a in t.nbar2():
-        if t.weight(a) > n:
-            continue
         try:
             generator_height(t, b, a)
         except NicholsError:
-            failures.append(("p-root", a, "p = 1" if b.chi_nodes(t, a, a) == ONE
+            failures.append((t.weight(a), "p-root", a, "p = 1" if b.chi_nodes(t, a, a) == ONE
                              else "p is not a root of unity"))
 
     for a in t.internal():
         if t.is_leaf(a):
             continue
         la = t.lch(a)
-        if not t.is_leaf(la) and t.weight(la) <= n:
+        if not t.is_leaf(la):
+            w = t.weight(la)
             if p_of(t, b, a) == -ONE:
-                failures.append(("p-not-minus-one", a, "p_a = -1 with inner left child"))
+                failures.append((w, "p-not-minus-one", a, "p_a = -1 with inner left child"))
             if p_of(t, b, t.rgf(a)) == -ONE:
-                failures.append(("p-not-minus-one", a, "p_{rgf a} = -1 with inner left child"))
+                failures.append((w, "p-not-minus-one", a,
+                                 "p_{rgf a} = -1 with inner left child"))
 
     for bb in t.internal():
         c = t.lgf(bb)
         if not (isinstance(c, int) and not t.is_leaf(c)):
             continue
-        if t.weight(bb) + t.weight(t.lgf(c)) > n:
-            continue
+        w = t.weight(bb) + t.weight(t.lgf(c))
         k = t.rgfl(bb)
         p_c = p_of(t, b, c)
         if any(qnum_vanishes(j, p_c) for j in range(1, k + 2)):
-            failures.append(("q-factorial", bb, f"[{k + 1}]! at p_c vanishes"))
+            failures.append((w, "q-factorial", bb, f"[{k + 1}]! at p_c vanishes"))
             continue
         if t.rchl(t.lch(c)) <= k:
             continue
         if k > 2:
-            failures.append(("mixed-relation", bb, "no admissible branch configuration"))
+            failures.append((w, "mixed-relation", bb, "no admissible branch configuration"))
             continue
         try:
             nu = nu_of(t, b, bb)
         except NuDenominatorError as exc:
-            failures.append(("mixed-relation", bb, str(exc)))
+            failures.append((w, "mixed-relation", bb, str(exc)))
             continue
         if not nu.is_zero():
-            failures.append(("mixed-relation", bb, "nu does not vanish"))
+            failures.append((w, "mixed-relation", bb, "nu does not vanish"))
 
-    return AdmissibilityReport(not failures, failures, n)
+    reported = [f[1:] for f in failures if f[0] <= n]
+    return AdmissibilityReport(not reported, reported, n,
+                               [f[1:] for f in failures if f[0] > n])
 
 
 # -- tree reconstruction -------------------------------------------------------

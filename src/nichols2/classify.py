@@ -66,14 +66,8 @@ class _RootExp:
         return self.L // math.gcd(self.e, self.L)
 
 
-def _ord(x) -> int:
-    # The order of x, 0 for a CycNum that is not a root of unity.
-    o = x.order()
-    return 0 if o is None else o
-
-
-def _root(x) -> bool:
-    return _ord(x) >= 2
+def _root(x: _RootExp) -> bool:
+    return x.order() >= 2
 
 
 # Conditions (T1)-(T22); q denotes q12*q21 and q0 = q11*q.  The case index
@@ -83,39 +77,39 @@ _CONDITIONS: list[tuple[int, int, object]] = [
     (2, 1, lambda q11, q, q22: (q11 * q == ONE or q11 == MINUS_ONE)
         and (q * q22 == ONE or q22 == MINUS_ONE) and _root(q)),
     (3, 1, lambda q11, q, q22: q == q11 ** -2 and (q22 == q11 ** 2 or q22 == MINUS_ONE)
-        and _ord(q11) >= 3),
-    (3, 2, lambda q11, q, q22: _ord(q11) == 3 and q * q22 == ONE
-        and (_ord(q22) == 2 or _ord(q22) >= 4)),
-    (3, 3, lambda q11, q, q22: _ord(q11) == 3 and q == -q11 and q22 == MINUS_ONE),
-    (4, 1, lambda q11, q, q22: _ord(q11 * q) == 12 and q11 == (q11 * q) ** 4
+        and q11.order() >= 3),
+    (3, 2, lambda q11, q, q22: q11.order() == 3 and q * q22 == ONE
+        and (q22.order() == 2 or q22.order() >= 4)),
+    (3, 3, lambda q11, q, q22: q11.order() == 3 and q == -q11 and q22 == MINUS_ONE),
+    (4, 1, lambda q11, q, q22: (q11 * q).order() == 12 and q11 == (q11 * q) ** 4
         and q22 == -((q11 * q) ** 2)),
-    (4, 2, lambda q11, q, q22: _ord(q) == 12 and q11 == -(q ** 2) and q22 == -(q ** 2)),
-    (5, 1, lambda q11, q, q22: _ord(q) == 12 and q11 == -(q ** 2) and q22 == MINUS_ONE),
-    (5, 2, lambda q11, q, q22: _ord(q11 * q) == 12 and q11 == (q11 * q) ** 4
+    (4, 2, lambda q11, q, q22: q.order() == 12 and q11 == -(q ** 2) and q22 == -(q ** 2)),
+    (5, 1, lambda q11, q, q22: q.order() == 12 and q11 == -(q ** 2) and q22 == MINUS_ONE),
+    (5, 2, lambda q11, q, q22: (q11 * q).order() == 12 and q11 == (q11 * q) ** 4
         and q22 == MINUS_ONE),
-    (6, 1, lambda q11, q, q22: _ord(q11) == 18 and q == q11 ** -2 and q22 == -(q11 ** 3)),
-    (7, 1, lambda q11, q, q22: _ord(q11) == 12 and q == q11 ** -3 and q22 == MINUS_ONE),
-    (7, 2, lambda q11, q, q22: _ord(q) == 12 and q11 == q ** -3 and q22 == MINUS_ONE),
-    (8, 1, lambda q11, q, q22: q == q11 ** -3 and q22 == q11 ** 3 and _ord(q11) >= 4),
+    (6, 1, lambda q11, q, q22: q11.order() == 18 and q == q11 ** -2 and q22 == -(q11 ** 3)),
+    (7, 1, lambda q11, q, q22: q11.order() == 12 and q == q11 ** -3 and q22 == MINUS_ONE),
+    (7, 2, lambda q11, q, q22: q.order() == 12 and q11 == q ** -3 and q22 == MINUS_ONE),
+    (8, 1, lambda q11, q, q22: q == q11 ** -3 and q22 == q11 ** 3 and q11.order() >= 4),
     (8, 2, lambda q11, q, q22: q ** 4 == MINUS_ONE and q22 == MINUS_ONE and q11 == -q),
     (8, 3, lambda q11, q, q22: q ** 4 == MINUS_ONE and q22 == MINUS_ONE and q11 == q ** -2),
     (8, 4, lambda q11, q, q22: q ** 4 == MINUS_ONE and q11 == q ** 2 and q22 == q ** -1),
-    (9, 1, lambda q11, q, q22: _ord(q) == 9 and q11 == q ** -3 and q22 == MINUS_ONE),
-    (10, 1, lambda q11, q, q22: _ord(q) == 24 and q11 == q ** -6 and q22 == q ** -8),
-    (11, 1, lambda q11, q, q22: _ord(q11) in (5, 20) and q == q11 ** -3
+    (9, 1, lambda q11, q, q22: q.order() == 9 and q11 == q ** -3 and q22 == MINUS_ONE),
+    (10, 1, lambda q11, q, q22: q.order() == 24 and q11 == q ** -6 and q22 == q ** -8),
+    (11, 1, lambda q11, q, q22: q11.order() in (5, 20) and q == q11 ** -3
         and q22 == MINUS_ONE),
-    (12, 1, lambda q11, q, q22: _ord(q11) == 30 and q == q11 ** -3 and q22 == -(q11 ** 5)),
-    (13, 1, lambda q11, q, q22: _ord(q) == 24 and q11 == q ** 6 and q22 == q ** -1),
-    (14, 1, lambda q11, q, q22: _ord(q11) == 18 and q == q11 ** -4 and q22 == MINUS_ONE),
-    (15, 1, lambda q11, q, q22: _ord(q) == 30 and q11 == -(q ** -3) and q22 == q ** -1),
-    (16, 1, lambda q11, q, q22: _ord(q11) == 10 and q == q11 ** -4 and q22 == MINUS_ONE),
-    (16, 2, lambda q11, q, q22: _ord(q) == 20 and q11 == q ** -4 and q22 == MINUS_ONE),
-    (17, 1, lambda q11, q, q22: _ord(q) == 24 and q11 == -(q ** 4) and q22 == MINUS_ONE),
-    (18, 1, lambda q11, q, q22: _ord(q) == 30 and q11 == -(q ** 5) and q22 == MINUS_ONE),
-    (19, 1, lambda q11, q, q22: _ord(q11) == 14 and q == q11 ** -3 and q22 == MINUS_ONE),
-    (20, 1, lambda q11, q, q22: _ord(q) == 30 and q11 == q ** -6 and q22 == MINUS_ONE),
-    (21, 1, lambda q11, q, q22: _ord(q11) == 24 and q == q11 ** -5 and q22 == MINUS_ONE),
-    (22, 1, lambda q11, q, q22: _ord(q11) == 14 and q == q11 ** -5 and q22 == MINUS_ONE),
+    (12, 1, lambda q11, q, q22: q11.order() == 30 and q == q11 ** -3 and q22 == -(q11 ** 5)),
+    (13, 1, lambda q11, q, q22: q.order() == 24 and q11 == q ** 6 and q22 == q ** -1),
+    (14, 1, lambda q11, q, q22: q11.order() == 18 and q == q11 ** -4 and q22 == MINUS_ONE),
+    (15, 1, lambda q11, q, q22: q.order() == 30 and q11 == -(q ** -3) and q22 == q ** -1),
+    (16, 1, lambda q11, q, q22: q11.order() == 10 and q == q11 ** -4 and q22 == MINUS_ONE),
+    (16, 2, lambda q11, q, q22: q.order() == 20 and q11 == q ** -4 and q22 == MINUS_ONE),
+    (17, 1, lambda q11, q, q22: q.order() == 24 and q11 == -(q ** 4) and q22 == MINUS_ONE),
+    (18, 1, lambda q11, q, q22: q.order() == 30 and q11 == -(q ** 5) and q22 == MINUS_ONE),
+    (19, 1, lambda q11, q, q22: q11.order() == 14 and q == q11 ** -3 and q22 == MINUS_ONE),
+    (20, 1, lambda q11, q, q22: q.order() == 30 and q11 == q ** -6 and q22 == MINUS_ONE),
+    (21, 1, lambda q11, q, q22: q11.order() == 24 and q == q11 ** -5 and q22 == MINUS_ONE),
+    (22, 1, lambda q11, q, q22: q11.order() == 14 and q == q11 ** -5 and q22 == MINUS_ONE),
 ]
 
 
@@ -316,10 +310,10 @@ def run_fixture_matrix(degree_cap: int = 8, weight_cap: int = 16) -> list[Fixtur
     for (n, c), b in sorted(fixtures().items()):
         t0 = time.monotonic()
         report = classify_full(b, degree_cap, weight_cap)
-        tree, verdict = report.tree, report.verdict
-        # Admissibility is cheap scalar arithmetic, so check it at a bound
-        # covering every node of every family tree, not at the degree cap.
-        adm_ok = tree is not None and is_admissible(tree, b, max(degree_cap, 64)).admissible
+        tree, verdict, adm = report.tree, report.verdict, report.admissibility
+        # The report's admissibility covers the degree cap; the family tree
+        # must pass at every node, heavier ones included.
+        adm_ok = adm is not None and not (adm.failures or adm.beyond)
         hilbert_ok = verdict is not None and verdict.counts == verdict.dims
         rows.append(FixtureRow(n, c, (n, c) in report.matches,
                                _matches_table(p_table, n, b, c),

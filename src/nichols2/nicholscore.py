@@ -7,19 +7,19 @@ set rather than over all words.  The kernels of the symmetrizers S_m
 together form the Nichols ideal, a two-sided ideal: the kernel of the
 algebra map to the quantum shuffle algebra (Andruskiewitsch-Schneider,
 "Pointed Hopf algebras", 2002).  So if the classes of the words w form a
-basis of degree m - 1, the image of S_m is spanned by the S_m(x_j w), and
+basis of degree m - 1, the image of S_m is spanned by the S_m(w x_j), and
 the words of the pivot rows of that matrix form a basis of degree m.
 
 The columns are reduced the same way.  The coefficient of u in S_m(v) is
 the coefficient of v in S_m'(u), where S_m' is the symmetrizer of the
 transposed braiding (q11, q21, q12, q22); so the columns are S_m'-images,
-and by the same ideal argument they are spanned by the columns at x_j u
+and by the same ideal argument they are spanned by the columns at u x_j
 for words u whose S_m'-images form a basis one degree down.  The pivot
 columns of a rank are such words.  Rows spanning the row space and
 columns spanning the column space give a submatrix of full rank, whose
 pivot rows are still basis words.  Each bidegree (r, s) therefore ranks
-a square block: the candidates 1.w and 2.w for the basis words w of
-(r - 1, s) and (r, s - 1), at the columns 1.u and 2.u for their pivot
+a square block: the candidates w.1 and w.2 for the basis words w of
+(r - 1, s) and (r, s - 1), at the columns u.1 and u.2 for their pivot
 column words u.  Both word lists are kept per braiding, so a degree is
 computed from the degree below it.
 
@@ -31,14 +31,34 @@ reconstruction from p and any earlier such primes, which proves they span.
 A mod-p rank is never reported on its own; where a certificate fails, the
 next such prime is tried.
 
-Monomial bases predicted by a tree are verified against that oracle both
-by counting and by rank of the symmetrized monomial matrix (taken at the
-column words of each bidegree, which keeps the rank), so a wrong tree
-fails loudly.  Independence needs only the lower-bound certificate: the
-monomial rows are built in F_p at a root of Phi_N mod p, and full rank
-there proves the monomials independent.  The exact rows, and their exact
-rank, are built only for a bidegree whose rank mod p falls short, which
-is how a dependence is ever reported.
+Monomial bases predicted by a tree are verified against that oracle by
+counting, and their independence by their words (Kharchenko, "A quantum
+analog of the Poincare-Birkhoff-Witt theorem", Algebra and Logic 38,
+1999).  Words of equal length are compared in colex order: from the
+right, last letter first, with x1 < x2.  A word is standard if it is not
+the colex-largest word of any element of the Nichols ideal.
+
+1. The oracle's basis words are the standard words.  A bidegree's
+   candidates are those below it extended by x1, then by x2, so by
+   induction they come in colex order; and a standard word stays standard
+   when its last letter is dropped (the ideal is two-sided), so every
+   standard word is a candidate.  On these square blocks the pivot rows
+   are exactly the rows that raise the rank of the rows before them
+   (`_linalg`), so a candidate is a basis word when it is not congruent
+   to a combination of colex-smaller words: when it is standard.
+2. On words of one length, colex order is compatible with concatenation.
+   So the colex-largest word of a PBW monomial, the product of the powers
+   tau0(a)^e in ascending node order, is the concatenation of the
+   colex-largest words of its factors, and its coefficient is the product
+   of theirs: nonzero.
+3. If these leading words are distinct standard words, the monomials are
+   independent modulo the ideal: the colex-largest word of a nontrivial
+   combination of them is one of their leading words, a standard word.
+
+So `verify_type` proves independence by comparing each bidegree's leading
+words with the oracle's basis words, without a rank.  Only where the two
+differ does the exact rank of the symmetrized monomials decide, which is
+how a dependence is ever reported.
 """
 
 from __future__ import annotations
@@ -48,7 +68,6 @@ from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 
 from ._linalg import exact_rank_vectors
 from .braidedalg import Braiding, NCPoly, _engine, is_zero_in_nichols, tau0
@@ -60,14 +79,15 @@ from .admissibility import NicholsError, generator_height, mu_of, p_of
 def _pivot_words(eng, r: int, s: int) -> tuple[list, list]:
     """Basis words of the bidegree-(r, s) piece and the words of the pivot
     columns of its rank, from those of the two bidegrees below it (which
-    must be known)."""
+    must be known).  The candidates w.j come in colex order, so the basis
+    words are the standard words (module docstring, step 1)."""
     cands, cols = [], []
     if r:
-        cands += [(1,) + w for w in eng.pivot_words[(r - 1, s)]]
-        cols += [(1,) + u for u in eng.pivot_cols[(r - 1, s)]]
+        cands += [w + (1,) for w in eng.pivot_words[(r - 1, s)]]
+        cols += [u + (1,) for u in eng.pivot_cols[(r - 1, s)]]
     if s:
-        cands += [(2,) + w for w in eng.pivot_words[(r, s - 1)]]
-        cols += [(2,) + u for u in eng.pivot_cols[(r, s - 1)]]
+        cands += [w + (2,) for w in eng.pivot_words[(r, s - 1)]]
+        cols += [u + (2,) for u in eng.pivot_cols[(r, s - 1)]]
     if not cands:
         return [], []
     zero = (0,) * eng.deg
@@ -83,8 +103,8 @@ def _pivot_words(eng, r: int, s: int) -> tuple[list, list]:
 
 def dim_at_degree(b: Braiding, m: int) -> int:
     """Exact dimension of the degree-m piece: the symmetrizer rank, taken
-    over the spanning set x_j.w built from the basis words of degree m - 1,
-    at the columns x_j.u built from its pivot column words.
+    over the spanning set w.x_j built from the basis words of degree m - 1,
+    at the columns u.x_j built from its pivot column words.
     Lower degrees not yet known for this braiding are computed first, and
     a zero degree makes every higher one zero."""
     if m < 0:
@@ -202,10 +222,10 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
     """Check degree by degree through n that the predicted monomials count
     the oracle dimensions and stay independent modulo the symmetrizer kernel.
 
-    Independence needs only a lower bound on the rank of each bidegree's
-    monomial rows, so they are first built in F_p (`_MonomialScreen`), and
-    full rank there proves it.  The exact rows are built, and their exact
-    rank decides, only where the rank mod p falls short."""
+    A bidegree's monomials are independent if their colex-largest words are
+    distinct and are the oracle's basis words (module docstring).  Only a
+    bidegree whose words differ is decided by the exact rank of its
+    symmetrized monomials."""
     monos = pbw_monomials(t, b, n)
     counts = count_by_degree(monos, n)
     dims = hilbert_prefix(b, n)
@@ -216,12 +236,13 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
                                f"predicted {counts[m]} monomials, oracle dimension {dims[m]}",
                                counts, dims, heavy)
     eng = _engine(b)
-    screen = _MonomialScreen(t, b, eng)
+    leads = {a: max(tau0(t, b, a).terms, key=lambda w: w[::-1])
+             for a in t.nbar2() if t.weight(a) <= n}
     for bideg, group in sorted(_monomials_by_bidegree(t, monos).items()):
-        words = eng.pivot_cols[bideg]
-        if screen.rank(group, words) == len(group):
+        words = {_leading_word(mo, leads) for mo in group}
+        if len(words) == len(group) and words == set(eng.pivot_words[bideg]):
             continue
-        rank = _exact_monomial_rank(t, b, eng, group, words)
+        rank = _exact_monomial_rank(t, b, eng, group, eng.pivot_cols[bideg])
         if rank != len(group):
             m = bideg[0] + bideg[1]
             return TypeVerdict(False, m,
@@ -229,6 +250,12 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
                                f"kernel (rank {rank} of {len(group)})",
                                counts, dims, heavy)
     return TypeVerdict(True, None, None, counts, dims, heavy)
+
+
+def _leading_word(mono: PBWMonomial, leads: dict) -> tuple[int, ...]:
+    """The colex-largest word of `evaluate_monomial`, from the colex-largest
+    word of tau0 at each node (module docstring, step 2)."""
+    return sum((leads[a] * e for a, e in zip(mono.nodes, mono.exponents) if e), ())
 
 
 def _monomials_by_bidegree(t: FullBinaryTree, monos) -> dict[tuple[int, int], list[PBWMonomial]]:
@@ -252,90 +279,6 @@ def _exact_monomial_rank(t: FullBinaryTree, b: Braiding, eng, group, words) -> i
         img = eng.symmetrize(evaluate_monomial(t, b, mo), eng.conductor, cols)
         rows.append([img.get(w, zero) for w in words])
     return exact_rank_vectors(rows, eng.conductor)
-
-
-class _MonomialScreen:
-    """The monomial rows of one `verify_type` call in F_p.
-
-    p is `_modular.split_prime(N)` for the engine's conductor N, and z -> w,
-    for the first primitive N-th root of unity w mod p, is a ring map from
-    Z[zeta_N] onto F_p.  The braiding's entries are roots of unity, so every
-    coefficient of `tau0` on a node and every symmetrizer image coefficient
-    lies in Z[zeta_N]: its coordinates at N are ints, and `residue` maps
-    them.  Each such coefficient is mapped once; a monomial is then a
-    product of node polynomials mod p, with the powers tau(a)^e kept for
-    the call, and its row at a column word u is sum_v c_v S(v)_u mod p over
-    its terms c_v v.  The rank of these rows is a lower bound on the exact
-    rank, so it can prove independence and never anything else.
-    """
-
-    def __init__(self, t: FullBinaryTree, b: Braiding, eng):
-        # Imported on the first screen, like the rank route in `_linalg`.
-        from ._modular import split_prime, split_roots
-
-        self.t, self.b, self.eng = t, b, eng
-        self.p = split_prime(eng.conductor)
-        self.powers = split_roots(eng.conductor)[0][0]  # w^i for i < phi(N)
-        self._node_powers: dict = {}  # (node, e) -> tau(node)^e mod p
-
-    def residue(self, vec) -> int:
-        """The integer coordinate vector vec at N, mod p under z -> w."""
-        return sum(map(mul, vec, self.powers)) % self.p
-
-    def poly(self, rho: NCPoly) -> dict:
-        """rho with its coefficients mod p, zeros dropped."""
-        n = self.eng.conductor
-        return {w: x for w, c in rho.terms.items() if (x := self.residue(c._lift(n)))}
-
-    def _mul(self, f: dict, g: dict) -> dict:
-        p, out = self.p, {}
-        get = out.get
-        for w1, c1 in f.items():
-            for w2, c2 in g.items():
-                w = w1 + w2
-                out[w] = get(w, 0) + c1 * c2
-        return {w: c % p for w, c in out.items() if c % p}
-
-    def _power(self, node, e: int) -> dict:
-        key = (node, e)
-        if key not in self._node_powers:
-            self._node_powers[key] = (
-                self.poly(tau0(self.t, self.b, node)) if e == 1
-                else self._mul(self._power(node, e - 1), self._power(node, 1)))
-        return self._node_powers[key]
-
-    def monomial(self, mono: PBWMonomial) -> dict:
-        """`evaluate_monomial` mod p."""
-        acc = {(): 1}
-        for node, e in zip(mono.nodes, mono.exponents):
-            if e:
-                acc = self._mul(acc, self._power(node, e))
-        return acc
-
-    def rows(self, polys, words) -> list[list[int]]:
-        """Symmetrizer images mod p of polynomials mod p whose words share
-        one bidegree, at the given words of that bidegree."""
-        p, eng = self.p, self.eng
-        index = {u: j for j, u in enumerate(words)}
-        images: dict = {}  # word -> [(column, image coefficient mod p)]
-        out = []
-        for poly in polys:
-            row = [0] * len(words)
-            for v, c in poly.items():
-                img = images.get(v)
-                if img is None:
-                    img = images[v] = [(index[u], self.residue(vec))
-                                       for u, vec in eng.image_vectors(v, words).items()]
-                for j, x in img:
-                    row[j] += c * x
-            out.append([x % p for x in row])
-        return out
-
-    def rank(self, group, words) -> int:
-        """Rank mod p of the group's symmetrized monomials at the words."""
-        from ._modular import rank_mod_p
-
-        return rank_mod_p(self.rows([self.monomial(mo) for mo in group], words), self.p)
 
 
 def _relation_generators(t: FullBinaryTree, b: Braiding) -> list[tuple[int, Callable]]:

@@ -421,9 +421,9 @@ def test_the_prime_loop_ends(rng, monkeypatch, capsys, fallbacks):
 
 def test_certified_rank_on_fixture_matrix_blocks(monkeypatch, fallbacks):
     # Every oracle block of the fixture matrix at cap 5 is certified mod p,
-    # with the same rank as exact elimination.  (Its verify_type blocks are
-    # ranked in F_p and reach this route only on a shortfall; their exact
-    # ranks are compared in test_screen_rank_equals_exact_rank_on_fixtures.)
+    # with the same rank as exact elimination.  (Its monomials are proven
+    # independent by their leading words, and reach this route only where
+    # those differ from the basis words, which on no fixture they do.)
     from nichols2 import nicholscore
     from nichols2.braidedalg import clear_caches
     from nichols2.classify import run_fixture_matrix
@@ -448,6 +448,41 @@ def test_certified_rank_on_fixture_matrix_blocks(monkeypatch, fallbacks):
         assert all(type(c) is int for row in rows for vec in row for c in vec)
         if rows and rows[0]:
             assert len(_bareiss_rank(rows, conductor)[0]) == rank
+
+
+def test_pivot_rows_raise_the_rank_of_the_rows_before_them(rng):
+    # On square integer blocks at conductors 1 to 30, rank-deficient and
+    # full, the pivot rows are exactly the rows that raise the exact rank of
+    # the rows before them, by fraction-free elimination of every prefix.
+    # A square block meets the `_linalg` docstring's precondition: every
+    # nonzero row is a pivot, or the rank is below both dimensions.
+    deficient = 0
+    for trial in range(300):
+        n = trial % 30 + 1
+        deg, pmul = euler_phi(n), vector_product(n)
+        size = rng.randrange(1, 6)
+
+        def entry():
+            return [rng.randrange(-3, 4) if rng.random() < 0.7 else 0 for _ in range(deg)]
+
+        rows = [[tuple(entry()) for _ in range(size)] for _ in range(size)]
+        if trial % 4:
+            # Every row a combination of fewer base rows, some coefficients 0.
+            base = rows[:rng.randrange(size)]
+            rows = []
+            for _ in range(size):
+                row = [[0] * deg for _ in range(size)]
+                for brow in base:
+                    c = entry()
+                    row = [[x + y for x, y in zip(acc, pmul(c, e))] for acc, e in zip(row, brow)]
+                rows.append([tuple(vec) for vec in row])
+        pivot_rows = []
+        rank = exact_rank_vectors(rows, n, pivot_rows)
+        prefix = [0] + [len(_bareiss_rank(rows[:i + 1], n)[0]) for i in range(size)]
+        assert pivot_rows == [i for i in range(size) if prefix[i + 1] > prefix[i]], (n, rows)
+        assert rank == prefix[-1]
+        deficient += rank < size
+    assert 225 <= deficient < 300
 
 
 def _eliminate_mod(mat, p: int):

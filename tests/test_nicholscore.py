@@ -308,7 +308,7 @@ def test_hilbert_prefix_matches_full_block_rank(rng):
 
 
 def test_column_words_select_full_rank_columns():
-    # The oracle ranks each bidegree on the words (j,) + u for the pivot
+    # The oracle ranks each bidegree on the words u + (j,) for the pivot
     # column words u of the bidegrees below, and passes its own pivot
     # column words up.  In the block over every word, the columns at those
     # words must be independent and have the full rank.
@@ -351,57 +351,10 @@ def test_dim_at_degree_on_a_cold_engine():
     assert max(len(w) for w in _engine(cartan_a2()).cache) == 9
 
 
-def _root_map(screen):
-    """(p, w) of a monomial screen, with w checked to be a root of Phi_N mod p."""
-    from nichols2.cyclotomic import cyclotomic_polynomial
-
-    p, powers = screen.p, screen.powers
-    w = powers[1] if len(powers) > 1 else 1
-    n = screen.eng.conductor
-    assert sum(c * pow(w, i, p) for i, c in enumerate(cyclotomic_polynomial(n))) % p == 0
-    assert list(powers) == [pow(w, i, p) for i in range(len(powers))]
-    return p, w
-
-
-def test_screen_rows_are_the_exact_rows_mod_p(rng):
-    # The F_p rows must be the exact symmetrizer rows under z -> w: random
-    # root braidings up to conductor 30, random homogeneous polynomials with
-    # integral coefficients in Z[zeta_N], every word of their bidegree.
-    from conftest import random_root_braiding
-    from nichols2.braidedalg import _engine
-    from nichols2.cyclotomic import CycNum
-    from nichols2.nicholscore import _MonomialScreen
-
-    checked = 0
-    for _ in range(40):
-        b = random_root_braiding(rng, 30)
-        eng = _engine(b)
-        screen = _MonomialScreen(TREES[1], b, eng)
-        p, w = _root_map(screen)
-        m = rng.randrange(1, 6)
-        r = rng.randrange(m + 1)
-        words = [u for u in itertools.product((1, 2), repeat=m) if u.count(1) == r]
-        terms = {}
-        for v in rng.sample(words, rng.randrange(1, len(words) + 1)):
-            terms[v] = CycNum(eng.conductor, [rng.randrange(-9, 10) for _ in range(eng.deg)])
-        rho = NCPoly(terms)
-        exact = eng.symmetrize(rho, eng.conductor, set(words))
-
-        def at_w(vec):
-            return sum(c * pow(w, i, p) for i, c in enumerate(vec)) % p
-
-        poly = screen.poly(rho)
-        assert poly == {v: at_w(c.coeffs) for v, c in rho.terms.items() if at_w(c.coeffs)}
-        want = [at_w(exact.get(u, (0,) * eng.deg)) for u in words]
-        assert screen.rows([poly], words) == [want], b
-        checked += any(want)
-    assert checked >= 30
-
-
 def test_tau0_coefficients_are_integral_at_the_engine_conductor():
-    # The screen and the exact rank take integer coordinates only: on every
-    # family sample, each coefficient of tau0 on a PBW generator node of its
-    # own tree has int coordinates at the engine's conductor.
+    # The exact rank takes integer coordinates only: on every family sample,
+    # each coefficient of tau0 on a PBW generator node of its own tree has
+    # int coordinates at the engine's conductor.
     from nichols2.braidedalg import _engine
     from nichols2.classify import fixtures
 
@@ -412,28 +365,107 @@ def test_tau0_coefficients_are_integral_at_the_engine_conductor():
                 assert all(type(x) is int for x in c._lift(conductor)), (n, a, c)
 
 
-def test_screen_rank_equals_exact_rank_on_fixtures():
-    # On every bidegree group of every family sample at cap 6, the monomials
-    # mod p are evaluate_monomial mod p and the rank mod p is the exact rank.
+def colex_leads(t, b, n):
+    """The colex-largest word of tau0 at each extended inner node of weight
+    at most n, as `verify_type` reads it."""
+    return {a: max(tau0(t, b, a).terms, key=lambda w: w[::-1])
+            for a in t.nbar2() if t.weight(a) <= n}
+
+
+def test_leading_words_are_the_oracle_basis_words():
+    # On every family sample through degree 8, at every bidegree, the
+    # monomials' leading words are distinct and are the oracle's basis
+    # words, so the word comparison alone proves each fixture's independence.
+    # Each leading word is that of the expanded monomial (step 2 of the
+    # nicholscore docstring), checked through degree 6.
     from nichols2.braidedalg import _engine
     from nichols2.classify import fixtures
-    from nichols2.nicholscore import (_MonomialScreen, _exact_monomial_rank,
-                                      _monomials_by_bidegree)
+    from nichols2.nicholscore import _leading_word, _monomials_by_bidegree
 
-    groups = 0
+    bidegrees = 0
     for (n, _), b in sorted(fixtures().items()):
         t = TREES[n]
-        hilbert_prefix(b, 6)
-        eng = _engine(b)
-        screen = _MonomialScreen(t, b, eng)
-        for bideg, group in _monomials_by_bidegree(t, pbw_monomials(t, b, 6)).items():
-            for mo in group:
-                assert screen.monomial(mo) == screen.poly(evaluate_monomial(t, b, mo))
-            words = eng.pivot_cols[bideg]
-            assert (screen.rank(group, words)
-                    == _exact_monomial_rank(t, b, eng, group, words)), (n, bideg)
-            groups += 1
-    assert groups > 400
+        hilbert_prefix(b, 8)
+        leads = colex_leads(t, b, 8)
+        groups = _monomials_by_bidegree(t, pbw_monomials(t, b, 8))
+        for (r, s), basis in _engine(b).pivot_words.items():
+            if 2 <= r + s <= 8:
+                words = [_leading_word(mo, leads) for mo in groups.get((r, s), [])]
+                assert len(set(words)) == len(words), (n, r, s)
+                assert sorted(words) == sorted(basis), (n, r, s)
+                bidegrees += 1
+        for mo in pbw_monomials(t, b, 6):
+            poly = evaluate_monomial(t, b, mo)
+            assert max(poly.terms, key=lambda w: w[::-1]) == _leading_word(mo, leads), (n, mo)
+    assert bidegrees > 1000
+
+
+def test_generator_leading_words_are_the_lyndon_words():
+    # The colex-largest word of tau0 at a node is its Lyndon word gamma,
+    # read backwards with the letters a -> x2 and b -> x1 (as tau0 seeds
+    # them), at every node of weight at most 9 of every family sample.
+    from nichols2.classify import fixtures
+    from nichols2.lyndon import gamma
+
+    nodes = 0
+    for (n, _), b in sorted(fixtures().items()):
+        t = TREES[n]
+        lyndon = gamma(t)
+        for a, lead in colex_leads(t, b, 9).items():
+            assert lead == tuple(2 - x for x in reversed(lyndon[a].letters())), (n, a)
+            nodes += 1
+    assert nodes == 194
+
+
+# The (family sample, tree) pairs of the type-verification gate whose
+# monomial counts match the oracle through degree 5 but whose leading words
+# differ from its basis words at some bidegree.
+_WORDS_DIFFER = {
+    ((8, 1), 14), ((8, 1), 20), ((8, 1), 21), ((8, 4), 14), ((11, 1), 14),
+    ((13, 1), 14), ((13, 1), 20), ((13, 1), 21), ((14, 1), 8), ((14, 1), 11),
+    ((14, 1), 13), ((14, 1), 19), ((19, 1), 14), ((19, 1), 20), ((19, 1), 21),
+    ((20, 1), 8), ((21, 1), 8), ((21, 1), 11), ((21, 1), 13), ((21, 1), 19),
+}
+
+
+def test_word_check_on_every_fixture_and_tree(monkeypatch):
+    # Over the pairs of the type-verification gate, the words differ only on
+    # the pinned pairs.  The exact rank then decides each such bidegree:
+    # every pinned pair is found dependent, every "dependent" verdict is an
+    # exact rank below its group's size, and 11 groups whose words differ
+    # are independent all the same.
+    from nichols2 import nicholscore
+    from nichols2.classify import fixtures
+
+    exact = nicholscore._exact_monomial_rank
+    ranks = []  # (rank, group size) per exact rank of the current pair
+
+    def recording(t, b, eng, group, words):
+        ranks.append((exact(t, b, eng, group, words), len(group)))
+        return ranks[-1][0]
+
+    monkeypatch.setattr(nicholscore, "_exact_monomial_rank", recording)
+    differ, dependent, independent = set(), set(), 0
+    for key, b in sorted(fixtures().items()):
+        for n, t in sorted(TREES.items()):
+            ranks.clear()
+            try:
+                verdict = verify_type(t, b, 5)
+            except NicholsError:
+                assert not ranks
+                continue
+            if ranks:
+                differ.add((key, n))
+            if "dependent" in (verdict.detail or ""):
+                dependent.add((key, n))
+                rank, size = ranks[-1]
+                assert rank < size and f"(rank {rank} of {size})" in verdict.detail
+                independent += len(ranks) - 1
+            else:
+                assert all(rank == size for rank, size in ranks)
+                independent += len(ranks)
+    assert differ == dependent == _WORDS_DIFFER
+    assert independent == 11
 
 
 def test_fixture_matrix_builds_no_exact_monomial_rows(monkeypatch):
@@ -453,12 +485,12 @@ def test_fixture_matrix_builds_no_exact_monomial_rows(monkeypatch):
 
 
 def test_exact_rows_decide_every_shortfall(monkeypatch):
-    # With the screen reporting a shortfall on every group, the exact rows
-    # decide everything; the verdicts, dependent ones included, must not
-    # change.
+    # With the leading words differing from the basis words on every group,
+    # the exact rows decide everything; the verdicts, dependent ones
+    # included, must not change.
     from nichols2 import nicholscore
     from nichols2.classify import fixtures
-    from nichols2.nicholscore import _MonomialScreen, exact_rank_vectors
+    from nichols2.nicholscore import exact_rank_vectors
 
     def verdicts():
         out = []
@@ -470,17 +502,17 @@ def test_exact_rows_decide_every_shortfall(monkeypatch):
                     out.append(str(exc))
         return out
 
-    screened = verdicts()
+    compared = verdicts()
     blocks = []
 
     def recording(rows, conductor, pivot_rows=None, pivot_cols=None):
         blocks.append(rows)
         return exact_rank_vectors(rows, conductor, pivot_rows, pivot_cols)
 
-    monkeypatch.setattr(_MonomialScreen, "rank", lambda self, group, words: 0)
+    monkeypatch.setattr(nicholscore, "_leading_word", lambda mono, leads: ())
     monkeypatch.setattr(nicholscore, "exact_rank_vectors", recording)
-    assert verdicts() == screened
+    assert verdicts() == compared
     # The exact monomial rows, like the oracle's, have integer coordinates.
     assert blocks and all(type(c) is int for rows in blocks for row in rows
                           for vec in row for c in vec)
-    assert sum("dependent" in (v.detail or "") for v in screened if not isinstance(v, str)) == 11
+    assert sum("dependent" in (v.detail or "") for v in compared if not isinstance(v, str)) == 11
