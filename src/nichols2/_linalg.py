@@ -45,8 +45,7 @@ after a row that is independent over Q(zeta_N) but not mod p.)
 from __future__ import annotations
 
 
-def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None,
-                       pivot_cols: list[int] | None = None) -> int:
+def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None) -> int:
     """Rank of a matrix whose entries are integer coordinate vectors at a
     fixed conductor (elements of Z[zeta_N]).  A rank found mod p is
     returned only with two certificates (see the module docstring): a
@@ -57,20 +56,17 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
 
     If pivot_rows is given, its contents are replaced by the sorted input
     indices of the pivot rows: those rows are independent and span the
-    row space.  Likewise pivot_cols receives the sorted indices of the
-    pivot columns, which are independent and span the column space.  If
-    every nonzero row is a pivot or the rank is below both dimensions, the
-    pivot rows are exactly the rows that raise the rank of the rows before
-    them (module docstring).
+    row space.  If every nonzero row is a pivot or the rank is below both
+    dimensions, they are exactly the rows that raise the rank of the rows
+    before them (module docstring).
     """
-    found = ([], [])
+    found = []
     if rows and rows[0]:
         # Imported on the first rank, so that commands which never rank do
         # not load the modular route.
         from ._modular import certified_rank
 
         found = certified_rank(rows, conductor)
-    for pivots, indices in zip((pivot_rows, pivot_cols), found):
-        if pivots is not None:
-            pivots[:] = indices
-    return len(found[0])
+    if pivot_rows is not None:
+        pivot_rows[:] = found
+    return len(found)

@@ -140,11 +140,11 @@ def _unpack(x: int, n: int, step: int) -> list[int]:
 
 def _eliminate(rows, n_cols: int, p: int, step: int):
     """Elimination over F_p of packed rows, one row at a time in input order:
-    (pivot rows, their pivot columns, {dependent row: its coefficients on
-    the pivot rows, in their order})."""
+    (pivot rows, {dependent row: its coefficients on the pivot rows, in
+    their order})."""
     bits, mask = 8 * step, (1 << 8 * step) - 1
     basis = []  # (bit offset of its pivot slot, reduced row with 1 there)
-    prows, pcols, zero_combs = [], [], {}
+    prows, zero_combs = [], {}
     for i, x in enumerate(rows):
         r = len(basis)
         # Slot n_cols + k carries the coefficient of the k-th pivot row, and
@@ -162,10 +162,9 @@ def _eliminate(rows, n_cols: int, p: int, step: int):
         inv = pow(slots[col], -1, p)
         basis.append((col * bits, _pack([s * inv % p for s in slots], step)))
         prows.append(i)
-        pcols.append(col)
     # 0 = row_i + sum_k comb[k] row_k, so row_i = -sum_k comb[k] row_k.
-    return prows, pcols, {i: [-c % p for c in comb] + [0] * (len(prows) - len(comb))
-                          for i, comb in zero_combs.items()}
+    return prows, {i: [-c % p for c in comb] + [0] * (len(prows) - len(comb))
+                   for i, comb in zero_combs.items()}
 
 
 def _rational_lift(a: int, m: int, bound: int) -> tuple[int, int] | None:
@@ -186,12 +185,11 @@ def _rational_lift(a: int, m: int, bound: int) -> tuple[int, int] | None:
 _MAX_PRIMES = 64
 
 
-def certified_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
-    """(pivot rows, pivot columns) of integer rows, certified at one or more
-    split primes (see the `_linalg` docstring): the rows independent of the
-    rows before them modulo the prime that certified, and their pivot
-    columns there.  Raises
-    ArithmeticError if _MAX_PRIMES primes do not certify."""
+def certified_rank(rows, conductor: int) -> list[int]:
+    """The pivot rows of integer rows, certified at one or more split primes
+    (see the `_linalg` docstring): the rows independent of the rows before
+    them modulo the prime that certified.  Raises ArithmeticError if
+    _MAX_PRIMES primes do not certify."""
     n_rows, n_cols = len(rows), len(rows[0])
     # A zero row is never a pivot row and lies in every span.
     live = [i for i, row in enumerate(rows) if any(map(any, row))]
@@ -201,9 +199,9 @@ def certified_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
         mod_p = _at_prime(rows, n_cols, p, powers, vinv)
         if mod_p is None:
             continue
-        prows, pcols, residues = mod_p
+        prows, residues = mod_p
         if residues is None:
-            return [live[k] for k in prows], sorted(pcols)
+            return [live[k] for k in prows]
         # Reduction mod p can only lose pivot rows or move them later, so the
         # smallest key is the best, and primes of a larger key are bad.
         key = (-len(prows), prows)
@@ -217,13 +215,13 @@ def certified_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
         deps = sorted(set(range(len(rows))).difference(prows))
         lifted = _lift(acc, m, deps, len(prows), len(vinv))
         if lifted is not None and _spans(rows, conductor, prows, lifted):
-            return [live[k] for k in prows], sorted(pcols)
+            return [live[k] for k in prows]
     raise ArithmeticError(f"no certified rank for a {n_rows} x {n_cols} block at conductor "
                           f"{conductor} in {_MAX_PRIMES} split primes")
 
 
 def _at_prime(rows, n_cols: int, p: int, powers, vinv):
-    """(pivot rows, their pivot columns, residues) of integer rows mod p, or
+    """(pivot rows, residues) of integer rows mod p, or
     None where the roots of Phi_N mod p disagree on the pivot rows.  The
     residues, None at full rank, are the power-basis coordinates mod p of
     each other row's coefficients on the pivot rows, flat by (row, pivot
@@ -236,13 +234,13 @@ def _at_prime(rows, n_cols: int, p: int, powers, vinv):
     def at(pw):
         return [sum(c * w for c, w in zip(cs, pw)) for cs in packed]
 
-    prows, pcols, deps = _eliminate(at(powers[0]), n_cols, p, step)
+    prows, deps = _eliminate(at(powers[0]), n_cols, p, step)
     if len(prows) == min(len(rows), n_cols):
-        return prows, pcols, None
+        return prows, None
     # The coefficients of each dependent row on the pivot rows, at every root.
     per_root = [deps]
     for pw in powers[1:]:
-        rs, _, deps = _eliminate(at(pw), n_cols, p, step)
+        rs, deps = _eliminate(at(pw), n_cols, p, step)
         if rs != prows:
             return None
         per_root.append(deps)
@@ -253,7 +251,7 @@ def _at_prime(rows, n_cols: int, p: int, powers, vinv):
         coords = [_unpack(sum(v * x for v, x in zip(vrow, values)), len(prows), step)
                   for vrow in vinv]
         residues += [a % p for vec in zip(*coords) for a in vec]
-    return prows, pcols, residues
+    return prows, residues
 
 
 def _lift(residues, m: int, deps: list[int], rank: int, deg: int):

@@ -297,10 +297,8 @@ class _SymEngine:
     polynomial.
 
     pivot_words maps each bidegree the rank oracle has reached to words
-    whose classes form a basis of that graded piece, and pivot_cols maps it
-    to the words of the pivot columns of its rank, whose images under the
-    symmetrizer of the transposed braiding form a basis of that piece of
-    its quotient (both filled by `nicholscore.dim_at_degree`).
+    whose classes form a basis of that graded piece (filled by
+    `nicholscore.dim_at_degree`).
     """
 
     def __init__(self, b: Braiding):
@@ -321,7 +319,6 @@ class _SymEngine:
         self._vec_cache: dict[int, tuple[int, ...]] = {}
         self._bits = 0  # the slot width B, set by the first image
         self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
-        self.pivot_cols: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         e11, e12, e21, e22 = self.exps
         # Exponent of chi(e_i, e_j) in the root group, indexed [i][j].
         self._chi_exp = {(1, 1): e11, (1, 2): e12, (2, 1): e21, (2, 2): e22}

@@ -255,14 +255,19 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
                 if skipped:
                     notes.append(f"{skipped} relation generators above "
                                  f"degree {degree_cap} not expanded")
-            verified_up_to = min(degree_cap, top_total_degree(tree, b))
-            verdict = verify_type(tree, b, verified_up_to)
-            if verdict.unexercised_nodes:
-                notes.append(f"{len(verdict.unexercised_nodes)} generators lie above "
-                             f"degree {verified_up_to}; their strata were not exercised")
-            if relations_error is None:
-                relations_vanish = all(relation_vanishes(b, rel) for rel in relations
-                                       if rel.total_degree() <= verified_up_to)
+            if None in map(as_root_exponent, b.entries()):
+                # The symmetrizer, behind the oracle and a zero test, takes roots only.
+                notes.append("a braiding entry is not a root of unity; the oracle "
+                             "and the relation zero tests were not run")
+            else:
+                verified_up_to = min(degree_cap, top_total_degree(tree, b))
+                verdict = verify_type(tree, b, verified_up_to)
+                if verdict.unexercised_nodes:
+                    notes.append(f"{len(verdict.unexercised_nodes)} generators lie above "
+                                 f"degree {verified_up_to}; their strata were not exercised")
+                if relations_error is None:
+                    relations_vanish = all(relation_vanishes(b, rel) for rel in relations
+                                           if rel.total_degree() <= verified_up_to)
         adm = is_admissible(tree, b, degree_cap)
     return ClassificationReport(matches, tree, tree_failure, pbw, dim, relations,
                                 verified_up_to, verdict, relations_vanish,

@@ -10,18 +10,21 @@ algebra map to the quantum shuffle algebra (Andruskiewitsch-Schneider,
 basis of degree m - 1, the image of S_m is spanned by the S_m(w x_j), and
 the words of the pivot rows of that matrix form a basis of degree m.
 
-The columns are reduced the same way.  The coefficient of u in S_m(v) is
-the coefficient of v in S_m'(u), where S_m' is the symmetrizer of the
-transposed braiding (q11, q21, q12, q22); so the columns are S_m'-images,
-and by the same ideal argument they are spanned by the columns at u x_j
-for words u whose S_m'-images form a basis one degree down.  The pivot
-columns of a rank are such words.  Rows spanning the row space and
-columns spanning the column space give a submatrix of full rank, whose
-pivot rows are still basis words.  Each bidegree (r, s) therefore ranks
-a square block: the candidates w.1 and w.2 for the basis words w of
-(r - 1, s) and (r, s - 1), at the columns u.1 and u.2 for their pivot
-column words u.  Both word lists are kept per braiding, so a degree is
-computed from the degree below it.
+The columns are reduced through the word reversal R.
+
+a. The coefficient of u in S_m(v) is that of R(v) in S_m(R(u)).  With
+   S_m' the symmetrizer of the transposed braiding (q11, q21, q12, q22),
+   the matrix of S_m' is the transpose of that of S_m, and R S_m = S_m' R.
+b. So columns at words U span the column space exactly when the words
+   R(U) span the graded piece, as R(w) x_j do for the basis words w one
+   degree down: their reversals x_j w span, the ideal being two-sided.
+c. A combination of rows that vanishes on columns spanning the column
+   space vanishes on all, so the block keeps the rank and pivot rows.
+
+Each bidegree (r, s) therefore ranks a square block: the candidates w.1
+and w.2 for the basis words w of (r - 1, s) and (r, s - 1), at the columns
+R(w).1 and R(w).2.  Only the basis words are kept per braiding, so a
+degree is computed from the degree below it.
 
 Every rank is exact (`_linalg.exact_rank_vectors`).  It is found modulo a
 prime p = 1 (mod N) and reported only with two certificates: a nonzero
@@ -76,35 +79,33 @@ from .fbtree import FullBinaryTree
 from .admissibility import NicholsError, generator_height, mu_of, p_of
 
 
-def _pivot_words(eng, r: int, s: int) -> tuple[list, list]:
-    """Basis words of the bidegree-(r, s) piece and the words of the pivot
-    columns of its rank, from those of the two bidegrees below it (which
-    must be known).  The candidates w.j come in colex order, so the basis
-    words are the standard words (module docstring, step 1)."""
+def _pivot_words(eng, r: int, s: int) -> list:
+    """Basis words of the bidegree-(r, s) piece, from those of the two
+    bidegrees below it (which must be known): the pivot rows among the
+    candidates w.j, at the columns R(w).j (module docstring, steps a-c).
+    The candidates come in colex order, so the basis words are the standard
+    words (module docstring, step 1)."""
     cands, cols = [], []
-    if r:
-        cands += [w + (1,) for w in eng.pivot_words[(r - 1, s)]]
-        cols += [u + (1,) for u in eng.pivot_cols[(r - 1, s)]]
-    if s:
-        cands += [w + (2,) for w in eng.pivot_words[(r, s - 1)]]
-        cols += [u + (2,) for u in eng.pivot_cols[(r, s - 1)]]
+    for j, below in ((1, (r - 1, s)), (2, (r, s - 1))):
+        if min(below) >= 0:
+            cands += [w + (j,) for w in eng.pivot_words[below]]
+            cols += [w[::-1] + (j,) for w in eng.pivot_words[below]]
     if not cands:
-        return [], []
+        return []
     zero = (0,) * eng.deg
     rows = []
     for w in cands:
         img = eng.image_vectors(w, cols)
         rows.append([img.get(u, zero) for u in cols])
     pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    exact_rank_vectors(rows, eng.conductor, pivot_rows=pivot_rows, pivot_cols=pivot_cols)
-    return [cands[i] for i in pivot_rows], [cols[j] for j in pivot_cols]
+    exact_rank_vectors(rows, eng.conductor, pivot_rows=pivot_rows)
+    return [cands[i] for i in pivot_rows]
 
 
 def dim_at_degree(b: Braiding, m: int) -> int:
     """Exact dimension of the degree-m piece: the symmetrizer rank, taken
-    over the spanning set w.x_j built from the basis words of degree m - 1,
-    at the columns u.x_j built from its pivot column words.
+    over the spanning set w.x_j built from the basis words w of degree
+    m - 1, at the columns R(w).x_j of the reversed words.
     Lower degrees not yet known for this braiding are computed first, and
     a zero degree makes every higher one zero."""
     if m < 0:
@@ -114,7 +115,7 @@ def dim_at_degree(b: Braiding, m: int) -> int:
     for d in range(1, m + 1):
         for r in range(d + 1):
             if (r, d - r) not in known:
-                known[(r, d - r)], eng.pivot_cols[(r, d - r)] = _pivot_words(eng, r, d - r)
+                known[(r, d - r)] = _pivot_words(eng, r, d - r)
         if not any(known[(r, d - r)] for r in range(d + 1)):
             return 0  # every higher degree is spanned from this empty one
     return sum(len(known[(r, m - r)]) for r in range(m + 1))
@@ -225,7 +226,7 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
     A bidegree's monomials are independent if their colex-largest words are
     distinct and are the oracle's basis words (module docstring).  Only a
     bidegree whose words differ is decided by the exact rank of its
-    symmetrized monomials."""
+    symmetrized monomials, at the columns of its reversed basis words."""
     monos = pbw_monomials(t, b, n)
     counts = count_by_degree(monos, n)
     dims = hilbert_prefix(b, n)
@@ -242,7 +243,7 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
         words = {_leading_word(mo, leads) for mo in group}
         if len(words) == len(group) and words == set(eng.pivot_words[bideg]):
             continue
-        rank = _exact_monomial_rank(t, b, eng, group, eng.pivot_cols[bideg])
+        rank = _exact_monomial_rank(t, b, eng, group, [w[::-1] for w in eng.pivot_words[bideg]])
         if rank != len(group):
             m = bideg[0] + bideg[1]
             return TypeVerdict(False, m,
@@ -269,7 +270,8 @@ def _monomials_by_bidegree(t: FullBinaryTree, monos) -> dict[tuple[int, int], li
 
 
 def _exact_monomial_rank(t: FullBinaryTree, b: Braiding, eng, group, words) -> int:
-    """Exact rank of the symmetrized monomials at the column words."""
+    """Exact rank of the symmetrized monomials at the column words, whose
+    reversals must span the graded piece (module docstring, step b)."""
     zero = (0,) * eng.deg
     cols = set(words)
     rows = []

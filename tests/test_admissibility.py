@@ -174,6 +174,20 @@ def test_is_admissible_examples():
     assert any(cond == "branching" for cond, _, _ in rep.failures)
 
 
+@pytest.mark.parametrize("cond, why, n, exps, node", [
+    ("p-not-minus-one", "p_a = -1 with inner left child", 4, (0, 0, 3), 0),
+    ("q-factorial", "[2]! at p_c vanishes", 3, (0, 0, 3), 2),
+    ("q-factorial", "[3]! at p_c vanishes", 5, (0, 0, 2), 3),
+    ("mixed-relation", "nu does not vanish", 4, (0, 0, 1), 4),
+    ("mixed-relation", "vanishing [2]_{p_f} denominator at node 4", 4, (3, 0, 1), 4),
+])
+def test_is_admissible_failure_kinds(cond, why, n, exps, node):
+    # One witness per failure kind, on (z6^a, z6^c, 1, z6^d) for exps (a, c, d).
+    a, c, d = (root_of_unity(k, 6) for k in exps)
+    rep = is_admissible(TREES[n], Braiding(a, c, ONE, d), 64)
+    assert (cond, node, why) in rep.failures
+
+
 def test_reconstruct_examples():
     assert reconstruct_tree(cartan_a2()) == TREES[2]
     assert reconstruct_tree(Braiding(MINUS_ONE, ONE, ONE, MINUS_ONE)) == TREES[1]

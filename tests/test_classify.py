@@ -133,6 +133,23 @@ def test_classify_cartan_report():
     assert doc["verified_up_to"] == 8 and rep.verify_holds
 
 
+def test_classify_reports_a_braiding_whose_q12_and_q21_are_not_roots():
+    # q12 q21 is a root of unity, so the braiding matches and grows a tree,
+    # but the symmetrizer oracle and the zero tests take roots only: the
+    # report skips them and says so.
+    two, half = CycNum.from_rational(2), CycNum.from_rational(Fraction(1, 2))
+    z3 = root_of_unity(1, 3)
+    for b, kind, tree, dim in ((Braiding(MINUS_ONE, two, half, MINUS_ONE), [1, 1], "L", 4),
+                               (Braiding(z3, two * z3 ** 2, half, z3), [2, 1], "(L L)", 27)):
+        rep = classify_full(b, degree_cap=8)
+        doc = rep.to_json_dict()
+        assert doc["type"] == [kind] and doc["tree"] == tree and doc["dimension"] == dim
+        assert rep.verdict is None and rep.relations_vanish is None
+        assert rep.verify_holds is None and doc["verified_up_to"] == 0
+        assert doc["relations"] and doc["admissibility"]["admissible"]
+        assert "a braiding entry is not a root of unity" in doc["notes"][-1]
+
+
 def test_classify_no_match_still_reports_tree():
     z5 = root_of_unity(1, 5)
     rep = classify_full(Braiding(z5, z5, ONE, z5), degree_cap=4, weight_cap=12)

@@ -27,13 +27,13 @@ def _integer_rows(rows) -> list:
     return cleaned
 
 
-def lifted_rank(matrix, pivot_rows=None, pivot_cols=None):
+def lifted_rank(matrix, pivot_rows=None):
     """Rank of a matrix of cyclotomic scalars: every entry is lifted to the
     common conductor, rows with rational coordinates are scaled to integer
     ones, and the coordinate vectors are eliminated."""
     conductor = common_conductor(matrix)
     rows = _integer_rows([[entry._lift(conductor) for entry in row] for row in matrix])
-    return exact_rank_vectors(rows, conductor, pivot_rows=pivot_rows, pivot_cols=pivot_cols)
+    return exact_rank_vectors(rows, conductor, pivot_rows=pivot_rows)
 
 
 def common_conductor(matrix):
@@ -44,9 +44,9 @@ def common_conductor(matrix):
     return conductor
 
 
-def _bareiss_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
-    """(sorted pivot rows, pivot columns) of integer rows by fraction-free
-    elimination; the input rows are left as they are."""
+def _bareiss_rank(rows, conductor: int) -> list[int]:
+    """The sorted pivot rows of integer rows by fraction-free elimination;
+    the input rows are left as they are."""
     rows = [list(row) for row in rows]
     pmul = vector_product(conductor)
     n_rows, n_cols = len(rows), len(rows[0])
@@ -55,7 +55,6 @@ def _bareiss_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
         return sum(c.bit_length() if c >= 0 else (-c).bit_length() for c in vec)
 
     order = list(range(n_rows))  # input index of the row now at each position
-    pivot_cols = []
     rank = 0
     prev_inv = None  # (W, r): previous pivot inverse as W / r
     col = 0
@@ -94,17 +93,16 @@ def _bareiss_rank(rows, conductor: int) -> tuple[list[int], list[int]]:
                     t = _exact_div(t, d)
                 row[j] = t
         prev_inv = vector_inverse(conductor, pivot)
-        pivot_cols.append(col)
         rank += 1
         col += 1
-    return sorted(order[:rank]), pivot_cols
+    return sorted(order[:rank])
 
 
 def bareiss_rank(matrix):
     """The exact-elimination reference on the same lifted rows."""
     conductor = common_conductor(matrix)
     rows = [[entry._lift(conductor) for entry in row] for row in matrix]
-    return len(_bareiss_rank(_integer_rows(rows), conductor)[0])
+    return len(_bareiss_rank(_integer_rows(rows), conductor))
 
 
 @pytest.fixture
@@ -229,49 +227,13 @@ def test_pivot_rows_index_an_independent_spanning_subset(rng):
     assert reordered > 0
 
 
-def test_pivot_cols_index_an_independent_spanning_subset(rng):
-    reordered = 0
-    for trial in range(60):
-        rows = rng.randrange(1, 7)
-        cols = rng.randrange(2, 8)
-        m = random_matrix(rng, rows, cols)
-        # A zero first column, or a column dependent on the ones before it
-        # (a sum, a multiple, or zero), is not a pivot column.
-        k = rng.randrange(1, cols)
-        choice = trial % 4
-        if choice == 0:
-            for row in m:
-                row[0] = ZERO
-        elif choice == 1:
-            i, j = rng.randrange(k), rng.randrange(k)
-            for row in m:
-                row[k] = row[i] + row[j]
-        elif choice == 2:
-            c = root_of_unity(rng.randrange(12), 12)
-            i = rng.randrange(k)
-            for row in m:
-                row[k] = c * row[i]
-        else:
-            for row in m:
-                row[k] = ZERO
-        pivots = [-1, 99]  # replaced, not appended to
-        rank = lifted_rank(m, pivot_cols=pivots)
-        assert rank == lifted_rank(m) == naive_rank(m)
-        assert pivots == sorted(set(pivots)) and len(pivots) == rank
-        assert all(0 <= j < cols for j in pivots)
-        sub = [[row[j] for j in pivots] for row in m]
-        assert lifted_rank(sub) == naive_rank(sub) == rank
-        reordered += pivots != list(range(rank))
-    assert reordered > 0
-
-
 def test_pivot_rows_of_empty_and_zero_matrices():
-    pivots, cols = [3], [4]
-    assert exact_rank_vectors([], 12, pivot_rows=pivots, pivot_cols=cols) == 0
-    assert pivots == [] and cols == []
-    pivots, cols = [3], [4]
-    assert lifted_rank([[ZERO, ZERO], [ZERO, ZERO]], pivot_rows=pivots, pivot_cols=cols) == 0
-    assert pivots == [] and cols == []
+    pivots = [3]
+    assert exact_rank_vectors([], 12, pivot_rows=pivots) == 0
+    assert pivots == []
+    pivots = [3]
+    assert lifted_rank([[ZERO, ZERO], [ZERO, ZERO]], pivot_rows=pivots) == 0
+    assert pivots == []
 
 
 def random_cyclotomic(rng, n):
@@ -283,11 +245,10 @@ def random_cyclotomic(rng, n):
     return out
 
 
-def assert_valid_pivots(m, rank, pivot_rows, pivot_cols):
-    assert len(pivot_rows) == len(pivot_cols) == rank
-    assert pivot_rows == sorted(set(pivot_rows)) and pivot_cols == sorted(set(pivot_cols))
+def assert_valid_pivots(m, rank, pivot_rows):
+    assert len(pivot_rows) == rank
+    assert pivot_rows == sorted(set(pivot_rows))
     assert naive_rank([m[i] for i in pivot_rows]) == rank
-    assert naive_rank([[row[j] for j in pivot_cols] for row in m]) == rank
 
 
 @pytest.mark.parametrize("n", [12, 30])
@@ -305,10 +266,10 @@ def test_certified_rank_with_cyclotomic_dependencies(rng, fallbacks, n):
             ca = random_cyclotomic(rng, n)
             m.append([ca * x + cb * y for x, y in zip(m[a], m[b])])
         rows = len(m)
-        pivot_rows, pivot_cols = [], []
-        rank = lifted_rank(m, pivot_rows, pivot_cols)
+        pivot_rows = []
+        rank = lifted_rank(m, pivot_rows)
         assert rank == bareiss_rank(m) == naive_rank(m)
-        assert_valid_pivots(m, rank, pivot_rows, pivot_cols)
+        assert_valid_pivots(m, rank, pivot_rows)
         deficient += rank < min(rows, cols)
     assert deficient > 0
     assert fallbacks == []
@@ -321,10 +282,10 @@ def test_certified_rank_of_fraction_rows(rng, fallbacks):
         q = CycNum.from_rational(Fraction(rng.randrange(1, 9), rng.randrange(2, 9)))
         m[-1] = [q * x + y for x, y in zip(m[0], m[rng.randrange(rows)])]
         assert any(c.denominator != 1 for row in m for e in row for c in e._lift(12))
-        pivot_rows, pivot_cols = [], []
-        rank = lifted_rank(m, pivot_rows, pivot_cols)
+        pivot_rows = []
+        rank = lifted_rank(m, pivot_rows)
         assert rank == bareiss_rank(m) == naive_rank(m)
-        assert_valid_pivots(m, rank, pivot_rows, pivot_cols)
+        assert_valid_pivots(m, rank, pivot_rows)
     assert fallbacks == []
 
 
@@ -335,9 +296,9 @@ def test_fallback_when_the_prime_divides_an_entry(fallbacks):
         p = split_prime(n)
         assert p > 2 ** 62 and (p - 1) % n == 0
         entry = (p,) + (0,) * (euler_phi(n) - 1)
-        pivot_rows, pivot_cols = [], []
-        assert exact_rank_vectors([[entry]], n, pivot_rows, pivot_cols) == 1
-        assert pivot_rows == [0] and pivot_cols == [0]
+        pivot_rows = []
+        assert exact_rank_vectors([[entry]], n, pivot_rows) == 1
+        assert pivot_rows == [0]
     assert fallbacks == [2, 2, 2]
 
 
@@ -348,9 +309,9 @@ def test_fallback_when_the_roots_disagree(fallbacks):
     w = split_roots(12)[0][0][1]
     one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
     rows = [[one, zero], [one, (-w, 1, 0, 0)]]
-    pivot_rows, pivot_cols = [], []
-    assert exact_rank_vectors(rows, 12, pivot_rows, pivot_cols) == 2
-    assert pivot_rows == [0, 1] and pivot_cols == [0, 1]
+    pivot_rows = []
+    assert exact_rank_vectors(rows, 12, pivot_rows) == 2
+    assert pivot_rows == [0, 1]
     assert fallbacks == [2]
 
 
@@ -364,10 +325,10 @@ def test_fallback_when_a_dependency_is_too_large_to_lift(rng, fallbacks):
     m = [[random_cyclotomic(rng, 12) for _ in range(4)] for _ in range(2)]
     m.append([big * x + y for x, y in zip(m[0], m[1])])
     m.append([random_cyclotomic(rng, 12) for _ in range(4)])
-    pivot_rows, pivot_cols = [], []
-    rank = lifted_rank(m, pivot_rows, pivot_cols)
+    pivot_rows = []
+    rank = lifted_rank(m, pivot_rows)
     assert rank == naive_rank(m) == 3
-    assert_valid_pivots(m, rank, pivot_rows, pivot_cols)
+    assert_valid_pivots(m, rank, pivot_rows)
     assert fallbacks == [2]
 
 
@@ -382,10 +343,10 @@ def test_certified_rank_lifts_across_primes(rng, fallbacks, bits, primes):
     m = [[random_cyclotomic(rng, 12) for _ in range(4)] for _ in range(2)]
     m.append([big * x + y for x, y in zip(m[0], m[1])])
     m.append([random_cyclotomic(rng, 12) for _ in range(4)])
-    pivot_rows, pivot_cols = [], []
-    rank = lifted_rank(m, pivot_rows, pivot_cols)
+    pivot_rows = []
+    rank = lifted_rank(m, pivot_rows)
     rows = _integer_rows([[e._lift(12) for e in row] for row in m])
-    assert (pivot_rows, pivot_cols) == _bareiss_rank(rows, 12) == ([0, 1, 3], [0, 1, 2])
+    assert pivot_rows == _bareiss_rank(rows, 12) == [0, 1, 3]
     assert rank == bareiss_rank(m) == naive_rank(m) == 3
     assert fallbacks == [primes]
 
@@ -430,8 +391,8 @@ def test_certified_rank_on_fixture_matrix_blocks(monkeypatch, fallbacks):
 
     blocks = []
 
-    def recording(rows, conductor, pivot_rows=None, pivot_cols=None):
-        rank = exact_rank_vectors(rows, conductor, pivot_rows, pivot_cols)
+    def recording(rows, conductor, pivot_rows=None):
+        rank = exact_rank_vectors(rows, conductor, pivot_rows)
         blocks.append((rows, conductor, rank))
         return rank
 
@@ -447,7 +408,7 @@ def test_certified_rank_on_fixture_matrix_blocks(monkeypatch, fallbacks):
         # The oracle hands the rank integer coordinates only.
         assert all(type(c) is int for row in rows for vec in row for c in vec)
         if rows and rows[0]:
-            assert len(_bareiss_rank(rows, conductor)[0]) == rank
+            assert len(_bareiss_rank(rows, conductor)) == rank
 
 
 def test_pivot_rows_raise_the_rank_of_the_rows_before_them(rng):
@@ -478,7 +439,7 @@ def test_pivot_rows_raise_the_rank_of_the_rows_before_them(rng):
                 rows.append([tuple(vec) for vec in row])
         pivot_rows = []
         rank = exact_rank_vectors(rows, n, pivot_rows)
-        prefix = [0] + [len(_bareiss_rank(rows[:i + 1], n)[0]) for i in range(size)]
+        prefix = [0] + [len(_bareiss_rank(rows[:i + 1], n)) for i in range(size)]
         assert pivot_rows == [i for i in range(size) if prefix[i + 1] > prefix[i]], (n, rows)
         assert rank == prefix[-1]
         deficient += rank < size
@@ -487,13 +448,12 @@ def test_pivot_rows_raise_the_rank_of_the_rows_before_them(rng):
 
 def _eliminate_mod(mat, p: int):
     """Reference elimination over F_p, one slot at a time, in input row order:
-    (pivot rows, their pivot columns, dependencies), where dependencies maps
-    each row that reduces to zero to its coefficients on the pivot rows, in
-    their order.
+    (pivot rows, dependencies), where dependencies maps each row that
+    reduces to zero to its coefficients on the pivot rows, in their order.
     """
     n_cols = len(mat[0])
     basis = []  # (pivot column, reduced row with 1 there, its combination of input rows)
-    prows, pcols, zero_combs = [], [], {}
+    prows, zero_combs = [], {}
     for i, row in enumerate(mat):
         x = list(row)
         comb = {i: 1}
@@ -512,10 +472,9 @@ def _eliminate_mod(mat, p: int):
         comb = {k: c * inv % p for k, c in comb.items()}
         basis.append((col, x, comb))
         prows.append(i)
-        pcols.append(col)
     # 0 = row_i + sum_k comb[k] row_k, so row_i = -sum_k comb[k] row_k.
     deps = {i: [-comb.get(k, 0) % p for k in prows] for i, comb in zero_combs.items()}
-    return prows, pcols, deps
+    return prows, deps
 
 
 def packed_elimination(mat, p, deg):
@@ -566,9 +525,9 @@ def test_packed_elimination_of_a_500_row_block():
     m = staircase(499, p)
     m.append([(x + 2 * y) % p for x, y in zip(m[3], m[-1])])
     assert len(m) == 500
-    prows, pcols, deps = packed_elimination(m, p, 8)
-    assert (prows, pcols, deps) == _eliminate_mod(m, p)
-    assert prows == pcols == list(range(499))
+    prows, deps = packed_elimination(m, p, 8)
+    assert (prows, deps) == _eliminate_mod(m, p)
+    assert prows == list(range(499))
     assert deps[499] == [0, 0, 0, 1] + [0] * 494 + [2]
 
 
@@ -588,9 +547,9 @@ def test_exact_check_at_the_digit_bound(fallbacks, n):
         c = [sign * (2 ** 30 - 1)] * deg
         rows.append([[sum(t) for t in zip(*(pmul(c, row[j]) for row in pivots))]
                      for j in range(4)])
-    assert certified_rank(rows, n) == ([0, 1, 2], [0, 1, 2])
+    assert certified_rank(rows, n) == [0, 1, 2]
     pivot_rows = []
-    assert exact_rank_vectors(rows, n, pivot_rows) == 3 == len(_bareiss_rank(rows, n)[0])
+    assert exact_rank_vectors(rows, n, pivot_rows) == 3 == len(_bareiss_rank(rows, n))
     assert pivot_rows == [0, 1, 2] and fallbacks == []
 
 
@@ -603,7 +562,7 @@ def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbac
     ca = random_cyclotomic(rng, 12)
     m.append([ca * x + cb * y for x, y in zip(m[0], m[2])])
     rows = _integer_rows([[e._lift(12) for e in row] for row in m])
-    assert certified_rank(rows, 12)[0] == [0, 1, 2]
+    assert certified_rank(rows, 12) == [0, 1, 2]
     lift = _modular._rational_lift
     calls = []
 
@@ -621,7 +580,7 @@ def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbac
 
     monkeypatch.setattr(_modular, "_rational_lift", off_by_one)
     monkeypatch.setattr(_modular, "_spans", checking)
-    assert certified_rank(rows, 12) == ([0, 1, 2], [0, 1, 2])
+    assert certified_rank(rows, 12) == [0, 1, 2]
     assert checks == [False, True] and fallbacks == [2]
     calls.clear()
     assert lifted_rank(m) == naive_rank(m) == 3
@@ -637,8 +596,8 @@ def test_certified_rank_on_deep_blocks(monkeypatch, fallbacks):
 
     blocks = []
 
-    def recording(rows, conductor, pivot_rows=None, pivot_cols=None):
-        rank = exact_rank_vectors(rows, conductor, pivot_rows, pivot_cols)
+    def recording(rows, conductor, pivot_rows=None):
+        rank = exact_rank_vectors(rows, conductor, pivot_rows)
         blocks.append((rows, conductor, rank))
         return rank
 
@@ -652,4 +611,4 @@ def test_certified_rank_on_deep_blocks(monkeypatch, fallbacks):
     assert fallbacks == []
     assert max(len(rows) for rows, _, _ in blocks) == 25
     for rows, conductor, rank in blocks:
-        assert len(_bareiss_rank(_integer_rows(rows), conductor)[0]) == rank
+        assert len(_bareiss_rank(_integer_rows(rows), conductor)) == rank

@@ -307,11 +307,38 @@ def test_hilbert_prefix_matches_full_block_rank(rng):
         assert list(hilbert_prefix(b, 5)) == full_block_dims(b, 5), b
 
 
+def test_reversal_transposes_the_symmetrizer(rng):
+    # Step a of the nicholscore docstring, entry by entry on random root
+    # braidings: with b' the transposed braiding and R word reversal, the
+    # matrix of S_b' is the transpose of that of S_b, and R S_b = S_b' R;
+    # together, the coefficient of u in S_b(v) is that of R(v) in S_b(R(u)).
+    from conftest import basis_words, random_root_braiding, symmetrizer
+    from nichols2.braidedalg import clear_caches
+
+    entries = 0
+    for _ in range(12):
+        b = random_root_braiding(rng, 30)
+        bt = Braiding(b.q11, b.q21, b.q12, b.q22)
+        for m in range(1, 6):
+            words = basis_words(m)
+            rev = [words.index(w[::-1]) for w in words]
+            s, st = symmetrizer(b, m), symmetrizer(bt, m)
+            for u in range(len(words)):
+                for v in range(len(words)):
+                    assert s[u][v] == st[v][u], (b, words[u], words[v])
+                    assert s[u][v] == st[rev[u]][rev[v]], (b, words[u], words[v])
+                    assert s[u][v] == s[rev[v]][rev[u]], (b, words[u], words[v])
+                    entries += 1
+        clear_caches()
+    assert entries == 12 * sum(4 ** m for m in range(1, 6))
+
+
 def test_column_words_select_full_rank_columns():
-    # The oracle ranks each bidegree on the words u + (j,) for the pivot
-    # column words u of the bidegrees below, and passes its own pivot
-    # column words up.  In the block over every word, the columns at those
-    # words must be independent and have the full rank.
+    # The exact ranks read the columns at reversed words: the oracle at
+    # R(w) + (j,) for the basis words w of the bidegrees below, and
+    # `verify_type` at the reversed basis words of its bidegree.  In the
+    # block over every word, the columns at the reversed basis words must
+    # have the full rank (step b of the nicholscore docstring).
     from nichols2._linalg import exact_rank_vectors
     from nichols2.braidedalg import _engine
     from nichols2.classify import fixtures
@@ -321,13 +348,11 @@ def test_column_words_select_full_rank_columns():
         eng = _engine(b)
         for m in range(7):
             for r in range(m + 1):
-                cols = eng.pivot_cols.get((r, m - r), [])
-                dim = len(eng.pivot_words.get((r, m - r), []))
-                assert len(cols) == dim, (b, r, m - r)
+                basis = eng.pivot_words.get((r, m - r), [])
                 words, rows = full_block(b, r, m - r)
-                at = [words.index(u) for u in cols]
+                at = [words.index(w[::-1]) for w in basis]
                 sub = [[row[j] for j in at] for row in rows]
-                assert exact_rank_vectors(sub, eng.conductor) == dim, (b, r, m - r)
+                assert exact_rank_vectors(sub, eng.conductor) == len(basis), (b, r, m - r)
 
 
 def test_dim_at_degree_on_a_cold_engine():
@@ -505,9 +530,9 @@ def test_exact_rows_decide_every_shortfall(monkeypatch):
     compared = verdicts()
     blocks = []
 
-    def recording(rows, conductor, pivot_rows=None, pivot_cols=None):
+    def recording(rows, conductor, pivot_rows=None):
         blocks.append(rows)
-        return exact_rank_vectors(rows, conductor, pivot_rows, pivot_cols)
+        return exact_rank_vectors(rows, conductor, pivot_rows)
 
     monkeypatch.setattr(nicholscore, "_leading_word", lambda mono, leads: ())
     monkeypatch.setattr(nicholscore, "exact_rank_vectors", recording)
