@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache
+from itertools import combinations
 
 from .cyclotomic import (CycNum, ONE, as_root_exponent, canonical_conductor, euler_phi,
                          root_of_unity, root_vectors, vector_product)
@@ -273,28 +274,39 @@ def _bracket_table(b: Braiding) -> dict:
 
 
 class _SymEngine:
-    """Per-braiding workspace for symmetrizer images.
+    """Per-braiding workspace for symmetrizer entries.
 
     Every braiding entry must be a root of unity, so each twist chi(e_i,
-    e_j) is a power of one root zeta_L, and an image coefficient lies in the
-    group ring of the cyclic group it generates: a sum of powers zeta_L^e
-    with nonnegative multiplicities.  Such a coefficient is packed into one
-    int whose slot e, bits e*B to (e+1)*B - 1, holds the multiplicity of
-    zeta_L^e.  An inverse twist of the symmetrizer rotates the slots, and
-    adding coefficients adds the ints.
+    e_j) is a power of one root zeta_L, and a symmetrizer coefficient lies
+    in the group ring of the cyclic group it generates: a sum of powers
+    zeta_L^e with nonnegative multiplicities.  Such a coefficient is packed
+    into one int whose slot e, bits e*B to (e+1)*B - 1, holds the
+    multiplicity of zeta_L^e.  An inverse twist of the symmetrizer rotates
+    the slots, and adding coefficients adds the ints.
 
-    No slot ever carries into the next.  The image of a word of length m is
-    a sum of m! terms, each a root of unity times a word, so a slot holds at
-    most m!, and the width B is the least multiple of 64 bits with m! < 2^B.
-    All images of one engine share one width; a word too long for it widens
-    the slots and repacks every cached image (first at length 21).
+    The coefficient S(v)_u of a word u in the image of a word v is computed
+    alone, by deleting from v each letter that can stand first in u:
 
-    `cache` holds the packed image of every word imaged so far.  A packed
-    coefficient becomes an integer coordinate vector at self.conductor only
-    where it is read, through `coeff_to_vec`, which converts each distinct
-    packed value once and keeps the result in `_vec_cache`.  `symmetrize`
-    is the one place where those vectors meet the coefficients of a
-    polynomial.
+        S(v)_u = sum over k with v[k] = u[0] of
+                 chi(u[0], deg v[:k])^-1 S(v without letter k)_{u[1:]},
+
+    the first-letter expansion of the symmetrizer.  Callers read a few
+    entries of each word (a rank block reads at most its own number of
+    columns), so only those entries and the ones they recurse into are
+    ever computed.
+
+    No slot ever carries into the next.  S(v)_u for a word v of length m is
+    a sum of at most m! roots of unity, so a slot holds at most m!, and the
+    width B is the least multiple of 64 bits with m! < 2^B.  All entries of
+    one engine share one width; a word too long for it widens the slots and
+    repacks every cached entry (first at length 21).
+
+    `cache[v]` holds the packed entries S(v)_u computed so far, by u.  A
+    packed coefficient becomes an integer coordinate vector at
+    self.conductor only where it is read, through `coeff_to_vec`, which
+    converts each distinct packed value once and keeps the result in
+    `_vec_cache`.  `symmetrize` is the one place where those vectors meet
+    the coefficients of a polynomial.
 
     pivot_words maps each bidegree the rank oracle has reached to words
     whose classes form a basis of that graded piece (filled by
@@ -317,54 +329,54 @@ class _SymEngine:
                            for j in range(self.deg))
         self.cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         self._vec_cache: dict[int, tuple[int, ...]] = {}
-        self._bits = 0  # the slot width B, set by the first image
+        self._bits = 0  # the slot width B, set by the first entry
         self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         e11, e12, e21, e22 = self.exps
         # Exponent of chi(e_i, e_j) in the root group, indexed [i][j].
-        self._chi_exp = {(1, 1): e11, (1, 2): e12, (2, 1): e21, (2, 2): e22}
+        self._chi_exp = (None, (None, e11, e12), (None, e21, e22))
 
     def _widen(self, m: int):
-        """Make the slots wide enough for images of words of length m."""
+        """Make the slots wide enough for entries of words of length m."""
         old, L = self._bits, self.L
         bits = self._bits = 64 * -(-math.factorial(m).bit_length() // 64)
         self._full = (1 << L * bits) - 1
         mask = (1 << old) - 1
-        for img in self.cache.values():
-            for w, c in img.items():
-                img[w] = sum(((c >> e * old) & mask) << e * bits for e in range(L))
+        for row in self.cache.values():
+            for u, c in row.items():
+                row[u] = sum(((c >> e * old) & mask) << e * bits for e in range(L))
         self._vec_cache.clear()
 
-    def image(self, word: tuple[int, ...]) -> dict:
-        """Raw image of a basis word, with packed coefficients."""
-        hit = self.cache.get(word)
-        if hit is None:
-            if math.factorial(len(word)).bit_length() > self._bits:
-                self._widen(len(word))
-            hit = self.cache[word] = self._image(word)
-        return hit
-
-    def _image(self, word):
-        m = len(word)
-        if m <= 1:
-            return {word: 1}
-        L, bits, full = self.L, self._bits, self._full
-        chi_exp = self._chi_exp
-        out: dict = {}
-        get = out.get
-        # Deleting the letter at position k twists by chi(letter, deg
-        # word[:k])^-1; twist[i] is the exponent of chi(e_i, deg word[:k]).
-        twist = {1: 0, 2: 0}
-        for k, letter in enumerate(word):
-            s = -twist[letter] % L
-            low, high = s * bits, (L - s) * bits
-            for tail, c in self.image(word[:k] + word[k + 1:]).items():
-                if s:
-                    c = ((c << low) & full) | (c >> high)
-                w = (letter,) + tail
-                out[w] = get(w, 0) + c
-            twist[1] += chi_exp[(1, letter)]
-            twist[2] += chi_exp[(2, letter)]
-        return out
+    def _entry(self, v: tuple[int, ...], u: tuple[int, ...]) -> int:
+        """Packed S(v)_u for words v and u of one bidegree (class docstring)."""
+        row = self.cache.get(v)
+        if row is None:
+            row = self.cache[v] = {}
+        c = row.get(u)
+        if c is not None:
+            return c
+        if len(v) <= 1:
+            c = 1
+        else:
+            first, rest = u[0], u[1:]
+            L, bits, full, cache = self.L, self._bits, self._full, self.cache
+            twists = self._chi_exp[first]
+            c = t = 0  # t is the exponent of chi(first, deg v[:k])
+            sub = None
+            for k, letter in enumerate(v):
+                if letter == first:
+                    if sub is None:  # deleting any letter of a run leaves one word
+                        shorter = v[:k] + v[k + 1:]
+                        hit = cache.get(shorter)
+                        sub = None if hit is None else hit.get(rest)
+                        if sub is None:
+                            sub = self._entry(shorter, rest)
+                    s = -t % L
+                    c += ((sub << s * bits) & full) | (sub >> (L - s) * bits) if s else sub
+                else:
+                    sub = None
+                t += twists[letter]
+        row[u] = c
+        return c
 
     def coeff_to_vec(self, coeff: int) -> tuple[int, ...]:
         """Packed coefficient to a coordinate vector at self.conductor."""
@@ -383,16 +395,21 @@ class _SymEngine:
         return vec
 
     def image_vectors(self, word: tuple[int, ...], words=None) -> dict:
-        """Image of a basis word with coefficients as coordinate vectors,
-        zero coefficients dropped, restricted to the given words if any."""
-        img = self.image(word)
-        if words is not None:
-            img = {u: img[u] for u in words if u in img}
+        """Image of a word with coefficients as coordinate vectors, zero
+        coefficients dropped: its entries at the given words if any, else at
+        every word of its bidegree.  Only those entries are computed."""
+        m, r = len(word), word.count(1)
+        if math.factorial(m).bit_length() > self._bits:
+            self._widen(m)
+        if words is None:
+            words = _words(m, r)
+        entry, to_vec = self._entry, self.coeff_to_vec
         out = {}
-        for u, c in img.items():
-            vec = self.coeff_to_vec(c)
-            if any(vec):
-                out[u] = vec
+        for u in words:
+            if len(u) == m and u.count(1) == r:
+                vec = to_vec(entry(word, u))
+                if any(vec):
+                    out[u] = vec
         return out
 
     def symmetrize(self, rho: NCPoly, n: int, words=None) -> dict:
@@ -412,6 +429,17 @@ class _SymEngine:
         return out
 
 
+def _words(m: int, r: int) -> list[tuple[int, ...]]:
+    """Every word of length m with r letters 1."""
+    out = []
+    for ones in combinations(range(m), r):
+        word = [2] * m
+        for i in ones:
+            word[i] = 1
+        out.append(tuple(word))
+    return out
+
+
 _ENGINES: dict[Braiding, _SymEngine] = {}
 
 
@@ -422,12 +450,12 @@ def _engine(b: Braiding) -> _SymEngine:
     return eng
 
 
-def symmetrize_poly(b: Braiding, rho: NCPoly) -> NCPoly:
+def symmetrize_poly(b: Braiding, rho: NCPoly, words=None) -> NCPoly:
     """Apply the quantum symmetrizer of the appropriate degree to a
-    homogeneous polynomial."""
+    homogeneous polynomial, restricted to the given words if any."""
     eng = _engine(b)
     n = canonical_conductor(math.lcm(eng.conductor, *(c.conductor for c in rho.terms.values())))
-    return NCPoly({w: CycNum(n, vec) for w, vec in eng.symmetrize(rho, n).items()})
+    return NCPoly({w: CycNum(n, vec) for w, vec in eng.symmetrize(rho, n, words).items()})
 
 
 # -- skew derivations ----------------------------------------------------------

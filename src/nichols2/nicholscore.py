@@ -24,7 +24,11 @@ c. A combination of rows that vanishes on columns spanning the column
 Each bidegree (r, s) therefore ranks a square block: the candidates w.1
 and w.2 for the basis words w of (r - 1, s) and (r, s - 1), at the columns
 R(w).1 and R(w).2.  Only the basis words are kept per braiding, so a
-degree is computed from the degree below it.
+degree is computed from the degree below it, and only the block's own
+entries of each candidate image are computed (`braidedalg._SymEngine`).
+The same columns decide the symmetrizer zero test of a relation
+(`relation_vanishes`): its image is a combination of rows, so by step c it
+is zero when it vanishes at the reversed basis words of its bidegree.
 
 Every rank is exact (`_linalg.exact_rank_vectors`).  It is found modulo a
 prime p = 1 (mod N) and reported only with two certificates: a nonzero
@@ -73,7 +77,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from ._linalg import exact_rank_vectors
-from .braidedalg import Braiding, NCPoly, _engine, is_zero_in_nichols, tau0
+from .braidedalg import (BraidedError, Braiding, NCPoly, _engine, is_zero_in_nichols,
+                         symmetrize_poly, tau0)
 from .cyclotomic import qfact
 from .fbtree import FullBinaryTree
 from .admissibility import NicholsError, generator_height, mu_of, p_of
@@ -327,9 +332,23 @@ def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None) 
 
 def relation_vanishes(b: Braiding, rel: NCPoly) -> bool:
     """The relation is zero in the quotient under both the symmetrizer and
-    the skew-derivation test."""
-    return (is_zero_in_nichols(b, rel, "symmetrizer")
-            and is_zero_in_nichols(b, rel, "derivations"))
+    the skew-derivation test.
+
+    The symmetrizer test reads S(rel) only at the reversed basis words of
+    each bidegree of rel, the columns of the oracle's blocks: S(rel) is a
+    combination of rows, so it is zero if it vanishes on columns that span
+    the column space (module docstring, steps b and c).  A degree above the
+    first zero degree has no basis words, and every element of it is zero."""
+    if rel.is_zero():
+        return True
+    degrees = {len(w) for w in rel.terms}
+    if len(degrees) > 1:
+        raise BraidedError("zero test requires a polynomial homogeneous in total degree")
+    dim_at_degree(b, degrees.pop())
+    eng = _engine(b)
+    cols = [w[::-1] for r, s in {(w.count(1), w.count(2)) for w in rel.terms}
+            for w in eng.pivot_words.get((r, s), ())]
+    return symmetrize_poly(b, rel, cols).is_zero() and is_zero_in_nichols(b, rel, "derivations")
 
 
 def dimension(t: FullBinaryTree, b: Braiding) -> int:

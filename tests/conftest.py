@@ -1,9 +1,10 @@
+import math
 import random
 
 import pytest
 
 from nichols2.cyclotomic import ZERO, CycNum, root_of_unity
-from nichols2.braidedalg import BraidedError, Braiding, _engine
+from nichols2.braidedalg import BraidedError, Braiding, _engine, _SymEngine
 
 
 def random_root(rng: random.Random, max_conductor: int = 12) -> CycNum:
@@ -47,6 +48,63 @@ def symmetrizer(b: Braiding, m: int) -> list[list[CycNum]]:
         for img, vec in eng.image_vectors(w).items():
             mat[index[img]][j] = CycNum(eng.conductor, vec)
     return mat
+
+
+class ReferenceImages(_SymEngine):
+    """Whole-word symmetrizer images, the reference for the entry recursion
+    of `_SymEngine`: the image of a word is assembled from the images of all
+    its one-letter deletions, and every image is cached whole, packed the
+    same way (`_widen` repacks these whole images)."""
+
+    def __init__(self, b: Braiding):
+        super().__init__(b)
+        e11, e12, e21, e22 = self.exps
+        self._chi_exp = {(1, 1): e11, (1, 2): e12, (2, 1): e21, (2, 2): e22}
+
+    def image(self, word: tuple[int, ...]) -> dict:
+        """Raw image of a basis word, with packed coefficients."""
+        hit = self.cache.get(word)
+        if hit is None:
+            if math.factorial(len(word)).bit_length() > self._bits:
+                self._widen(len(word))
+            hit = self.cache[word] = self._image(word)
+        return hit
+
+    def _image(self, word):
+        m = len(word)
+        if m <= 1:
+            return {word: 1}
+        L, bits, full = self.L, self._bits, self._full
+        chi_exp = self._chi_exp
+        out: dict = {}
+        get = out.get
+        # Deleting the letter at position k twists by chi(letter, deg
+        # word[:k])^-1; twist[i] is the exponent of chi(e_i, deg word[:k]).
+        twist = {1: 0, 2: 0}
+        for k, letter in enumerate(word):
+            s = -twist[letter] % L
+            low, high = s * bits, (L - s) * bits
+            for tail, c in self.image(word[:k] + word[k + 1:]).items():
+                if s:
+                    c = ((c << low) & full) | (c >> high)
+                w = (letter,) + tail
+                out[w] = get(w, 0) + c
+            twist[1] += chi_exp[(1, letter)]
+            twist[2] += chi_exp[(2, letter)]
+        return out
+
+    def image_vectors(self, word: tuple[int, ...], words=None) -> dict:
+        """Image of a basis word with coefficients as coordinate vectors,
+        zero coefficients dropped, restricted to the given words if any."""
+        img = self.image(word)
+        if words is not None:
+            img = {u: img[u] for u in words if u in img}
+        out = {}
+        for u, c in img.items():
+            vec = self.coeff_to_vec(c)
+            if any(vec):
+                out[u] = vec
+        return out
 
 
 def naive_rank(matrix) -> int:

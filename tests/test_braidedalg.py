@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import basis_words, naive_rank, random_root_braiding, symmetrizer
+from conftest import (ReferenceImages, basis_words, naive_rank, random_root_braiding,
+                      symmetrizer)
 
 from nichols2 import braidedalg
 from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
@@ -378,6 +379,38 @@ def test_symmetrizer_slots_do_not_carry():
         assert symmetrize_poly(b, mixed) == before
         clear_caches()
         assert symmetrize_poly(b, x(1) ** 25).terms == {(1,) * 25: qfact(25, q11.inv())}
+
+
+def test_entries_match_whole_word_images(rng):
+    # Entry by entry, the first-letter recursion gives the whole-word images
+    # of the reference: every entry, and the entries at a few words, among
+    # them words of another bidegree or length, which are dropped.
+    braidings = [random_root_braiding(rng, max_conductor=30) for _ in range(5)]
+    braidings += [Braiding(*(root_of_unity(rng.randrange(n), n) for _ in range(4)))
+                  for n in (24, 30)]
+    for b in braidings:
+        clear_caches()
+        eng, ref = _engine(b), ReferenceImages(b)
+        # A cold engine first, so the restricted reads compute partial rows.
+        for m in range(1, 8):
+            words = basis_words(m)
+            for w in rng.sample(words, min(len(words), 12)):
+                some = rng.sample(words, min(len(words), 5)) + basis_words(m - 1)[:2]
+                assert eng.image_vectors(w, some) == ref.image_vectors(w, some), (b, w, some)
+        for m in range(8):
+            for w in basis_words(m):
+                assert eng.image_vectors(w) == ref.image_vectors(w), (b, w)
+    # Entries cached before a widening of the slots read the same after it.
+    for q11 in (ONE, root_of_unity(1, 26)):
+        b = Braiding(q11, root_of_unity(1, 3), ONE, MINUS_ONE)
+        clear_caches()
+        eng, ref = _engine(b), ReferenceImages(b)
+        short = (1, 2, 2, 1, 1, 2)
+        cols = rng.sample(basis_words(6), 20)
+        assert eng.image_vectors(short, cols) == ref.image_vectors(short, cols)
+        for w in ((1,) * 21, (1,) * 22, short, (1,) * 21, (2, 1) + (1,) * 20):
+            assert eng.image_vectors(w) == ref.image_vectors(w), (q11, w)
+        assert eng.image_vectors(short) == ref.image_vectors(short)
 
 
 def test_restricted_symmetrize_is_the_restriction(rng):

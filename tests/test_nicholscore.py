@@ -162,6 +162,55 @@ def test_perturbed_mixed_relation_fails():
     assert not is_zero_in_nichols(b, bad, "derivations")
 
 
+def test_relation_zero_test_agrees_with_both_full_tests():
+    # relation_vanishes reads the symmetrizer at the reversed basis words
+    # only.  It must agree with the full symmetrizer test and the derivation
+    # test on the relations of every family sample through degree 8, on
+    # each of them with one coefficient doubled, and above the first zero
+    # degree, where a bidegree has no basis words.
+    from nichols2.braidedalg import clear_caches
+    from nichols2.classify import fixtures
+
+    def full(b, rel):
+        return (is_zero_in_nichols(b, rel, "symmetrizer")
+                and is_zero_in_nichols(b, rel, "derivations"))
+
+    vanishing = []
+    for (n, c), b in sorted(fixtures().items()):
+        clear_caches()
+        for rel in relation_set(TREES[n], b, max_degree=8):
+            w = min(rel.terms)
+            for poly in (rel, rel + NCPoly({w: rel.terms[w]})):
+                verdict = relation_vanishes(b, poly)
+                assert verdict == full(b, poly), (n, c, poly)
+                vanishing.append(verdict)
+    # 273 relations, all zero; doubling a coefficient keeps 130 of them
+    # zero, those whose doubled term is itself zero in the algebra.
+    assert len(vanishing) == 546 and all(vanishing[::2])
+    assert sum(vanishing[1::2]) == 130
+    # Cartan A2 is zero from degree 9 on; degree 10 is never ranked.
+    clear_caches()
+    b = cartan_a2()
+    rho = NCPoly({w: root_of_unity(k, 3) for k, w in enumerate(
+        [(1, 2) * 5, (2, 1) * 5, (1,) * 4 + (2,) * 6, (2, 1, 1) * 3 + (2,)])})
+    assert relation_vanishes(b, rho) and full(b, rho)
+
+
+def test_hilbert_prefix_reaches_past_the_top_degree():
+    # Entries, not whole images: six family samples reach one degree past
+    # their top degree, where the dimension is 0, and sum to the dimension.
+    from nichols2.braidedalg import clear_caches
+    from nichols2.classify import fixtures
+
+    for key in ((1, 1), (2, 1), (3, 3), (4, 1), (5, 1), (7, 2)):
+        clear_caches()
+        b, t = fixtures()[key], TREES[key[0]]
+        top = top_total_degree(t, b)
+        prefix = hilbert_prefix(b, top + 1)
+        assert prefix == count_by_degree(pbw_monomials(t, b, top + 1), top + 1), key
+        assert prefix[-1] == 0 and sum(prefix) == dimension(t, b), key
+
+
 def test_dimension_examples():
     assert dimension(TREES[1], exterior()) == 4
     assert dimension(TREES[2], cartan_a2()) == 27
@@ -495,6 +544,7 @@ def test_word_check_on_every_fixture_and_tree(monkeypatch):
 
 def test_fixture_matrix_builds_no_exact_monomial_rows(monkeypatch):
     from nichols2 import nicholscore
+    from nichols2.braidedalg import _SymEngine
     from nichols2.classify import run_fixture_matrix
 
     calls = []
@@ -503,10 +553,21 @@ def test_fixture_matrix_builds_no_exact_monomial_rows(monkeypatch):
         calls.append(args)
         return evaluate_monomial(*args)
 
+    # Nor does it image a whole word: every symmetrizer entry it reads is a
+    # column of a rank block or of a relation's zero test.
+    whole = []
+    image_vectors = _SymEngine.image_vectors
+
+    def entries_only(eng, word, words=None):
+        if words is None:
+            whole.append(word)
+        return image_vectors(eng, word, words)
+
     monkeypatch.setattr(nicholscore, "evaluate_monomial", counted)
-    rows = run_fixture_matrix(6)
+    monkeypatch.setattr(_SymEngine, "image_vectors", entries_only)
+    rows = run_fixture_matrix(8)
     assert all(row.passed for row in rows)
-    assert calls == []
+    assert calls == [] and whole == []
 
 
 def test_exact_rows_decide_every_shortfall(monkeypatch):
