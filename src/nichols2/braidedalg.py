@@ -5,17 +5,26 @@ action contributes to downstream computations factors through the bicharacter
 chi on Z^2 x Z^2, so no group data is represented.  Multidegrees are pairs
 (d1, d2) with d1 counting x1-letters; the bracket element of a tree node is
 homogeneous with multidegree equal to the node's Stern-Brocot label.
+
+Both zero tests run on integer data: an element's coefficients are lifted
+once to the conductor n of the braiding and the coefficients, and cleared
+of their denominators by one positive integer, which leaves zero zero.
+Each word of a symmetrizer image or a skew derivation is a sum of products
+of coordinate vectors, formed by Kronecker substitution in digits one bit
+longer than (products per sum) phi(n) 2^(xbits + ybits), for the bit
+lengths of the factors' largest coordinates (`cyclotomic.kronecker_sums`).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .cyclotomic import (CycNum, ONE, as_root_exponent, canonical_conductor, euler_phi,
-                         root_of_unity, root_vectors, vector_product)
+from .cyclotomic import (CycNum, ONE, as_root_exponent, canonical_conductor, clear_denominators,
+                         euler_phi, kronecker_sums, root_of_unity, root_vectors)
 from .fbtree import LGH, RGH, FullBinaryTree
 from .lyndon import Word, is_lyndon, shirshow
 
@@ -305,8 +314,8 @@ class _SymEngine:
     packed coefficient becomes an integer coordinate vector at
     self.conductor only where it is read, through `coeff_to_vec`, which
     converts each distinct packed value once and keeps the result in
-    `_vec_cache`.  `symmetrize` is the one place where those vectors meet
-    the coefficients of a polynomial.
+    `_vec_cache`.  `integer_image` is the one place where those vectors
+    meet the coefficients of a polynomial.
 
     pivot_words maps each bidegree the rank oracle has reached to words
     whose classes form a basis of that graded piece (filled by
@@ -415,18 +424,24 @@ class _SymEngine:
     def symmetrize(self, rho: NCPoly, n: int, words=None) -> dict:
         """Symmetrizer image of a polynomial whose coefficients lie in
         Q(zeta_n), where self.conductor divides n: word -> coordinate list
-        at conductor n, restricted to the given words if any."""
-        mul = vector_product(n)
-        out: dict = {}
-        for w, c in rho.terms.items():
-            cv = c._lift(n)
-            for img, v in self.image_vectors(w, words).items():
-                if n != self.conductor:
-                    v = CycNum(self.conductor, v)._lift(n)
-                add = mul(cv, v)
-                cur = out.get(img)
-                out[img] = add if cur is None else [x + y for x, y in zip(cur, add)]
-        return out
+        at conductor n, at each word (of the given ones, if any) where the
+        image of some term is nonzero.  It is `integer_image` of the
+        coefficients lifted to n and cleared of their denominators by one
+        positive integer D, divided by D."""
+        terms, den = _integer_terms(rho, n)
+        out = self.integer_image(terms, n, words)
+        return out if den == 1 else {u: [Fraction(x, den) for x in vec] for u, vec in out.items()}
+
+    def integer_image(self, terms: dict, n: int, words=None) -> dict:
+        """`symmetrize` of word -> integer coordinate vector at conductor n:
+        each word's sum of (term, word) products is formed by Kronecker
+        substitution and reduced mod Phi_n once (`kronecker_sums`)."""
+        images = {v: self.image_vectors(v, words) for v in terms}
+        vecs = {s: s for img in images.values() for s in img.values()}
+        if n != self.conductor:
+            vecs = {s: CycNum(self.conductor, s)._lift(n) for s in vecs}
+        products = [(u, v, s) for v, img in images.items() for u, s in img.items()]
+        return kronecker_sums(n, terms, vecs, products, len(terms))
 
 
 def _words(m: int, r: int) -> list[tuple[int, ...]]:
@@ -450,34 +465,55 @@ def _engine(b: Braiding) -> _SymEngine:
     return eng
 
 
+def _conductor(b: Braiding, rho: NCPoly) -> int:
+    """The canonical conductor of the braiding's entries and rho's coefficients."""
+    field = b._root_data[0] if b._root_data else math.lcm(*(q.conductor for q in b.entries()))
+    return canonical_conductor(math.lcm(field, *(c.conductor for c in rho.terms.values())))
+
+
+def _integer_terms(rho: NCPoly, n: int) -> tuple[dict, int]:
+    """`clear_denominators` of the coefficients of rho lifted to conductor n."""
+    return clear_denominators({w: c._lift(n) for w, c in rho.terms.items()})
+
+
 def symmetrize_poly(b: Braiding, rho: NCPoly, words=None) -> NCPoly:
     """Apply the quantum symmetrizer of the appropriate degree to a
     homogeneous polynomial, restricted to the given words if any."""
-    eng = _engine(b)
-    n = canonical_conductor(math.lcm(eng.conductor, *(c.conductor for c in rho.terms.values())))
-    return NCPoly({w: CycNum(n, vec) for w, vec in eng.symmetrize(rho, n, words).items()})
+    n = _conductor(b, rho)
+    return NCPoly({w: CycNum(n, vec) for w, vec in _engine(b).symmetrize(rho, n, words).items()})
 
 
 # -- skew derivations ----------------------------------------------------------
 
 
-def skew_derivation(b: Braiding, i: int, rho: NCPoly) -> NCPoly:
-    """The twisted letter-deleting operator <y_i, .> on polynomials."""
-    if i not in (1, 2):
-        raise BraidedError("derivation index must be 1 or 2")
-    # Deleting the letter at position k twists by chi(e_i, deg word[:k])^-1,
-    # which bimultiplicativity turns into one value of chi.
+def skew_derivation(b: Braiding, i: int, terms: dict, n: int) -> dict:
+    """The twisted letter-deleting operator <y_i, .> on word -> integer
+    coordinate vector at conductor n, up to a positive integer factor, zero
+    coefficients dropped.  Deleting letter k of w twists by
+    chi(e_i, deg w[:k])^-1 (`Braiding.chi_at`), and all the twists are
+    scaled by the least positive integer that clears their denominators.
+    At most m products land on a word of length m - 1, one per position of
+    the deleted letter; their sum is formed by `kronecker_sums`."""
     minus_ei = (-1, 0) if i == 1 else (0, -1)
-    out: dict = {}
-    for word, c in rho.terms.items():
-        for k, letter in enumerate(word):
+    moves, twists = [], {}
+    for w in terms:
+        ones = 0  # letters 1 in w[:k]
+        for k, letter in enumerate(w):
             if letter == i:
-                w = word[:k] + word[k + 1:]
-                ones = word[:k].count(1)
-                add = c * b.chi(minus_ei, (ones, k - ones))
-                s = out.get(w)
-                out[w] = add if s is None else s + add
-    return NCPoly(out)
+                d = (ones, k - ones)
+                if d not in twists:
+                    twists[d] = b.chi_at(minus_ei, d, n)
+                moves.append((w[:k] + w[k + 1:], w, d))
+            ones += letter == 1
+    sums = kronecker_sums(n, terms, clear_denominators(twists)[0], moves, max(map(len, terms)))
+    return {u: vec for u, vec in sums.items() if any(vec)}
+
+
+def _derivations_vanish(b: Braiding, terms: dict, n: int) -> bool:
+    """The derivation zero test of word -> nonzero integer vector at conductor n."""
+    if not terms or () in terms:
+        return not terms  # zero, or a nonzero scalar
+    return all(_derivations_vanish(b, skew_derivation(b, i, terms, n), n) for i in (1, 2))
 
 
 def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") -> bool:
@@ -486,21 +522,20 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
     method "symmetrizer": the coefficient vector lies in the kernel of the
     degree-m symmetrizer.  method "derivations": recursively, both skew
     derivations vanish (a degree-0 element is zero iff its scalar is).
+    Both decide exactly on integers: the coefficients are lifted once, to
+    the conductor of the braiding and the coefficients, and cleared of
+    their denominators by one positive integer.
     """
     if rho.is_zero():
         return True
     if len({len(w) for w in rho.terms}) > 1:
         raise BraidedError("zero test requires a polynomial homogeneous in total degree")
-    degree = len(next(iter(rho.terms)))
+    n = _conductor(b, rho)
+    terms = _integer_terms(rho, n)[0]
     if method == "symmetrizer":
-        if degree == 0:
-            return rho.is_zero()
-        return symmetrize_poly(b, rho).is_zero()
+        return () not in terms and not any(map(any, _engine(b).integer_image(terms, n).values()))
     if method == "derivations":
-        if degree == 0:
-            return rho.is_zero()
-        return (is_zero_in_nichols(b, skew_derivation(b, 1, rho), "derivations")
-                and is_zero_in_nichols(b, skew_derivation(b, 2, rho), "derivations"))
+        return _derivations_vanish(b, terms, n)
     raise BraidedError(f"unknown method {method!r}")
 
 

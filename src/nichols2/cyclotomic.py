@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 
 class CycError(ValueError):
@@ -149,8 +150,9 @@ def vector_product(n: int):
     """The product of Q(zeta_n): mul(a, b) multiplies two coordinate
     vectors and returns the coordinate list of the product modulo Phi_n.
 
-    This is the one place products of coordinate vectors are formed.  No
-    coordinate is converted: integer inputs give integer outputs, and
+    This is the one place single products of coordinate vectors are
+    formed; sums of many go through `kronecker_sums`.  No coordinate is
+    converted: integer inputs give integer outputs, and
     Fraction inputs Fraction outputs, so fraction-free callers stay on
     plain integer arithmetic.
     """
@@ -179,6 +181,58 @@ def vector_product(n: int):
         return out
 
     return mul
+
+
+def kronecker_sums(n: int, xs: dict, ys: dict, products, per_sum: int) -> dict:
+    """{t: sum of xs[a] ys[b] over the (t, a, b) in products} for integer
+    coordinate vectors at conductor n, as coordinate lists, where at most
+    per_sum products share a t.  By Kronecker substitution (Harvey 2009): a
+    vector packs into sum_j c_j 2^(W j), so a product of packed vectors
+    holds the coefficients of the unreduced product in its W-bit digits,
+    and packed products add.  A digit adds at most per_sum phi(n) products
+    x y with |x| < 2^xbits and |y| < 2^ybits, so it is below
+    per_sum phi(n) 2^(xbits + ybits) in magnitude; W is one bit wider, and
+    every digit decodes exactly, balanced.  Each sum is reduced mod Phi_n
+    once."""
+    deg, flat = euler_phi(n), chain.from_iterable
+    width = ((per_sum * deg).bit_length() + 1
+             + max(map(abs, flat(xs.values())), default=0).bit_length()
+             + max(map(abs, flat(ys.values())), default=0).bit_length())
+    half, mask = 1 << width - 1, (1 << width) - 1
+
+    def pack(vec):
+        x = 0
+        for c in reversed(vec):
+            x = (x << width) + c
+        return x
+
+    px = {a: pack(v) for a, v in xs.items()}
+    py = {b: pack(v) for b, v in ys.items()}
+    sums: dict = {}
+    for t, a, b in products:
+        sums[t] = sums.get(t, 0) + px[a] * py[b]
+    offset = sum(half << width * j for j in range(2 * deg - 1))
+    rows = _reduction_rows(n)
+    out = {}
+    for t, x in sums.items():
+        x += offset
+        digits = [(x >> width * j & mask) - half for j in range(2 * deg - 1)]
+        vec = digits[:deg]
+        for c, row in zip(digits[deg:], rows):
+            if c:
+                vec = [a + c * r for a, r in zip(vec, row)]
+        out[t] = vec
+    return out
+
+
+def clear_denominators(vectors: dict) -> tuple[dict, int]:
+    """(the coordinate vectors times D, as int tuples; D), for the least
+    positive integer D that clears their denominators."""
+    dens = [x.denominator for vec in vectors.values() for x in vec if type(x) is not int]
+    if not dens:
+        return vectors, 1
+    den = math.lcm(*dens)
+    return {k: tuple(int(x * den) for x in vec) for k, vec in vectors.items()}, den
 
 
 def _substitute(coeffs, k: int, n: int) -> tuple:
@@ -379,11 +433,8 @@ class CycNum:
             return _root_at(-root[0], root[1], canonical_conductor(root[1]))
         # x = X / den with X integral; X^-1 = prod sigma_k(X) / N(X).
         n = self.conductor
-        den = 1
-        for c in self.coeffs:
-            if type(c) is not int:
-                den = math.lcm(den, c.denominator)
-        X = [int(c * den) for c in self.coeffs]
+        vecs, den = clear_denominators({0: self.coeffs})
+        X = vecs[0]
         mul = vector_product(n)
         num = [1] + [0] * (len(X) - 1)
         for k in _conjugation_exponents(n, 1):

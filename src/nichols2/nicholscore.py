@@ -77,8 +77,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from ._linalg import exact_rank_vectors
-from .braidedalg import (BraidedError, Braiding, NCPoly, _engine, is_zero_in_nichols,
-                         symmetrize_poly, tau0)
+from .braidedalg import (BraidedError, Braiding, NCPoly, _conductor, _derivations_vanish,
+                         _engine, _integer_terms, tau0)
 from .cyclotomic import qfact
 from .fbtree import FullBinaryTree
 from .admissibility import NicholsError, generator_height, mu_of, p_of
@@ -338,7 +338,8 @@ def relation_vanishes(b: Braiding, rel: NCPoly) -> bool:
     each bidegree of rel, the columns of the oracle's blocks: S(rel) is a
     combination of rows, so it is zero if it vanishes on columns that span
     the column space (module docstring, steps b and c).  A degree above the
-    first zero degree has no basis words, and every element of it is zero."""
+    first zero degree has no basis words, and every element of it is zero.
+    Both tests read the one integer lift of rel (`braidedalg` docstring)."""
     if rel.is_zero():
         return True
     degrees = {len(w) for w in rel.terms}
@@ -348,7 +349,10 @@ def relation_vanishes(b: Braiding, rel: NCPoly) -> bool:
     eng = _engine(b)
     cols = [w[::-1] for r, s in {(w.count(1), w.count(2)) for w in rel.terms}
             for w in eng.pivot_words.get((r, s), ())]
-    return symmetrize_poly(b, rel, cols).is_zero() and is_zero_in_nichols(b, rel, "derivations")
+    n = _conductor(b, rel)
+    terms = _integer_terms(rel, n)[0]
+    return (not any(map(any, eng.integer_image(terms, n, cols).values()))
+            and _derivations_vanish(b, terms, n))
 
 
 def dimension(t: FullBinaryTree, b: Braiding) -> int:

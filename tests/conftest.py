@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from nichols2.cyclotomic import ZERO, CycNum, root_of_unity
-from nichols2.braidedalg import BraidedError, Braiding, _engine, _SymEngine
+from nichols2.cyclotomic import ZERO, CycNum, root_of_unity, vector_product
+from nichols2.braidedalg import BraidedError, Braiding, NCPoly, _engine, _SymEngine
 
 
 def random_root(rng: random.Random, max_conductor: int = 12) -> CycNum:
@@ -48,6 +48,53 @@ def symmetrizer(b: Braiding, m: int) -> list[list[CycNum]]:
         for img, vec in eng.image_vectors(w).items():
             mat[index[img]][j] = CycNum(eng.conductor, vec)
     return mat
+
+
+def reference_symmetrize(eng: _SymEngine, rho: NCPoly, n: int, words=None) -> dict:
+    """The reference for `_SymEngine.symmetrize`: one `vector_product` per
+    (term, image word) pair, each image vector lifted to conductor n."""
+    mul = vector_product(n)
+    out: dict = {}
+    for w, c in rho.terms.items():
+        cv = c._lift(n)
+        for img, v in eng.image_vectors(w, words).items():
+            add = mul(cv, CycNum(eng.conductor, v)._lift(n))
+            cur = out.get(img)
+            out[img] = add if cur is None else [x + y for x, y in zip(cur, add)]
+    return out
+
+
+def skew_derivation(b: Braiding, i: int, rho: NCPoly) -> NCPoly:
+    """The twisted letter-deleting operator <y_i, .> on polynomials with
+    CycNum coefficients: the reference for the integer form
+    `braidedalg.skew_derivation`."""
+    if i not in (1, 2):
+        raise BraidedError("derivation index must be 1 or 2")
+    # Deleting the letter at position k twists by chi(e_i, deg word[:k])^-1,
+    # which bimultiplicativity turns into one value of chi.
+    minus_ei = (-1, 0) if i == 1 else (0, -1)
+    out: dict = {}
+    for word, c in rho.terms.items():
+        for k, letter in enumerate(word):
+            if letter == i:
+                w = word[:k] + word[k + 1:]
+                ones = word[:k].count(1)
+                add = c * b.chi(minus_ei, (ones, k - ones))
+                s = out.get(w)
+                out[w] = add if s is None else s + add
+    return NCPoly(out)
+
+
+def derivations_vanish(b: Braiding, rho: NCPoly) -> bool:
+    """The reference derivation zero test on CycNum polynomials: recursively,
+    both skew derivations vanish, and a degree-0 element is zero iff its
+    scalar is."""
+    if rho.is_zero():
+        return True
+    if () in rho.terms:
+        return False
+    return (derivations_vanish(b, skew_derivation(b, 1, rho))
+            and derivations_vanish(b, skew_derivation(b, 2, rho)))
 
 
 class ReferenceImages(_SymEngine):

@@ -4,17 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (ReferenceImages, basis_words, naive_rank, random_root_braiding,
-                      symmetrizer)
+from conftest import (ReferenceImages, basis_words, derivations_vanish, naive_rank,
+                      random_root_braiding, reference_symmetrize, skew_derivation, symmetrizer)
 
 from nichols2 import braidedalg
 from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
                                  root_of_unity)
 from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, bracket_word,
                                  clear_caches, format_ncpoly, is_zero_in_nichols,
-                                 skew_derivation, symmetrize_poly, tau0)
+                                 symmetrize_poly, tau0)
 from nichols2.fbtree import LGH, RGH, TREES
 from nichols2.lyndon import Word, gamma
+from nichols2.nicholscore import _mixed_relation
 
 
 def exterior():
@@ -276,6 +277,98 @@ def test_methods_agree_on_small_corpus(rng):
         rho = NCPoly(terms)
         assert (is_zero_in_nichols(b, rho, "symmetrizer")
                 == is_zero_in_nichols(b, rho, "derivations"))
+
+
+def test_integer_derivation_test_matches_the_reference(rng):
+    # The derivation zero test runs on integer coordinates; the reference
+    # recursion runs on CycNum polynomials.  Every verdict must agree.
+    from nichols2.classify import fixtures
+    from nichols2.nicholscore import relation_set
+
+    cases = []
+    for (n, c), b in sorted(fixtures().items()):
+        for rel in relation_set(TREES[n], b, max_degree=8):
+            w = min(rel.terms)
+            cases += [(b, rel), (b, rel + NCPoly({w: rel.terms[w]}))]
+    assert len(cases) == 546
+    # Mixed relations whose coefficients have Fraction coordinates, one of
+    # them of degree 9, and each perturbed by a rational multiple of a term.
+    mixed = [((4, 1), 4), ((8, 2), 6), ((8, 3), 6), ((10, 1), 10), ((13, 1), 9),
+             ((19, 1), 18), ((21, 1), 8), ((22, 1), 6)]
+    samples = fixtures()
+    for (n, c), bb in mixed:
+        b = samples[(n, c)]
+        rel = _mixed_relation(TREES[n], b, bb)
+        assert any(type(x) is Fraction for v in rel.terms.values() for x in v.coeffs)
+        w = max(rel.terms)
+        cases += [(b, rel), (b, rel - NCPoly({w: rel.terms[w] * Fraction(1, 3)}))]
+    # Random elements with coefficients of conductor 9 on braidings of
+    # conductor 8, 12 and 30: the lift goes up to 72, 36 and 45.
+    for k in range(40):
+        N = (8, 12, 30)[k % 3]
+        b = Braiding(*(root_of_unity(rng.randrange(N), N) for _ in range(4)))
+        m = rng.randrange(1, 7)
+        cases.append((b, NCPoly({tuple(rng.choice((1, 2)) for _ in range(m)):
+                                 root_of_unity(rng.randrange(9), 9) * rng.randint(1, 3)
+                                 for _ in range(rng.randrange(1, 5))})))
+    # Twists with Fraction coordinates: q12 = 2 and q21 = 1/2.
+    b = Braiding(MINUS_ONE, ONE + ONE, ONE / 2, MINUS_ONE)
+    assert b._root_data is None
+    for rho, zero in ((x(1) * x(1), True), (x(1) * x(2) - 2 * (x(2) * x(1)), True),
+                      (x(1) * x(2) - Fraction(1, 2) * (x(2) * x(1)), False)):
+        assert is_zero_in_nichols(b, rho, "derivations") == zero
+        cases.append((b, rho))
+    # One level on coordinates near 2^80, against the reference on CycNum
+    # polynomials: under the trivial braiding all five positions of x1^5
+    # land on x1^4, a sum of 5 (2^80 - 1).
+    big = (1 << 80) - 1
+    z8 = root_of_unity(1, 8)
+    for b in (Braiding(ONE, ONE, ONE, ONE), cartan_a2(), Braiding(z8, z8 ** 3, ONE, z8 ** 5)):
+        for rho in (NCPoly({(1,) * 5: CycNum.from_rational(big)}),
+                    NCPoly({w: root_of_unity(k, 9) * big for k, w in enumerate(basis_words(4))})):
+            n = braidedalg._conductor(b, rho)
+            terms = {w: c._lift(n) for w, c in rho.terms.items()}
+            for i in (1, 2):
+                want = skew_derivation(b, i, rho)
+                assert braidedalg.skew_derivation(b, i, terms, n) == \
+                    {w: list(c._lift(n)) for w, c in want.terms.items()}, (b, n, rho, i)
+    verdicts = [is_zero_in_nichols(b, rho, "derivations") for b, rho in cases]
+    assert verdicts == [derivations_vanish(b, rho) for b, rho in cases]
+    assert sum(verdicts[:546:2]) == 273 and sum(verdicts[1:546:2]) == 130
+    assert verdicts[546:562:2] == [True] * 8 and not any(verdicts[547:562:2])
+
+
+def test_symmetrize_matches_per_term_products(rng):
+    # Kronecker sums against one vector product per (term, word) pair, with
+    # and without words: Fraction coefficients, a conductor above the
+    # engine's, and coordinates near 2^80.
+    for _ in range(6):
+        b = random_root_braiding(rng, max_conductor=30)
+        eng = _engine(b)
+        for n in (eng.conductor, 3 * eng.conductor):
+            for m in (3, 4, 5):
+                words = basis_words(m)
+                rho = NCPoly({w: root_of_unity(rng.randrange(n), n) * rng.randint(-3, 3)
+                              + Fraction(rng.randint(-2, 2), rng.choice((1, 3, 7)))
+                              for w in rng.sample(words, 5)})
+                for some in (None, rng.sample(words, 7)):
+                    assert eng.symmetrize(rho, n, some) == \
+                        reference_symmetrize(eng, rho, n, some), (b, n, rho, some)
+    # Three terms of bidegree (3, 1) with coefficient 2^80 - 1 under the
+    # trivial braiding: every entry is 3! = 6, so every sum is
+    # 18 (2^80 - 1), above half the digit bound 3 2^(80 + 3) at conductor 1.
+    big = (1 << 80) - 1
+    b = Braiding(ONE, ONE, ONE, ONE)
+    eng = _engine(b)
+    words = [(1, 1, 1, 2), (1, 1, 2, 1), (1, 2, 1, 1)]
+    for sign in ((1, 1, 1), (1, -1, 1)):
+        rho = NCPoly({w: CycNum.from_rational(s * big) for w, s in zip(words, sign)})
+        for n in (1, 3, 20):
+            for some in (None, words[:2]):
+                got = eng.symmetrize(rho, n, some)
+                assert got == reference_symmetrize(eng, rho, n, some)
+                sums = {tuple(v) for v in got.values()}
+                assert sums == {CycNum(1, (6 * sum(sign) * big,))._lift(n)}
 
 
 def naive_symmetrizer(b, m):

@@ -9,8 +9,8 @@ from nichols2 import cyclotomic
 from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, _demoted,
                                  _root_exponent, _substitute, as_root_exponent,
                                  canonical_conductor, cyclotomic_polynomial, divisors, euler_phi,
-                                 format_scalar, parse_scalar, power_vector, qfact, qnum,
-                                 root_of_unity, root_vectors, vector_product)
+                                 format_scalar, kronecker_sums, parse_scalar, power_vector, qfact,
+                                 qnum, root_of_unity, root_vectors, vector_product)
 
 INVERSE_CONDUCTORS = (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30)
 
@@ -39,6 +39,33 @@ def schoolbook_product(a, b, n):
         for j, p in enumerate(phi):
             conv[top - deg + j] -= c * p
     return conv[:deg]
+
+
+def test_kronecker_sums_match_vector_products_at_the_digit_bound(rng):
+    # A digit is one bit wider than the bound per_sum phi(n) 2^(xbits + ybits)
+    # on its magnitude.  Three products of vectors whose coordinates are all
+    # +-(2^bits - 1) put 3 phi(n) (2^xbits - 1)(2^ybits - 1) in the middle
+    # digit: above half that bound, so a digit one bit narrower, or a bound
+    # without its factor per_sum or phi(n), would not decode.
+    for n in INVERSE_CONDUCTORS:
+        deg = euler_phi(n)
+        for xbits, ybits in ((80, 80), (7, 90)):
+            for sign in (1, -1):
+                x = (sign * ((1 << xbits) - 1),) * deg
+                y = ((1 << ybits) - 1,) * deg
+                got = kronecker_sums(n, {0: x, 1: x, 2: x}, {0: y},
+                                     [("t", k, 0) for k in range(3)], 3)
+                assert got == {"t": [3 * c for c in schoolbook_product(x, y, n)]}
+        # Sums of random signed products, several targets at once.
+        xs = {k: tuple(rng.randrange(-2 ** 70, 2 ** 70) for _ in range(deg)) for k in range(6)}
+        ys = {k: tuple(rng.randrange(-99, 100) for _ in range(deg)) for k in range(4)}
+        products = [(rng.randrange(3), rng.randrange(6), rng.randrange(4)) for _ in range(12)]
+        want = {}
+        for t, a, b in products:
+            add = schoolbook_product(xs[a], ys[b], n)
+            want[t] = [u + v for u, v in zip(want.get(t, [0] * deg), add)]
+        per_sum = max(sum(t == s for t, _, _ in products) for s in want)
+        assert kronecker_sums(n, xs, ys, products, per_sum) == want
 
 
 def test_vector_product_matches_long_division(rng):
