@@ -1,9 +1,9 @@
 """Exact rank of matrices over cyclotomic fields.
 
 The rows are integer coordinate vectors in the power basis of Q(zeta_N),
-that is, entries of Z[zeta_N]: every caller ranks symmetrizer images for a
-braiding of roots of unity, and their coefficients are sums of products of
-roots.  The rank is certified by `_modular.certified_rank` at the primes
+that is, entries of Z[zeta_N]: the oracle's derivative rows, cleared of
+denominators, and symmetrized monomials, for a braiding of roots of
+unity.  The rank is certified by `_modular.certified_rank` at the primes
 p > 2^62 with p = 1 (mod N), in ascending order.  Modulo such a p the
 cyclotomic polynomial Phi_N splits into phi(N) linear factors z - w, one
 per primitive N-th root of unity w in F_p, and z -> w is a ring map from
@@ -24,7 +24,9 @@ Z[zeta_N] to F_p.
    denominators, and checked exactly: D row_i = sum_k (D c_k) row_k, one
    big-int product per row of R by Kronecker substitution (Harvey, 2009;
    layouts in `_modular`).  Every row then lies in the span of R, so the
-   rank is at most |R|.
+   rank is at most |R|.  The out-parameter `dependencies` returns these
+   checked combinations; it takes step 1's exit only where every nonzero
+   row is a pivot.
 
 A mod-p rank is never reported here without both certificates.  Where the
 roots disagree, a reconstruction fails or a check fails, the next prime is
@@ -45,7 +47,8 @@ after a row that is independent over Q(zeta_N) but not mod p.)
 from __future__ import annotations
 
 
-def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None) -> int:
+def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None,
+                       dependencies: dict | None = None) -> int:
     """Rank of a matrix whose entries are integer coordinate vectors at a
     fixed conductor (elements of Z[zeta_N]).  A rank found mod p is
     returned only with two certificates (see the module docstring): a
@@ -59,6 +62,10 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
     row space.  If every nonzero row is a pivot or the rank is below both
     dimensions, they are exactly the rows that raise the rank of the rows
     before them (module docstring).
+
+    If dependencies is given, its contents are replaced by i: (D, nums) for
+    every other row i: D row_i = sum_k nums[k] row_k exactly over the pivot
+    rows k in order, D > 0 (step 2; D = 1 and nums zero for a zero row).
     """
     found = []
     if rows and rows[0]:
@@ -66,7 +73,10 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
         # not load the modular route.
         from ._modular import certified_rank
 
-        found = certified_rank(rows, conductor)
+        found = certified_rank(rows, conductor, dependencies)
+    elif dependencies is not None:
+        dependencies.clear()
+        dependencies.update((i, (1, [])) for i in range(len(rows)))
     if pivot_rows is not None:
         pivot_rows[:] = found
     return len(found)

@@ -185,45 +185,54 @@ def _rational_lift(a: int, m: int, bound: int) -> tuple[int, int] | None:
 _MAX_PRIMES = 64
 
 
-def certified_rank(rows, conductor: int) -> list[int]:
+def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> list[int]:
     """The pivot rows of integer rows, certified at one or more split primes
     (see the `_linalg` docstring): the rows independent of the rows before
-    them modulo the prime that certified.  Raises ArithmeticError if
-    _MAX_PRIMES primes do not certify."""
+    them modulo the prime that certified.  If dependencies is given, it is
+    filled as `_linalg.exact_rank_vectors` describes.  Raises
+    ArithmeticError if _MAX_PRIMES primes do not certify."""
     n_rows, n_cols = len(rows), len(rows[0])
     # A zero row is never a pivot row and lies in every span.
     live = [i for i, row in enumerate(rows) if any(map(any, row))]
     rows = [rows[i] for i in live]
+    # Without dependencies, a rank equal to either dimension needs no lift.
+    full = len(rows) if dependencies is not None else min(len(rows), n_cols)
     best = None  # the key of the primes whose residues, mod their product m, are in acc
     for p, powers, vinv in islice(_split_primes(conductor), _MAX_PRIMES):
-        mod_p = _at_prime(rows, n_cols, p, powers, vinv)
+        mod_p = _at_prime(rows, n_cols, p, powers, vinv, full)
         if mod_p is None:
             continue
         prows, residues = mod_p
-        if residues is None:
-            return [live[k] for k in prows]
-        # Reduction mod p can only lose pivot rows or move them later, so the
-        # smallest key is the best, and primes of a larger key are bad.
-        key = (-len(prows), prows)
-        if best is not None and key > best:
-            continue
-        if key != best:
-            best, m, acc = key, 1, [0] * len(residues)
-        t = pow(m, -1, p)
-        acc = [a + m * ((r - a) * t % p) for a, r in zip(acc, residues)]
-        m *= p
-        deps = sorted(set(range(len(rows))).difference(prows))
-        lifted = _lift(acc, m, deps, len(prows), len(vinv))
-        if lifted is not None and _spans(rows, conductor, prows, lifted):
-            return [live[k] for k in prows]
+        lifted = []
+        if residues is not None:
+            # Reduction mod p can only lose pivot rows or move them later, so
+            # the smallest key is the best, and primes of a larger key are bad.
+            key = (-len(prows), prows)
+            if best is not None and key > best:
+                continue
+            if key != best:
+                best, m, acc = key, 1, [0] * len(residues)
+            t = pow(m, -1, p)
+            acc = [a + m * ((r - a) * t % p) for a, r in zip(acc, residues)]
+            m *= p
+            deps = sorted(set(range(len(rows))).difference(prows))
+            lifted = _lift(acc, m, deps, len(prows), len(vinv))
+            if lifted is None or not _spans(rows, conductor, prows, lifted):
+                continue
+        if dependencies is not None:
+            dependencies.clear()
+            for i in set(range(n_rows)).difference(live):  # the zero rows
+                dependencies[i] = (1, [(0,) * len(vinv)] * len(prows))
+            dependencies.update((live[i], (den, nums)) for i, den, nums in lifted)
+        return [live[k] for k in prows]
     raise ArithmeticError(f"no certified rank for a {n_rows} x {n_cols} block at conductor "
                           f"{conductor} in {_MAX_PRIMES} split primes")
 
 
-def _at_prime(rows, n_cols: int, p: int, powers, vinv):
+def _at_prime(rows, n_cols: int, p: int, powers, vinv, full: int):
     """(pivot rows, residues) of integer rows mod p, or
     None where the roots of Phi_N mod p disagree on the pivot rows.  The
-    residues, None at full rank, are the power-basis coordinates mod p of
+    residues, None at rank full, are the power-basis coordinates mod p of
     each other row's coefficients on the pivot rows, flat by (row, pivot
     row, coordinate)."""
     deg = len(vinv)
@@ -235,7 +244,7 @@ def _at_prime(rows, n_cols: int, p: int, powers, vinv):
         return [sum(c * w for c, w in zip(cs, pw)) for cs in packed]
 
     prows, deps = _eliminate(at(powers[0]), n_cols, p, step)
-    if len(prows) == min(len(rows), n_cols):
+    if len(prows) == full:
         return prows, None
     # The coefficients of each dependent row on the pivot rows, at every root.
     per_root = [deps]

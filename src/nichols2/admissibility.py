@@ -348,7 +348,7 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
                 f"branching node at weight {weight} exceeds the cap {max_weight}: "
                 "possibly infinite-dimensional or cap too small")
         # p = chi(a, a)^-1 is a root of unity exactly when chi(a, a) is.
-        if b.chi(stbr, stbr).order() is None:
+        if not b.of_roots and b.chi(stbr, stbr).order() is None:
             raise ReconstructionError(
                 f"branching node at label {stbr} has non-root-of-unity p")
         lch_stbr = (stbr_lgf[0] + stbr[0], stbr_lgf[1] + stbr[1])

@@ -34,9 +34,9 @@ class BraidedError(ValueError):
 
 
 class Braiding:
-    """Immutable 2x2 matrix (q_ij) of nonzero scalars."""
+    """Immutable 2x2 matrix (q_ij) of nonzero scalars; of_roots: all are roots of unity."""
 
-    __slots__ = ("q11", "q12", "q21", "q22", "_root_data", "_hash")
+    __slots__ = ("q11", "q12", "q21", "q22", "of_roots", "_root_data", "_hash")
 
     def __init__(self, q11: CycNum, q12: CycNum, q21: CycNum, q22: CycNum):
         entries = (q11, q12, q21, q22)
@@ -50,6 +50,7 @@ class Braiding:
         object.__setattr__(self, "q21", q21)
         object.__setattr__(self, "q22", q22)
         object.__setattr__(self, "_root_data", self._find_root_data())
+        object.__setattr__(self, "of_roots", self._root_data is not None)
         object.__setattr__(self, "_hash", hash(entries))
 
     def __setattr__(self, *args):
@@ -300,9 +301,8 @@ class _SymEngine:
                  chi(u[0], deg v[:k])^-1 S(v without letter k)_{u[1:]},
 
     the first-letter expansion of the symmetrizer.  Callers read a few
-    entries of each word (a rank block reads at most its own number of
-    columns), so only those entries and the ones they recurse into are
-    ever computed.
+    entries of each word (at the reversed basis words of its bidegree), so
+    only those entries and the ones they recurse into are ever computed.
 
     No slot ever carries into the next.  S(v)_u for a word v of length m is
     a sum of at most m! roots of unity, so a slot holds at most m!, and the
@@ -318,8 +318,9 @@ class _SymEngine:
     meet the coefficients of a polynomial.
 
     pivot_words maps each bidegree the rank oracle has reached to words
-    whose classes form a basis of that graded piece (filled by
-    `nicholscore.dim_at_degree`).
+    whose classes form a basis of that graded piece, and frontier each
+    bidegree of the highest degree reached to its derivative rows and
+    candidates' table (`nicholscore._Ranked`, filled by `dim_at_degree`).
     """
 
     def __init__(self, b: Braiding):
@@ -340,6 +341,7 @@ class _SymEngine:
         self._vec_cache: dict[int, tuple[int, ...]] = {}
         self._bits = 0  # the slot width B, set by the first entry
         self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
+        self.frontier: dict = {}
         e11, e12, e21, e22 = self.exps
         # Exponent of chi(e_i, e_j) in the root group, indexed [i][j].
         self._chi_exp = (None, (None, e11, e12), (None, e21, e22))

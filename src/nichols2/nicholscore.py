@@ -1,16 +1,22 @@
 """Degree-truncated oracle for the braided quotient algebra.
 
-The dimension of each graded piece is the exact rank of the quantum
-symmetrizer over Q(zeta_N), computed per bidegree (the symmetrizer
-preserves the bidegree splitting).  The ranks are taken over a spanning
-set rather than over all words.  The kernels of the symmetrizers S_m
-together form the Nichols ideal, a two-sided ideal: the kernel of the
-algebra map to the quantum shuffle algebra (Andruskiewitsch-Schneider,
-"Pointed Hopf algebras", 2002).  So if the classes of the words w form a
-basis of degree m - 1, the image of S_m is spanned by the S_m(w x_j), and
-the words of the pivot rows of that matrix form a basis of degree m.
+The kernels of the quantum symmetrizers S_m form the Nichols ideal, a
+two-sided ideal (Andruskiewitsch-Schneider, "Pointed Hopf algebras",
+2002).  By their derivation criterion, an element of positive degree lies
+in it exactly when the skew derivations d_1 and d_2 map it into it, so
+x -> (d_1 x, d_2 x) is injective on the quotient in positive degree.
 
-The columns are reduced through the word reversal R.
+If the classes of the words w form bases of the bidegrees (r - 1, s) and
+(r, s - 1), the candidates w.1 and w.2 span (r, s).  The row of a
+candidate holds the coordinates of its two derivatives in those bases, so
+by injectivity the rows have the candidates' dependencies, and the pivot
+rows give a basis.  A row follows from the rows and checked dependencies
+one degree down by the last-letter rule of `braidedalg.skew_derivation`
+(`_pivot_words`).  The candidates and the pivot rule are those of ranking
+the candidates' symmetrizer images, so the basis words are the same.
+
+`relation_vanishes` and `verify_type` read symmetrizer images at reversed
+basis words only, through the word reversal R:
 
 a. The coefficient of u in S_m(v) is that of R(v) in S_m(R(u)).  With
    S_m' the symmetrizer of the transposed braiding (q11, q21, q12, q22),
@@ -19,16 +25,9 @@ b. So columns at words U span the column space exactly when the words
    R(U) span the graded piece, as R(w) x_j do for the basis words w one
    degree down: their reversals x_j w span, the ideal being two-sided.
 c. A combination of rows that vanishes on columns spanning the column
-   space vanishes on all, so the block keeps the rank and pivot rows.
-
-Each bidegree (r, s) therefore ranks a square block: the candidates w.1
-and w.2 for the basis words w of (r - 1, s) and (r, s - 1), at the columns
-R(w).1 and R(w).2.  Only the basis words are kept per braiding, so a
-degree is computed from the degree below it, and only the block's own
-entries of each candidate image are computed (`braidedalg._SymEngine`).
-The same columns decide the symmetrizer zero test of a relation
-(`relation_vanishes`): its image is a combination of rows, so by step c it
-is zero when it vanishes at the reversed basis words of its bidegree.
+   space vanishes on all.  An image S_m(x) is such a combination, so it is
+   zero when it vanishes at the reversed basis words of its bidegree, and
+   images keep their rank on those columns.
 
 Every rank is exact (`_linalg.exact_rank_vectors`).  It is found modulo a
 prime p = 1 (mod N) and reported only with two certificates: a nonzero
@@ -36,7 +35,8 @@ minor mod p on the pivot rows, which proves them independent, and an exact
 check of every other row's dependency on them, lifted by rational
 reconstruction from p and any earlier such primes, which proves they span.
 A mod-p rank is never reported on its own; where a certificate fails, the
-next such prime is tried.
+next such prime is tried.  The checked dependencies are the tables the
+next degree reads, so no basis word rests on a prime.
 
 Monomial bases predicted by a tree are verified against that oracle by
 counting, and their independence by their words (Kharchenko, "A quantum
@@ -51,8 +51,9 @@ the colex-largest word of any element of the Nichols ideal.
    when its last letter is dropped (the ideal is two-sided), so every
    standard word is a candidate.  On these square blocks the pivot rows
    are exactly the rows that raise the rank of the rows before them
-   (`_linalg`), so a candidate is a basis word when it is not congruent
-   to a combination of colex-smaller words: when it is standard.
+   (`_linalg`), by injectivity the candidates independent of those before
+   them.  So a candidate is a basis word when it is not congruent to a
+   combination of colex-smaller words: when it is standard.
 2. On words of one length, colex order is compatible with concatenation.
    So the colex-largest word of a PBW monomial, the product of the powers
    tau0(a)^e in ascending node order, is the concatenation of the
@@ -71,46 +72,100 @@ how a dependence is ever reported.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from ._linalg import exact_rank_vectors
 from .braidedalg import (BraidedError, Braiding, NCPoly, _conductor, _derivations_vanish,
                          _engine, _integer_terms, tau0)
-from .cyclotomic import qfact
+from .cyclotomic import clear_denominators, kronecker_sums, qfact
 from .fbtree import FullBinaryTree
 from .admissibility import NicholsError, generator_height, mu_of, p_of
 
 
+class _Ranked(NamedTuple):
+    """A ranked bidegree.  rows[k] = (R, D) for basis word k: R is D times
+    the coordinates of d_1 and d_2 of it in the bases below.  table[c] is
+    den times candidate c in the basis: the index k of a basis word for e_k,
+    else a dict {k: coordinates} of a combination ({} for zero)."""
+    rows: list
+    den: int
+    table: list
+
+
 def _pivot_words(eng, r: int, s: int) -> list:
-    """Basis words of the bidegree-(r, s) piece, from those of the two
-    bidegrees below it (which must be known): the pivot rows among the
-    candidates w.j, at the columns R(w).j (module docstring, steps a-c).
-    The candidates come in colex order, so the basis words are the standard
-    words (module docstring, step 1)."""
-    cands, cols = [], []
-    for j, below in ((1, (r - 1, s)), (2, (r, s - 1))):
-        if min(below) >= 0:
-            cands += [w + (j,) for w in eng.pivot_words[below]]
-            cols += [w[::-1] + (j,) for w in eng.pivot_words[below]]
+    """Basis words of the bidegree-(r, s) piece, the standard words: the
+    candidates b.j of the pivot rows of their derivative coordinates, read
+    from the bidegrees below in eng.frontier, where this one goes in turn
+    (module docstring and step 1)."""
+    known, frontier, n = eng.pivot_words, eng.frontier, eng.conductor
+
+    def split(bd):  # the x1-candidates of bd, and the columns of its first derivative
+        return len(known[(bd[0] - 1, bd[1])]) if bd[0] else 0
+
+    below = {j: bd for j, bd in ((1, (r - 1, s)), (2, (r, s - 1))) if min(bd) >= 0}
+    cands = [(j, t) for j, bd in below.items() for t in range(len(known[bd]))]
     if not cands:
+        frontier[(r, s)] = _Ranked([], 1, [])
         return []
-    zero = (0,) * eng.deg
-    rows = []
-    for w in cands:
-        img = eng.image_vectors(w, cols)
-        rows.append([img.get(u, zero) for u in cols])
-    pivot_rows: list[int] = []
-    exact_rank_vectors(rows, eng.conductor, pivot_rows=pivot_rows)
-    return [cands[i] for i in pivot_rows]
+    # Row c is dens[c] times the coordinates of d_1 and d_2 of candidate c
+    # in the bases of (r - 1, s) and (r, s - 1), one column per candidate,
+    # where d_i(b.j) = d_i(b).j + [i = j] chi(e_i, deg b)^-1 b, and .j maps
+    # each basis word of d_i(b) through the table below, of denominator big.
+    n1, big = split((r, s)), math.lcm(*(frontier[bd].den for bd in below.values()))
+    twist = {j: eng.b.chi_at((j - 2, 1 - j), bd, n) for j, bd in below.items()}
+    ys = {(i, e, k): tuple(big // frontier[bd].den * x for x in vec) for i, bd in below.items()
+          for e, comb in enumerate(frontier[bd].table) if type(comb) is dict
+          for k, vec in comb.items()}
+    rows, dens, xs, products = [], [], {}, []
+    for c, (j, t) in enumerate(cands):
+        row, den = frontier[below[j]].rows[t]
+        out, cut = [(0,) * eng.deg] * len(cands), split(below[j])
+        for i, gamma in below.items():
+            table, first = frontier[gamma].table, split(gamma) if j == 2 else 0
+            lo, hi, base = (0, cut, 0) if i == 1 else (cut, len(row), n1)
+            for pos in range(lo, hi):
+                comb = table[first + pos - lo]
+                if type(comb) is int:  # a basis word: a unit vector
+                    out[base + comb] = row[pos] if big == 1 else tuple(big * x for x in row[pos])
+                elif comb and any(row[pos]):
+                    xs[(c, pos)] = row[pos]
+                    products += [((c, base + k), (c, pos), (i, first + pos - lo, k)) for k in comb]
+        tw = twist[j] if den * big == 1 else [den * big * y for y in twist[j]]
+        out[n1 * (j - 1) + t] = tuple(map(operator.add, out[n1 * (j - 1) + t], tw))
+        rows.append(out)
+        dens.append(den * big)
+    per_sum = max(len(frontier[bd].table) for bd in below.values())  # products per entry, at most
+    for (c, col), vec in (kronecker_sums(n, xs, ys, products, per_sum) if xs else {}).items():
+        rows[c][col] = tuple(map(operator.add, rows[c][col], vec))
+    for c, row in enumerate(rows):
+        if dens[c] > 1 and (g := math.gcd(dens[c], *(math.gcd(*vec) for vec in row))) > 1:
+            rows[c], dens[c] = [tuple(x // g for x in vec) for vec in row], dens[c] // g
+    pivot_rows, deps = [], {}
+    exact_rank_vectors(rows, n, pivot_rows=pivot_rows, dependencies=deps)
+    # Candidate c is basis word k, or zero, or a combination of them: by
+    # injectivity, that of its row, D rows[c] = sum_k nums_k rows[p_k].
+    combs, den = clear_denominators(
+        {(c, k): [x * dens[p] if d * dens[c] == 1 else Fraction(x * dens[p], d * dens[c])
+                  for x in vec]
+         for c, (d, nums) in deps.items() for k, (p, vec) in enumerate(zip(pivot_rows, nums))
+         if any(vec)})
+    index = {c: k for k, c in enumerate(pivot_rows)}
+    table = [index.get(c, {}) for c in range(len(cands))]
+    for (c, k), vec in combs.items():
+        table[c][k] = vec
+    frontier[(r, s)] = _Ranked([(rows[c], dens[c]) for c in pivot_rows], den, table)
+    return [known[below[j]][t] + (j,) for j, t in (cands[c] for c in pivot_rows)]
 
 
 def dim_at_degree(b: Braiding, m: int) -> int:
-    """Exact dimension of the degree-m piece: the symmetrizer rank, taken
-    over the spanning set w.x_j built from the basis words w of degree
-    m - 1, at the columns R(w).x_j of the reversed words.
+    """Exact dimension of the degree-m piece: the rank of the derivative
+    rows of the candidates w.x_j, w the basis words of degree m - 1.
     Lower degrees not yet known for this braiding are computed first, and
     a zero degree makes every higher one zero."""
     if m < 0:
@@ -118,9 +173,13 @@ def dim_at_degree(b: Braiding, m: int) -> int:
     eng = _engine(b)
     known = eng.pivot_words
     for d in range(1, m + 1):
-        for r in range(d + 1):
-            if (r, d - r) not in known:
+        if (d, 0) not in known:  # a degree is ranked whole, (d, 0) last
+            if d == 1:  # the empty word: no derivatives, no candidates
+                eng.frontier[(0, 0)] = _Ranked([((), 1)], 1, [])
+            for r in range(d + 1):
                 known[(r, d - r)] = _pivot_words(eng, r, d - r)
+            for r in range(d):  # degree d + 1 reads degree d only
+                del eng.frontier[(r, d - 1 - r)]
         if not any(known[(r, d - r)] for r in range(d + 1)):
             return 0  # every higher degree is spanned from this empty one
     return sum(len(known[(r, m - r)]) for r in range(m + 1))
@@ -335,10 +394,10 @@ def relation_vanishes(b: Braiding, rel: NCPoly) -> bool:
     the skew-derivation test.
 
     The symmetrizer test reads S(rel) only at the reversed basis words of
-    each bidegree of rel, the columns of the oracle's blocks: S(rel) is a
-    combination of rows, so it is zero if it vanishes on columns that span
-    the column space (module docstring, steps b and c).  A degree above the
-    first zero degree has no basis words, and every element of it is zero.
+    each bidegree of rel: S(rel) is a combination of rows, so it is zero if
+    it vanishes on columns that span the column space (module docstring,
+    steps b and c).  A degree above the first zero degree has no basis
+    words, and every element of it is zero.
     Both tests read the one integer lift of rel (`braidedalg` docstring)."""
     if rel.is_zero():
         return True

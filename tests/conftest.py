@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nichols2._linalg import exact_rank_vectors
 from nichols2.cyclotomic import ZERO, CycNum, root_of_unity, vector_product
 from nichols2.braidedalg import BraidedError, Braiding, NCPoly, _engine, _SymEngine
 
@@ -152,6 +153,33 @@ class ReferenceImages(_SymEngine):
             if any(vec):
                 out[u] = vec
         return out
+
+
+def image_block_pivot_words(b: Braiding, n: int) -> dict:
+    """The reference for the oracle's basis words through degree n, stopping
+    at the first zero degree: each bidegree ranks the symmetrizer images of
+    the candidates w.j at the columns R(w).j, for the basis words w of the
+    two bidegrees below (`nicholscore` docstring, steps a-c)."""
+    eng = _engine(b)
+    known = {(0, 0): [()]}
+    zero = (0,) * eng.deg
+    for d in range(1, n + 1):
+        for r in range(d + 1):
+            cands, cols = [], []
+            for j, below in ((1, (r - 1, d - r)), (2, (r, d - r - 1))):
+                if min(below) >= 0:
+                    cands += [w + (j,) for w in known[below]]
+                    cols += [w[::-1] + (j,) for w in known[below]]
+            rows = []
+            for w in cands:
+                img = eng.image_vectors(w, cols)
+                rows.append([img.get(u, zero) for u in cols])
+            pivot_rows: list[int] = []
+            exact_rank_vectors(rows, eng.conductor, pivot_rows=pivot_rows)
+            known[(r, d - r)] = [cands[i] for i in pivot_rows]
+        if not any(known[(r, d - r)] for r in range(d + 1)):
+            break
+    return known
 
 
 def naive_rank(matrix) -> int:

@@ -391,8 +391,8 @@ def test_certified_rank_on_fixture_matrix_blocks(monkeypatch, fallbacks):
 
     blocks = []
 
-    def recording(rows, conductor, pivot_rows=None):
-        rank = exact_rank_vectors(rows, conductor, pivot_rows)
+    def recording(rows, conductor, pivot_rows=None, dependencies=None):
+        rank = exact_rank_vectors(rows, conductor, pivot_rows, dependencies)
         blocks.append((rows, conductor, rank))
         return rank
 
@@ -444,6 +444,54 @@ def test_pivot_rows_raise_the_rank_of_the_rows_before_them(rng):
         assert rank == prefix[-1]
         deficient += rank < size
     assert 225 <= deficient < 300
+
+
+def test_dependencies_combine_the_pivot_rows_exactly(rng):
+    # The out-parameter of exact_rank_vectors on random blocks at conductors
+    # 1 to 30, square and tall (more rows than columns), with zero rows and
+    # rows that combine others: every other row satisfies D row_i =
+    # sum_k nums_k row_k exactly, a zero row gets the zero combination, and
+    # asking for dependencies leaves the pivot rows as they are.  A tall
+    # block of full column rank must not take the rank-only shortcut.
+    seen = {"zero": 0, "den > 1": 0, "tall full": 0}
+    for trial in range(150):
+        n = trial % 30 + 1
+        deg, pmul = euler_phi(n), vector_product(n)
+        n_cols = rng.randrange(1, 6)
+        n_rows = n_cols + (rng.randrange(1, 4) if trial % 3 == 0 else 0)
+
+        def entry():
+            return tuple(rng.randrange(-3, 4) if rng.random() < 0.7 else 0 for _ in range(deg))
+
+        base = [[entry() for _ in range(n_cols)] for _ in range(rng.randrange(1, n_rows + 1))]
+        rows = []
+        for _ in range(n_rows):
+            if rng.random() < 0.2:
+                rows.append([(0,) * deg] * n_cols)
+                continue
+            row = [[0] * deg for _ in range(n_cols)]
+            for brow in base:
+                c = entry()
+                row = [[x + y for x, y in zip(acc, pmul(c, e))] for acc, e in zip(row, brow)]
+            rows.append([tuple(vec) for vec in row])
+        plain, pivots, deps = [], [], {"stale": None}
+        exact_rank_vectors(rows, n, plain)
+        rank = exact_rank_vectors(rows, n, pivots, dependencies=deps)
+        assert pivots == plain
+        assert sorted(deps) == [i for i in range(n_rows) if i not in pivots]
+        for i, (den, nums) in deps.items():
+            assert den > 0 and len(nums) == rank
+            if not any(map(any, rows[i])):
+                assert den == 1 and not any(map(any, nums))
+                seen["zero"] += 1
+            seen["den > 1"] += den > 1
+            for col in range(n_cols):
+                total = [0] * deg
+                for vec, k in zip(nums, pivots):
+                    total = [x + y for x, y in zip(total, pmul(vec, rows[k][col]))]
+                assert total == [den * x for x in rows[i][col]], (n, rows, i)
+        seen["tall full"] += n_cols == rank < sum(any(map(any, row)) for row in rows)
+    assert all(seen.values()), seen
 
 
 def _eliminate_mod(mat, p: int):
@@ -596,8 +644,8 @@ def test_certified_rank_on_deep_blocks(monkeypatch, fallbacks):
 
     blocks = []
 
-    def recording(rows, conductor, pivot_rows=None):
-        rank = exact_rank_vectors(rows, conductor, pivot_rows)
+    def recording(rows, conductor, pivot_rows=None, dependencies=None):
+        rank = exact_rank_vectors(rows, conductor, pivot_rows, dependencies)
         blocks.append((rows, conductor, rank))
         return rank
 

@@ -197,12 +197,17 @@ def test_relation_zero_test_agrees_with_both_full_tests():
 
 
 def test_hilbert_prefix_reaches_past_the_top_degree():
-    # Entries, not whole images: six family samples reach one degree past
-    # their top degree, where the dimension is 0, and sum to the dimension.
+    # Every family sample of dimension at most 625 reaches one degree past
+    # its top degree, where the dimension is 0, with the PBW monomial count
+    # in every degree, and its dimensions sum to the dimension.
     from nichols2.braidedalg import clear_caches
     from nichols2.classify import fixtures
 
-    for key in ((1, 1), (2, 1), (3, 3), (4, 1), (5, 1), (7, 2)):
+    small = ((1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1), (5, 2), (7, 1),
+             (7, 2))
+    assert [key for key, b in sorted(fixtures().items())
+            if dimension(TREES[key[0]], b) <= 625] == list(small)
+    for key in small:
         clear_caches()
         b, t = fixtures()[key], TREES[key[0]]
         top = top_total_degree(t, b)
@@ -356,6 +361,22 @@ def test_hilbert_prefix_matches_full_block_rank(rng):
         assert list(hilbert_prefix(b, 5)) == full_block_dims(b, 5), b
 
 
+def test_derivative_rows_give_the_image_block_basis_words():
+    # The oracle ranks the coordinates of the two skew derivatives, which
+    # are injective in positive degree; the image blocks of the reference
+    # rank the same candidates in the same order, so every bidegree has the
+    # same basis words, and both stop at the first zero degree.
+    from conftest import image_block_pivot_words
+    from nichols2.braidedalg import _engine, clear_caches
+    from nichols2.classify import fixtures
+
+    for key, b in sorted(fixtures().items()):
+        clear_caches()
+        hilbert_prefix(b, 8)
+        assert _engine(b).pivot_words == image_block_pivot_words(b, 8), key
+    clear_caches()
+
+
 def test_reversal_transposes_the_symmetrizer(rng):
     # Step a of the nicholscore docstring, entry by entry on random root
     # braidings: with b' the transposed braiding and R word reversal, the
@@ -419,10 +440,11 @@ def test_dim_at_degree_on_a_cold_engine():
             [prefix[m] for m in (4, 1, 6, 0, 3, 5, 2)]
     # The Cartan A2 braiding has top degree 8: degree 9 ranks the two
     # products of the top word to 0, so degree 10 has no candidates and no
-    # word of length 10 is imaged.
+    # bidegree of degree 10 is ranked.  The oracle images no word at all.
     clear_caches()
     assert list(hilbert_prefix(cartan_a2(), 10)) == [1, 2, 4, 4, 5, 4, 4, 2, 1, 0, 0]
-    assert max(len(w) for w in _engine(cartan_a2()).cache) == 9
+    eng = _engine(cartan_a2())
+    assert max(map(sum, eng.pivot_words)) == 9 and not eng.cache
 
 
 def test_tau0_coefficients_are_integral_at_the_engine_conductor():
@@ -591,9 +613,9 @@ def test_exact_rows_decide_every_shortfall(monkeypatch):
     compared = verdicts()
     blocks = []
 
-    def recording(rows, conductor, pivot_rows=None):
+    def recording(rows, conductor, pivot_rows=None, dependencies=None):
         blocks.append(rows)
-        return exact_rank_vectors(rows, conductor, pivot_rows)
+        return exact_rank_vectors(rows, conductor, pivot_rows, dependencies)
 
     monkeypatch.setattr(nicholscore, "_leading_word", lambda mono, leads: ())
     monkeypatch.setattr(nicholscore, "exact_rank_vectors", recording)
