@@ -4,7 +4,7 @@ The rows are integer coordinate vectors in the power basis of Q(zeta_N),
 that is, entries of Z[zeta_N]: the oracle's derivative rows, cleared of
 denominators, and symmetrized monomials, for a braiding of roots of
 unity.  The rank is certified by `_modular.certified_rank` at the primes
-p > 2^62 with p = 1 (mod N), in ascending order.  Modulo such a p the
+p > 2^29 with p = 1 (mod N), in ascending order.  Modulo such a p the
 cyclotomic polynomial Phi_N splits into phi(N) linear factors z - w, one
 per primitive N-th root of unity w in F_p, and z -> w is a ring map from
 Z[zeta_N] to F_p.
@@ -14,8 +14,9 @@ Z[zeta_N] to F_p.
    C with a nonzero R x C minor mod p.  A minor that is nonzero modulo a
    prime ideal is nonzero, so the rank is at least |R|.  If |R| is the
    number of rows or of columns, that is the rank.
-2. Upper bound.  Otherwise every root is eliminated, and each must give
-   the same R.  The coefficients of every other row on the rows R are then
+2. Upper bound.  Otherwise, at every other root, the rows are eliminated
+   on the columns C in input row order, and must give the same R.  The
+   coefficients of every other row on the rows R are then
    known at each root; they are interpolated to power-basis coordinates
    mod p, joined by the Chinese remainder theorem to those of the earlier
    primes that gave the same R, lifted to rationals modulo the product of
@@ -28,10 +29,10 @@ Z[zeta_N] to F_p.
    checked combinations; it takes step 1's exit only where every nonzero
    row is a pivot.
 
-A mod-p rank is never reported here without both certificates.  Where the
-roots disagree, a reconstruction fails or a check fails, the next prime is
-tried.  Only finitely many primes are bad for a matrix, and the product of
-the good ones outgrows the true coefficients, so some prime certifies.
+A mod-p rank is never reported here without both certificates.  Where
+another root gives pivot rows other than R, a reconstruction fails or a
+check fails, the next prime is tried.  Only finitely many primes are bad
+for a matrix, and the product of the good ones outgrows the true coefficients, so some prime certifies.
 
 The pivot rows are then exactly the rows that raise the exact rank of the
 rows before them, provided every nonzero row is a pivot or the rank is

@@ -2,16 +2,24 @@
 
 `certified_rank` proves a rank found modulo split primes from both sides,
 as described in the `_linalg` docstring; it never returns a rank without
-both certificates.  At each prime p it works on packed rows: one int per
-row, whose slot j, bytes j s to (j + 1) s - 1, holds entry j.
+both certificates, so it is correct for any p.  The primes are the
+smallest above 2^29 with p = 1 (mod N), one 30-bit CPython digit: a small
+prime only means that a large coefficient is lifted from more primes, and
+for a conductor so large that p >= 2^30, only speed changes.  At each
+prime p it works on packed rows: one int per row, whose slot j, bytes
+j s to (j + 1) s - 1, holds entry j.
 
 - Evaluation: coordinate a of each entry, reduced mod p, is packed once
-  per row as C_a; the row at a root w is sum_a C_a w^a (slots < phi(N) p^2).
+  per row as C_a; the row at a root w is sum_a C_a w^a (slots < phi(N) p^2),
+  each w^a < p a one-digit multiplier.
 - Elimination: a row operation x += (p - f) pivot, the pivot row reduced,
-  adds less than p^2 to a slot, and a slot is reduced only when a pivot
-  reads it, so s is 2 bitlen(p) + bitlen(phi(N) + rows) bits, rounded up
-  to bytes.  Identity slots after the columns record each row's pivot
-  combination, which is interpolated from the roots at the same width.
+  multiplies by one digit and adds less than p^2 to a slot, and a slot is
+  reduced only when a pivot reads it, so s is 2 bitlen(p) +
+  bitlen(phi(N) + rows) bits, rounded up to bytes: 8 bytes at 30-bit p for
+  phi(N) + rows < 16, else 9 up to 4095.  Identity slots after the columns
+  record each row's pivot combination; after the first root the rows are
+  eliminated on its pivot columns only, and the combinations are
+  interpolated from the roots at the same width.
 - Exact check, by 2-D Kronecker substitution: a pivot row is packed with
   2 phi(N) - 1 digits per entry, so its product with a packed coefficient
   holds each entry's unreduced product in its own digits.  A digit of the
@@ -27,7 +35,8 @@ from functools import lru_cache, partial
 from io import BytesIO
 from itertools import chain, islice, repeat
 
-from .cyclotomic import _reduction_rows, cyclotomic_polynomial, divisors, euler_phi
+from .cyclotomic import (ROOT_TABLE_CACHE_SIZE, _reduction_rows, cyclotomic_polynomial, divisors,
+                         euler_phi)
 
 # Deterministic Miller-Rabin: these bases decide primality below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -58,21 +67,21 @@ def _is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def split_prime(n: int) -> int:
-    """The smallest prime p > 2^62 with p = 1 (mod n): Phi_n splits mod p."""
-    p = (2 ** 62 // n + 1) * n + 1
+    """The smallest prime p > 2^29 with p = 1 (mod n): Phi_n splits mod p."""
+    p = (2 ** 29 // n + 1) * n + 1
     while not _is_prime(p):
         p += n
     return p
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROOT_TABLE_CACHE_SIZE)
 def split_roots(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """`_roots(n, split_prime(n))`, cached per conductor."""
     return _roots(n, split_prime(n))
 
 
 def _split_primes(n: int):
-    """(p, powers, inverse Vandermonde) for the primes p > 2^62 with
+    """(p, powers, inverse Vandermonde) for the primes p > 2^29 with
     p = 1 (mod n), ascending; only the first prime's tables are cached."""
     p = split_prime(n)
     yield (p, *split_roots(n))
@@ -141,7 +150,7 @@ def _unpack(x: int, n: int, step: int) -> list[int]:
 def _eliminate(rows, n_cols: int, p: int, step: int):
     """Elimination over F_p of packed rows, one row at a time in input order:
     (pivot rows, {dependent row: its coefficients on the pivot rows, in
-    their order})."""
+    their order}, pivot columns)."""
     bits, mask = 8 * step, (1 << 8 * step) - 1
     basis = []  # (bit offset of its pivot slot, reduced row with 1 there)
     prows, zero_combs = [], {}
@@ -164,7 +173,7 @@ def _eliminate(rows, n_cols: int, p: int, step: int):
         prows.append(i)
     # 0 = row_i + sum_k comb[k] row_k, so row_i = -sum_k comb[k] row_k.
     return prows, {i: [-c % p for c in comb] + [0] * (len(prows) - len(comb))
-                   for i, comb in zero_combs.items()}
+                   for i, comb in zero_combs.items()}, [shift // bits for shift, _ in basis]
 
 
 def _rational_lift(a: int, m: int, bound: int) -> tuple[int, int] | None:
@@ -181,8 +190,8 @@ def _rational_lift(a: int, m: int, bound: int) -> tuple[int, int] | None:
     return r1, t1
 
 
-# A defect must end in an error, not a spin; 64 primes lift coefficients of up to 1983 bits.
-_MAX_PRIMES = 64
+# A defect must end in an error, not a spin; 137 primes > 2^29 lift coefficients of 1983 bits.
+_MAX_PRIMES = 137
 
 
 def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> list[int]:
@@ -230,34 +239,39 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
 
 
 def _at_prime(rows, n_cols: int, p: int, powers, vinv, full: int):
-    """(pivot rows, residues) of integer rows mod p, or
-    None where the roots of Phi_N mod p disagree on the pivot rows.  The
-    residues, None at rank full, are the power-basis coordinates mod p of
-    each other row's coefficients on the pivot rows, flat by (row, pivot
-    row, coordinate)."""
+    """(pivot rows, residues) of integer rows mod p at the first root, or
+    None where another root, on the first root's pivot columns, gives other
+    pivot rows.  The residues, None at rank full, are the power-basis
+    coordinates mod p of each other row's coefficients on the pivot rows,
+    flat by (row, pivot row, coordinate)."""
     deg = len(vinv)
     step = _slot_bytes(p, deg, len(rows))
-    packed = [_unpack(_pack([c % p for coords in zip(*row) for c in coords], step),
-                      deg, step * n_cols) for row in rows]  # packed[r][a]: C_a of row r
 
-    def at(pw):
-        return [sum(c * w for c, w in zip(cs, pw)) for cs in packed]
+    def packed(block):  # packed[r][a]: C_a of row r of the block
+        return [_unpack(_pack([c % p for coords in zip(*row) for c in coords], step),
+                        deg, step * len(row)) for row in block]
 
-    prows, deps = _eliminate(at(powers[0]), n_cols, p, step)
+    def at(pw, packed_rows):
+        return [sum(c * w for c, w in zip(cs, pw)) for cs in packed_rows]
+
+    prows, deps, pcols = _eliminate(at(powers[0], packed(rows)), n_cols, p, step)
     if len(prows) == full:
         return prows, None
-    # The coefficients of each dependent row on the pivot rows, at every root.
-    per_root = [deps]
+    # Each other row's coefficients on the pivot rows are unique, so at the
+    # other roots the rows are eliminated, in input order, on the pivot
+    # columns only; they must give the same pivot rows.
+    rank, combs = len(prows), [list(deps.values())]
+    sub = packed([[row[j] for j in pcols] for row in rows])
     for pw in powers[1:]:
-        rs, deps = _eliminate(at(pw), n_cols, p, step)
+        rs, solved, _ = _eliminate(at(pw, sub), rank, p, step)
         if rs != prows:
             return None
-        per_root.append(deps)
+        combs.append(list(solved.values()))
     # Interpolate them to coordinates, packed over the pivot rows.
     residues = []
-    for i in per_root[0]:
-        values = [_pack(deps[i], step) for deps in per_root]
-        coords = [_unpack(sum(v * x for v, x in zip(vrow, values)), len(prows), step)
+    for per_root in zip(*combs):
+        values = [_pack(c, step) for c in per_root]
+        coords = [_unpack(sum(v * x for v, x in zip(vrow, values)), rank, step)
                   for vrow in vinv]
         residues += [a % p for vec in zip(*coords) for a in vec]
     return prows, residues

@@ -1,6 +1,7 @@
 import math
+import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 
@@ -9,7 +10,8 @@ from conftest import naive_rank
 from nichols2 import _modular
 from nichols2._linalg import exact_rank_vectors
 from nichols2._modular import (_MAX_PRIMES, _eliminate, _is_prime, _pack, _slot_bytes,
-                               certified_rank, split_prime, split_roots)
+                               _split_primes, certified_rank, split_prime,
+                               split_roots)
 from nichols2.cyclotomic import (CycNum, ZERO, canonical_conductor, euler_phi, root_of_unity,
                                  vector_product)
 from test_cyclotomic import _exact_div, vector_inverse
@@ -103,6 +105,13 @@ def bareiss_rank(matrix):
     conductor = common_conductor(matrix)
     rows = [[entry._lift(conductor) for entry in row] for row in matrix]
     return len(_bareiss_rank(_integer_rows(rows), conductor))
+
+
+def primes_to_lift(bits: int, prime_bits: int) -> int:
+    """The split primes of bit length prime_bits that rational reconstruction
+    needs for a coefficient of the given bit length: each prime is above
+    2^(prime_bits - 1), and their product must exceed 2^(2 bits + 1)."""
+    return -(-(2 * bits + 1) // (prime_bits - 1))
 
 
 @pytest.fixture
@@ -294,7 +303,7 @@ def test_fallback_when_the_prime_divides_an_entry(fallbacks):
     # in the span of no rows fails, and the second prime certifies.
     for n in (1, 12, 15):
         p = split_prime(n)
-        assert p > 2 ** 62 and (p - 1) % n == 0
+        assert _is_prime(p) and (p - 1) % n == 0
         entry = (p,) + (0,) * (euler_phi(n) - 1)
         pivot_rows = []
         assert exact_rank_vectors([[entry]], n, pivot_rows) == 1
@@ -304,8 +313,8 @@ def test_fallback_when_the_prime_divides_an_entry(fallbacks):
 
 def test_fallback_when_the_roots_disagree(fallbacks):
     # z - w vanishes at the first root w of Phi_12 mod p and at no other, so
-    # the second row depends on the first at that root only, and the second
-    # prime certifies.
+    # the second row depends on the first at that root only: the combination
+    # found there fails the exact check, and the second prime certifies.
     w = split_roots(12)[0][0][1]
     one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
     rows = [[one, zero], [one, (-w, 1, 0, 0)]]
@@ -315,10 +324,40 @@ def test_fallback_when_the_roots_disagree(fallbacks):
     assert fallbacks == [2]
 
 
+def test_fallback_when_the_pivot_rows_vanish_at_another_root(fallbacks):
+    # Both rows are (z - w) (1, 1) for the second root w of Phi_12 mod p: at
+    # the first root the first row is the pivot, at w it is zero, so the
+    # dependency cannot be solved there, and the second prime certifies.
+    w = split_roots(12)[0][1][1]
+    m = (-w, 1, 0, 0)
+    pivot_rows, deps = [], {}
+    assert exact_rank_vectors([[m, m], [m, m]], 12, pivot_rows, deps) == 1
+    assert pivot_rows == [0] and deps == {1: (1, [[1, 0, 0, 0]])}
+    assert fallbacks == [2]
+
+
+def test_fallback_when_a_later_pivot_row_spans_at_the_first_root(fallbacks):
+    # alpha has small coordinates and vanishes at the first root w of Phi_12
+    # mod p, so there the rows (1, 0, 0), (0, alpha, 0), (0, 1, 0) give the
+    # pivot rows [0, 2], and row 1 = alpha row 2 would lift from that prime.
+    # Row 1 raises the rank of the rows before it, so it must be a pivot row:
+    # the other roots reject that prime, and later primes certify [0, 1].
+    p, w = split_prime(12), split_roots(12)[0][0][1]
+    alpha = next((a, b, c, 0) for c in range(1, 256) for b in range(-255, 256)
+                 for a in [(p // 2 - b * w - c * w * w) % p - p // 2] if abs(a) < 2 ** 13)
+    assert sum(x * w ** k for k, x in enumerate(alpha)) % p == 0
+    one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
+    rows = [[one, zero, zero], [zero, alpha, zero], [zero, one, zero]]
+    assert len(_bareiss_rank(rows, 12)) == 2
+    pivot_rows = []
+    assert exact_rank_vectors(rows, 12, pivot_rows) == 2
+    assert pivot_rows == [0, 1] and len(fallbacks) == 1 and fallbacks[0] > 1
+
+
 def test_fallback_when_a_dependency_is_too_large_to_lift(rng, fallbacks):
     # A coefficient with a 40-bit numerator and denominator is beyond
-    # rational reconstruction mod a 63-bit prime, so the dependency is
-    # certified modulo the product of the first two.
+    # rational reconstruction mod one split prime, so the dependency is
+    # certified modulo the product of the first few.
     num, den = (1 << 40) + 15, (1 << 40) - 87
     assert math.gcd(num, den) == 1
     big = CycNum.from_rational(Fraction(num, den)) * root_of_unity(1, 12)
@@ -329,14 +368,17 @@ def test_fallback_when_a_dependency_is_too_large_to_lift(rng, fallbacks):
     rank = lifted_rank(m, pivot_rows)
     assert rank == naive_rank(m) == 3
     assert_valid_pivots(m, rank, pivot_rows)
-    assert fallbacks == [2]
+    primes = primes_to_lift(40, split_prime(12).bit_length())
+    assert primes > 1 and fallbacks == [primes]
 
 
-@pytest.mark.parametrize("bits, primes", [(100, 4), (200, 7)])
-def test_certified_rank_lifts_across_primes(rng, fallbacks, bits, primes):
+# The ids name the bit length and, from when the split primes were above
+# 2^62, the number of primes it took then.
+@pytest.mark.parametrize("bits", [pytest.param(100, id="100-4"), pytest.param(200, id="200-7")])
+def test_certified_rank_lifts_across_primes(rng, fallbacks, bits):
     # A coefficient whose numerator and denominator have the given bit length
     # lifts only modulo more than 2^(2 bits + 1): the product of the residues
-    # of 4 or 7 primes above 2^62, joined by the Chinese remainder theorem.
+    # of several split primes, joined by the Chinese remainder theorem.
     num, den = (1 << bits) - 15, (1 << bits) - 87
     assert math.gcd(num, den) == 1 and num.bit_length() == den.bit_length() == bits
     big = CycNum.from_rational(Fraction(num, den)) * root_of_unity(1, 12)
@@ -348,7 +390,29 @@ def test_certified_rank_lifts_across_primes(rng, fallbacks, bits, primes):
     rows = _integer_rows([[e._lift(12) for e in row] for row in m])
     assert pivot_rows == _bareiss_rank(rows, 12) == [0, 1, 3]
     assert rank == bareiss_rank(m) == naive_rank(m) == 3
-    assert fallbacks == [primes]
+    assert fallbacks == [primes_to_lift(bits, split_prime(12).bit_length())]
+
+
+def test_split_primes_are_one_digit():
+    # For every fixture conductor, and one far beyond them, the first split
+    # prime is one CPython digit, so every row operation has a one-digit
+    # multiplier.
+    from nichols2.classify import fixtures
+
+    conductors = {canonical_conductor(math.lcm(*(q.conductor for q in b.entries())))
+                  for b in fixtures().values()}
+    for n in sorted(conductors) + [15000]:
+        p = split_prime(n)
+        assert _is_prime(p) and (p - 1) % n == 0
+        assert p.bit_length() <= sys.int_info.bits_per_digit
+
+
+@pytest.mark.parametrize("n", [1, 12, 30])
+def test_max_primes_lift_1983_bits(n):
+    # The product of the first _MAX_PRIMES split primes lifts a coefficient
+    # of 1983 bits: rational reconstruction needs it above 2^(2 1983 + 1).
+    primes = [p for p, _, _ in islice(_split_primes(n), _MAX_PRIMES)]
+    assert len(primes) == _MAX_PRIMES and math.prod(primes) > 2 ** (2 * 1983 + 1)
 
 
 def test_the_prime_loop_ends(rng, monkeypatch, capsys, fallbacks):
@@ -496,8 +560,9 @@ def test_dependencies_combine_the_pivot_rows_exactly(rng):
 
 def _eliminate_mod(mat, p: int):
     """Reference elimination over F_p, one slot at a time, in input row order:
-    (pivot rows, dependencies), where dependencies maps each row that
-    reduces to zero to its coefficients on the pivot rows, in their order.
+    (pivot rows, dependencies, pivot columns), where dependencies maps each
+    row that reduces to zero to its coefficients on the pivot rows, in their
+    order.
     """
     n_cols = len(mat[0])
     basis = []  # (pivot column, reduced row with 1 there, its combination of input rows)
@@ -522,7 +587,7 @@ def _eliminate_mod(mat, p: int):
         prows.append(i)
     # 0 = row_i + sum_k comb[k] row_k, so row_i = -sum_k comb[k] row_k.
     deps = {i: [-comb.get(k, 0) % p for k in prows] for i, comb in zero_combs.items()}
-    return prows, deps
+    return prows, deps, [col for col, _, _ in basis]
 
 
 def packed_elimination(mat, p, deg):
@@ -543,9 +608,13 @@ def staircase(n, p):
     return rows + [[(1 - k) % p for k in range(n)]]
 
 
-# 2^63 - 25 is the largest prime below 2^63: only for p this close to a power
-# of two is the bound 2 bitlen(p) + bitlen(deg + rows) nearly reached.
-@pytest.mark.parametrize("p", [split_prime(12), 2 ** 63 - 25])
+# 2^63 - 25 and 2^30 - 35 are the largest primes below 2^63 and 2^30: only for
+# p this close to a power of two is the bound 2 bitlen(p) + bitlen(deg + rows)
+# nearly reached, at 2^30 - 35 under a full one-digit multiplier.
+# 4611686018427388081, the smallest prime above 2^62 that is 1 mod 12, is a
+# multi-digit p, as the split prime of a conductor with p >= 2^30 would be.
+@pytest.mark.parametrize("p", [split_prime(12), 4611686018427388081, 2 ** 63 - 25,
+                               2 ** 30 - 35])
 def test_packed_elimination_matches_reference(rng, p):
     assert _is_prime(p)
     mats = []
@@ -573,19 +642,19 @@ def test_packed_elimination_of_a_500_row_block():
     m = staircase(499, p)
     m.append([(x + 2 * y) % p for x, y in zip(m[3], m[-1])])
     assert len(m) == 500
-    prows, deps = packed_elimination(m, p, 8)
-    assert (prows, deps) == _eliminate_mod(m, p)
-    assert prows == list(range(499))
+    prows, deps, cols = packed_elimination(m, p, 8)
+    assert (prows, deps, cols) == _eliminate_mod(m, p)
+    assert prows == cols == list(range(499))
     assert deps[499] == [0, 0, 0, 1] + [0] * 494 + [2]
 
 
 @pytest.mark.parametrize("n", [12, 30])
 def test_exact_check_at_the_digit_bound(fallbacks, n):
     # Three pivot rows whose first column has every coordinate -(2^62 - 1),
-    # the largest bit length below p, and two dependent rows whose lifted
-    # coefficients have every coordinate 2^30 - 1, then -(2^30 - 1): the
-    # middle digit of that column's product is a sum of 3 deg products of
-    # the largest magnitude, of either sign.
+    # and two dependent rows whose lifted coefficients have every coordinate
+    # 2^30 - 1, then -(2^30 - 1): the middle digit of that column's product
+    # is a sum of 3 deg products of the largest magnitude, of either sign.
+    # Each rank lifts the 30-bit coefficients from primes_to_lift(30, ...) primes.
     deg, pmul = euler_phi(n), vector_product(n)
     big, zero = (-(2 ** 62 - 1),) * deg, (0,) * deg
     pivots = [[big] + [zero] * k + [(-(2 ** 62 - 1),) + zero[1:]] + [zero] * (2 - k)
@@ -598,7 +667,8 @@ def test_exact_check_at_the_digit_bound(fallbacks, n):
     assert certified_rank(rows, n) == [0, 1, 2]
     pivot_rows = []
     assert exact_rank_vectors(rows, n, pivot_rows) == 3 == len(_bareiss_rank(rows, n))
-    assert pivot_rows == [0, 1, 2] and fallbacks == []
+    primes = primes_to_lift(30, split_prime(n).bit_length())
+    assert pivot_rows == [0, 1, 2] and fallbacks == ([] if primes == 1 else [primes] * 2)
 
 
 def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbacks):
@@ -660,3 +730,22 @@ def test_certified_rank_on_deep_blocks(monkeypatch, fallbacks):
     assert max(len(rows) for rows, _, _ in blocks) == 25
     for rows, conductor, rank in blocks:
         assert len(_bareiss_rank(_integer_rows(rows), conductor)) == rank
+
+
+def test_certified_rank_lifts_oracle_blocks_across_primes(fallbacks):
+    # The (6,1) sample to degree 16 has oracle blocks whose dependency
+    # coefficients are too large for one split prime: those ranks join the
+    # residues of several, and the dimensions are still the PBW counts.
+    from nichols2.braidedalg import clear_caches
+    from nichols2.classify import fixtures
+    from nichols2.fbtree import TREES
+    from nichols2.nicholscore import count_by_degree, hilbert_prefix, pbw_monomials
+
+    b = fixtures()[(6, 1)]
+    clear_caches()
+    try:
+        dims = hilbert_prefix(b, 16)
+    finally:
+        clear_caches()
+    assert fallbacks
+    assert dims == count_by_degree(pbw_monomials(TREES[6], b, 16), 16)
