@@ -4,7 +4,7 @@ The rows are integer coordinate vectors in the power basis of Q(zeta_N),
 that is, entries of Z[zeta_N]: the oracle's derivative rows, cleared of
 denominators, and symmetrized monomials, for a braiding of roots of
 unity.  The rank is certified by `_modular.certified_rank` at the primes
-p > 2^29 with p = 1 (mod N), in ascending order.  Modulo such a p the
+p > 2^25 with p = 1 (mod N), in ascending order.  Modulo such a p the
 cyclotomic polynomial Phi_N splits into phi(N) linear factors z - w, one
 per primitive N-th root of unity w in F_p, and z -> w is a ring map from
 Z[zeta_N] to F_p.

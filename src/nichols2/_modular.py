@@ -3,11 +3,12 @@
 `certified_rank` proves a rank found modulo split primes from both sides,
 as described in the `_linalg` docstring; it never returns a rank without
 both certificates, so it is correct for any p.  The primes are the
-smallest above 2^29 with p = 1 (mod N), one 30-bit CPython digit: a small
-prime only means that a large coefficient is lifted from more primes, and
-for a conductor so large that p >= 2^30, only speed changes.  At each
+smallest above 2^25 with p = 1 (mod N), one CPython digit: a small prime
+only means that a large coefficient is lifted from more primes.  At each
 prime p it works on packed rows: one int per row, whose slot j, bytes
-j s to (j + 1) s - 1, holds entry j.
+j s to (j + 1) s - 1, holds entry j.  A slot is a whole number of
+little-endian 64-bit words (`pack_slots`); at one word, rows convert to
+and from slot lists in C.
 
 - Evaluation: coordinate a of each entry, reduced mod p, is packed once
   per row as C_a; the row at a root w is sum_a C_a w^a (slots < phi(N) p^2),
@@ -15,8 +16,9 @@ j s to (j + 1) s - 1, holds entry j.
 - Elimination: a row operation x += (p - f) pivot, the pivot row reduced,
   multiplies by one digit and adds less than p^2 to a slot, and a slot is
   reduced only when a pivot reads it, so s is 2 bitlen(p) +
-  bitlen(phi(N) + rows) bits, rounded up to bytes: 8 bytes at 30-bit p for
-  phi(N) + rows < 16, else 9 up to 4095.  Identity slots after the columns
+  bitlen(phi(N) + rows) bits, rounded up to words: one word at 26-bit p
+  for phi(N) + rows < 4096.  Any p is correct; a larger one, or a larger
+  block, only takes more words.  Identity slots after the columns
   record each row's pivot combination; after the first root the rows are
   eliminated on its pivot columns only, and the combinations are
   interpolated from the roots at the same width.
@@ -25,15 +27,18 @@ j s to (j + 1) s - 1, holds entry j.
   holds each entry's unreduced product in its own digits.  A digit of the
   sum over the pivots is below pivots phi(N) 2^(cbits + rbits) in
   magnitude, for the bit lengths of the largest lifted coefficient and row
-  coordinate; digits are one bit wider, so they decode exactly, balanced.
+  coordinate; digits are one bit wider, rounded up to words, so they
+  decode exactly, balanced.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
-from io import BytesIO
-from itertools import chain, islice, repeat
+import sys
+from array import array
+from functools import lru_cache
+from itertools import chain, islice
+from operator import mul
 
 from .cyclotomic import (ROOT_TABLE_CACHE_SIZE, _reduction_rows, cyclotomic_polynomial, divisors,
                          euler_phi)
@@ -65,10 +70,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROOT_TABLE_CACHE_SIZE)
 def split_prime(n: int) -> int:
-    """The smallest prime p > 2^29 with p = 1 (mod n): Phi_n splits mod p."""
-    p = (2 ** 29 // n + 1) * n + 1
+    """The smallest prime p > 2^25 with p = 1 (mod n): Phi_n splits mod p.
+    While p < 2^26, a packed slot is one 64-bit word for phi(n) + rows <
+    4096 (module docstring); any p is correct, a larger one takes more words."""
+    p = (2 ** 25 // n + 1) * n + 1
     while not _is_prime(p):
         p += n
     return p
@@ -81,8 +88,8 @@ def split_roots(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, .
 
 
 def _split_primes(n: int):
-    """(p, powers, inverse Vandermonde) for the primes p > 2^29 with
-    p = 1 (mod n), ascending; only the first prime's tables are cached."""
+    """(p, powers, inverse Vandermonde) for the primes p > 2^25 with p = 1
+    (mod n), ascending (`split_prime`); only the first prime's tables are cached."""
     p = split_prime(n)
     yield (p, *split_roots(n))
     while True:
@@ -132,19 +139,34 @@ def _roots(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
 
 
 def _slot_bytes(p: int, deg: int, n_rows: int) -> int:
-    """Bytes per slot of a packed row mod p (see the module docstring)."""
-    return (2 * p.bit_length() + (deg + n_rows).bit_length() + 7) // 8
+    """Bytes per slot of a packed row mod p: whole 64-bit words (module docstring)."""
+    return 8 * -(-(2 * p.bit_length() + (deg + n_rows).bit_length()) // 64)
 
 
-def _pack(values, step: int) -> int:
-    """Nonnegative ints below 2^(8 step) as the slots of one int."""
+assert array("Q").itemsize == 8, "a packed slot word is an 8-byte array('Q') item"
+
+
+def pack_slots(values, step: int) -> int:
+    """Nonnegative ints below 2^(8 step) as the slots of one int, slot j at
+    bit 8 step j; step is a whole number of 64-bit words, in bytes.  A slot
+    of one word converts in C, as a little-endian array('Q') item."""
+    if step == 8:
+        words = array("Q", values)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return int.from_bytes(words, "little")
     return int.from_bytes(b"".join([v.to_bytes(step, "little") for v in values]), "little")
 
 
-def _unpack(x: int, n: int, step: int) -> list[int]:
-    """The n slots of a packed int."""
-    chunks = iter(partial(BytesIO(x.to_bytes(n * step, "little")).read, step), b"")
-    return list(map(int.from_bytes, chunks, repeat("little")))
+def unpack_slots(x: int, n: int, step: int) -> list[int]:
+    """The n slots of step bytes of a packed int (`pack_slots`)."""
+    raw = x.to_bytes(n * step, "little")
+    if step == 8:
+        words = array("Q", raw)
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words.tolist()
+    return [int.from_bytes(raw[i * step:(i + 1) * step], "little") for i in range(n)]
 
 
 def _eliminate(rows, n_cols: int, p: int, step: int):
@@ -163,13 +185,13 @@ def _eliminate(rows, n_cols: int, p: int, step: int):
             f = (x >> shift & mask) % p
             if f:
                 x += (p - f) * piv
-        slots = [s % p for s in _unpack(x, n_cols + r + 1, step)]
+        slots = [s % p for s in unpack_slots(x, n_cols + r + 1, step)]
         col = next(filter(slots.__getitem__, range(n_cols)), None)
         if col is None:
             zero_combs[i] = slots[n_cols:-1]
             continue
         inv = pow(slots[col], -1, p)
-        basis.append((col * bits, _pack([s * inv % p for s in slots], step)))
+        basis.append((col * bits, pack_slots([s * inv % p for s in slots], step)))
         prows.append(i)
     # 0 = row_i + sum_k comb[k] row_k, so row_i = -sum_k comb[k] row_k.
     return prows, {i: [-c % p for c in comb] + [0] * (len(prows) - len(comb))
@@ -190,8 +212,8 @@ def _rational_lift(a: int, m: int, bound: int) -> tuple[int, int] | None:
     return r1, t1
 
 
-# A defect must end in an error, not a spin; 137 primes > 2^29 lift coefficients of 1983 bits.
-_MAX_PRIMES = 137
+# A defect must end in an error, not a spin; 159 primes > 2^25 lift coefficients of 1983 bits.
+_MAX_PRIMES = 159
 
 
 def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> list[int]:
@@ -248,11 +270,11 @@ def _at_prime(rows, n_cols: int, p: int, powers, vinv, full: int):
     step = _slot_bytes(p, deg, len(rows))
 
     def packed(block):  # packed[r][a]: C_a of row r of the block
-        return [_unpack(_pack([c % p for coords in zip(*row) for c in coords], step),
-                        deg, step * len(row)) for row in block]
+        return [[pack_slots([c % p for c in coords], step) for coords in zip(*row)]
+                for row in block]
 
     def at(pw, packed_rows):
-        return [sum(c * w for c, w in zip(cs, pw)) for cs in packed_rows]
+        return [sum(map(mul, cs, pw)) for cs in packed_rows]
 
     prows, deps, pcols = _eliminate(at(powers[0], packed(rows)), n_cols, p, step)
     if len(prows) == full:
@@ -270,8 +292,8 @@ def _at_prime(rows, n_cols: int, p: int, powers, vinv, full: int):
     # Interpolate them to coordinates, packed over the pivot rows.
     residues = []
     for per_root in zip(*combs):
-        values = [_pack(c, step) for c in per_root]
-        coords = [_unpack(sum(v * x for v, x in zip(vrow, values)), rank, step)
+        values = [pack_slots(c, step) for c in per_root]
+        coords = [unpack_slots(sum(map(mul, vrow, values)), rank, step)
                   for vrow in vinv]
         residues += [a % p for vec in zip(*coords) for a in vec]
     return prows, residues
@@ -303,10 +325,10 @@ def _spans(rows, conductor: int, prows: list[int], lifted) -> bool:
     flat = chain.from_iterable
     cbits = max(map(abs, flat(flat(nums for _, _, nums in lifted))), default=0).bit_length()
     rbits = max(map(abs, flat(flat(rows[k] for k in prows))), default=0).bit_length()
-    step = ((len(prows) * deg).bit_length() + cbits + rbits + 8) // 8
+    step = 8 * (((len(prows) * deg).bit_length() + cbits + rbits + 64) // 64)
     half = 1 << 8 * step - 1
-    offset = _pack([half] * n_digits, step)
-    pivots = [_pack([c + half for vec in rows[k] for c in [*vec] + [0] * (deg - 1)], step)
+    offset = pack_slots([half] * n_digits, step)
+    pivots = [pack_slots([c + half for vec in rows[k] for c in [*vec] + [0] * (deg - 1)], step)
               - offset for k in prows]
     reduce_rows = _reduction_rows(conductor)[:deg - 1]
     for i, den, nums in lifted:
@@ -314,7 +336,7 @@ def _spans(rows, conductor: int, prows: list[int], lifted) -> bool:
                              for piv, vec in zip(pivots, nums) if any(vec))
         if total < 0 or total >> 8 * step * n_digits:
             return False
-        digits = [d - half for d in _unpack(total, n_digits, step)]
+        digits = [d - half for d in unpack_slots(total, n_digits, step)]
         for j, target in enumerate(rows[i]):
             out = digits[j * width:j * width + deg]
             for c, red in zip(digits[j * width + deg:(j + 1) * width], reduce_rows):

@@ -339,6 +339,10 @@ class _SymEngine:
                            for j in range(self.deg))
         self.cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         self._vec_cache: dict[int, tuple[int, ...]] = {}
+        # The modular route and its slot codec load with the first engine, not on
+        # import, as in `_linalg`.
+        from ._modular import unpack_slots
+        self._unpack_slots = unpack_slots
         self._bits = 0  # the slot width B, set by the first entry
         self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         self.frontier: dict = {}
@@ -393,14 +397,7 @@ class _SymEngine:
         """Packed coefficient to a coordinate vector at self.conductor."""
         vec = self._vec_cache.get(coeff)
         if vec is None:
-            step = self._bits // 8
-            raw = coeff.to_bytes(self.L * step, "little")
-            if step == 8:
-                slots = memoryview(raw).cast("Q").tolist()
-            else:
-                slots = [int.from_bytes(raw[i:i + step], "little")
-                         for i in range(0, len(raw), step)]
-            at = slots.__getitem__
+            at = self._unpack_slots(coeff, self.L, self._bits // 8).__getitem__
             vec = self._vec_cache[coeff] = tuple(sum(map(operator.mul, map(at, where), values))
                                                  for where, values in self._cols)
         return vec

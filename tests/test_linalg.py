@@ -9,9 +9,9 @@ from conftest import naive_rank
 
 from nichols2 import _modular
 from nichols2._linalg import exact_rank_vectors
-from nichols2._modular import (_MAX_PRIMES, _eliminate, _is_prime, _pack, _slot_bytes,
-                               _split_primes, certified_rank, split_prime,
-                               split_roots)
+from nichols2._modular import (_MAX_PRIMES, _eliminate, _is_prime, _slot_bytes,
+                               _split_primes, certified_rank, pack_slots, split_prime,
+                               split_roots, unpack_slots)
 from nichols2.cyclotomic import (CycNum, ZERO, canonical_conductor, euler_phi, root_of_unity,
                                  vector_product)
 from test_cyclotomic import _exact_div, vector_inverse
@@ -396,7 +396,8 @@ def test_certified_rank_lifts_across_primes(rng, fallbacks, bits):
 def test_split_primes_are_one_digit():
     # For every fixture conductor, and one far beyond them, the first split
     # prime is one CPython digit, so every row operation has a one-digit
-    # multiplier.
+    # multiplier, and a packed slot is one 64-bit word while
+    # phi(N) + rows < 4096.
     from nichols2.classify import fixtures
 
     conductors = {canonical_conductor(math.lcm(*(q.conductor for q in b.entries())))
@@ -405,6 +406,8 @@ def test_split_primes_are_one_digit():
         p = split_prime(n)
         assert _is_prime(p) and (p - 1) % n == 0
         assert p.bit_length() <= sys.int_info.bits_per_digit
+        assert 2 * p.bit_length() + (4095).bit_length() <= 64
+        assert _slot_bytes(p, 1, 4094) == 8
 
 
 @pytest.mark.parametrize("n", [1, 12, 30])
@@ -558,6 +561,28 @@ def test_dependencies_combine_the_pivot_rows_exactly(rng):
     assert all(seen.values()), seen
 
 
+def test_slot_codec_matches_shift_and_mask(rng, monkeypatch):
+    # Slots of one and two little-endian 64-bit words, against shifts and
+    # masks; the extreme values fill every bit of a slot.
+    for step in (8, 16):
+        bits = 8 * step
+        for n in (0, 1, 2, 7, 40):
+            values = [rng.choice((0, 1, (1 << bits) - 1, rng.getrandbits(bits)))
+                      for _ in range(n)]
+            x = sum(v << bits * j for j, v in enumerate(values))
+            assert pack_slots(values, step) == x
+            assert unpack_slots(x, n, step) == [x >> bits * j & (1 << bits) - 1
+                                                for j in range(n)] == values
+    # On a big-endian host each word is byteswapped once, in place: here,
+    # where array('Q') is little-endian, that reverses each word's bytes.
+    values = [rng.getrandbits(64) for _ in range(9)]
+    swapped = [int.from_bytes(v.to_bytes(8, "little"), "big") for v in values]
+    monkeypatch.setattr(_modular.sys, "byteorder", "big")
+    x = pack_slots(values, 8)
+    assert x == sum(w << 64 * j for j, w in enumerate(swapped))
+    assert unpack_slots(x, 9, 8) == values
+
+
 def _eliminate_mod(mat, p: int):
     """Reference elimination over F_p, one slot at a time, in input row order:
     (pivot rows, dependencies, pivot columns), where dependencies maps each
@@ -596,7 +621,7 @@ def packed_elimination(mat, p, deg):
     an evaluated slot starts in."""
     step = _slot_bytes(p, deg, len(mat))
     top = deg * p * p - 1
-    rows = [_pack([v + (top - v) // p * p for v in row], step) for row in mat]
+    rows = [pack_slots([v + (top - v) // p * p for v in row], step) for row in mat]
     return _eliminate(rows, len(mat[0]), p, step)
 
 
@@ -608,13 +633,15 @@ def staircase(n, p):
     return rows + [[(1 - k) % p for k in range(n)]]
 
 
-# 2^63 - 25 and 2^30 - 35 are the largest primes below 2^63 and 2^30: only for
-# p this close to a power of two is the bound 2 bitlen(p) + bitlen(deg + rows)
-# nearly reached, at 2^30 - 35 under a full one-digit multiplier.
-# 4611686018427388081, the smallest prime above 2^62 that is 1 mod 12, is a
-# multi-digit p, as the split prime of a conductor with p >= 2^30 would be.
+# 2^63 - 25, 2^30 - 35 and 2^26 - 5 are the largest primes below 2^63, 2^30
+# and 2^26: only for p this close to a power of two is the bound
+# 2 bitlen(p) + bitlen(deg + rows) nearly reached, at 2^30 - 35 under a full
+# one-digit multiplier, and at 2^26 - 5 in one 64-bit word up to
+# deg + rows = 4095.  4611686018427388081, the smallest prime above 2^62 that
+# is 1 mod 12, is a multi-digit p; the 63-bit primes and 2^30 - 35 take
+# slots of two or three words.
 @pytest.mark.parametrize("p", [split_prime(12), 4611686018427388081, 2 ** 63 - 25,
-                               2 ** 30 - 35])
+                               2 ** 30 - 35, 2 ** 26 - 5])
 def test_packed_elimination_matches_reference(rng, p):
     assert _is_prime(p)
     mats = []
@@ -627,7 +654,7 @@ def test_packed_elimination_matches_reference(rng, p):
             m[rng.randrange(rows - 1)] = [0] * cols
         mats.append(m)
     mats.append([[p - 1] * 7 for _ in range(9)])
-    for n in (2, 5, 8):
+    for n in (2, 5, 8, 10):
         # Dependent rows after the staircase: the sum of two of its rows, and
         # a row of p - 1.
         m = staircase(n, p)
@@ -635,6 +662,13 @@ def test_packed_elimination_matches_reference(rng, p):
     for m in mats:
         for deg in (1, 4, 8):
             assert packed_elimination(m, p, deg) == _eliminate_mod(m, p)
+    # The last staircase, 10 rows and the two dependent ones, at
+    # deg + rows = 4095, the most one word holds at p < 2^26, and at 4105,
+    # where its slots grow above 2^64 for p = 2^26 - 5.
+    m = mats[-1]
+    for deg in (4083, 4093):
+        assert (_slot_bytes(p, deg, len(m)) == 8) == (p < 2 ** 26 and deg == 4083)
+        assert packed_elimination(m, p, deg) == _eliminate_mod(m, p)
 
 
 def test_packed_elimination_of_a_500_row_block():
