@@ -28,7 +28,8 @@ and from slot lists in C.
   sum over the pivots is below pivots phi(N) 2^(cbits + rbits) in
   magnitude, for the bit lengths of the largest lifted coefficient and row
   coordinate; digits are one bit wider, rounded up to words, so they
-  decode exactly, balanced.
+  decode exactly, balanced, and each entry's digits are reduced modulo
+  Phi_N by `cyclotomic.reduce_mod_phi`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from functools import lru_cache
 from itertools import chain, islice
 from operator import mul
 
-from .cyclotomic import (ROOT_TABLE_CACHE_SIZE, _reduction_rows, cyclotomic_polynomial, divisors,
-                         euler_phi)
+from .cyclotomic import (ROOT_TABLE_CACHE_SIZE, cyclotomic_polynomial, divisors, euler_phi,
+                         reduce_mod_phi)
 
 # Deterministic Miller-Rabin: these bases decide primality below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -330,7 +331,7 @@ def _spans(rows, conductor: int, prows: list[int], lifted) -> bool:
     offset = pack_slots([half] * n_digits, step)
     pivots = [pack_slots([c + half for vec in rows[k] for c in [*vec] + [0] * (deg - 1)], step)
               - offset for k in prows]
-    reduce_rows = _reduction_rows(conductor)[:deg - 1]
+    reduce = reduce_mod_phi(conductor)
     for i, den, nums in lifted:
         total = offset + sum(piv * sum(c << 8 * step * b for b, c in enumerate(vec))
                              for piv, vec in zip(pivots, nums) if any(vec))
@@ -338,10 +339,6 @@ def _spans(rows, conductor: int, prows: list[int], lifted) -> bool:
             return False
         digits = [d - half for d in unpack_slots(total, n_digits, step)]
         for j, target in enumerate(rows[i]):
-            out = digits[j * width:j * width + deg]
-            for c, red in zip(digits[j * width + deg:(j + 1) * width], reduce_rows):
-                if c:
-                    out = [a + c * r for a, r in zip(out, red)]
-            if out != [den * x for x in target]:
+            if reduce(digits[j * width:(j + 1) * width]) != [den * x for x in target]:
                 return False
     return True

@@ -26,7 +26,7 @@ from itertools import combinations
 from .cyclotomic import (CycNum, ONE, as_root_exponent, canonical_conductor, clear_denominators,
                          euler_phi, kronecker_sums, root_of_unity, root_vectors)
 from .fbtree import LGH, RGH, FullBinaryTree
-from .lyndon import Word, is_lyndon, shirshow
+from .lyndon import is_lyndon, shirshow
 
 
 class BraidedError(ValueError):
@@ -256,7 +256,7 @@ def _tau0_table(t: FullBinaryTree, b: Braiding) -> dict:
     return {LGH: NCPoly.generator(2), RGH: NCPoly.generator(1)}
 
 
-def bracket_word(b: Braiding, u: Word) -> NCPoly:
+def bracket_word(b: Braiding, u: str) -> NCPoly:
     """Bracket element of a Lyndon word: single letters map to the generators
     (a -> x2, b -> x1) and u = vw splits by the standard decomposition into
     [w][v] - chi(deg w, deg v) [v][w].  Values are kept in one word table,
@@ -269,15 +269,15 @@ def bracket_word(b: Braiding, u: Word) -> NCPoly:
         v, w = shirshow(u)
         pv = bracket_word(b, v)
         pw = bracket_word(b, w)
-        dv = (v.count_b(), len(v) - v.count_b())
-        dw = (w.count_b(), len(w) - w.count_b())
+        dv = (v.count("b"), v.count("a"))
+        dw = (w.count("b"), w.count("a"))
         el = table[u] = pw * pv - b.chi(dw, dv) * (pv * pw)
     return el
 
 
 @lru_cache(maxsize=1)
 def _bracket_table(b: Braiding) -> dict:
-    return {Word(1, 0): NCPoly.generator(2), Word(1, 1): NCPoly.generator(1)}
+    return {"a": NCPoly.generator(2), "b": NCPoly.generator(1)}
 
 
 # -- quantum symmetrizer ------------------------------------------------------
@@ -577,8 +577,9 @@ def format_ncpoly(p: NCPoly) -> str:
 
 def clear_caches():
     """Drop the chi, tau0 and bracket tables and the memoized symmetrizer data
-    (test hygiene).  The symmetrizer engines otherwise stay for the life of
-    the process, one per braiding."""
+    (test hygiene, and room to report running out of memory).  The
+    symmetrizer engines otherwise stay for the life of the process, one per
+    braiding."""
     _chi_table.cache_clear()
     _tau0_table.cache_clear()
     _bracket_table.cache_clear()

@@ -31,7 +31,7 @@ from .fbtree import TREES, FullBinaryTree, serialize_tree
 from .admissibility import (AdmissibilityReport, ReconstructionError, is_admissible,
                             lambda_table, p_table, reconstruct_tree)
 from .nicholscore import (NicholsError, TypeVerdict, _relation_generators, dimension,
-                          relation_vanishes, top_total_degree, verify_type)
+                          relation_set, relation_vanishes, top_total_degree, verify_type)
 
 
 class _RootExp:
@@ -246,12 +246,11 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
                          "dimension not finite by this method")
         else:
             try:
-                gens = _relation_generators(tree, b)
-                relations = [build() for d, build in gens if d <= degree_cap]
+                relations = relation_set(tree, b, degree_cap)
             except NicholsError as exc:
                 relations_error = str(exc)
             else:
-                skipped = len(gens) - len(relations)
+                skipped = len(_relation_generators(tree, b)) - len(relations)
                 if skipped:
                     notes.append(f"{skipped} relation generators above "
                                  f"degree {degree_cap} not expanded")

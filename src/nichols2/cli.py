@@ -6,7 +6,7 @@ negated twelfth root squared.  Reports are JSON by default; exit status is
 0 on success or a verified result, 1 on a verification failure, 2 on an
 input error (bad arguments, scalars, tree text or caps), and 3 on an
 internal error, which is reported with its command, exception type and
-traceback.
+traceback (running out of memory included).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from .cyclotomic import CycError, parse_scalar
-from .braidedalg import Braiding, BraidedError
+from .braidedalg import Braiding, BraidedError, clear_caches
 from .fbtree import TreeParseError, parse_tree, serialize_tree
 from .admissibility import ReconstructionError, reconstruct_tree
 from .classify import classify_full, run_fixture_matrix
@@ -240,6 +240,11 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        if isinstance(exc, MemoryError):
+            # Free the memo caches and the locals of the failed frames, so
+            # that printing the traceback does not run out of memory too.
+            clear_caches()
+            traceback.clear_frames(exc.__traceback__)
         traceback.print_exc()
         print(f"internal error in {args.command} ({type(exc).__name__}): {exc}",
               file=sys.stderr)

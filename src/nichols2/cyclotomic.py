@@ -24,6 +24,11 @@ and non-roots take the vector path.  A non-root is inverted by its norm: with
 the denominators cleared, x^-1 is the product of the conjugates sigma_k(x),
 k a unit other than 1, over the rational N(x) = x * prod sigma_k(x).
 
+A raw product, a polynomial in z of degree below 2 phi(N) - 1, is reduced
+modulo Phi_N in one place, `reduce_mod_phi(N)`: single products
+(`vector_product`), sums of products (`kronecker_sums`) and the exact check
+of the modular rank all call it.
+
 Every field map is one substitution z -> z^k (`_substitute`): the lift into a
 larger conductor, a Galois conjugate, and the fold of zeta_{2m} into zeta_m.
 A root of unity is built directly as a power of z at its conductor, zeta_{2m}
@@ -146,6 +151,32 @@ def power_vector(n: int, e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def reduce_mod_phi(n: int):
+    """The reduction modulo Phi_n: reduce(digits) takes the coefficient list
+    of a polynomial in z of degree below 2 phi(n) - 1, constant term first,
+    and returns the phi(n) coordinates of its class as a new list: the one
+    place a raw product is reduced (module docstring).
+    """
+    deg = euler_phi(n)
+    # z^(deg+k) mod Phi_n for the degrees a raw product can reach, with the
+    # zero coordinates dropped.
+    rows = tuple(tuple((j, r) for j, r in enumerate(row) if r)
+                 for row in _reduction_rows(n)[:deg - 1])
+
+    def reduce(digits):
+        out = digits[:deg]
+        if len(out) < deg:
+            out += [0] * (deg - len(out))
+        for c, row in zip(digits[deg:], rows):
+            if c:
+                for j, r in row:
+                    out[j] += c * r
+        return out
+
+    return reduce
+
+
+@lru_cache(maxsize=None)
 def vector_product(n: int):
     """The product of Q(zeta_n): mul(a, b) multiplies two coordinate
     vectors and returns the coordinate list of the product modulo Phi_n.
@@ -161,10 +192,7 @@ def vector_product(n: int):
         def mul(a, b):
             return [a[0] * b[0]]
         return mul
-    # z^(deg+k) mod Phi_n for the degrees a raw product can reach, with the
-    # zero coordinates dropped.
-    rows = tuple(tuple((j, r) for j, r in enumerate(row) if r)
-                 for row in _reduction_rows(n)[:deg - 1])
+    reduce = reduce_mod_phi(n)
 
     def mul(a, b):
         conv = [0] * (2 * deg - 1)
@@ -173,12 +201,7 @@ def vector_product(n: int):
                 for j, y in enumerate(b):
                     if y:
                         conv[i + j] += x * y
-        out = conv[:deg]
-        for c, row in zip(conv[deg:], rows):
-            if c:
-                for j, r in row:
-                    out[j] += c * r
-        return out
+        return reduce(conv)
 
     return mul
 
@@ -212,16 +235,11 @@ def kronecker_sums(n: int, xs: dict, ys: dict, products, per_sum: int) -> dict:
     for t, a, b in products:
         sums[t] = sums.get(t, 0) + px[a] * py[b]
     offset = sum(half << width * j for j in range(2 * deg - 1))
-    rows = _reduction_rows(n)
+    reduce = reduce_mod_phi(n)
     out = {}
     for t, x in sums.items():
         x += offset
-        digits = [(x >> width * j & mask) - half for j in range(2 * deg - 1)]
-        vec = digits[:deg]
-        for c, row in zip(digits[deg:], rows):
-            if c:
-                vec = [a + c * r for a, r in zip(vec, row)]
-        out[t] = vec
+        out[t] = reduce([(x >> width * j & mask) - half for j in range(2 * deg - 1)])
     return out
 
 

@@ -1,12 +1,15 @@
 """Words over the two-letter alphabet a < b, Lyndon machinery, and the
 order-preserving map from tree nodes to Lyndon words.
 
-Words are packed into machine integers (letter i of the word in bit i,
-0 for 'a', 1 for 'b'), which keeps the exhaustive corpora up to length 14
-used by the test suite cheap.
+A word is a plain string over "ab": the order of Python strings is the
+lexicographic order with a < b (u < v iff v extends u, or they first differ
+a against b), and slicing and concatenation are its prefixes, suffixes and
+products.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .fbtree import LGH, RGH, FullBinaryTree
 
@@ -15,131 +18,37 @@ class WordError(ValueError):
     pass
 
 
-class Word:
-    """Immutable word over {a, b}; 'a' sorts before 'b'."""
-
-    __slots__ = ("length", "bits")
-
-    def __init__(self, length: int, bits: int):
-        if bits >> length:
-            raise WordError("bits exceed word length")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Word is immutable")
-
-    @staticmethod
-    def from_str(text: str) -> Word:
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "b":
-                bits |= 1 << i
-            elif ch != "a":
-                raise WordError(f"letter {ch!r} is not in the alphabet")
-        return Word(len(text), bits)
-
-    def __str__(self):
-        return "".join("b" if self.bits >> i & 1 else "a" for i in range(self.length))
-
-    def __repr__(self):
-        return f"Word({str(self)!r})"
-
-    def __len__(self):
-        return self.length
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.length == other.length and self.bits == other.bits
-
-    def __hash__(self):
-        return hash((self.length, self.bits))
-
-    def __add__(self, other: Word) -> Word:
-        return Word(self.length + other.length, self.bits | (other.bits << self.length))
-
-    def prefix(self, n: int) -> Word:
-        return Word(n, self.bits & ((1 << n) - 1))
-
-    def suffix(self, i: int) -> Word:
-        """The suffix starting at position i."""
-        return Word(self.length - i, self.bits >> i)
-
-    def letters(self) -> tuple[int, ...]:
-        return tuple(self.bits >> i & 1 for i in range(self.length))
-
-    def count_b(self) -> int:
-        return self.bits.bit_count()
-
-    # Lexicographic order: u < v iff v extends u or they first differ a vs b.
-    def __lt__(self, other: Word) -> bool:
-        return lex_cmp(self, other) < 0
-
-    def __le__(self, other: Word) -> bool:
-        return lex_cmp(self, other) <= 0
-
-    def __gt__(self, other: Word) -> bool:
-        return lex_cmp(self, other) > 0
-
-    def __ge__(self, other: Word) -> bool:
-        return lex_cmp(self, other) >= 0
-
-
-EMPTY = Word(0, 0)
-A = Word.from_str("a")
-B = Word.from_str("b")
-
-
-def lex_cmp(u: Word, v: Word) -> int:
-    """-1, 0, or 1 according to the lexicographic order with a < b."""
-    m = min(u.length, v.length)
-    diff = (u.bits ^ v.bits) & ((1 << m) - 1)
-    if diff:
-        i = (diff & -diff).bit_length() - 1
-        return 1 if u.bits >> i & 1 else -1
-    if u.length == v.length:
-        return 0
-    return -1 if u.length < v.length else 1
-
-
-def is_lyndon(u: Word) -> bool:
+def is_lyndon(u: str) -> bool:
     """Whether u is strictly smaller than all of its proper suffixes."""
-    if u.length == 0:
+    if not u:
         raise WordError("the empty word is neither Lyndon nor not")
-    bits, n = u.bits, u.length
-    for i in range(1, n):
-        s = Word(n - i, bits >> i)
-        if lex_cmp(u, s) >= 0:
-            return False
-    return True
+    return all(u < u[i:] for i in range(1, len(u)))
 
 
-def shirshow(u: Word) -> tuple[Word, Word]:
+def shirshow(u: str) -> tuple[str, str]:
     """Split a Lyndon word of length >= 2 as u = vw, both factors Lyndon
     and |v| minimal.  Found by scanning split points left to right."""
-    if u.length < 2 or not is_lyndon(u):
+    if len(u) < 2 or not is_lyndon(u):
         raise WordError(f"{u!r} has no standard decomposition")
-    for i in range(1, u.length):
-        v, w = u.prefix(i), u.suffix(i)
+    for i in range(1, len(u)):
+        v, w = u[:i], u[i:]
         if is_lyndon(v) and is_lyndon(w):
             return v, w
     raise AssertionError("unreachable: every Lyndon word of length >= 2 splits")
 
 
-def lyndon_factorization(u: Word) -> list[Word]:
+def lyndon_factorization(u: str) -> list[str]:
     """The unique nonincreasing factorization of u into Lyndon words (Duval)."""
     out = []
     k = 0
-    n = u.length
+    n = len(u)
     while k < n:
         i, j = k, k + 1
-        while j < n and (u.bits >> i & 1) <= (u.bits >> j & 1):
-            if (u.bits >> i & 1) < (u.bits >> j & 1):
-                i = k
-            else:
-                i += 1
+        while j < n and u[i] <= u[j]:
+            i = k if u[i] < u[j] else i + 1
             j += 1
         while k <= i:
-            out.append(Word(j - i, (u.bits >> k) & ((1 << (j - i)) - 1)))
+            out.append(u[k:k + j - i])
             k += j - i
     return out
 
@@ -147,13 +56,12 @@ def lyndon_factorization(u: Word) -> list[Word]:
 def gamma(t: FullBinaryTree) -> dict:
     """Map every extended node to its Lyndon word: boundary nodes go to the
     single letters and an inner node to the concatenation over its godfathers."""
-    out = {LGH: A, RGH: B}
+    out = {LGH: "a", RGH: "b"}
     for a in t.nodes():
         out[a] = out[t.lgf(a)] + out[t.rgf(a)]
     return out
 
 
 def all_words(length: int):
-    """All words of exactly the given length, in lexicographic bit order."""
-    for bits in range(1 << length):
-        yield Word(length, bits)
+    """All words of exactly the given length, in lexicographic order."""
+    return map("".join, product("ab", repeat=length))

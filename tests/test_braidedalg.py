@@ -14,7 +14,7 @@ from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, bracke
                                  clear_caches, format_ncpoly, is_zero_in_nichols,
                                  symmetrize_poly, tau0)
 from nichols2.fbtree import LGH, RGH, TREES
-from nichols2.lyndon import Word, gamma
+from nichols2.lyndon import gamma
 from nichols2.nicholscore import _mixed_relation
 
 
@@ -141,11 +141,11 @@ def test_tau0_degree_is_label(rng):
 
 def test_bracket_examples():
     b = cartan_a2()
-    assert bracket_word(b, Word.from_str("a")) == x(2)
-    assert bracket_word(b, Word.from_str("b")) == x(1)
-    assert bracket_word(b, Word.from_str("ab")) == tau0(TREES[2], b, TREES[2].root)
+    assert bracket_word(b, "a") == x(2)
+    assert bracket_word(b, "b") == x(1)
+    assert bracket_word(b, "ab") == tau0(TREES[2], b, TREES[2].root)
     with pytest.raises(BraidedError):
-        bracket_word(b, Word.from_str("ba"))
+        bracket_word(b, "ba")
 
 
 def test_bracket_matches_tree_elements_everywhere(rng):

@@ -149,6 +149,36 @@ def test_classify_exits_one_when_relations_are_unavailable(capsys, monkeypatch):
     assert "verification failed: relations unavailable" in json.loads(out)["notes"][-1]
 
 
+def test_modular_route_loads_at_the_first_rank():
+    # Importing the package and the CLI, and classifying a braiding without
+    # the rank oracle, load neither the modular rank nor `array`; the first
+    # graded dimension loads both.
+    script = """if True:
+        import json, sys
+        import nichols2, nichols2.cli
+        from nichols2.admissibility import is_admissible, reconstruct_tree
+        from nichols2.classify import fixtures, match_condition
+        from nichols2.nicholscore import dimension, hilbert_prefix
+
+        def loaded():
+            return [name in sys.modules for name in ("nichols2._modular", "array")]
+
+        b = fixtures()[(2, 1)]
+        match_condition(b)
+        tree = reconstruct_tree(b, 16)
+        is_admissible(tree, b, 64)
+        dimension(tree, b)
+        before = loaded()
+        hilbert_prefix(b, 4)
+        print(json.dumps([before, loaded()]))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(nichols2.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[False, False], [True, True]]
+
+
 def test_internal_errors_exit_three(capsys, monkeypatch):
     import nichols2.cli as cli
 
@@ -161,6 +191,22 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert "internal error in dims (ValueError): simulated defect" in err
     assert "input error" not in err
+    # Running out of memory is an internal error too; the memo caches are
+    # dropped before the traceback is printed.
+    from nichols2 import braidedalg
+    from nichols2.nicholscore import hilbert_prefix
+
+    def exhausted(b, n):
+        hilbert_prefix(b, n)
+        assert braidedalg._ENGINES
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "hilbert_prefix", exhausted)
+    code, out, err = run(capsys, "dims", *args, "--degree-cap", "4")
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1] == "internal error in dims (MemoryError): "
+    assert "in exhausted" in err
+    assert not braidedalg._ENGINES
     # Caps are validated while parsing, before any work.
     code, _, err = run(capsys, "dims", *args, "--degree-cap", "-1")
     assert code == 2 and "--degree-cap" in err

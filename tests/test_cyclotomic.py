@@ -10,7 +10,8 @@ from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, _demote
                                  _root_exponent, _substitute, as_root_exponent,
                                  canonical_conductor, cyclotomic_polynomial, divisors, euler_phi,
                                  format_scalar, kronecker_sums, parse_scalar, power_vector, qfact,
-                                 qnum, root_of_unity, root_vectors, vector_product)
+                                 qnum, reduce_mod_phi, root_of_unity, root_vectors,
+                                 vector_product)
 
 INVERSE_CONDUCTORS = (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30)
 
@@ -32,13 +33,19 @@ def schoolbook_product(a, b, n):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             conv[i + j] += x * y
+    return long_division_remainder(conv, n)
+
+
+def long_division_remainder(coeffs, n):
+    """The coordinates of sum_j coeffs[j] z^j modulo Phi_n, by long division."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    for top in range(len(conv) - 1, deg - 1, -1):
-        c = conv[top]
+    rem = list(coeffs) + [0] * (deg - len(coeffs))
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
         for j, p in enumerate(phi):
-            conv[top - deg + j] -= c * p
-    return conv[:deg]
+            rem[top - deg + j] -= c * p
+    return rem[:deg]
 
 
 def test_kronecker_sums_match_vector_products_at_the_digit_bound(rng):
@@ -85,6 +92,15 @@ def test_vector_product_matches_long_division(rng):
             got = mul(fa, fb)
             assert got == schoolbook_product(fa, fb, n)
             assert all(isinstance(c, Fraction) for c in got)
+    # The reduction behind the product, on digit lists of every length it takes.
+    for n in INVERSE_CONDUCTORS:
+        reduce, deg = reduce_mod_phi(n), euler_phi(n)
+        for length in range(1, 2 * deg):
+            for _ in range(3):
+                digits = [rng.randrange(-2 ** 40, 2 ** 40) for _ in range(length)]
+                given = list(digits)
+                assert reduce(given) == long_division_remainder(digits, n)
+                assert given == digits
 
 
 def test_primitive_root_sum_reduces():

@@ -508,7 +508,7 @@ def test_generator_leading_words_are_the_lyndon_words():
         t = TREES[n]
         lyndon = gamma(t)
         for a, lead in colex_leads(t, b, 9).items():
-            assert lead == tuple(2 - x for x in reversed(lyndon[a].letters())), (n, a)
+            assert lead == tuple({"a": 2, "b": 1}[x] for x in reversed(lyndon[a])), (n, a)
             nodes += 1
     assert nodes == 194
 
