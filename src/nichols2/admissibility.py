@@ -12,21 +12,27 @@ The step adds two bicharacter values read as coordinates by
 `Braiding.chi_at`; bimultiplicativity gives chi(u, v)^-1 = chi(-u, v), so no
 inverse is formed, and for a braiding of roots of unity each value is one
 row of the table `cyclotomic.root_vectors`, picked by its exponent.
-Reconstruction then cross-checks the branch lengths against independent
-closed-form minimality conditions.  Those are products of a q-integer and
-a difference, so each is tested factor by factor: the q-integer by
-`qnum_vanishes`, the difference as an equality of products, which for
-roots of unity is exponent arithmetic.
+
+Every root-of-unity condition asks the order of a monomial
+q11^i (q12 q21)^j q22^k, `_order`: exponent arithmetic mod L where the three
+are powers of one zeta_L (`Braiding._exps`), a scalar only otherwise.
+p_a = chi(a, a)^-1 at label (r, s) has exponents (-r^2, -rs, -s^2); the
+generator height is its order, p = -1 when that is 2, and [m]_p = 0 when
+m = 0 or p has an order other than 1 dividing m.  Reconstruction
+cross-checks the branch lengths against closed-form minimality conditions,
+each a q-integer times a difference, one monomial test per factor.
+`_nu_vanishes` decides nu = 0 with its q-integer denominators multiplied
+out, on coordinate rows at the lambda conductor: no inverse is formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .cyclotomic import CycNum, ONE, ZERO, canonical_conductor, euler_phi, qnum
-from .fbtree import LGH, RGH, FullBinaryTree, TREES, Virtual
+from .cyclotomic import CycNum, ONE, ZERO, canonical_conductor, euler_phi, vector_product
+from .fbtree import FullBinaryTree, TREES, Virtual
 from .braidedalg import Braiding
 
 
@@ -66,22 +72,39 @@ def p_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
     return b.chi_nodes(t, a, a).inv()
 
 
+def _order(b: Braiding, i: int, j: int, k: int) -> int | None:
+    """The order of q11^i (q12 q21)^j q22^k, None if it is not a root of
+    unity: exponent arithmetic where `Braiding._exps` has the three as
+    powers of one zeta_L, the scalar otherwise."""
+    if b._exps is None:
+        return (b.q11 ** i * (b.q12 * b.q21) ** j * b.q22 ** k).order()
+    L = b._exps[0]
+    return L // math.gcd(b._exponent(i, j, j, k), L)
+
+
+def _pairing(t: FullBinaryTree, a) -> tuple[int, int, int]:
+    """The exponents (r^2, rs, s^2) of chi(a, a) at the label (r, s) of a."""
+    r, s = t.stern_brocot(a)
+    return r * r, r * s, s * s
+
+
+def _qnum_zero(m: int, o: int | None) -> bool:
+    """Whether [m]_p = 0 for p of order o (None: not a root of unity):
+    [m]_1 = m, and otherwise [m]_p = (p^m - 1)/(p - 1)."""
+    return m == 0 or (o is not None and o != 1 and m % o == 0)
+
+
 def generator_height(t: FullBinaryTree, b: Braiding, a) -> int:
     """The height of the PBW generator at extended inner node a: ord chi(a, a),
     which is also ord p_a.  In characteristic zero it is finite exactly when
     chi(a, a) is a root of unity other than 1 (Kharchenko's PBW theorem);
     otherwise the tree does not fit the braiding and NicholsError names a."""
-    o = b.chi_nodes(t, a, a).order()
+    o = _order(b, *_pairing(t, a))
     if o is None or o == 1:
         raise NicholsError(
             f"tree/braiding mismatch: chi(a, a) at node {a!r} is "
             f"{'not a root of unity' if o is None else '1'}")
     return o
-
-
-def qnum_vanishes(m: int, p: CycNum) -> bool:
-    """Whether [m]_p = 0: [m]_1 = m, and otherwise [m]_p = (p^m - 1)/(p - 1)."""
-    return m == 0 or (p != ONE and p ** m == ONE)
 
 
 def _lambda_conductor(b: Braiding) -> int:
@@ -125,29 +148,6 @@ def lambda_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
     return CycNum(n, lams[a])
 
 
-def lambda_closed(t: FullBinaryTree, b: Braiding, a: int, side: str) -> CycNum:
-    """Closed form for lambda on the outer spines, in the branch length
-    alone.  side "right" requires rgf(a) = RGH, side "left" lgf(a) = LGH.
-
-    An inverted prefactor (q11 q12 q22)^-1 would contradict the recursion
-    already at the root; the prefactor below is the one that agrees with
-    lambda_of on every qualifying node.
-    """
-    prefactor = b.q11 * b.q12 * b.q22
-    p_root = (b.q11 * b.q12 * b.q21 * b.q22).inv()
-    if side == "right":
-        if t.rgf(a) is not RGH:
-            raise ScalarDomainError(f"node {a} is not on the right spine")
-        m = t.lgfl(a)
-        return prefactor * (p_root - b.q22.inv() * b.q11 ** (m - 2)) * qnum(m, b.q11.inv())
-    if side == "left":
-        if t.lgf(a) is not LGH:
-            raise ScalarDomainError(f"node {a} is not on the left spine")
-        m = t.rgfl(a)
-        return prefactor * (p_root - b.q11.inv() * b.q22 ** (m - 2)) * qnum(m, b.q22.inv())
-    raise ScalarDomainError(f"unknown side {side!r}")
-
-
 def mu_of(t: FullBinaryTree, b: Braiding, a: int) -> CycNum:
     """Coefficient scalar for mixed relations; defined when lgf(a) is real."""
     c = t.lgf(a)
@@ -158,35 +158,39 @@ def mu_of(t: FullBinaryTree, b: Braiding, a: int) -> CycNum:
     return lambda_of(t, b, a) * mu_of(t, b, t.rgf(a))
 
 
-def nu_of(t: FullBinaryTree, b: Braiding, a: int) -> CycNum:
-    """Obstruction scalar at a node with a real left godfather and
-    rgfl <= 2; raises NuDenominatorError when a q-integer denominator
-    vanishes (which itself signals inadmissibility)."""
-    c = t.lgf(a)
-    if not isinstance(c, int):
-        raise ScalarDomainError(f"nu undefined: lgf({a}) is virtual")
-    k = t.rgfl(a)
-    if k > 2:
-        raise ScalarDomainError(f"nu undefined: rgfl({a}) = {k} > 2")
-    f = t.rgf(c)
-    p_c = p_of(t, b, c)
-    p_f = p_of(t, b, f)
-    two_f = qnum(2, p_f)
-    two_c = qnum(2, p_c)
-    if two_f.is_zero():
-        raise NuDenominatorError(a, "[2]_{p_f}")
-    if two_c.is_zero():
-        raise NuDenominatorError(a, "[2]_{p_c}")
+def _nu_vanishes(t: FullBinaryTree, b: Braiding, a: int) -> bool:
+    """Whether nu = 0 at a node a with a real left godfather c and k = rgfl <= 2,
+    for g = lgf c, f = rgf c and [m]_x = [m]_{p_x}:
+        k = 1: nu = chi(g, a)^-1 - chi(a, g) + lambda_a lambda_c ([2]_f^-1 - [2]_c^-1),
+        k = 2: nu = chi(g, rc)^-1 + lambda_c lambda_rc [2]_c^-1 ([2]_f^-1 - [3]_c^-1).
+    Times its denominators it is a sum of products of coordinate rows at the
+    lambda conductor.  A zero denominator raises NuDenominatorError, itself a
+    sign of inadmissibility."""
+    c, k = t.lgf(a), t.rgfl(a)
+    n, lams = _lambdas(t, b)
+    label = t.stern_brocot
+    g = label(t.lgf(c))
+
+    def qint(m, x):  # [m]_{p_x}: the sum of chi(-j x, x) = p_x^j over j < m
+        r, s = label(x)
+        return [sum(col) for col in zip(*(b.chi_at((-j * r, -j * s), (r, s), n)
+                                          for j in range(m)))]
+
+    dens = [qint(2, t.rgf(c)), qint(2, c)] + ([qint(3, c)] if k == 2 else [])
+    for row, which in zip(dens, ("[2]_{p_f}", "[2]_{p_c}", "[3]_{p_c}")):
+        if not any(row):
+            raise NuDenominatorError(a, which)
     if k == 1:
-        return (b.chi_nodes(t, t.lgf(c), a).inv() - b.chi_nodes(t, a, t.lgf(c))
-                + lambda_of(t, b, a) * lambda_of(t, b, c) * (two_f.inv() - two_c.inv()))
-    three_c = qnum(3, p_c)
-    if three_c.is_zero():
-        raise NuDenominatorError(a, "[3]_{p_c}")
-    rc = t.rch(c)
-    return (b.chi_nodes(t, t.lgf(c), rc).inv()
-            + lambda_of(t, b, c) * lambda_of(t, b, rc) * two_c.inv()
-            * (two_f.inv() - three_c.inv()))
+        x, y = a, c
+        chis = [u - v for u, v in zip(b.chi_at((-g[0], -g[1]), label(a), n),
+                                      b.chi_at(label(a), g, n))]
+    else:
+        x, y = c, t.rch(c)
+        chis = b.chi_at((-g[0], -g[1]), label(y), n)
+    mul = vector_product(n)
+    lhs = reduce(mul, dens, chis)
+    rhs = mul(mul(lams[x], lams[y]), [u - v for u, v in zip(dens[-1], dens[0])])
+    return not any(u + v for u, v in zip(lhs, rhs))
 
 
 def check_branch_hypothesis(t: FullBinaryTree) -> None:
@@ -236,20 +240,17 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
         try:
             generator_height(t, b, a)
         except NicholsError:
-            failures.append((t.weight(a), "p-root", a, "p = 1" if b.chi_nodes(t, a, a) == ONE
+            failures.append((t.weight(a), "p-root", a, "p = 1" if _order(b, *_pairing(t, a)) == 1
                              else "p is not a root of unity"))
 
     for a in t.internal():
-        if t.is_leaf(a):
-            continue
         la = t.lch(a)
-        if not t.is_leaf(la):
-            w = t.weight(la)
-            if p_of(t, b, a) == -ONE:
-                failures.append((w, "p-not-minus-one", a, "p_a = -1 with inner left child"))
-            if p_of(t, b, t.rgf(a)) == -ONE:
-                failures.append((w, "p-not-minus-one", a,
-                                 "p_{rgf a} = -1 with inner left child"))
+        if t.is_leaf(la):
+            continue
+        for x, p in ((a, "p_a"), (t.rgf(a), "p_{rgf a}")):
+            if _order(b, *_pairing(t, x)) == 2:
+                failures.append((t.weight(la), "p-not-minus-one", a,
+                                 f"{p} = -1 with inner left child"))
 
     for bb in t.internal():
         c = t.lgf(bb)
@@ -257,8 +258,8 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
             continue
         w = t.weight(bb) + t.weight(t.lgf(c))
         k = t.rgfl(bb)
-        p_c = p_of(t, b, c)
-        if any(qnum_vanishes(j, p_c) for j in range(1, k + 2)):
+        o_c = _order(b, *_pairing(t, c))
+        if any(_qnum_zero(j, o_c) for j in range(1, k + 2)):
             failures.append((w, "q-factorial", bb, f"[{k + 1}]! at p_c vanishes"))
             continue
         if t.rchl(t.lch(c)) <= k:
@@ -267,12 +268,10 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
             failures.append((w, "mixed-relation", bb, "no admissible branch configuration"))
             continue
         try:
-            nu = nu_of(t, b, bb)
+            if not _nu_vanishes(t, b, bb):
+                failures.append((w, "mixed-relation", bb, "nu does not vanish"))
         except NuDenominatorError as exc:
             failures.append((w, "mixed-relation", bb, str(exc)))
-            continue
-        if not nu.is_zero():
-            failures.append((w, "mixed-relation", bb, "nu does not vanish"))
 
     reported = [f[1:] for f in failures if f[0] <= n]
     return AdmissibilityReport(not reported, reported, n,
@@ -285,39 +284,28 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
 def _branch_length_formula_checks(t: FullBinaryTree, b: Braiding) -> None:
     # Independent validation of the reconstructed branch lengths: each
     # outer spine length and each inner left-branch length must be the
-    # first index where a closed-form expression vanishes.  Each expression
-    # is a q-integer times a difference, so it vanishes exactly when one
-    # factor does; the difference is tested as an equality of products.
-    q11i, q22i = b.q11.inv(), b.q22.inv()
-    p_root = (b.q11 * b.q12 * b.q21 * b.q22).inv()
-    q11i_q22i = q11i * q22i
-
-    def right_vanishes(m):
-        return qnum_vanishes(m, q11i) or b.q11 ** (1 - m) * p_root == q11i_q22i
-
-    def left_vanishes(m):
-        return qnum_vanishes(m, q22i) or b.q22 ** (1 - m) * p_root == q11i_q22i
-
-    def check_min(length, vanishes, what):
+    # first index m where a closed-form expression vanishes.  Each is
+    # [m + s]_p (u^m x - 1) for monomials u = p^+-1 and x, so it vanishes
+    # exactly when the q-integer does or u^m x = 1: on the right spine
+    # [m]_{q11^-1} (q11^(1-m) (q12 q21)^-1 - 1), on the left the same in q22,
+    # and below node a [m + s]_{p_a} (p_r p_a^(s-m) p_l^-1 - 1), s = lchl(rch a).
+    def check_min(length, s, x, u, what):
+        o = _order(b, *u)
         for m in range(1, length + 1):
-            zero = vanishes(m)
+            zero = _qnum_zero(m + s, o) or _order(b, *(i + m * j for i, j in zip(x, u))) == 1
             if m < length and zero:
                 raise ReconstructionError(f"{what}: expression vanishes early at {m}")
             if m == length and not zero:
                 raise ReconstructionError(f"{what}: expression nonzero at {m}")
 
-    check_min(t.rchl(0), right_vanishes, "right spine length")
-    check_min(t.lchl(0), left_vanishes, "left spine length")
+    check_min(t.rchl(0), 0, (1, -1, 0), (-1, 0, 0), "right spine length")
+    check_min(t.lchl(0), 0, (0, -1, 1), (0, 0, -1), "left spine length")
     for a in t.internal():
-        p_a = p_of(t, b, a)
+        # p_y = chi(y, y)^-1, so u = chi(a, a) and x = chi(a, a)^-s chi(l, l) chi(r, r)^-1.
+        pa, pr, pl = (_pairing(t, y) for y in (a, t.rgf(a), t.lgf(a)))
         s = t.lchl(t.rch(a))
-        p_r = p_of(t, b, t.rgf(a))
-        p_l = p_of(t, b, t.lgf(a))
-
-        def inner_vanishes(m, p_a=p_a, s=s, p_rs=p_r * p_a ** s, p_l=p_l):
-            return qnum_vanishes(m + s, p_a) or p_rs == p_l * p_a ** m
-
-        check_min(t.rchl(t.lch(a)), inner_vanishes, f"left branch below node {a}")
+        check_min(t.rchl(t.lch(a)), s, [y - z - s * w for w, y, z in zip(pa, pl, pr)], pa,
+                  f"left branch below node {a}")
 
 
 def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
@@ -348,7 +336,7 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
                 f"branching node at weight {weight} exceeds the cap {max_weight}: "
                 "possibly infinite-dimensional or cap too small")
         # p = chi(a, a)^-1 is a root of unity exactly when chi(a, a) is.
-        if not b.of_roots and b.chi(stbr, stbr).order() is None:
+        if _order(b, stbr[0] ** 2, stbr[0] * stbr[1], stbr[1] ** 2) is None:
             raise ReconstructionError(
                 f"branching node at label {stbr} has non-root-of-unity p")
         lch_stbr = (stbr_lgf[0] + stbr[0], stbr_lgf[1] + stbr[1])

@@ -36,7 +36,7 @@ class BraidedError(ValueError):
 class Braiding:
     """Immutable 2x2 matrix (q_ij) of nonzero scalars; of_roots: all are roots of unity."""
 
-    __slots__ = ("q11", "q12", "q21", "q22", "of_roots", "_root_data", "_hash")
+    __slots__ = ("q11", "q12", "q21", "q22", "of_roots", "_root_data", "_exps", "_hash")
 
     def __init__(self, q11: CycNum, q12: CycNum, q21: CycNum, q22: CycNum):
         entries = (q11, q12, q21, q22)
@@ -49,23 +49,36 @@ class Braiding:
         object.__setattr__(self, "q12", q12)
         object.__setattr__(self, "q21", q21)
         object.__setattr__(self, "q22", q22)
-        object.__setattr__(self, "_root_data", self._find_root_data())
-        object.__setattr__(self, "of_roots", self._root_data is not None)
+        of_roots, exps = self._find_exponents()
+        object.__setattr__(self, "of_roots", of_roots)
+        object.__setattr__(self, "_root_data", exps if of_roots else None)
+        object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_hash", hash(entries))
 
     def __setattr__(self, *args):
         raise AttributeError("Braiding is immutable")
 
-    def _find_root_data(self):
+    def _find_exponents(self):
         # When all entries are roots of unity they generate a cyclic group
         # of order L; a bicharacter value is then a single power of zeta_L,
         # which makes chi one cached root_of_unity instead of four powers.
         # Exponents are found at each entry's own (small) order and rescaled.
-        roots = [as_root_exponent(q) for q in (self.q11, self.q12, self.q21, self.q22)]
-        if None in roots:
-            return None
+        # Otherwise, where q11, q12 q21 and q22 are roots, they are those of
+        # (q11, q12 q21, 1, q22): the same chi(a, a) for all a, the same conditions.
+        roots = [as_root_exponent(q) for q in self.entries()]
+        of_roots = None not in roots
+        if not of_roots:
+            roots = [as_root_exponent(q) for q in (self.q11, self.q12 * self.q21, ONE, self.q22)]
+            if None in roots:
+                return False, None
         L = math.lcm(2, *(o for _, o in roots))
-        return L, tuple(e * (L // o) % L for e, o in roots)
+        return of_roots, (L, tuple(e * (L // o) % L for e, o in roots))
+
+    def _exponent(self, k11: int, k12: int, k21: int, k22: int) -> int:
+        """The e with q11^k11 q12^k12 q21^k21 q22^k22 = zeta_L^e, (L, _) = self._exps
+        (not None); where only q11, q12 q21 and q22 are roots, for k12 = k21."""
+        a11, a12, a21, a22 = self._exps[1]
+        return a11 * k11 + a12 * k12 + a21 * k21 + a22 * k22
 
     def entries(self) -> tuple[CycNum, CycNum, CycNum, CycNum]:
         return (self.q11, self.q12, self.q21, self.q22)
@@ -88,9 +101,8 @@ class Braiding:
         kept in one table, which holds the braiding in hand."""
         d1, d2 = d
         e1, e2 = e
-        if self._root_data is not None:
-            L, (a11, a12, a21, a22) = self._root_data
-            return root_of_unity(a11 * d1 * e1 + a12 * d1 * e2 + a21 * d2 * e1 + a22 * d2 * e2, L)
+        if self.of_roots:
+            return root_of_unity(self._exponent(d1 * e1, d1 * e2, d2 * e1, d2 * e2), self._exps[0])
         # The value depends on the four exponents alone, which key the table.
         table = _chi_table(self)
         key = (d1 * e1, d1 * e2, d2 * e1, d2 * e2)
@@ -105,12 +117,9 @@ class Braiding:
         """Coordinates of chi(d, e) at the canonical conductor n, which every
         entry's conductor divides.  For entries that are roots of unity the
         value is read by its exponent from the table `root_vectors`."""
-        if self._root_data is not None:
-            L, (a11, a12, a21, a22) = self._root_data
-            d1, d2 = d
-            e1, e2 = e
-            return root_vectors(L, n)[(a11 * d1 * e1 + a12 * d1 * e2
-                                       + a21 * d2 * e1 + a22 * d2 * e2) % L]
+        if self.of_roots:
+            L, (d1, d2), (e1, e2) = self._exps[0], d, e
+            return root_vectors(L, n)[self._exponent(d1 * e1, d1 * e2, d2 * e1, d2 * e2) % L]
         return self.chi(d, e)._lift(n)
 
     def chi_nodes(self, t: FullBinaryTree, a, b) -> CycNum:

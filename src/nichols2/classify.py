@@ -7,9 +7,9 @@ families; all matches are reported and the verifier simply checks each
 reconstructed tree on its own.
 
 The conditions are tested on exponents: q11, q and q22 are written as
-powers of one root zeta_L, L = lcm(2, their orders), and each condition
-becomes a congruence mod L.  The exponents are read from q itself, not from
-q12 and q21, which need not be roots of unity when their product is.  A
+powers of one root zeta_L, L even, once per braiding (`Braiding._exps`),
+and each condition becomes a congruence mod L.  Where q12 and q21 are not
+roots of unity, the exponent of q is read from their product.  A
 braiding where q11, q or q22 is not a root of unity matches nothing: every
 condition forces all three to be roots, by an order test or by an equation
 with a root.
@@ -116,11 +116,10 @@ _CONDITIONS: list[tuple[int, int, object]] = [
 def match_condition(b: Braiding) -> list[tuple[int, int]]:
     """All (family, case) pairs whose condition the braiding satisfies,
     tested on the exponents of q11, q = q12*q21 and q22."""
-    roots = [as_root_exponent(x) for x in (b.q11, b.q12 * b.q21, b.q22)]
-    if None in roots:
+    if b._exps is None:
         return []
-    L = math.lcm(2, *(d for _, d in roots))
-    q11, q, q22 = (_RootExp(k * (L // d), L) for k, d in roots)
+    L, (e11, e12, e21, e22) = b._exps
+    q11, q, q22 = _RootExp(e11, L), _RootExp(e12 + e21, L), _RootExp(e22, L)
     return [(n, c) for n, c, pred in _CONDITIONS if pred(q11, q, q22)]
 
 
@@ -246,15 +245,16 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
                          "dimension not finite by this method")
         else:
             try:
-                relations = relation_set(tree, b, degree_cap)
+                gens = _relation_generators(tree, b)
+                relations = relation_set(tree, b, degree_cap, gens)
             except NicholsError as exc:
                 relations_error = str(exc)
             else:
-                skipped = len(_relation_generators(tree, b)) - len(relations)
+                skipped = len(gens) - len(relations)
                 if skipped:
                     notes.append(f"{skipped} relation generators above "
                                  f"degree {degree_cap} not expanded")
-            if None in map(as_root_exponent, b.entries()):
+            if not b.of_roots:
                 # The symmetrizer, behind the oracle and a zero test, takes roots only.
                 notes.append("a braiding entry is not a root of unity; the oracle "
                              "and the relation zero tests were not run")

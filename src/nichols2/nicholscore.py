@@ -376,16 +376,18 @@ def _mixed_relation(t: FullBinaryTree, b: Braiding, bb: int) -> NCPoly:
             - coeff * tau0(t, b, c) ** (k + 1))
 
 
-def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None) -> list[NCPoly]:
+def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None,
+                 gens: list | None = None) -> list[NCPoly]:
     """Generators of the relation ideal read off the tree: every leaf
     bracket, the order-power of every extended inner node bracket, and one
     mixed commutation relation per inner node whose left godfather is inner.
 
     Power relations grow like 2^degree when expanded, so max_degree bounds
     which generators are materialized (their degrees are known up front
-    from weight and order); None expands everything.
+    from weight and order); None expands everything.  gens is
+    `_relation_generators(t, b)`, for a caller that also counts them.
     """
-    return [build() for d, build in _relation_generators(t, b)
+    return [build() for d, build in gens or _relation_generators(t, b)
             if max_degree is None or d <= max_degree]
 
 

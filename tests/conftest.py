@@ -4,8 +4,10 @@ import random
 import pytest
 
 from nichols2._linalg import exact_rank_vectors
-from nichols2.cyclotomic import ZERO, CycNum, root_of_unity, vector_product
+from nichols2.admissibility import (NuDenominatorError, ScalarDomainError, lambda_of, p_of)
+from nichols2.cyclotomic import ONE, ZERO, CycNum, qnum, root_of_unity, vector_product
 from nichols2.braidedalg import BraidedError, Braiding, NCPoly, _engine, _SymEngine
+from nichols2.fbtree import LGH, RGH, FullBinaryTree
 
 
 def random_root(rng: random.Random, max_conductor: int = 12) -> CycNum:
@@ -203,6 +205,70 @@ def naive_rank(matrix) -> int:
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+# -- scalar references ----------------------------------------------------------
+
+# The node-scalar conditions as CycNum values: the references for the
+# monomial order tests and the integer-row nu test of `admissibility`.
+
+def qnum_vanishes(m: int, p: CycNum) -> bool:
+    """Whether [m]_p = 0: [m]_1 = m, and otherwise [m]_p = (p^m - 1)/(p - 1)."""
+    return m == 0 or (p != ONE and p ** m == ONE)
+
+
+def lambda_closed(t: FullBinaryTree, b: Braiding, a: int, side: str) -> CycNum:
+    """Closed form for lambda on the outer spines, in the branch length
+    alone.  side "right" requires rgf(a) = RGH, side "left" lgf(a) = LGH.
+
+    An inverted prefactor (q11 q12 q22)^-1 would contradict the recursion
+    already at the root; the prefactor below is the one that agrees with
+    lambda_of on every qualifying node.
+    """
+    prefactor = b.q11 * b.q12 * b.q22
+    p_root = (b.q11 * b.q12 * b.q21 * b.q22).inv()
+    if side == "right":
+        if t.rgf(a) is not RGH:
+            raise ScalarDomainError(f"node {a} is not on the right spine")
+        m = t.lgfl(a)
+        return prefactor * (p_root - b.q22.inv() * b.q11 ** (m - 2)) * qnum(m, b.q11.inv())
+    if side == "left":
+        if t.lgf(a) is not LGH:
+            raise ScalarDomainError(f"node {a} is not on the left spine")
+        m = t.rgfl(a)
+        return prefactor * (p_root - b.q11.inv() * b.q22 ** (m - 2)) * qnum(m, b.q22.inv())
+    raise ScalarDomainError(f"unknown side {side!r}")
+
+
+def nu_of(t: FullBinaryTree, b: Braiding, a: int) -> CycNum:
+    """Obstruction scalar at a node with a real left godfather and
+    rgfl <= 2; raises NuDenominatorError when a q-integer denominator
+    vanishes (which itself signals inadmissibility)."""
+    c = t.lgf(a)
+    if not isinstance(c, int):
+        raise ScalarDomainError(f"nu undefined: lgf({a}) is virtual")
+    k = t.rgfl(a)
+    if k > 2:
+        raise ScalarDomainError(f"nu undefined: rgfl({a}) = {k} > 2")
+    f = t.rgf(c)
+    p_c = p_of(t, b, c)
+    p_f = p_of(t, b, f)
+    two_f = qnum(2, p_f)
+    two_c = qnum(2, p_c)
+    if two_f.is_zero():
+        raise NuDenominatorError(a, "[2]_{p_f}")
+    if two_c.is_zero():
+        raise NuDenominatorError(a, "[2]_{p_c}")
+    if k == 1:
+        return (b.chi_nodes(t, t.lgf(c), a).inv() - b.chi_nodes(t, a, t.lgf(c))
+                + lambda_of(t, b, a) * lambda_of(t, b, c) * (two_f.inv() - two_c.inv()))
+    three_c = qnum(3, p_c)
+    if three_c.is_zero():
+        raise NuDenominatorError(a, "[3]_{p_c}")
+    rc = t.rch(c)
+    return (b.chi_nodes(t, t.lgf(c), rc).inv()
+            + lambda_of(t, b, c) * lambda_of(t, b, rc) * two_c.inv()
+            * (two_f.inv() - three_c.inv()))
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import random_root_braiding
+from conftest import lambda_closed, random_root_braiding
 
 from test_fbtree import (check_godfathers_determine_node, check_label_identities,
                          check_order_identities, check_separation_identities)
@@ -20,7 +20,7 @@ from nichols2.cyclotomic import MINUS_ONE, ONE, qnum, root_of_unity
 from nichols2.braidedalg import Braiding, NCPoly, is_zero_in_nichols, tau0
 from nichols2.fbtree import LGH, RGH, TREES, random_full_tree
 from nichols2.lyndon import all_words, gamma, is_lyndon, shirshow
-from nichols2.admissibility import lambda_closed, lambda_of, p_of
+from nichols2.admissibility import lambda_of, p_of
 from nichols2.classify import fixtures, match_condition, run_fixture_matrix
 from nichols2.nicholscore import hilbert_prefix, relation_set
 

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from conftest import random_root_braiding
+from conftest import lambda_closed, nu_of, qnum_vanishes, random_root_braiding
 
 from nichols2.cyclotomic import (MINUS_ONE, ONE, ZERO, CycNum, canonical_conductor, qnum,
                                  root_of_unity)
@@ -14,11 +15,12 @@ from nichols2 import admissibility, braidedalg
 from nichols2.braidedalg import Braiding, tau0
 from nichols2.classify import classify_full, fixtures
 from nichols2.fbtree import LGH, RGH, TREES, FullBinaryTree, Virtual, parse_tree, serialize_tree
-from nichols2.admissibility import (PTableMismatch, ReconstructionError, ScalarDomainError,
-                                    StructureError, _branch_length_formula_checks,
-                                    check_branch_hypothesis, is_admissible, lambda_closed,
-                                    lambda_of, lambda_table, mu_of, nu_of, p_of, p_table,
-                                    qnum_vanishes, reconstruct_tree, sorted_internal)
+from nichols2.admissibility import (NuDenominatorError, PTableMismatch, ReconstructionError,
+                                    ScalarDomainError, StructureError,
+                                    _branch_length_formula_checks, _nu_vanishes, _order,
+                                    _qnum_zero, check_branch_hypothesis, is_admissible,
+                                    lambda_of, lambda_table, mu_of, p_of, p_table,
+                                    reconstruct_tree, sorted_internal)
 
 
 def cartan_a2():
@@ -438,3 +440,97 @@ def test_qnum_vanishes_equals_qnum_zero_test():
             assert qnum_vanishes(m, p) == acc.is_zero(), (m, p)
             acc, term = acc + term, term * p
         assert acc == qnum(41, p)
+
+
+# -- monomial order tests and the integer-row nu test ---------------------------
+
+def test_monomial_order_tests_match_scalar_tests():
+    # Each value p sits in each slot of the monomial q11^i (q12 q21)^j q22^k:
+    # as q11, q22, q12, and as q12 q21 with neither factor a root of unity.
+    two = ONE + ONE
+    values = [ONE + ONE, CycNum.from_rational(Fraction(1, 2)),
+              root_of_unity(1, 12) + Fraction(1, 3)]
+    values += [root_of_unity(k, d) for d in range(1, 31) for k in range(d) if math.gcd(k, d) == 1]
+    seen = Counter()
+    for p in values:
+        for b, e in ((Braiding(p, ONE, ONE, ONE), (1, 0, 0)),
+                     (Braiding(ONE, ONE, ONE, p), (0, 0, 1)),
+                     (Braiding(ONE, p, ONE, ONE), (0, 1, 0)),
+                     (Braiding(ONE, p * two, two.inv(), ONE), (0, 1, 0))):
+            o = _order(b, *e)
+            assert o == p.order() == _order(b, *(-x for x in e)), (p, e)
+            assert (o == 2) == (p == MINUS_ONE), (p, e)
+            for m in range(41):
+                assert _qnum_zero(m, o) == qnum_vanishes(m, p), (m, p, e)
+            seen["exponents" if b._exps is not None else "scalar"] += 1
+    # 4 slots x (278 roots of order <= 30 by exponent, 3 non-roots by value).
+    assert seen == {"exponents": 4 * 278, "scalar": 4 * 3}
+
+
+def test_monomial_order_matches_scalar_order_on_mixed_monomials():
+    z = root_of_unity
+    braidings = _braidings(4, 3, 5, 6) + [Braiding(z(1, 8), z(3, 8) * 2, ONE / 2, -z(1, 3)),
+                                          Braiding(ONE + ONE, z(1, 5), ONE, z(2, 7))]
+    for b in braidings:
+        q = b.q12 * b.q21
+        for i, j, k in itertools.product(range(-3, 4), repeat=3):
+            assert _order(b, i, j, k) == (b.q11 ** i * q ** j * b.q22 ** k).order(), (b, i, j, k)
+
+
+def _nu_sites(t, b):
+    """The nodes where `is_admissible` asks whether nu vanishes, decided
+    here by the scalar references."""
+    for bb in t.internal():
+        c = t.lgf(bb)
+        if not (isinstance(c, int) and not t.is_leaf(c)):
+            continue
+        k = t.rgfl(bb)
+        if any(qnum_vanishes(j, p_of(t, b, c)) for j in range(1, k + 2)):
+            continue
+        if t.rchl(t.lch(c)) > k and k <= 2:
+            yield bb, k
+
+
+def test_nu_rows_match_scalar_nu():
+    # Every family tree against the braidings of the admissibility CI gate.
+    braidings = [b for n in (6, 8) for b in _braidings(n, n, 1, n)]
+    vals = [ONE + ONE, root_of_unity(1, 5) + CycNum.from_rational(Fraction(1, 3))]
+    braidings += [Braiding(q11, q12, ONE, q22) for q11, q12, q22 in itertools.product(vals, repeat=3)]
+    seen = Counter()
+    for t in TREES.values():
+        for b in braidings:
+            for bb, k in _nu_sites(t, b):
+                try:
+                    want = nu_of(t, b, bb).is_zero()
+                except NuDenominatorError as exc:
+                    with pytest.raises(NuDenominatorError) as got:
+                        _nu_vanishes(t, b, bb)
+                    assert str(got.value) == str(exc), (t, b, bb)
+                    seen[str(exc).split(" ")[1], k] += 1
+                    continue
+                assert _nu_vanishes(t, b, bb) == want, (t, b, bb)
+                seen["zero" if want else "nonzero", b.of_roots, k] += 1
+    assert seen == {("zero", True, 1): 3928, ("zero", True, 2): 30,
+                    ("nonzero", True, 1): 9622, ("nonzero", True, 2): 1416,
+                    ("nonzero", False, 1): 200, ("nonzero", False, 2): 24,
+                    ("[2]_{p_f}", 1): 2150, ("[2]_{p_f}", 2): 222}
+
+
+def test_nu_rows_raise_every_denominator_error():
+    # The sites is_admissible never asks, where [2]_{p_c} or [3]_{p_c} is
+    # zero: the rows raise the reference's error there too.
+    seen = Counter()
+    for t in TREES.values():
+        for b in _braidings(6, 6, 1, 6):
+            for bb in t.internal():
+                if not isinstance(t.lgf(bb), int) or t.rgfl(bb) > 2:
+                    continue
+                try:
+                    want = nu_of(t, b, bb).is_zero()
+                except NuDenominatorError as exc:
+                    with pytest.raises(NuDenominatorError, match=re.escape(str(exc))):
+                        _nu_vanishes(t, b, bb)
+                    seen[str(exc).split(" ")[1]] += 1
+                else:
+                    assert _nu_vanishes(t, b, bb) == want, (t, b, bb)
+    assert all(seen[w] for w in ("[2]_{p_f}", "[2]_{p_c}", "[3]_{p_c}")), seen
