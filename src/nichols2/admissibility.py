@@ -16,11 +16,14 @@ row of the table `cyclotomic.root_vectors`, picked by its exponent.
 Every root-of-unity condition asks the order of a monomial
 q11^i (q12 q21)^j q22^k, `_order`: exponent arithmetic mod L where the three
 are powers of one zeta_L (`Braiding._exps`), a scalar only otherwise.
-p_a = chi(a, a)^-1 at label (r, s) has exponents (-r^2, -rs, -s^2); the
-generator height is its order, p = -1 when that is 2, and [m]_p = 0 when
-m = 0 or p has an order other than 1 dividing m.  Reconstruction
-cross-checks the branch lengths against closed-form minimality conditions,
-each a q-integer times a difference, one monomial test per factor.
+chi(a, a) at label (r, s) has exponents (r^2, rs, s^2); its order, also
+ord p_a, is the generator height at a.  `heights` is the one table of these
+orders, read by the p-root, p = -1 (height 2) and q-factorial conditions,
+the branch-length checks, `nicholscore.generator_orders` and the report's
+PBW list.  [m]_p = 0 when m = 0 or p has an order other than 1 dividing m.
+Reconstruction cross-checks the branch lengths against closed-form
+minimality conditions, each a q-integer times a difference, one monomial
+test per factor.
 `_nu_vanishes` decides nu = 0 with its q-integer denominators multiplied
 out, on coordinate rows at the lambda conductor: no inverse is formed.
 """
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 from .cyclotomic import CycNum, ONE, ZERO, canonical_conductor, euler_phi, vector_product
-from .fbtree import FullBinaryTree, TREES, Virtual
+from .fbtree import LGH, RGH, FullBinaryTree, TREES, Virtual
 from .braidedalg import Braiding
 
 
@@ -94,17 +97,13 @@ def _qnum_zero(m: int, o: int | None) -> bool:
     return m == 0 or (o is not None and o != 1 and m % o == 0)
 
 
-def generator_height(t: FullBinaryTree, b: Braiding, a) -> int:
-    """The height of the PBW generator at extended inner node a: ord chi(a, a),
-    which is also ord p_a.  In characteristic zero it is finite exactly when
-    chi(a, a) is a root of unity other than 1 (Kharchenko's PBW theorem);
-    otherwise the tree does not fit the braiding and NicholsError names a."""
-    o = _order(b, *_pairing(t, a))
-    if o is None or o == 1:
-        raise NicholsError(
-            f"tree/braiding mismatch: chi(a, a) at node {a!r} is "
-            f"{'not a root of unity' if o is None else '1'}")
-    return o
+@lru_cache(maxsize=1)
+def heights(t: FullBinaryTree, b: Braiding) -> dict:
+    """{a: ord chi(a, a)} over the extended inner nodes in Q order, None where
+    chi(a, a) is not a root of unity: the PBW generator heights (Kharchenko's
+    PBW theorem).  The cache holds the table of one (tree, braiding); its
+    readers share the dict and do not change it."""
+    return {a: _order(b, *_pairing(t, a)) for a in t.nbar2()}
 
 
 def _lambda_conductor(b: Braiding) -> int:
@@ -236,19 +235,17 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
         if not t.is_leaf(a) and zero:
             failures.append((t.weight(a), "branching", a, "inner node with lambda = 0"))
 
-    for a in t.nbar2():
-        try:
-            generator_height(t, b, a)
-        except NicholsError:
-            failures.append((t.weight(a), "p-root", a, "p = 1" if _order(b, *_pairing(t, a)) == 1
-                             else "p is not a root of unity"))
+    h = heights(t, b)
+    for a, o in h.items():
+        if o is None or o == 1:
+            failures.append((t.weight(a), "p-root", a, "p = 1" if o == 1 else "p is not a root of unity"))
 
     for a in t.internal():
         la = t.lch(a)
         if t.is_leaf(la):
             continue
         for x, p in ((a, "p_a"), (t.rgf(a), "p_{rgf a}")):
-            if _order(b, *_pairing(t, x)) == 2:
+            if h[x] == 2:
                 failures.append((t.weight(la), "p-not-minus-one", a,
                                  f"{p} = -1 with inner left child"))
 
@@ -258,8 +255,7 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
             continue
         w = t.weight(bb) + t.weight(t.lgf(c))
         k = t.rgfl(bb)
-        o_c = _order(b, *_pairing(t, c))
-        if any(_qnum_zero(j, o_c) for j in range(1, k + 2)):
+        if any(_qnum_zero(j, h[c]) for j in range(1, k + 2)):
             failures.append((w, "q-factorial", bb, f"[{k + 1}]! at p_c vanishes"))
             continue
         if t.rchl(t.lch(c)) <= k:
@@ -285,12 +281,12 @@ def _branch_length_formula_checks(t: FullBinaryTree, b: Braiding) -> None:
     # Independent validation of the reconstructed branch lengths: each
     # outer spine length and each inner left-branch length must be the
     # first index m where a closed-form expression vanishes.  Each is
-    # [m + s]_p (u^m x - 1) for monomials u = p^+-1 and x, so it vanishes
-    # exactly when the q-integer does or u^m x = 1: on the right spine
+    # [m + s]_p (u^m x - 1) for monomials u = p^+-1 and x, ord u a height
+    # (chi(RGH, RGH) = q11, chi(LGH, LGH) = q22), so it vanishes exactly when
+    # the q-integer does or u^m x = 1: on the right spine
     # [m]_{q11^-1} (q11^(1-m) (q12 q21)^-1 - 1), on the left the same in q22,
     # and below node a [m + s]_{p_a} (p_r p_a^(s-m) p_l^-1 - 1), s = lchl(rch a).
-    def check_min(length, s, x, u, what):
-        o = _order(b, *u)
+    def check_min(length, s, x, u, o, what):
         for m in range(1, length + 1):
             zero = _qnum_zero(m + s, o) or _order(b, *(i + m * j for i, j in zip(x, u))) == 1
             if m < length and zero:
@@ -298,14 +294,15 @@ def _branch_length_formula_checks(t: FullBinaryTree, b: Braiding) -> None:
             if m == length and not zero:
                 raise ReconstructionError(f"{what}: expression nonzero at {m}")
 
-    check_min(t.rchl(0), 0, (1, -1, 0), (-1, 0, 0), "right spine length")
-    check_min(t.lchl(0), 0, (0, -1, 1), (0, 0, -1), "left spine length")
+    h = heights(t, b)
+    check_min(t.rchl(0), 0, (1, -1, 0), (-1, 0, 0), h[RGH], "right spine length")
+    check_min(t.lchl(0), 0, (0, -1, 1), (0, 0, -1), h[LGH], "left spine length")
     for a in t.internal():
         # p_y = chi(y, y)^-1, so u = chi(a, a) and x = chi(a, a)^-s chi(l, l) chi(r, r)^-1.
         pa, pr, pl = (_pairing(t, y) for y in (a, t.rgf(a), t.lgf(a)))
         s = t.lchl(t.rch(a))
         check_min(t.rchl(t.lch(a)), s, [y - z - s * w for w, y, z in zip(pa, pl, pr)], pa,
-                  f"left branch below node {a}")
+                  h[a], f"left branch below node {a}")
 
 
 def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .cyclotomic import MINUS_ONE, ONE, as_root_exponent, root_of_unity
 from .braidedalg import Braiding, NCPoly, format_ncpoly
 from .fbtree import TREES, FullBinaryTree, serialize_tree
-from .admissibility import (AdmissibilityReport, ReconstructionError, is_admissible,
+from .admissibility import (AdmissibilityReport, ReconstructionError, heights, is_admissible,
                             lambda_table, p_table, reconstruct_tree)
 from .nicholscore import (NicholsError, TypeVerdict, _relation_generators, dimension,
                           relation_set, relation_vanishes, top_total_degree, verify_type)
@@ -237,7 +237,7 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
     verified_up_to = 0
     dim = verdict = relations_vanish = relations_error = adm = None
     if tree is not None:
-        pbw = [(tree.weight(a), b.chi_nodes(tree, a, a).order()) for a in tree.nbar2()]
+        pbw = [(tree.weight(a), o) for a, o in heights(tree, b).items()]
         try:
             dim = dimension(tree, b)
         except NicholsError:
@@ -245,12 +245,11 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
                          "dimension not finite by this method")
         else:
             try:
-                gens = _relation_generators(tree, b)
-                relations = relation_set(tree, b, degree_cap, gens)
+                relations = relation_set(tree, b, degree_cap)
             except NicholsError as exc:
                 relations_error = str(exc)
             else:
-                skipped = len(gens) - len(relations)
+                skipped = len(_relation_generators(tree, b)) - len(relations)
                 if skipped:
                     notes.append(f"{skipped} relation generators above "
                                  f"degree {degree_cap} not expanded")

@@ -85,7 +85,7 @@ from .braidedalg import (BraidedError, Braiding, NCPoly, _conductor, _derivation
                          _engine, _integer_terms, tau0)
 from .cyclotomic import clear_denominators, kronecker_sums, qfact
 from .fbtree import FullBinaryTree
-from .admissibility import NicholsError, generator_height, mu_of, p_of
+from .admissibility import NicholsError, heights, mu_of, p_of
 
 
 class _Ranked(NamedTuple):
@@ -215,8 +215,14 @@ class PBWMonomial:
 
 def generator_orders(t: FullBinaryTree, b: Braiding) -> list[int]:
     """The generator heights over the extended inner nodes, ascending Q
-    order (see `generator_height`)."""
-    return [generator_height(t, b, a) for a in t.nbar2()]
+    order (`admissibility.heights`).  NicholsError names the first node
+    whose height is not finite or is 1: the tree does not fit the braiding."""
+    h = heights(t, b)
+    for a, o in h.items():
+        if o is None or o == 1:
+            raise NicholsError(f"tree/braiding mismatch: chi(a, a) at node {a!r} is "
+                               f"{'not a root of unity' if o is None else '1'}")
+    return list(h.values())
 
 
 def pbw_monomials(t: FullBinaryTree, b: Braiding, up_to: int) -> list[PBWMonomial]:
@@ -376,18 +382,16 @@ def _mixed_relation(t: FullBinaryTree, b: Braiding, bb: int) -> NCPoly:
             - coeff * tau0(t, b, c) ** (k + 1))
 
 
-def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None,
-                 gens: list | None = None) -> list[NCPoly]:
+def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None) -> list[NCPoly]:
     """Generators of the relation ideal read off the tree: every leaf
     bracket, the order-power of every extended inner node bracket, and one
     mixed commutation relation per inner node whose left godfather is inner.
 
     Power relations grow like 2^degree when expanded, so max_degree bounds
     which generators are materialized (their degrees are known up front
-    from weight and order); None expands everything.  gens is
-    `_relation_generators(t, b)`, for a caller that also counts them.
+    from weight and order); None expands everything.
     """
-    return [build() for d, build in gens or _relation_generators(t, b)
+    return [build() for d, build in _relation_generators(t, b)
             if max_degree is None or d <= max_degree]
 
 

@@ -242,3 +242,51 @@ def test_relation_expansion_failure_fails_verification(monkeypatch):
     assert rep.verify_detail == "relations unavailable: simulated expansion failure"
     assert rep.to_json_dict()["notes"][-1] == ("verification failed: relations unavailable: "
                                                "simulated expansion failure")
+
+
+def test_classify_computes_each_height_table_once(monkeypatch):
+    # Every reader of the generator heights (tree reconstruction,
+    # admissibility, dimension, relations, verification, the PBW list)
+    # takes them from one table per (tree, braiding), and none forms a
+    # CycNum to find an order.
+    from nichols2.admissibility import heights
+
+    calls = []
+    order = CycNum.order
+
+    def counting(self):
+        calls.append(self)
+        return order(self)
+
+    monkeypatch.setattr(CycNum, "order", counting)
+    heights.cache_clear()
+    for b in fixtures().values():
+        classify_full(b, 8)
+    assert heights.cache_info().misses == 31
+    assert calls == []
+
+
+def test_pbw_list_matches_cycnum_reference():
+    # The report's PBW list against the order of the CycNum chi(a, a), on the
+    # root braidings at N = 6, on braidings whose q12 and q21 are not roots
+    # of unity but whose q12 q21 is (the exponent branch of the order), and
+    # on one-leaf trees (q12 q21 = 1) with a diagonal entry that is not a
+    # root (the scalar branch, and a height of None).
+    z = root_of_unity
+    braidings = [Braiding(z(a, 6), z(c, 6), ONE, z(d, 6))
+                 for a, c, d in itertools.product(range(6), repeat=3)]
+    for c in (CycNum.from_rational(Fraction(2)), z(1, 5) + CycNum.from_rational(Fraction(1, 3))):
+        braidings += [Braiding(z(a, 8), z(k, 8) * c, c.inv(), z(d, 8))
+                      for a, k, d in itertools.product(range(8), repeat=3)]
+        braidings += [Braiding(q11, c, c.inv(), q22)
+                      for q11, q22 in itertools.product((c, z(3, 8)), repeat=2)]
+    trees = non_roots = 0
+    for b in braidings:
+        rep = classify_full(b, degree_cap=2)
+        t = rep.tree
+        want = [] if t is None else [(t.weight(a), b.chi_nodes(t, a, a).order())
+                                     for a in t.nbar2()]
+        assert rep.pbw == want, b
+        trees += t is not None
+        non_roots += any(o is None for _, o in rep.pbw)
+    assert trees > 300 and non_roots == 6
