@@ -25,7 +25,7 @@ Reconstruction cross-checks the branch lengths against closed-form
 minimality conditions, each a q-integer times a difference, one monomial
 test per factor.
 `_nu_vanishes` decides nu = 0 with its q-integer denominators multiplied
-out, on coordinate rows at the lambda conductor: no inverse is formed.
+out, on coordinate rows at the braiding's conductor: no inverse is formed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
-from .cyclotomic import CycNum, ONE, ZERO, canonical_conductor, euler_phi, vector_product
+from .cyclotomic import CycNum, ONE, ZERO, euler_phi, vector_product
 from .fbtree import LGH, RGH, FullBinaryTree, TREES, Virtual
 from .braidedalg import Braiding
 
@@ -71,8 +71,9 @@ class PTableMismatch(AssertionError):
 
 
 def p_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
-    """p_a = chi(a, a)^-1, the inverse self-pairing scalar of a node."""
-    return b.chi_nodes(t, a, a).inv()
+    """p_a = chi(a, a)^-1 = chi(-a, a), the inverse self-pairing scalar of a node."""
+    r, s = t.stern_brocot(a)
+    return b.chi((-r, -s), (r, s))
 
 
 def _order(b: Braiding, i: int, j: int, k: int) -> int | None:
@@ -106,11 +107,6 @@ def heights(t: FullBinaryTree, b: Braiding) -> dict:
     return {a: _order(b, *_pairing(t, a)) for a in t.nbar2()}
 
 
-def _lambda_conductor(b: Braiding) -> int:
-    # Every bicharacter value of b lies in Q(zeta_n) for this n.
-    return canonical_conductor(math.lcm(*(q.conductor for q in b.entries())))
-
-
 def _lambda_step(b: Braiding, n: int, lam: tuple, u, v) -> tuple:
     """lam + chi(u, v)^-1 - chi(v, u) on coordinates at conductor n: the
     lambda of the node with godfather labels u (left) and v (right), given
@@ -127,7 +123,7 @@ def _lambdas(t: FullBinaryTree, b: Braiding) -> tuple[int, tuple]:
     Nodes are numbered in preorder, so each parent's entry is ready before
     its children's.  The cache holds the table of one (tree, braiding).
     """
-    n = _lambda_conductor(b)
+    n = b.conductor
     lams = []
     for a in t.nodes():
         par = t.parent[a]
@@ -163,7 +159,7 @@ def _nu_vanishes(t: FullBinaryTree, b: Braiding, a: int) -> bool:
         k = 1: nu = chi(g, a)^-1 - chi(a, g) + lambda_a lambda_c ([2]_f^-1 - [2]_c^-1),
         k = 2: nu = chi(g, rc)^-1 + lambda_c lambda_rc [2]_c^-1 ([2]_f^-1 - [3]_c^-1).
     Times its denominators it is a sum of products of coordinate rows at the
-    lambda conductor.  A zero denominator raises NuDenominatorError, itself a
+    braiding's conductor.  A zero denominator raises NuDenominatorError, itself a
     sign of inadmissibility."""
     c, k = t.lgf(a), t.rgfl(a)
     n, lams = _lambdas(t, b)
@@ -322,7 +318,7 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
     """
     if max_weight < 2:
         raise ValueError("max_weight must be at least 2")
-    n = _lambda_conductor(b)
+    n = b.conductor
 
     def grow(stbr, stbr_lgf, stbr_rgf, lam):
         if not any(lam):

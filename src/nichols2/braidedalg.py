@@ -25,8 +25,8 @@ from itertools import combinations
 
 from .cyclotomic import (CycNum, ONE, as_root_exponent, canonical_conductor, clear_denominators,
                          euler_phi, kronecker_sums, root_of_unity, root_vectors)
-from .fbtree import LGH, RGH, FullBinaryTree
-from .lyndon import is_lyndon, shirshow
+from .fbtree import FullBinaryTree
+from .lyndon import christoffel, is_lyndon, shirshow
 
 
 class BraidedError(ValueError):
@@ -34,9 +34,11 @@ class BraidedError(ValueError):
 
 
 class Braiding:
-    """Immutable 2x2 matrix (q_ij) of nonzero scalars; of_roots: all are roots of unity."""
+    """Immutable 2x2 matrix (q_ij) of nonzero scalars; of_roots: all are roots of
+    unity; conductor: that of the entries' field, where every chi value lies."""
 
-    __slots__ = ("q11", "q12", "q21", "q22", "of_roots", "_root_data", "_exps", "_hash")
+    __slots__ = ("q11", "q12", "q21", "q22", "of_roots", "conductor", "_root_data", "_exps",
+                 "_hash")
 
     def __init__(self, q11: CycNum, q12: CycNum, q21: CycNum, q22: CycNum):
         entries = (q11, q12, q21, q22)
@@ -52,6 +54,8 @@ class Braiding:
         of_roots, exps = self._find_exponents()
         object.__setattr__(self, "of_roots", of_roots)
         object.__setattr__(self, "_root_data", exps if of_roots else None)
+        object.__setattr__(self, "conductor", canonical_conductor(
+            exps[0] if of_roots else math.lcm(*(q.conductor for q in entries))))
         object.__setattr__(self, "_exps", exps)
         object.__setattr__(self, "_hash", hash(entries))
 
@@ -239,30 +243,15 @@ class NCPoly:
 
 
 def tau0(t: FullBinaryTree, b: Braiding, a) -> NCPoly:
-    """Iterated q-commutator attached to an extended node.
-
-    tau0(LGH) = x2 and tau0(RGH) = x1; an inner or leaf node gets
-    tau0(rgf a) tau0(lgf a) - chi(rgf a, lgf a) tau0(lgf a) tau0(rgf a).
-    Its multidegree equals the node's Stern-Brocot label.  Values are kept
-    in one node table, which holds the (tree, braiding) pair in hand.
-    """
-    table = _tau0_table(t, b)
-    el = table.get(a)
-    if el is None:
-        hi = tau0(t, b, t.rgf(a))
-        lo = tau0(t, b, t.lgf(a))
-        el = table[a] = hi * lo - b.chi_nodes(t, t.rgf(a), t.lgf(a)) * (lo * hi)
-    return el
+    """Iterated q-commutator of an extended node: the bracket of the Lyndon word of
+    its label (`lyndon.christoffel`), so x2 at LGH, x1 at RGH, and otherwise
+    tau0(rgf a) tau0(lgf a) - chi(rgf a, lgf a) tau0(lgf a) tau0(rgf a)."""
+    return bracket_word(b, christoffel(*t.stern_brocot(a)))
 
 
 @lru_cache(maxsize=1)
 def _chi_table(b: Braiding) -> dict:
     return {}
-
-
-@lru_cache(maxsize=1)
-def _tau0_table(t: FullBinaryTree, b: Braiding) -> dict:
-    return {LGH: NCPoly.generator(2), RGH: NCPoly.generator(1)}
 
 
 def bracket_word(b: Braiding, u: str) -> NCPoly:
@@ -278,8 +267,7 @@ def bracket_word(b: Braiding, u: str) -> NCPoly:
         v, w = shirshow(u)
         pv = bracket_word(b, v)
         pw = bracket_word(b, w)
-        dv = (v.count("b"), v.count("a"))
-        dw = (w.count("b"), w.count("a"))
+        dv, dw = ((x.count("b"), x.count("a")) for x in (v, w))
         el = table[u] = pw * pv - b.chi(dw, dv) * (pv * pw)
     return el
 
@@ -338,7 +326,7 @@ class _SymEngine:
                                f"roots of unity, got {b!r}")
         self.b = b
         self.L, self.exps = b._root_data
-        self.conductor = canonical_conductor(self.L)
+        self.conductor = b.conductor
         self.deg = euler_phi(self.conductor)
         # Coordinate j of zeta_L^e at self.conductor, as the slots e where it
         # is nonzero and its values there; most are zero at a large conductor.
@@ -467,16 +455,17 @@ _ENGINES: dict[Braiding, _SymEngine] = {}
 
 
 def _engine(b: Braiding) -> _SymEngine:
+    # One engine is kept, that of the braiding in hand: a new one frees the last.
     eng = _ENGINES.get(b)
     if eng is None:
+        _ENGINES.clear()
         eng = _ENGINES[b] = _SymEngine(b)
     return eng
 
 
 def _conductor(b: Braiding, rho: NCPoly) -> int:
     """The canonical conductor of the braiding's entries and rho's coefficients."""
-    field = b._root_data[0] if b._root_data else math.lcm(*(q.conductor for q in b.entries()))
-    return canonical_conductor(math.lcm(field, *(c.conductor for c in rho.terms.values())))
+    return canonical_conductor(math.lcm(b.conductor, *(c.conductor for c in rho.terms.values())))
 
 
 def _integer_terms(rho: NCPoly, n: int) -> tuple[dict, int]:
@@ -585,11 +574,8 @@ def format_ncpoly(p: NCPoly) -> str:
 
 
 def clear_caches():
-    """Drop the chi, tau0 and bracket tables and the memoized symmetrizer data
-    (test hygiene, and room to report running out of memory).  The
-    symmetrizer engines otherwise stay for the life of the process, one per
-    braiding."""
+    """Drop the chi and bracket tables and the symmetrizer engine, each of the
+    braiding in hand (test hygiene, and room to report running out of memory)."""
     _chi_table.cache_clear()
-    _tau0_table.cache_clear()
     _bracket_table.cache_clear()
     _ENGINES.clear()

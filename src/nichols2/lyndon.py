@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .fbtree import LGH, RGH, FullBinaryTree
+from .fbtree import FullBinaryTree
 
 
 class WordError(ValueError):
@@ -53,13 +53,18 @@ def lyndon_factorization(u: str) -> list[str]:
     return out
 
 
+def christoffel(r: int, s: int) -> str:
+    """The Christoffel word of the label (r, s): letter i of n = r + s is b when
+    (i + 1) r // n > i r // n.  It is Lyndon, and `shirshow` splits it into the
+    words of its two Stern-Brocot parents (Berstel, Lauve, Reutenauer and
+    Saliola, "Combinatorics on Words", 2008): a node's godfathers' words."""
+    n = r + s
+    return "".join("b" if (i + 1) * r // n > i * r // n else "a" for i in range(n))
+
+
 def gamma(t: FullBinaryTree) -> dict:
-    """Map every extended node to its Lyndon word: boundary nodes go to the
-    single letters and an inner node to the concatenation over its godfathers."""
-    out = {LGH: "a", RGH: "b"}
-    for a in t.nodes():
-        out[a] = out[t.lgf(a)] + out[t.rgf(a)]
-    return out
+    """Map every extended node to its Lyndon word, the Christoffel word of its label."""
+    return {a: christoffel(*t.stern_brocot(a)) for a in t.nbar()}
 
 
 def all_words(length: int):

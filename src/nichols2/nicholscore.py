@@ -58,7 +58,10 @@ the colex-largest word of any element of the Nichols ideal.
    So the colex-largest word of a PBW monomial, the product of the powers
    tau0(a)^e in ascending node order, is the concatenation of the
    colex-largest words of its factors, and its coefficient is the product
-   of theirs: nonzero.
+   of theirs.  That of tau0(a) is R(u) with coefficient 1, for u the Lyndon
+   word of a (`lyndon.christoffel`) and R the reversal with a -> x2, b -> x1.
+   By induction: for u = vw standard, [u] = [w][v] - chi(w, v) [v][w], the
+   products lead with R(u) and R(wv), and u < wv as u is Lyndon.
 3. If these leading words are distinct standard words, the monomials are
    independent modulo the ideal: the colex-largest word of a nontrivial
    combination of them is one of their leading words, a standard word.
@@ -85,6 +88,7 @@ from .braidedalg import (BraidedError, Braiding, NCPoly, _conductor, _derivation
                          _engine, _integer_terms, tau0)
 from .cyclotomic import clear_denominators, kronecker_sums, qfact
 from .fbtree import FullBinaryTree
+from .lyndon import christoffel
 from .admissibility import NicholsError, heights, mu_of, p_of
 
 
@@ -307,7 +311,7 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
                                f"predicted {counts[m]} monomials, oracle dimension {dims[m]}",
                                counts, dims, heavy)
     eng = _engine(b)
-    leads = {a: max(tau0(t, b, a).terms, key=lambda w: w[::-1])
+    leads = {a: tuple({"a": 2, "b": 1}[x] for x in reversed(christoffel(*t.stern_brocot(a))))
              for a in t.nbar2() if t.weight(a) <= n}
     for bideg, group in sorted(_monomials_by_bidegree(t, monos).items()):
         words = {_leading_word(mo, leads) for mo in group}
@@ -325,7 +329,7 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
 
 def _leading_word(mono: PBWMonomial, leads: dict) -> tuple[int, ...]:
     """The colex-largest word of `evaluate_monomial`, from the colex-largest
-    word of tau0 at each node (module docstring, step 2)."""
+    word R(u) of tau0 at each node (module docstring, step 2)."""
     return sum((leads[a] * e for a, e in zip(mono.nodes, mono.exponents) if e), ())
 
 

@@ -390,13 +390,14 @@ def test_tables_hold_one_tree_and_braiding():
     for key in ((3, 1), (6, 1), (11, 1), (2, 1)):
         b, t = fixtures()[key], TREES[key[0]]
         classify_full(b, 3)
-        misses = admissibility._lambdas.cache_info().misses, braidedalg._tau0_table.cache_info().misses
+        misses = (admissibility._lambdas.cache_info().misses,
+                  braidedalg._bracket_table.cache_info().misses)
         first[key] = ([lambda_of(t, b, a) for a in t.nbar()], [tau0(t, b, a) for a in t.nbar()])
         # classify_full left this pair's tables in place: reading them misses nothing.
         assert admissibility._lambdas.cache_info().misses == misses[0]
-        assert braidedalg._tau0_table.cache_info().misses == misses[1]
+        assert braidedalg._bracket_table.cache_info().misses == misses[1]
         assert admissibility._lambdas.cache_info().currsize == 1
-        assert braidedalg._tau0_table.cache_info().currsize == 1
+        assert braidedalg._bracket_table.cache_info().currsize == 1
     for key, (lams, taus) in first.items():
         b, t = fixtures()[key], TREES[key[0]]
         assert [lambda_of(t, b, a) for a in t.nbar()] == lams

@@ -148,14 +148,6 @@ def test_bracket_examples():
         bracket_word(b, "ba")
 
 
-def test_bracket_matches_tree_elements_everywhere(rng):
-    for key, t in TREES.items():
-        b = random_root_braiding(rng)
-        g = gamma(t)
-        for a in list(t.nodes()) + [LGH, RGH]:
-            assert bracket_word(b, g[a]) == tau0(t, b, a)
-
-
 def test_bracket_table_holds_one_braiding():
     clear_caches()
     words = [w for a, w in gamma(TREES[13]).items() if a not in (LGH, RGH)]
@@ -168,6 +160,18 @@ def test_bracket_table_holds_one_braiding():
     for b, values in first.items():
         assert [bracket_word(b, w) for w in words] == values
         assert braidedalg._bracket_table.cache_info().currsize == 1
+
+
+def test_one_engine_is_kept():
+    # Each braiding replaces the last one's engine: a fixture matrix leaves
+    # only the engine of its last braiding.
+    from nichols2.classify import run_fixture_matrix
+
+    clear_caches()
+    run_fixture_matrix(3, 16)
+    assert len(braidedalg._ENGINES) == 1
+    b = cartan_a2()
+    assert _engine(b) is _engine(b) and list(braidedalg._ENGINES) == [b]
 
 
 def test_symmetrizer_degree_one_is_identity():

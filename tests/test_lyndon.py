@@ -1,10 +1,12 @@
 import functools
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nichols2.fbtree import LGH, RGH, TREES
-from nichols2.lyndon import WordError, all_words, gamma, is_lyndon, lyndon_factorization, shirshow
+from nichols2.fbtree import LGH, RGH, TREES, random_full_tree
+from nichols2.lyndon import (WordError, all_words, christoffel, gamma, is_lyndon,
+                             lyndon_factorization, shirshow)
 
 W = str
 EMPTY = ""
@@ -118,6 +120,26 @@ def test_gamma_examples():
     assert g[RGH] == W("b")
     assert g[TREES[2].root] == W("ab")
     assert g[TREES[2].lch(0)] == W("aab")
+
+
+def test_christoffel_words_of_tree_labels():
+    # On the family trees and 1000 seeded random trees, the Christoffel word
+    # of every extended node's label is a Lyndon word of the node's weight,
+    # the concatenation of its godfathers' words, and split into them by
+    # the standard factorization.
+    rng = Random(2004)
+    trees = [*TREES.values(), *(random_full_tree(rng, rng.randrange(13)) for _ in range(1000))]
+    nodes = 0
+    for t in trees:
+        word = {a: christoffel(*t.stern_brocot(a)) for a in t.nbar()}
+        assert word[LGH] == "a" and word[RGH] == "b"
+        for a in t.nbar():
+            assert is_lyndon(word[a]) and len(word[a]) == t.weight(a)
+        for a in t.nodes():
+            parents = (word[t.lgf(a)], word[t.rgf(a)])
+            assert word[a] == "".join(parents) and shirshow(word[a]) == parents
+            nodes += 1
+    assert nodes > 10000
 
 
 def test_gamma_properties_on_constants():

@@ -462,8 +462,8 @@ def test_tau0_coefficients_are_integral_at_the_engine_conductor():
 
 
 def colex_leads(t, b, n):
-    """The colex-largest word of tau0 at each extended inner node of weight
-    at most n, as `verify_type` reads it."""
+    """The colex-largest word of the expanded tau0 at each extended inner node
+    of weight at most n: the reference for the words `verify_type` reads."""
     return {a: max(tau0(t, b, a).terms, key=lambda w: w[::-1])
             for a in t.nbar2() if t.weight(a) <= n}
 
@@ -511,6 +511,25 @@ def test_generator_leading_words_are_the_lyndon_words():
             assert lead == tuple({"a": 2, "b": 1}[x] for x in reversed(lyndon[a])), (n, a)
             nodes += 1
     assert nodes == 194
+
+
+def test_verify_type_expands_no_bracket_for_its_leading_words(monkeypatch):
+    # The leading word of each node bracket is read off its Lyndon word
+    # (step 2 of the nicholscore docstring), and every family sample's words
+    # agree with the oracle's through degree 8, so no bracket is expanded.
+    from nichols2 import nicholscore
+    from nichols2.classify import fixtures
+
+    calls = []
+
+    def counting(t, b, a):
+        calls.append(a)
+        return tau0(t, b, a)
+
+    monkeypatch.setattr(nicholscore, "tau0", counting)
+    for (n, _), b in sorted(fixtures().items()):
+        assert verify_type(TREES[n], b, 8)
+    assert calls == []
 
 
 # The (family sample, tree) pairs of the type-verification gate whose
