@@ -35,10 +35,11 @@ class BraidedError(ValueError):
 
 class Braiding:
     """Immutable 2x2 matrix (q_ij) of nonzero scalars; of_roots: all are roots of
-    unity; conductor: that of the entries' field, where every chi value lies."""
+    unity; conductor: that of the entries' field, where every chi value lies;
+    _exps: (L, exponents) of the entries as powers of zeta_L, or where only q11,
+    q12 q21 and q22 are roots of unity those of (q11, q12 q21, 1, q22), else None."""
 
-    __slots__ = ("q11", "q12", "q21", "q22", "of_roots", "conductor", "_root_data", "_exps",
-                 "_hash")
+    __slots__ = ("q11", "q12", "q21", "q22", "of_roots", "conductor", "_exps", "_hash")
 
     def __init__(self, q11: CycNum, q12: CycNum, q21: CycNum, q22: CycNum):
         entries = (q11, q12, q21, q22)
@@ -53,7 +54,6 @@ class Braiding:
         object.__setattr__(self, "q22", q22)
         of_roots, exps = self._find_exponents()
         object.__setattr__(self, "of_roots", of_roots)
-        object.__setattr__(self, "_root_data", exps if of_roots else None)
         object.__setattr__(self, "conductor", canonical_conductor(
             exps[0] if of_roots else math.lcm(*(q.conductor for q in entries))))
         object.__setattr__(self, "_exps", exps)
@@ -65,10 +65,11 @@ class Braiding:
     def _find_exponents(self):
         # When all entries are roots of unity they generate a cyclic group
         # of order L; a bicharacter value is then a single power of zeta_L,
-        # which makes chi one cached root_of_unity instead of four powers.
-        # Exponents are found at each entry's own (small) order and rescaled.
-        # Otherwise, where q11, q12 q21 and q22 are roots, they are those of
-        # (q11, q12 q21, 1, q22): the same chi(a, a) for all a, the same conditions.
+        # one cached root_of_unity.  Exponents are found at each entry's own
+        # (small) order and rescaled.  Otherwise, where q11, q12 q21 and q22
+        # are roots, they are those of (q11, q12 q21, 1, q22): the same
+        # chi(a, a) for all a, the same conditions, and chi a power of
+        # zeta_L times one power of q12.
         roots = [as_root_exponent(q) for q in self.entries()]
         of_roots = None not in roots
         if not of_roots:
@@ -101,21 +102,19 @@ class Braiding:
     def chi(self, d: tuple[int, int], e: tuple[int, int]) -> CycNum:
         """chi(d, e) = q11^(d1 e1) q12^(d1 e2) q21^(d2 e1) q22^(d2 e2).
 
-        Values of a braiding with an entry that is not a root of unity are
-        kept in one table, which holds the braiding in hand."""
+        Where q11, q12 q21 and q22 are roots of unity, q21 = (q12 q21) q12^-1
+        makes it the diagram's zeta_L^x, x = _exponent(d1 e1, d2 e1, d2 e1,
+        d2 e2), times q12^(d1 e2 - d2 e1); where all four are roots, one
+        power of zeta_L.  Otherwise it is the product of the four powers."""
         d1, d2 = d
         e1, e2 = e
         if self.of_roots:
             return root_of_unity(self._exponent(d1 * e1, d1 * e2, d2 * e1, d2 * e2), self._exps[0])
-        # The value depends on the four exponents alone, which key the table.
-        table = _chi_table(self)
-        key = (d1 * e1, d1 * e2, d2 * e1, d2 * e2)
-        value = table.get(key)
-        if value is None:
-            k11, k12, k21, k22 = key
-            value = table[key] = (self.q11 ** k11 * self.q12 ** k12
-                                  * self.q21 ** k21 * self.q22 ** k22)
-        return value
+        if self._exps is None:
+            return (self.q11 ** (d1 * e1) * self.q12 ** (d1 * e2)
+                    * self.q21 ** (d2 * e1) * self.q22 ** (d2 * e2))
+        return (root_of_unity(self._exponent(d1 * e1, d2 * e1, d2 * e1, d2 * e2), self._exps[0])
+                * self.q12 ** (d1 * e2 - d2 * e1))
 
     def chi_at(self, d: tuple[int, int], e: tuple[int, int], n: int) -> tuple:
         """Coordinates of chi(d, e) at the canonical conductor n, which every
@@ -249,11 +248,6 @@ def tau0(t: FullBinaryTree, b: Braiding, a) -> NCPoly:
     return bracket_word(b, christoffel(*t.stern_brocot(a)))
 
 
-@lru_cache(maxsize=1)
-def _chi_table(b: Braiding) -> dict:
-    return {}
-
-
 def bracket_word(b: Braiding, u: str) -> NCPoly:
     """Bracket element of a Lyndon word: single letters map to the generators
     (a -> x2, b -> x1) and u = vw splits by the standard decomposition into
@@ -321,11 +315,11 @@ class _SymEngine:
     """
 
     def __init__(self, b: Braiding):
-        if b._root_data is None:
+        if not b.of_roots:
             raise BraidedError("the symmetrizer needs a braiding whose entries are "
                                f"roots of unity, got {b!r}")
         self.b = b
-        self.L, self.exps = b._root_data
+        self.L, self.exps = b._exps
         self.conductor = b.conductor
         self.deg = euler_phi(self.conductor)
         # Coordinate j of zeta_L^e at self.conductor, as the slots e where it
@@ -574,8 +568,7 @@ def format_ncpoly(p: NCPoly) -> str:
 
 
 def clear_caches():
-    """Drop the chi and bracket tables and the symmetrizer engine, each of the
-    braiding in hand (test hygiene, and room to report running out of memory)."""
-    _chi_table.cache_clear()
+    """Drop the bracket table and the symmetrizer engine, each of the braiding
+    in hand (test hygiene, and room to report running out of memory)."""
     _bracket_table.cache_clear()
     _ENGINES.clear()

@@ -220,7 +220,7 @@ def test_criterion_9_rescaling_invariance():
     for trial in range(20):
         while True:
             b = random_root_braiding(rng, max_conductor=12)
-            if b._root_data is not None and b._root_data[0] <= 12:
+            if b.of_roots and b._exps[0] <= 12:
                 break
         k, n = rng.randrange(12), 12
         c = root_of_unity(k, n)

@@ -104,20 +104,23 @@ def test_chi_at_is_the_lifted_chi(rng):
                 assert b.chi_at(d, e, m) == b.chi(d, e)._lift(m), (b, d, e, m)
 
 
-def test_chi_table_holds_one_braiding():
-    clear_caches()
+def test_chi_of_non_root_braidings_is_the_product_of_powers():
+    # Both non-root branches: diagram exponents times a power of q12 (the
+    # first non-root braiding and the rescaled ones), and the plain product.
+    third = CycNum.from_rational(Fraction(1, 3))
+    z8 = root_of_unity(1, 8)
+    braidings = non_root_braidings()
+    for c in (ONE + ONE, root_of_unity(1, 5) + third):
+        braidings += [Braiding(z8 ** a, z8 ** k * c, c.inv(), z8 ** d)
+                      for a, k, d in ((0, 0, 0), (1, 3, 5), (4, 7, 2), (6, 1, 7))]
+    assert [b._exps is None for b in braidings] == [False, True] + [False] * 8
+    assert not any(b.of_roots for b in braidings)
     labels = [((a, c), (d, e)) for a, c, d, e in itertools.product(range(-1, 3), repeat=4)]
-    first = {}
-    for b in non_root_braidings():
-        first[b] = [b.chi(d, e) for d, e in labels]
-        assert braidedalg._chi_table.cache_info().currsize == 1
-        assert 0 < len(braidedalg._chi_table(b)) <= len(labels)
-    for b, values in first.items():
-        assert [b.chi(d, e) for d, e in labels] == values
-        assert braidedalg._chi_table.cache_info().currsize == 1
-        assert values == [b.q11 ** (d1 * e1) * b.q12 ** (d1 * e2)
-                          * b.q21 ** (d2 * e1) * b.q22 ** (d2 * e2)
-                          for (d1, d2), (e1, e2) in labels]
+    assert any(d1 * e2 - d2 * e1 < 0 for (d1, d2), (e1, e2) in labels)
+    for b in braidings:
+        assert [b.chi(d, e) for d, e in labels] == [
+            b.q11 ** (d1 * e1) * b.q12 ** (d1 * e2) * b.q21 ** (d2 * e1) * b.q22 ** (d2 * e2)
+            for (d1, d2), (e1, e2) in labels], b
 
 
 def test_tau0_examples():
@@ -317,7 +320,7 @@ def test_integer_derivation_test_matches_the_reference(rng):
                                  for _ in range(rng.randrange(1, 5))})))
     # Twists with Fraction coordinates: q12 = 2 and q21 = 1/2.
     b = Braiding(MINUS_ONE, ONE + ONE, ONE / 2, MINUS_ONE)
-    assert b._root_data is None
+    assert not b.of_roots
     for rho, zero in ((x(1) * x(1), True), (x(1) * x(2) - 2 * (x(2) * x(1)), True),
                       (x(1) * x(2) - Fraction(1, 2) * (x(2) * x(1)), False)):
         assert is_zero_in_nichols(b, rho, "derivations") == zero
@@ -576,10 +579,10 @@ def test_skew_derivation_matches_front_operator(rng):
             total[w] = acc
         return total
 
-    # Entries that are not roots of unity take the power branch of chi.
+    # Entries that are not roots of unity take a non-root branch of chi.
     scaled = Braiding(root_of_unity(1, 4), 2 * root_of_unity(1, 5),
                       root_of_unity(1, 3) / 2, MINUS_ONE)
-    assert scaled._root_data is None
+    assert not scaled.of_roots
     for m in (2, 3, 5):
         for b in (random_root_braiding(rng, max_conductor=9), scaled):
             images = front_operator_images(b, m)
