@@ -13,18 +13,19 @@ Each word of a symmetrizer image or a skew derivation is a sum of products
 of coordinate vectors, formed by Kronecker substitution in digits one bit
 longer than (products per sum) phi(n) 2^(xbits + ybits), for the bit
 lengths of the factors' largest coordinates (`cyclotomic.kronecker_sums`).
+The symmetrizer test reads the image only at the reversed basis words of
+the rank oracle (`is_zero_in_nichols`), never a whole image.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
-from .cyclotomic import (CycNum, ONE, as_root_exponent, canonical_conductor, clear_denominators,
-                         euler_phi, kronecker_sums, root_of_unity, root_vectors)
+from .cyclotomic import (CycNum, MINUS_ONE, ONE, as_root_exponent, canonical_conductor,
+                         clear_denominators, euler_phi, format_scalar, kronecker_sums,
+                         root_of_unity, root_vectors)
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel, is_lyndon, shirshow
 
@@ -291,9 +292,10 @@ class _SymEngine:
         S(v)_u = sum over k with v[k] = u[0] of
                  chi(u[0], deg v[:k])^-1 S(v without letter k)_{u[1:]},
 
-    the first-letter expansion of the symmetrizer.  Callers read a few
-    entries of each word (at the reversed basis words of its bidegree), so
-    only those entries and the ones they recurse into are ever computed.
+    the first-letter expansion of the symmetrizer.  Every caller names the
+    words u it reads, a few per word v (the reversed basis words of its
+    bidegree), so only those entries and the ones they recurse into are
+    ever computed.
 
     No slot ever carries into the next.  S(v)_u for a word v of length m is
     a sum of at most m! roots of unity, so a slot holds at most m!, and the
@@ -393,15 +395,13 @@ class _SymEngine:
                                                  for where, values in self._cols)
         return vec
 
-    def image_vectors(self, word: tuple[int, ...], words=None) -> dict:
+    def image_vectors(self, word: tuple[int, ...], words) -> dict:
         """Image of a word with coefficients as coordinate vectors, zero
-        coefficients dropped: its entries at the given words if any, else at
-        every word of its bidegree.  Only those entries are computed."""
+        coefficients dropped: its entries at those of the given words that
+        have its bidegree.  Only those entries are computed."""
         m, r = len(word), word.count(1)
         if math.factorial(m).bit_length() > self._bits:
             self._widen(m)
-        if words is None:
-            words = _words(m, r)
         entry, to_vec = self._entry, self.coeff_to_vec
         out = {}
         for u in words:
@@ -411,38 +411,19 @@ class _SymEngine:
                     out[u] = vec
         return out
 
-    def symmetrize(self, rho: NCPoly, n: int, words=None) -> dict:
-        """Symmetrizer image of a polynomial whose coefficients lie in
-        Q(zeta_n), where self.conductor divides n: word -> coordinate list
-        at conductor n, at each word (of the given ones, if any) where the
-        image of some term is nonzero.  It is `integer_image` of the
-        coefficients lifted to n and cleared of their denominators by one
-        positive integer D, divided by D."""
-        terms, den = _integer_terms(rho, n)
-        out = self.integer_image(terms, n, words)
-        return out if den == 1 else {u: [Fraction(x, den) for x in vec] for u, vec in out.items()}
-
-    def integer_image(self, terms: dict, n: int, words=None) -> dict:
-        """`symmetrize` of word -> integer coordinate vector at conductor n:
-        each word's sum of (term, word) products is formed by Kronecker
-        substitution and reduced mod Phi_n once (`kronecker_sums`)."""
+    def integer_image(self, terms: dict, n: int, words) -> dict:
+        """Symmetrizer image, at the given words, of a polynomial given as
+        word -> integer coordinate vector at conductor n, where
+        self.conductor divides n: word -> coordinate list at each given word
+        where the image of some term is nonzero.  Each word's sum of (term,
+        word) products is formed by Kronecker substitution and reduced mod
+        Phi_n once (`kronecker_sums`)."""
         images = {v: self.image_vectors(v, words) for v in terms}
         vecs = {s: s for img in images.values() for s in img.values()}
         if n != self.conductor:
             vecs = {s: CycNum(self.conductor, s)._lift(n) for s in vecs}
         products = [(u, v, s) for v, img in images.items() for u, s in img.items()]
         return kronecker_sums(n, terms, vecs, products, len(terms))
-
-
-def _words(m: int, r: int) -> list[tuple[int, ...]]:
-    """Every word of length m with r letters 1."""
-    out = []
-    for ones in combinations(range(m), r):
-        word = [2] * m
-        for i in ones:
-            word[i] = 1
-        out.append(tuple(word))
-    return out
 
 
 _ENGINES: dict[Braiding, _SymEngine] = {}
@@ -465,13 +446,6 @@ def _conductor(b: Braiding, rho: NCPoly) -> int:
 def _integer_terms(rho: NCPoly, n: int) -> tuple[dict, int]:
     """`clear_denominators` of the coefficients of rho lifted to conductor n."""
     return clear_denominators({w: c._lift(n) for w, c in rho.terms.items()})
-
-
-def symmetrize_poly(b: Braiding, rho: NCPoly, words=None) -> NCPoly:
-    """Apply the quantum symmetrizer of the appropriate degree to a
-    homogeneous polynomial, restricted to the given words if any."""
-    n = _conductor(b, rho)
-    return NCPoly({w: CycNum(n, vec) for w, vec in _engine(b).symmetrize(rho, n, words).items()})
 
 
 # -- skew derivations ----------------------------------------------------------
@@ -510,8 +484,14 @@ def _derivations_vanish(b: Braiding, terms: dict, n: int) -> bool:
 def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") -> bool:
     """Whether a homogeneous element maps to zero in the braided quotient.
 
-    method "symmetrizer": the coefficient vector lies in the kernel of the
-    degree-m symmetrizer.  method "derivations": recursively, both skew
+    method "symmetrizer": the image of rho under the degree-m symmetrizer
+    is zero.  It is a combination of rows of the symmetrizer, so it is zero
+    when it vanishes on columns that span the column space, and the columns
+    at the reversed basis words of each bidegree of rho do (`nicholscore`
+    docstring, steps b and c).  So the image is read at those words only,
+    and the rank oracle is first run through degree m (`dim_at_degree`).
+    A degree above the first zero degree has no basis words, and every
+    element of it is zero.  method "derivations": recursively, both skew
     derivations vanish (a degree-0 element is zero iff its scalar is).
     Both decide exactly on integers: the coefficients are lifted once, to
     the conductor of the braiding and the coefficients, and cleared of
@@ -519,12 +499,19 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
     """
     if rho.is_zero():
         return True
-    if len({len(w) for w in rho.terms}) > 1:
+    degrees = {len(w) for w in rho.terms}
+    if len(degrees) > 1:
         raise BraidedError("zero test requires a polynomial homogeneous in total degree")
     n = _conductor(b, rho)
     terms = _integer_terms(rho, n)[0]
     if method == "symmetrizer":
-        return () not in terms and not any(map(any, _engine(b).integer_image(terms, n).values()))
+        # Imported here, as `nicholscore` imports this module.
+        from .nicholscore import dim_at_degree
+        dim_at_degree(b, degrees.pop())
+        eng = _engine(b)
+        cols = [w[::-1] for bideg in {(w.count(1), w.count(2)) for w in terms}
+                for w in eng.pivot_words.get(bideg, ())]
+        return not any(map(any, eng.integer_image(terms, n, cols).values()))
     if method == "derivations":
         return _derivations_vanish(b, terms, n)
     raise BraidedError(f"unknown method {method!r}")
@@ -535,8 +522,6 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
 
 def _format_coeff(c: CycNum) -> tuple[str, str]:
     """(sign, body) where body is empty for coefficient magnitude one."""
-    from .cyclotomic import MINUS_ONE, as_root_exponent, format_scalar
-
     if c == ONE:
         return "+", ""
     if c == MINUS_ONE:

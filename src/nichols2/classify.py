@@ -26,12 +26,12 @@ import time
 from dataclasses import dataclass, field
 
 from .cyclotomic import MINUS_ONE, ONE, as_root_exponent, root_of_unity
-from .braidedalg import Braiding, NCPoly, format_ncpoly
+from .braidedalg import Braiding, NCPoly, format_ncpoly, is_zero_in_nichols
 from .fbtree import TREES, FullBinaryTree, serialize_tree
 from .admissibility import (AdmissibilityReport, ReconstructionError, heights, is_admissible,
                             lambda_table, p_table, reconstruct_tree)
 from .nicholscore import (NicholsError, TypeVerdict, _relation_generators, dimension,
-                          relation_set, relation_vanishes, top_total_degree, verify_type)
+                          relation_set, top_total_degree, verify_type)
 
 
 class _RootExp:
@@ -264,8 +264,9 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
                     notes.append(f"{len(verdict.unexercised_nodes)} generators lie above "
                                  f"degree {verified_up_to}; their strata were not exercised")
                 if relations_error is None:
-                    relations_vanish = all(relation_vanishes(b, rel) for rel in relations
-                                           if rel.total_degree() <= verified_up_to)
+                    relations_vanish = all(
+                        is_zero_in_nichols(b, rel) and is_zero_in_nichols(b, rel, "derivations")
+                        for rel in relations if rel.total_degree() <= verified_up_to)
         adm = is_admissible(tree, b, degree_cap)
     return ClassificationReport(matches, tree, tree_failure, pbw, dim, relations,
                                 verified_up_to, verdict, relations_vanish,

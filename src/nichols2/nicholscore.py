@@ -15,8 +15,8 @@ one degree down by the last-letter rule of `braidedalg.skew_derivation`
 (`_pivot_words`).  The candidates and the pivot rule are those of ranking
 the candidates' symmetrizer images, so the basis words are the same.
 
-`relation_vanishes` and `verify_type` read symmetrizer images at reversed
-basis words only, through the word reversal R:
+`braidedalg.is_zero_in_nichols` and `verify_type` read symmetrizer images
+at reversed basis words only, through the word reversal R:
 
 a. The coefficient of u in S_m(v) is that of R(v) in S_m(R(u)).  With
    S_m' the symmetrizer of the transposed braiding (q11, q21, q12, q22),
@@ -84,8 +84,7 @@ from functools import partial
 from typing import NamedTuple
 
 from ._linalg import exact_rank_vectors
-from .braidedalg import (BraidedError, Braiding, NCPoly, _conductor, _derivations_vanish,
-                         _engine, _integer_terms, tau0)
+from .braidedalg import Braiding, NCPoly, _engine, _integer_terms, tau0
 from .cyclotomic import clear_denominators, kronecker_sums, qfact
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel
@@ -351,8 +350,10 @@ def _exact_monomial_rank(t: FullBinaryTree, b: Braiding, eng, group, words) -> i
     rows = []
     for mo in group:
         # The coefficients are products of chi values, so they lie in the
-        # engine's field.
-        img = eng.symmetrize(evaluate_monomial(t, b, mo), eng.conductor, cols)
+        # engine's field; clearing their denominators scales the row by a
+        # positive integer, which leaves the rank unchanged.
+        terms = _integer_terms(evaluate_monomial(t, b, mo), eng.conductor)[0]
+        img = eng.integer_image(terms, eng.conductor, cols)
         rows.append([img.get(w, zero) for w in words])
     return exact_rank_vectors(rows, eng.conductor)
 
@@ -397,31 +398,6 @@ def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None) 
     """
     return [build() for d, build in _relation_generators(t, b)
             if max_degree is None or d <= max_degree]
-
-
-def relation_vanishes(b: Braiding, rel: NCPoly) -> bool:
-    """The relation is zero in the quotient under both the symmetrizer and
-    the skew-derivation test.
-
-    The symmetrizer test reads S(rel) only at the reversed basis words of
-    each bidegree of rel: S(rel) is a combination of rows, so it is zero if
-    it vanishes on columns that span the column space (module docstring,
-    steps b and c).  A degree above the first zero degree has no basis
-    words, and every element of it is zero.
-    Both tests read the one integer lift of rel (`braidedalg` docstring)."""
-    if rel.is_zero():
-        return True
-    degrees = {len(w) for w in rel.terms}
-    if len(degrees) > 1:
-        raise BraidedError("zero test requires a polynomial homogeneous in total degree")
-    dim_at_degree(b, degrees.pop())
-    eng = _engine(b)
-    cols = [w[::-1] for r, s in {(w.count(1), w.count(2)) for w in rel.terms}
-            for w in eng.pivot_words.get((r, s), ())]
-    n = _conductor(b, rel)
-    terms = _integer_terms(rel, n)[0]
-    return (not any(map(any, eng.integer_image(terms, n, cols).values()))
-            and _derivations_vanish(b, terms, n))
 
 
 def dimension(t: FullBinaryTree, b: Braiding) -> int:

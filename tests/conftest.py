@@ -48,13 +48,14 @@ def symmetrizer(b: Braiding, m: int) -> list[list[CycNum]]:
     n = len(words)
     mat = [[ZERO] * n for _ in range(n)]
     for j, w in enumerate(words):
-        for img, vec in eng.image_vectors(w).items():
+        for img, vec in eng.image_vectors(w, words).items():
             mat[index[img]][j] = CycNum(eng.conductor, vec)
     return mat
 
 
-def reference_symmetrize(eng: _SymEngine, rho: NCPoly, n: int, words=None) -> dict:
-    """The reference for `_SymEngine.symmetrize`: one `vector_product` per
+def reference_symmetrize(eng: _SymEngine, rho: NCPoly, n: int, words) -> dict:
+    """The symmetrizer image of rho at the words, at conductor n, the
+    reference for `_SymEngine.integer_image`: one `vector_product` per
     (term, image word) pair, each image vector lifted to conductor n."""
     mul = vector_product(n)
     out: dict = {}
@@ -143,12 +144,11 @@ class ReferenceImages(_SymEngine):
             twist[2] += chi_exp[(2, letter)]
         return out
 
-    def image_vectors(self, word: tuple[int, ...], words=None) -> dict:
+    def image_vectors(self, word: tuple[int, ...], words) -> dict:
         """Image of a basis word with coefficients as coordinate vectors,
-        zero coefficients dropped, restricted to the given words if any."""
+        zero coefficients dropped, restricted to the given words."""
         img = self.image(word)
-        if words is not None:
-            img = {u: img[u] for u in words if u in img}
+        img = {u: img[u] for u in words if u in img}
         out = {}
         for u, c in img.items():
             vec = self.coeff_to_vec(c)

@@ -10,9 +10,9 @@ from conftest import (ReferenceImages, basis_words, derivations_vanish, naive_ra
 from nichols2 import braidedalg
 from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
                                  root_of_unity)
-from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, bracket_word,
-                                 clear_caches, format_ncpoly, is_zero_in_nichols,
-                                 symmetrize_poly, tau0)
+from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, _integer_terms,
+                                 bracket_word, clear_caches, format_ncpoly, is_zero_in_nichols,
+                                 tau0)
 from nichols2.fbtree import LGH, RGH, TREES
 from nichols2.lyndon import gamma
 from nichols2.nicholscore import _mixed_relation
@@ -25,6 +25,28 @@ def exterior():
 def cartan_a2():
     z3 = root_of_unity(1, 3)
     return Braiding(z3, z3 ** 2, ONE, z3)
+
+
+def lifted_image(eng, rho, n, words):
+    """`integer_image` of the terms of rho lifted to conductor n, and the
+    positive integer D that cleared their denominators: the symmetrizer
+    image of rho at the words, times D."""
+    terms, den = _integer_terms(rho, n)
+    return eng.integer_image(terms, n, words), den
+
+
+def symmetrized(b, rho, words):
+    """`lifted_image` at the conductor of b and rho, with CycNum values."""
+    n = braidedalg._conductor(b, rho)
+    img, den = lifted_image(_engine(b), rho, n, words)
+    return {u: CycNum(n, v) for u, v in img.items()}, den
+
+
+def bidegree_words(w):
+    """Every word with the letters of w."""
+    m, r = len(w), w.count(1)
+    return [tuple(1 if i in ones else 2 for i in range(m))
+            for ones in map(set, itertools.combinations(range(m), r))]
 
 
 def x(i):
@@ -269,6 +291,12 @@ def test_is_zero_examples():
     assert not is_zero_in_nichols(bgen, rho)
     assert not is_zero_in_nichols(bgen, rho, "derivations")
     assert is_zero_in_nichols(bext, NCPoly.zero())
+    # A nonzero scalar is not zero.  The exterior algebra is zero from
+    # degree 3 on, so every element of degree 4 is zero.
+    for rho, zero in ((NCPoly.scalar(root_of_unity(1, 3)), False),
+                      (x(1) * x(2) * x(2) * x(1) + 2 * (x(2) * x(1) * x(1) * x(2)), True)):
+        for method in ("symmetrizer", "derivations"):
+            assert is_zero_in_nichols(bext, rho, method) == zero, (rho, method)
     with pytest.raises(BraidedError):
         is_zero_in_nichols(bext, x(1) + x(1) * x(2))
 
@@ -346,8 +374,8 @@ def test_integer_derivation_test_matches_the_reference(rng):
 
 
 def test_symmetrize_matches_per_term_products(rng):
-    # Kronecker sums against one vector product per (term, word) pair, with
-    # and without words: Fraction coefficients, a conductor above the
+    # Kronecker sums against one vector product per (term, word) pair, at
+    # every word and at a few: Fraction coefficients, a conductor above the
     # engine's, and coordinates near 2^80.
     for _ in range(6):
         b = random_root_braiding(rng, max_conductor=30)
@@ -358,9 +386,11 @@ def test_symmetrize_matches_per_term_products(rng):
                 rho = NCPoly({w: root_of_unity(rng.randrange(n), n) * rng.randint(-3, 3)
                               + Fraction(rng.randint(-2, 2), rng.choice((1, 3, 7)))
                               for w in rng.sample(words, 5)})
-                for some in (None, rng.sample(words, 7)):
-                    assert eng.symmetrize(rho, n, some) == \
-                        reference_symmetrize(eng, rho, n, some), (b, n, rho, some)
+                for some in (words, rng.sample(words, 7)):
+                    got, den = lifted_image(eng, rho, n, some)
+                    want = reference_symmetrize(eng, rho, n, some)
+                    assert got == {u: [den * c for c in v] for u, v in want.items()}, \
+                        (b, n, rho, some)
     # Three terms of bidegree (3, 1) with coefficient 2^80 - 1 under the
     # trivial braiding: every entry is 3! = 6, so every sum is
     # 18 (2^80 - 1), above half the digit bound 3 2^(80 + 3) at conductor 1.
@@ -371,9 +401,9 @@ def test_symmetrize_matches_per_term_products(rng):
     for sign in ((1, 1, 1), (1, -1, 1)):
         rho = NCPoly({w: CycNum.from_rational(s * big) for w, s in zip(words, sign)})
         for n in (1, 3, 20):
-            for some in (None, words[:2]):
-                got = eng.symmetrize(rho, n, some)
-                assert got == reference_symmetrize(eng, rho, n, some)
+            for some in (basis_words(4), words[:2]):
+                got, den = lifted_image(eng, rho, n, some)
+                assert den == 1 and got == reference_symmetrize(eng, rho, n, some)
                 sums = {tuple(v) for v in got.values()}
                 assert sums == {CycNum(1, (6 * sum(sign) * big,))._lift(n)}
 
@@ -469,16 +499,20 @@ def test_symmetrizer_slots_do_not_carry():
     # count mod 26, past 2^64 from m = 22 on.  Words imaged before a widening
     # must read the same from the repacked cache after it.
     mixed = NCPoly({(1, 1, 2, 1, 2, 2): ONE, (2, 1, 2, 1, 1, 2): root_of_unity(1, 3)})
+
+    def image(b, rho):  # the whole image; the coefficients are integral
+        return symmetrized(b, rho, bidegree_words(min(rho.terms)))
+
     for q11 in (ONE, root_of_unity(1, 26)):
         b = Braiding(q11, root_of_unity(1, 3), ONE, MINUS_ONE)
         clear_caches()
-        before = symmetrize_poly(b, mixed)
+        before = image(b, mixed)
         for m in (6, 20, 21, 22, 25, 6, 20):
-            img = symmetrize_poly(b, x(1) ** m)
-            assert img.terms == {(1,) * m: qfact(m, q11.inv())}, (q11, m)
-        assert symmetrize_poly(b, mixed) == before
+            img = image(b, x(1) ** m)
+            assert img == ({(1,) * m: qfact(m, q11.inv())}, 1), (q11, m)
+        assert image(b, mixed) == before
         clear_caches()
-        assert symmetrize_poly(b, x(1) ** 25).terms == {(1,) * 25: qfact(25, q11.inv())}
+        assert image(b, x(1) ** 25) == ({(1,) * 25: qfact(25, q11.inv())}, 1)
 
 
 def test_entries_match_whole_word_images(rng):
@@ -498,8 +532,9 @@ def test_entries_match_whole_word_images(rng):
                 some = rng.sample(words, min(len(words), 5)) + basis_words(m - 1)[:2]
                 assert eng.image_vectors(w, some) == ref.image_vectors(w, some), (b, w, some)
         for m in range(8):
-            for w in basis_words(m):
-                assert eng.image_vectors(w) == ref.image_vectors(w), (b, w)
+            words = basis_words(m)
+            for w in words:
+                assert eng.image_vectors(w, words) == ref.image_vectors(w, words), (b, w)
     # Entries cached before a widening of the slots read the same after it.
     for q11 in (ONE, root_of_unity(1, 26)):
         b = Braiding(q11, root_of_unity(1, 3), ONE, MINUS_ONE)
@@ -509,8 +544,10 @@ def test_entries_match_whole_word_images(rng):
         cols = rng.sample(basis_words(6), 20)
         assert eng.image_vectors(short, cols) == ref.image_vectors(short, cols)
         for w in ((1,) * 21, (1,) * 22, short, (1,) * 21, (2, 1) + (1,) * 20):
-            assert eng.image_vectors(w) == ref.image_vectors(w), (q11, w)
-        assert eng.image_vectors(short) == ref.image_vectors(short)
+            words = bidegree_words(w)
+            assert eng.image_vectors(w, words) == ref.image_vectors(w, words), (q11, w)
+        words = basis_words(6)
+        assert eng.image_vectors(short, words) == ref.image_vectors(short, words)
 
 
 def test_restricted_symmetrize_is_the_restriction(rng):
@@ -524,15 +561,15 @@ def test_restricted_symmetrize_is_the_restriction(rng):
                 rho = NCPoly({w: root_of_unity(rng.randrange(n), n) * rng.randint(1, 3)
                               + Fraction(rng.randint(-2, 2), 3)
                               for w in rng.sample(words, 4)})
-                full = eng.symmetrize(rho, n)
+                full = lifted_image(eng, rho, n, words)[0]
                 for k in (0, 1, 5, len(words)):
                     some = rng.sample(words, k)
-                    assert eng.symmetrize(rho, n, some) == \
+                    assert lifted_image(eng, rho, n, some)[0] == \
                         {w: v for w, v in full.items() if w in some}, (b, n, rho, some)
     # Only the requested coefficients are converted.
     clear_caches()
     eng = _engine(b)
-    eng.symmetrize(NCPoly({(1, 2, 1, 2, 2): ONE}), eng.conductor, [(2, 2, 1, 1, 2)])
+    lifted_image(eng, NCPoly({(1, 2, 1, 2, 2): ONE}), eng.conductor, [(2, 2, 1, 1, 2)])
     assert len(eng._vec_cache) == 1
 
 
@@ -599,7 +636,8 @@ def test_skew_derivation_matches_front_operator(rng):
 def test_symmetrize_poly_matches_matrix(rng):
     # A word maps to its column; a polynomial to the sum of its coefficients
     # times the columns, also when the coefficients lie outside the
-    # braiding's field (zeta_9 + 1/2 against conductor 4 and 12).
+    # braiding's field (zeta_9 + 1/2 against conductor 4 and 12), times the
+    # D that clears the denominators of their lifts.
     z4 = root_of_unity(1, 4)
     coeffs = [root_of_unity(1, 9) + Fraction(1, 2), root_of_unity(2, 5) - 3,
               ONE / 3, root_of_unity(5, 12)]
@@ -608,15 +646,16 @@ def test_symmetrize_poly_matches_matrix(rng):
             words = basis_words(m)
             mat = symmetrizer(b, m)
             for j, w in enumerate(words):
-                img = symmetrize_poly(b, NCPoly({w: ONE}))
+                img, den = symmetrized(b, NCPoly({w: ONE}), words)
+                assert den == 1
                 for i, ww in enumerate(words):
-                    assert img.terms.get(ww, ZERO) == mat[i][j]
+                    assert img.get(ww, ZERO) == mat[i][j]
             for _ in range(4):
                 rho = {w: rng.choice(coeffs) for w in rng.sample(words, 3)}
-                img = symmetrize_poly(b, NCPoly(rho))
+                img, den = symmetrized(b, NCPoly(rho), words)
                 for i, ww in enumerate(words):
                     expect = sum((c * mat[i][words.index(w)] for w, c in rho.items()), ZERO)
-                    assert img.terms.get(ww, ZERO) == expect, (b, rho, ww)
+                    assert img.get(ww, ZERO) == expect * den, (b, rho, ww)
 
 
 def test_scale_by_a_rational():

@@ -8,8 +8,7 @@ from nichols2.fbtree import TREES
 from nichols2.admissibility import lambda_of, mu_of, p_of
 from nichols2.nicholscore import (NicholsError, count_by_degree, dim_at_degree, dimension,
                                   evaluate_monomial, hilbert_prefix, pbw_monomials,
-                                  relation_set, relation_vanishes, top_total_degree,
-                                  verify_type)
+                                  relation_set, top_total_degree, verify_type)
 
 
 def exterior():
@@ -130,11 +129,16 @@ def test_relation_set_cartan():
     assert degrees == [3, 3, 3, 3, 6]
 
 
+def vanishes(b, rel):
+    """Both zero tests."""
+    return is_zero_in_nichols(b, rel) and is_zero_in_nichols(b, rel, "derivations")
+
+
 def test_relations_vanish_positive():
     b = exterior()
-    assert all(relation_vanishes(b, rel) for rel in relation_set(TREES[1], b, max_degree=4))
+    assert all(vanishes(b, rel) for rel in relation_set(TREES[1], b, max_degree=4))
     b = cartan_a2()
-    assert all(relation_vanishes(b, rel) for rel in relation_set(TREES[2], b, max_degree=8))
+    assert all(vanishes(b, rel) for rel in relation_set(TREES[2], b, max_degree=8))
 
 
 def test_relation_degree_cap_skips_expansion():
@@ -163,17 +167,23 @@ def test_perturbed_mixed_relation_fails():
 
 
 def test_relation_zero_test_agrees_with_both_full_tests():
-    # relation_vanishes reads the symmetrizer at the reversed basis words
-    # only.  It must agree with the full symmetrizer test and the derivation
-    # test on the relations of every family sample through degree 8, on
-    # each of them with one coefficient doubled, and above the first zero
-    # degree, where a bidegree has no basis words.
-    from nichols2.braidedalg import clear_caches
+    # The symmetrizer zero test reads the image at the reversed basis words
+    # only.  Both zero tests must agree with the references, the whole
+    # image at every word and the derivation recursion on CycNum
+    # polynomials, on the relations of every family sample through degree
+    # 8, on each of them with one coefficient doubled, and above the first
+    # zero degree, where a bidegree has no basis words.
+    from conftest import basis_words, derivations_vanish, reference_symmetrize
+    from nichols2.braidedalg import _conductor, _engine, clear_caches
     from nichols2.classify import fixtures
 
-    def full(b, rel):
-        return (is_zero_in_nichols(b, rel, "symmetrizer")
-                and is_zero_in_nichols(b, rel, "derivations"))
+    def verdict(b, rel):
+        sym, der = is_zero_in_nichols(b, rel), is_zero_in_nichols(b, rel, "derivations")
+        image = reference_symmetrize(_engine(b), rel, _conductor(b, rel),
+                                     basis_words(len(min(rel.terms))))
+        assert sym == (not any(map(any, image.values()))), (b, rel)
+        assert der == derivations_vanish(b, rel) == sym, (b, rel)
+        return sym
 
     vanishing = []
     for (n, c), b in sorted(fixtures().items()):
@@ -181,9 +191,7 @@ def test_relation_zero_test_agrees_with_both_full_tests():
         for rel in relation_set(TREES[n], b, max_degree=8):
             w = min(rel.terms)
             for poly in (rel, rel + NCPoly({w: rel.terms[w]})):
-                verdict = relation_vanishes(b, poly)
-                assert verdict == full(b, poly), (n, c, poly)
-                vanishing.append(verdict)
+                vanishing.append(verdict(b, poly))
     # 273 relations, all zero; doubling a coefficient keeps 130 of them
     # zero, those whose doubled term is itself zero in the algebra.
     assert len(vanishing) == 546 and all(vanishing[::2])
@@ -193,7 +201,7 @@ def test_relation_zero_test_agrees_with_both_full_tests():
     b = cartan_a2()
     rho = NCPoly({w: root_of_unity(k, 3) for k, w in enumerate(
         [(1, 2) * 5, (2, 1) * 5, (1,) * 4 + (2,) * 6, (2, 1, 1) * 3 + (2,)])})
-    assert relation_vanishes(b, rho) and full(b, rho)
+    assert verdict(b, rho)
 
 
 def test_hilbert_prefix_reaches_past_the_top_degree():
@@ -332,7 +340,7 @@ def full_block(b, r, s):
     rows = []
     for w in words:
         vec = [zero] * len(words)
-        for ww, v in eng.image_vectors(w).items():
+        for ww, v in eng.image_vectors(w, words).items():
             vec[idx[ww]] = v
         rows.append(vec)
     return words, rows
