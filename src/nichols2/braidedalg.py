@@ -9,18 +9,19 @@ homogeneous with multidegree equal to the node's Stern-Brocot label.
 Both zero tests run on integer data: an element's coefficients are lifted
 once to the conductor n of the braiding and the coefficients, and cleared
 of their denominators by one positive integer, which leaves zero zero.
-Each word of a symmetrizer image or a skew derivation is a sum of products
-of coordinate vectors, formed by Kronecker substitution in digits one bit
-longer than (products per sum) phi(n) 2^(xbits + ybits), for the bit
-lengths of the factors' largest coordinates (`cyclotomic.kronecker_sums`).
-The symmetrizer test reads the image only at the reversed basis words of
-the rank oracle (`is_zero_in_nichols`), never a whole image.
+Both read one operator, the skew derivation: a symmetrizer entry is an
+iterated skew derivation (`_SymEngine`).  Each word of a skew derivation is
+a sum of products of coordinate vectors, formed by Kronecker substitution
+in digits one bit longer than (products per sum) phi(n) 2^(xbits + ybits),
+for the bit lengths of the factors' largest coordinates
+(`cyclotomic.kronecker_sums`).  The symmetrizer test reads the image only
+at the reversed basis words of the rank oracle (`is_zero_in_nichols`),
+never a whole image.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 
 from .cyclotomic import (CycNum, MINUS_ONE, ONE, as_root_exponent, canonical_conductor,
@@ -276,39 +277,20 @@ def _bracket_table(b: Braiding) -> dict:
 
 
 class _SymEngine:
-    """Per-braiding workspace for symmetrizer entries.
+    """Per-braiding workspace of the rank oracle and of symmetrizer entries.
 
-    Every braiding entry must be a root of unity, so each twist chi(e_i,
-    e_j) is a power of one root zeta_L, and a symmetrizer coefficient lies
-    in the group ring of the cyclic group it generates: a sum of powers
-    zeta_L^e with nonnegative multiplicities.  Such a coefficient is packed
-    into one int whose slot e, bits e*B to (e+1)*B - 1, holds the
-    multiplicity of zeta_L^e.  An inverse twist of the symmetrizer rotates
-    the slots, and adding coefficients adds the ints.
+    The coefficient S(v)_u of a word u = u_1...u_m in the symmetrizer image
+    of a word v is the scalar
 
-    The coefficient S(v)_u of a word u in the image of a word v is computed
-    alone, by deleting from v each letter that can stand first in u:
+        S(v)_u = d_{u_m} ... d_{u_1}(v),
 
-        S(v)_u = sum over k with v[k] = u[0] of
-                 chi(u[0], deg v[:k])^-1 S(v without letter k)_{u[1:]},
-
-    the first-letter expansion of the symmetrizer.  Every caller names the
-    words u it reads, a few per word v (the reversed basis words of its
-    bidegree), so only those entries and the ones they recurse into are
-    ever computed.
-
-    No slot ever carries into the next.  S(v)_u for a word v of length m is
-    a sum of at most m! roots of unity, so a slot holds at most m!, and the
-    width B is the least multiple of 64 bits with m! < 2^B.  All entries of
-    one engine share one width; a word too long for it widens the slots and
-    repacks every cached entry (first at length 21).
-
-    `cache[v]` holds the packed entries S(v)_u computed so far, by u.  A
-    packed coefficient becomes an integer coordinate vector at
-    self.conductor only where it is read, through `coeff_to_vec`, which
-    converts each distinct packed value once and keeps the result in
-    `_vec_cache`.  `integer_image` is the one place where those vectors
-    meet the coefficients of a polynomial.
+    d_{u_1} applied first, for the skew derivations d_i of
+    `skew_derivation`.  Proof: the first-letter expansion of the symmetrizer
+    is S(v)_u = sum over k with v_k = u_1 of chi(e_{u_1}, deg v[:k])^-1
+    S(v without letter k)_{u_2...u_m}, that is S(d_{u_1}(v))_{u_2...u_m}
+    by linearity; induct on m.  Every entry of a root braiding is a power
+    of one root of unity, so each twist has integer coordinates and
+    `skew_derivation` scales by nothing: the entries are exact.
 
     pivot_words maps each bidegree the rank oracle has reached to words
     whose classes form a basis of that graded piece, and frontier each
@@ -318,112 +300,46 @@ class _SymEngine:
 
     def __init__(self, b: Braiding):
         if not b.of_roots:
-            raise BraidedError("the symmetrizer needs a braiding whose entries are "
+            raise BraidedError("the rank oracle needs a braiding whose entries are "
                                f"roots of unity, got {b!r}")
         self.b = b
-        self.L, self.exps = b._exps
         self.conductor = b.conductor
         self.deg = euler_phi(self.conductor)
-        # Coordinate j of zeta_L^e at self.conductor, as the slots e where it
-        # is nonzero and its values there; most are zero at a large conductor.
-        roots = root_vectors(self.L, self.conductor)
-        self._cols = tuple((tuple(e for e, vec in enumerate(roots) if vec[j]),
-                            tuple(vec[j] for vec in roots if vec[j]))
-                           for j in range(self.deg))
-        self.cache: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        self._vec_cache: dict[int, tuple[int, ...]] = {}
-        # The modular route and its slot codec load with the first engine, not on
-        # import, as in `_linalg`.
-        from ._modular import unpack_slots
-        self._unpack_slots = unpack_slots
-        self._bits = 0  # the slot width B, set by the first entry
+        # No image is cached; both stay empty for readers that count cached
+        # entries (the benchmark's image_cache_entries).
+        self.cache: dict = {}
+        self._vec_cache: dict = {}
         self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         self.frontier: dict = {}
-        e11, e12, e21, e22 = self.exps
-        # Exponent of chi(e_i, e_j) in the root group, indexed [i][j].
-        self._chi_exp = (None, (None, e11, e12), (None, e21, e22))
 
-    def _widen(self, m: int):
-        """Make the slots wide enough for entries of words of length m."""
-        old, L = self._bits, self.L
-        bits = self._bits = 64 * -(-math.factorial(m).bit_length() // 64)
-        self._full = (1 << L * bits) - 1
-        mask = (1 << old) - 1
-        for row in self.cache.values():
-            for u, c in row.items():
-                row[u] = sum(((c >> e * old) & mask) << e * bits for e in range(L))
-        self._vec_cache.clear()
-
-    def _entry(self, v: tuple[int, ...], u: tuple[int, ...]) -> int:
-        """Packed S(v)_u for words v and u of one bidegree (class docstring)."""
-        row = self.cache.get(v)
-        if row is None:
-            row = self.cache[v] = {}
-        c = row.get(u)
-        if c is not None:
-            return c
-        if len(v) <= 1:
-            c = 1
-        else:
-            first, rest = u[0], u[1:]
-            L, bits, full, cache = self.L, self._bits, self._full, self.cache
-            twists = self._chi_exp[first]
-            c = t = 0  # t is the exponent of chi(first, deg v[:k])
-            sub = None
-            for k, letter in enumerate(v):
-                if letter == first:
-                    if sub is None:  # deleting any letter of a run leaves one word
-                        shorter = v[:k] + v[k + 1:]
-                        hit = cache.get(shorter)
-                        sub = None if hit is None else hit.get(rest)
-                        if sub is None:
-                            sub = self._entry(shorter, rest)
-                    s = -t % L
-                    c += ((sub << s * bits) & full) | (sub >> (L - s) * bits) if s else sub
-                else:
-                    sub = None
-                t += twists[letter]
-        row[u] = c
-        return c
-
-    def coeff_to_vec(self, coeff: int) -> tuple[int, ...]:
-        """Packed coefficient to a coordinate vector at self.conductor."""
-        vec = self._vec_cache.get(coeff)
-        if vec is None:
-            at = self._unpack_slots(coeff, self.L, self._bits // 8).__getitem__
-            vec = self._vec_cache[coeff] = tuple(sum(map(operator.mul, map(at, where), values))
-                                                 for where, values in self._cols)
-        return vec
-
-    def image_vectors(self, word: tuple[int, ...], words) -> dict:
-        """Image of a word with coefficients as coordinate vectors, zero
-        coefficients dropped: its entries at those of the given words that
-        have its bidegree.  Only those entries are computed."""
-        m, r = len(word), word.count(1)
-        if math.factorial(m).bit_length() > self._bits:
-            self._widen(m)
-        entry, to_vec = self._entry, self.coeff_to_vec
-        out = {}
-        for u in words:
-            if len(u) == m and u.count(1) == r:
-                vec = to_vec(entry(word, u))
-                if any(vec):
-                    out[u] = vec
-        return out
-
-    def integer_image(self, terms: dict, n: int, words) -> dict:
+    def image_vectors(self, terms: dict, n: int, words) -> dict:
         """Symmetrizer image, at the given words, of a polynomial given as
         word -> integer coordinate vector at conductor n, where
-        self.conductor divides n: word -> coordinate list at each given word
-        where the image of some term is nonzero.  Each word's sum of (term,
-        word) products is formed by Kronecker substitution and reduced mod
-        Phi_n once (`kronecker_sums`)."""
-        images = {v: self.image_vectors(v, words) for v in terms}
-        vecs = {s: s for img in images.values() for s in img.values()}
-        if n != self.conductor:
-            vecs = {s: CycNum(self.conductor, s)._lift(n) for s in vecs}
-        products = [(u, v, s) for v, img in images.items() for u, s in img.items()]
-        return kronecker_sums(n, terms, vecs, products, len(terms))
+        self.conductor divides n: word -> coordinate list at each given
+        word of the terms' bidegrees where the image is nonzero.
+
+        Per bidegree, the words are walked in prefix order: the terms are
+        derived once per distinct next letter (class docstring), a branch
+        whose derivative is zero is dropped, and at depth m the scalar left
+        is the entry.  A degree-0 scalar reads its own column ()."""
+        out = {}
+
+        def walk(poly, cols, k):
+            if k == len(cols[0]):
+                out[cols[0]] = list(poly[()])
+                return
+            for i in (1, 2):
+                below = [u for u in cols if u[k] == i]
+                if below and (d := skew_derivation(self.b, i, poly, n)):
+                    walk(d, below, k + 1)
+
+        words = set(words)
+        for r, m in {(w.count(1), len(w)) for w in terms}:
+            cols = [u for u in words if len(u) == m and u.count(1) == r]
+            if cols:
+                walk({w: v for w, v in terms.items() if len(w) == m and w.count(1) == r},
+                     cols, 0)
+        return out
 
 
 _ENGINES: dict[Braiding, _SymEngine] = {}
@@ -511,7 +427,7 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
         eng = _engine(b)
         cols = [w[::-1] for bideg in {(w.count(1), w.count(2)) for w in terms}
                 for w in eng.pivot_words.get(bideg, ())]
-        return not any(map(any, eng.integer_image(terms, n, cols).values()))
+        return not eng.image_vectors(terms, n, cols)
     if method == "derivations":
         return _derivations_vanish(b, terms, n)
     raise BraidedError(f"unknown method {method!r}")

@@ -254,7 +254,8 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
                     notes.append(f"{skipped} relation generators above "
                                  f"degree {degree_cap} not expanded")
             if not b.of_roots:
-                # The symmetrizer, behind the oracle and a zero test, takes roots only.
+                # The rank oracle, behind verification and the symmetrizer zero test,
+                # takes roots only.
                 notes.append("a braiding entry is not a root of unity; the oracle "
                              "and the relation zero tests were not run")
             else:

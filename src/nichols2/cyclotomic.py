@@ -34,7 +34,7 @@ larger conductor, a Galois conjugate, and the fold of zeta_{2m} into zeta_m.
 A root of unity is built directly as a power of z at its conductor, zeta_{2m}
 as -zeta_m^((m+1)/2).  `root_vectors(d, n)` is the table of the coordinates
 of every power of zeta_d at conductor n, for callers that read a bicharacter
-value by its exponent (the symmetrizer engine and the lambda step); at most
+value by its exponent (`Braiding.chi_at` and the lambda step); at most
 ROOT_TABLE_CACHE_SIZE tables are kept.
 """
 

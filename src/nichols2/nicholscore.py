@@ -346,14 +346,13 @@ def _exact_monomial_rank(t: FullBinaryTree, b: Braiding, eng, group, words) -> i
     """Exact rank of the symmetrized monomials at the column words, whose
     reversals must span the graded piece (module docstring, step b)."""
     zero = (0,) * eng.deg
-    cols = set(words)
     rows = []
     for mo in group:
         # The coefficients are products of chi values, so they lie in the
         # engine's field; clearing their denominators scales the row by a
         # positive integer, which leaves the rank unchanged.
         terms = _integer_terms(evaluate_monomial(t, b, mo), eng.conductor)[0]
-        img = eng.integer_image(terms, eng.conductor, cols)
+        img = eng.image_vectors(terms, eng.conductor, words)
         rows.append([img.get(w, zero) for w in words])
     return exact_rank_vectors(rows, eng.conductor)
 

@@ -1,4 +1,4 @@
-import math
+import functools
 import random
 
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from nichols2._linalg import exact_rank_vectors
 from nichols2.admissibility import (NuDenominatorError, ScalarDomainError, lambda_of, p_of)
 from nichols2.cyclotomic import ONE, ZERO, CycNum, qnum, root_of_unity, vector_product
-from nichols2.braidedalg import BraidedError, Braiding, NCPoly, _engine, _SymEngine
+from nichols2.braidedalg import BraidedError, Braiding, NCPoly, _engine
 from nichols2.fbtree import LGH, RGH, FullBinaryTree
 
 
@@ -35,37 +35,43 @@ def basis_words(m: int) -> list[tuple[int, ...]]:
 
 
 def symmetrizer(b: Braiding, m: int) -> list[list[CycNum]]:
-    """Matrix of the degree-m quantum symmetrizer in the word basis.
+    """Matrix of the degree-m quantum symmetrizer in the word basis, from
+    the whole-word images of `ReferenceImages`.
 
     Entry [i][j] is the coefficient of basis word i in the image of basis
     word j; the kernel of this matrix is the degree-m relation space.
     """
     if m < 1:
         raise BraidedError("symmetrizer degree must be positive")
+    if not b.of_roots:  # as the engine, whose entries are compared with these
+        raise BraidedError(f"the reference takes roots of unity only, got {b!r}")
     words = basis_words(m)
-    index = {w: i for i, w in enumerate(words)}
+    ref = reference_images(b)
+    return [[ref.image(w).get(u, ZERO) for w in words] for u in words]
+
+
+def word_image(b: Braiding, w: tuple[int, ...], words) -> dict:
+    """`_SymEngine.image_vectors` of the single word w at the words: word ->
+    coordinate list at the engine's conductor, zero entries dropped."""
     eng = _engine(b)
-    n = len(words)
-    mat = [[ZERO] * n for _ in range(n)]
-    for j, w in enumerate(words):
-        for img, vec in eng.image_vectors(w, words).items():
-            mat[index[img]][j] = CycNum(eng.conductor, vec)
-    return mat
+    return eng.image_vectors({w: ONE._lift(eng.conductor)}, eng.conductor, words)
 
 
-def reference_symmetrize(eng: _SymEngine, rho: NCPoly, n: int, words) -> dict:
-    """The symmetrizer image of rho at the words, at conductor n, the
-    reference for `_SymEngine.integer_image`: one `vector_product` per
-    (term, image word) pair, each image vector lifted to conductor n."""
-    mul = vector_product(n)
+def reference_symmetrize(b: Braiding, rho: NCPoly, n: int, words) -> dict:
+    """The symmetrizer image of rho at the words, at conductor n, zero
+    entries dropped, the reference for `_SymEngine.image_vectors`: one
+    `vector_product` per (term, image word) pair of the whole-word images
+    of `ReferenceImages`."""
+    mul, ref = vector_product(n), reference_images(b)
     out: dict = {}
     for w, c in rho.terms.items():
         cv = c._lift(n)
-        for img, v in eng.image_vectors(w, words).items():
-            add = mul(cv, CycNum(eng.conductor, v)._lift(n))
-            cur = out.get(img)
-            out[img] = add if cur is None else [x + y for x, y in zip(cur, add)]
-    return out
+        img = ref.image(w)
+        for u in set(words) & img.keys():
+            add = mul(cv, img[u]._lift(n))
+            cur = out.get(u)
+            out[u] = add if cur is None else [x + y for x, y in zip(cur, add)]
+    return {u: v for u, v in out.items() if any(v)}
 
 
 def skew_derivation(b: Braiding, i: int, rho: NCPoly) -> NCPoly:
@@ -101,60 +107,52 @@ def derivations_vanish(b: Braiding, rho: NCPoly) -> bool:
             and derivations_vanish(b, skew_derivation(b, 2, rho)))
 
 
-class ReferenceImages(_SymEngine):
-    """Whole-word symmetrizer images, the reference for the entry recursion
-    of `_SymEngine`: the image of a word is assembled from the images of all
-    its one-letter deletions, and every image is cached whole, packed the
-    same way (`_widen` repacks these whole images)."""
+class ReferenceImages:
+    """Whole-word symmetrizer images over CycNum coefficients from
+    `Braiding.chi`, the reference for the iterated skew derivations of
+    `_SymEngine`: the image of a word is assembled from the images of all
+    its one-letter deletions, the deleted letter moved to the front and
+    twisted by chi(letter, deg word[:k])^-1, and every image is cached
+    whole."""
 
     def __init__(self, b: Braiding):
-        super().__init__(b)
-        e11, e12, e21, e22 = self.exps
-        self._chi_exp = {(1, 1): e11, (1, 2): e12, (2, 1): e21, (2, 2): e22}
+        self.b = b
+        self.cache: dict = {}
 
     def image(self, word: tuple[int, ...]) -> dict:
-        """Raw image of a basis word, with packed coefficients."""
+        """Image of a word: word -> CycNum, zero coefficients included."""
         hit = self.cache.get(word)
         if hit is None:
-            if math.factorial(len(word)).bit_length() > self._bits:
-                self._widen(len(word))
             hit = self.cache[word] = self._image(word)
         return hit
 
     def _image(self, word):
-        m = len(word)
-        if m <= 1:
-            return {word: 1}
-        L, bits, full = self.L, self._bits, self._full
-        chi_exp = self._chi_exp
+        if len(word) <= 1:
+            return {word: ONE}
         out: dict = {}
-        get = out.get
-        # Deleting the letter at position k twists by chi(letter, deg
-        # word[:k])^-1; twist[i] is the exponent of chi(e_i, deg word[:k]).
-        twist = {1: 0, 2: 0}
+        twist = ZERO  # summed over a run of letters, whose deletions agree
         for k, letter in enumerate(word):
-            s = -twist[letter] % L
-            low, high = s * bits, (L - s) * bits
-            for tail, c in self.image(word[:k] + word[k + 1:]).items():
-                if s:
-                    c = ((c << low) & full) | (c >> high)
-                w = (letter,) + tail
-                out[w] = get(w, 0) + c
-            twist[1] += chi_exp[(1, letter)]
-            twist[2] += chi_exp[(2, letter)]
+            ones = word[:k].count(1)
+            twist += self.b.chi((-1, 0) if letter == 1 else (0, -1), (ones, k - ones))
+            if word[k + 1:k + 2] != (letter,):
+                for tail, c in self.image(word[:k] + word[k + 1:]).items():
+                    w = (letter,) + tail
+                    out[w] = out.get(w, ZERO) + c * twist
+                twist = ZERO
         return out
 
     def image_vectors(self, word: tuple[int, ...], words) -> dict:
-        """Image of a basis word with coefficients as coordinate vectors,
-        zero coefficients dropped, restricted to the given words."""
+        """Image of a word at the given words as coordinate lists at the
+        braiding's conductor, zero coefficients dropped."""
         img = self.image(word)
-        img = {u: img[u] for u in words if u in img}
-        out = {}
-        for u, c in img.items():
-            vec = self.coeff_to_vec(c)
-            if any(vec):
-                out[u] = vec
-        return out
+        return {u: list(img[u]._lift(self.b.conductor)) for u in set(words)
+                if u in img and img[u]}
+
+
+@functools.lru_cache(maxsize=2)
+def reference_images(b: Braiding) -> ReferenceImages:
+    """The whole-word images of b, kept across calls."""
+    return ReferenceImages(b)
 
 
 def image_block_pivot_words(b: Braiding, n: int) -> dict:
@@ -174,7 +172,7 @@ def image_block_pivot_words(b: Braiding, n: int) -> dict:
                     cols += [w[::-1] + (j,) for w in known[below]]
             rows = []
             for w in cands:
-                img = eng.image_vectors(w, cols)
+                img = word_image(b, w, cols)
                 rows.append([img.get(u, zero) for u in cols])
             pivot_rows: list[int] = []
             exact_rank_vectors(rows, eng.conductor, pivot_rows=pivot_rows)

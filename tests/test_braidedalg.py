@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (ReferenceImages, basis_words, derivations_vanish, naive_rank,
-                      random_root_braiding, reference_symmetrize, skew_derivation, symmetrizer)
+                      random_root_braiding, reference_symmetrize, skew_derivation, symmetrizer,
+                      word_image)
 
 from nichols2 import braidedalg
 from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
@@ -28,11 +29,11 @@ def cartan_a2():
 
 
 def lifted_image(eng, rho, n, words):
-    """`integer_image` of the terms of rho lifted to conductor n, and the
+    """`image_vectors` of the terms of rho lifted to conductor n, and the
     positive integer D that cleared their denominators: the symmetrizer
     image of rho at the words, times D."""
     terms, den = _integer_terms(rho, n)
-    return eng.integer_image(terms, n, words), den
+    return eng.image_vectors(terms, n, words), den
 
 
 def symmetrized(b, rho, words):
@@ -374,9 +375,10 @@ def test_integer_derivation_test_matches_the_reference(rng):
 
 
 def test_symmetrize_matches_per_term_products(rng):
-    # Kronecker sums against one vector product per (term, word) pair, at
-    # every word and at a few: Fraction coefficients, a conductor above the
-    # engine's, and coordinates near 2^80.
+    # Iterated skew derivations against one vector product per (term, word)
+    # pair of the reference's whole-word images, at every word and at a few:
+    # Fraction coefficients, a conductor above the engine's, and
+    # coordinates near 2^80.
     for _ in range(6):
         b = random_root_braiding(rng, max_conductor=30)
         eng = _engine(b)
@@ -388,7 +390,7 @@ def test_symmetrize_matches_per_term_products(rng):
                               for w in rng.sample(words, 5)})
                 for some in (words, rng.sample(words, 7)):
                     got, den = lifted_image(eng, rho, n, some)
-                    want = reference_symmetrize(eng, rho, n, some)
+                    want = reference_symmetrize(b, rho, n, some)
                     assert got == {u: [den * c for c in v] for u, v in want.items()}, \
                         (b, n, rho, some)
     # Three terms of bidegree (3, 1) with coefficient 2^80 - 1 under the
@@ -403,7 +405,7 @@ def test_symmetrize_matches_per_term_products(rng):
         for n in (1, 3, 20):
             for some in (basis_words(4), words[:2]):
                 got, den = lifted_image(eng, rho, n, some)
-                assert den == 1 and got == reference_symmetrize(eng, rho, n, some)
+                assert den == 1 and got == reference_symmetrize(b, rho, n, some)
                 sums = {tuple(v) for v in got.values()}
                 assert sums == {CycNum(1, (6 * sum(sign) * big,))._lift(n)}
 
@@ -494,10 +496,10 @@ def test_symmetrizer_matches_operator_product_up_to_conductor_30(rng):
 
 def test_symmetrizer_slots_do_not_carry():
     # x1^m symmetrizes to [m]_p! x1^m with p = q11^-1.  At q11 = 1 the
-    # single slot holds m!, past 2^64 from m = 21 on; at q11 of order 26
-    # the slots hold the numbers of permutations of m letters per inversion
-    # count mod 26, past 2^64 from m = 22 on.  Words imaged before a widening
-    # must read the same from the repacked cache after it.
+    # entry is m!, past 2^64 from m = 21 on; at q11 of order 26 it sums
+    # the numbers of permutations of m letters per inversion count mod 26,
+    # past 2^64 from m = 22 on.  Words imaged before and after the long
+    # ones must read the same.
     mixed = NCPoly({(1, 1, 2, 1, 2, 2): ONE, (2, 1, 2, 1, 1, 2): root_of_unity(1, 3)})
 
     def image(b, rho):  # the whole image; the coefficients are integral
@@ -516,38 +518,37 @@ def test_symmetrizer_slots_do_not_carry():
 
 
 def test_entries_match_whole_word_images(rng):
-    # Entry by entry, the first-letter recursion gives the whole-word images
-    # of the reference: every entry, and the entries at a few words, among
-    # them words of another bidegree or length, which are dropped.
+    # Entry by entry, the iterated skew derivations give the whole-word
+    # images of the reference: every entry, and the entries at a few words,
+    # among them words of another bidegree or length, which are dropped.
     braidings = [random_root_braiding(rng, max_conductor=30) for _ in range(5)]
     braidings += [Braiding(*(root_of_unity(rng.randrange(n), n) for _ in range(4)))
                   for n in (24, 30)]
     for b in braidings:
         clear_caches()
-        eng, ref = _engine(b), ReferenceImages(b)
-        # A cold engine first, so the restricted reads compute partial rows.
+        ref = ReferenceImages(b)
         for m in range(1, 8):
             words = basis_words(m)
             for w in rng.sample(words, min(len(words), 12)):
                 some = rng.sample(words, min(len(words), 5)) + basis_words(m - 1)[:2]
-                assert eng.image_vectors(w, some) == ref.image_vectors(w, some), (b, w, some)
+                assert word_image(b, w, some) == ref.image_vectors(w, some), (b, w, some)
         for m in range(8):
             words = basis_words(m)
             for w in words:
-                assert eng.image_vectors(w, words) == ref.image_vectors(w, words), (b, w)
-    # Entries cached before a widening of the slots read the same after it.
+                assert word_image(b, w, words) == ref.image_vectors(w, words), (b, w)
+    # Entries past 2^64, between reads of a short word.
     for q11 in (ONE, root_of_unity(1, 26)):
         b = Braiding(q11, root_of_unity(1, 3), ONE, MINUS_ONE)
         clear_caches()
-        eng, ref = _engine(b), ReferenceImages(b)
+        ref = ReferenceImages(b)
         short = (1, 2, 2, 1, 1, 2)
         cols = rng.sample(basis_words(6), 20)
-        assert eng.image_vectors(short, cols) == ref.image_vectors(short, cols)
+        assert word_image(b, short, cols) == ref.image_vectors(short, cols)
         for w in ((1,) * 21, (1,) * 22, short, (1,) * 21, (2, 1) + (1,) * 20):
             words = bidegree_words(w)
-            assert eng.image_vectors(w, words) == ref.image_vectors(w, words), (q11, w)
+            assert word_image(b, w, words) == ref.image_vectors(w, words), (q11, w)
         words = basis_words(6)
-        assert eng.image_vectors(short, words) == ref.image_vectors(short, words)
+        assert word_image(b, short, words) == ref.image_vectors(short, words)
 
 
 def test_restricted_symmetrize_is_the_restriction(rng):
@@ -566,11 +567,9 @@ def test_restricted_symmetrize_is_the_restriction(rng):
                     some = rng.sample(words, k)
                     assert lifted_image(eng, rho, n, some)[0] == \
                         {w: v for w, v in full.items() if w in some}, (b, n, rho, some)
-    # Only the requested coefficients are converted.
     clear_caches()
     eng = _engine(b)
     lifted_image(eng, NCPoly({(1, 2, 1, 2, 2): ONE}), eng.conductor, [(2, 2, 1, 1, 2)])
-    assert len(eng._vec_cache) == 1
 
 
 def test_transposed_symmetrizer_is_the_symmetrizer_of_the_transposed_braiding(rng):

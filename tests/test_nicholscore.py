@@ -179,7 +179,7 @@ def test_relation_zero_test_agrees_with_both_full_tests():
 
     def verdict(b, rel):
         sym, der = is_zero_in_nichols(b, rel), is_zero_in_nichols(b, rel, "derivations")
-        image = reference_symmetrize(_engine(b), rel, _conductor(b, rel),
+        image = reference_symmetrize(b, rel, _conductor(b, rel),
                                      basis_words(len(min(rel.terms))))
         assert sym == (not any(map(any, image.values()))), (b, rel)
         assert der == derivations_vanish(b, rel) == sym, (b, rel)
@@ -328,22 +328,14 @@ def test_evaluate_monomial_degree():
 
 def full_block(b, r, s):
     """The bidegree-(r, s) block of the symmetrizer over every word of that
-    bidegree, with no reduction of rows or columns: (words, rows), where
-    row i holds the image of words[i] at each word."""
-    from conftest import basis_words
-    from nichols2.braidedalg import _engine
+    bidegree, with no reduction of rows or columns, from the whole-word
+    images of the reference: (words, rows), where row i holds the image of
+    words[i] at each word, as coordinates at the braiding's conductor."""
+    from conftest import basis_words, reference_images
 
-    eng = _engine(b)
-    zero = (0,) * eng.deg
+    ref = reference_images(b)
     words = [w for w in basis_words(r + s) if w.count(1) == r]
-    idx = {w: i for i, w in enumerate(words)}
-    rows = []
-    for w in words:
-        vec = [zero] * len(words)
-        for ww, v in eng.image_vectors(w, words).items():
-            vec[idx[ww]] = v
-        rows.append(vec)
-    return words, rows
+    return words, [[ref.image(w)[u]._lift(b.conductor) for u in words] for w in words]
 
 
 def full_block_dims(b, n):
@@ -433,7 +425,8 @@ def test_column_words_select_full_rank_columns():
                 assert exact_rank_vectors(sub, eng.conductor) == len(basis), (b, r, m - r)
 
 
-def test_dim_at_degree_on_a_cold_engine():
+def test_dim_at_degree_on_a_cold_engine(monkeypatch):
+    from nichols2 import braidedalg
     from nichols2.braidedalg import _engine, clear_caches
     from nichols2.classify import fixtures
 
@@ -448,11 +441,20 @@ def test_dim_at_degree_on_a_cold_engine():
             [prefix[m] for m in (4, 1, 6, 0, 3, 5, 2)]
     # The Cartan A2 braiding has top degree 8: degree 9 ranks the two
     # products of the top word to 0, so degree 10 has no candidates and no
-    # bidegree of degree 10 is ranked.  The oracle images no word at all.
+    # bidegree of degree 10 is ranked.  The oracle images no word at all: it
+    # takes no skew derivation.
     clear_caches()
+    derivations = []
+
+    def counted(*args):
+        derivations.append(args)
+        return skew_derivation(*args)
+
+    skew_derivation = braidedalg.skew_derivation
+    monkeypatch.setattr(braidedalg, "skew_derivation", counted)
     assert list(hilbert_prefix(cartan_a2(), 10)) == [1, 2, 4, 4, 5, 4, 4, 2, 1, 0, 0]
     eng = _engine(cartan_a2())
-    assert max(map(sum, eng.pivot_words)) == 9 and not eng.cache
+    assert max(map(sum, eng.pivot_words)) == 9 and derivations == []
 
 
 def test_tau0_coefficients_are_integral_at_the_engine_conductor():
@@ -593,7 +595,6 @@ def test_word_check_on_every_fixture_and_tree(monkeypatch):
 
 def test_fixture_matrix_builds_no_exact_monomial_rows(monkeypatch):
     from nichols2 import nicholscore
-    from nichols2.braidedalg import _SymEngine
     from nichols2.classify import run_fixture_matrix
 
     calls = []
@@ -602,21 +603,10 @@ def test_fixture_matrix_builds_no_exact_monomial_rows(monkeypatch):
         calls.append(args)
         return evaluate_monomial(*args)
 
-    # Nor does it image a whole word: every symmetrizer entry it reads is a
-    # column of a rank block or of a relation's zero test.
-    whole = []
-    image_vectors = _SymEngine.image_vectors
-
-    def entries_only(eng, word, words=None):
-        if words is None:
-            whole.append(word)
-        return image_vectors(eng, word, words)
-
     monkeypatch.setattr(nicholscore, "evaluate_monomial", counted)
-    monkeypatch.setattr(_SymEngine, "image_vectors", entries_only)
     rows = run_fixture_matrix(8)
     assert all(row.passed for row in rows)
-    assert calls == [] and whole == []
+    assert calls == []
 
 
 def test_exact_rows_decide_every_shortfall(monkeypatch):
