@@ -9,14 +9,14 @@ homogeneous with multidegree equal to the node's Stern-Brocot label.
 Both zero tests run on integer data: an element's coefficients are lifted
 once to the conductor n of the braiding and the coefficients, and cleared
 of their denominators by one positive integer, which leaves zero zero.
-Both read one operator, the skew derivation: a symmetrizer entry is an
-iterated skew derivation (`_SymEngine`).  Each word of a skew derivation is
-a sum of products of coordinate vectors, formed by Kronecker substitution
-in digits one bit longer than (products per sum) phi(n) 2^(xbits + ybits),
-for the bit lengths of the factors' largest coordinates
-(`cyclotomic.kronecker_sums`).  The symmetrizer test reads the image only
-at the reversed basis words of the rank oracle (`is_zero_in_nichols`),
-never a whole image.
+Both read one walk of iterated skew derivations (`_derivatives_along`),
+whose scalars are the symmetrizer entries: the derivation test at every
+word, the symmetrizer test at the reversed basis words of the rank oracle
+only (`is_zero_in_nichols`), never a whole image.  Each word of a skew
+derivation is a sum of products of coordinate vectors, formed by Kronecker
+substitution in digits one bit longer than (products per sum) phi(n)
+2^(xbits + ybits), for the bit lengths of the factors' largest coordinates
+(`cyclotomic.kronecker_sums`).
 """
 
 from __future__ import annotations
@@ -277,20 +277,7 @@ def _bracket_table(b: Braiding) -> dict:
 
 
 class _SymEngine:
-    """Per-braiding workspace of the rank oracle and of symmetrizer entries.
-
-    The coefficient S(v)_u of a word u = u_1...u_m in the symmetrizer image
-    of a word v is the scalar
-
-        S(v)_u = d_{u_m} ... d_{u_1}(v),
-
-    d_{u_1} applied first, for the skew derivations d_i of
-    `skew_derivation`.  Proof: the first-letter expansion of the symmetrizer
-    is S(v)_u = sum over k with v_k = u_1 of chi(e_{u_1}, deg v[:k])^-1
-    S(v without letter k)_{u_2...u_m}, that is S(d_{u_1}(v))_{u_2...u_m}
-    by linearity; induct on m.  Every entry of a root braiding is a power
-    of one root of unity, so each twist has integer coordinates and
-    `skew_derivation` scales by nothing: the entries are exact.
+    """Per-braiding state of the rank oracle.
 
     pivot_words maps each bidegree the rank oracle has reached to words
     whose classes form a basis of that graded piece, and frontier each
@@ -313,33 +300,11 @@ class _SymEngine:
         self.frontier: dict = {}
 
     def image_vectors(self, terms: dict, n: int, words) -> dict:
-        """Symmetrizer image, at the given words, of a polynomial given as
-        word -> integer coordinate vector at conductor n, where
-        self.conductor divides n: word -> coordinate list at each given
-        word of the terms' bidegrees where the image is nonzero.
-
-        Per bidegree, the words are walked in prefix order: the terms are
-        derived once per distinct next letter (class docstring), a branch
-        whose derivative is zero is dropped, and at depth m the scalar left
-        is the entry.  A degree-0 scalar reads its own column ()."""
-        out = {}
-
-        def walk(poly, cols, k):
-            if k == len(cols[0]):
-                out[cols[0]] = list(poly[()])
-                return
-            for i in (1, 2):
-                below = [u for u in cols if u[k] == i]
-                if below and (d := skew_derivation(self.b, i, poly, n)):
-                    walk(d, below, k + 1)
-
-        words = set(words)
-        for r, m in {(w.count(1), len(w)) for w in terms}:
-            cols = [u for u in words if len(u) == m and u.count(1) == r]
-            if cols:
-                walk({w: v for w, v in terms.items() if len(w) == m and w.count(1) == r},
-                     cols, 0)
-        return out
+        """Symmetrizer image, at the given words, of a nonzero polynomial
+        homogeneous in total degree given as word -> integer vector at
+        conductor n, where self.conductor divides n: word -> coordinate list
+        at each given word where the image is nonzero (`_derivatives_along`)."""
+        return dict(_derivatives_along(self.b, terms, n, words))
 
 
 _ENGINES: dict[Braiding, _SymEngine] = {}
@@ -390,11 +355,36 @@ def skew_derivation(b: Braiding, i: int, terms: dict, n: int) -> dict:
     return {u: vec for u, vec in sums.items() if any(vec)}
 
 
-def _derivations_vanish(b: Braiding, terms: dict, n: int) -> bool:
-    """The derivation zero test of word -> nonzero integer vector at conductor n."""
-    if not terms or () in terms:
-        return not terms  # zero, or a nonzero scalar
-    return all(_derivations_vanish(b, skew_derivation(b, i, terms, n), n) for i in (1, 2))
+def _derivatives_along(b: Braiding, terms: dict, n: int, words=None):
+    """Yield (u, d_{u_m} ... d_{u_1}(terms)), d_{u_1} applied first, for each
+    of the words u (every word if None) where that scalar is nonzero, for
+    the skew derivations d_i of `skew_derivation`, on a nonzero element
+    homogeneous in total degree given as word -> nonzero integer vector at
+    conductor n.
+
+    The scalar is the entry S(v)_u of the symmetrizer image, summed over
+    the terms v.  Proof: the first-letter expansion of the symmetrizer is
+    S(v)_u = sum over k with v_k = u_1 of chi(e_{u_1}, deg v[:k])^-1
+    S(v without letter k)_{u_2...u_m}, that is S(d_{u_1}(v))_{u_2...u_m}
+    by linearity; induct on m.  Every entry of a root braiding is a power
+    of one root of unity, so each twist has integer coordinates and
+    `skew_derivation` scales by nothing: the entries are exact.  For other
+    entries each derivation scales by a positive integer, which leaves the
+    nonzero scalars nonzero.
+
+    The words are walked in prefix order: the terms are derived once per
+    distinct next letter and a branch whose derivative is zero is
+    dropped.  A scalar ends its branch, so a degree-0 element reads its
+    own word () only."""
+    if () in terms:
+        if words is None or () in words:
+            yield (), list(terms[()])
+        return
+    for i in (1, 2):
+        tails = None if words is None else [u[1:] for u in words if u and u[0] == i]
+        if tails != [] and (d := skew_derivation(b, i, terms, n)):
+            for u, v in _derivatives_along(b, d, n, tails):
+                yield (i,) + u, v
 
 
 def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") -> bool:
@@ -407,8 +397,10 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
     docstring, steps b and c).  So the image is read at those words only,
     and the rank oracle is first run through degree m (`dim_at_degree`).
     A degree above the first zero degree has no basis words, and every
-    element of it is zero.  method "derivations": recursively, both skew
-    derivations vanish (a degree-0 element is zero iff its scalar is).
+    element of it is zero.  method "derivations": every iterated skew
+    derivation vanishes, that is the symmetrizer image read at every word
+    (`_derivatives_along`); it takes any nonzero entries, as the bicharacter
+    does, where the symmetrizer test needs roots of unity.
     Both decide exactly on integers: the coefficients are lifted once, to
     the conductor of the braiding and the coefficients, and cleared of
     their denominators by one positive integer.
@@ -429,7 +421,7 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
                 for w in eng.pivot_words.get(bideg, ())]
         return not eng.image_vectors(terms, n, cols)
     if method == "derivations":
-        return _derivations_vanish(b, terms, n)
+        return next(_derivatives_along(b, terms, n), None) is None
     raise BraidedError(f"unknown method {method!r}")
 
 

@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_braiding_flags(p)
     p.add_argument("--tree", required=True, metavar="SEXPR",
                    help='tree text, e.g. "(L (L L))"')
-    _add_common_flags(p)
+    _add_common_flags(p, caps=("degree",))
 
     p = sub.add_parser("tree", help="reconstruct the tree of a braiding")
     _add_braiding_flags(p)

@@ -110,10 +110,10 @@ def derivations_vanish(b: Braiding, rho: NCPoly) -> bool:
 class ReferenceImages:
     """Whole-word symmetrizer images over CycNum coefficients from
     `Braiding.chi`, the reference for the iterated skew derivations of
-    `_SymEngine`: the image of a word is assembled from the images of all
-    its one-letter deletions, the deleted letter moved to the front and
-    twisted by chi(letter, deg word[:k])^-1, and every image is cached
-    whole."""
+    `braidedalg._derivatives_along`: the image of a word is assembled from
+    the images of all its one-letter deletions, the deleted letter moved
+    to the front and twisted by chi(letter, deg word[:k])^-1, and every
+    image is cached whole."""
 
     def __init__(self, b: Braiding):
         self.b = b
@@ -159,8 +159,9 @@ def image_block_pivot_words(b: Braiding, n: int) -> dict:
     """The reference for the oracle's basis words through degree n, stopping
     at the first zero degree: each bidegree ranks the symmetrizer images of
     the candidates w.j at the columns R(w).j, for the basis words w of the
-    two bidegrees below (`nicholscore` docstring, steps a-c)."""
-    eng = _engine(b)
+    two bidegrees below (`nicholscore` docstring, steps a-c), from the
+    whole-word images of `ReferenceImages`."""
+    eng, ref = _engine(b), reference_images(b)
     known = {(0, 0): [()]}
     zero = (0,) * eng.deg
     for d in range(1, n + 1):
@@ -172,7 +173,7 @@ def image_block_pivot_words(b: Braiding, n: int) -> dict:
                     cols += [w[::-1] + (j,) for w in known[below]]
             rows = []
             for w in cands:
-                img = word_image(b, w, cols)
+                img = ref.image_vectors(w, cols)
                 rows.append([img.get(u, zero) for u in cols])
             pivot_rows: list[int] = []
             exact_rank_vectors(rows, eng.conductor, pivot_rows=pivot_rows)

@@ -70,6 +70,18 @@ def test_verify_holds_and_fails(capsys):
     assert not doc["holds"] and doc["failed_degree"] == 2
 
 
+def test_weight_cap_only_where_a_tree_is_reconstructed(capsys):
+    # verify is given its tree, so it takes no --weight-cap; the commands
+    # that reconstruct a tree still parse it.
+    from nichols2.cli import build_parser
+
+    args = ("--q11", "1/3", "--q12", "2/3", "--q21", "0/1", "--q22", "1/3")
+    code, out, err = run(capsys, "verify", "--tree", "(L L)", *args, "--weight-cap", "16")
+    assert code == 2 and out == "" and "--weight-cap" in err
+    for argv in (("classify", *args), ("tree", *args), ("fixtures",)):
+        assert build_parser().parse_args([*argv, "--weight-cap", "16"]).weight_cap == 16
+
+
 def test_verify_tree_braiding_mismatch(capsys):
     # The exterior braiding has chi(root, root) = 1 on the one-branch tree,
     # which is a mismatch, not an input error.

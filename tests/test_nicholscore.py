@@ -166,7 +166,7 @@ def test_perturbed_mixed_relation_fails():
     assert not is_zero_in_nichols(b, bad, "derivations")
 
 
-def test_relation_zero_test_agrees_with_both_full_tests():
+def test_relation_zero_test_agrees_with_both_full_tests(monkeypatch):
     # The symmetrizer zero test reads the image at the reversed basis words
     # only.  Both zero tests must agree with the references, the whole
     # image at every word and the derivation recursion on CycNum
@@ -174,11 +174,27 @@ def test_relation_zero_test_agrees_with_both_full_tests():
     # 8, on each of them with one coefficient doubled, and above the first
     # zero degree, where a bidegree has no basis words.
     from conftest import basis_words, derivations_vanish, reference_symmetrize
+    from nichols2 import braidedalg
     from nichols2.braidedalg import _conductor, _engine, clear_caches
     from nichols2.classify import fixtures
 
+    # The skew derivations each test takes; the rank oracle takes none, and
+    # the references take conftest's own.
+    derivations = {"symmetrizer": 0, "derivations": 0}
+    skew_derivation, method = braidedalg.skew_derivation, [None]
+
+    def counted(*args):
+        derivations[method[0]] += 1
+        return skew_derivation(*args)
+
+    def zero_test(b, rel, m):
+        method[0] = m
+        return is_zero_in_nichols(b, rel, m)
+
+    monkeypatch.setattr(braidedalg, "skew_derivation", counted)
+
     def verdict(b, rel):
-        sym, der = is_zero_in_nichols(b, rel), is_zero_in_nichols(b, rel, "derivations")
+        sym, der = zero_test(b, rel, "symmetrizer"), zero_test(b, rel, "derivations")
         image = reference_symmetrize(b, rel, _conductor(b, rel),
                                      basis_words(len(min(rel.terms))))
         assert sym == (not any(map(any, image.values()))), (b, rel)
@@ -196,6 +212,10 @@ def test_relation_zero_test_agrees_with_both_full_tests():
     # zero, those whose doubled term is itself zero in the algebra.
     assert len(vanishing) == 546 and all(vanishing[::2])
     assert sum(vanishing[1::2]) == 130
+    # One walk of iterated skew derivations serves both tests: at the
+    # reversed basis words it takes 5205, at every word, stopping at the
+    # first nonzero entry, 3729.
+    assert derivations == {"symmetrizer": 5205, "derivations": 3729}
     # Cartan A2 is zero from degree 9 on; degree 10 is never ranked.
     clear_caches()
     b = cartan_a2()
