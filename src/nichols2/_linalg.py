@@ -15,31 +15,31 @@ Z[zeta_N] to F_p.
    prime ideal is nonzero, so the rank is at least |R|.  If |R| is the
    number of rows or of columns, that is the rank.
 2. Upper bound.  Otherwise, at every other root, the rows are eliminated
-   on the columns C in input row order, and must give the same R.  The
-   coefficients of every other row on the rows R are then
-   known at each root; they are interpolated to power-basis coordinates
-   mod p, joined by the Chinese remainder theorem to those of the earlier
-   primes that gave the same R, lifted to rationals modulo the product of
-   those primes by rational reconstruction (Wang, Guy and Davenport,
-   "P-adic reconstruction of rational numbers", 1982), cleared of
-   denominators, and checked exactly: D row_i = sum_k (D c_k) row_k, one
-   big-int product per row of R by Kronecker substitution (Harvey, 2009;
-   layouts in `_modular`).  Every row then lies in the span of R, so the
-   rank is at most |R|.  The out-parameter `dependencies` returns these
-   checked combinations; it takes step 1's exit only where every nonzero
-   row is a pivot.
+   on all columns in input row order, and must give the same R.  Each
+   other row's coefficients c_k on the rows R, known at every root, are
+   interpolated to coordinates mod p (the roots separate Z[zeta_N] mod p),
+   joined by the Chinese remainder theorem to those of the earlier primes
+   that gave the same R, lifted modulo their product m by rational
+   reconstruction (Wang, Guy and Davenport, 1982) and cleared of
+   denominators: num_k = D c_k (mod m), checked.  So E = D row_i -
+   sum_k num_k row_k is 0 mod m, and its coordinates are at most B, from
+   D, the num_k, the rows and Phi_N (Cabay, SYMSAC 1971; `_modular`):
+   E = 0 once 2 B < m, else the next prime joins.  Every row then lies in
+   the span of R, so the rank is at most |R|.  The out-parameter
+   `dependencies` returns these proven combinations; it takes step 1's
+   exit only where every nonzero row is a pivot.
 
 A mod-p rank is never reported here without both certificates.  Where
-another root gives pivot rows other than R, a reconstruction fails or a
-check fails, the next prime is tried.  Only finitely many primes are bad
-for a matrix, and the product of the good ones outgrows the true coefficients, so some prime certifies.
+another root gives pivot rows other than R, or a lift fails or is
+unproven, the next prime is tried.  Only finitely many primes are bad for
+a matrix, and the product of the good ones outgrows B, so some prime certifies.
 
 The pivot rows are then exactly the rows that raise the exact rank of the
 rows before them, provided every nonzero row is a pivot or the rank is
 below both dimensions.  In the first case there is nothing to show.  In
 the second, the upper bound was certified: elimination in row order
-writes each other row on the pivot rows before it only, and the exact
-check proves that combination.  So each other row lies in the span of the
+writes each other row on the pivot rows before it only, and the bound
+proves that combination.  So each other row lies in the span of the
 pivot rows before it, and each pivot row, independent of them, raises the
 rank.  (A full column rank found by the lower bound alone can put a pivot
 after a row that is independent over Q(zeta_N) but not mod p.)
@@ -53,8 +53,8 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
     """Rank of a matrix whose entries are integer coordinate vectors at a
     fixed conductor (elements of Z[zeta_N]).  A rank found mod p is
     returned only with two certificates (see the module docstring): a
-    nonzero minor mod p on the pivot rows, and an exact check that every
-    other row is the lifted combination of them.  A prime without both
+    nonzero minor mod p on the pivot rows, and a coordinate bound proving
+    every other row the lifted combination of them.  A prime without both
     certificates is followed by the next, up to `_modular._MAX_PRIMES`
     primes; then ArithmeticError reports a defect.
 

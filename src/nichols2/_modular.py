@@ -19,17 +19,19 @@ and from slot lists in C.
   bitlen(phi(N) + rows) bits, rounded up to words: one word at 26-bit p
   for phi(N) + rows < 4096.  Any p is correct; a larger one, or a larger
   block, only takes more words.  Identity slots after the columns
-  record each row's pivot combination; after the first root the rows are
-  eliminated on its pivot columns only, and the combinations are
-  interpolated from the roots at the same width.
-- Exact check, by 2-D Kronecker substitution: a pivot row is packed with
-  2 phi(N) - 1 digits per entry, so its product with a packed coefficient
-  holds each entry's unreduced product in its own digits.  A digit of the
-  sum over the pivots is below pivots phi(N) 2^(cbits + rbits) in
-  magnitude, for the bit lengths of the largest lifted coefficient and row
-  coordinate; digits are one bit wider, rounded up to words, so they
-  decode exactly, balanced, and each entry's digits are reduced modulo
-  Phi_N by `cyclotomic.reduce_mod_phi`.
+  record each row's pivot combination.  The rows are eliminated at every
+  root on all columns, and the combinations are interpolated from the
+  roots at the same width; `_roots` checks that its inverse Vandermonde
+  inverts evaluation.
+- Coordinate bound (Cabay, "Exact solution of linear equations", SYMSAC
+  1971): `_lift` checks num_k = D c_k (mod m) for the combination c_k
+  found at each prime joined, whose product is m, so E = D row_i -
+  sum_k num_k row_k vanishes mod m at every column.  A coordinate of
+  num_k row_k before reduction mod Phi_N is at most R_k |num_k|_1, for R_k
+  the largest |coordinate| of row k; reduction adds at most rho times
+  that, rho = max_j sum_t |z^(phi(N)+t) mod Phi_N|_j over t < phi(N) - 1
+  (rows of `cyclotomic._reduction_rows`).  So |E| <= B_i = D R_i +
+  (1 + rho) sum_k R_k |num_k|_1, and E = 0 once 2 B_i < m.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from functools import lru_cache
 from itertools import chain, islice
 from operator import mul
 
-from .cyclotomic import (ROOT_TABLE_CACHE_SIZE, cyclotomic_polynomial, divisors, euler_phi,
-                         reduce_mod_phi)
+from .cyclotomic import (ROOT_TABLE_CACHE_SIZE, _reduction_rows, cyclotomic_polynomial,
+                         divisors, euler_phi)
 
 # Deterministic Miller-Rabin: these bases decide primality below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -107,7 +109,7 @@ def _roots(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
     to n, ascending) of the first w found.  The inverse Vandermonde takes
     the values of a coordinate vector at those roots back to the vector:
     its column t is the Lagrange basis polynomial Phi_n(z) / ((z - w_t)
-    Phi_n'(w_t)).
+    Phi_n'(w_t)).  Raises ArithmeticError unless it inverts evaluation.
     """
     deg = euler_phi(n)
     proper = divisors(n)[:-1]
@@ -136,6 +138,14 @@ def _roots(n: int, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int
             raise ArithmeticError(f"{r} is not a root of the {n}-th cyclotomic polynomial mod {p}")
         scale = pow(sum(c * x for c, x in zip(quot, pw)) % p, -1, p)
         columns.append([c * scale % p for c in quot])
+    # Interpolation rests on row t of V vinv being e_t, for V[t][a] = w_t^a.
+    step = _slot_bytes(p, deg, 0)
+    packed = [pack_slots(row, step) for row in zip(*columns)]
+    for t, pw in enumerate(powers):
+        if [s % p for s in unpack_slots(sum(map(mul, pw, packed)), deg, step)] != [
+                int(s == t) for s in range(deg)]:
+            raise ArithmeticError(f"the inverse Vandermonde of Phi_{n} mod {p} does not "
+                                  "invert evaluation")
     return tuple(powers), tuple(zip(*columns))
 
 
@@ -173,17 +183,17 @@ def unpack_slots(x: int, n: int, step: int) -> list[int]:
 def _eliminate(rows, n_cols: int, p: int, step: int):
     """Elimination over F_p of packed rows, one row at a time in input order:
     (pivot rows, {dependent row: its coefficients on the pivot rows, in
-    their order}, pivot columns)."""
+    their order})."""
     bits, mask = 8 * step, (1 << 8 * step) - 1
-    basis = []  # (bit offset of its pivot slot, reduced row with 1 there)
+    basis = []  # (bit offset of its pivot slot, that slot's inverse, reduced row)
     prows, zero_combs = [], {}
     for i, x in enumerate(rows):
         r = len(basis)
         # Slot n_cols + k carries the coefficient of the k-th pivot row, and
         # slot n_cols + r that of this row.
         x += 1 << (n_cols + r) * bits
-        for shift, piv in basis:
-            f = (x >> shift & mask) % p
+        for shift, inv, piv in basis:
+            f = (x >> shift & mask) * inv % p
             if f:
                 x += (p - f) * piv
         slots = [s % p for s in unpack_slots(x, n_cols + r + 1, step)]
@@ -191,12 +201,11 @@ def _eliminate(rows, n_cols: int, p: int, step: int):
         if col is None:
             zero_combs[i] = slots[n_cols:-1]
             continue
-        inv = pow(slots[col], -1, p)
-        basis.append((col * bits, pack_slots([s * inv % p for s in slots], step)))
+        basis.append((col * bits, pow(slots[col], -1, p), pack_slots(slots, step)))
         prows.append(i)
     # 0 = row_i + sum_k comb[k] row_k, so row_i = -sum_k comb[k] row_k.
     return prows, {i: [-c % p for c in comb] + [0] * (len(prows) - len(comb))
-                   for i, comb in zero_combs.items()}, [shift // bits for shift, _ in basis]
+                   for i, comb in zero_combs.items()}
 
 
 def _rational_lift(a: int, m: int, bound: int) -> tuple[int, int] | None:
@@ -230,6 +239,7 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
     # Without dependencies, a rank equal to either dimension needs no lift.
     full = len(rows) if dependencies is not None else min(len(rows), n_cols)
     best = None  # the key of the primes whose residues, mod their product m, are in acc
+    sizes = None  # each R_i, and grow = 1 + rho, of the coordinate bound
     for p, powers, vinv in islice(_split_primes(conductor), _MAX_PRIMES):
         mod_p = _at_prime(rows, n_cols, p, powers, vinv, full)
         if mod_p is None:
@@ -249,7 +259,16 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
             m *= p
             deps = sorted(set(range(len(rows))).difference(prows))
             lifted = _lift(acc, m, deps, len(prows), len(vinv))
-            if lifted is None or not _spans(rows, conductor, prows, lifted):
+            if lifted is None:
+                continue
+            if sizes is None:
+                red = _reduction_rows(conductor)[:len(vinv) - 1]
+                sizes = [max(map(abs, chain.from_iterable(row))) for row in rows]
+                grow = 1 + max((sum(map(abs, col)) for col in zip(*red)), default=0)
+            # Every lifted combination is exact once 2 B_i < m (module docstring).
+            if any(2 * (den * sizes[i] + grow * sum(sizes[k] * sum(map(abs, vec))
+                                                     for k, vec in zip(prows, nums))) >= m
+                   for i, den, nums in lifted):
                 continue
         if dependencies is not None:
             dependencies.clear()
@@ -263,35 +282,31 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
 
 def _at_prime(rows, n_cols: int, p: int, powers, vinv, full: int):
     """(pivot rows, residues) of integer rows mod p at the first root, or
-    None where another root, on the first root's pivot columns, gives other
-    pivot rows.  The residues, None at rank full, are the power-basis
-    coordinates mod p of each other row's coefficients on the pivot rows,
-    flat by (row, pivot row, coordinate)."""
+    None where another root gives other pivot rows.  The residues, None at
+    rank full, are the power-basis coordinates mod p of each other row's
+    coefficients on the pivot rows, flat by (row, pivot row, coordinate)."""
     deg = len(vinv)
     step = _slot_bytes(p, deg, len(rows))
+    # packed[r][a]: C_a of row r
+    packed = [[pack_slots([c % p for c in coords], step) for coords in zip(*row)]
+              for row in rows]
 
-    def packed(block):  # packed[r][a]: C_a of row r of the block
-        return [[pack_slots([c % p for c in coords], step) for coords in zip(*row)]
-                for row in block]
+    def at(pw):
+        return _eliminate([sum(map(mul, cs, pw)) for cs in packed], n_cols, p, step)
 
-    def at(pw, packed_rows):
-        return [sum(map(mul, cs, pw)) for cs in packed_rows]
-
-    prows, deps, pcols = _eliminate(at(powers[0], packed(rows)), n_cols, p, step)
+    prows, deps = at(powers[0])
     if len(prows) == full:
         return prows, None
-    # Each other row's coefficients on the pivot rows are unique, so at the
-    # other roots the rows are eliminated, in input order, on the pivot
-    # columns only; they must give the same pivot rows.
-    rank, combs = len(prows), [list(deps.values())]
-    sub = packed([[row[j] for j in pcols] for row in rows])
+    # Every root must give the same pivot rows, on all columns, for the
+    # combinations to hold at every column (module docstring).
+    combs = [list(deps.values())]
     for pw in powers[1:]:
-        rs, solved, _ = _eliminate(at(pw, sub), rank, p, step)
+        rs, solved = at(pw)
         if rs != prows:
             return None
         combs.append(list(solved.values()))
     # Interpolate them to coordinates, packed over the pivot rows.
-    residues = []
+    rank, residues = len(prows), []
     for per_root in zip(*combs):
         values = [pack_slots(c, step) for c in per_root]
         coords = [unpack_slots(sum(map(mul, vrow, values)), rank, step)
@@ -303,42 +318,18 @@ def _at_prime(rows, n_cols: int, p: int, powers, vinv, full: int):
 def _lift(residues, m: int, deps: list[int], rank: int, deg: int):
     """[(i, D, nums)] per dependent row i: its coefficients on the pivot rows,
     lifted from the residues mod m and cleared by their common denominator
-    D, nums[k] the coordinates on pivot row k; None if one does not lift."""
+    D, nums[k] the coordinates on pivot row k; None if one does not lift.
+    Every coordinate returned is checked to be D times its residue mod m."""
     bound = math.isqrt((m - 1) // 2)
     fracs = [_rational_lift(a, m, bound) if a else (0, 1) for a in residues]
     if None in fracs:
         return None
     lifted, size = [], rank * deg
     for n, i in enumerate(deps):
-        cs = fracs[n * size:(n + 1) * size]
+        cs, rs = fracs[n * size:(n + 1) * size], residues[n * size:(n + 1) * size]
         den = math.lcm(*(d for _, d in cs))
         nums = [num * (den // d) for num, d in cs]
+        if any((x - r * den) % m for x, r in zip(nums, rs)):
+            return None
         lifted.append((i, den, [nums[k:k + deg] for k in range(0, size, deg)]))
     return lifted
-
-
-def _spans(rows, conductor: int, prows: list[int], lifted) -> bool:
-    """Whether D row_i = sum_k num_k row_k exactly in Z[z]/Phi_N for every
-    (i, D, num) in lifted, by Kronecker substitution (see the module
-    docstring); num_k is a coordinate vector."""
-    deg = euler_phi(conductor)
-    width, n_digits = 2 * deg - 1, len(rows[0]) * (2 * deg - 1)
-    flat = chain.from_iterable
-    cbits = max(map(abs, flat(flat(nums for _, _, nums in lifted))), default=0).bit_length()
-    rbits = max(map(abs, flat(flat(rows[k] for k in prows))), default=0).bit_length()
-    step = 8 * (((len(prows) * deg).bit_length() + cbits + rbits + 64) // 64)
-    half = 1 << 8 * step - 1
-    offset = pack_slots([half] * n_digits, step)
-    pivots = [pack_slots([c + half for vec in rows[k] for c in [*vec] + [0] * (deg - 1)], step)
-              - offset for k in prows]
-    reduce = reduce_mod_phi(conductor)
-    for i, den, nums in lifted:
-        total = offset + sum(piv * sum(c << 8 * step * b for b, c in enumerate(vec))
-                             for piv, vec in zip(pivots, nums) if any(vec))
-        if total < 0 or total >> 8 * step * n_digits:
-            return False
-        digits = [d - half for d in unpack_slots(total, n_digits, step)]
-        for j, target in enumerate(rows[i]):
-            if reduce(digits[j * width:(j + 1) * width]) != [den * x for x in target]:
-                return False
-    return True

@@ -26,8 +26,7 @@ k a unit other than 1, over the rational N(x) = x * prod sigma_k(x).
 
 A raw product, a polynomial in z of degree below 2 phi(N) - 1, is reduced
 modulo Phi_N in one place, `reduce_mod_phi(N)`: single products
-(`vector_product`), sums of products (`kronecker_sums`) and the exact check
-of the modular rank all call it.
+(`vector_product`) and sums of products (`kronecker_sums`) call it.
 
 Every field map is one substitution z -> z^k (`_substitute`): the lift into a
 larger conductor, a Galois conjugate, and the fold of zeta_{2m} into zeta_m.

@@ -31,11 +31,11 @@ c. A combination of rows that vanishes on columns spanning the column
 
 Every rank is exact (`_linalg.exact_rank_vectors`).  It is found modulo a
 prime p = 1 (mod N) and reported only with two certificates: a nonzero
-minor mod p on the pivot rows, which proves them independent, and an exact
-check of every other row's dependency on them, lifted by rational
+minor mod p on the pivot rows, which proves them independent, and a bound
+making exact each other row's dependency on them, lifted by rational
 reconstruction from p and any earlier such primes, which proves they span.
 A mod-p rank is never reported on its own; where a certificate fails, the
-next such prime is tried.  The checked dependencies are the tables the
+next such prime is tried.  The proven dependencies are the tables the
 next degree reads, so no basis word rests on a prime.
 
 Monomial bases predicted by a tree are verified against that oracle by

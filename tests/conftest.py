@@ -5,7 +5,7 @@ import pytest
 
 from nichols2._linalg import exact_rank_vectors
 from nichols2.admissibility import (NuDenominatorError, ScalarDomainError, lambda_of, p_of)
-from nichols2.cyclotomic import ONE, ZERO, CycNum, qnum, root_of_unity, vector_product
+from nichols2.cyclotomic import ONE, ZERO, CycNum, euler_phi, qnum, root_of_unity, vector_product
 from nichols2.braidedalg import BraidedError, Braiding, NCPoly, _engine
 from nichols2.fbtree import LGH, RGH, FullBinaryTree
 
@@ -46,8 +46,9 @@ def symmetrizer(b: Braiding, m: int) -> list[list[CycNum]]:
     if not b.of_roots:  # as the engine, whose entries are compared with these
         raise BraidedError(f"the reference takes roots of unity only, got {b!r}")
     words = basis_words(m)
-    ref = reference_images(b)
-    return [[ref.image(w).get(u, ZERO) for w in words] for u in words]
+    images = [reference_images(b).image(w) for w in words]
+    return [[CycNum(b.conductor, img[u]) if u in img else ZERO for img in images]
+            for u in words]
 
 
 def word_image(b: Braiding, w: tuple[int, ...], words) -> dict:
@@ -68,7 +69,7 @@ def reference_symmetrize(b: Braiding, rho: NCPoly, n: int, words) -> dict:
         cv = c._lift(n)
         img = ref.image(w)
         for u in set(words) & img.keys():
-            add = mul(cv, img[u]._lift(n))
+            add = mul(cv, CycNum(b.conductor, img[u])._lift(n))
             cur = out.get(u)
             out[u] = add if cur is None else [x + y for x, y in zip(cur, add)]
     return {u: v for u, v in out.items() if any(v)}
@@ -108,45 +109,48 @@ def derivations_vanish(b: Braiding, rho: NCPoly) -> bool:
 
 
 class ReferenceImages:
-    """Whole-word symmetrizer images over CycNum coefficients from
-    `Braiding.chi`, the reference for the iterated skew derivations of
-    `braidedalg._derivatives_along`: the image of a word is assembled from
-    the images of all its one-letter deletions, the deleted letter moved
-    to the front and twisted by chi(letter, deg word[:k])^-1, and every
-    image is cached whole."""
+    """Whole-word symmetrizer images as integer coordinate lists at the
+    braiding's conductor, twisted by values of `Braiding.chi`: the reference
+    for the iterated skew derivations of `braidedalg._derivatives_along`.
+    The image of a word is assembled from the images of all its one-letter
+    deletions, the deleted letter moved to the front and twisted by
+    chi(letter, deg word[:k])^-1, and every image is cached whole."""
 
     def __init__(self, b: Braiding):
         self.b = b
+        self.mul = vector_product(b.conductor)
         self.cache: dict = {}
 
     def image(self, word: tuple[int, ...]) -> dict:
-        """Image of a word: word -> CycNum, zero coefficients included."""
+        """Image of a word: word -> coordinate list, zero coefficients included."""
         hit = self.cache.get(word)
         if hit is None:
             hit = self.cache[word] = self._image(word)
         return hit
 
     def _image(self, word):
+        n = self.b.conductor
         if len(word) <= 1:
-            return {word: ONE}
+            return {word: [1] + [0] * (euler_phi(n) - 1)}
         out: dict = {}
-        twist = ZERO  # summed over a run of letters, whose deletions agree
+        twist = None  # summed over a run of letters, whose deletions agree
         for k, letter in enumerate(word):
             ones = word[:k].count(1)
-            twist += self.b.chi((-1, 0) if letter == 1 else (0, -1), (ones, k - ones))
+            chi = self.b.chi((-1, 0) if letter == 1 else (0, -1), (ones, k - ones))._lift(n)
+            twist = chi if twist is None else [x + y for x, y in zip(twist, chi)]
             if word[k + 1:k + 2] != (letter,):
                 for tail, c in self.image(word[:k] + word[k + 1:]).items():
-                    w = (letter,) + tail
-                    out[w] = out.get(w, ZERO) + c * twist
-                twist = ZERO
+                    w, add = (letter,) + tail, self.mul(c, twist)
+                    cur = out.get(w)
+                    out[w] = add if cur is None else [x + y for x, y in zip(cur, add)]
+                twist = None
         return out
 
     def image_vectors(self, word: tuple[int, ...], words) -> dict:
         """Image of a word at the given words as coordinate lists at the
         braiding's conductor, zero coefficients dropped."""
         img = self.image(word)
-        return {u: list(img[u]._lift(self.b.conductor)) for u in set(words)
-                if u in img and img[u]}
+        return {u: list(img[u]) for u in set(words) if u in img and any(img[u])}
 
 
 @functools.lru_cache(maxsize=2)

@@ -12,8 +12,8 @@ from nichols2._linalg import exact_rank_vectors
 from nichols2._modular import (_MAX_PRIMES, _eliminate, _is_prime, _slot_bytes,
                                _split_primes, certified_rank, pack_slots, split_prime,
                                split_roots, unpack_slots)
-from nichols2.cyclotomic import (CycNum, ZERO, canonical_conductor, euler_phi, root_of_unity,
-                                 vector_product)
+from nichols2.cyclotomic import (CycNum, ZERO, _reduction_rows, canonical_conductor, euler_phi,
+                                 root_of_unity, vector_product)
 from test_cyclotomic import _exact_div, vector_inverse
 
 
@@ -112,6 +112,31 @@ def primes_to_lift(bits: int, prime_bits: int) -> int:
     needs for a coefficient of the given bit length: each prime is above
     2^(prime_bits - 1), and their product must exceed 2^(2 bits + 1)."""
     return -(-(2 * bits + 1) // (prime_bits - 1))
+
+
+def coordinate_bound(rows, n: int, pivot_rows, deps: dict) -> int:
+    """The largest B_i of the `_modular` docstring over the dependencies
+    i: (D, nums) on the pivot rows: D R_i + (1 + rho) sum_k R_k |nums_k|_1,
+    for R_j the largest |coordinate| of row j and rho the largest column sum
+    of |z^(phi(n)+t) mod Phi_n| over t < phi(n) - 1."""
+    red = _reduction_rows(n)[:euler_phi(n) - 1]
+    rho = max((sum(abs(row[j]) for row in red) for j in range(euler_phi(n))), default=0)
+    size = [max(abs(c) for vec in row for c in vec) for row in rows]
+    return max(den * size[i] + (1 + rho) * sum(size[k] * sum(map(abs, vec))
+                                               for k, vec in zip(pivot_rows, nums))
+               for i, (den, nums) in deps.items())
+
+
+def primes_to_certify(n: int, bound: int, height: int, skip: int = 0) -> int:
+    """The split primes a rank-deficient block takes when the first skip fail
+    and the rest join: skip and the fewest after them whose product m exceeds
+    2 bound and lifts every coefficient of height at most height (rational
+    reconstruction needs isqrt((m - 1) / 2) >= height)."""
+    m = 1
+    for k, (p, _, _) in enumerate(islice(_split_primes(n), skip, None), skip + 1):
+        m *= p
+        if m > 2 * bound and math.isqrt((m - 1) // 2) >= height:
+            return k
 
 
 @pytest.fixture
@@ -311,10 +336,20 @@ def test_fallback_when_the_prime_divides_an_entry(fallbacks):
     assert fallbacks == [2, 2, 2]
 
 
+def small_zero_at_the_first_root() -> tuple:
+    """alpha = (a, b, c, 0), |a| < 2^13 and 0 < c < 256, zero at the first
+    root w of Phi_12 modulo its first split prime p."""
+    p, w = split_prime(12), split_roots(12)[0][0][1]
+    alpha = next((a, b, c, 0) for c in range(1, 256) for b in range(-255, 256)
+                 for a in [(p // 2 - b * w - c * w * w) % p - p // 2] if abs(a) < 2 ** 13)
+    assert sum(x * w ** k for k, x in enumerate(alpha)) % p == 0
+    return alpha
+
+
 def test_fallback_when_the_roots_disagree(fallbacks):
     # z - w vanishes at the first root w of Phi_12 mod p and at no other, so
-    # the second row depends on the first at that root only: the combination
-    # found there fails the exact check, and the second prime certifies.
+    # the second row depends on the first at that root only: the other roots
+    # give other pivot rows, and the second prime certifies.
     w = split_roots(12)[0][0][1]
     one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
     rows = [[one, zero], [one, (-w, 1, 0, 0)]]
@@ -322,6 +357,14 @@ def test_fallback_when_the_roots_disagree(fallbacks):
     assert exact_rank_vectors(rows, 12, pivot_rows) == 2
     assert pivot_rows == [0, 1]
     assert fallbacks == [2]
+    # The same with the small alpha in place of z - w, off the first root's
+    # pivot column: the bound of row 1 = row 0 holds at the first prime, so
+    # only the other roots, eliminated on every column, reject it.
+    rows = [[one, zero], [one, small_zero_at_the_first_root()]]
+    assert 2 * coordinate_bound(rows, 12, [0], {1: (1, [one])}) < split_prime(12)
+    assert exact_rank_vectors(rows, 12, pivot_rows) == 2
+    assert pivot_rows == [0, 1]
+    assert fallbacks == [2, 2]
 
 
 def test_fallback_when_the_pivot_rows_vanish_at_another_root(fallbacks):
@@ -333,7 +376,10 @@ def test_fallback_when_the_pivot_rows_vanish_at_another_root(fallbacks):
     pivot_rows, deps = [], {}
     assert exact_rank_vectors([[m, m], [m, m]], 12, pivot_rows, deps) == 1
     assert pivot_rows == [0] and deps == {1: (1, [[1, 0, 0, 0]])}
-    assert fallbacks == [2]
+    # The second prime's pivot rows are right, but its coordinate bound
+    # 2 B = 2 (w + 3 w) (rho = 2 at 12) exceeds it, so the third joins.
+    assert coordinate_bound([[m, m], [m, m]], 12, [0], deps) == 4 * w
+    assert fallbacks == [primes_to_certify(12, 4 * w, 1, skip=1)] == [3]
 
 
 def test_fallback_when_a_later_pivot_row_spans_at_the_first_root(fallbacks):
@@ -342,10 +388,7 @@ def test_fallback_when_a_later_pivot_row_spans_at_the_first_root(fallbacks):
     # pivot rows [0, 2], and row 1 = alpha row 2 would lift from that prime.
     # Row 1 raises the rank of the rows before it, so it must be a pivot row:
     # the other roots reject that prime, and later primes certify [0, 1].
-    p, w = split_prime(12), split_roots(12)[0][0][1]
-    alpha = next((a, b, c, 0) for c in range(1, 256) for b in range(-255, 256)
-                 for a in [(p // 2 - b * w - c * w * w) % p - p // 2] if abs(a) < 2 ** 13)
-    assert sum(x * w ** k for k, x in enumerate(alpha)) % p == 0
+    alpha = small_zero_at_the_first_root()
     one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
     rows = [[one, zero, zero], [zero, alpha, zero], [zero, one, zero]]
     assert len(_bareiss_rank(rows, 12)) == 2
@@ -419,7 +462,7 @@ def test_max_primes_lift_1983_bits(n):
 
 
 def test_the_prime_loop_ends(rng, monkeypatch, capsys, fallbacks):
-    # A lift that is always wrong never passes the exact check: the rank
+    # A lift that is always wrong never passes `_lift`'s check: the rank
     # gives up after _MAX_PRIMES primes with an error that names the block,
     # and the command line reports it as an internal error.
     from nichols2 import cli
@@ -585,9 +628,8 @@ def test_slot_codec_matches_shift_and_mask(rng, monkeypatch):
 
 def _eliminate_mod(mat, p: int):
     """Reference elimination over F_p, one slot at a time, in input row order:
-    (pivot rows, dependencies, pivot columns), where dependencies maps each
-    row that reduces to zero to its coefficients on the pivot rows, in their
-    order.
+    (pivot rows, dependencies), where dependencies maps each row that reduces
+    to zero to its coefficients on the pivot rows, in their order.
     """
     n_cols = len(mat[0])
     basis = []  # (pivot column, reduced row with 1 there, its combination of input rows)
@@ -612,7 +654,7 @@ def _eliminate_mod(mat, p: int):
         prows.append(i)
     # 0 = row_i + sum_k comb[k] row_k, so row_i = -sum_k comb[k] row_k.
     deps = {i: [-comb.get(k, 0) % p for k in prows] for i, comb in zero_combs.items()}
-    return prows, deps, [col for col, _, _ in basis]
+    return prows, deps
 
 
 def packed_elimination(mat, p, deg):
@@ -676,9 +718,9 @@ def test_packed_elimination_of_a_500_row_block():
     m = staircase(499, p)
     m.append([(x + 2 * y) % p for x, y in zip(m[3], m[-1])])
     assert len(m) == 500
-    prows, deps, cols = packed_elimination(m, p, 8)
-    assert (prows, deps, cols) == _eliminate_mod(m, p)
-    assert prows == cols == list(range(499))
+    prows, deps = packed_elimination(m, p, 8)
+    assert (prows, deps) == _eliminate_mod(m, p)
+    assert prows == list(range(499))
     assert deps[499] == [0, 0, 0, 1] + [0] * 494 + [2]
 
 
@@ -686,9 +728,10 @@ def test_packed_elimination_of_a_500_row_block():
 def test_exact_check_at_the_digit_bound(fallbacks, n):
     # Three pivot rows whose first column has every coordinate -(2^62 - 1),
     # and two dependent rows whose lifted coefficients have every coordinate
-    # 2^30 - 1, then -(2^30 - 1): the middle digit of that column's product
-    # is a sum of 3 deg products of the largest magnitude, of either sign.
-    # Each rank lifts the 30-bit coefficients from primes_to_lift(30, ...) primes.
+    # 2^30 - 1, then -(2^30 - 1).  The 30-bit coefficients lift from
+    # primes_to_lift(30, ...) primes, but the coordinate bound, with R_k =
+    # 2^62 - 1 on the pivot rows, takes more: each rank uses the primes that
+    # primes_to_certify predicts from it.
     deg, pmul = euler_phi(n), vector_product(n)
     big, zero = (-(2 ** 62 - 1),) * deg, (0,) * deg
     pivots = [[big] + [zero] * k + [(-(2 ** 62 - 1),) + zero[1:]] + [zero] * (2 - k)
@@ -699,16 +742,19 @@ def test_exact_check_at_the_digit_bound(fallbacks, n):
         rows.append([[sum(t) for t in zip(*(pmul(c, row[j]) for row in pivots))]
                      for j in range(4)])
     assert certified_rank(rows, n) == [0, 1, 2]
-    pivot_rows = []
-    assert exact_rank_vectors(rows, n, pivot_rows) == 3 == len(_bareiss_rank(rows, n))
-    primes = primes_to_lift(30, split_prime(n).bit_length())
-    assert pivot_rows == [0, 1, 2] and fallbacks == ([] if primes == 1 else [primes] * 2)
+    pivot_rows, deps = [], {}
+    assert exact_rank_vectors(rows, n, pivot_rows, deps) == 3 == len(_bareiss_rank(rows, n))
+    assert deps == {3 + k: (1, [[sign * (2 ** 30 - 1)] * deg] * 3)
+                    for k, sign in enumerate((1, -1))}
+    primes = primes_to_certify(n, coordinate_bound(rows, n, [0, 1, 2], deps), 2 ** 30 - 1)
+    assert primes > primes_to_lift(30, split_prime(n).bit_length())
+    assert pivot_rows == [0, 1, 2] and fallbacks == [primes] * 2
 
 
 def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbacks):
-    # The first coefficient lifted one too large: the dependency no longer
-    # holds exactly, so the exact check rejects the lift, and the residues of
-    # the first two primes lift correctly.
+    # The first coefficient lifted one too large is no longer D times its
+    # residue mod p, so `_lift` rejects the lift, and the residues of the
+    # first two primes lift correctly.
     cb = root_of_unity(1, 12) + CycNum.from_rational(Fraction(1, 3))
     m = [[random_cyclotomic(rng, 12) for _ in range(4)] for _ in range(3)]
     ca = random_cyclotomic(rng, 12)
@@ -723,20 +769,62 @@ def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbac
         calls.append(a)
         return (num + 1 if len(calls) == 1 else num), den
 
-    spans = _modular._spans
+    lift_rows = _modular._lift
     checks = []
 
     def checking(*args):
-        checks.append(spans(*args))
-        return checks[-1]
+        lifted = lift_rows(*args)
+        checks.append(lifted is not None)
+        return lifted
 
     monkeypatch.setattr(_modular, "_rational_lift", off_by_one)
-    monkeypatch.setattr(_modular, "_spans", checking)
+    monkeypatch.setattr(_modular, "_lift", checking)
     assert certified_rank(rows, 12) == [0, 1, 2]
     assert checks == [False, True] and fallbacks == [2]
     calls.clear()
     assert lifted_rank(m) == naive_rank(m) == 3
     assert checks == [False, True] * 2 and fallbacks == [2, 2]
+
+
+def test_the_coordinate_bound_joins_a_second_prime(rng, fallbacks):
+    # Row 2 = row 0 + row 1, rows of coordinates near 2^30: the unit
+    # coefficients lift from the first prime, but the coordinate bound B =
+    # R_2 + 3 (R_0 + R_1), near 2^33, is above half of it, so the second
+    # prime joins.  rho = 2 at 12: Phi_12 = z^4 - z^2 + 1 reduces z^4, z^5
+    # and z^6 to z^2 - 1, z^3 - z and -1, whose absolute column sums are
+    # 2, 1, 1, 1.
+    one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
+    assert coordinate_bound([[one], [zero]], 12, [0], {1: (0, [one])}) == 3
+    near = [[tuple(2 ** 30 - rng.randrange(64) for _ in range(4)) for _ in range(3)]
+            for _ in range(2)]
+    rows = near + [[tuple(x + y for x, y in zip(a, b)) for a, b in zip(*near)]]
+    pivot_rows, deps = [], {}
+    assert exact_rank_vectors(rows, 12, pivot_rows, deps) == 2
+    assert pivot_rows == _bareiss_rank(rows, 12) == [0, 1]
+    assert deps == {2: (1, [[1, 0, 0, 0], [1, 0, 0, 0]])}
+    bound = coordinate_bound(rows, 12, [0, 1], deps)
+    assert 2 ** 32 < bound <= 2 ** 33 and primes_to_certify(12, 0, 1) == 1
+    assert fallbacks == [primes_to_certify(12, bound, 1)] == [2]
+
+
+def test_a_corrupted_inverse_vandermonde_is_refused(monkeypatch):
+    # Interpolation rests on the inverse Vandermonde: one column scaled by 2,
+    # through the modular inverse that normalizes it, is refused.
+    p = split_prime(12)
+    assert _modular._roots(12, p) == split_roots(12)
+    inverses = []
+
+    def doubling(base, exp, mod=None):
+        found = pow(base, exp, mod)
+        if exp == -1:
+            inverses.append(found)
+            return 2 * found % mod if len(inverses) == 1 else found
+        return found
+
+    monkeypatch.setattr(_modular, "pow", doubling, raising=False)
+    with pytest.raises(ArithmeticError, match="inverse Vandermonde of Phi_12"):
+        _modular._roots(12, p)
+    assert len(inverses) == euler_phi(12)
 
 
 def test_certified_rank_on_deep_blocks(monkeypatch, fallbacks):

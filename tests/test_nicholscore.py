@@ -355,7 +355,7 @@ def full_block(b, r, s):
 
     ref = reference_images(b)
     words = [w for w in basis_words(r + s) if w.count(1) == r]
-    return words, [[ref.image(w)[u]._lift(b.conductor) for u in words] for w in words]
+    return words, [[ref.image(w)[u] for u in words] for w in words]
 
 
 def full_block_dims(b, n):
