@@ -319,9 +319,13 @@ def _lift(residues, m: int, deps: list[int], rank: int, deg: int):
     """[(i, D, nums)] per dependent row i: its coefficients on the pivot rows,
     lifted from the residues mod m and cleared by their common denominator
     D, nums[k] the coordinates on pivot row k; None if one does not lift.
-    Every coordinate returned is checked to be D times its residue mod m."""
+    Every coordinate returned is checked to be D times its residue mod m.
+    A residue within the bound of 0 mod m is its own lift over 1: the lift
+    is unique, as 2 bound^2 < m."""
     bound = math.isqrt((m - 1) // 2)
-    fracs = [_rational_lift(a, m, bound) if a else (0, 1) for a in residues]
+    top = m - bound
+    fracs = [(a, 1) if a <= bound else (a - m, 1) if a >= top else _rational_lift(a, m, bound)
+             for a in residues]
     if None in fracs:
         return None
     lifted, size = [], rank * deg

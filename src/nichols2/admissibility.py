@@ -31,7 +31,6 @@ out, on coordinate rows at the braiding's conductor: no inverse is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 from .cyclotomic import CycNum, ONE, ZERO, euler_phi, vector_product
@@ -197,14 +196,23 @@ def check_branch_hypothesis(t: FullBinaryTree) -> None:
             raise StructureError(f"node {a} violates the branch-length hypothesis")
 
 
-@dataclass
 class AdmissibilityReport:
-    admissible: bool
-    failures: list = field(default_factory=list)  # (condition id, node, explanation)
-    checked_up_to: int = 0
-    # The failures above checked_up_to, found by the same evaluation; they
-    # are not part of the report's verdict, equality or JSON form.
-    beyond: list = field(default_factory=list, compare=False, repr=False)
+    __slots__ = ("admissible", "failures", "checked_up_to", "beyond")
+
+    def __init__(self, admissible: bool, failures: list | None = None, checked_up_to: int = 0,
+                 beyond: list | None = None):
+        self.admissible = admissible
+        self.failures = [] if failures is None else failures  # (condition id, node, explanation)
+        self.checked_up_to = checked_up_to
+        # The failures above checked_up_to, found by the same evaluation; they
+        # are not part of the report's verdict, equality or JSON form.
+        self.beyond = [] if beyond is None else beyond
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.admissible, self.failures, self.checked_up_to)
+                == (other.admissible, other.failures, other.checked_up_to))
 
     def to_json_dict(self):
         return {

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cyclotomic import MINUS_ONE, ONE, as_root_exponent, root_of_unity
 from .braidedalg import Braiding, NCPoly, format_ncpoly, is_zero_in_nichols
@@ -164,22 +164,31 @@ def fixtures() -> dict[tuple[int, int], Braiding]:
     return out
 
 
-@dataclass
 class ClassificationReport:
-    matches: list[tuple[int, int]]
-    tree: FullBinaryTree | None
-    tree_failure: str | None
-    pbw: list[tuple[int, int | None]]
-    dimension_value: int | None
-    relations: list[NCPoly]
-    verified_up_to: int
-    # The oracle verdict and the relation zero tests through verified_up_to;
-    # None when they were not run.
-    verdict: TypeVerdict | None
-    relations_vanish: bool | None
-    relations_error: str | None  # why the relations could not be expanded
-    admissibility: AdmissibilityReport | None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("matches", "tree", "tree_failure", "pbw", "dimension_value", "relations",
+                 "verified_up_to", "verdict", "relations_vanish", "relations_error",
+                 "admissibility", "notes")
+
+    def __init__(self, matches: list[tuple[int, int]], tree: FullBinaryTree | None,
+                 tree_failure: str | None, pbw: list[tuple[int, int | None]],
+                 dimension_value: int | None, relations: list[NCPoly], verified_up_to: int,
+                 verdict: TypeVerdict | None, relations_vanish: bool | None,
+                 relations_error: str | None, admissibility: AdmissibilityReport | None,
+                 notes: list[str] | None = None):
+        self.matches = matches
+        self.tree = tree
+        self.tree_failure = tree_failure
+        self.pbw = pbw
+        self.dimension_value = dimension_value
+        self.relations = relations
+        self.verified_up_to = verified_up_to
+        # The oracle verdict and the relation zero tests through verified_up_to;
+        # None when they were not run.
+        self.verdict = verdict
+        self.relations_vanish = relations_vanish
+        self.relations_error = relations_error  # why the relations could not be expanded
+        self.admissibility = admissibility
+        self.notes = [] if notes is None else notes
 
     @property
     def verify_holds(self) -> bool | None:
@@ -274,8 +283,7 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
                                 relations_error, adm, notes)
 
 
-@dataclass
-class FixtureRow:
+class FixtureRow(NamedTuple):
     type_id: int
     case_id: int
     matched: bool

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from random import Random
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from random import Random
 
 
 class TreeParseError(ValueError):

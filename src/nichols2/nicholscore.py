@@ -78,7 +78,6 @@ import math
 import operator
 from collections import defaultdict
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
@@ -196,8 +195,7 @@ def hilbert_prefix(b: Braiding, n: int) -> tuple[int, ...]:
     return tuple(dim_at_degree(b, m) for m in range(n + 1))
 
 
-@dataclass(frozen=True)
-class PBWMonomial:
+class PBWMonomial(NamedTuple):
     """Exponent vector over the extended inner nodes, ascending Q order."""
 
     nodes: tuple
@@ -277,8 +275,7 @@ def evaluate_monomial(t: FullBinaryTree, b: Braiding, mono: PBWMonomial) -> NCPo
     return acc
 
 
-@dataclass
-class TypeVerdict:
+class TypeVerdict(NamedTuple):
     holds: bool
     failed_degree: int | None
     detail: str | None

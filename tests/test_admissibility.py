@@ -15,8 +15,8 @@ from nichols2 import admissibility, braidedalg
 from nichols2.braidedalg import Braiding, tau0
 from nichols2.classify import classify_full, fixtures
 from nichols2.fbtree import LGH, RGH, TREES, FullBinaryTree, Virtual, parse_tree, serialize_tree
-from nichols2.admissibility import (NuDenominatorError, PTableMismatch, ReconstructionError,
-                                    ScalarDomainError, StructureError,
+from nichols2.admissibility import (AdmissibilityReport, NuDenominatorError, PTableMismatch,
+                                    ReconstructionError, ScalarDomainError, StructureError,
                                     _branch_length_formula_checks, _nu_vanishes, _order,
                                     _qnum_zero, check_branch_hypothesis, is_admissible,
                                     lambda_of, lambda_table, mu_of, p_of, p_table,
@@ -535,3 +535,15 @@ def test_nu_rows_raise_every_denominator_error():
                 else:
                     assert _nu_vanishes(t, b, bb) == want, (t, b, bb)
     assert all(seen[w] for w in ("[2]_{p_f}", "[2]_{p_c}", "[3]_{p_c}")), seen
+
+
+def test_admissibility_report_defaults_and_equality():
+    # Each report gets its own default lists; equality ignores `beyond`.
+    a, b = AdmissibilityReport(True), AdmissibilityReport(admissible=True)
+    assert (a.failures, a.checked_up_to, a.beyond) == ([], 0, [])
+    assert a.failures is not b.failures and a.beyond is not b.beyond
+    fail = ("branching", 1, "leaf with nonzero lambda")
+    assert (AdmissibilityReport(False, [fail], 4, [fail])
+            == AdmissibilityReport(False, failures=[fail], checked_up_to=4))
+    assert AdmissibilityReport(False, [fail], 4) != AdmissibilityReport(False, [fail], 5)
+    assert a == b and a != (True, [], 0)

@@ -6,8 +6,8 @@ from conftest import random_root_braiding
 
 from nichols2.cyclotomic import CycNum, MINUS_ONE, ONE, root_of_unity
 from nichols2.braidedalg import Braiding
-from nichols2.classify import (_CONDITIONS, classify_full, fixtures, match_condition,
-                               run_fixture_matrix)
+from nichols2.classify import (_CONDITIONS, ClassificationReport, FixtureRow, classify_full,
+                               fixtures, match_condition, run_fixture_matrix)
 
 
 class _Scalar:
@@ -290,3 +290,23 @@ def test_pbw_list_matches_cycnum_reference():
         trees += t is not None
         non_roots += any(o is None for _, o in rep.pbw)
     assert trees > 300 and non_roots == 6
+
+
+def test_report_types_build_by_position_and_keyword():
+    # Fields in their documented order; each report gets its own notes list.
+    names = ("matches", "tree", "tree_failure", "pbw", "dimension_value", "relations",
+             "verified_up_to", "verdict", "relations_vanish", "relations_error",
+             "admissibility")
+    values = ([(2, 1)], None, "no tree", [], None, [], 0, None, None, None, None)
+    a, b = ClassificationReport(*values), ClassificationReport(**dict(zip(names, values)))
+    assert [getattr(a, k) for k in names] == [getattr(b, k) for k in names] == list(values)
+    assert a.notes == b.notes == [] and a.notes is not b.notes
+    assert ClassificationReport(*values, ["note"]).notes == ["note"]
+    names = ("type_id", "case_id", "matched", "p_table_ok", "lambda_ok", "tree_ok",
+             "admissible", "hilbert_ok", "basis_ok", "relations_ok", "dim_value",
+             "verified_degree", "seconds")
+    values = (2, 1, True, True, True, True, True, True, True, True, 27, 8, 0.5)
+    row = FixtureRow(*values)
+    assert row == FixtureRow(**dict(zip(names, values))) and row.passed
+    assert [getattr(row, k) for k in names] == list(values)
+    assert not FixtureRow(*values[:9], False, *values[10:]).passed

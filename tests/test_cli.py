@@ -164,16 +164,19 @@ def test_classify_exits_one_when_relations_are_unavailable(capsys, monkeypatch):
 def test_modular_route_loads_at_the_first_rank():
     # Importing the package and the CLI, and classifying a braiding without
     # the rank oracle, load neither the modular rank nor `array`; the first
-    # graded dimension loads both.
+    # graded dimension loads both.  Building every report type, through a
+    # full classification and the fixture matrix, loads neither
+    # `dataclasses` nor `inspect`.
     script = """if True:
         import json, sys
         import nichols2, nichols2.cli
         from nichols2.admissibility import is_admissible, reconstruct_tree
-        from nichols2.classify import fixtures, match_condition
+        from nichols2.classify import classify_full, fixtures, match_condition, run_fixture_matrix
         from nichols2.nicholscore import dimension, hilbert_prefix
 
         def loaded():
-            return [name in sys.modules for name in ("nichols2._modular", "array")]
+            return [name in sys.modules
+                    for name in ("nichols2._modular", "array", "dataclasses", "inspect")]
 
         b = fixtures()[(2, 1)]
         match_condition(b)
@@ -182,13 +185,17 @@ def test_modular_route_loads_at_the_first_rank():
         dimension(tree, b)
         before = loaded()
         hilbert_prefix(b, 4)
-        print(json.dumps([before, loaded()]))
+        after = loaded()
+        classify_full(b, 4)
+        run_fixture_matrix(degree_cap=2)
+        print(json.dumps([before, after, loaded()]))
     """
     env = dict(os.environ, PYTHONPATH=str(Path(nichols2.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[False, False], [True, True]]
+    assert json.loads(proc.stdout) == [[False, False, False, False], [True, True, False, False],
+                                       [True, True, False, False]]
 
 
 def test_internal_errors_exit_three(capsys, monkeypatch):

@@ -464,7 +464,9 @@ def test_max_primes_lift_1983_bits(n):
 def test_the_prime_loop_ends(rng, monkeypatch, capsys, fallbacks):
     # A lift that is always wrong never passes `_lift`'s check: the rank
     # gives up after _MAX_PRIMES primes with an error that names the block,
-    # and the command line reports it as an internal error.
+    # and the command line reports it as an internal error.  Row 3 is 1/3
+    # times row 0 plus row 1, so its coefficient 1/3 is rationally lifted,
+    # as is a coefficient of a degree-4 block of the (4,1) sample braiding.
     from nichols2 import cli
     from nichols2.braidedalg import clear_caches
 
@@ -477,12 +479,13 @@ def test_the_prime_loop_ends(rng, monkeypatch, capsys, fallbacks):
     monkeypatch.setattr(_modular, "_rational_lift", off_by_one)
     m = [[random_cyclotomic(rng, 12) for _ in range(4)] for _ in range(3)]
     m.append([x + y for x, y in zip(m[0], m[1])])
+    m[0] = [3 * x for x in m[0]]
     with pytest.raises(ArithmeticError, match=f"4 x 4 block at conductor 12 in {_MAX_PRIMES} "):
         lifted_rank(m)
     assert fallbacks == [_MAX_PRIMES]
     clear_caches()
     try:
-        code = cli.main(["dims", "--q11", "1/3", "--q12", "2/3", "--q21", "0/1", "--q22", "1/3",
+        code = cli.main(["dims", "--q11", "1/3", "--q12", "3/4", "--q21", "0/1", "--q22", "2/3",
                          "--degree-cap", "4"])
     finally:
         clear_caches()
@@ -754,11 +757,14 @@ def test_exact_check_at_the_digit_bound(fallbacks, n):
 def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbacks):
     # The first coefficient lifted one too large is no longer D times its
     # residue mod p, so `_lift` rejects the lift, and the residues of the
-    # first two primes lift correctly.
+    # first two primes lift correctly.  Row 2 is tripled after row 3 is
+    # formed, so row 3's coefficient on it has a coordinate 1/3, which is
+    # rationally lifted.
     cb = root_of_unity(1, 12) + CycNum.from_rational(Fraction(1, 3))
     m = [[random_cyclotomic(rng, 12) for _ in range(4)] for _ in range(3)]
     ca = random_cyclotomic(rng, 12)
     m.append([ca * x + cb * y for x, y in zip(m[0], m[2])])
+    m[2] = [3 * x for x in m[2]]
     rows = _integer_rows([[e._lift(12) for e in row] for row in m])
     assert certified_rank(rows, 12) == [0, 1, 2]
     lift = _modular._rational_lift

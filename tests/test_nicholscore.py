@@ -6,9 +6,9 @@ from nichols2.cyclotomic import MINUS_ONE, ONE, qfact, root_of_unity
 from nichols2.braidedalg import Braiding, NCPoly, is_zero_in_nichols, tau0
 from nichols2.fbtree import TREES
 from nichols2.admissibility import lambda_of, mu_of, p_of
-from nichols2.nicholscore import (NicholsError, count_by_degree, dim_at_degree, dimension,
-                                  evaluate_monomial, hilbert_prefix, pbw_monomials,
-                                  relation_set, top_total_degree, verify_type)
+from nichols2.nicholscore import (NicholsError, PBWMonomial, TypeVerdict, count_by_degree,
+                                  dim_at_degree, dimension, evaluate_monomial, hilbert_prefix,
+                                  pbw_monomials, relation_set, top_total_degree, verify_type)
 
 
 def exterior():
@@ -661,3 +661,17 @@ def test_exact_rows_decide_every_shortfall(monkeypatch):
     assert blocks and all(type(c) is int for rows in blocks for row in rows
                           for vec in row for c in vec)
     assert sum("dependent" in (v.detail or "") for v in compared if not isinstance(v, str)) == 11
+
+
+def test_verdict_truth_and_monomial_identity():
+    # A verdict is true when it holds; a monomial is immutable, and equal
+    # and hashed by its fields.
+    v = TypeVerdict(False, 3, "predicted 4 monomials", (1, 2, 4), (1, 2, 3))
+    assert not v and v.unexercised_nodes == ()
+    assert TypeVerdict(holds=True, failed_degree=None, detail=None, counts=(1,), dims=(1,))
+    mo = PBWMonomial((1, 2), (0, 1), (1, 2))
+    same = PBWMonomial(nodes=(1, 2), exponents=(0, 1), weights=(1, 2))
+    assert mo == same and hash(mo) == hash(same) and len({mo, same}) == 1
+    assert mo != PBWMonomial((1, 2), (1, 0), (1, 2))
+    with pytest.raises(AttributeError):
+        mo.exponents = (1, 1)
