@@ -14,8 +14,8 @@ inverse is formed, and for a braiding of roots of unity each value is one
 row of the table `cyclotomic.root_vectors`, picked by its exponent.
 
 Every root-of-unity condition asks the order of a monomial
-q11^i (q12 q21)^j q22^k, `_order`: exponent arithmetic mod L where the three
-are powers of one zeta_L (`Braiding._exps`), a scalar only otherwise.
+q11^i (q12 q21)^j q22^k, `Braiding.monomial_order`: exponent arithmetic
+mod L where the three are powers of one zeta_L, a scalar only otherwise.
 chi(a, a) at label (r, s) has exponents (r^2, rs, s^2); its order, also
 ord p_a, is the generator height at a.  `heights` is the one table of these
 orders, read by the p-root, p = -1 (height 2) and q-factorial conditions,
@@ -30,7 +30,6 @@ out, on coordinate rows at the braiding's conductor: no inverse is formed.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache, reduce
 
 from .cyclotomic import CycNum, ONE, ZERO, euler_phi, vector_product
@@ -75,16 +74,6 @@ def p_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
     return b.chi((-r, -s), (r, s))
 
 
-def _order(b: Braiding, i: int, j: int, k: int) -> int | None:
-    """The order of q11^i (q12 q21)^j q22^k, None if it is not a root of
-    unity: exponent arithmetic where `Braiding._exps` has the three as
-    powers of one zeta_L, the scalar otherwise."""
-    if b._exps is None:
-        return (b.q11 ** i * (b.q12 * b.q21) ** j * b.q22 ** k).order()
-    L = b._exps[0]
-    return L // math.gcd(b._exponent(i, j, j, k), L)
-
-
 def _pairing(t: FullBinaryTree, a) -> tuple[int, int, int]:
     """The exponents (r^2, rs, s^2) of chi(a, a) at the label (r, s) of a."""
     r, s = t.stern_brocot(a)
@@ -103,7 +92,7 @@ def heights(t: FullBinaryTree, b: Braiding) -> dict:
     chi(a, a) is not a root of unity: the PBW generator heights (Kharchenko's
     PBW theorem).  The cache holds the table of one (tree, braiding); its
     readers share the dict and do not change it."""
-    return {a: _order(b, *_pairing(t, a)) for a in t.nbar2()}
+    return {a: b.monomial_order(*_pairing(t, a)) for a in t.nbar2()}
 
 
 def _lambda_step(b: Braiding, n: int, lam: tuple, u, v) -> tuple:
@@ -292,7 +281,8 @@ def _branch_length_formula_checks(t: FullBinaryTree, b: Braiding) -> None:
     # and below node a [m + s]_{p_a} (p_r p_a^(s-m) p_l^-1 - 1), s = lchl(rch a).
     def check_min(length, s, x, u, o, what):
         for m in range(1, length + 1):
-            zero = _qnum_zero(m + s, o) or _order(b, *(i + m * j for i, j in zip(x, u))) == 1
+            zero = (_qnum_zero(m + s, o)
+                    or b.monomial_order(*(i + m * j for i, j in zip(x, u))) == 1)
             if m < length and zero:
                 raise ReconstructionError(f"{what}: expression vanishes early at {m}")
             if m == length and not zero:
@@ -337,7 +327,7 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
                 f"branching node at weight {weight} exceeds the cap {max_weight}: "
                 "possibly infinite-dimensional or cap too small")
         # p = chi(a, a)^-1 is a root of unity exactly when chi(a, a) is.
-        if _order(b, stbr[0] ** 2, stbr[0] * stbr[1], stbr[1] ** 2) is None:
+        if b.monomial_order(stbr[0] ** 2, stbr[0] * stbr[1], stbr[1] ** 2) is None:
             raise ReconstructionError(
                 f"branching node at label {stbr} has non-root-of-unity p")
         lch_stbr = (stbr_lgf[0] + stbr[0], stbr_lgf[1] + stbr[1])

@@ -39,7 +39,9 @@ class Braiding:
     """Immutable 2x2 matrix (q_ij) of nonzero scalars; of_roots: all are roots of
     unity; conductor: that of the entries' field, where every chi value lies;
     _exps: (L, exponents) of the entries as powers of zeta_L, or where only q11,
-    q12 q21 and q22 are roots of unity those of (q11, q12 q21, 1, q22), else None."""
+    q12 q21 and q22 are roots of unity those of (q11, q12 q21, 1, q22), else None.
+    `monomial_order` reads them for every root-of-unity condition of
+    admissibility and of the 22 families."""
 
     __slots__ = ("q11", "q12", "q21", "q22", "of_roots", "conductor", "_exps", "_hash")
 
@@ -86,6 +88,15 @@ class Braiding:
         (not None); where only q11, q12 q21 and q22 are roots, for k12 = k21."""
         a11, a12, a21, a22 = self._exps[1]
         return a11 * k11 + a12 * k12 + a21 * k21 + a22 * k22
+
+    def monomial_order(self, i: int, j: int, k: int) -> int | None:
+        """The order of q11^i (q12 q21)^j q22^k, None if it is not a root of
+        unity: exponent arithmetic where `_exps` has the three as powers of
+        one zeta_L, the scalar otherwise."""
+        if self._exps is None:
+            return (self.q11 ** i * (self.q12 * self.q21) ** j * self.q22 ** k).order()
+        L = self._exps[0]
+        return L // math.gcd(self._exponent(i, j, j, k), L)
 
     def entries(self) -> tuple[CycNum, CycNum, CycNum, CycNum]:
         return (self.q11, self.q12, self.q21, self.q22)

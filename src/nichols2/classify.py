@@ -6,13 +6,11 @@ invariance tests justify this normal form).  A braiding may match several
 families; all matches are reported and the verifier simply checks each
 reconstructed tree on its own.
 
-The conditions are tested on exponents: q11, q and q22 are written as
-powers of one root zeta_L, L even, once per braiding (`Braiding._exps`),
-and each condition becomes a congruence mod L.  Where q12 and q21 are not
-roots of unity, the exponent of q is read from their product.  A
-braiding where q11, q or q22 is not a root of unity matches nothing: every
-condition forces all three to be roots, by an order test or by an equation
-with a root.
+Each condition is a conjunction of order tests of monomials in q11,
+q = q12*q21 and q22 (`Braiding.monomial_order`), congruences on their
+exponents mod one L.  A braiding where q11, q or q22 is not a root of
+unity matches nothing: every condition forces all three to be roots, by
+an order test or by an equation with a root.
 
 `classify_full` is the one classification pipeline.  The fixture matrix
 runs it on each family's sample braiding and then checks the report
@@ -21,11 +19,10 @@ against the family.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import NamedTuple
 
-from .cyclotomic import MINUS_ONE, ONE, as_root_exponent, root_of_unity
+from .cyclotomic import MINUS_ONE, ONE, root_of_unity
 from .braidedalg import Braiding, NCPoly, format_ncpoly, is_zero_in_nichols
 from .fbtree import TREES, FullBinaryTree, serialize_tree
 from .admissibility import (AdmissibilityReport, ReconstructionError, heights, is_admissible,
@@ -34,93 +31,55 @@ from .nicholscore import (NicholsError, TypeVerdict, _relation_generators, dimen
                           relation_set, top_total_degree, verify_type)
 
 
-class _RootExp:
-    """zeta_L^e for one even L, as the exponent e mod L: the arithmetic the
-    family conditions apply to roots of unity.  Equality holds against
-    another exponent of the same L or against a root-of-unity CycNum such
-    as ONE or MINUS_ONE."""
-
-    __slots__ = ("e", "L")
-
-    def __init__(self, e: int, L: int):
-        self.e = e % L
-        self.L = L
-
-    def __mul__(self, other: _RootExp) -> _RootExp:
-        return _RootExp(self.e + other.e, self.L)
-
-    def __pow__(self, k: int) -> _RootExp:
-        return _RootExp(self.e * k, self.L)
-
-    def __neg__(self) -> _RootExp:
-        # -1 = zeta_L^(L/2).
-        return _RootExp(self.e + self.L // 2, self.L)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _RootExp):
-            return self.e == other.e
-        k, d = as_root_exponent(other)
-        return self.e * d == k * self.L
-
-    def order(self) -> int:
-        return self.L // math.gcd(self.e, self.L)
-
-
-def _root(x: _RootExp) -> bool:
-    return x.order() >= 2
-
-
-# Conditions (T1)-(T22); q denotes q12*q21 and q0 = q11*q.  The case index
-# counts the or-branches in the order they are stated.
+# Conditions (T1)-(T22); the case index counts the or-branches in the order
+# they are stated.  Each equation is an order test of
+# o(i, j, k) = ord q11^i q^j q22^k: x = y is o(x y^-1) == 1, x = -y is
+# o(x y^-1) == 2, and a root of unity other than 1 has order >= 2.
 _CONDITIONS: list[tuple[int, int, object]] = [
-    (1, 1, lambda q11, q, q22: _root(q11) and _root(q22) and q == ONE),
-    (2, 1, lambda q11, q, q22: (q11 * q == ONE or q11 == MINUS_ONE)
-        and (q * q22 == ONE or q22 == MINUS_ONE) and _root(q)),
-    (3, 1, lambda q11, q, q22: q == q11 ** -2 and (q22 == q11 ** 2 or q22 == MINUS_ONE)
-        and q11.order() >= 3),
-    (3, 2, lambda q11, q, q22: q11.order() == 3 and q * q22 == ONE
-        and (q22.order() == 2 or q22.order() >= 4)),
-    (3, 3, lambda q11, q, q22: q11.order() == 3 and q == -q11 and q22 == MINUS_ONE),
-    (4, 1, lambda q11, q, q22: (q11 * q).order() == 12 and q11 == (q11 * q) ** 4
-        and q22 == -((q11 * q) ** 2)),
-    (4, 2, lambda q11, q, q22: q.order() == 12 and q11 == -(q ** 2) and q22 == -(q ** 2)),
-    (5, 1, lambda q11, q, q22: q.order() == 12 and q11 == -(q ** 2) and q22 == MINUS_ONE),
-    (5, 2, lambda q11, q, q22: (q11 * q).order() == 12 and q11 == (q11 * q) ** 4
-        and q22 == MINUS_ONE),
-    (6, 1, lambda q11, q, q22: q11.order() == 18 and q == q11 ** -2 and q22 == -(q11 ** 3)),
-    (7, 1, lambda q11, q, q22: q11.order() == 12 and q == q11 ** -3 and q22 == MINUS_ONE),
-    (7, 2, lambda q11, q, q22: q.order() == 12 and q11 == q ** -3 and q22 == MINUS_ONE),
-    (8, 1, lambda q11, q, q22: q == q11 ** -3 and q22 == q11 ** 3 and q11.order() >= 4),
-    (8, 2, lambda q11, q, q22: q ** 4 == MINUS_ONE and q22 == MINUS_ONE and q11 == -q),
-    (8, 3, lambda q11, q, q22: q ** 4 == MINUS_ONE and q22 == MINUS_ONE and q11 == q ** -2),
-    (8, 4, lambda q11, q, q22: q ** 4 == MINUS_ONE and q11 == q ** 2 and q22 == q ** -1),
-    (9, 1, lambda q11, q, q22: q.order() == 9 and q11 == q ** -3 and q22 == MINUS_ONE),
-    (10, 1, lambda q11, q, q22: q.order() == 24 and q11 == q ** -6 and q22 == q ** -8),
-    (11, 1, lambda q11, q, q22: q11.order() in (5, 20) and q == q11 ** -3
-        and q22 == MINUS_ONE),
-    (12, 1, lambda q11, q, q22: q11.order() == 30 and q == q11 ** -3 and q22 == -(q11 ** 5)),
-    (13, 1, lambda q11, q, q22: q.order() == 24 and q11 == q ** 6 and q22 == q ** -1),
-    (14, 1, lambda q11, q, q22: q11.order() == 18 and q == q11 ** -4 and q22 == MINUS_ONE),
-    (15, 1, lambda q11, q, q22: q.order() == 30 and q11 == -(q ** -3) and q22 == q ** -1),
-    (16, 1, lambda q11, q, q22: q11.order() == 10 and q == q11 ** -4 and q22 == MINUS_ONE),
-    (16, 2, lambda q11, q, q22: q.order() == 20 and q11 == q ** -4 and q22 == MINUS_ONE),
-    (17, 1, lambda q11, q, q22: q.order() == 24 and q11 == -(q ** 4) and q22 == MINUS_ONE),
-    (18, 1, lambda q11, q, q22: q.order() == 30 and q11 == -(q ** 5) and q22 == MINUS_ONE),
-    (19, 1, lambda q11, q, q22: q11.order() == 14 and q == q11 ** -3 and q22 == MINUS_ONE),
-    (20, 1, lambda q11, q, q22: q.order() == 30 and q11 == q ** -6 and q22 == MINUS_ONE),
-    (21, 1, lambda q11, q, q22: q11.order() == 24 and q == q11 ** -5 and q22 == MINUS_ONE),
-    (22, 1, lambda q11, q, q22: q11.order() == 14 and q == q11 ** -5 and q22 == MINUS_ONE),
+    (1, 1, lambda o: o(1, 0, 0) >= 2 and o(0, 0, 1) >= 2 and o(0, 1, 0) == 1),
+    (2, 1, lambda o: (o(1, 1, 0) == 1 or o(1, 0, 0) == 2)
+        and (o(0, 1, 1) == 1 or o(0, 0, 1) == 2) and o(0, 1, 0) >= 2),
+    (3, 1, lambda o: o(2, 1, 0) == 1 and (o(-2, 0, 1) == 1 or o(0, 0, 1) == 2)
+        and o(1, 0, 0) >= 3),
+    (3, 2, lambda o: o(1, 0, 0) == 3 and o(0, 1, 1) == 1
+        and (o(0, 0, 1) == 2 or o(0, 0, 1) >= 4)),
+    (3, 3, lambda o: o(1, 0, 0) == 3 and o(-1, 1, 0) == 2 and o(0, 0, 1) == 2),
+    (4, 1, lambda o: o(1, 1, 0) == 12 and o(3, 4, 0) == 1 and o(-2, -2, 1) == 2),
+    (4, 2, lambda o: o(0, 1, 0) == 12 and o(1, -2, 0) == 2 and o(0, -2, 1) == 2),
+    (5, 1, lambda o: o(0, 1, 0) == 12 and o(1, -2, 0) == 2 and o(0, 0, 1) == 2),
+    (5, 2, lambda o: o(1, 1, 0) == 12 and o(3, 4, 0) == 1 and o(0, 0, 1) == 2),
+    (6, 1, lambda o: o(1, 0, 0) == 18 and o(2, 1, 0) == 1 and o(-3, 0, 1) == 2),
+    (7, 1, lambda o: o(1, 0, 0) == 12 and o(3, 1, 0) == 1 and o(0, 0, 1) == 2),
+    (7, 2, lambda o: o(0, 1, 0) == 12 and o(1, 3, 0) == 1 and o(0, 0, 1) == 2),
+    (8, 1, lambda o: o(3, 1, 0) == 1 and o(-3, 0, 1) == 1 and o(1, 0, 0) >= 4),
+    (8, 2, lambda o: o(0, 4, 0) == 2 and o(0, 0, 1) == 2 and o(1, -1, 0) == 2),
+    (8, 3, lambda o: o(0, 4, 0) == 2 and o(0, 0, 1) == 2 and o(1, 2, 0) == 1),
+    (8, 4, lambda o: o(0, 4, 0) == 2 and o(1, -2, 0) == 1 and o(0, 1, 1) == 1),
+    (9, 1, lambda o: o(0, 1, 0) == 9 and o(1, 3, 0) == 1 and o(0, 0, 1) == 2),
+    (10, 1, lambda o: o(0, 1, 0) == 24 and o(1, 6, 0) == 1 and o(0, 8, 1) == 1),
+    (11, 1, lambda o: o(1, 0, 0) in (5, 20) and o(3, 1, 0) == 1 and o(0, 0, 1) == 2),
+    (12, 1, lambda o: o(1, 0, 0) == 30 and o(3, 1, 0) == 1 and o(-5, 0, 1) == 2),
+    (13, 1, lambda o: o(0, 1, 0) == 24 and o(1, -6, 0) == 1 and o(0, 1, 1) == 1),
+    (14, 1, lambda o: o(1, 0, 0) == 18 and o(4, 1, 0) == 1 and o(0, 0, 1) == 2),
+    (15, 1, lambda o: o(0, 1, 0) == 30 and o(1, 3, 0) == 2 and o(0, 1, 1) == 1),
+    (16, 1, lambda o: o(1, 0, 0) == 10 and o(4, 1, 0) == 1 and o(0, 0, 1) == 2),
+    (16, 2, lambda o: o(0, 1, 0) == 20 and o(1, 4, 0) == 1 and o(0, 0, 1) == 2),
+    (17, 1, lambda o: o(0, 1, 0) == 24 and o(1, -4, 0) == 2 and o(0, 0, 1) == 2),
+    (18, 1, lambda o: o(0, 1, 0) == 30 and o(1, -5, 0) == 2 and o(0, 0, 1) == 2),
+    (19, 1, lambda o: o(1, 0, 0) == 14 and o(3, 1, 0) == 1 and o(0, 0, 1) == 2),
+    (20, 1, lambda o: o(0, 1, 0) == 30 and o(1, 6, 0) == 1 and o(0, 0, 1) == 2),
+    (21, 1, lambda o: o(1, 0, 0) == 24 and o(5, 1, 0) == 1 and o(0, 0, 1) == 2),
+    (22, 1, lambda o: o(1, 0, 0) == 14 and o(5, 1, 0) == 1 and o(0, 0, 1) == 2),
 ]
 
 
 def match_condition(b: Braiding) -> list[tuple[int, int]]:
     """All (family, case) pairs whose condition the braiding satisfies,
-    tested on the exponents of q11, q = q12*q21 and q22."""
-    if b._exps is None:
+    each an order test of `Braiding.monomial_order`."""
+    o = b.monomial_order
+    if None in (o(1, 0, 0), o(0, 1, 0), o(0, 0, 1)):
         return []
-    L, (e11, e12, e21, e22) = b._exps
-    q11, q, q22 = _RootExp(e11, L), _RootExp(e12 + e21, L), _RootExp(e22, L)
-    return [(n, c) for n, c, pred in _CONDITIONS if pred(q11, q, q22)]
+    return [(n, c) for n, c, pred in _CONDITIONS if pred(o)]
 
 
 def fixtures() -> dict[tuple[int, int], Braiding]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from .cyclotomic import CycError, parse_scalar
 from .braidedalg import Braiding, BraidedError, clear_caches
@@ -241,10 +240,15 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         if isinstance(exc, MemoryError):
-            # Free the memo caches and the locals of the failed frames, so
-            # that printing the traceback does not run out of memory too.
+            # Free the memo caches and the locals of the failed frames below
+            # this one, so that importing and printing the traceback does
+            # not run out of memory too.
             clear_caches()
-            traceback.clear_frames(exc.__traceback__)
+            tb = exc.__traceback__.tb_next
+            while tb is not None:
+                tb.tb_frame.clear()
+                tb = tb.tb_next
+        import traceback  # loads linecache and tokenize: only on an internal error
         traceback.print_exc()
         print(f"internal error in {args.command} ({type(exc).__name__}): {exc}",
               file=sys.stderr)

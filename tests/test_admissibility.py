@@ -17,10 +17,10 @@ from nichols2.classify import classify_full, fixtures
 from nichols2.fbtree import LGH, RGH, TREES, FullBinaryTree, Virtual, parse_tree, serialize_tree
 from nichols2.admissibility import (AdmissibilityReport, NuDenominatorError, PTableMismatch,
                                     ReconstructionError, ScalarDomainError, StructureError,
-                                    _branch_length_formula_checks, _nu_vanishes, _order,
-                                    _qnum_zero, check_branch_hypothesis, is_admissible,
-                                    lambda_of, lambda_table, mu_of, p_of, p_table,
-                                    reconstruct_tree, sorted_internal)
+                                    _branch_length_formula_checks, _nu_vanishes, _qnum_zero,
+                                    check_branch_hypothesis, is_admissible, lambda_of,
+                                    lambda_table, mu_of, p_of, p_table, reconstruct_tree,
+                                    sorted_internal)
 
 
 def cartan_a2():
@@ -443,40 +443,7 @@ def test_qnum_vanishes_equals_qnum_zero_test():
         assert acc == qnum(41, p)
 
 
-# -- monomial order tests and the integer-row nu test ---------------------------
-
-def test_monomial_order_tests_match_scalar_tests():
-    # Each value p sits in each slot of the monomial q11^i (q12 q21)^j q22^k:
-    # as q11, q22, q12, and as q12 q21 with neither factor a root of unity.
-    two = ONE + ONE
-    values = [ONE + ONE, CycNum.from_rational(Fraction(1, 2)),
-              root_of_unity(1, 12) + Fraction(1, 3)]
-    values += [root_of_unity(k, d) for d in range(1, 31) for k in range(d) if math.gcd(k, d) == 1]
-    seen = Counter()
-    for p in values:
-        for b, e in ((Braiding(p, ONE, ONE, ONE), (1, 0, 0)),
-                     (Braiding(ONE, ONE, ONE, p), (0, 0, 1)),
-                     (Braiding(ONE, p, ONE, ONE), (0, 1, 0)),
-                     (Braiding(ONE, p * two, two.inv(), ONE), (0, 1, 0))):
-            o = _order(b, *e)
-            assert o == p.order() == _order(b, *(-x for x in e)), (p, e)
-            assert (o == 2) == (p == MINUS_ONE), (p, e)
-            for m in range(41):
-                assert _qnum_zero(m, o) == qnum_vanishes(m, p), (m, p, e)
-            seen["exponents" if b._exps is not None else "scalar"] += 1
-    # 4 slots x (278 roots of order <= 30 by exponent, 3 non-roots by value).
-    assert seen == {"exponents": 4 * 278, "scalar": 4 * 3}
-
-
-def test_monomial_order_matches_scalar_order_on_mixed_monomials():
-    z = root_of_unity
-    braidings = _braidings(4, 3, 5, 6) + [Braiding(z(1, 8), z(3, 8) * 2, ONE / 2, -z(1, 3)),
-                                          Braiding(ONE + ONE, z(1, 5), ONE, z(2, 7))]
-    for b in braidings:
-        q = b.q12 * b.q21
-        for i, j, k in itertools.product(range(-3, 4), repeat=3):
-            assert _order(b, i, j, k) == (b.q11 ** i * q ** j * b.q22 ** k).order(), (b, i, j, k)
-
+# -- the integer-row nu test ---------------------------------------------------
 
 def _nu_sites(t, b):
     """The nodes where `is_admissible` asks whether nu vanishes, decided

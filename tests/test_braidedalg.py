@@ -1,14 +1,16 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import (ReferenceImages, basis_words, derivations_vanish, naive_rank,
-                      random_root_braiding, reference_symmetrize, skew_derivation, symmetrizer,
-                      word_image)
+                      qnum_vanishes, random_root_braiding, reference_symmetrize, skew_derivation,
+                      symmetrizer, word_image)
 
 from nichols2 import braidedalg
+from nichols2.admissibility import _qnum_zero
 from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
                                  root_of_unity)
 from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, _integer_terms,
@@ -144,6 +146,42 @@ def test_chi_of_non_root_braidings_is_the_product_of_powers():
         assert [b.chi(d, e) for d, e in labels] == [
             b.q11 ** (d1 * e1) * b.q12 ** (d1 * e2) * b.q21 ** (d2 * e1) * b.q22 ** (d2 * e2)
             for (d1, d2), (e1, e2) in labels], b
+
+
+def test_monomial_order_tests_match_scalar_tests():
+    # Each value p sits in each slot of the monomial q11^i (q12 q21)^j q22^k:
+    # as q11, q22, q12, and as q12 q21 with neither factor a root of unity.
+    two = ONE + ONE
+    values = [ONE + ONE, CycNum.from_rational(Fraction(1, 2)),
+              root_of_unity(1, 12) + Fraction(1, 3)]
+    values += [root_of_unity(k, d) for d in range(1, 31) for k in range(d) if math.gcd(k, d) == 1]
+    seen = Counter()
+    for p in values:
+        for b, e in ((Braiding(p, ONE, ONE, ONE), (1, 0, 0)),
+                     (Braiding(ONE, ONE, ONE, p), (0, 0, 1)),
+                     (Braiding(ONE, p, ONE, ONE), (0, 1, 0)),
+                     (Braiding(ONE, p * two, two.inv(), ONE), (0, 1, 0))):
+            o = b.monomial_order(*e)
+            assert o == p.order() == b.monomial_order(*(-x for x in e)), (p, e)
+            assert (o == 2) == (p == MINUS_ONE), (p, e)
+            for m in range(41):
+                assert _qnum_zero(m, o) == qnum_vanishes(m, p), (m, p, e)
+            seen["exponents" if b._exps is not None else "scalar"] += 1
+    # 4 slots x (278 roots of order <= 30 by exponent, 3 non-roots by value).
+    assert seen == {"exponents": 4 * 278, "scalar": 4 * 3}
+
+
+def test_monomial_order_matches_scalar_order_on_mixed_monomials():
+    z = root_of_unity
+    braidings = [Braiding(z(a, 4), z(c, 3), z(e, 5), z(d, 6))
+                 for a, c, e, d in itertools.product(range(4), range(3), range(5), range(6))]
+    braidings += [Braiding(z(1, 8), z(3, 8) * 2, ONE / 2, -z(1, 3)),
+                  Braiding(ONE + ONE, z(1, 5), ONE, z(2, 7))]
+    for b in braidings:
+        q = b.q12 * b.q21
+        for i, j, k in itertools.product(range(-3, 4), repeat=3):
+            want = (b.q11 ** i * q ** j * b.q22 ** k).order()
+            assert b.monomial_order(i, j, k) == want, (b, i, j, k)
 
 
 def test_tau0_examples():

@@ -1,13 +1,14 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 from conftest import random_root_braiding
 
-from nichols2.cyclotomic import CycNum, MINUS_ONE, ONE, root_of_unity
+from nichols2.cyclotomic import CycNum, MINUS_ONE, ONE, as_root_exponent, root_of_unity
 from nichols2.braidedalg import Braiding
-from nichols2.classify import (_CONDITIONS, ClassificationReport, FixtureRow, classify_full,
-                               fixtures, match_condition, run_fixture_matrix)
+from nichols2.classify import (ClassificationReport, FixtureRow, classify_full, fixtures,
+                               match_condition, run_fixture_matrix)
 
 
 class _Scalar:
@@ -33,11 +34,58 @@ class _Scalar:
         return self.x.order() or 0
 
 
+def _root(x: _Scalar) -> bool:
+    return x.order() >= 2
+
+
+# Conditions (T1)-(T22); q denotes q12*q21 and q0 = q11*q.  The case index
+# counts the or-branches in the order they are stated.
+_EQUATIONS = [
+    (1, 1, lambda q11, q, q22: _root(q11) and _root(q22) and q == ONE),
+    (2, 1, lambda q11, q, q22: (q11 * q == ONE or q11 == MINUS_ONE)
+        and (q * q22 == ONE or q22 == MINUS_ONE) and _root(q)),
+    (3, 1, lambda q11, q, q22: q == q11 ** -2 and (q22 == q11 ** 2 or q22 == MINUS_ONE)
+        and q11.order() >= 3),
+    (3, 2, lambda q11, q, q22: q11.order() == 3 and q * q22 == ONE
+        and (q22.order() == 2 or q22.order() >= 4)),
+    (3, 3, lambda q11, q, q22: q11.order() == 3 and q == -q11 and q22 == MINUS_ONE),
+    (4, 1, lambda q11, q, q22: (q11 * q).order() == 12 and q11 == (q11 * q) ** 4
+        and q22 == -((q11 * q) ** 2)),
+    (4, 2, lambda q11, q, q22: q.order() == 12 and q11 == -(q ** 2) and q22 == -(q ** 2)),
+    (5, 1, lambda q11, q, q22: q.order() == 12 and q11 == -(q ** 2) and q22 == MINUS_ONE),
+    (5, 2, lambda q11, q, q22: (q11 * q).order() == 12 and q11 == (q11 * q) ** 4
+        and q22 == MINUS_ONE),
+    (6, 1, lambda q11, q, q22: q11.order() == 18 and q == q11 ** -2 and q22 == -(q11 ** 3)),
+    (7, 1, lambda q11, q, q22: q11.order() == 12 and q == q11 ** -3 and q22 == MINUS_ONE),
+    (7, 2, lambda q11, q, q22: q.order() == 12 and q11 == q ** -3 and q22 == MINUS_ONE),
+    (8, 1, lambda q11, q, q22: q == q11 ** -3 and q22 == q11 ** 3 and q11.order() >= 4),
+    (8, 2, lambda q11, q, q22: q ** 4 == MINUS_ONE and q22 == MINUS_ONE and q11 == -q),
+    (8, 3, lambda q11, q, q22: q ** 4 == MINUS_ONE and q22 == MINUS_ONE and q11 == q ** -2),
+    (8, 4, lambda q11, q, q22: q ** 4 == MINUS_ONE and q11 == q ** 2 and q22 == q ** -1),
+    (9, 1, lambda q11, q, q22: q.order() == 9 and q11 == q ** -3 and q22 == MINUS_ONE),
+    (10, 1, lambda q11, q, q22: q.order() == 24 and q11 == q ** -6 and q22 == q ** -8),
+    (11, 1, lambda q11, q, q22: q11.order() in (5, 20) and q == q11 ** -3
+        and q22 == MINUS_ONE),
+    (12, 1, lambda q11, q, q22: q11.order() == 30 and q == q11 ** -3 and q22 == -(q11 ** 5)),
+    (13, 1, lambda q11, q, q22: q.order() == 24 and q11 == q ** 6 and q22 == q ** -1),
+    (14, 1, lambda q11, q, q22: q11.order() == 18 and q == q11 ** -4 and q22 == MINUS_ONE),
+    (15, 1, lambda q11, q, q22: q.order() == 30 and q11 == -(q ** -3) and q22 == q ** -1),
+    (16, 1, lambda q11, q, q22: q11.order() == 10 and q == q11 ** -4 and q22 == MINUS_ONE),
+    (16, 2, lambda q11, q, q22: q.order() == 20 and q11 == q ** -4 and q22 == MINUS_ONE),
+    (17, 1, lambda q11, q, q22: q.order() == 24 and q11 == -(q ** 4) and q22 == MINUS_ONE),
+    (18, 1, lambda q11, q, q22: q.order() == 30 and q11 == -(q ** 5) and q22 == MINUS_ONE),
+    (19, 1, lambda q11, q, q22: q11.order() == 14 and q == q11 ** -3 and q22 == MINUS_ONE),
+    (20, 1, lambda q11, q, q22: q.order() == 30 and q11 == q ** -6 and q22 == MINUS_ONE),
+    (21, 1, lambda q11, q, q22: q11.order() == 24 and q == q11 ** -5 and q22 == MINUS_ONE),
+    (22, 1, lambda q11, q, q22: q11.order() == 14 and q == q11 ** -5 and q22 == MINUS_ONE),
+]
+
+
 def reference_match_condition(b: Braiding) -> list[tuple[int, int]]:
-    """The family conditions evaluated on CycNum scalars: the matcher that
-    match_condition replaced, kept as its reference."""
+    """The family conditions as the equations they are stated as, evaluated
+    on CycNum scalars: the reference for the order tests of match_condition."""
     q11, q, q22 = (_Scalar(x) for x in (b.q11, b.q12 * b.q21, b.q22))
-    return [(n, c) for n, c, pred in _CONDITIONS if pred(q11, q, q22)]
+    return [(n, c) for n, c, pred in _EQUATIONS if pred(q11, q, q22)]
 
 
 def test_match_t1():
@@ -89,9 +137,29 @@ def test_match_depends_only_on_product(rng):
         assert match_condition(b) == match_condition(rescaled)
 
 
+def _conjugates_and_near_misses(b: Braiding) -> list[Braiding]:
+    """b written over zeta_L (L even, so that -1 is a power), its Galois
+    conjugates zeta_L -> zeta_L^u, and each conjugate with the exponent of
+    q11, q12 or q22 moved by +-1 (q21 = 1)."""
+    roots = [as_root_exponent(x) for x in (b.q11, b.q12, b.q22)]
+    L = math.lcm(2, *(d for _, d in roots))
+    exps = [k * (L // d) for k, d in roots]
+    out = []
+    for u in range(1, L):
+        if math.gcd(u, L) == 1:
+            conj = [e * u for e in exps]
+            for es in [conj] + [conj[:i] + [conj[i] + s] + conj[i + 1:]
+                                for i in range(3) for s in (1, -1)]:
+                q11, q12, q22 = (root_of_unity(e, L) for e in es)
+                out.append(Braiding(q11, q12, ONE, q22))
+    return out
+
+
 def test_matcher_matches_cycnum_reference():
     # Root braidings, the same rescaled so that q12 and q21 are not roots but
-    # their product is, and braidings with entries that are not roots.
+    # their product is, braidings with entries that are not roots, and the
+    # fixtures' conjugates and near misses: every order the conditions name
+    # (5, 9, 10, 14, 18, 20, 24 and 30 too), matched and just missed.
     z = root_of_unity
     third = CycNum.from_rational(Fraction(1, 3))
     non_roots = [ONE + ONE, z(1, 5) + third]
@@ -104,12 +172,15 @@ def test_matcher_matches_cycnum_reference():
     values = non_roots + [CycNum.from_rational(Fraction(1, 2)), ONE, z(1, 12)]
     braidings += [Braiding(q11, q12, ONE, q22)
                   for q11, q12, q22 in itertools.product(values, repeat=3)]
-    matched = 0
+    for b in fixtures().values():
+        braidings += _conjugates_and_near_misses(b)
+    matched, pairs = 0, set()
     for b in braidings:
         want = reference_match_condition(b)
         assert match_condition(b) == want, b
         matched += bool(want)
-    assert matched > 100
+        pairs.update(want)
+    assert matched > 100 and pairs == set(fixtures())
 
 
 def test_classify_exterior_report():

@@ -166,7 +166,8 @@ def test_modular_route_loads_at_the_first_rank():
     # the rank oracle, load neither the modular rank nor `array`; the first
     # graded dimension loads both.  Building every report type, through a
     # full classification and the fixture matrix, loads neither
-    # `dataclasses` nor `inspect`.
+    # `dataclasses` nor `inspect`, and only an internal error loads
+    # `traceback`.
     script = """if True:
         import json, sys
         import nichols2, nichols2.cli
@@ -176,7 +177,8 @@ def test_modular_route_loads_at_the_first_rank():
 
         def loaded():
             return [name in sys.modules
-                    for name in ("nichols2._modular", "array", "dataclasses", "inspect")]
+                    for name in ("nichols2._modular", "array", "dataclasses", "inspect",
+                                 "traceback")]
 
         b = fixtures()[(2, 1)]
         match_condition(b)
@@ -194,8 +196,9 @@ def test_modular_route_loads_at_the_first_rank():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[False, False, False, False], [True, True, False, False],
-                                       [True, True, False, False]]
+    assert json.loads(proc.stdout) == [[False, False, False, False, False],
+                                       [True, True, False, False, False],
+                                       [True, True, False, False, False]]
 
 
 def test_internal_errors_exit_three(capsys, monkeypatch):
