@@ -68,16 +68,11 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
     every other row i: D row_i = sum_k nums[k] row_k exactly over the pivot
     rows k in order, D > 0 (step 2; D = 1 and nums zero for a zero row).
     """
-    found = []
-    if rows and rows[0]:
-        # Imported on the first rank, so that commands which never rank do
-        # not load the modular route.
-        from ._modular import certified_rank
+    # Imported on the first rank, so that commands which never rank do not
+    # load the modular route.
+    from ._modular import certified_rank
 
-        found = certified_rank(rows, conductor, dependencies)
-    elif dependencies is not None:
-        dependencies.clear()
-        dependencies.update((i, (1, [])) for i in range(len(rows)))
+    found = certified_rank(rows, conductor, dependencies)
     if pivot_rows is not None:
         pivot_rows[:] = found
     return len(found)

@@ -232,10 +232,16 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
     them modulo the prime that certified.  If dependencies is given, it is
     filled as `_linalg.exact_rank_vectors` describes.  Raises
     ArithmeticError if _MAX_PRIMES primes do not certify."""
-    n_rows, n_cols = len(rows), len(rows[0])
+    n_rows = len(rows)
     # A zero row is never a pivot row and lies in every span.
     live = [i for i, row in enumerate(rows) if any(map(any, row))]
-    rows = [rows[i] for i in live]
+    if len(live) <= 1:  # rank 0 or 1 exactly, with no prime
+        if dependencies is not None:
+            dependencies.clear()
+            dependencies.update((i, (1, [(0,) * euler_phi(conductor)] * len(live)))
+                                for i in range(n_rows) if i not in live)
+        return live
+    n_cols, rows = len(rows[0]), [rows[i] for i in live]
     # Without dependencies, a rank equal to either dimension needs no lift.
     full = len(rows) if dependencies is not None else min(len(rows), n_cols)
     best = None  # the key of the primes whose residues, mod their product m, are in acc

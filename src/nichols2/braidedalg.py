@@ -8,25 +8,24 @@ homogeneous with multidegree equal to the node's Stern-Brocot label.
 
 Both zero tests run on integer data: an element's coefficients are lifted
 once to the conductor n of the braiding and the coefficients, and cleared
-of their denominators by one positive integer, which leaves zero zero.
-Both read one walk of iterated skew derivations (`_derivatives_along`),
-whose scalars are the symmetrizer entries: the derivation test at every
-word, the symmetrizer test at the reversed basis words of the rank oracle
-only (`is_zero_in_nichols`), never a whole image.  Each word of a skew
-derivation is a sum of products of coordinate vectors, formed by Kronecker
-substitution in digits one bit longer than (products per sum) phi(n)
-2^(xbits + ybits), for the bit lengths of the factors' largest coordinates
-(`cyclotomic.kronecker_sums`).
+of their denominators by one positive integer.  Both read one walk of
+iterated skew derivations (`_derivatives_along`), whose scalars are the
+symmetrizer entries: the derivation test at every word, the symmetrizer
+test at the reversed basis words of the rank oracle only, never a whole
+image.  The walk carries each coefficient as one integer, its image under
+z -> 2^W mod Phi_n(2^W), for W from the walk's coordinate bound.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 
-from .cyclotomic import (CycNum, MINUS_ONE, ONE, as_root_exponent, canonical_conductor,
-                         clear_denominators, euler_phi, format_scalar, kronecker_sums,
-                         root_of_unity, root_vectors)
+from .cyclotomic import (CycNum, MINUS_ONE, ONE, _reduction_rows, as_root_exponent,
+                         canonical_conductor, clear_denominators, cyclotomic_polynomial,
+                         euler_phi, format_scalar, kronecker_pack, root_of_unity, root_power,
+                         root_vectors)
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel, is_lyndon, shirshow
 
@@ -311,10 +310,9 @@ class _SymEngine:
         self.frontier: dict = {}
 
     def image_vectors(self, terms: dict, n: int, words) -> dict:
-        """Symmetrizer image, at the given words, of a nonzero polynomial
-        homogeneous in total degree given as word -> integer vector at
-        conductor n, where self.conductor divides n: word -> coordinate list
-        at each given word where the image is nonzero (`_derivatives_along`)."""
+        """The symmetrizer image at the given words of a nonzero element
+        homogeneous in total degree, word -> integer vector at conductor n, a
+        multiple of self.conductor: word -> coordinate list where nonzero."""
         return dict(_derivatives_along(self.b, terms, n, words))
 
 
@@ -343,59 +341,103 @@ def _integer_terms(rho: NCPoly, n: int) -> tuple[dict, int]:
 # -- skew derivations ----------------------------------------------------------
 
 
-def skew_derivation(b: Braiding, i: int, terms: dict, n: int) -> dict:
-    """The twisted letter-deleting operator <y_i, .> on word -> integer
-    coordinate vector at conductor n, up to a positive integer factor, zero
-    coefficients dropped.  Deleting letter k of w twists by
-    chi(e_i, deg w[:k])^-1 (`Braiding.chi_at`), and all the twists are
-    scaled by the least positive integer that clears their denominators.
-    At most m products land on a word of length m - 1, one per position of
-    the deleted letter; their sum is formed by `kronecker_sums`."""
-    minus_ei = (-1, 0) if i == 1 else (0, -1)
-    moves, twists = [], {}
-    for w in terms:
+class _Residues:
+    """One walk's ring map z -> X = 2^W, Z[zeta_n] -> Z/MZ for M = Phi_n(X)
+    (`_derivatives_along`), and its twists: (i, a, c) -> (t, k), t X^k the
+    residue of D chi(e_i, (a, c))^-1, D > 0; D = 1 and t = +-1 for roots."""
+
+    def __init__(self, b: Braiding, n: int, terms: dict):
+        self.n, (self.phi, growth) = n, _growth(n)
+        vecs, tau, m = {}, 1, max(map(len, terms), default=0)
+        if not b.of_roots:  # at every prefix degree a walk meets, as its words only lose letters
+            r, s = (max(w.count(j) for w in terms) + 1 for j in (1, 2))
+            vecs = clear_denominators({(i, a, c): b.chi_at((i - 2, 1 - i), (a, c), n)
+                                       for i in (1, 2) for a in range(r) for c in range(s)})[0]
+            tau = max(sum(map(abs, vec)) for vec in vecs.values())
+        bound = max(map(abs, chain.from_iterable(terms.values())), default=0) * math.factorial(m)
+        self.width = (2 * bound * (tau * growth) ** m + growth).bit_length()
+        self.modulus = kronecker_pack(cyclotomic_polynomial(n), self.width)
+        self.twists = {key: (kronecker_pack(vec, self.width) % self.modulus, 0)
+                       for key, vec in vecs.items()}
+
+    def decode(self, r: int) -> list[int]:
+        """The coordinates of residue r: the balanced residue's balanced base-X digits."""
+        w, half = self.width, 1 << self.width - 1
+        r += kronecker_pack([half] * self.phi, w) - (self.modulus if 2 * r > self.modulus else 0)
+        return [(r >> w * j & (1 << w) - 1) - half for j in range(self.phi)]
+
+
+@lru_cache(maxsize=None)
+def _growth(n: int) -> tuple[int, int]:
+    """(phi, kappa phi) at conductor n, kappa the largest |coordinate| of z^e, e < n."""
+    phi = euler_phi(n)
+    return phi, phi * max(map(abs, chain.from_iterable(_reduction_rows(n)[:n - phi])), default=1)
+
+
+def skew_derivation(b: Braiding, i: int, terms: dict, ring: _Residues) -> dict:
+    """The twisted letter-deleting operator <y_i, .>, times the walk's D > 0,
+    on word -> residue (`_Residues`), zero coefficients dropped: deleting
+    letter k of w moves its residue times that of D chi(e_i, deg w[:k])^-1,
+    t X^e, and a word's at most m moves are reduced mod M once."""
+    twists, width, sums = ring.twists, ring.width, {}
+    for w, c in terms.items():
         ones = 0  # letters 1 in w[:k]
         for k, letter in enumerate(w):
             if letter == i:
-                d = (ones, k - ones)
-                if d not in twists:
-                    twists[d] = b.chi_at(minus_ei, d, n)
-                moves.append((w[:k] + w[k + 1:], w, d))
+                if (d := (i, ones, k - ones)) not in twists:  # roots: chi(-e_i, d) = +-z^e
+                    x = (b._exponent(-ones, ones - k, 0, 0) if i == 1
+                         else b._exponent(0, 0, -ones, ones - k))
+                    twists[d] = root_power(x % b._exps[0], b._exps[0], ring.n)
+                t, e = twists[d]
+                u = w[:k] + w[k + 1:]
+                sums[u] = sums.get(u, 0) + (c * t << width * e)
             ones += letter == 1
-    sums = kronecker_sums(n, terms, clear_denominators(twists)[0], moves, max(map(len, terms)))
-    return {u: vec for u, vec in sums.items() if any(vec)}
+    m = ring.modulus
+    return {u: r for u, x in sums.items() if (r := x % m)}
 
 
 def _derivatives_along(b: Braiding, terms: dict, n: int, words=None):
-    """Yield (u, d_{u_m} ... d_{u_1}(terms)), d_{u_1} applied first, for each
-    of the words u (every word if None) where that scalar is nonzero, for
-    the skew derivations d_i of `skew_derivation`, on a nonzero element
-    homogeneous in total degree given as word -> nonzero integer vector at
-    conductor n.
+    """Yield (u, d_{u_m} ... d_{u_1}(terms)) as a coordinate list, d_{u_1}
+    first, for each word u (every word if None) where that scalar is
+    nonzero, d_i of `skew_derivation`, on an element homogeneous in total
+    degree m given as word -> nonzero integer vector at conductor n.  Words
+    are walked in prefix order, a branch derived once per next letter and
+    dropped where zero; a degree-0 element reads its own word () only.
 
-    The scalar is the entry S(v)_u of the symmetrizer image, summed over
-    the terms v.  Proof: the first-letter expansion of the symmetrizer is
+    The scalar is the symmetrizer entry S(v)_u, summed over the terms v:
     S(v)_u = sum over k with v_k = u_1 of chi(e_{u_1}, deg v[:k])^-1
     S(v without letter k)_{u_2...u_m}, that is S(d_{u_1}(v))_{u_2...u_m}
-    by linearity; induct on m.  Every entry of a root braiding is a power
-    of one root of unity, so each twist has integer coordinates and
-    `skew_derivation` scales by nothing: the entries are exact.  For other
-    entries each derivation scales by a positive integer, which leaves the
-    nonzero scalars nonzero.
+    by linearity; induct on m.  For a root braiding D = 1, so the entries
+    are exact; otherwise each derivation scales by D > 0.
 
-    The words are walked in prefix order: the terms are derived once per
-    distinct next letter and a branch whose derivative is zero is
-    dropped.  A scalar ends its branch, so a degree-0 element reads its
-    own word () only."""
-    if () in terms:
-        if words is None or () in words:
-            yield (), list(terms[()])
-        return
-    for i in (1, 2):
-        tails = None if words is None else [u[1:] for u in words if u and u[0] == i]
-        if tails != [] and (d := skew_derivation(b, i, terms, n)):
-            for u, v in _derivatives_along(b, d, n, tails):
-                yield (i,) + u, v
+    Each coefficient y is carried as its residue under z -> X = 2^W mod
+    M = Phi_n(X), a ring map as Phi_n(X) = 0 mod M, and only the scalars
+    yielded are decoded.  Let B bound every coordinate the walk forms, H
+    every |coefficient| of Phi_n (W takes kappa phi >= H, kappa below, as
+    Phi_n(z) = 0 makes them those of -z^phi), and X > 2 B + H.  Then y =
+    sum_j c_j z^j maps to Y = sum_j c_j X^j, 2 |Y| <= 2 B (X^phi - 1) /
+    (X - 1) < X^phi - H (X^phi - 1) / (X - 1) <= M: the balanced residue is
+    Y, 0 only for y = 0, with balanced base-X digits c_j.  The bound: a
+    level of words of length l puts at most l moves on a word, one per
+    position of the deleted letter, and a move by a twist t has
+    |t y|_inf <= |t|_1 kappa |y|_1 <= tau kappa phi |y|_inf, kappa the
+    largest |coordinate| of z^e, e < n, and tau the largest |t|_1 (1 for
+    +-z^k).  So B = B_0 m! (tau kappa phi)^m for the input bound B_0."""
+    ring = _Residues(b, n, terms)
+
+    def walk(terms, words):
+        if () in terms:
+            if words is None or () in words:
+                yield (), terms[()]
+            return
+        for i in (1, 2):
+            tails = None if words is None else [u[1:] for u in words if u and u[0] == i]
+            if tails != [] and (d := skew_derivation(b, i, terms, ring)):
+                for u, v in walk(d, tails):
+                    yield (i,) + u, v
+
+    for u, r in walk({w: kronecker_pack(vec, ring.width) for w, vec in terms.items()}, words):
+        yield u, ring.decode(r)
 
 
 def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") -> bool:
@@ -411,10 +453,8 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
     element of it is zero.  method "derivations": every iterated skew
     derivation vanishes, that is the symmetrizer image read at every word
     (`_derivatives_along`); it takes any nonzero entries, as the bicharacter
-    does, where the symmetrizer test needs roots of unity.
-    Both decide exactly on integers: the coefficients are lifted once, to
-    the conductor of the braiding and the coefficients, and cleared of
-    their denominators by one positive integer.
+    does, where the symmetrizer test needs roots of unity.  Both decide
+    exactly, on integers (module docstring).
     """
     if rho.is_zero():
         return True

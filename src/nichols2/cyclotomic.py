@@ -30,8 +30,8 @@ modulo Phi_N in one place, `reduce_mod_phi(N)`: single products
 
 Every field map is one substitution z -> z^k (`_substitute`): the lift into a
 larger conductor, a Galois conjugate, and the fold of zeta_{2m} into zeta_m.
-A root of unity is built directly as a power of z at its conductor, zeta_{2m}
-as -zeta_m^((m+1)/2).  `root_vectors(d, n)` is the table of the coordinates
+A root of unity is +-z^e at its conductor (`root_power`), zeta_{2m} being
+-zeta_m^((m+1)/2).  `root_vectors(d, n)` is the table of the coordinates
 of every power of zeta_d at conductor n, for callers that read a bicharacter
 value by its exponent (`Braiding.chi_at` and the lambda step); at most
 ROOT_TABLE_CACHE_SIZE tables are kept.
@@ -205,6 +205,14 @@ def vector_product(n: int):
     return mul
 
 
+def kronecker_pack(vec, width: int) -> int:
+    """sum_j vec[j] 2^(width j): the image of a coordinate vector under z -> 2^width."""
+    x = 0
+    for c in reversed(vec):
+        x = (x << width) + c
+    return x
+
+
 def kronecker_sums(n: int, xs: dict, ys: dict, products, per_sum: int) -> dict:
     """{t: sum of xs[a] ys[b] over the (t, a, b) in products} for integer
     coordinate vectors at conductor n, as coordinate lists, where at most
@@ -215,21 +223,14 @@ def kronecker_sums(n: int, xs: dict, ys: dict, products, per_sum: int) -> dict:
     x y with |x| < 2^xbits and |y| < 2^ybits, so it is below
     per_sum phi(n) 2^(xbits + ybits) in magnitude; W is one bit wider, and
     every digit decodes exactly, balanced.  Each sum is reduced mod Phi_n
-    once."""
+    once.  The caller is the rank oracle (`nicholscore._pivot_words`)."""
     deg, flat = euler_phi(n), chain.from_iterable
     width = ((per_sum * deg).bit_length() + 1
              + max(map(abs, flat(xs.values())), default=0).bit_length()
              + max(map(abs, flat(ys.values())), default=0).bit_length())
     half, mask = 1 << width - 1, (1 << width) - 1
-
-    def pack(vec):
-        x = 0
-        for c in reversed(vec):
-            x = (x << width) + c
-        return x
-
-    px = {a: pack(v) for a, v in xs.items()}
-    py = {b: pack(v) for b, v in ys.items()}
+    px = {a: kronecker_pack(v, width) for a, v in xs.items()}
+    py = {b: kronecker_pack(v, width) for b, v in ys.items()}
     sums: dict = {}
     for t, a, b in products:
         sums[t] = sums.get(t, 0) + px[a] * py[b]
@@ -614,16 +615,19 @@ def _cached_root(k: int, d: int, n: int) -> CycNum:
     return value
 
 
-def _root_coords(k: int, d: int, n: int) -> tuple[int, ...]:
-    # Coordinates of zeta_d^k at the canonical conductor n, which the
-    # canonical conductor of d divides.  For d = 2m, m odd, that is m:
-    # zeta_d^k = (-1)^k zeta_m^(k(m+1)/2), the convention of CycNum.__init__,
-    # so no table at d is built.
+def root_power(k: int, d: int, n: int) -> tuple[int, int]:
+    """(s, e) with zeta_d^k = s z^e, s = +-1, 0 <= e < n, at the canonical conductor
+    n, which that of d divides; zeta_{2m} = -zeta_m^((m+1)/2) for odd m."""
     if d % 4 == 2:
         m = d // 2
-        vec = power_vector(n, k * ((m + 1) // 2) % m * (n // m))
-        return tuple(-c for c in vec) if k % 2 else vec
-    return power_vector(n, k * (n // d))
+        return -1 if k % 2 else 1, k * ((m + 1) // 2) % m * (n // m)
+    return 1, k * (n // d) % n
+
+
+def _root_coords(k: int, d: int, n: int) -> tuple[int, ...]:
+    # Coordinates of zeta_d^k at n (`root_power`); no table at d is built.
+    s, e = root_power(k, d, n)
+    return power_vector(n, e) if s == 1 else tuple(-c for c in power_vector(n, e))
 
 
 # The bound of the cache of root tables by order and conductor.

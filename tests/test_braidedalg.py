@@ -11,8 +11,8 @@ from conftest import (ReferenceImages, basis_words, derivations_vanish, naive_ra
 
 from nichols2 import braidedalg
 from nichols2.admissibility import _qnum_zero
-from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
-                                 root_of_unity)
+from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor,
+                                 kronecker_pack, qfact, root_of_unity)
 from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, _integer_terms,
                                  bracket_word, clear_caches, format_ncpoly, is_zero_in_nichols,
                                  tau0)
@@ -392,6 +392,17 @@ def test_integer_derivation_test_matches_the_reference(rng):
                       (x(1) * x(2) - Fraction(1, 2) * (x(2) * x(1)), False)):
         assert is_zero_in_nichols(b, rho, "derivations") == zero
         cases.append((b, rho))
+    # A large twist, q12 = 2^20 and q21 = 2^-20: every twist of a walk of
+    # degree m is cleared by one D up to 2^(20 m).
+    b = Braiding(MINUS_ONE, CycNum.from_rational(1 << 20),
+                 CycNum.from_rational(Fraction(1, 1 << 20)), root_of_unity(1, 3))
+    cases += [(b, x(1) * x(2) - (1 << 20) * (x(2) * x(1))),
+              (b, x(1) * x(2) - (1 << 19) * (x(2) * x(1)))]
+    for _ in range(12):
+        m = rng.randrange(1, 7)
+        cases.append((b, NCPoly({tuple(rng.choice((1, 2)) for _ in range(m)):
+                                 root_of_unity(rng.randrange(6), 6) * rng.randint(1, 3)
+                                 for _ in range(rng.randrange(1, 5))})))
     # One level on coordinates near 2^80, against the reference on CycNum
     # polynomials: under the trivial braiding all five positions of x1^5
     # land on x1^4, a sum of 5 (2^80 - 1).
@@ -402,14 +413,56 @@ def test_integer_derivation_test_matches_the_reference(rng):
                     NCPoly({w: root_of_unity(k, 9) * big for k, w in enumerate(basis_words(4))})):
             n = braidedalg._conductor(b, rho)
             terms = {w: c._lift(n) for w, c in rho.terms.items()}
+            ring = braidedalg._Residues(b, n, terms)
+            packed = {w: kronecker_pack(vec, ring.width) for w, vec in terms.items()}
             for i in (1, 2):
                 want = skew_derivation(b, i, rho)
-                assert braidedalg.skew_derivation(b, i, terms, n) == \
+                got = braidedalg.skew_derivation(b, i, packed, ring)
+                assert {w: ring.decode(r) for w, r in got.items()} == \
                     {w: list(c._lift(n)) for w, c in want.terms.items()}, (b, n, rho, i)
     verdicts = [is_zero_in_nichols(b, rho, "derivations") for b, rho in cases]
     assert verdicts == [derivations_vanish(b, rho) for b, rho in cases]
     assert sum(verdicts[:546:2]) == 273 and sum(verdicts[1:546:2]) == 130
     assert verdicts[546:562:2] == [True] * 8 and not any(verdicts[547:562:2])
+
+
+def test_residue_walk_at_its_coordinate_bound():
+    # Under the trivial braiding d_1^m (c x1^m) = m! c exactly, which meets
+    # the walk's bound B_0 m! (kappa phi)^m at kappa = phi = 1: the scalar
+    # must decode, of either sign, and neither zero test may call it zero.
+    b, m = Braiding(ONE, ONE, ONE, ONE), 12
+    word = (1,) * m
+    for c in ((1 << 80) - 3, 3 - (1 << 80)):
+        assert _engine(b).image_vectors({word: (c,)}, 1, [word]) == \
+            {word: [math.factorial(m) * c]}
+        rho = NCPoly({word: CycNum.from_rational(c)})
+        assert not is_zero_in_nichols(b, rho, "symmetrizer")
+        assert not is_zero_in_nichols(b, rho, "derivations")
+
+
+def test_residue_walk_decodes_under_a_large_twist():
+    # q12 = 2^20 and q21 = 2^-20: the walk scales each level by one D, so
+    # every scalar it yields is D^m times the reference scalar, for one D,
+    # only if the twists' norm joined the bound.
+    b = Braiding(root_of_unity(1, 5), CycNum.from_rational(1 << 20),
+                 CycNum.from_rational(Fraction(1, 1 << 20)), root_of_unity(1, 3))
+    rho = NCPoly({(2, 1, 2, 1, 1, 1): ONE, (1, 2, 1, 1, 2, 1): root_of_unity(1, 3) * 5})
+
+    def scalars(el, prefix=()):
+        if () in el.terms:
+            yield prefix, el.terms[()]
+        for i in (1, 2):
+            if not (d := skew_derivation(b, i, el)).is_zero():
+                yield from scalars(d, prefix + (i,))
+
+    n = braidedalg._conductor(b, rho)
+    got = dict(braidedalg._derivatives_along(b, _integer_terms(rho, n)[0], n))
+    want = dict(scalars(rho))
+    assert got.keys() == want.keys() and len(want) > 4
+    ratios = {CycNum(n, got[u]) / want[u] for u in want}
+    assert len(ratios) == 1
+    d = ratios.pop()._lift(n)
+    assert d[0] > 1 << 100 and not any(d[1:])
 
 
 def test_symmetrize_matches_per_term_products(rng):

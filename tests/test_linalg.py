@@ -324,16 +324,42 @@ def test_certified_rank_of_fraction_rows(rng, fallbacks):
 
 
 def test_fallback_when_the_prime_divides_an_entry(fallbacks):
-    # [[p]] has rank 0 mod p but rank 1; the certificate that every row lies
-    # in the span of no rows fails, and the second prime certifies.
+    # [[p, 0], [0, 1]] has rank 1 mod p but rank 2; the certificate that row
+    # 0 lies in the span of row 1 fails, and the second prime certifies.  (A
+    # block with one nonzero row, such as [[p]], takes no prime.)
     for n in (1, 12, 15):
         p = split_prime(n)
         assert _is_prime(p) and (p - 1) % n == 0
-        entry = (p,) + (0,) * (euler_phi(n) - 1)
+        zero, one = (0,) * euler_phi(n), (1,) + (0,) * (euler_phi(n) - 1)
         pivot_rows = []
-        assert exact_rank_vectors([[entry]], n, pivot_rows) == 1
-        assert pivot_rows == [0]
+        assert exact_rank_vectors([[(p,) + zero[1:], zero], [zero, one]], n, pivot_rows) == 2
+        assert pivot_rows == [0, 1]
     assert fallbacks == [2, 2, 2]
+
+
+def test_blocks_with_at_most_one_nonzero_row_take_no_prime(monkeypatch):
+    # Such a block has rank 0 or 1 exactly, so no prime is tried, even for
+    # an entry that the first prime divides; a zero row depends on the
+    # pivot rows by zero coefficients.
+    tried = []
+    at_prime = _modular._at_prime
+    monkeypatch.setattr(_modular, "_at_prime", lambda *args: tried.append(args) or at_prime(*args))
+    for n in (1, 12, 15):
+        zero = (0,) * euler_phi(n)
+        live = (split_prime(n),) + zero[1:]
+        for rows, pivots in (([[zero, zero]], []), ([[zero], [zero], [zero]], []),
+                             ([[live, zero]], [0]),
+                             ([[zero, zero], [zero, live], [zero, zero]], [1])):
+            pivot_rows, deps = [], {}
+            assert exact_rank_vectors(rows, n, pivot_rows, deps) == len(pivots)
+            assert pivot_rows == pivots
+            assert deps == {i: (1, [zero] * len(pivots))
+                            for i in range(len(rows)) if i not in pivots}
+    # Rows of no columns, and no rows, take the same route.
+    deps = {}
+    assert exact_rank_vectors([[], []], 12, None, deps) == 0 and deps == {0: (1, []), 1: (1, [])}
+    assert exact_rank_vectors([], 12, None, deps) == 0 and deps == {}
+    assert tried == []
 
 
 def small_zero_at_the_first_root() -> tuple:
