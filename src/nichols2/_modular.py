@@ -28,10 +28,9 @@ and from slot lists in C.
   found at each prime joined, whose product is m, so E = D row_i -
   sum_k num_k row_k vanishes mod m at every column.  A coordinate of
   num_k row_k before reduction mod Phi_N is at most R_k |num_k|_1, for R_k
-  the largest |coordinate| of row k; reduction adds at most rho times
-  that, rho = max_j sum_t |z^(phi(N)+t) mod Phi_N|_j over t < phi(N) - 1
-  (rows of `cyclotomic._reduction_rows`).  So |E| <= B_i = D R_i +
-  (1 + rho) sum_k R_k |num_k|_1, and E = 0 once 2 B_i < m.
+  the largest |coordinate| of row k; reduction multiplies that by at most
+  1 + rho (`cyclotomic.growth`).  So |E| <= B_i = D R_i + (1 + rho)
+  sum_k R_k |num_k|_1, and E = 0 once 2 B_i < m.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from operator import mul
 
-from .cyclotomic import (ROOT_TABLE_CACHE_SIZE, _reduction_rows, cyclotomic_polynomial,
-                         divisors, euler_phi)
+from .cyclotomic import ROOT_TABLE_CACHE_SIZE, cyclotomic_polynomial, divisors, euler_phi, growth
 
 # Deterministic Miller-Rabin: these bases decide primality below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -245,7 +243,7 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
     # Without dependencies, a rank equal to either dimension needs no lift.
     full = len(rows) if dependencies is not None else min(len(rows), n_cols)
     best = None  # the key of the primes whose residues, mod their product m, are in acc
-    sizes = None  # each R_i, and grow = 1 + rho, of the coordinate bound
+    sizes, grow = None, 1 + growth(conductor)[2]  # each R_i, and 1 + rho, of the coordinate bound
     for p, powers, vinv in islice(_split_primes(conductor), _MAX_PRIMES):
         mod_p = _at_prime(rows, n_cols, p, powers, vinv, full)
         if mod_p is None:
@@ -268,9 +266,7 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
             if lifted is None:
                 continue
             if sizes is None:
-                red = _reduction_rows(conductor)[:len(vinv) - 1]
                 sizes = [max(map(abs, chain.from_iterable(row))) for row in rows]
-                grow = 1 + max((sum(map(abs, col)) for col in zip(*red)), default=0)
             # Every lifted combination is exact once 2 B_i < m (module docstring).
             if any(2 * (den * sizes[i] + grow * sum(sizes[k] * sum(map(abs, vec))
                                                      for k, vec in zip(prows, nums))) >= m

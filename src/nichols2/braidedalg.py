@@ -13,7 +13,8 @@ iterated skew derivations (`_derivatives_along`), whose scalars are the
 symmetrizer entries: the derivation test at every word, the symmetrizer
 test at the reversed basis words of the rank oracle only, never a whole
 image.  The walk carries each coefficient as one integer, its image under
-z -> 2^W mod Phi_n(2^W), for W from the walk's coordinate bound.
+z -> 2^W mod Phi_n(2^W) (`cyclotomic.Residues`), for W from the walk's
+coordinate bound.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import math
 from functools import lru_cache
 from itertools import chain
 
-from .cyclotomic import (CycNum, MINUS_ONE, ONE, _reduction_rows, as_root_exponent,
-                         canonical_conductor, clear_denominators, cyclotomic_polynomial,
-                         euler_phi, format_scalar, kronecker_pack, root_of_unity, root_power,
-                         root_vectors)
+from .cyclotomic import (CycNum, MINUS_ONE, ONE, Residues, as_root_exponent,
+                         canonical_conductor, clear_denominators, euler_phi, format_scalar,
+                         growth, root_of_unity, root_power, root_vectors)
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel, is_lyndon, shirshow
 
@@ -341,45 +341,14 @@ def _integer_terms(rho: NCPoly, n: int) -> tuple[dict, int]:
 # -- skew derivations ----------------------------------------------------------
 
 
-class _Residues:
-    """One walk's ring map z -> X = 2^W, Z[zeta_n] -> Z/MZ for M = Phi_n(X)
-    (`_derivatives_along`), and its twists: (i, a, c) -> (t, k), t X^k the
-    residue of D chi(e_i, (a, c))^-1, D > 0; D = 1 and t = +-1 for roots."""
-
-    def __init__(self, b: Braiding, n: int, terms: dict):
-        self.n, (self.phi, growth) = n, _growth(n)
-        vecs, tau, m = {}, 1, max(map(len, terms), default=0)
-        if not b.of_roots:  # at every prefix degree a walk meets, as its words only lose letters
-            r, s = (max(w.count(j) for w in terms) + 1 for j in (1, 2))
-            vecs = clear_denominators({(i, a, c): b.chi_at((i - 2, 1 - i), (a, c), n)
-                                       for i in (1, 2) for a in range(r) for c in range(s)})[0]
-            tau = max(sum(map(abs, vec)) for vec in vecs.values())
-        bound = max(map(abs, chain.from_iterable(terms.values())), default=0) * math.factorial(m)
-        self.width = (2 * bound * (tau * growth) ** m + growth).bit_length()
-        self.modulus = kronecker_pack(cyclotomic_polynomial(n), self.width)
-        self.twists = {key: (kronecker_pack(vec, self.width) % self.modulus, 0)
-                       for key, vec in vecs.items()}
-
-    def decode(self, r: int) -> list[int]:
-        """The coordinates of residue r: the balanced residue's balanced base-X digits."""
-        w, half = self.width, 1 << self.width - 1
-        r += kronecker_pack([half] * self.phi, w) - (self.modulus if 2 * r > self.modulus else 0)
-        return [(r >> w * j & (1 << w) - 1) - half for j in range(self.phi)]
-
-
-@lru_cache(maxsize=None)
-def _growth(n: int) -> tuple[int, int]:
-    """(phi, kappa phi) at conductor n, kappa the largest |coordinate| of z^e, e < n."""
-    phi = euler_phi(n)
-    return phi, phi * max(map(abs, chain.from_iterable(_reduction_rows(n)[:n - phi])), default=1)
-
-
-def skew_derivation(b: Braiding, i: int, terms: dict, ring: _Residues) -> dict:
+def skew_derivation(b: Braiding, i: int, terms: dict, ring: Residues, twists: dict) -> dict:
     """The twisted letter-deleting operator <y_i, .>, times the walk's D > 0,
-    on word -> residue (`_Residues`), zero coefficients dropped: deleting
-    letter k of w moves its residue times that of D chi(e_i, deg w[:k])^-1,
-    t X^e, and a word's at most m moves are reduced mod M once."""
-    twists, width, sums = ring.twists, ring.width, {}
+    on word -> residue in the walk's ring, zero coefficients dropped:
+    deleting letter k of w moves its residue times that of D chi(e_i,
+    deg w[:k])^-1, t X^e, twists[(i, a, c)] = (t, e) at deg w[:k] = (a, c)
+    (D = 1 and t = +-1 for roots, filled here), and a word's at most m
+    moves are reduced mod M once."""
+    width, sums = ring.width, {}
     for w, c in terms.items():
         ones = 0  # letters 1 in w[:k]
         for k, letter in enumerate(w):
@@ -410,20 +379,24 @@ def _derivatives_along(b: Braiding, terms: dict, n: int, words=None):
     by linearity; induct on m.  For a root braiding D = 1, so the entries
     are exact; otherwise each derivation scales by D > 0.
 
-    Each coefficient y is carried as its residue under z -> X = 2^W mod
-    M = Phi_n(X), a ring map as Phi_n(X) = 0 mod M, and only the scalars
-    yielded are decoded.  Let B bound every coordinate the walk forms, H
-    every |coefficient| of Phi_n (W takes kappa phi >= H, kappa below, as
-    Phi_n(z) = 0 makes them those of -z^phi), and X > 2 B + H.  Then y =
-    sum_j c_j z^j maps to Y = sum_j c_j X^j, 2 |Y| <= 2 B (X^phi - 1) /
-    (X - 1) < X^phi - H (X^phi - 1) / (X - 1) <= M: the balanced residue is
-    Y, 0 only for y = 0, with balanced base-X digits c_j.  The bound: a
-    level of words of length l puts at most l moves on a word, one per
-    position of the deleted letter, and a move by a twist t has
-    |t y|_inf <= |t|_1 kappa |y|_1 <= tau kappa phi |y|_inf, kappa the
-    largest |coordinate| of z^e, e < n, and tau the largest |t|_1 (1 for
-    +-z^k).  So B = B_0 m! (tau kappa phi)^m for the input bound B_0."""
-    ring = _Residues(b, n, terms)
+    Each coefficient is carried as its residue in the ring
+    `cyclotomic.Residues`, and only the scalars yielded are decoded; the
+    ring is exact on every coordinate the walk forms once its bound B is.
+    A level of words of length l puts at most l moves on a word, one per
+    position of the deleted letter, and a move by a twist t has |t y|_inf
+    <= |t|_1 kappa |y|_1 <= tau kappa phi |y|_inf, kappa and phi from
+    `cyclotomic.growth` and tau the largest |t|_1 (1 for +-z^k).  So
+    B = B_0 m! (tau kappa phi)^m for the input bound B_0."""
+    phi, kappa, _ = growth(n)
+    twists, tau, m = {}, 1, max(map(len, terms), default=0)
+    if not b.of_roots:  # at every prefix degree a walk meets, as its words only lose letters
+        r, s = (max(w.count(j) for w in terms) + 1 for j in (1, 2))
+        twists = clear_denominators({(i, a, c): b.chi_at((i - 2, 1 - i), (a, c), n)
+                                     for i in (1, 2) for a in range(r) for c in range(s)})[0]
+        tau = max(sum(map(abs, vec)) for vec in twists.values())
+    bound = max(map(abs, chain.from_iterable(terms.values())), default=0) * math.factorial(m)
+    ring = Residues(n, bound * (tau * kappa * phi) ** m)
+    twists = {key: (ring.pack(vec) % ring.modulus, 0) for key, vec in twists.items()}
 
     def walk(terms, words):
         if () in terms:
@@ -432,11 +405,11 @@ def _derivatives_along(b: Braiding, terms: dict, n: int, words=None):
             return
         for i in (1, 2):
             tails = None if words is None else [u[1:] for u in words if u and u[0] == i]
-            if tails != [] and (d := skew_derivation(b, i, terms, ring)):
+            if tails != [] and (d := skew_derivation(b, i, terms, ring, twists)):
                 for u, v in walk(d, tails):
                     yield (i,) + u, v
 
-    for u, r in walk({w: kronecker_pack(vec, ring.width) for w, vec in terms.items()}, words):
+    for u, r in walk({w: ring.pack(vec) for w, vec in terms.items()}, words):
         yield u, ring.decode(r)
 
 

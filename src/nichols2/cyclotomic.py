@@ -24,9 +24,11 @@ and non-roots take the vector path.  A non-root is inverted by its norm: with
 the denominators cleared, x^-1 is the product of the conjugates sigma_k(x),
 k a unit other than 1, over the rational N(x) = x * prod sigma_k(x).
 
-A raw product, a polynomial in z of degree below 2 phi(N) - 1, is reduced
-modulo Phi_N in one place, `reduce_mod_phi(N)`: single products
-(`vector_product`) and sums of products (`kronecker_sums`) call it.
+A single product of coordinate vectors is formed and reduced modulo Phi_N
+in one place, `vector_product(N)`.  Sums of many products are formed in one
+integer image of Z[zeta_N], the residue ring `Residues`: z -> X = 2^W
+modulo Phi_N(X), W from a stated coordinate bound.  The constants of every
+coordinate bound, phi(N), kappa and rho, come from one helper, `growth(N)`.
 
 Every field map is one substitution z -> z^k (`_substitute`): the lift into a
 larger conductor, a Galois conjugate, and the fold of zeta_{2m} into zeta_m.
@@ -150,29 +152,15 @@ def power_vector(n: int, e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def reduce_mod_phi(n: int):
-    """The reduction modulo Phi_n: reduce(digits) takes the coefficient list
-    of a polynomial in z of degree below 2 phi(n) - 1, constant term first,
-    and returns the phi(n) coordinates of its class as a new list: the one
-    place a raw product is reduced (module docstring).
-    """
-    deg = euler_phi(n)
-    # z^(deg+k) mod Phi_n for the degrees a raw product can reach, with the
-    # zero coordinates dropped.
-    rows = tuple(tuple((j, r) for j, r in enumerate(row) if r)
-                 for row in _reduction_rows(n)[:deg - 1])
-
-    def reduce(digits):
-        out = digits[:deg]
-        if len(out) < deg:
-            out += [0] * (deg - len(out))
-        for c, row in zip(digits[deg:], rows):
-            if c:
-                for j, r in row:
-                    out[j] += c * r
-        return out
-
-    return reduce
+def growth(n: int) -> tuple[int, int, int]:
+    """(phi, kappa, rho) at conductor n, the constants of every coordinate
+    bound over Z[zeta_n]: phi = phi(n); kappa the largest |coordinate| of
+    z^e, e < n; rho = max_j sum_t |z^(phi+t) mod Phi_n|_j over t < phi - 1,
+    so reducing a raw product multiplies its largest |coordinate| by at most
+    1 + rho."""
+    phi, rows = euler_phi(n), _reduction_rows(n)
+    kappa = max(map(abs, chain.from_iterable(rows[:n - phi])), default=1)
+    return phi, kappa, max((sum(map(abs, col)) for col in zip(*rows[:phi - 1])), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -180,8 +168,8 @@ def vector_product(n: int):
     """The product of Q(zeta_n): mul(a, b) multiplies two coordinate
     vectors and returns the coordinate list of the product modulo Phi_n.
 
-    This is the one place single products of coordinate vectors are
-    formed; sums of many go through `kronecker_sums`.  No coordinate is
+    This is the one place single products of coordinate vectors are formed
+    and reduced; sums of many are formed in `Residues`.  No coordinate is
     converted: integer inputs give integer outputs, and
     Fraction inputs Fraction outputs, so fraction-free callers stay on
     plain integer arithmetic.
@@ -191,7 +179,10 @@ def vector_product(n: int):
         def mul(a, b):
             return [a[0] * b[0]]
         return mul
-    reduce = reduce_mod_phi(n)
+    # z^(deg+k) mod Phi_n for the degrees a raw product can reach, with the
+    # zero coordinates dropped.
+    rows = tuple(tuple((j, r) for j, r in enumerate(row) if r)
+                 for row in _reduction_rows(n)[:deg - 1])
 
     def mul(a, b):
         conv = [0] * (2 * deg - 1)
@@ -200,47 +191,64 @@ def vector_product(n: int):
                 for j, y in enumerate(b):
                     if y:
                         conv[i + j] += x * y
-        return reduce(conv)
+        out = conv[:deg]
+        for c, row in zip(conv[deg:], rows):
+            if c:
+                for j, r in row:
+                    out[j] += c * r
+        return out
 
     return mul
 
 
-def kronecker_pack(vec, width: int) -> int:
-    """sum_j vec[j] 2^(width j): the image of a coordinate vector under z -> 2^width."""
-    x = 0
-    for c in reversed(vec):
-        x = (x << width) + c
-    return x
+class Residues:
+    """The ring map z -> X = 2^W, Z[zeta_n] -> Z/MZ for M = Phi_n(X), a ring
+    map as Phi_n(X) = 0 mod M, where W is the least width exact on vectors
+    whose coordinates are at most bound: the one integer image in which sums
+    of products over Z[zeta_n] are formed, by the walk of iterated skew
+    derivations and by the rank oracle.  A vector packs to sum_j c_j X^j
+    (`pack`); packed vectors multiply and add, the caller reduces mod M,
+    and a residue decodes to coordinates (`decode`).
 
+    Let B = bound and H the largest |coefficient| of Phi_n, at most kappa
+    (`growth`), as Phi_n(z) = 0 makes them those of -z^phi; W makes
+    X > 2 B + H.  Then y = sum_j c_j z^j with every |c_j| <= B maps to
+    Y = sum_j c_j X^j, 2 |Y| <= 2 B (X^phi - 1) / (X - 1) < X^phi - H (X^phi
+    - 1) / (X - 1) <= M: the balanced residue is Y, 0 only for y = 0, and
+    its balanced base-X digits are the c_j."""
 
-def kronecker_sums(n: int, xs: dict, ys: dict, products, per_sum: int) -> dict:
-    """{t: sum of xs[a] ys[b] over the (t, a, b) in products} for integer
-    coordinate vectors at conductor n, as coordinate lists, where at most
-    per_sum products share a t.  By Kronecker substitution (Harvey 2009): a
-    vector packs into sum_j c_j 2^(W j), so a product of packed vectors
-    holds the coefficients of the unreduced product in its W-bit digits,
-    and packed products add.  A digit adds at most per_sum phi(n) products
-    x y with |x| < 2^xbits and |y| < 2^ybits, so it is below
-    per_sum phi(n) 2^(xbits + ybits) in magnitude; W is one bit wider, and
-    every digit decodes exactly, balanced.  Each sum is reduced mod Phi_n
-    once.  The caller is the rank oracle (`nicholscore._pivot_words`)."""
-    deg, flat = euler_phi(n), chain.from_iterable
-    width = ((per_sum * deg).bit_length() + 1
-             + max(map(abs, flat(xs.values())), default=0).bit_length()
-             + max(map(abs, flat(ys.values())), default=0).bit_length())
-    half, mask = 1 << width - 1, (1 << width) - 1
-    px = {a: kronecker_pack(v, width) for a, v in xs.items()}
-    py = {b: kronecker_pack(v, width) for b, v in ys.items()}
-    sums: dict = {}
-    for t, a, b in products:
-        sums[t] = sums.get(t, 0) + px[a] * py[b]
-    offset = sum(half << width * j for j in range(2 * deg - 1))
-    reduce = reduce_mod_phi(n)
-    out = {}
-    for t, x in sums.items():
-        x += offset
-        out[t] = reduce([(x >> width * j & mask) - half for j in range(2 * deg - 1)])
-    return out
+    __slots__ = ("n", "width", "modulus", "_phi", "_offset")
+
+    def __init__(self, n: int, bound: int):
+        self.n, (self._phi, kappa, _) = n, growth(n)
+        self.width = (2 * bound + kappa).bit_length()
+        self.modulus = self.pack(cyclotomic_polynomial(n))
+        self._offset = self.pack([1 << self.width - 1] * self._phi)
+
+    @classmethod
+    def for_sums(cls, n: int, xs, ys, per_sum: int) -> Residues:
+        """The ring exact on every sum of at most per_sum products x y, x among
+        the vectors xs and y among ys: a raw product has coordinates at most
+        phi |x|_inf |y|_inf, so the reduced one at most (1 + rho) phi
+        |x|_inf |y|_inf (`growth`)."""
+        phi, _, rho = growth(n)
+        x, y = (max(map(abs, chain.from_iterable(vs)), default=0) for vs in (xs, ys))
+        return cls(n, per_sum * (1 + rho) * phi * x * y)
+
+    def pack(self, vec) -> int:
+        """sum_j vec[j] X^j, the image of a coordinate vector before reduction."""
+        x, w = 0, self.width
+        for c in reversed(vec):
+            x = (x << w) + c
+        return x
+
+    def decode(self, r: int) -> list[int]:
+        """The coordinates of the residue r, 0 <= r < M: the balanced
+        residue's balanced base-X digits."""
+        w, m = self.width, self.modulus
+        half, mask = 1 << w - 1, (1 << w) - 1
+        r += self._offset - (m if 2 * r > m else 0)
+        return [(r >> w * j & mask) - half for j in range(self._phi)]
 
 
 def clear_denominators(vectors: dict) -> tuple[dict, int]:

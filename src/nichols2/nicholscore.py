@@ -84,7 +84,7 @@ from typing import NamedTuple
 
 from ._linalg import exact_rank_vectors
 from .braidedalg import Braiding, NCPoly, _engine, _integer_terms, tau0
-from .cyclotomic import clear_denominators, kronecker_sums, qfact
+from .cyclotomic import Residues, clear_denominators, qfact
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel
 from .admissibility import NicholsError, heights, mu_of, p_of
@@ -142,9 +142,16 @@ def _pivot_words(eng, r: int, s: int) -> list:
         out[n1 * (j - 1) + t] = tuple(map(operator.add, out[n1 * (j - 1) + t], tw))
         rows.append(out)
         dens.append(den * big)
-    per_sum = max(len(frontier[bd].table) for bd in below.values())  # products per entry, at most
-    for (c, col), vec in (kronecker_sums(n, xs, ys, products, per_sum) if xs else {}).items():
-        rows[c][col] = tuple(map(operator.add, rows[c][col], vec))
+    if xs:  # each sum of at most per_sum products is reduced mod M once
+        per_sum = max(len(frontier[bd].table) for bd in below.values())
+        ring = Residues.for_sums(n, xs.values(), ys.values(), per_sum)
+        px = {a: ring.pack(v) for a, v in xs.items()}
+        py = {b: ring.pack(v) for b, v in ys.items()}
+        sums: dict = {}
+        for t, a, b in products:
+            sums[t] = sums.get(t, 0) + px[a] * py[b]
+        for (c, col), x in sums.items():
+            rows[c][col] = tuple(map(operator.add, rows[c][col], ring.decode(x % ring.modulus)))
     for c, row in enumerate(rows):
         if dens[c] > 1 and (g := math.gcd(dens[c], *(math.gcd(*vec) for vec in row))) > 1:
             rows[c], dens[c] = [tuple(x // g for x in vec) for vec in row], dens[c] // g

@@ -11,8 +11,8 @@ from conftest import (ReferenceImages, basis_words, derivations_vanish, naive_ra
 
 from nichols2 import braidedalg
 from nichols2.admissibility import _qnum_zero
-from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor,
-                                 kronecker_pack, qfact, root_of_unity)
+from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
+                                 root_of_unity)
 from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, _integer_terms,
                                  bracket_word, clear_caches, format_ncpoly, is_zero_in_nichols,
                                  tau0)
@@ -403,23 +403,6 @@ def test_integer_derivation_test_matches_the_reference(rng):
         cases.append((b, NCPoly({tuple(rng.choice((1, 2)) for _ in range(m)):
                                  root_of_unity(rng.randrange(6), 6) * rng.randint(1, 3)
                                  for _ in range(rng.randrange(1, 5))})))
-    # One level on coordinates near 2^80, against the reference on CycNum
-    # polynomials: under the trivial braiding all five positions of x1^5
-    # land on x1^4, a sum of 5 (2^80 - 1).
-    big = (1 << 80) - 1
-    z8 = root_of_unity(1, 8)
-    for b in (Braiding(ONE, ONE, ONE, ONE), cartan_a2(), Braiding(z8, z8 ** 3, ONE, z8 ** 5)):
-        for rho in (NCPoly({(1,) * 5: CycNum.from_rational(big)}),
-                    NCPoly({w: root_of_unity(k, 9) * big for k, w in enumerate(basis_words(4))})):
-            n = braidedalg._conductor(b, rho)
-            terms = {w: c._lift(n) for w, c in rho.terms.items()}
-            ring = braidedalg._Residues(b, n, terms)
-            packed = {w: kronecker_pack(vec, ring.width) for w, vec in terms.items()}
-            for i in (1, 2):
-                want = skew_derivation(b, i, rho)
-                got = braidedalg.skew_derivation(b, i, packed, ring)
-                assert {w: ring.decode(r) for w, r in got.items()} == \
-                    {w: list(c._lift(n)) for w, c in want.terms.items()}, (b, n, rho, i)
     verdicts = [is_zero_in_nichols(b, rho, "derivations") for b, rho in cases]
     assert verdicts == [derivations_vanish(b, rho) for b, rho in cases]
     assert sum(verdicts[:546:2]) == 273 and sum(verdicts[1:546:2]) == 130

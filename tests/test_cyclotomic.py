@@ -1,17 +1,19 @@
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nichols2 import cyclotomic
-from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, _demoted,
+from conftest import basis_words, skew_derivation
+from nichols2 import braidedalg, cyclotomic
+from nichols2.braidedalg import Braiding, NCPoly
+from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, Residues, _demoted,
                                  _root_exponent, _substitute, as_root_exponent,
                                  canonical_conductor, cyclotomic_polynomial, divisors, euler_phi,
-                                 format_scalar, kronecker_sums, parse_scalar, power_vector, qfact,
-                                 qnum, reduce_mod_phi, root_of_unity, root_vectors,
-                                 vector_product)
+                                 format_scalar, growth, parse_scalar, power_vector, qfact,
+                                 qnum, root_of_unity, root_vectors, vector_product)
 
 INVERSE_CONDUCTORS = (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30)
 
@@ -48,21 +50,57 @@ def long_division_remainder(coeffs, n):
     return rem[:deg]
 
 
-def test_kronecker_sums_match_vector_products_at_the_digit_bound(rng):
-    # A digit is one bit wider than the bound per_sum phi(n) 2^(xbits + ybits)
-    # on its magnitude.  Three products of vectors whose coordinates are all
-    # +-(2^bits - 1) put 3 phi(n) (2^xbits - 1)(2^ybits - 1) in the middle
-    # digit: above half that bound, so a digit one bit narrower, or a bound
-    # without its factor per_sum or phi(n), would not decode.
-    for n in INVERSE_CONDUCTORS:
+def extreme_signs(n):
+    """Sign vectors (x, y) that, by alternating ascent, make one coordinate
+    of the reduced product x y large: the inputs nearest the product bound
+    (1 + rho) phi |x|_inf |y|_inf of `Residues.for_sums`."""
+    deg, best = euler_phi(n), (0,)
+    for j in range(deg):
+        a = [[power_vector(n, i + k)[j] for k in range(deg)] for i in range(deg)]
+        y = [1] * deg
+        while True:
+            x = [1 if sum(map(operator.mul, row, y)) >= 0 else -1 for row in a]
+            last, y = y, [1 if sum(map(operator.mul, x, col)) >= 0 else -1 for col in zip(*a)]
+            if y == last:
+                break
+        best = max(best, (sum(xi * yk * a[i][k] for i, xi in enumerate(x)
+                              for k, yk in enumerate(y)), x, y))
+    return best[1:]
+
+
+def residue_sums(ring, xs, ys, products) -> dict:
+    """{t: sum of xs[a] ys[b] over the (t, a, b) in products}, formed as the
+    rank oracle forms its rows: each vector packed once, the packed products
+    of a sum added, each sum reduced mod M once and decoded."""
+    px = {a: ring.pack(v) for a, v in xs.items()}
+    py = {b: ring.pack(v) for b, v in ys.items()}
+    sums = {}
+    for t, a, b in products:
+        sums[t] = sums.get(t, 0) + px[a] * py[b]
+    return {t: ring.decode(x % ring.modulus) for t, x in sums.items()}
+
+
+def test_residue_sums_match_vector_products_at_the_product_bound(rng):
+    # Three products, the most per sum, of vectors whose coordinates are all
+    # +-(2^bits - 1), of one sign or signed by `extreme_signs`.  The latter
+    # put one reduced coordinate of x y above phi |x|_inf |y|_inf from
+    # conductor 9 on (435 times at 105, against phi = 48), so a ring
+    # without the factor 1 + rho of `Residues.for_sums` would not decode
+    # them at 12, 15, 20, 24, 30 or 105.
+    for n in INVERSE_CONDUCTORS + (105,):
         deg = euler_phi(n)
-        for xbits, ybits in ((80, 80), (7, 90)):
-            for sign in (1, -1):
-                x = (sign * ((1 << xbits) - 1),) * deg
-                y = ((1 << ybits) - 1,) * deg
-                got = kronecker_sums(n, {0: x, 1: x, 2: x}, {0: y},
-                                     [("t", k, 0) for k in range(3)], 3)
-                assert got == {"t": [3 * c for c in schoolbook_product(x, y, n)]}
+        for extreme, (sx, sy) in enumerate((((1,) * deg, (1,) * deg), extreme_signs(n))):
+            for xbits, ybits in ((80, 80), (7, 90)):
+                for sign in (1, -1):
+                    top = ((1 << xbits) - 1) * ((1 << ybits) - 1)
+                    x = tuple(sign * s * ((1 << xbits) - 1) for s in sx)
+                    y = tuple(s * ((1 << ybits) - 1) for s in sy)
+                    ring = Residues.for_sums(n, [x], [y], 3)
+                    want = [3 * c for c in schoolbook_product(x, y, n)]
+                    assert residue_sums(ring, {0: x, 1: x, 2: x}, {0: y},
+                                        [("t", k, 0) for k in range(3)]) == {"t": want}
+                    if extreme and n == 105:
+                        assert max(map(abs, want)) == 3 * 435 * top
         # Sums of random signed products, several targets at once.
         xs = {k: tuple(rng.randrange(-2 ** 70, 2 ** 70) for _ in range(deg)) for k in range(6)}
         ys = {k: tuple(rng.randrange(-99, 100) for _ in range(deg)) for k in range(4)}
@@ -72,7 +110,36 @@ def test_kronecker_sums_match_vector_products_at_the_digit_bound(rng):
             add = schoolbook_product(xs[a], ys[b], n)
             want[t] = [u + v for u, v in zip(want.get(t, [0] * deg), add)]
         per_sum = max(sum(t == s for t, _, _ in products) for s in want)
-        assert kronecker_sums(n, xs, ys, products, per_sum) == want
+        ring = Residues.for_sums(n, xs.values(), ys.values(), per_sum)
+        assert residue_sums(ring, xs, ys, products) == want
+
+
+def test_residue_ring_carries_one_level_of_the_walk():
+    # One level on coordinates near 2^80, against the reference on CycNum
+    # polynomials: under the trivial braiding all five positions of x1^5
+    # land on x1^4, a sum of 5 (2^80 - 1).  A level puts at most 5 moves on
+    # a word, each by +-z^e, so the ring of bound 5 kappa phi B_0 for input
+    # bound B_0 is exact on it (`braidedalg._derivatives_along`).  At
+    # conductor 105, kappa = 2.
+    big = (1 << 80) - 1
+    z3, z8, z105 = root_of_unity(1, 3), root_of_unity(1, 8), root_of_unity(1, 105)
+    assert growth(105) == (48, 2, 27)
+    for b in (Braiding(ONE, ONE, ONE, ONE), Braiding(z3, z3 ** 2, ONE, z3),
+              Braiding(z8, z8 ** 3, ONE, z8 ** 5),
+              Braiding(z105 ** 2, z105 ** 103, ONE, root_of_unity(4, 15))):
+        d = 21 if b.conductor == 105 else 9
+        for rho in (NCPoly({(1,) * 5: CycNum.from_rational(big)}),
+                    NCPoly({w: root_of_unity(k, d) * big for k, w in enumerate(basis_words(4))})):
+            n = braidedalg._conductor(b, rho)
+            terms = {w: c._lift(n) for w, c in rho.terms.items()}
+            phi, kappa, _ = growth(n)
+            ring = Residues(n, 5 * kappa * phi * max(max(map(abs, v)) for v in terms.values()))
+            packed = {w: ring.pack(vec) for w, vec in terms.items()}
+            for i in (1, 2):
+                want = skew_derivation(b, i, rho)
+                got = braidedalg.skew_derivation(b, i, packed, ring, {})
+                assert {w: ring.decode(r) for w, r in got.items()} == \
+                    {w: list(c._lift(n)) for w, c in want.terms.items()}, (b, n, rho, i)
 
 
 def test_vector_product_matches_long_division(rng):
@@ -92,15 +159,6 @@ def test_vector_product_matches_long_division(rng):
             got = mul(fa, fb)
             assert got == schoolbook_product(fa, fb, n)
             assert all(isinstance(c, Fraction) for c in got)
-    # The reduction behind the product, on digit lists of every length it takes.
-    for n in INVERSE_CONDUCTORS:
-        reduce, deg = reduce_mod_phi(n), euler_phi(n)
-        for length in range(1, 2 * deg):
-            for _ in range(3):
-                digits = [rng.randrange(-2 ** 40, 2 ** 40) for _ in range(length)]
-                given = list(digits)
-                assert reduce(given) == long_division_remainder(digits, n)
-                assert given == digits
 
 
 def test_primitive_root_sum_reduces():
