@@ -7,7 +7,8 @@ relation crosses a long left branch.  Every lambda is a coordinate tuple at
 the common conductor of the braiding's entries, grown from its parent's by
 one step, `_lambda_step`: tree reconstruction takes that step while it
 grows a tree from the root, and `_lambdas` takes it over the nodes of a
-given tree, keeping the table of the one (tree, braiding) pair in hand.
+given tree, kept with the heights in the per-tree part of the braiding's
+context (`braidedalg._engine`) and freed with it.
 The step adds two bicharacter values read as coordinates by
 `Braiding.chi_at`; bimultiplicativity gives chi(u, v)^-1 = chi(-u, v), so no
 inverse is formed, and for a braiding of roots of unity each value is one
@@ -30,11 +31,9 @@ out, on coordinate rows at the braiding's conductor: no inverse is formed.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-
 from .cyclotomic import CycNum, ONE, ZERO, euler_phi, vector_product
 from .fbtree import LGH, RGH, FullBinaryTree, TREES, Virtual
-from .braidedalg import Braiding
+from .braidedalg import Braiding, _engine
 
 
 class StructureError(ValueError):
@@ -86,13 +85,15 @@ def _qnum_zero(m: int, o: int | None) -> bool:
     return m == 0 or (o is not None and o != 1 and m % o == 0)
 
 
-@lru_cache(maxsize=1)
 def heights(t: FullBinaryTree, b: Braiding) -> dict:
     """{a: ord chi(a, a)} over the extended inner nodes in Q order, None where
     chi(a, a) is not a root of unity: the PBW generator heights (Kharchenko's
-    PBW theorem).  The cache holds the table of one (tree, braiding); its
-    readers share the dict and do not change it."""
-    return {a: b.monomial_order(*_pairing(t, a)) for a in t.nbar2()}
+    PBW theorem).  The table is built once into the per-tree part of the
+    braiding's context; its readers share the dict and do not change it."""
+    ctx = _engine(b).on_tree(t)
+    if ctx.heights is None:
+        ctx.heights = {a: b.monomial_order(*_pairing(t, a)) for a in t.nbar2()}
+    return ctx.heights
 
 
 def _lambda_step(b: Braiding, n: int, lam: tuple, u, v) -> tuple:
@@ -104,21 +105,20 @@ def _lambda_step(b: Braiding, n: int, lam: tuple, u, v) -> tuple:
                   zip(lam, b.chi_at((-u[0], -u[1]), v, n), b.chi_at(v, u, n))])
 
 
-@lru_cache(maxsize=1)
-def _lambdas(t: FullBinaryTree, b: Braiding) -> tuple[int, tuple]:
-    """(n, lams): lams[a] is the lambda of real node a at conductor n.
-
-    Nodes are numbered in preorder, so each parent's entry is ready before
-    its children's.  The cache holds the table of one (tree, braiding).
-    """
-    n = b.conductor
-    lams = []
-    for a in t.nodes():
-        par = t.parent[a]
-        lam = (0,) * euler_phi(n) if par is None else lams[par]
-        lams.append(_lambda_step(b, n, lam, t.stern_brocot(t.lgf(a)),
-                                 t.stern_brocot(t.rgf(a))))
-    return n, tuple(lams)
+def _lambdas(t: FullBinaryTree, b: Braiding) -> tuple:
+    """lams[a] is the lambda of real node a at the braiding's conductor, kept
+    in the per-tree part of the braiding's context.  Nodes are numbered in
+    preorder, so each parent's entry is ready before its children's."""
+    ctx = _engine(b).on_tree(t)
+    if ctx.lambdas is None:
+        n, lams = b.conductor, []
+        for a in t.nodes():
+            par = t.parent[a]
+            lam = (0,) * euler_phi(n) if par is None else lams[par]
+            lams.append(_lambda_step(b, n, lam, t.stern_brocot(t.lgf(a)),
+                                     t.stern_brocot(t.rgf(a))))
+        ctx.lambdas = tuple(lams)
+    return ctx.lambdas
 
 
 def lambda_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
@@ -127,8 +127,7 @@ def lambda_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
     coordinate table of `_lambdas`."""
     if isinstance(a, Virtual):
         return ZERO
-    n, lams = _lambdas(t, b)
-    return CycNum(n, lams[a])
+    return CycNum(b.conductor, _lambdas(t, b)[a])
 
 
 def mu_of(t: FullBinaryTree, b: Braiding, a: int) -> CycNum:
@@ -150,7 +149,7 @@ def _nu_vanishes(t: FullBinaryTree, b: Braiding, a: int) -> bool:
     braiding's conductor.  A zero denominator raises NuDenominatorError, itself a
     sign of inadmissibility."""
     c, k = t.lgf(a), t.rgfl(a)
-    n, lams = _lambdas(t, b)
+    n, lams = b.conductor, _lambdas(t, b)
     label = t.stern_brocot
     g = label(t.lgf(c))
 
@@ -159,19 +158,19 @@ def _nu_vanishes(t: FullBinaryTree, b: Braiding, a: int) -> bool:
         return [sum(col) for col in zip(*(b.chi_at((-j * r, -j * s), (r, s), n)
                                           for j in range(m)))]
 
+    if k == 1:
+        x, y = a, c
+        lhs = [u - v for u, v in zip(b.chi_at((-g[0], -g[1]), label(a), n),
+                                     b.chi_at(label(a), g, n))]
+    else:
+        x, y = c, t.rch(c)
+        lhs = b.chi_at((-g[0], -g[1]), label(y), n)
+    mul = vector_product(n)
     dens = [qint(2, t.rgf(c)), qint(2, c)] + ([qint(3, c)] if k == 2 else [])
     for row, which in zip(dens, ("[2]_{p_f}", "[2]_{p_c}", "[3]_{p_c}")):
         if not any(row):
             raise NuDenominatorError(a, which)
-    if k == 1:
-        x, y = a, c
-        chis = [u - v for u, v in zip(b.chi_at((-g[0], -g[1]), label(a), n),
-                                      b.chi_at(label(a), g, n))]
-    else:
-        x, y = c, t.rch(c)
-        chis = b.chi_at((-g[0], -g[1]), label(y), n)
-    mul = vector_product(n)
-    lhs = reduce(mul, dens, chis)
+        lhs = mul(lhs, row)
     rhs = mul(mul(lams[x], lams[y]), [u - v for u, v in zip(dens[-1], dens[0])])
     return not any(u + v for u, v in zip(lhs, rhs))
 
@@ -220,7 +219,7 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
     check_branch_hypothesis(t)
     failures = []  # (label weight, condition id, node, explanation)
 
-    lams = _lambdas(t, b)[1]
+    lams = _lambdas(t, b)
     for a in t.nodes():
         zero = not any(lams[a])
         if t.is_leaf(a) and not zero:

@@ -20,7 +20,6 @@ coordinate bound.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import chain
 
 from .cyclotomic import (CycNum, MINUS_ONE, ONE, Residues, as_root_exponent,
@@ -51,10 +50,7 @@ class Braiding:
                 raise BraidedError(f"{name} must be a CycNum")
             if q.is_zero():
                 raise BraidedError(f"{name} must be nonzero")
-        object.__setattr__(self, "q11", q11)
-        object.__setattr__(self, "q12", q12)
-        object.__setattr__(self, "q21", q21)
-        object.__setattr__(self, "q22", q22)
+            object.__setattr__(self, name, q)
         of_roots, exps = self._find_exponents()
         object.__setattr__(self, "of_roots", of_roots)
         object.__setattr__(self, "conductor", canonical_conductor(
@@ -263,9 +259,9 @@ def tau0(t: FullBinaryTree, b: Braiding, a) -> NCPoly:
 def bracket_word(b: Braiding, u: str) -> NCPoly:
     """Bracket element of a Lyndon word: single letters map to the generators
     (a -> x2, b -> x1) and u = vw splits by the standard decomposition into
-    [w][v] - chi(deg w, deg v) [v][w].  Values are kept in one word table,
-    which holds the braiding in hand."""
-    table = _bracket_table(b)
+    [w][v] - chi(deg w, deg v) [v][w].  Values are kept in the word table
+    of the braiding's context (`_engine`)."""
+    table = _engine(b).brackets
     el = table.get(u)
     if el is None:
         if len(u) == 0 or not is_lyndon(u):
@@ -278,27 +274,22 @@ def bracket_word(b: Braiding, u: str) -> NCPoly:
     return el
 
 
-@lru_cache(maxsize=1)
-def _bracket_table(b: Braiding) -> dict:
-    return {"a": NCPoly.generator(2), "b": NCPoly.generator(1)}
-
-
 # -- quantum symmetrizer ------------------------------------------------------
 
 
 class _SymEngine:
-    """Per-braiding state of the rank oracle.
+    """The context of the braiding in hand (`_engine`): every table read from
+    it, or from it and one tree.  pivot_words maps each bidegree the rank
+    oracle has reached to words whose classes form a basis of that graded
+    piece, and frontier each bidegree of the highest degree reached to its
+    derivative rows and candidates' table (`nicholscore._Ranked`, filled by
+    `dim_at_degree`).  brackets maps Lyndon words to their elements
+    (`bracket_word`), and the per-tree part holds the heights and lambdas
+    of `tree` (`admissibility`), None until read."""
 
-    pivot_words maps each bidegree the rank oracle has reached to words
-    whose classes form a basis of that graded piece, and frontier each
-    bidegree of the highest degree reached to its derivative rows and
-    candidates' table (`nicholscore._Ranked`, filled by `dim_at_degree`).
-    """
+    _letters = {"a": NCPoly.generator(2), "b": NCPoly.generator(1)}  # NCPoly is immutable
 
     def __init__(self, b: Braiding):
-        if not b.of_roots:
-            raise BraidedError("the rank oracle needs a braiding whose entries are "
-                               f"roots of unity, got {b!r}")
         self.b = b
         self.conductor = b.conductor
         self.deg = euler_phi(self.conductor)
@@ -308,6 +299,14 @@ class _SymEngine:
         self._vec_cache: dict = {}
         self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         self.frontier: dict = {}
+        self.brackets = dict(self._letters)
+        self.tree = self.heights = self.lambdas = None
+
+    def on_tree(self, t: FullBinaryTree) -> _SymEngine:
+        """self, its per-tree part on t: a new tree frees the last one's tables."""
+        if t is not self.tree and t != self.tree:
+            self.tree, self.heights, self.lambdas = t, None, None
+        return self
 
     def image_vectors(self, terms: dict, n: int, words) -> dict:
         """The symmetrizer image at the given words of a nonzero element
@@ -320,7 +319,7 @@ _ENGINES: dict[Braiding, _SymEngine] = {}
 
 
 def _engine(b: Braiding) -> _SymEngine:
-    # One engine is kept, that of the braiding in hand: a new one frees the last.
+    # One context is kept, that of the braiding in hand: a new one frees the last.
     eng = _ENGINES.get(b)
     if eng is None:
         _ENGINES.clear()
@@ -485,7 +484,6 @@ def format_ncpoly(p: NCPoly) -> str:
 
 
 def clear_caches():
-    """Drop the bracket table and the symmetrizer engine, each of the braiding
-    in hand (test hygiene, and room to report running out of memory)."""
-    _bracket_table.cache_clear()
+    """Free the context of the braiding in hand, every table in it (test
+    hygiene, and room to report running out of memory)."""
     _ENGINES.clear()

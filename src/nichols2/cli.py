@@ -240,9 +240,9 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:
         if isinstance(exc, MemoryError):
-            # Free the memo caches and the locals of the failed frames below
-            # this one, so that importing and printing the traceback does
-            # not run out of memory too.
+            # Free the braiding's context, every table in it, and the locals
+            # of the failed frames below this one, so that importing and
+            # printing the traceback does not run out of memory too.
             clear_caches()
             tb = exc.__traceback__.tb_next
             while tb is not None:

@@ -83,7 +83,7 @@ from functools import partial
 from typing import NamedTuple
 
 from ._linalg import exact_rank_vectors
-from .braidedalg import Braiding, NCPoly, _engine, _integer_terms, tau0
+from .braidedalg import Braiding, BraidedError, NCPoly, _engine, _integer_terms, tau0
 from .cyclotomic import Residues, clear_denominators, qfact
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel
@@ -179,6 +179,8 @@ def dim_at_degree(b: Braiding, m: int) -> int:
     a zero degree makes every higher one zero."""
     if m < 0:
         raise NicholsError("degree must be nonnegative")
+    if not b.of_roots:
+        raise BraidedError(f"the rank oracle takes roots of unity only, got {b!r}")
     eng = _engine(b)
     known = eng.pivot_words
     for d in range(1, m + 1):

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from nichols2._linalg import exact_rank_vectors
-from nichols2.admissibility import (NuDenominatorError, ScalarDomainError, lambda_of, p_of)
+from nichols2.admissibility import (NuDenominatorError, ScalarDomainError, _lambdas, heights,
+                                    lambda_of, p_of)
 from nichols2.cyclotomic import ONE, ZERO, CycNum, euler_phi, qnum, root_of_unity, vector_product
-from nichols2.braidedalg import BraidedError, Braiding, NCPoly, _engine
+from nichols2.braidedalg import BraidedError, Braiding, NCPoly, _engine, bracket_word
 from nichols2.fbtree import LGH, RGH, FullBinaryTree
 
 
@@ -185,6 +186,21 @@ def image_block_pivot_words(b: Braiding, n: int) -> dict:
         if not any(known[(r, d - r)] for r in range(d + 1)):
             break
     return known
+
+
+def context_tables(t: FullBinaryTree, b: Braiding) -> list:
+    """The tables kept for a (tree, braiding) pair, each read through its
+    reader: the heights, the lambdas, the bracket element of the Lyndon word
+    aab, and the basis words of the rank oracle."""
+    return [heights(t, b), _lambdas(t, b), bracket_word(b, "aab"), _engine(b).pivot_words]
+
+
+def assert_tables_freed(old: list, t: FullBinaryTree, b: Braiding) -> None:
+    """No table of old, from `context_tables(t, b)`, is kept: each reader
+    builds its table anew, and the oracle starts again from degree 0."""
+    new = context_tables(t, b)
+    assert all(x is not y for x, y in zip(old, new))
+    assert new[3] == {(0, 0): [()]}
 
 
 def naive_rank(matrix) -> int:

@@ -11,7 +11,7 @@ from conftest import lambda_closed, nu_of, qnum_vanishes, random_root_braiding
 
 from nichols2.cyclotomic import (MINUS_ONE, ONE, ZERO, CycNum, canonical_conductor, qnum,
                                  root_of_unity)
-from nichols2 import admissibility, braidedalg
+from nichols2 import braidedalg
 from nichols2.braidedalg import Braiding, tau0
 from nichols2.classify import classify_full, fixtures
 from nichols2.fbtree import LGH, RGH, TREES, FullBinaryTree, Virtual, parse_tree, serialize_tree
@@ -384,20 +384,19 @@ def test_lambda_matches_ancestor_sum_reference():
 
 
 def test_tables_hold_one_tree_and_braiding():
-    admissibility._lambdas.cache_clear()
     braidedalg.clear_caches()
     first = {}
     for key in ((3, 1), (6, 1), (11, 1), (2, 1)):
         b, t = fixtures()[key], TREES[key[0]]
         classify_full(b, 3)
-        misses = (admissibility._lambdas.cache_info().misses,
-                  braidedalg._bracket_table.cache_info().misses)
+        ctx = braidedalg._engine(b)
+        tables = (ctx.lambdas, ctx.brackets)
+        assert ctx.tree == t and None not in tables
         first[key] = ([lambda_of(t, b, a) for a in t.nbar()], [tau0(t, b, a) for a in t.nbar()])
-        # classify_full left this pair's tables in place: reading them misses nothing.
-        assert admissibility._lambdas.cache_info().misses == misses[0]
-        assert braidedalg._bracket_table.cache_info().misses == misses[1]
-        assert admissibility._lambdas.cache_info().currsize == 1
-        assert braidedalg._bracket_table.cache_info().currsize == 1
+        # classify_full left this pair's tables in place: reading them rebuilds nothing.
+        assert ctx.lambdas is tables[0] and ctx.brackets is tables[1]
+        # One context, on one tree, holds them.
+        assert list(braidedalg._ENGINES) == [b] and ctx.tree == t
     for key, (lams, taus) in first.items():
         b, t = fixtures()[key], TREES[key[0]]
         assert [lambda_of(t, b, a) for a in t.nbar()] == lams

@@ -219,11 +219,12 @@ def test_bracket_table_holds_one_braiding():
     first = {}
     for b in (cartan_a2(), Braiding(z5, z5 ** 3, ONE, z5 ** 4)):
         first[b] = [bracket_word(b, w) for w in words]
-        assert braidedalg._bracket_table.cache_info().currsize == 1
-        assert set(words) <= set(braidedalg._bracket_table(b))
+        # One context, that of b, holds the words' brackets.
+        assert list(braidedalg._ENGINES) == [b]
+        assert set(words) <= set(_engine(b).brackets)
     for b, values in first.items():
         assert [bracket_word(b, w) for w in words] == values
-        assert braidedalg._bracket_table.cache_info().currsize == 1
+        assert list(braidedalg._ENGINES) == [b]
 
 
 def test_one_engine_is_kept():
@@ -236,6 +237,57 @@ def test_one_engine_is_kept():
     assert len(braidedalg._ENGINES) == 1
     b = cartan_a2()
     assert _engine(b) is _engine(b) and list(braidedalg._ENGINES) == [b]
+
+
+def test_clear_caches_and_a_new_braiding_free_every_table():
+    import weakref
+
+    from conftest import assert_tables_freed, context_tables
+    from nichols2.admissibility import heights
+    from nichols2.classify import classify_full, fixtures
+
+    b, t = fixtures()[(4, 1)], TREES[4]
+    for free in (clear_caches, lambda: classify_full(fixtures()[(2, 1)], 6)):
+        clear_caches()
+        classify_full(b, 6)
+        old, ctx = context_tables(t, b), weakref.ref(_engine(b))
+        assert max(map(sum, old[3])) == 6
+        # clear_caches, or a classification of another braiding, frees the
+        # whole context of b: no height, lambda, bracket or oracle table is kept.
+        free()
+        assert b not in braidedalg._ENGINES and ctx() is None
+        assert_tables_freed(old, t, b)
+    # A new tree frees the last tree's tables, and keeps the braiding's.
+    old, ctx = context_tables(t, b), _engine(b)
+    assert heights(TREES[3], b) is ctx.heights and ctx.tree == TREES[3] and ctx.lambdas is None
+    assert heights(t, b) is not old[0] and ctx.brackets["aab"] is old[2]
+    assert _engine(b) is ctx and ctx.pivot_words is old[3]
+
+
+def test_context_of_a_braiding_that_is_not_of_roots():
+    # heights, lambdas and brackets take any nonzero entries, and share the
+    # braiding's one context; only the rank oracle asks for roots of unity.
+    from nichols2.admissibility import heights, lambda_of
+    from nichols2.nicholscore import dim_at_degree
+
+    z5, z12 = root_of_unity(1, 5), root_of_unity(1, 12)
+    t = TREES[3]
+    for b in (Braiding(MINUS_ONE, ONE, ONE, ONE + ONE),
+              Braiding(z5 + Fraction(1, 3), z12, ONE, CycNum.from_rational(Fraction(1, 2)))):
+        clear_caches()
+        h = heights(t, b)
+        lams = [lambda_of(t, b, a) for a in t.nodes()]
+        el = bracket_word(b, "aab")
+        ctx = _engine(b)
+        assert not b.of_roots and list(braidedalg._ENGINES) == [b] and ctx.tree == t
+        assert ctx.heights is h and ctx.brackets["aab"] is el
+        assert lams == [CycNum(b.conductor, lam) for lam in ctx.lambdas]
+        assert ctx.pivot_words == {(0, 0): [()]} and ctx.frontier == {}
+        with pytest.raises(BraidedError, match="roots of unity"):
+            dim_at_degree(b, 2)
+        with pytest.raises(BraidedError, match="roots of unity"):
+            is_zero_in_nichols(b, x(1) * x(2), "symmetrizer")
+        assert _engine(b) is ctx and ctx.pivot_words == {(0, 0): [()]}
 
 
 def test_symmetrizer_degree_one_is_identity():

@@ -319,21 +319,29 @@ def test_classify_computes_each_height_table_once(monkeypatch):
     # Every reader of the generator heights (tree reconstruction,
     # admissibility, dimension, relations, verification, the PBW list)
     # takes them from one table per (tree, braiding), and none forms a
-    # CycNum to find an order.
-    from nichols2.admissibility import heights
+    # CycNum to find an order.  A height table is built into the braiding's
+    # context, so builds are counted where the context stores them.
+    from nichols2 import braidedalg
 
-    calls = []
+    calls, builds = [], []
     order = CycNum.order
 
     def counting(self):
         calls.append(self)
         return order(self)
 
+    class CountingContext(braidedalg._SymEngine):
+        def __setattr__(self, name, value):
+            if name == "heights" and value is not None:
+                builds.append(value)
+            super().__setattr__(name, value)
+
     monkeypatch.setattr(CycNum, "order", counting)
-    heights.cache_clear()
+    monkeypatch.setattr(braidedalg, "_SymEngine", CountingContext)
+    monkeypatch.setattr(braidedalg, "_ENGINES", {})
     for b in fixtures().values():
         classify_full(b, 8)
-    assert heights.cache_info().misses == 31
+    assert len(builds) == 31
     assert calls == []
 
 

@@ -215,11 +215,16 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     assert "input error" not in err
     # Running out of memory is an internal error too; the memo caches are
     # dropped before the traceback is printed.
+    from conftest import assert_tables_freed, context_tables
     from nichols2 import braidedalg
+    from nichols2.fbtree import TREES
     from nichols2.nicholscore import hilbert_prefix
+
+    kept = []
 
     def exhausted(b, n):
         hilbert_prefix(b, n)
+        kept.append((b, context_tables(TREES[2], b)))
         assert braidedalg._ENGINES
         raise MemoryError
 
@@ -228,7 +233,9 @@ def test_internal_errors_exit_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.splitlines()[-1] == "internal error in dims (MemoryError): "
     assert "in exhausted" in err
+    # No height, lambda, bracket or oracle table of the braiding is kept.
     assert not braidedalg._ENGINES
+    assert_tables_freed(kept[0][1], TREES[2], kept[0][0])
     # Caps are validated while parsing, before any work.
     code, _, err = run(capsys, "dims", *args, "--degree-cap", "-1")
     assert code == 2 and "--degree-cap" in err
