@@ -19,7 +19,8 @@ q11^i (q12 q21)^j q22^k, `Braiding.monomial_order`: exponent arithmetic
 mod L where the three are powers of one zeta_L, a scalar only otherwise.
 chi(a, a) at label (r, s) has exponents (r^2, rs, s^2); its order, also
 ord p_a, is the generator height at a.  `heights` is the one table of these
-orders, read by the p-root, p = -1 (height 2) and q-factorial conditions,
+orders, read by the p-root, p = -1 (height 2) and q-factorial conditions
+(the last, `_qfact_zero`, also decides `nicholscore._mixed_relation`'s),
 the branch-length checks, `nicholscore.generator_orders` and the report's
 PBW list.  [m]_p = 0 when m = 0 or p has an order other than 1 dividing m.
 Reconstruction cross-checks the branch lengths against closed-form
@@ -85,6 +86,11 @@ def _qnum_zero(m: int, o: int | None) -> bool:
     return m == 0 or (o is not None and o != 1 and m % o == 0)
 
 
+def _qfact_zero(m: int, o: int | None) -> bool:
+    """Whether [m]!_p = [1]_p [2]_p ... [m]_p = 0 for p of order o."""
+    return any(_qnum_zero(j, o) for j in range(1, m + 1))
+
+
 def heights(t: FullBinaryTree, b: Braiding) -> dict:
     """{a: ord chi(a, a)} over the extended inner nodes in Q order, None where
     chi(a, a) is not a root of unity: the PBW generator heights (Kharchenko's
@@ -148,7 +154,7 @@ def _nu_vanishes(t: FullBinaryTree, b: Braiding, a: int) -> bool:
     Times its denominators it is a sum of products of coordinate rows at the
     braiding's conductor.  A zero denominator raises NuDenominatorError, itself a
     sign of inadmissibility."""
-    c, k = t.lgf(a), t.rgfl(a)
+    c, k, _ = t.mixed()[a]
     n, lams = b.conductor, _lambdas(t, b)
     label = t.stern_brocot
     g = label(t.lgf(c))
@@ -241,13 +247,8 @@ def is_admissible(t: FullBinaryTree, b: Braiding, n: int) -> AdmissibilityReport
                 failures.append((t.weight(la), "p-not-minus-one", a,
                                  f"{p} = -1 with inner left child"))
 
-    for bb in t.internal():
-        c = t.lgf(bb)
-        if not (isinstance(c, int) and not t.is_leaf(c)):
-            continue
-        w = t.weight(bb) + t.weight(t.lgf(c))
-        k = t.rgfl(bb)
-        if any(_qnum_zero(j, h[c]) for j in range(1, k + 2)):
+    for bb, (c, k, w) in t.mixed().items():
+        if _qfact_zero(k + 1, h[c]):
             failures.append((w, "q-factorial", bb, f"[{k + 1}]! at p_c vanishes"))
             continue
         if t.rchl(t.lch(c)) <= k:
@@ -315,11 +316,17 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
     """
     if max_weight < 2:
         raise ValueError("max_weight must be at least 2")
-    n = b.conductor
-
-    def grow(stbr, stbr_lgf, stbr_rgf, lam):
+    n, root = b.conductor, [None]
+    # Nodes to grow, the next on top: its slot (children list, index), its
+    # godfathers' labels u, v and its parent's lambda.  The stack keeps the
+    # preorder, left-first checks of a recursion, and meets no depth limit.
+    todo = [(root, 0, (0, 1), (1, 0), (0,) * euler_phi(n))]
+    while todo:
+        slot, i, u, v, lam = todo.pop()
+        lam = _lambda_step(b, n, lam, u, v)
         if not any(lam):
-            return None
+            continue  # a leaf: the slot stays None
+        stbr = (u[0] + v[0], u[1] + v[1])
         weight = stbr[0] + stbr[1]
         if weight > max_weight:
             raise ReconstructionError(
@@ -329,13 +336,9 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
         if b.monomial_order(stbr[0] ** 2, stbr[0] * stbr[1], stbr[1] ** 2) is None:
             raise ReconstructionError(
                 f"branching node at label {stbr} has non-root-of-unity p")
-        lch_stbr = (stbr_lgf[0] + stbr[0], stbr_lgf[1] + stbr[1])
-        rch_stbr = (stbr[0] + stbr_rgf[0], stbr[1] + stbr_rgf[1])
-        return (grow(lch_stbr, stbr_lgf, stbr, _lambda_step(b, n, lam, stbr_lgf, stbr)),
-                grow(rch_stbr, stbr, stbr_rgf, _lambda_step(b, n, lam, stbr, stbr_rgf)))
-
-    shape = grow((1, 1), (0, 1), (1, 0), _lambda_step(b, n, (0,) * euler_phi(n), (0, 1), (1, 0)))
-    t = FullBinaryTree(shape)
+        slot[i] = node = [None, None]
+        todo += ((node, 1, stbr, v, lam), (node, 0, u, stbr, lam))
+    t = FullBinaryTree(root[0])
     _branch_length_formula_checks(t, b)
     return t
 
@@ -534,7 +537,7 @@ GOLDEN_LAMBDA = {
 
 def sorted_internal(t: FullBinaryTree) -> list[int]:
     """Inner nodes ascending in the Q order (the a_i indexing)."""
-    return [a for a in t.nbar2() if isinstance(a, int)]
+    return list(t.nbar2()[1:-1])
 
 
 def p_table(type_id: int, b: Braiding, case_id: int = 1) -> list[CycNum]:

@@ -189,7 +189,9 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
     generator degrees and orders, dimension, relations, and the oracle
     verification through the degree cap (recorded honestly).  Relations are
     expanded once, through the degree cap, and those within the verified
-    degree are tested under both zero tests."""
+    degree are tested under both zero tests.  The symmetrizer test reads a
+    subset of the derivation test's walk, so here it cannot fail once that
+    has passed; `tests/conftest.ReferenceImages` alone checks the walk."""
     matches = match_condition(b)
     notes: list[str] = []
     try:

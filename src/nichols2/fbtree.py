@@ -1,16 +1,15 @@
 """Full binary trees with godfather maps and Stern-Brocot labels.
 
 Trees are immutable after construction; every derived map (godfathers,
-branch lengths, labels, node orderings) is computed once up front because
-all downstream modules query them heavily.  Real nodes are integer ids in
-preorder; the two virtual nodes LGH and RGH extend the node set and carry
-the boundary labels (0,1) and (1,0).
+branch lengths, labels, the Q order, the mixed-relation index) is computed
+once up front because all downstream modules query them heavily.  Real
+nodes are integer ids in preorder; the two virtual nodes LGH and RGH extend
+the node set and carry the boundary labels (0,1) and (1,0).
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -47,27 +46,26 @@ RGH = Virtual("rgh")
 class FullBinaryTree:
     """A finite tree in which every node has exactly zero or two children."""
 
-    __slots__ = ("left", "right", "parent", "_stbr", "_lgf", "_rgf",
-                 "_lgfl", "_rgfl", "_lchl", "_rchl", "_n0", "_n2", "_nbar2")
+    __slots__ = ("left", "right", "parent", "_stbr", "_lgf", "_rgf", "_lgfl", "_rgfl",
+                 "_lchl", "_rchl", "_n0", "_n2", "_nbar2", "_mixed")
 
     def __init__(self, shape):
-        # shape: None for a leaf, (left_shape, right_shape) for an inner node.
+        # shape: None for a leaf, a pair (left_shape, right_shape) for an
+        # inner node.  Nodes are numbered in preorder by an explicit stack,
+        # the left subtree on top, so no depth meets the recursion limit.
         left: list[int | None] = []
         right: list[int | None] = []
         parent: list[int | None] = []
-
-        def build(s, par):
-            idx = len(left)
+        todo = [(shape, None, left)]  # (shape, parent id, the parent's child list)
+        while todo:
+            s, par, side = todo.pop()
+            if par is not None:
+                side[par] = len(left)
             left.append(None)
             right.append(None)
             parent.append(par)
             if s is not None:
-                l, r = s
-                left[idx] = build(l, idx)
-                right[idx] = build(r, idx)
-            return idx
-
-        build(shape, None)
+                todo += ((s[1], len(left) - 1, right), (s[0], len(left) - 1, left))
         self.left = tuple(left)
         self.right = tuple(right)
         self.parent = tuple(parent)
@@ -152,8 +150,13 @@ class FullBinaryTree:
 
         self._n0 = tuple(a for a in range(n) if self.is_leaf(a))
         self._n2 = tuple(a for a in range(n) if not self.is_leaf(a))
-        ordered = sorted(self._n2, key=functools.cmp_to_key(lambda x, y: self.cmp_q(x, y)))
-        self._nbar2 = (LGH, *ordered, RGH)
+        # A node's label lies between its godfathers', so the Q order is the
+        # in-order, where leaves (in preorder) and inner nodes alternate: a
+        # leaf is followed by its rgf, the last one by RGH.
+        self._nbar2 = (LGH, *(rgf[a] for a in self._n0))
+        # A real left godfather is an ancestor, so an inner node.
+        self._mixed = {a: (lgf[a], rgfl[a], self.weight(a) + self.weight(lgf[lgf[a]]))
+                       for a in self._n2 if isinstance(lgf[a], int)}
 
     # -- the derived maps ------------------------------------------------------
 
@@ -192,12 +195,8 @@ class FullBinaryTree:
         d = r1 * s2 - r2 * s1
         return (d > 0) - (d < 0)
 
-    def q_value(self, a) -> Fraction | None:
-        """Q(a) as a rational, or None for the infinite value at RGH."""
-        r, s = self._stbr[a]
-        return None if s == 0 else Fraction(r, s)
-
     def leaves(self) -> tuple[int, ...]:
+        """The leaves in preorder, which is also their Q order."""
         return self._n0
 
     def internal(self) -> tuple[int, ...]:
@@ -206,6 +205,12 @@ class FullBinaryTree:
     def nbar2(self) -> tuple:
         """N_2 extended by the virtual nodes, ascending in the Q order."""
         return self._nbar2
+
+    def mixed(self) -> dict:
+        """{bb: (c, k, degree)} in preorder over the inner nodes bb whose left
+        godfather c is inner, one mixed relation each: k = rgfl(bb) and the
+        degree is weight(bb) + weight(lgf c)."""
+        return self._mixed
 
     def nbar(self) -> tuple:
         return (LGH, RGH, *self.nodes())
@@ -226,48 +231,46 @@ class FullBinaryTree:
 
 def parse_tree(text: str) -> FullBinaryTree:
     """Parse the grammar  tree := "L" | "(" tree " " tree ")" ."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
+    pos, n = 0, len(text)
+    root = [None]
+    # Slots still to parse, the next on top: (children list, index), or
+    # (None, 0) for the ')' closing an inner node.  A stack, not recursion,
+    # so that no nesting depth meets the recursion limit.
+    todo = [(root, 0)]
+    while todo:
+        slot, i = todo.pop()
         while pos < n and text[pos].isspace():
             pos += 1
-
-    def node():
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise TreeParseError("unexpected end of input", pos)
-        ch = text[pos]
-        if ch == "L":
-            pos += 1
-            return None
-        if ch == "(":
-            pos += 1
-            l = node()
-            r = node()
-            skip_ws()
+        if slot is None:
             if pos >= n or text[pos] != ")":
                 raise TreeParseError("expected ')'", pos)
-            pos += 1
-            return (l, r)
-        raise TreeParseError(f"unexpected character {ch!r}", pos)
-
-    shape = node()
-    skip_ws()
+        elif pos >= n:
+            raise TreeParseError("unexpected end of input", pos)
+        elif text[pos] == "(":
+            slot[i] = node = [None, None]
+            todo += ((None, 0), (node, 1), (node, 0))
+        elif text[pos] != "L":
+            raise TreeParseError(f"unexpected character {text[pos]!r}", pos)
+        pos += 1
+    while pos < n and text[pos].isspace():
+        pos += 1
     if pos != n:
         raise TreeParseError("trailing input after tree", pos)
-    return FullBinaryTree(shape)
+    return FullBinaryTree(root[0])
 
 
 def serialize_tree(t: FullBinaryTree) -> str:
-    def rec(a):
-        if t.is_leaf(a):
-            return "L"
-        return f"({rec(t.left[a])} {rec(t.right[a])})"
-
-    return rec(0)
+    out, todo = [], [0]  # nodes and closing text, the next on top
+    while todo:
+        a = todo.pop()
+        if type(a) is str:
+            out.append(a)
+        elif t.is_leaf(a):
+            out.append("L")
+        else:
+            out.append("(")
+            todo += (")", t.right[a], " ", t.left[a])
+    return "".join(out)
 
 
 @functools.lru_cache(maxsize=None)

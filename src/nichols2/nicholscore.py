@@ -29,14 +29,9 @@ c. A combination of rows that vanishes on columns spanning the column
    zero when it vanishes at the reversed basis words of its bidegree, and
    images keep their rank on those columns.
 
-Every rank is exact (`_linalg.exact_rank_vectors`).  It is found modulo a
-prime p = 1 (mod N) and reported only with two certificates: a nonzero
-minor mod p on the pivot rows, which proves them independent, and a bound
-making exact each other row's dependency on them, lifted by rational
-reconstruction from p and any earlier such primes, which proves they span.
-A mod-p rank is never reported on its own; where a certificate fails, the
-next such prime is tried.  The proven dependencies are the tables the
-next degree reads, so no basis word rests on a prime.
+Every rank is exact, with its certificates, as the `_linalg` docstring
+proves.  The proven dependencies are the tables the next degree reads, so
+no basis word rests on a prime.
 
 Monomial bases predicted by a tree are verified against that oracle by
 counting, and their independence by their words (Kharchenko, "A quantum
@@ -87,7 +82,7 @@ from .braidedalg import Braiding, BraidedError, NCPoly, _engine, _integer_terms,
 from .cyclotomic import Residues, clear_denominators, qfact
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel
-from .admissibility import NicholsError, heights, mu_of, p_of
+from .admissibility import NicholsError, _qfact_zero, heights, mu_of, p_of
 
 
 class _Ranked(NamedTuple):
@@ -241,23 +236,18 @@ def pbw_monomials(t: FullBinaryTree, b: Braiding, up_to: int) -> list[PBWMonomia
     (higher exponent on the Q-smaller node first)."""
     nodes = t.nbar2()
     weights = tuple(t.weight(a) for a in nodes)
-    orders = generator_orders(t, b)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i, remaining, acc):
-        if i == len(nodes):
-            out.append(tuple(acc))
-            return
-        cap = orders[i] - 1
-        w = weights[i]
-        top = min(cap, remaining // w)
-        for e in range(top + 1):
-            acc.append(e)
-            rec(i + 1, remaining - e * w, acc)
-            acc.pop()
-
-    rec(0, up_to, [])
-    monos = [PBWMonomial(nodes, exps, weights) for exps in out]
+    # Node by node, each (remaining degree, exponents so far) extended by
+    # every exponent that fits.  A node heavier than up_to takes 0, appended
+    # with the next light node's exponent: a deep tree copies no tuple per node.
+    level, zeros = [(up_to, ())], 0
+    for w, o in zip(weights, generator_orders(t, b)):
+        if w > up_to:
+            zeros += 1
+            continue
+        pad, zeros = (0,) * zeros, 0
+        level = [(rem - e * w, exps + pad + (e,)) for rem, exps in level
+                 for e in range(min(o - 1, rem // w) + 1)]
+    monos = [PBWMonomial(nodes, exps + (0,) * zeros, weights) for _, exps in level]
     monos.sort(key=lambda mo: (mo.weighted_degree(), tuple(-e for e in mo.exponents)))
     return monos
 
@@ -367,26 +357,19 @@ def _relation_generators(t: FullBinaryTree, b: Braiding) -> list[tuple[int, Call
     """(total degree, builder) for every generator of the relation ideal,
     in the order relation_set lists them.  Degrees are known up front from
     weight and height; a builder expands its generator only when called."""
-    gens = []
-    for a in sorted(t.leaves(), key=t.q_value):
-        gens.append((t.weight(a), partial(tau0, t, b, a)))
+    gens = [(t.weight(a), partial(tau0, t, b, a)) for a in t.leaves()]
     for a, o in zip(t.nbar2(), generator_orders(t, b)):
         gens.append((o * t.weight(a), lambda a=a, o=o: tau0(t, b, a) ** o))
-    for bb in sorted(t.internal(), key=t.q_value):
-        c = t.lgf(bb)
-        if isinstance(c, int) and not t.is_leaf(c):
-            gens.append((t.weight(bb) + t.weight(t.lgf(c)), partial(_mixed_relation, t, b, bb)))
-    return gens
+    mixed = t.mixed()
+    return gens + [(mixed[a][2], partial(_mixed_relation, t, b, a))
+                   for a in t.nbar2() if a in mixed]
 
 
 def _mixed_relation(t: FullBinaryTree, b: Braiding, bb: int) -> NCPoly:
-    c = t.lgf(bb)
-    lgc = t.lgf(c)
-    k = t.rgfl(bb)
-    denom = qfact(k + 1, p_of(t, b, c))
-    if denom.is_zero():
+    c, k, _ = t.mixed()[bb]
+    if _qfact_zero(k + 1, heights(t, b)[c]):
         raise NicholsError(f"inadmissible: vanishing q-factorial at node {bb}")
-    coeff = mu_of(t, b, bb) * denom.inv()
+    lgc, coeff = t.lgf(c), mu_of(t, b, bb) * qfact(k + 1, p_of(t, b, c)).inv()
     return (tau0(t, b, bb) * tau0(t, b, lgc)
             - b.chi_nodes(t, bb, lgc) * (tau0(t, b, lgc) * tau0(t, b, bb))
             - coeff * tau0(t, b, c) ** (k + 1))

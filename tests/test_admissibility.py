@@ -503,6 +503,31 @@ def test_nu_rows_raise_every_denominator_error():
     assert all(seen[w] for w in ("[2]_{p_f}", "[2]_{p_c}", "[3]_{p_c}")), seen
 
 
+def test_mixed_relation_refuses_where_admissibility_reports_a_q_factorial(monkeypatch):
+    # Both decide a vanishing q-factorial by one rule on the heights; the
+    # brackets are stubbed, since the relation is refused before them.
+    from nichols2 import nicholscore
+
+    monkeypatch.setattr(nicholscore, "tau0", lambda t, b, a: braidedalg.NCPoly.unit())
+    seen = set()
+    for n, t in TREES.items():
+        for b in _braidings(6, 6, 1, 6):
+            rep = is_admissible(t, b, 64)
+            flagged = {node for cond, node, _ in rep.failures + rep.beyond if cond == "q-factorial"}
+            for bb in t.mixed():
+                try:
+                    nicholscore._mixed_relation(t, b, bb)
+                except nicholscore.NicholsError as exc:
+                    assert str(exc) == f"inadmissible: vanishing q-factorial at node {bb}"
+                    seen.add((n, b, bb))
+                else:
+                    assert bb not in flagged, (n, b, bb)
+                    continue
+                assert bb in flagged, (n, b, bb)
+    z6 = root_of_unity(1, 6)
+    assert {(3, Braiding(ONE, ONE, ONE, z6 ** 3), 2), (5, Braiding(ONE, ONE, ONE, z6 ** 2), 3)} <= seen
+
+
 def test_admissibility_report_defaults_and_equality():
     # Each report gets its own default lists; equality ignores `beyond`.
     a, b = AdmissibilityReport(True), AdmissibilityReport(admissible=True)

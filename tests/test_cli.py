@@ -60,6 +60,24 @@ def test_tree_failure_exit_code(capsys):
     assert json.loads(out)["tree"] is None
 
 
+def test_deep_input_gets_a_verdict(capsys):
+    # Trees far deeper than the recursion limit: the verdict of a shallow
+    # chain, not an internal error.
+    args = ("--q11", "1/2", "--q12", "0/1", "--q21", "0/1", "--q22", "1/3", "--degree-cap", "3")
+    for depth in (1200, 5000):
+        chain = "(L " * depth + "L" + ")" * depth
+        code, out, err = run(capsys, "verify", *args, "--tree", chain)
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"holds": False, "failed_degree": 2,
+                                   "detail": "predicted 3 monomials, oracle dimension 2",
+                                   "predicted": [1, 2, 3, 4], "dims": [1, 2, 2, 1]}
+    code, out, err = run(capsys, "tree", "--q11", "1/2", "--q12", "1/4", "--q21", "0/1",
+                         "--q22", "1/1", "--weight-cap", "1200")
+    assert code == 1 and err == ""
+    assert json.loads(out)["failure"] == ("branching node at weight 1201 exceeds the cap 1200: "
+                                          "possibly infinite-dimensional or cap too small")
+
+
 def test_verify_holds_and_fails(capsys):
     args = ("--q11", "1/3", "--q12", "2/3", "--q21", "0/1", "--q22", "1/3")
     code, out, _ = run(capsys, "verify", "--tree", "(L L)", *args, "--degree-cap", "8")

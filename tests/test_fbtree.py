@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -30,6 +31,45 @@ def test_parse_errors_carry_position():
         with pytest.raises(TreeParseError) as err:
             parse_tree(text)
         assert err.value.position == pos
+
+
+def label_order(t, nodes):
+    # Ascending labels r/s, compared by cross multiplication (RGH's 1/0 last).
+    def cmp(x, y):
+        (r1, s1), (r2, s2) = t.stern_brocot(x), t.stern_brocot(y)
+        return (r1 * s2 > r2 * s1) - (r1 * s2 < r2 * s1)
+
+    return sorted(nodes, key=functools.cmp_to_key(cmp))
+
+
+def test_deep_chains_round_trip():
+    # Depths far past the recursion limit: parsing, building, the maps and
+    # serializing walk explicit stacks.  Every inner node of the right chain
+    # but the root has an inner left godfather; none of the left chain has.
+    d = 5000
+    right, left = "(L " * d + "L" + ")" * d, "(" * d + "L" + " L)" * d
+    for text, mixed in ((right, d - 1), (left, 0)):
+        t = parse_tree(text)
+        assert t.size() == 2 * d + 1 and len(t.mixed()) == mixed
+        assert serialize_tree(t) == text and parse_tree(serialize_tree(t)) == t
+        assert t.nbar2() == (LGH, *label_order(t, t.internal()), RGH)
+
+
+def test_q_order_is_the_order_of_the_labels(rng):
+    # nbar2 holds the inner nodes in the Q order, and the leaves come in it.
+    for t in corpus(rng, extra=300, max_internal=40):
+        assert t.nbar2() == (LGH, *label_order(t, t.internal()), RGH)
+        assert list(t.leaves()) == label_order(t, t.leaves())
+
+
+def test_mixed_index_is_the_enumeration_over_inner_nodes(rng):
+    for t in corpus(rng, extra=300, max_internal=40):
+        want = {}
+        for bb in t.internal():
+            c = t.lgf(bb)
+            if isinstance(c, int) and not t.is_leaf(c):
+                want[bb] = (c, t.rgfl(bb), t.weight(bb) + t.weight(t.lgf(c)))
+        assert list(t.mixed().items()) == list(want.items())
 
 
 def test_godfather_examples():

@@ -4,9 +4,10 @@ import pytest
 
 from nichols2.cyclotomic import MINUS_ONE, ONE, qfact, root_of_unity
 from nichols2.braidedalg import Braiding, NCPoly, is_zero_in_nichols, tau0
-from nichols2.fbtree import TREES
+from nichols2.fbtree import TREES, random_full_tree
 from nichols2.admissibility import lambda_of, mu_of, p_of
-from nichols2.nicholscore import (NicholsError, PBWMonomial, TypeVerdict, count_by_degree,
+from nichols2.nicholscore import (NicholsError, PBWMonomial, TypeVerdict, _relation_generators,
+                                  count_by_degree,
                                   dim_at_degree, dimension, evaluate_monomial, hilbert_prefix,
                                   pbw_monomials, relation_set, top_total_degree, verify_type)
 
@@ -132,6 +133,25 @@ def test_relation_set_cartan():
 def vanishes(b, rel):
     """Both zero tests."""
     return is_zero_in_nichols(b, rel) and is_zero_in_nichols(b, rel, "derivations")
+
+
+def test_relation_generators_follow_the_q_order(rng):
+    # chi(a, a) = z3^(r^2 + s^2) has order 3 at every coprime label (r, s),
+    # so every tree has finite heights here.
+    z3 = root_of_unity(1, 3)
+    b = Braiding(z3, ONE, ONE, z3)
+    trees = [*TREES.values(), *(random_full_tree(rng, rng.randrange(41)) for _ in range(300))]
+    for t in trees:
+        gens = _relation_generators(t, b)
+        n0, n2 = len(t.leaves()), len(t.nbar2())
+        leaves = [build.args[-1] for _, build in gens[:n0]]
+        powers = [build.__defaults__[0] for _, build in gens[n0:n0 + n2]]
+        mixed = [build.args[-1] for _, build in gens[n0 + n2:]]
+        for seq, nodes in ((leaves, t.leaves()), (mixed, t.mixed())):
+            assert sorted(seq) == sorted(nodes)
+            assert all(t.cmp_q(x, y) < 0 for x, y in zip(seq, seq[1:]))
+        assert powers == list(t.nbar2())
+        assert [d for d, _ in gens[n0 + n2:]] == [t.mixed()[bb][2] for bb in mixed]
 
 
 def test_relations_vanish_positive():
