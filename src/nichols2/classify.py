@@ -219,9 +219,10 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
             except NicholsError as exc:
                 relations_error = str(exc)
             else:
-                skipped = len(_relation_generators(tree, b)) - len(relations)
-                if skipped:
-                    notes.append(f"{skipped} relation generators above "
+                gens = _relation_generators(tree, b)
+                degrees = [d for d, _ in gens if d <= degree_cap]  # those of relations
+                if len(gens) > len(degrees):
+                    notes.append(f"{len(gens) - len(degrees)} relation generators above "
                                  f"degree {degree_cap} not expanded")
             if not b.of_roots:
                 # The rank oracle, behind verification and the symmetrizer zero test,
@@ -237,7 +238,7 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
                 if relations_error is None:
                     relations_vanish = all(
                         is_zero_in_nichols(b, rel) and is_zero_in_nichols(b, rel, "derivations")
-                        for rel in relations if rel.total_degree() <= verified_up_to)
+                        for rel, d in zip(relations, degrees) if d <= verified_up_to)
         adm = is_admissible(tree, b, degree_cap)
     return ClassificationReport(matches, tree, tree_failure, pbw, dim, relations,
                                 verified_up_to, verdict, relations_vanish,

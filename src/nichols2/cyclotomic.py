@@ -139,7 +139,6 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def power_vector(n: int, e: int) -> tuple[int, ...]:
     """Integer coordinate vector of z^e in Q(zeta_n), e reduced mod n."""
     deg = euler_phi(n)
@@ -264,14 +263,15 @@ def clear_denominators(vectors: dict) -> tuple[dict, int]:
 def _substitute(coeffs, k: int, n: int) -> tuple:
     """Coordinates in Q(zeta_n) of sum_j c_j z^(jk): the one place a
     polynomial in z is evaluated at a power of z modulo Phi_n."""
-    deg = euler_phi(n)
+    deg, rows = euler_phi(n), _reduction_rows(n)
     out = [0] * deg
     for j, c in enumerate(coeffs):
         if c:
-            vec = power_vector(n, j * k % n)
-            for i in range(deg):
-                if vec[i]:
-                    out[i] += c * vec[i]
+            e = j * k % n
+            if e < deg:
+                out[e] += c
+            else:
+                out = [x + c * y if y else x for x, y in zip(out, rows[e - deg])]
     return tuple(out)
 
 

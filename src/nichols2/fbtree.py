@@ -9,7 +9,6 @@ the node set and carry the boundary labels (0,1) and (1,0).
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -273,29 +272,28 @@ def serialize_tree(t: FullBinaryTree) -> str:
     return "".join(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _catalan(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(_catalan(i) * _catalan(n - 1 - i) for i in range(n))
-
-
 def random_full_tree(rng: Random, internal: int) -> FullBinaryTree:
     """Uniformly random full binary tree with the given number of inner nodes."""
-
-    def sample(n):
-        if n == 0:
-            return None
-        total = _catalan(n)
-        pick = rng.randrange(total)
-        for i in range(n):
-            block = _catalan(i) * _catalan(n - 1 - i)
-            if pick < block:
-                return (sample(i), sample(n - 1 - i))
-            pick -= block
-        raise AssertionError("catalan split out of range")
-
-    return FullBinaryTree(sample(internal))
+    catalan = [1]  # C_(n+1) = C_n 2(2n + 1) / (n + 2)
+    for n in range(internal):
+        catalan.append(catalan[n] * 2 * (2 * n + 1) // (n + 2))
+    # In preorder, a subtree of n inner nodes draws the size i of its left
+    # subtree with probability C_i C_(n-1-i) / C_n, then its left subtree
+    # draws, then its right.
+    inner, todo = [], [internal]
+    while todo:
+        n = todo.pop()
+        inner.append(n > 0)
+        if n:
+            pick, i = rng.randrange(catalan[n]), 0
+            while pick >= (block := catalan[i] * catalan[n - 1 - i]):
+                pick, i = pick - block, i + 1
+            todo += [n - 1 - i, i]
+    # In reverse preorder a node's left subtree is built last, so it is on top.
+    built = []
+    for is_inner in reversed(inner):
+        built.append((built.pop(), built.pop()) if is_inner else None)
+    return FullBinaryTree(built[0])
 
 
 # The 22 family tree constants.  Each is cross-validated independently:

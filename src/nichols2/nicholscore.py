@@ -200,19 +200,14 @@ def hilbert_prefix(b: Braiding, n: int) -> tuple[int, ...]:
 
 
 class PBWMonomial(NamedTuple):
-    """Exponent vector over the extended inner nodes, ascending Q order."""
+    """Exponent vector over the extended inner nodes, ascending Q order,
+    with its weighted degree and its bidegree, the sum of exponent times
+    Stern-Brocot label."""
 
     nodes: tuple
     exponents: tuple[int, ...]
-    weights: tuple[int, ...]
-
-    def weighted_degree(self) -> int:
-        return sum(e * w for e, w in zip(self.exponents, self.weights))
-
-    def multidegree(self, labels) -> tuple[int, int]:
-        r = sum(e * lab[0] for e, lab in zip(self.exponents, labels))
-        s = sum(e * lab[1] for e, lab in zip(self.exponents, labels))
-        return (r, s)
+    degree: int
+    bidegree: tuple[int, int]
 
     def __repr__(self):
         return f"PBWMonomial({self.exponents})"
@@ -232,35 +227,32 @@ def generator_orders(t: FullBinaryTree, b: Braiding) -> list[int]:
 
 def pbw_monomials(t: FullBinaryTree, b: Braiding, up_to: int) -> list[PBWMonomial]:
     """All monomials with exponents below the generator heights and weighted
-    degree at most up_to, graded then lexicographic over the node order
-    (higher exponent on the Q-smaller node first)."""
+    degree at most up_to, each with its degree and bidegree, graded then
+    lexicographic over the node order (higher exponent on the Q-smaller
+    node first)."""
     nodes = t.nbar2()
-    weights = tuple(t.weight(a) for a in nodes)
-    # Node by node, each (remaining degree, exponents so far) extended by
-    # every exponent that fits.  A node heavier than up_to takes 0, appended
-    # with the next light node's exponent: a deep tree copies no tuple per node.
-    level, zeros = [(up_to, ())], 0
-    for w, o in zip(weights, generator_orders(t, b)):
-        if w > up_to:
+    # Node by node, each (bidegree, exponents so far) extended by every
+    # exponent that fits.  A node heavier than up_to takes 0, appended with
+    # the next light node's exponent: a deep tree copies no tuple per node.
+    level, zeros = [((0, 0), ())], 0
+    for (x, y), o in zip(map(t.stern_brocot, nodes), generator_orders(t, b)):
+        if x + y > up_to:
             zeros += 1
             continue
         pad, zeros = (0,) * zeros, 0
-        level = [(rem - e * w, exps + pad + (e,)) for rem, exps in level
-                 for e in range(min(o - 1, rem // w) + 1)]
-    monos = [PBWMonomial(nodes, exps + (0,) * zeros, weights) for _, exps in level]
-    monos.sort(key=lambda mo: (mo.weighted_degree(), tuple(-e for e in mo.exponents)))
+        level = [((r + e * x, s + e * y), exps + pad + (e,)) for (r, s), exps in level
+                 for e in range(min(o - 1, (up_to - r - s) // (x + y)) + 1)]
+    monos = [PBWMonomial(nodes, exps + (0,) * zeros, r + s, (r, s)) for (r, s), exps in level]
+    monos.sort(key=lambda mo: (mo.degree, tuple(-e for e in mo.exponents)))
     return monos
 
 
-def count_by_degree(monomials, up_to: int | None = None) -> tuple[int, ...]:
+def count_by_degree(monomials, up_to: int) -> tuple[int, ...]:
     """Histogram of monomials by weighted degree."""
-    if up_to is None:
-        up_to = max((mo.weighted_degree() for mo in monomials), default=0)
     dims = [0] * (up_to + 1)
     for mo in monomials:
-        d = mo.weighted_degree()
-        if d <= up_to:
-            dims[d] += 1
+        if mo.degree <= up_to:
+            dims[mo.degree] += 1
     return tuple(dims)
 
 
@@ -308,14 +300,17 @@ def verify_type(t: FullBinaryTree, b: Braiding, n: int) -> TypeVerdict:
     eng = _engine(b)
     leads = {a: tuple({"a": 2, "b": 1}[x] for x in reversed(christoffel(*t.stern_brocot(a))))
              for a in t.nbar2() if t.weight(a) <= n}
-    for bideg, group in sorted(_monomials_by_bidegree(t, monos).items()):
+    groups: dict[tuple[int, int], list[PBWMonomial]] = defaultdict(list)
+    for mo in monos:
+        if mo.degree >= 2:
+            groups[mo.bidegree].append(mo)
+    for bideg, group in sorted(groups.items()):
         words = {_leading_word(mo, leads) for mo in group}
         if len(words) == len(group) and words == set(eng.pivot_words[bideg]):
             continue
         rank = _exact_monomial_rank(t, b, eng, group, [w[::-1] for w in eng.pivot_words[bideg]])
         if rank != len(group):
-            m = bideg[0] + bideg[1]
-            return TypeVerdict(False, m,
+            return TypeVerdict(False, group[0].degree,
                                f"monomials of bidegree {bideg} dependent modulo the "
                                f"kernel (rank {rank} of {len(group)})",
                                counts, dims, heavy)
@@ -326,16 +321,6 @@ def _leading_word(mono: PBWMonomial, leads: dict) -> tuple[int, ...]:
     """The colex-largest word of `evaluate_monomial`, from the colex-largest
     word R(u) of tau0 at each node (module docstring, step 2)."""
     return sum((leads[a] * e for a, e in zip(mono.nodes, mono.exponents) if e), ())
-
-
-def _monomials_by_bidegree(t: FullBinaryTree, monos) -> dict[tuple[int, int], list[PBWMonomial]]:
-    """The monomials of weighted degree at least 2, grouped by bidegree."""
-    labels = [t.stern_brocot(a) for a in t.nbar2()]
-    groups: dict[tuple[int, int], list[PBWMonomial]] = defaultdict(list)
-    for mo in monos:
-        if mo.weighted_degree() >= 2:
-            groups[mo.multidegree(labels)].append(mo)
-    return groups
 
 
 def _exact_monomial_rank(t: FullBinaryTree, b: Braiding, eng, group, words) -> int:

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -226,6 +228,15 @@ def test_random_trees_are_full_and_sized(rng):
         assert len(t.leaves()) == n + 1
         for a in t.nodes():
             assert (t.left[a] is None) == (t.right[a] is None)
+
+
+def test_random_trees_are_drawn_without_recursion():
+    # A tree deeper than the recursion limit builds, and each seed draws the
+    # tree it drew when the sampler recursed.
+    assert len(random_full_tree(random.Random(1), 1500).internal()) == 1500
+    text = "".join(serialize_tree(random_full_tree(random.Random(s), s % 41)) + ";"
+                   for s in range(300))
+    assert hashlib.md5(text.encode()).hexdigest() == "eb14806bf420cb464f1031f132b4f4eb"
 
 
 def test_random_tree_distribution_smoke(rng):

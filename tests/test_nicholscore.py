@@ -1,4 +1,5 @@
 import itertools
+from collections import defaultdict
 
 import pytest
 
@@ -74,7 +75,7 @@ def test_pbw_monomials_exterior():
 
 def test_pbw_monomials_degree_zero(rng):
     monos = pbw_monomials(TREES[4], cartan_a2_like_t4(), 0)
-    assert len(monos) == 1 and monos[0].weighted_degree() == 0
+    assert len(monos) == 1 and monos[0].degree == 0 and monos[0].bidegree == (0, 0)
 
 
 def cartan_a2_like_t4():
@@ -362,8 +363,25 @@ def test_evaluate_monomial_degree():
     t = TREES[2]
     for mono in pbw_monomials(t, b, 6):
         poly = evaluate_monomial(t, b, mono)
+        assert poly.multidegree() == mono.bidegree and poly.total_degree() == mono.degree
+
+
+def test_monomial_degrees_are_set_where_built():
+    # On every family sample and its own tree, a monomial's degree and
+    # bidegree are those summed from its exponents, and through degree 6
+    # they are those of its expansion.
+    from nichols2.classify import fixtures
+
+    for (n, _), b in sorted(fixtures().items()):
+        t = TREES[n]
+        weights = [t.weight(a) for a in t.nbar2()]
         labels = [t.stern_brocot(a) for a in t.nbar2()]
-        assert poly.multidegree() == mono.multidegree(labels)
+        for mo in pbw_monomials(t, b, 10):
+            assert mo.degree == sum(e * w for e, w in zip(mo.exponents, weights)), (n, mo)
+            assert mo.bidegree == tuple(sum(e * lab[i] for e, lab in zip(mo.exponents, labels))
+                                        for i in (0, 1)), (n, mo)
+            if mo.degree <= 6:
+                assert evaluate_monomial(t, b, mo).multidegree() == mo.bidegree, (n, mo)
 
 
 def full_block(b, r, s):
@@ -526,14 +544,16 @@ def test_leading_words_are_the_oracle_basis_words():
     # nicholscore docstring), checked through degree 6.
     from nichols2.braidedalg import _engine
     from nichols2.classify import fixtures
-    from nichols2.nicholscore import _leading_word, _monomials_by_bidegree
+    from nichols2.nicholscore import _leading_word
 
     bidegrees = 0
     for (n, _), b in sorted(fixtures().items()):
         t = TREES[n]
         hilbert_prefix(b, 8)
         leads = colex_leads(t, b, 8)
-        groups = _monomials_by_bidegree(t, pbw_monomials(t, b, 8))
+        groups = defaultdict(list)
+        for mo in pbw_monomials(t, b, 8):
+            groups[mo.bidegree].append(mo)
         for (r, s), basis in _engine(b).pivot_words.items():
             if 2 <= r + s <= 8:
                 words = [_leading_word(mo, leads) for mo in groups.get((r, s), [])]
@@ -689,9 +709,10 @@ def test_verdict_truth_and_monomial_identity():
     v = TypeVerdict(False, 3, "predicted 4 monomials", (1, 2, 4), (1, 2, 3))
     assert not v and v.unexercised_nodes == ()
     assert TypeVerdict(holds=True, failed_degree=None, detail=None, counts=(1,), dims=(1,))
-    mo = PBWMonomial((1, 2), (0, 1), (1, 2))
-    same = PBWMonomial(nodes=(1, 2), exponents=(0, 1), weights=(1, 2))
+    mo = PBWMonomial((1, 2), (0, 1), 2, (1, 1))
+    same = PBWMonomial(nodes=(1, 2), exponents=(0, 1), degree=2, bidegree=(1, 1))
     assert mo == same and hash(mo) == hash(same) and len({mo, same}) == 1
-    assert mo != PBWMonomial((1, 2), (1, 0), (1, 2))
+    assert mo != PBWMonomial((1, 2), (1, 0), 2, (1, 1))
+    assert mo != PBWMonomial((1, 2), (0, 1), 2, (2, 0))
     with pytest.raises(AttributeError):
         mo.exponents = (1, 1)
