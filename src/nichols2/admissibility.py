@@ -62,10 +62,11 @@ class NicholsError(ValueError):
 
 
 class PTableMismatch(AssertionError):
-    def __init__(self, type_id: int, case_id: int, index: int, got, want):
-        super().__init__(
-            f"type {type_id} case {case_id}: p_{index + 1} computed {got} != table {want}")
-        self.index = index
+    """A computed scalar differs from the paper's table; entry names the
+    table entry, such as "p_3" or "lambda at node 5"."""
+
+    def __init__(self, type_id: int, case_id: int, entry: str, got, want):
+        super().__init__(f"type {type_id} case {case_id}: {entry} computed {got} != table {want}")
 
 
 def p_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
@@ -345,156 +346,57 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
 
 # -- golden per-type scalar tables ----------------------------------------------
 
-# Closed forms for the p-sequence over the inner nodes in ascending Q order,
-# per classification family and case, written in q11, q := q12*q21, and
-# q0 := q11*q12*q21.  Signs match the family conditions in the classify
-# module.
-def _gp(*fns):
-    return tuple(fns)
-
-
+# The paper's p-sequence over the inner nodes in ascending Q order, per
+# classification family and case: the entry (sign, i, j, k) is
+# p = sign q11^i q^j q22^k with q := q12*q21.  Signs match the family
+# conditions in the classify module.
 GOLDEN_P = {
-    (1, 1): _gp(),
-    (2, 1): _gp(lambda q11, q, q22: (q11 * q * q22).inv()),
-    (3, 1): _gp(lambda q11, q, q22: q11 / q22,
-                lambda q11, q, q22: q22.inv()),
-    (3, 2): _gp(lambda q11, q, q22: q11.inv(),
-                lambda q11, q, q22: q22 / q11),
-    (3, 3): _gp(lambda q11, q, q22: q11,
-                lambda q11, q, q22: -ONE),
-    (4, 1): _gp(lambda q11, q, q22: -ONE,
-                lambda q11, q, q22: (q11 * q) ** 3,
-                lambda q11, q, q22: -ONE),
-    (4, 2): _gp(lambda q11, q, q22: -ONE,
-                lambda q11, q, q22: -q,
-                lambda q11, q, q22: -ONE),
-    (5, 1): _gp(lambda q11, q, q22: -(q ** 3),
-                lambda q11, q, q22: -ONE,
-                lambda q11, q, q22: -(q ** 2)),
-    (5, 2): _gp(lambda q11, q, q22: (q11 * q) ** 5,
-                lambda q11, q, q22: -ONE,
-                lambda q11, q, q22: -((q11 * q) ** 2)),
-    (6, 1): _gp(lambda q11, q, q22: -ONE,
-                lambda q11, q, q22: -(q11 ** -2),
-                lambda q11, q, q22: -ONE,
-                lambda q11, q, q22: -(q11 ** -3)),
-    (7, 1): _gp(lambda q11, q, q22: -(q11 ** 2),
-                lambda q11, q, q22: -(q11 ** 2),
-                lambda q11, q, q22: -ONE),
-    (7, 2): _gp(lambda q11, q, q22: -(q ** 2),
-                lambda q11, q, q22: q ** 4,
-                lambda q11, q, q22: -ONE),
-    (8, 1): _gp(lambda q11, q, q22: q11 ** -1,
-                lambda q11, q, q22: q11 ** -3,
-                lambda q11, q, q22: q11 ** -1,
-                lambda q11, q, q22: q11 ** -3),
-    (8, 2): _gp(lambda q11, q, q22: -(q ** 2),
-                lambda q11, q, q22: -q,
-                lambda q11, q, q22: -(q ** 2),
-                lambda q11, q, q22: -ONE),
-    (8, 3): _gp(lambda q11, q, q22: -q,
-                lambda q11, q, q22: -ONE,
-                lambda q11, q, q22: q ** 2,
-                lambda q11, q, q22: q ** 3),
-    (8, 4): _gp(lambda q11, q, q22: -(q ** 2),
-                lambda q11, q, q22: -ONE,
-                lambda q11, q, q22: -(q ** 3),
-                lambda q11, q, q22: -ONE),
-    (9, 1): _gp(lambda q11, q, q22: -(q ** 2),
-                lambda q11, q, q22: -ONE,
-                lambda q11, q, q22: q ** 3,
-                lambda q11, q, q22: -q),
-    (10, 1): _gp(lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -q,
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q ** 8,
-                 lambda q11, q, q22: q ** 6,
-                 lambda q11, q, q22: -(q ** -1)),
-    (11, 1): _gp(lambda q11, q, q22: -(q11 ** 2),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q11 ** 9,
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q11 ** 2),
-                 lambda q11, q, q22: -ONE),
-    (12, 1): _gp(lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q11 ** -3),
-                 lambda q11, q, q22: -(q11 ** 4),
-                 lambda q11, q, q22: -(q11 ** -3),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q11 ** -5)),
-    (13, 1): _gp(lambda q11, q, q22: -(q ** 6),
-                 lambda q11, q, q22: -(q ** 4),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q ** -1,
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q ** 4)),
-    (14, 1): _gp(lambda q11, q, q22: -(q11 ** 3),
-                 lambda q11, q, q22: -(q11 ** 4),
-                 lambda q11, q, q22: -(q11 ** 3),
-                 lambda q11, q, q22: -ONE),
-    (15, 1): _gp(lambda q11, q, q22: -(q ** 3),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q ** 10,
-                 lambda q11, q, q22: q ** 11,
-                 lambda q11, q, q22: q ** 10,
-                 lambda q11, q, q22: -ONE),
-    (16, 1): _gp(lambda q11, q, q22: -(q11 ** 3),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q11 ** 4),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q11 ** 3),
-                 lambda q11, q, q22: -ONE),
-    (16, 2): _gp(lambda q11, q, q22: -(q ** 3),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q ** 4,
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q ** 3,
-                 lambda q11, q, q22: -ONE),
-    (17, 1): _gp(lambda q11, q, q22: -(q ** 7),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q ** 8,
-                 lambda q11, q, q22: -(q ** 6),
-                 lambda q11, q, q22: q ** 5,
-                 lambda q11, q, q22: -(q ** 6)),
-    (18, 1): _gp(lambda q11, q, q22: -(q ** 9),
-                 lambda q11, q, q22: -(q ** -2),
-                 lambda q11, q, q22: -(q ** 9),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q ** 10,
-                 lambda q11, q, q22: -(q ** 8)),
-    (19, 1): _gp(lambda q11, q, q22: -(q11 ** 2),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q11 ** -1,
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q11 ** 2),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q11 ** -1,
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q11 ** 2),
-                 lambda q11, q, q22: -ONE),
-    (20, 1): _gp(lambda q11, q, q22: -(q ** 5),
-                 lambda q11, q, q22: q ** 7,
-                 lambda q11, q, q22: -(q ** 5),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q ** 6,
-                 lambda q11, q, q22: -(q ** 2)),
-    (21, 1): _gp(lambda q11, q, q22: -(q11 ** 4),
-                 lambda q11, q, q22: -(q11 ** 6),
-                 lambda q11, q, q22: q11,
-                 lambda q11, q, q22: -(q11 ** 6),
-                 lambda q11, q, q22: -(q11 ** 4),
-                 lambda q11, q, q22: -ONE),
-    (22, 1): _gp(lambda q11, q, q22: -(q11 ** 4),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q11 ** -1,
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q11 ** 4),
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: q11 ** -1,
-                 lambda q11, q, q22: -ONE,
-                 lambda q11, q, q22: -(q11 ** 4),
-                 lambda q11, q, q22: -ONE),
+    (1, 1): [],
+    (2, 1): [(1, -1, -1, -1)],
+    (3, 1): [(1, 1, 0, -1), (1, 0, 0, -1)],
+    (3, 2): [(1, -1, 0, 0), (1, -1, 0, 1)],
+    (3, 3): [(1, 1, 0, 0), (-1, 0, 0, 0)],
+    (4, 1): [(-1, 0, 0, 0), (1, 3, 3, 0), (-1, 0, 0, 0)],
+    (4, 2): [(-1, 0, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 0)],
+    (5, 1): [(-1, 0, 3, 0), (-1, 0, 0, 0), (-1, 0, 2, 0)],
+    (5, 2): [(1, 5, 5, 0), (-1, 0, 0, 0), (-1, 2, 2, 0)],
+    (6, 1): [(-1, 0, 0, 0), (-1, -2, 0, 0), (-1, 0, 0, 0), (-1, -3, 0, 0)],
+    (7, 1): [(-1, 2, 0, 0), (-1, 2, 0, 0), (-1, 0, 0, 0)],
+    (7, 2): [(-1, 0, 2, 0), (1, 0, 4, 0), (-1, 0, 0, 0)],
+    (8, 1): [(1, -1, 0, 0), (1, -3, 0, 0), (1, -1, 0, 0), (1, -3, 0, 0)],
+    (8, 2): [(-1, 0, 2, 0), (-1, 0, 1, 0), (-1, 0, 2, 0), (-1, 0, 0, 0)],
+    (8, 3): [(-1, 0, 1, 0), (-1, 0, 0, 0), (1, 0, 2, 0), (1, 0, 3, 0)],
+    (8, 4): [(-1, 0, 2, 0), (-1, 0, 0, 0), (-1, 0, 3, 0), (-1, 0, 0, 0)],
+    (9, 1): [(-1, 0, 2, 0), (-1, 0, 0, 0), (1, 0, 3, 0), (-1, 0, 1, 0)],
+    (10, 1): [(-1, 0, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 0), (1, 0, 8, 0), (1, 0, 6, 0),
+              (-1, 0, -1, 0)],
+    (11, 1): [(-1, 2, 0, 0), (-1, 0, 0, 0), (1, 9, 0, 0), (-1, 0, 0, 0), (-1, 2, 0, 0),
+              (-1, 0, 0, 0)],
+    (12, 1): [(-1, 0, 0, 0), (-1, -3, 0, 0), (-1, 4, 0, 0), (-1, -3, 0, 0), (-1, 0, 0, 0),
+              (-1, -5, 0, 0)],
+    (13, 1): [(-1, 0, 6, 0), (-1, 0, 4, 0), (-1, 0, 0, 0), (1, 0, -1, 0), (-1, 0, 0, 0),
+              (-1, 0, 4, 0)],
+    (14, 1): [(-1, 3, 0, 0), (-1, 4, 0, 0), (-1, 3, 0, 0), (-1, 0, 0, 0)],
+    (15, 1): [(-1, 0, 3, 0), (-1, 0, 0, 0), (1, 0, 10, 0), (1, 0, 11, 0), (1, 0, 10, 0),
+              (-1, 0, 0, 0)],
+    (16, 1): [(-1, 3, 0, 0), (-1, 0, 0, 0), (-1, 4, 0, 0), (-1, 0, 0, 0), (-1, 3, 0, 0),
+              (-1, 0, 0, 0)],
+    (16, 2): [(-1, 0, 3, 0), (-1, 0, 0, 0), (1, 0, 4, 0), (-1, 0, 0, 0), (1, 0, 3, 0),
+              (-1, 0, 0, 0)],
+    (17, 1): [(-1, 0, 7, 0), (-1, 0, 0, 0), (1, 0, 8, 0), (-1, 0, 6, 0), (1, 0, 5, 0),
+              (-1, 0, 6, 0)],
+    (18, 1): [(-1, 0, 9, 0), (-1, 0, -2, 0), (-1, 0, 9, 0), (-1, 0, 0, 0), (1, 0, 10, 0),
+              (-1, 0, 8, 0)],
+    (19, 1): [(-1, 2, 0, 0), (-1, 0, 0, 0), (1, -1, 0, 0), (-1, 0, 0, 0), (-1, 2, 0, 0),
+              (-1, 0, 0, 0), (1, -1, 0, 0), (-1, 0, 0, 0), (-1, 2, 0, 0), (-1, 0, 0, 0)],
+    (20, 1): [(-1, 0, 5, 0), (1, 0, 7, 0), (-1, 0, 5, 0), (-1, 0, 0, 0), (1, 0, 6, 0),
+              (-1, 0, 2, 0)],
+    (21, 1): [(-1, 4, 0, 0), (-1, 6, 0, 0), (1, 1, 0, 0), (-1, 6, 0, 0), (-1, 4, 0, 0),
+              (-1, 0, 0, 0)],
+    (22, 1): [(-1, 4, 0, 0), (-1, 0, 0, 0), (1, -1, 0, 0), (-1, 0, 0, 0), (-1, 4, 0, 0),
+              (-1, 0, 0, 0), (1, -1, 0, 0), (-1, 0, 0, 0), (-1, 4, 0, 0), (-1, 0, 0, 0)],
 }
+
 
 def _ith(i):
     # i-th inner node (1-based) in the ascending Q order.
@@ -542,19 +444,19 @@ def sorted_internal(t: FullBinaryTree) -> list[int]:
 
 def p_table(type_id: int, b: Braiding, case_id: int = 1) -> list[CycNum]:
     """Compute the p-sequence of a type's tree under a braiding and check it
-    against the stored closed forms; mismatches raise PTableMismatch."""
+    against the paper's signed monomials; mismatches raise PTableMismatch."""
     t = TREES[type_id]
-    templates = GOLDEN_P.get((type_id, case_id))
-    if templates is None:
+    monomials = GOLDEN_P.get((type_id, case_id))
+    if monomials is None:
         raise KeyError(f"no p table for type {type_id} case {case_id}")
     q = b.q12 * b.q21
     computed = [p_of(t, b, a) for a in sorted_internal(t)]
-    if len(computed) != len(templates):
-        raise PTableMismatch(type_id, case_id, len(templates), len(computed), "length")
-    for i, (got, fn) in enumerate(zip(computed, templates)):
-        want = fn(b.q11, q, b.q22)
+    if len(computed) != len(monomials):
+        raise PTableMismatch(type_id, case_id, "p-sequence length", len(computed), len(monomials))
+    for n, (got, (sign, i, j, k)) in enumerate(zip(computed, monomials), 1):
+        want = sign * b.q11 ** i * q ** j * b.q22 ** k
         if got != want:
-            raise PTableMismatch(type_id, case_id, i, got, want)
+            raise PTableMismatch(type_id, case_id, f"p_{n}", got, want)
     return computed
 
 
@@ -564,10 +466,11 @@ def lambda_table(type_id: int, b: Braiding, case_id: int = 1) -> list[CycNum]:
     t = TREES[type_id]
     q = b.q12 * b.q21
     out = []
-    for i, (pick, fn) in enumerate(GOLDEN_LAMBDA.get((type_id, case_id), ())):
-        got = lambda_of(t, b, pick(t))
+    for pick, fn in GOLDEN_LAMBDA.get((type_id, case_id), ()):
+        a = pick(t)
+        got = lambda_of(t, b, a)
         want = fn(b, b.q11, q, b.q22)
         if got != want:
-            raise PTableMismatch(type_id, case_id, i, got, want)
+            raise PTableMismatch(type_id, case_id, f"lambda at node {a}", got, want)
         out.append(got)
     return out

@@ -42,6 +42,7 @@ ROOT_TABLE_CACHE_SIZE tables are kept.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -674,23 +675,19 @@ def qfact(m: int, p: CycNum) -> CycNum:
 
 
 def parse_scalar(text: str) -> CycNum:
-    """Parse the scalar grammar `[-] <int> "/" <posint>` meaning +-zeta_N^k."""
-    s = text.strip()
-    neg = False
-    if s.startswith("-"):
-        neg = True
-        s = s[1:]
-    if "/" not in s:
-        raise CycError(f"scalar {text!r} does not match the grammar k/N")
-    k_str, n_str = s.split("/", 1)
+    """Parse the scalar grammar `[-] <digits> "/" <digits>` meaning +-zeta_N^k,
+    ASCII digits only; outer whitespace is stripped."""
+    m = re.fullmatch(r"(-?)([0-9]+)/([0-9]+)", text.strip())
     try:
-        k, n = int(k_str), int(n_str)
+        if m is None:
+            raise ValueError
+        k, n = int(m[2]), int(m[3])  # ValueError past int()'s limit on digits
     except ValueError as exc:
         raise CycError(f"scalar {text!r} does not match the grammar k/N") from exc
     if n < 1:
         raise CycError(f"scalar {text!r} has nonpositive conductor")
     val = root_of_unity(k, n)
-    return -val if neg else val
+    return -val if m[1] else val
 
 
 def format_scalar(a: CycNum) -> str:

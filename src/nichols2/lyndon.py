@@ -27,14 +27,12 @@ def is_lyndon(u: str) -> bool:
 
 def shirshow(u: str) -> tuple[str, str]:
     """Split a Lyndon word of length >= 2 as u = vw, both factors Lyndon
-    and |v| minimal.  Found by scanning split points left to right."""
+    and |v| minimal: w is the least proper suffix of u (Lothaire,
+    "Combinatorics on Words", 1983, section 5.1)."""
     if len(u) < 2 or not is_lyndon(u):
         raise WordError(f"{u!r} has no standard decomposition")
-    for i in range(1, len(u)):
-        v, w = u[:i], u[i:]
-        if is_lyndon(v) and is_lyndon(w):
-            return v, w
-    raise AssertionError("unreachable: every Lyndon word of length >= 2 splits")
+    i = min(range(1, len(u)), key=lambda i: u[i:])
+    return u[:i], u[i:]
 
 
 def lyndon_factorization(u: str) -> list[str]:

@@ -13,12 +13,12 @@ from nichols2.cyclotomic import (MINUS_ONE, ONE, ZERO, CycNum, canonical_conduct
                                  root_of_unity)
 from nichols2 import braidedalg
 from nichols2.braidedalg import Braiding, tau0
-from nichols2.classify import classify_full, fixtures
+from nichols2.classify import classify_full, fixtures, match_condition
 from nichols2.fbtree import LGH, RGH, TREES, FullBinaryTree, Virtual, parse_tree, serialize_tree
-from nichols2.admissibility import (AdmissibilityReport, NuDenominatorError, PTableMismatch,
-                                    ReconstructionError, ScalarDomainError, StructureError,
-                                    _branch_length_formula_checks, _nu_vanishes, _qnum_zero,
-                                    check_branch_hypothesis, is_admissible, lambda_of,
+from nichols2.admissibility import (GOLDEN_P, AdmissibilityReport, NuDenominatorError,
+                                    PTableMismatch, ReconstructionError, ScalarDomainError,
+                                    StructureError, _branch_length_formula_checks, _nu_vanishes,
+                                    _qnum_zero, check_branch_hypothesis, is_admissible, lambda_of,
                                     lambda_table, mu_of, p_of, p_table, reconstruct_tree,
                                     sorted_internal)
 
@@ -226,8 +226,33 @@ def test_p_table_spec_examples():
 def test_p_table_mismatch_raises():
     # The family-4 templates are non-tautological, so a braiding outside the
     # family condition must trip the comparison.
-    with pytest.raises(PTableMismatch):
+    with pytest.raises(PTableMismatch, match=r"^type 4 case 1: p_2 computed 0/1 != table 1/2$"):
         p_table(4, Braiding(MINUS_ONE, ONE, ONE, MINUS_ONE), 1)
+
+
+def test_table_mismatches_name_their_entry(monkeypatch):
+    node = sorted_internal(TREES[11])[2]
+    with pytest.raises(PTableMismatch, match=rf"^type 11 case 1: lambda at node {node} computed 0 "):
+        lambda_table(11, fixtures()[(2, 1)], 1)
+    monkeypatch.setitem(GOLDEN_P, (4, 1), GOLDEN_P[(4, 1)][:2])
+    with pytest.raises(PTableMismatch, match=r"p-sequence length computed 3 != table 2$"):
+        p_table(4, fixtures()[(4, 1)], 1)
+
+
+def test_paper_tables_hold_on_every_matching_root_braiding():
+    # Every braiding (zeta_N^a, zeta_N^c, 1, zeta_N^d) at these conductors
+    # satisfies the tables of each (family, case) it matches; together they
+    # match all 31 cases.
+    seen = set()
+    for N in (10, 14, 18, 20, 24, 30):
+        z = [root_of_unity(e, N) for e in range(N)]
+        for a, c, d in itertools.product(range(N), repeat=3):
+            b = Braiding(z[a], z[c], ONE, z[d])
+            for n, k in match_condition(b):
+                p_table(n, b, k)
+                lambda_table(n, b, k)
+                seen.add((n, k))
+    assert seen == set(GOLDEN_P) and len(seen) == 31
 
 
 def test_lambda_table_type18_reading():

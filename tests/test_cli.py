@@ -125,6 +125,13 @@ def test_input_errors_exit_two(capsys):
     assert code == 0  # q11 = 1 is a legal (non-root-of-unity-order) entry
 
 
+def test_scalar_outside_the_grammar_exits_two(capsys):
+    # int() would read "1_0" as 10; the scalar grammar takes ASCII digits only.
+    code, out, err = run(capsys, "tree", "--q11=1_0/3", "--q12", "0/1", "--q21", "0/1",
+                         "--q22", "1/2")
+    assert code == 2 and out == "" and "does not match the grammar k/N" in err
+
+
 def test_classify_text_format(capsys):
     code, out, _ = run(capsys, "classify", "--q11", "1/2", "--q12", "0/1",
                        "--q21", "0/1", "--q22", "1/2", "--format", "text")

@@ -450,8 +450,14 @@ def test_scalar_grammar_round_trip():
         parse_scalar("7")
     with pytest.raises(CycError):
         parse_scalar("a/b")
-    with pytest.raises(CycError):
+    with pytest.raises(CycError, match="nonpositive conductor"):
         parse_scalar("1/0")
+    # int() reads signs, underscores, inner spaces and non-ASCII digits; the
+    # grammar takes one optional leading "-" and ASCII digits only.
+    for text in ("--1/3", "+1/3", "1_0/3", "\u0661/\u0663", "1/+3", " 1/ 3", "1/-3"):
+        with pytest.raises(CycError, match="does not match the grammar k/N"):
+            parse_scalar(text)
+    assert parse_scalar(" -1/3\n") == -root_of_unity(1, 3)
     for text in ("0/1", "1/2", "5/12", "3/7"):
         val = parse_scalar(text)
         assert parse_scalar(format_scalar(val)) == val
