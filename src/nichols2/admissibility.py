@@ -28,11 +28,14 @@ minimality conditions, each a q-integer times a difference, one monomial
 test per factor.
 `_nu_vanishes` decides nu = 0 with its q-integer denominators multiplied
 out, on coordinate rows at the braiding's conductor: no inverse is formed.
+The paper's p-sequences and lambda closed forms are data in `families`,
+read by `p_table` and `lambda_table` through one evaluator, `_monomial_sum`.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CycNum, ONE, ZERO, euler_phi, vector_product
+from .cyclotomic import CycNum, ZERO, euler_phi, vector_product
+from .families import GOLDEN_P, LAMBDA_FORMS
 from .fbtree import LGH, RGH, FullBinaryTree, TREES, Virtual
 from .braidedalg import Braiding, _engine
 
@@ -344,97 +347,7 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
     return t
 
 
-# -- golden per-type scalar tables ----------------------------------------------
-
-# The paper's p-sequence over the inner nodes in ascending Q order, per
-# classification family and case: the entry (sign, i, j, k) is
-# p = sign q11^i q^j q22^k with q := q12*q21.  Signs match the family
-# conditions in the classify module.
-GOLDEN_P = {
-    (1, 1): [],
-    (2, 1): [(1, -1, -1, -1)],
-    (3, 1): [(1, 1, 0, -1), (1, 0, 0, -1)],
-    (3, 2): [(1, -1, 0, 0), (1, -1, 0, 1)],
-    (3, 3): [(1, 1, 0, 0), (-1, 0, 0, 0)],
-    (4, 1): [(-1, 0, 0, 0), (1, 3, 3, 0), (-1, 0, 0, 0)],
-    (4, 2): [(-1, 0, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 0)],
-    (5, 1): [(-1, 0, 3, 0), (-1, 0, 0, 0), (-1, 0, 2, 0)],
-    (5, 2): [(1, 5, 5, 0), (-1, 0, 0, 0), (-1, 2, 2, 0)],
-    (6, 1): [(-1, 0, 0, 0), (-1, -2, 0, 0), (-1, 0, 0, 0), (-1, -3, 0, 0)],
-    (7, 1): [(-1, 2, 0, 0), (-1, 2, 0, 0), (-1, 0, 0, 0)],
-    (7, 2): [(-1, 0, 2, 0), (1, 0, 4, 0), (-1, 0, 0, 0)],
-    (8, 1): [(1, -1, 0, 0), (1, -3, 0, 0), (1, -1, 0, 0), (1, -3, 0, 0)],
-    (8, 2): [(-1, 0, 2, 0), (-1, 0, 1, 0), (-1, 0, 2, 0), (-1, 0, 0, 0)],
-    (8, 3): [(-1, 0, 1, 0), (-1, 0, 0, 0), (1, 0, 2, 0), (1, 0, 3, 0)],
-    (8, 4): [(-1, 0, 2, 0), (-1, 0, 0, 0), (-1, 0, 3, 0), (-1, 0, 0, 0)],
-    (9, 1): [(-1, 0, 2, 0), (-1, 0, 0, 0), (1, 0, 3, 0), (-1, 0, 1, 0)],
-    (10, 1): [(-1, 0, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 0), (1, 0, 8, 0), (1, 0, 6, 0),
-              (-1, 0, -1, 0)],
-    (11, 1): [(-1, 2, 0, 0), (-1, 0, 0, 0), (1, 9, 0, 0), (-1, 0, 0, 0), (-1, 2, 0, 0),
-              (-1, 0, 0, 0)],
-    (12, 1): [(-1, 0, 0, 0), (-1, -3, 0, 0), (-1, 4, 0, 0), (-1, -3, 0, 0), (-1, 0, 0, 0),
-              (-1, -5, 0, 0)],
-    (13, 1): [(-1, 0, 6, 0), (-1, 0, 4, 0), (-1, 0, 0, 0), (1, 0, -1, 0), (-1, 0, 0, 0),
-              (-1, 0, 4, 0)],
-    (14, 1): [(-1, 3, 0, 0), (-1, 4, 0, 0), (-1, 3, 0, 0), (-1, 0, 0, 0)],
-    (15, 1): [(-1, 0, 3, 0), (-1, 0, 0, 0), (1, 0, 10, 0), (1, 0, 11, 0), (1, 0, 10, 0),
-              (-1, 0, 0, 0)],
-    (16, 1): [(-1, 3, 0, 0), (-1, 0, 0, 0), (-1, 4, 0, 0), (-1, 0, 0, 0), (-1, 3, 0, 0),
-              (-1, 0, 0, 0)],
-    (16, 2): [(-1, 0, 3, 0), (-1, 0, 0, 0), (1, 0, 4, 0), (-1, 0, 0, 0), (1, 0, 3, 0),
-              (-1, 0, 0, 0)],
-    (17, 1): [(-1, 0, 7, 0), (-1, 0, 0, 0), (1, 0, 8, 0), (-1, 0, 6, 0), (1, 0, 5, 0),
-              (-1, 0, 6, 0)],
-    (18, 1): [(-1, 0, 9, 0), (-1, 0, -2, 0), (-1, 0, 9, 0), (-1, 0, 0, 0), (1, 0, 10, 0),
-              (-1, 0, 8, 0)],
-    (19, 1): [(-1, 2, 0, 0), (-1, 0, 0, 0), (1, -1, 0, 0), (-1, 0, 0, 0), (-1, 2, 0, 0),
-              (-1, 0, 0, 0), (1, -1, 0, 0), (-1, 0, 0, 0), (-1, 2, 0, 0), (-1, 0, 0, 0)],
-    (20, 1): [(-1, 0, 5, 0), (1, 0, 7, 0), (-1, 0, 5, 0), (-1, 0, 0, 0), (1, 0, 6, 0),
-              (-1, 0, 2, 0)],
-    (21, 1): [(-1, 4, 0, 0), (-1, 6, 0, 0), (1, 1, 0, 0), (-1, 6, 0, 0), (-1, 4, 0, 0),
-              (-1, 0, 0, 0)],
-    (22, 1): [(-1, 4, 0, 0), (-1, 0, 0, 0), (1, -1, 0, 0), (-1, 0, 0, 0), (-1, 4, 0, 0),
-              (-1, 0, 0, 0), (1, -1, 0, 0), (-1, 0, 0, 0), (-1, 4, 0, 0), (-1, 0, 0, 0)],
-}
-
-
-def _ith(i):
-    # i-th inner node (1-based) in the ascending Q order.
-    return lambda t: sorted_internal(t)[i - 1]
-
-
-# Known closed forms for lambda at particular nodes of some families, as
-# (node selector, closed form) pairs; the q in the family-18 entries is
-# q12*q21.  The family-2 entry sits at the left leaf: its vanishing is
-# exactly the leaf condition there.
-GOLDEN_LAMBDA = {
-    (2, 1): (
-        (lambda t: t.lch(0),
-         lambda b, q11, q, q22: (ONE + q22.inv()) * (b.q21.inv() - b.q12 * q22)),
-    ),
-    (11, 1): (
-        (_ith(3), lambda b, q11, q, q22: b.q21.inv() * (ONE - q11 ** -2 + q11 ** -4) * (ONE - q11)),
-        (_ith(4), lambda b, q11, q, q22: b.q21.inv() * (ONE - q11 ** -2) * (ONE + q11 ** -4) * (ONE + q11 ** 3)),
-    ),
-    (18, 1): (
-        (_ith(3), lambda b, q11, q, q22: b.q21.inv() * (ONE + q) * (q ** 4 + q ** 11)),
-        (_ith(5), lambda b, q11, q, q22: b.q21.inv() * (q ** 5 - q ** -4)),
-    ),
-    (19, 1): (
-        (_ith(5), lambda b, q11, q, q22: b.q21.inv() * (ONE - q11) * (ONE - q11 ** -2 + q11 ** -4)),
-        (_ith(3), lambda b, q11, q, q22: b.q21.inv() * (ONE + q11 ** -1) * (ONE - q11 ** -2)),
-        (_ith(7), lambda b, q11, q, q22: b.q21.inv() * (ONE + q11 ** -1) * (ONE - q11 ** -2)),
-        (_ith(4), lambda b, q11, q, q22: b.q21.inv() * (ONE - q11 ** -3)),
-        (_ith(8), lambda b, q11, q, q22: b.q21.inv() * (ONE - q11 ** -3)),
-    ),
-    (22, 1): (
-        (_ith(5), lambda b, q11, q, q22: b.q21.inv() * (ONE + q11 ** -1) * (ONE - q11 ** -4)),
-        (_ith(9), lambda b, q11, q, q22: b.q21.inv() * (ONE + q11 ** -1) * (ONE - q11 ** -4)),
-        (_ith(6), lambda b, q11, q, q22: b.q21.inv() * (ONE - q11 ** -5)),
-        (_ith(8), lambda b, q11, q, q22: b.q21.inv() * (ONE - q11 ** -5)),
-        (_ith(10), lambda b, q11, q, q22: b.q21.inv() * (ONE - q11 ** -5)),
-    ),
-}
+# -- the paper's scalar tables ---------------------------------------------------
 
 
 def sorted_internal(t: FullBinaryTree) -> list[int]:
@@ -442,19 +355,23 @@ def sorted_internal(t: FullBinaryTree) -> list[int]:
     return list(t.nbar2()[1:-1])
 
 
+def _monomial_sum(b: Braiding, monomials) -> CycNum:
+    """The sum of sign q11^i q^j q22^k, q = q12*q21, over signed monomials
+    (sign, i, j, k): the one reader of `families.GOLDEN_P` and `LAMBDA_FORMS`."""
+    q = b.q12 * b.q21
+    return sum((sign * b.q11 ** i * q ** j * b.q22 ** k for sign, i, j, k in monomials), ZERO)
+
+
 def p_table(type_id: int, b: Braiding, case_id: int = 1) -> list[CycNum]:
     """Compute the p-sequence of a type's tree under a braiding and check it
     against the paper's signed monomials; mismatches raise PTableMismatch."""
     t = TREES[type_id]
-    monomials = GOLDEN_P.get((type_id, case_id))
-    if monomials is None:
-        raise KeyError(f"no p table for type {type_id} case {case_id}")
-    q = b.q12 * b.q21
+    monomials = GOLDEN_P[type_id, case_id]
     computed = [p_of(t, b, a) for a in sorted_internal(t)]
     if len(computed) != len(monomials):
         raise PTableMismatch(type_id, case_id, "p-sequence length", len(computed), len(monomials))
-    for n, (got, (sign, i, j, k)) in enumerate(zip(computed, monomials), 1):
-        want = sign * b.q11 ** i * q ** j * b.q22 ** k
+    for n, (got, monomial) in enumerate(zip(computed, monomials), 1):
+        want = _monomial_sum(b, (monomial,))
         if got != want:
             raise PTableMismatch(type_id, case_id, f"p_{n}", got, want)
     return computed
@@ -462,14 +379,12 @@ def p_table(type_id: int, b: Braiding, case_id: int = 1) -> list[CycNum]:
 
 def lambda_table(type_id: int, b: Braiding, case_id: int = 1) -> list[CycNum]:
     """Computed lambda values at the nodes with listed closed forms, checked
-    against those forms."""
+    against those forms: q21^-1 times a sum of signed monomials."""
     t = TREES[type_id]
-    q = b.q12 * b.q21
     out = []
-    for pick, fn in GOLDEN_LAMBDA.get((type_id, case_id), ()):
-        a = pick(t)
+    for a, monomials in LAMBDA_FORMS.get((type_id, case_id), ()):
         got = lambda_of(t, b, a)
-        want = fn(b, b.q11, q, b.q22)
+        want = b.q21.inv() * _monomial_sum(b, monomials)
         if got != want:
             raise PTableMismatch(type_id, case_id, f"lambda at node {a}", got, want)
         out.append(got)

@@ -1,10 +1,11 @@
 """The 22-family condition matcher and full classification reports.
 
-Each family condition constrains only q11, the product q12*q21, and q22,
-so fixtures set q21 = 1 and carry the whole product in q12 (the rescaling
-invariance tests justify this normal form).  A braiding may match several
-families; all matches are reported and the verifier simply checks each
-reconstructed tree on its own.
+The family conditions and sample braidings are data in `families`.  Each
+condition constrains only q11, the product q12*q21, and q22, so samples set
+q21 = 1 and carry the whole product in q12 (the rescaling invariance tests
+justify this normal form).  A braiding may match several families; all
+matches are reported and the verifier simply checks each reconstructed tree
+on its own.
 
 Each condition is a conjunction of order tests of monomials in q11,
 q = q12*q21 and q22 (`Braiding.monomial_order`), congruences on their
@@ -22,105 +23,43 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-from .cyclotomic import MINUS_ONE, ONE, root_of_unity
+from .cyclotomic import ONE, root_of_unity
 from .braidedalg import Braiding, NCPoly, format_ncpoly, is_zero_in_nichols
 from .fbtree import TREES, FullBinaryTree, serialize_tree
-from .admissibility import (AdmissibilityReport, ReconstructionError, heights, is_admissible,
-                            lambda_table, p_table, reconstruct_tree)
+from .admissibility import (AdmissibilityReport, PTableMismatch, ReconstructionError, heights,
+                            is_admissible, lambda_table, p_table, reconstruct_tree)
+from .families import CONDITIONS, SAMPLES
 from .nicholscore import (NicholsError, TypeVerdict, _relation_generators, dimension,
                           relation_set, top_total_degree, verify_type)
 
 
-# Conditions (T1)-(T22); the case index counts the or-branches in the order
-# they are stated.  Each equation is an order test of
-# o(i, j, k) = ord q11^i q^j q22^k: x = y is o(x y^-1) == 1, x = -y is
-# o(x y^-1) == 2, and a root of unity other than 1 has order >= 2.
-_CONDITIONS: list[tuple[int, int, object]] = [
-    (1, 1, lambda o: o(1, 0, 0) >= 2 and o(0, 0, 1) >= 2 and o(0, 1, 0) == 1),
-    (2, 1, lambda o: (o(1, 1, 0) == 1 or o(1, 0, 0) == 2)
-        and (o(0, 1, 1) == 1 or o(0, 0, 1) == 2) and o(0, 1, 0) >= 2),
-    (3, 1, lambda o: o(2, 1, 0) == 1 and (o(-2, 0, 1) == 1 or o(0, 0, 1) == 2)
-        and o(1, 0, 0) >= 3),
-    (3, 2, lambda o: o(1, 0, 0) == 3 and o(0, 1, 1) == 1
-        and (o(0, 0, 1) == 2 or o(0, 0, 1) >= 4)),
-    (3, 3, lambda o: o(1, 0, 0) == 3 and o(-1, 1, 0) == 2 and o(0, 0, 1) == 2),
-    (4, 1, lambda o: o(1, 1, 0) == 12 and o(3, 4, 0) == 1 and o(-2, -2, 1) == 2),
-    (4, 2, lambda o: o(0, 1, 0) == 12 and o(1, -2, 0) == 2 and o(0, -2, 1) == 2),
-    (5, 1, lambda o: o(0, 1, 0) == 12 and o(1, -2, 0) == 2 and o(0, 0, 1) == 2),
-    (5, 2, lambda o: o(1, 1, 0) == 12 and o(3, 4, 0) == 1 and o(0, 0, 1) == 2),
-    (6, 1, lambda o: o(1, 0, 0) == 18 and o(2, 1, 0) == 1 and o(-3, 0, 1) == 2),
-    (7, 1, lambda o: o(1, 0, 0) == 12 and o(3, 1, 0) == 1 and o(0, 0, 1) == 2),
-    (7, 2, lambda o: o(0, 1, 0) == 12 and o(1, 3, 0) == 1 and o(0, 0, 1) == 2),
-    (8, 1, lambda o: o(3, 1, 0) == 1 and o(-3, 0, 1) == 1 and o(1, 0, 0) >= 4),
-    (8, 2, lambda o: o(0, 4, 0) == 2 and o(0, 0, 1) == 2 and o(1, -1, 0) == 2),
-    (8, 3, lambda o: o(0, 4, 0) == 2 and o(0, 0, 1) == 2 and o(1, 2, 0) == 1),
-    (8, 4, lambda o: o(0, 4, 0) == 2 and o(1, -2, 0) == 1 and o(0, 1, 1) == 1),
-    (9, 1, lambda o: o(0, 1, 0) == 9 and o(1, 3, 0) == 1 and o(0, 0, 1) == 2),
-    (10, 1, lambda o: o(0, 1, 0) == 24 and o(1, 6, 0) == 1 and o(0, 8, 1) == 1),
-    (11, 1, lambda o: o(1, 0, 0) in (5, 20) and o(3, 1, 0) == 1 and o(0, 0, 1) == 2),
-    (12, 1, lambda o: o(1, 0, 0) == 30 and o(3, 1, 0) == 1 and o(-5, 0, 1) == 2),
-    (13, 1, lambda o: o(0, 1, 0) == 24 and o(1, -6, 0) == 1 and o(0, 1, 1) == 1),
-    (14, 1, lambda o: o(1, 0, 0) == 18 and o(4, 1, 0) == 1 and o(0, 0, 1) == 2),
-    (15, 1, lambda o: o(0, 1, 0) == 30 and o(1, 3, 0) == 2 and o(0, 1, 1) == 1),
-    (16, 1, lambda o: o(1, 0, 0) == 10 and o(4, 1, 0) == 1 and o(0, 0, 1) == 2),
-    (16, 2, lambda o: o(0, 1, 0) == 20 and o(1, 4, 0) == 1 and o(0, 0, 1) == 2),
-    (17, 1, lambda o: o(0, 1, 0) == 24 and o(1, -4, 0) == 2 and o(0, 0, 1) == 2),
-    (18, 1, lambda o: o(0, 1, 0) == 30 and o(1, -5, 0) == 2 and o(0, 0, 1) == 2),
-    (19, 1, lambda o: o(1, 0, 0) == 14 and o(3, 1, 0) == 1 and o(0, 0, 1) == 2),
-    (20, 1, lambda o: o(0, 1, 0) == 30 and o(1, 6, 0) == 1 and o(0, 0, 1) == 2),
-    (21, 1, lambda o: o(1, 0, 0) == 24 and o(5, 1, 0) == 1 and o(0, 0, 1) == 2),
-    (22, 1, lambda o: o(1, 0, 0) == 14 and o(5, 1, 0) == 1 and o(0, 0, 1) == 2),
-]
-
-
 def match_condition(b: Braiding) -> list[tuple[int, int]]:
-    """All (family, case) pairs whose condition the braiding satisfies,
-    each an order test of `Braiding.monomial_order`."""
+    """All (family, case) pairs whose condition `families.CONDITIONS` the
+    braiding satisfies: some atom of each disjunction holds, each atom an
+    order test of `Braiding.monomial_order`."""
     o = b.monomial_order
     if None in (o(1, 0, 0), o(0, 1, 0), o(0, 0, 1)):
         return []
-    return [(n, c) for n, c, pred in _CONDITIONS if pred(o)]
+    orders, out = {}, []  # each monomial's order, found once; all are >= 1, so `or` reads a miss
+    for key, condition in CONDITIONS.items():
+        for atoms in condition:
+            for i, j, k, op, value in atoms:
+                order = orders.get((i, j, k)) or orders.setdefault((i, j, k), o(i, j, k))
+                if order == value or op == ">=" and order > value:
+                    break
+            else:
+                break  # no atom of this disjunction holds
+        else:
+            out.append(key)
+    return out
 
 
 def fixtures() -> dict[tuple[int, int], Braiding]:
-    """One minimal-order sample braiding per condition case, with q21 = 1."""
-    one = ONE
-    m1 = MINUS_ONE
+    """One minimal-order sample braiding per condition case, with q21 = 1,
+    built from its root exponents in `families.SAMPLES`."""
     z = root_of_unity
-    out = {
-        (1, 1): Braiding(m1, one, one, m1),
-        (2, 1): Braiding(z(1, 3), z(2, 3), one, z(1, 3)),
-        (3, 1): Braiding(z(1, 5), z(3, 5), one, z(2, 5)),
-        (3, 2): Braiding(z(1, 3), m1, one, m1),
-        (3, 3): Braiding(z(1, 3), -z(1, 3), one, m1),
-        (4, 1): Braiding(z(4, 12), z(9, 12), one, -z(2, 12)),
-        (4, 2): Braiding(-z(2, 12), z(1, 12), one, -z(2, 12)),
-        (5, 1): Braiding(-z(2, 12), z(1, 12), one, m1),
-        (5, 2): Braiding(z(4, 12), z(9, 12), one, m1),
-        (6, 1): Braiding(z(1, 18), z(16, 18), one, -z(3, 18)),
-        (7, 1): Braiding(z(1, 12), z(9, 12), one, m1),
-        (7, 2): Braiding(z(9, 12), z(1, 12), one, m1),
-        (8, 1): Braiding(z(1, 4), z(1, 4), one, z(3, 4)),
-        (8, 2): Braiding(-z(1, 8), z(1, 8), one, m1),
-        (8, 3): Braiding(z(6, 8), z(1, 8), one, m1),
-        (8, 4): Braiding(z(2, 8), z(1, 8), one, z(7, 8)),
-        (9, 1): Braiding(z(6, 9), z(1, 9), one, m1),
-        (10, 1): Braiding(z(18, 24), z(1, 24), one, z(16, 24)),
-        (11, 1): Braiding(z(1, 5), z(2, 5), one, m1),
-        (12, 1): Braiding(z(1, 30), z(27, 30), one, -z(5, 30)),
-        (13, 1): Braiding(z(6, 24), z(1, 24), one, z(23, 24)),
-        (14, 1): Braiding(z(1, 18), z(14, 18), one, m1),
-        (15, 1): Braiding(-z(27, 30), z(1, 30), one, z(29, 30)),
-        (16, 1): Braiding(z(1, 10), z(6, 10), one, m1),
-        (16, 2): Braiding(z(16, 20), z(1, 20), one, m1),
-        (17, 1): Braiding(-z(4, 24), z(1, 24), one, m1),
-        (18, 1): Braiding(-z(5, 30), z(1, 30), one, m1),
-        (19, 1): Braiding(z(1, 14), z(11, 14), one, m1),
-        (20, 1): Braiding(z(24, 30), z(1, 30), one, m1),
-        (21, 1): Braiding(z(1, 24), z(19, 24), one, m1),
-        (22, 1): Braiding(z(1, 14), z(9, 14), one, m1),
-    }
-    return out
+    return {key: Braiding(z(a, L), z(c, L), ONE, z(d, L))
+            for key, (L, a, c, d) in SAMPLES.items()}
 
 
 class ClassificationReport:
@@ -270,7 +209,7 @@ class FixtureRow(NamedTuple):
 def _matches_table(table, n: int, b: Braiding, c: int) -> bool:
     try:
         table(n, b, c)
-    except AssertionError:
+    except PTableMismatch:
         return False
     return True
 

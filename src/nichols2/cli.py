@@ -4,18 +4,19 @@ Braiding entries use the scalar grammar `[-]k/N` meaning an optionally
 negated root of unity zeta_N^k, e.g. `1/2` is -1 and `-2/12` is the
 negated twelfth root squared.  Reports are JSON by default; exit status is
 0 on success or a verified result, 1 on a verification failure, 2 on an
-input error (bad arguments, scalars, tree text or caps), and 3 on an
-internal error, which is reported with its command, exception type and
-traceback (running out of memory included).
+input error (bad arguments, scalars, a conductor over 500, tree text or
+caps), and 3 on an internal error, which is reported with its command,
+exception type and traceback (running out of memory included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .cyclotomic import CycError, parse_scalar
+from .cyclotomic import MAX_CONDUCTOR, CycError, parse_scalar
 from .braidedalg import Braiding, BraidedError, clear_caches
 from .fbtree import TreeParseError, parse_tree, serialize_tree
 from .admissibility import ReconstructionError, reconstruct_tree
@@ -37,6 +38,9 @@ def _braiding_from_args(args) -> Braiding:
             entries.append(parse_scalar(text))
         except CycError as exc:
             raise InputError(f"--{name}: {exc}") from exc
+    n = math.lcm(*(q.conductor for q in entries))
+    if n > MAX_CONDUCTOR:
+        raise InputError(f"the entries' conductor {n} is over the bound {MAX_CONDUCTOR}")
     try:
         return Braiding(*entries)
     except BraidedError as exc:

@@ -674,9 +674,15 @@ def qfact(m: int, p: CycNum) -> CycNum:
     return acc
 
 
+# The largest conductor a command takes, of a scalar or of a braiding: at the
+# prime 499 every command measured at its default caps ran in under 6 s and
+# 70 MB (2-vCPU x86-64 VM, Python 3.11; README, "Guarantees and limits").
+MAX_CONDUCTOR = 500
+
+
 def parse_scalar(text: str) -> CycNum:
     """Parse the scalar grammar `[-] <digits> "/" <digits>` meaning +-zeta_N^k,
-    ASCII digits only; outer whitespace is stripped."""
+    ASCII digits only, 1 <= N <= MAX_CONDUCTOR; outer whitespace is stripped."""
     m = re.fullmatch(r"(-?)([0-9]+)/([0-9]+)", text.strip())
     try:
         if m is None:
@@ -686,6 +692,8 @@ def parse_scalar(text: str) -> CycNum:
         raise CycError(f"scalar {text!r} does not match the grammar k/N") from exc
     if n < 1:
         raise CycError(f"scalar {text!r} has nonpositive conductor")
+    if n > MAX_CONDUCTOR:
+        raise CycError(f"scalar {text!r} has conductor {n} over the bound {MAX_CONDUCTOR}")
     val = root_of_unity(k, n)
     return -val if m[1] else val
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .families import TREE_TEXT
+
 if TYPE_CHECKING:
     from random import Random
 
@@ -99,23 +101,16 @@ class FullBinaryTree:
         n = len(self.left)
         lgf: list = [None] * n
         rgf: list = [None] * n
-        for a in range(n):
-            p = self.parent[a]
-            if p is None:
-                lgf[a] = LGH
-                rgf[a] = RGH
         # Parents precede children in preorder, so one forward pass settles
         # the three-case godfather recursion.
         for a in range(n):
             p = self.parent[a]
             if p is None:
-                continue
-            if self.right[p] == a:
-                lgf[a] = p
-                rgf[a] = rgf[p]
+                lgf[a], rgf[a] = LGH, RGH
+            elif self.right[p] == a:
+                lgf[a], rgf[a] = p, rgf[p]
             else:
-                lgf[a] = lgf[p]
-                rgf[a] = p
+                lgf[a], rgf[a] = lgf[p], p
         self._lgf = tuple(lgf)
         self._rgf = tuple(rgf)
 
@@ -296,32 +291,4 @@ def random_full_tree(rng: Random, internal: int) -> FullBinaryTree:
     return FullBinaryTree(built[0])
 
 
-# The 22 family tree constants.  Each is cross-validated independently:
-# reconstructing the tree from the family's sample braiding must reproduce
-# it (see the admissibility and classify modules and their tests).
-_TREE_TEXT = {
-    1: "L",
-    2: "(L L)",
-    3: "(L (L L))",
-    4: "((L L) (L L))",
-    5: "(L ((L L) L))",
-    6: "((L L) ((L L) L))",
-    7: "(L (L (L L)))",
-    8: "(L ((L L) (L L)))",
-    9: "(L (((L L) L) L))",
-    10: "((L L) (((L L) L) (L L)))",
-    11: "(L (((L L) (L L)) (L L)))",
-    12: "((L L) ((L L) ((L L) L)))",
-    13: "(L ((L (L L)) ((L L) L)))",
-    14: "(L (L (L (L L))))",
-    15: "(L (((L L) L) (L (L L))))",
-    16: "(L ((L L) ((L L) (L L))))",
-    17: "(L ((((L L) L) (L L)) L))",
-    18: "(L (((L L) ((L L) L)) L))",
-    19: "(L ((((L L) (L L)) ((L L) (L L))) (L L)))",
-    20: "(L (L ((L (L L)) (L L))))",
-    21: "(L (L ((L L) (L (L L)))))",
-    22: "(L ((L L) (((L L) (L L)) ((L L) (L L)))))",
-}
-
-TREES: dict[int, FullBinaryTree] = {k: parse_tree(v) for k, v in _TREE_TEXT.items()}
+TREES: dict[int, FullBinaryTree] = {k: parse_tree(v) for k, v in TREE_TEXT.items()}

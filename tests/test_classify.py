@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
 from conftest import random_root_braiding
 
 from nichols2.cyclotomic import CycNum, MINUS_ONE, ONE, as_root_exponent, root_of_unity
@@ -313,6 +314,21 @@ def test_relation_expansion_failure_fails_verification(monkeypatch):
     assert rep.verify_detail == "relations unavailable: simulated expansion failure"
     assert rep.to_json_dict()["notes"][-1] == ("verification failed: relations unavailable: "
                                                "simulated expansion failure")
+
+
+def test_fixture_matrix_reads_only_table_mismatches_as_failures():
+    # A table mismatch is a failed row; any other assertion is a defect and
+    # propagates.
+    from nichols2.admissibility import p_table
+    from nichols2.classify import _matches_table
+
+    def broken(n, b, c):
+        raise AssertionError("unrelated")
+
+    assert _matches_table(p_table, 4, fixtures()[(4, 1)], 1)
+    assert not _matches_table(p_table, 4, Braiding(MINUS_ONE, ONE, ONE, MINUS_ONE), 1)
+    with pytest.raises(AssertionError, match="unrelated"):
+        _matches_table(broken, 4, fixtures()[(4, 1)], 1)
 
 
 def test_classify_computes_each_height_table_once(monkeypatch):

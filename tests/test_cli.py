@@ -132,6 +132,29 @@ def test_scalar_outside_the_grammar_exits_two(capsys):
     assert code == 2 and out == "" and "does not match the grammar k/N" in err
 
 
+def test_oversized_conductor_exits_two(capsys, monkeypatch):
+    # A conductor over the bound is bad input, rejected before any vector at
+    # it is built: a 40-digit N before root_of_unity is called, and four
+    # coprime N under the bound, whose lcm is over it, before the braiding is.
+    from nichols2 import cli, cyclotomic
+    bound = f"over the bound {cyclotomic.MAX_CONDUCTOR}"
+    assert f"a conductor over {cyclotomic.MAX_CONDUCTOR}," in cli.__doc__  # the --help text
+
+    def no_root(k, n):
+        raise AssertionError(f"root_of_unity({k}, {n}) called")
+
+    with monkeypatch.context() as m:
+        m.setattr(cyclotomic, "root_of_unity", no_root)
+        code, out, err = run(capsys, "tree", "--q11", "1/" + "9" * 40, "--q12", "0/1",
+                             "--q21", "0/1", "--q22", "1/2")
+    assert code == 2 and out == "" and "--q11" in err and bound in err
+    assert 17 <= cyclotomic.MAX_CONDUCTOR < 7 * 11 * 13 * 17
+    monkeypatch.setattr(cli, "Braiding", None)  # a call would be an internal error
+    code, out, err = run(capsys, "tree", "--q11", "1/7", "--q12", "1/11", "--q21", "1/13",
+                         "--q22", "1/17")
+    assert code == 2 and out == "" and f"conductor 17017 is {bound}" in err
+
+
 def test_classify_text_format(capsys):
     code, out, _ = run(capsys, "classify", "--q11", "1/2", "--q12", "0/1",
                        "--q21", "0/1", "--q22", "1/2", "--format", "text")

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import basis_words, skew_derivation
 from nichols2 import braidedalg, cyclotomic
 from nichols2.braidedalg import Braiding, NCPoly
-from nichols2.cyclotomic import (CycError, CycNum, MINUS_ONE, ONE, ZERO, Residues, _demoted,
-                                 _root_exponent, _substitute, as_root_exponent,
+from nichols2.cyclotomic import (MAX_CONDUCTOR, CycError, CycNum, MINUS_ONE, ONE, ZERO, Residues,
+                                 _demoted, _root_exponent, _substitute, as_root_exponent,
                                  canonical_conductor, cyclotomic_polynomial, divisors, euler_phi,
                                  format_scalar, growth, parse_scalar, power_vector, qfact,
                                  qnum, root_of_unity, root_vectors, vector_product)
@@ -452,6 +452,9 @@ def test_scalar_grammar_round_trip():
         parse_scalar("a/b")
     with pytest.raises(CycError, match="nonpositive conductor"):
         parse_scalar("1/0")
+    assert parse_scalar(f"1/{MAX_CONDUCTOR}").conductor == MAX_CONDUCTOR
+    with pytest.raises(CycError, match=f"conductor {MAX_CONDUCTOR + 1} over the bound"):
+        parse_scalar(f"0/{MAX_CONDUCTOR + 1}")
     # int() reads signs, underscores, inner spaces and non-ASCII digits; the
     # grammar takes one optional leading "-" and ASCII digits only.
     for text in ("--1/3", "+1/3", "1_0/3", "\u0661/\u0663", "1/+3", " 1/ 3", "1/-3"):
