@@ -24,7 +24,7 @@ from itertools import chain
 
 from .cyclotomic import (CycNum, MINUS_ONE, ONE, Residues, as_root_exponent,
                          canonical_conductor, clear_denominators, euler_phi, format_scalar,
-                         growth, root_of_unity, root_power, root_vectors)
+                         root_of_unity, root_power, root_vectors, shift_gain)
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel, is_lyndon, shirshow
 
@@ -382,11 +382,11 @@ def _derivatives_along(b: Braiding, terms: dict, n: int, words=None):
     `cyclotomic.Residues`, and only the scalars yielded are decoded; the
     ring is exact on every coordinate the walk forms once its bound B is.
     A level of words of length l puts at most l moves on a word, one per
-    position of the deleted letter, and a move by a twist t has |t y|_inf
-    <= |t|_1 kappa |y|_1 <= tau kappa phi |y|_inf, kappa and phi from
-    `cyclotomic.growth` and tau the largest |t|_1 (1 for +-z^k).  So
-    B = B_0 m! (tau kappa phi)^m for the input bound B_0."""
-    phi, kappa, _ = growth(n)
+    position of the deleted letter, and a move by a twist t = sum_e t_e z^e
+    (e < n) has |t y|_inf <= sum_e |t_e| |z^e y|_inf <= tau g |y|_inf, for
+    g = `cyclotomic.shift_gain`(n), the most |z^e y|_inf / |y|_inf, and tau
+    the largest |t|_1 (1 for +-z^e).  So B = B_0 m! (tau g)^m for the input
+    bound B_0."""
     twists, tau, m = {}, 1, max(map(len, terms), default=0)
     if not b.of_roots:  # at every prefix degree a walk meets, as its words only lose letters
         r, s = (max(w.count(j) for w in terms) + 1 for j in (1, 2))
@@ -394,7 +394,7 @@ def _derivatives_along(b: Braiding, terms: dict, n: int, words=None):
                                      for i in (1, 2) for a in range(r) for c in range(s)})[0]
         tau = max(sum(map(abs, vec)) for vec in twists.values())
     bound = max(map(abs, chain.from_iterable(terms.values())), default=0) * math.factorial(m)
-    ring = Residues(n, bound * (tau * kappa * phi) ** m)
+    ring = Residues(n, bound * (tau * shift_gain(n)) ** m)
     twists = {key: (ring.pack(vec) % ring.modulus, 0) for key, vec in twists.items()}
 
     def walk(terms, words):

@@ -28,7 +28,8 @@ A single product of coordinate vectors is formed and reduced modulo Phi_N
 in one place, `vector_product(N)`.  Sums of many products are formed in one
 integer image of Z[zeta_N], the residue ring `Residues`: z -> X = 2^W
 modulo Phi_N(X), W from a stated coordinate bound.  The constants of every
-coordinate bound, phi(N), kappa and rho, come from one helper, `growth(N)`.
+coordinate bound, phi(N), kappa and rho, come from one helper, `growth(N)`,
+and the growth of a product by a root, g, from `shift_gain(N)`.
 
 Every field map is one substitution z -> z^k (`_substitute`): the lift into a
 larger conductor, a Galois conjugate, and the fold of zeta_{2m} into zeta_m.
@@ -164,6 +165,21 @@ def growth(n: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
+def shift_gain(n: int) -> int:
+    """g = max over k < n and j of sum_{i < phi} |(z^(i+k) mod Phi_n)_j|, so
+    |z^k y|_inf <= g |y|_inf over Z[zeta_n]: coordinate j of z^k y = sum_i
+    y_i z^(i+k) is sum_i y_i (z^(i+k))_j, and y_i = sign (z^(i+k))_j attains
+    it.  g <= kappa phi (`growth`).  The window of powers slides by one."""
+    phi = euler_phi(n)
+    powers = [tuple(map(abs, power_vector(n, e))) for e in range(n)]
+    window, best = [sum(col) for col in zip(*powers[:phi])], 0
+    for k in range(n):
+        best = max(best, *window)
+        window = [w - a + b for w, a, b in zip(window, powers[k], powers[(k + phi) % n])]
+    return best
+
+
+@lru_cache(maxsize=None)
 def vector_product(n: int):
     """The product of Q(zeta_n): mul(a, b) multiplies two coordinate
     vectors and returns the coordinate list of the product modulo Phi_n.
@@ -228,9 +244,9 @@ class Residues:
     @classmethod
     def for_sums(cls, n: int, xs, ys, per_sum: int) -> Residues:
         """The ring exact on every sum of at most per_sum products x y, x among
-        the vectors xs and y among ys: a raw product has coordinates at most
-        phi |x|_inf |y|_inf, so the reduced one at most (1 + rho) phi
-        |x|_inf |y|_inf (`growth`)."""
+        the vectors xs and y among ys (or supersets of them): a raw product
+        has coordinates at most phi |x|_inf |y|_inf, so the reduced one at
+        most (1 + rho) phi |x|_inf |y|_inf (`growth`)."""
         phi, _, rho = growth(n)
         x, y = (max(map(abs, chain.from_iterable(vs)), default=0) for vs in (xs, ys))
         return cls(n, per_sum * (1 + rho) * phi * x * y)

@@ -99,7 +99,8 @@ def _pivot_words(eng, r: int, s: int) -> list:
     """Basis words of the bidegree-(r, s) piece, the standard words: the
     candidates b.j of the pivot rows of their derivative coordinates, read
     from the bidegrees below in eng.frontier, where this one goes in turn
-    (module docstring and step 1)."""
+    (module docstring and step 1).  Each row is assembled in one pass, its
+    sums reduced once in the block's one ring (`Residues.for_sums`)."""
     known, frontier, n = eng.pivot_words, eng.frontier, eng.conductor
 
     def split(bd):  # the x1-candidates of bd, and the columns of its first derivative
@@ -119,10 +120,15 @@ def _pivot_words(eng, r: int, s: int) -> list:
     ys = {(i, e, k): tuple(big // frontier[bd].den * x for x in vec) for i, bd in below.items()
           for e, comb in enumerate(frontier[bd].table) if type(comb) is dict
           for k, vec in comb.items()}
-    rows, dens, xs, products = [], [], {}, []
-    for c, (j, t) in enumerate(cands):
+    if ys:  # one ring for the block: each sum of at most per_sum products is exact in it
+        per_sum = max(len(frontier[bd].table) for bd in below.values())
+        ring = Residues.for_sums(n, (vec for bd in below.values() for row, _ in frontier[bd].rows
+                                     for vec in row), ys.values(), per_sum)
+        py = {b: ring.pack(v) for b, v in ys.items()}
+    rows, dens = [], []
+    for j, t in cands:
         row, den = frontier[below[j]].rows[t]
-        out, cut = [(0,) * eng.deg] * len(cands), split(below[j])
+        out, cut, sums = [(0,) * eng.deg] * len(cands), split(below[j]), {}
         for i, gamma in below.items():
             table, first = frontier[gamma].table, split(gamma) if j == 2 else 0
             lo, hi, base = (0, cut, 0) if i == 1 else (cut, len(row), n1)
@@ -131,25 +137,18 @@ def _pivot_words(eng, r: int, s: int) -> list:
                 if type(comb) is int:  # a basis word: a unit vector
                     out[base + comb] = row[pos] if big == 1 else tuple(big * x for x in row[pos])
                 elif comb and any(row[pos]):
-                    xs[(c, pos)] = row[pos]
-                    products += [((c, base + k), (c, pos), (i, first + pos - lo, k)) for k in comb]
-        tw = twist[j] if den * big == 1 else [den * big * y for y in twist[j]]
+                    x = ring.pack(row[pos])
+                    for k in comb:
+                        sums[base + k] = sums.get(base + k, 0) + x * py[(i, first + pos - lo, k)]
+        for col, x in sums.items():  # each sum reduced mod M once
+            out[col] = tuple(map(operator.add, out[col], ring.decode(x % ring.modulus)))
+        den *= big
+        tw = twist[j] if den == 1 else [den * y for y in twist[j]]
         out[n1 * (j - 1) + t] = tuple(map(operator.add, out[n1 * (j - 1) + t], tw))
+        if den > 1 and (g := math.gcd(den, *(math.gcd(*vec) for vec in out))) > 1:
+            out, den = [tuple(x // g for x in vec) for vec in out], den // g
         rows.append(out)
-        dens.append(den * big)
-    if xs:  # each sum of at most per_sum products is reduced mod M once
-        per_sum = max(len(frontier[bd].table) for bd in below.values())
-        ring = Residues.for_sums(n, xs.values(), ys.values(), per_sum)
-        px = {a: ring.pack(v) for a, v in xs.items()}
-        py = {b: ring.pack(v) for b, v in ys.items()}
-        sums: dict = {}
-        for t, a, b in products:
-            sums[t] = sums.get(t, 0) + px[a] * py[b]
-        for (c, col), x in sums.items():
-            rows[c][col] = tuple(map(operator.add, rows[c][col], ring.decode(x % ring.modulus)))
-    for c, row in enumerate(rows):
-        if dens[c] > 1 and (g := math.gcd(dens[c], *(math.gcd(*vec) for vec in row))) > 1:
-            rows[c], dens[c] = [tuple(x // g for x in vec) for vec in row], dens[c] // g
+        dens.append(den)
     pivot_rows, deps = [], {}
     exact_rank_vectors(rows, n, pivot_rows=pivot_rows, dependencies=deps)
     # Candidate c is basis word k, or zero, or a combination of them: by

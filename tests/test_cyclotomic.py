@@ -13,7 +13,7 @@ from nichols2.cyclotomic import (MAX_CONDUCTOR, CycError, CycNum, MINUS_ONE, ONE
                                  _demoted, _root_exponent, _substitute, as_root_exponent,
                                  canonical_conductor, cyclotomic_polynomial, divisors, euler_phi,
                                  format_scalar, growth, parse_scalar, power_vector, qfact,
-                                 qnum, root_of_unity, root_vectors, vector_product)
+                                 qnum, root_of_unity, root_vectors, shift_gain, vector_product)
 
 INVERSE_CONDUCTORS = (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30)
 
@@ -140,6 +140,33 @@ def test_residue_ring_carries_one_level_of_the_walk():
                 got = braidedalg.skew_derivation(b, i, packed, ring, {})
                 assert {w: ring.decode(r) for w, r in got.items()} == \
                     {w: list(c._lift(n)) for w, c in want.terms.items()}, (b, n, rho, i)
+
+
+def test_shift_gain_by_brute_force_and_attained_by_one_move():
+    # g = max over k < n and j of sum_{i < phi} |(z^(i+k))_j|, summed here
+    # power by power.  At n = 105 the sign vector y_i = sign (z^(i+k))_j of
+    # a maximal (k, j) is moved by z^k, the twist of deleting the 1 of
+    # (2, 1) for q12 = z^-k, to g B_0 at coordinate j: one level of the walk
+    # on B_0 y must decode in the ring of bound B_0 g, the width one move
+    # gets, with B_0 the largest that width allows.
+    want = {1: 1, 3: 2, 4: 1, 5: 2, 7: 2, 9: 2, 12: 2, 15: 6, 20: 2, 24: 2, 30: 6, 105: 28}
+    for n, g in want.items():
+        phi, kappa, _ = growth(n)
+        sums = {(k, j): sum(abs(power_vector(n, i + k)[j]) for i in range(phi))
+                for k in range(n) for j in range(phi)}
+        assert shift_gain(n) == max(sums.values()) == g <= kappa * phi
+    k, j = max(sums, key=sums.get)  # of the last n, 105
+    y = [(power_vector(n, i + k)[j] > 0) - (power_vector(n, i + k)[j] < 0) for i in range(phi)]
+    big = ((1 << 80) - 3) // (2 * g)
+    ring = Residues(n, big * g)
+    assert ring.width == 80
+    b = Braiding(root_of_unity(2, n), root_of_unity(-k, n), ONE, root_of_unity(4, 15))
+    for sign in (1, -1):
+        x = [sign * big * c for c in y]
+        got = braidedalg.skew_derivation(b, 1, {(2, 1): ring.pack(x)}, ring, {})
+        moved = list(vector_product(n)(power_vector(n, k), x))
+        assert {w: ring.decode(r) for w, r in got.items()} == {(2,): moved}
+        assert moved[j] == sign * g * big == sign * max(map(abs, moved))
 
 
 def test_vector_product_matches_long_division(rng):

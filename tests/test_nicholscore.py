@@ -716,3 +716,49 @@ def test_verdict_truth_and_monomial_identity():
     assert mo != PBWMonomial((1, 2), (0, 1), 2, (2, 0))
     with pytest.raises(AttributeError):
         mo.exponents = (1, 1)
+
+
+def test_galois_conjugates_rank_to_conjugate_tables(monkeypatch):
+    # sigma_k: zeta -> zeta^k, k a unit mod L, is a ring automorphism of
+    # Z[zeta_L], and every row of the oracle is built by ring operations
+    # from chi values and the tables below.  So sigma_k(b) has b's pivot
+    # words at every bidegree, and its dependency tables (D, nums) are the
+    # sigma_k-images of b's, while its modular layer meets other roots,
+    # residues and perhaps primes.  All 128 conjugates of the 31 fixtures.
+    from math import gcd
+
+    from nichols2 import nicholscore
+    from nichols2.braidedalg import _engine, clear_caches
+    from nichols2.classify import fixtures
+    from nichols2.cyclotomic import _substitute
+
+    rank, blocks = nicholscore.exact_rank_vectors, []
+
+    def recording(rows, conductor, pivot_rows=None, dependencies=None):
+        found = rank(rows, conductor, pivot_rows, dependencies)
+        blocks.append((conductor, list(pivot_rows), dict(dependencies)))
+        return found
+
+    def oracle(b):
+        clear_caches()
+        blocks.clear()
+        hilbert_prefix(b, 8)
+        return dict(_engine(b).pivot_words), list(blocks)
+
+    monkeypatch.setattr(nicholscore, "exact_rank_vectors", recording)
+    count = 0
+    for key, b in sorted(fixtures().items()):
+        words, tables = oracle(b)
+        n = b.conductor
+        for k in range(2, b._exps[0]):
+            if gcd(k, b._exps[0]) > 1:
+                continue
+            count += 1
+            conj = Braiding(b.q11 ** k, b.q12 ** k, b.q21 ** k, b.q22 ** k)
+            got_words, got_tables = oracle(conj)
+            assert got_words == words, (key, k)
+            assert [(c, p, {i: (d, [tuple(v) for v in nums]) for i, (d, nums) in deps.items()})
+                    for c, p, deps in got_tables] == \
+                [(c, p, {i: (d, [_substitute(v, k, n) for v in nums]) for i, (d, nums)
+                         in deps.items()}) for c, p, deps in tables], (key, k)
+    assert count == 128
