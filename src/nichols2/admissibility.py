@@ -5,10 +5,11 @@ a leaf lambda == 0), mu feeds the coefficients of the mixed commutation
 relations, and nu is the obstruction that must vanish where a mixed
 relation crosses a long left branch.  Every lambda is a coordinate tuple at
 the common conductor of the braiding's entries, grown from its parent's by
-one step, `_lambda_step`: tree reconstruction takes that step while it
-grows a tree from the root, and `_lambdas` takes it over the nodes of a
-given tree, kept with the heights in the per-tree part of the braiding's
-context (`braidedalg._engine`) and freed with it.
+one step, `_lambda_step`.  Tree reconstruction takes that step once per
+node while it grows a tree from the root, and keeps the lambdas and the
+heights it tests in the per-tree part of the braiding's context
+(`braidedalg._engine`), freed with it; `_lambdas` and `heights` fill that
+part for a tree handed in from outside.
 The step adds two bicharacter values read as coordinates by
 `Braiding.chi_at`; bimultiplicativity gives chi(u, v)^-1 = chi(-u, v), so no
 inverse is formed, and for a braiding of roots of unity each value is one
@@ -34,9 +35,11 @@ read by `p_table` and `lambda_table` through one evaluator, `_monomial_sum`.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .cyclotomic import CycNum, ZERO, euler_phi, vector_product
 from .families import GOLDEN_P, LAMBDA_FORMS
-from .fbtree import LGH, RGH, FullBinaryTree, TREES, Virtual
+from .fbtree import LGH, RGH, FullBinaryTree, TREES, Virtual, shape_tree
 from .braidedalg import Braiding, _engine
 
 
@@ -99,7 +102,8 @@ def heights(t: FullBinaryTree, b: Braiding) -> dict:
     """{a: ord chi(a, a)} over the extended inner nodes in Q order, None where
     chi(a, a) is not a root of unity: the PBW generator heights (Kharchenko's
     PBW theorem).  The table is built once into the per-tree part of the
-    braiding's context; its readers share the dict and do not change it."""
+    braiding's context, by `reconstruct_tree` for the tree it grows; its
+    readers share the dict and do not change it."""
     ctx = _engine(b).on_tree(t)
     if ctx.heights is None:
         ctx.heights = {a: b.monomial_order(*_pairing(t, a)) for a in t.nbar2()}
@@ -111,8 +115,7 @@ def _lambda_step(b: Braiding, n: int, lam: tuple, u, v) -> tuple:
     lambda of the node with godfather labels u (left) and v (right), given
     its parent's lambda (the zero tuple at the root).  The inverse is
     chi(-u, v), so both terms are coordinate rows from `Braiding.chi_at`."""
-    return tuple([x + y - z for x, y, z in
-                  zip(lam, b.chi_at((-u[0], -u[1]), v, n), b.chi_at(v, u, n))])
+    return tuple(map(sub, map(add, lam, b.chi_at((-u[0], -u[1]), v, n)), b.chi_at(v, u, n)))
 
 
 def _lambdas(t: FullBinaryTree, b: Braiding) -> tuple:
@@ -165,13 +168,11 @@ def _nu_vanishes(t: FullBinaryTree, b: Braiding, a: int) -> bool:
 
     def qint(m, x):  # [m]_{p_x}: the sum of chi(-j x, x) = p_x^j over j < m
         r, s = label(x)
-        return [sum(col) for col in zip(*(b.chi_at((-j * r, -j * s), (r, s), n)
-                                          for j in range(m)))]
+        return list(map(sum, zip(*[b.chi_at((-j * r, -j * s), (r, s), n) for j in range(m)])))
 
     if k == 1:
         x, y = a, c
-        lhs = [u - v for u, v in zip(b.chi_at((-g[0], -g[1]), label(a), n),
-                                     b.chi_at(label(a), g, n))]
+        lhs = list(map(sub, b.chi_at((-g[0], -g[1]), label(a), n), b.chi_at(label(a), g, n)))
     else:
         x, y = c, t.rch(c)
         lhs = b.chi_at((-g[0], -g[1]), label(y), n)
@@ -181,8 +182,8 @@ def _nu_vanishes(t: FullBinaryTree, b: Braiding, a: int) -> bool:
         if not any(row):
             raise NuDenominatorError(a, which)
         lhs = mul(lhs, row)
-    rhs = mul(mul(lams[x], lams[y]), [u - v for u, v in zip(dens[-1], dens[0])])
-    return not any(u + v for u, v in zip(lhs, rhs))
+    rhs = mul(mul(lams[x], lams[y]), list(map(sub, dens[-1], dens[0])))
+    return not any(map(add, lhs, rhs))
 
 
 def check_branch_hypothesis(t: FullBinaryTree) -> None:
@@ -285,8 +286,8 @@ def _branch_length_formula_checks(t: FullBinaryTree, b: Braiding) -> None:
     # and below node a [m + s]_{p_a} (p_r p_a^(s-m) p_l^-1 - 1), s = lchl(rch a).
     def check_min(length, s, x, u, o, what):
         for m in range(1, length + 1):
-            zero = (_qnum_zero(m + s, o)
-                    or b.monomial_order(*(i + m * j for i, j in zip(x, u))) == 1)
+            zero = (_qnum_zero(m + s, o) or b.monomial_order(
+                x[0] + m * u[0], x[1] + m * u[1], x[2] + m * u[2]) == 1)
             if m < length and zero:
                 raise ReconstructionError(f"{what}: expression vanishes early at {m}")
             if m == length and not zero:
@@ -297,7 +298,7 @@ def _branch_length_formula_checks(t: FullBinaryTree, b: Braiding) -> None:
     check_min(t.lchl(0), 0, (0, -1, 1), (0, 0, -1), h[LGH], "left spine length")
     for a in t.internal():
         # p_y = chi(y, y)^-1, so u = chi(a, a) and x = chi(a, a)^-s chi(l, l) chi(r, r)^-1.
-        pa, pr, pl = (_pairing(t, y) for y in (a, t.rgf(a), t.lgf(a)))
+        pa, pr, pl = _pairing(t, a), _pairing(t, t.rgf(a)), _pairing(t, t.lgf(a))
         s = t.lchl(t.rch(a))
         check_min(t.rchl(t.lch(a)), s, [y - z - s * w for w, y, z in zip(pa, pl, pr)], pa,
                   h[a], f"left branch below node {a}")
@@ -316,20 +317,25 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
     then possibly of infinite type, or the cap too small) or when a
     branching node's p is not a root of unity.  The finished tree is
     cross-checked against closed-form branch-length minimality conditions,
-    each product tested factor by factor.
+    each product tested factor by factor.  Where empty, the growth fills
+    the per-tree part of the braiding's context: its lambdas, and as
+    `heights` the orders of chi(a, a) that it tests.  The tree is the one
+    shared object of its shape (`shape_tree`).
     """
     if max_weight < 2:
         raise ValueError("max_weight must be at least 2")
-    n, root = b.conductor, [None]
-    # Nodes to grow, the next on top: its slot (children list, index), its
-    # godfathers' labels u, v and its parent's lambda.  The stack keeps the
-    # preorder, left-first checks of a recursion, and meets no depth limit.
-    todo = [(root, 0, (0, 1), (1, 0), (0,) * euler_phi(n))]
+    n, lams, inner, hs = b.conductor, [], [], {}
+    # Nodes to grow, the next on top: its godfathers' labels u, v and its
+    # parent's lambda.  Popped left-first, the nodes come in the preorder
+    # that numbers a tree's nodes, and the stack meets no depth limit.
+    todo = [((0, 1), (1, 0), (0,) * euler_phi(n))]
     while todo:
-        slot, i, u, v, lam = todo.pop()
+        u, v, lam = todo.pop()
         lam = _lambda_step(b, n, lam, u, v)
-        if not any(lam):
-            continue  # a leaf: the slot stays None
+        lams.append(lam)
+        inner.append(any(lam))
+        if not inner[-1]:
+            continue  # a leaf
         stbr = (u[0] + v[0], u[1] + v[1])
         weight = stbr[0] + stbr[1]
         if weight > max_weight:
@@ -337,12 +343,18 @@ def reconstruct_tree(b: Braiding, max_weight: int = 16) -> FullBinaryTree:
                 f"branching node at weight {weight} exceeds the cap {max_weight}: "
                 "possibly infinite-dimensional or cap too small")
         # p = chi(a, a)^-1 is a root of unity exactly when chi(a, a) is.
-        if b.monomial_order(stbr[0] ** 2, stbr[0] * stbr[1], stbr[1] ** 2) is None:
+        hs[len(lams) - 1] = o = b.monomial_order(stbr[0] ** 2, stbr[0] * stbr[1], stbr[1] ** 2)
+        if o is None:
             raise ReconstructionError(
                 f"branching node at label {stbr} has non-root-of-unity p")
-        slot[i] = node = [None, None]
-        todo += ((node, 1, stbr, v, lam), (node, 0, u, stbr, lam))
-    t = FullBinaryTree(root[0])
+        todo += ((stbr, v, lam), (u, stbr, lam))
+    t = shape_tree(tuple(inner))
+    ctx = _engine(b).on_tree(t)
+    if ctx.lambdas is None:
+        ctx.lambdas = tuple(lams)
+    if ctx.heights is None:
+        hs[LGH], hs[RGH] = b.monomial_order(0, 0, 1), b.monomial_order(1, 0, 0)
+        ctx.heights = {a: hs[a] for a in t.nbar2()}
     _branch_length_formula_checks(t, b)
     return t
 

@@ -25,7 +25,7 @@ from itertools import chain
 from .cyclotomic import (CycNum, MINUS_ONE, ONE, Residues, as_root_exponent,
                          canonical_conductor, clear_denominators, euler_phi, format_scalar,
                          root_of_unity, root_power, root_vectors, shift_gain)
-from .fbtree import FullBinaryTree
+from .fbtree import SHAPES, FullBinaryTree
 from .lyndon import christoffel, is_lyndon, shirshow
 
 
@@ -90,8 +90,8 @@ class Braiding:
         one zeta_L, the scalar otherwise."""
         if self._exps is None:
             return (self.q11 ** i * (self.q12 * self.q21) ** j * self.q22 ** k).order()
-        L = self._exps[0]
-        return L // math.gcd(self._exponent(i, j, j, k), L)
+        L, (a11, a12, a21, a22) = self._exps
+        return L // math.gcd(a11 * i + (a12 + a21) * j + a22 * k, L)
 
     def entries(self) -> tuple[CycNum, CycNum, CycNum, CycNum]:
         return (self.q11, self.q12, self.q21, self.q22)
@@ -129,8 +129,8 @@ class Braiding:
         entry's conductor divides.  For entries that are roots of unity the
         value is read by its exponent from the table `root_vectors`."""
         if self.of_roots:
-            L, (d1, d2), (e1, e2) = self._exps[0], d, e
-            return root_vectors(L, n)[self._exponent(d1 * e1, d1 * e2, d2 * e1, d2 * e2) % L]
+            (L, (a11, a12, a21, a22)), (d1, d2), (e1, e2) = self._exps, d, e
+            return root_vectors(L, n)[((a11 * e1 + a12 * e2) * d1 + (a21 * e1 + a22 * e2) * d2) % L]
         return self.chi(d, e)._lift(n)
 
     def chi_nodes(self, t: FullBinaryTree, a, b) -> CycNum:
@@ -285,7 +285,7 @@ class _SymEngine:
     derivative rows and candidates' table (`nicholscore._Ranked`, filled by
     `dim_at_degree`).  brackets maps Lyndon words to their elements
     (`bracket_word`), and the per-tree part holds the heights and lambdas
-    of `tree` (`admissibility`), None until read."""
+    of `tree` (`admissibility`), None until read or grown."""
 
     _letters = {"a": NCPoly.generator(2), "b": NCPoly.generator(1)}  # NCPoly is immutable
 
@@ -484,6 +484,7 @@ def format_ncpoly(p: NCPoly) -> str:
 
 
 def clear_caches():
-    """Free the context of the braiding in hand, every table in it (test
-    hygiene, and room to report running out of memory)."""
+    """Free the context of the braiding in hand, every table in it, and the
+    grown trees `fbtree.SHAPES` (test hygiene, room to report out of memory)."""
     _ENGINES.clear()
+    SHAPES.clear()

@@ -284,6 +284,11 @@ def random_full_tree(rng: Random, internal: int) -> FullBinaryTree:
             while pick >= (block := catalan[i] * catalan[n - 1 - i]):
                 pick, i = pick - block, i + 1
             todo += [n - 1 - i, i]
+    return _from_preorder(inner)
+
+
+def _from_preorder(inner) -> FullBinaryTree:
+    """The tree whose nodes, in preorder, are inner or leaves as inner says."""
     # In reverse preorder a node's left subtree is built last, so it is on top.
     built = []
     for is_inner in reversed(inner):
@@ -292,3 +297,20 @@ def random_full_tree(rng: Random, internal: int) -> FullBinaryTree:
 
 
 TREES: dict[int, FullBinaryTree] = {k: parse_tree(v) for k, v in TREE_TEXT.items()}
+
+# One tree per shape grown by `admissibility.reconstruct_tree`, first the
+# family trees: structure only, as TREES.  Emptied by `braidedalg.clear_caches`.
+MAX_SHAPES = 256
+SHAPES: dict[tuple[bool, ...], FullBinaryTree] = {
+    tuple(not t.is_leaf(a) for a in t.nodes()): t for t in TREES.values()}
+
+
+def shape_tree(inner: tuple[bool, ...]) -> FullBinaryTree:
+    """The one shared tree of the shape inner, its preorder branch/leaf
+    sequence (`_from_preorder`); past MAX_SHAPES the first stored goes."""
+    t = SHAPES.get(inner)
+    if t is None:
+        while len(SHAPES) >= MAX_SHAPES:
+            del SHAPES[next(iter(SHAPES))]
+        t = SHAPES[inner] = _from_preorder(inner)
+    return t

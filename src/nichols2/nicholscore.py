@@ -192,10 +192,14 @@ def dim_at_degree(b: Braiding, m: int) -> int:
 
 def hilbert_prefix(b: Braiding, n: int) -> tuple[int, ...]:
     """Dimensions of all graded pieces through total degree n: entry m is
-    the dimension of the degree-m piece."""
+    the dimension of the degree-m piece.  Past the first zero degree every
+    entry is 0 (`dim_at_degree`), and the oracle is not asked again."""
     if n < 0:
         raise NicholsError("degree cap must be nonnegative")
-    return tuple(dim_at_degree(b, m) for m in range(n + 1))
+    dims = []
+    while len(dims) <= n and (not dims or dims[-1]):
+        dims.append(dim_at_degree(b, len(dims)))
+    return tuple(dims) + (0,) * (n + 1 - len(dims))
 
 
 class PBWMonomial(NamedTuple):

@@ -563,3 +563,109 @@ def test_admissibility_report_defaults_and_equality():
             == AdmissibilityReport(False, failures=[fail], checked_up_to=4))
     assert AdmissibilityReport(False, [fail], 4) != AdmissibilityReport(False, [fail], 5)
     assert a == b and a != (True, [], 0)
+
+
+def _rescaled_braidings():
+    """The 1024 braidings of the rescaled CI gates: (zeta_8^a, zeta_8^k c, c^-1,
+    zeta_8^d) for c in {2, zeta_5 + 1/3}."""
+    return [Braiding(root_of_unity(a, 8), root_of_unity(k, 8) * c, c.inv(), root_of_unity(d, 8))
+            for c in (ONE + ONE, root_of_unity(1, 5) + Fraction(1, 3))
+            for a, k, d in itertools.product(range(8), repeat=3)]
+
+
+def test_reconstruction_fills_the_lambdas_and_heights_of_its_tree():
+    # The lambdas and heights kept by the growth are those `_lambdas` and
+    # `heights` compute on the finished tree, in the same order.
+    from nichols2.admissibility import _lambdas, heights
+
+    trees = 0
+    for b in _braidings(6, 6, 1, 6) + _braidings(8, 8, 1, 8) + _rescaled_braidings():
+        braidedalg.clear_caches()
+        try:
+            t = reconstruct_tree(b, 16)
+        except ReconstructionError:
+            continue
+        trees += 1
+        ctx = braidedalg._engine(b)
+        kept = (ctx.tree, ctx.lambdas, ctx.heights)
+        assert kept[0] is t and None not in kept
+        braidedalg.clear_caches()
+        fresh = parse_tree(serialize_tree(t))
+        assert _lambdas(fresh, b) == kept[1], b
+        assert list(heights(fresh, b).items()) == list(kept[2].items()), b
+    assert trees == 234 + 290
+
+
+def test_admissibility_after_reconstruction_takes_no_lambda_step(monkeypatch):
+    from nichols2 import admissibility
+    from nichols2.admissibility import heights
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(admissibility, "_lambda_step",
+                        counted("lambda", admissibility._lambda_step))
+    monkeypatch.setattr(Braiding, "monomial_order", counted("order", Braiding.monomial_order))
+    for key, b in sorted(fixtures().items()):
+        braidedalg.clear_caches()
+        t = reconstruct_tree(b, 64)
+        # The growth takes one step per node, and tests one order per
+        # branching node, LGH, RGH and the branch-length checks.
+        assert calls["lambda"] == t.size() and calls["order"] >= len(t.nbar2()), key
+        calls.clear()
+        h = heights(t, b)
+        assert is_admissible(t, b, 64) == is_admissible(TREES[key[0]], b, 64)
+        assert heights(TREES[key[0]], b) is h and not calls, (key, calls)
+
+
+def test_braidings_of_one_shape_share_one_tree(monkeypatch):
+    from nichols2 import fbtree
+
+    braidedalg.clear_caches()
+    assert not fbtree.SHAPES
+    b1, b2 = Braiding(MINUS_ONE, ONE, ONE, MINUS_ONE), cartan_a2()
+    twin = Braiding(*(q.inv() for q in b2.entries()))
+    t = reconstruct_tree(b2)
+    assert t == TREES[2] and reconstruct_tree(twin) is t
+    assert list(fbtree.SHAPES.values()) == [t]
+    # The table keeps at most MAX_SHAPES, the one grown first going first.
+    monkeypatch.setattr(fbtree, "MAX_SHAPES", 2)
+    grown = [reconstruct_tree(b) for b in (b1, b2, fixtures()[(3, 1)])]
+    assert grown[1] is t and len({id(x) for x in grown}) == 3
+    assert list(fbtree.SHAPES.values()) == [grown[0], grown[2]]
+    braidedalg.clear_caches()
+    assert not fbtree.SHAPES
+
+
+def test_a_fresh_process_grows_the_family_trees_themselves():
+    # The shape table starts with the trees of `fbtree.TREES`: a grown
+    # family shape is the family's tree object, and no tree is built.
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nichols2
+
+    script = """if True:
+        import json
+        from nichols2 import fbtree
+        from nichols2.admissibility import reconstruct_tree
+        from nichols2.classify import fixtures
+        built = []
+        build = fbtree._from_preorder
+        fbtree._from_preorder = lambda inner: built.append(inner) or build(inner)
+        same = [reconstruct_tree(b, 64) is fbtree.TREES[n] for (n, k), b in fixtures().items()]
+        print(json.dumps([all(same), len(same), built, len(fbtree.SHAPES)]))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(nichols2.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [True, 31, [], 22]

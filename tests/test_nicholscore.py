@@ -265,6 +265,31 @@ def test_hilbert_prefix_reaches_past_the_top_degree():
         assert prefix[-1] == 0 and sum(prefix) == dimension(t, b), key
 
 
+def test_hilbert_prefix_stops_asking_past_the_first_zero_degree(monkeypatch):
+    # Past the first zero degree every entry is 0: the prefix equals the
+    # per-degree dimensions, and the oracle is asked at most once past it.
+    from nichols2 import nicholscore
+    from nichols2.braidedalg import clear_caches
+    from nichols2.classify import fixtures
+
+    asked = []
+
+    def counted(b, m):
+        asked.append(m)
+        return dim_at_degree(b, m)
+
+    monkeypatch.setattr(nicholscore, "dim_at_degree", counted)
+    for key, cap in (((3, 1), 40), ((2, 1), 12)):
+        b = fixtures()[key]
+        clear_caches()
+        asked.clear()
+        prefix = hilbert_prefix(b, cap)
+        first_zero = prefix.index(0)
+        assert sum(m > first_zero for m in asked) <= 1, key
+        assert first_zero == top_total_degree(TREES[key[0]], b) + 1, key
+        assert prefix == tuple(dim_at_degree(b, m) for m in range(cap + 1)), key
+
+
 def test_dimension_examples():
     assert dimension(TREES[1], exterior()) == 4
     assert dimension(TREES[2], cartan_a2()) == 27
