@@ -145,12 +145,22 @@ def lambda_of(t: FullBinaryTree, b: Braiding, a) -> CycNum:
 
 def mu_of(t: FullBinaryTree, b: Braiding, a: int) -> CycNum:
     """Coefficient scalar for mixed relations; defined when lgf(a) is real."""
-    c = t.lgf(a)
-    if not isinstance(c, int):
-        raise ScalarDomainError(f"mu undefined: lgf({a}) is virtual")
-    if t.rch(c) == a:
-        return lambda_of(t, b, a)
-    return lambda_of(t, b, a) * mu_of(t, b, t.rgf(a))
+    return CycNum(b.conductor, _mu_row(t, b, a))
+
+
+def _mu_row(t: FullBinaryTree, b: Braiding, a: int) -> list:
+    """mu at node a as a coordinate row at the braiding's conductor, from the
+    rows of `_lambdas`: lambda_a where a is the right child of lgf a, else
+    lambda_a times mu at rgf a."""
+    lams, mul, row = _lambdas(t, b), vector_product(b.conductor), None
+    while True:
+        c = t.lgf(a)
+        if not isinstance(c, int):
+            raise ScalarDomainError(f"mu undefined: lgf({a}) is virtual")
+        row = list(lams[a]) if row is None else mul(row, lams[a])
+        if t.rch(c) == a:
+            return row
+        a = t.rgf(a)
 
 
 def _nu_vanishes(t: FullBinaryTree, b: Braiding, a: int) -> bool:

@@ -6,13 +6,15 @@ chi on Z^2 x Z^2, so no group data is represented.  Multidegrees are pairs
 (d1, d2) with d1 counting x1-letters; the bracket element of a tree node is
 homogeneous with multidegree equal to the node's Stern-Brocot label.
 
-Both zero tests run on integer data: an element's coefficients are lifted
-once to the conductor n of the braiding and the coefficients, and cleared
-of their denominators by one positive integer.  Both read one walk of
-iterated skew derivations (`_derivatives_along`), whose scalars are the
-symmetrizer entries: the derivation test at every word, the symmetrizer
-test at the reversed basis words of the rank oracle only, never a whole
-image.  The walk carries each coefficient as one integer, its image under
+A polynomial holds integer coordinates at one conductor over its least
+positive denominator (`NCPoly`), and is added and multiplied by one
+routine, `_expand`, which forms every sum of products in one residue ring
+(`cyclotomic.Residues`).  Both zero tests run on that integer data, lifted
+where needed to the conductor n of the braiding and the coefficients.
+Both read one walk of iterated skew derivations (`_derivatives_along`),
+whose scalars are the symmetrizer entries: the derivation test at every
+word, the symmetrizer test at the reversed basis words of the rank oracle
+only, never a whole image.  The walk carries each coefficient as one integer, its image under
 z -> 2^W mod Phi_n(2^W) (`cyclotomic.Residues`), for W from the walk's
 coordinate bound.
 """
@@ -20,13 +22,17 @@ coordinate bound.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain
 
-from .cyclotomic import (CycNum, MINUS_ONE, ONE, Residues, as_root_exponent,
-                         canonical_conductor, clear_denominators, euler_phi, format_scalar,
-                         root_of_unity, root_power, root_vectors, shift_gain)
+from .cyclotomic import (CycNum, MINUS_ONE, ONE, Residues, _coerce, _substitute,
+                         as_root_exponent, canonical_conductor, clear_denominators, euler_phi,
+                         format_scalar, root_of_unity, root_power, root_vectors, shift_gain)
 from .fbtree import SHAPES, FullBinaryTree
 from .lyndon import christoffel, is_lyndon, shirshow
+
+
+_set = object.__setattr__
 
 
 class BraidedError(ValueError):
@@ -139,35 +145,81 @@ class Braiding:
 
 
 class NCPoly:
-    """Sparse noncommutative polynomial in x1, x2.
-
-    Terms map words over the index alphabet {1, 2} to nonzero coefficients.
+    """Sparse noncommutative polynomial in x1, x2 over Q(zeta_n), held on
+    integer coordinates: coords maps words over the index alphabet {1, 2} to
+    nonzero integer coordinate vectors at the canonical conductor n
+    (`conductor`), and a word's coefficient is its vector over den, the least
+    positive integer that clears every coefficient.  The constructor takes a
+    dict word -> CycNum and converts it once; `terms`, word -> CycNum, is
+    built only when read, for formatting and tests.  Sums and products are
+    formed by one routine, `_expand`.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("conductor", "coords", "den", "_terms", "_shape")
 
     def __init__(self, terms: dict):
-        clean = {w: c for w, c in terms.items() if not c.is_zero()}
-        object.__setattr__(self, "terms", clean)
+        n = canonical_conductor(math.lcm(*(c.conductor for c in terms.values())))
+        self._hold(n, *clear_denominators({w: c._lift(n) for w, c in terms.items() if c}))
+
+    def _hold(self, n: int, coords: dict, den: int) -> NCPoly:
+        _set(self, "conductor", n)
+        _set(self, "coords", coords)
+        _set(self, "den", den)
+        _set(self, "_terms", None)
+        _set(self, "_shape", None)
+        return self
+
+    @classmethod
+    def _of(cls, n: int, coords: dict, den: int = 1) -> NCPoly:
+        """The polynomial of coordinates already at conductor n, over den."""
+        return object.__new__(cls)._hold(n, coords, den)
 
     def __setattr__(self, *args):
         raise AttributeError("NCPoly is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """word -> nonzero CycNum coefficient, built at the first read."""
+        if self._terms is None:
+            n, den = self.conductor, self.den
+            _set(self, "_terms", {w: CycNum(n, vec if den == 1 else [Fraction(x, den) for x in vec])
+                                  for w, vec in self.coords.items()})
+        return self._terms
+
+    def _lifted(self, n: int) -> dict:
+        """coords lifted to the conductor n, a multiple of this one's."""
+        if n == self.conductor:
+            return self.coords
+        k = n // self.conductor
+        return {w: _substitute(vec, k, n) for w, vec in self.coords.items()}
+
+    def _factor(self, n: int) -> tuple[dict, int, int]:
+        """(coords at the conductor n, the number of distinct word lengths,
+        the largest |coordinate|), kept at this one's conductor."""
+        if n == self.conductor and self._shape is not None:
+            return self._shape
+        coords = self._lifted(n)
+        shape = (coords, len({len(w) for w in coords}),
+                 max((abs(x) for vec in coords.values() for x in vec), default=0))
+        if n == self.conductor:
+            _set(self, "_shape", shape)
+        return shape
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero() -> NCPoly:
-        return NCPoly({})
+        return NCPoly._of(1, {})
 
     @staticmethod
     def unit() -> NCPoly:
-        return NCPoly({(): ONE})
+        return NCPoly._of(1, {(): (1,)})
 
     @staticmethod
     def generator(i: int) -> NCPoly:
         if i not in (1, 2):
             raise BraidedError("generator index must be 1 or 2")
-        return NCPoly({(i,): ONE})
+        return NCPoly._of(1, {(i,): (1,)})
 
     @staticmethod
     def scalar(c: CycNum) -> NCPoly:
@@ -176,62 +228,51 @@ class NCPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: NCPoly) -> NCPoly:
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-        return NCPoly(out)
+        return _expand(((self,), (other,)))
 
     def __sub__(self, other: NCPoly) -> NCPoly:
-        return self + (-other)
+        return _expand(((self,), (-other,)))
 
     def __neg__(self) -> NCPoly:
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return NCPoly._of(self.conductor, {w: tuple(-x for x in vec)
+                                           for w, vec in self.coords.items()}, self.den)
 
     def __mul__(self, other) -> NCPoly:
         if isinstance(other, NCPoly):
-            out: dict = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    s = out.get(w)
-                    out[w] = c if s is None else s + c
-            return NCPoly(out)
-        return self.scale(other)
+            return _expand(((self, other),))
+        return self.scale(other) if isinstance(other, (CycNum, int, Fraction)) else NotImplemented
 
     def __rmul__(self, other) -> NCPoly:
-        return self.scale(other)
+        return self.scale(other) if isinstance(other, (CycNum, int, Fraction)) else NotImplemented
 
     def scale(self, c) -> NCPoly:
-        if not c:
-            return NCPoly.zero()
-        return NCPoly({w: v * c for w, v in self.terms.items()})
+        """self times the scalar c, a CycNum, int or Fraction."""
+        return _expand(((self, NCPoly({(): _coerce(c)})),))
 
     def __pow__(self, e: int) -> NCPoly:
         if e < 0:
             raise BraidedError("negative power of a polynomial")
-        out = NCPoly.unit()
-        for _ in range(e):
-            out = out * self
-        return out
+        return _expand(((self,) * e,))
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self.terms == other.terms
+        if self.den != other.den or self.coords.keys() != other.coords.keys():
+            return False
+        n = canonical_conductor(math.lcm(self.conductor, other.conductor))
+        return self._lifted(n) == other._lifted(n)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coords
 
     # -- grading --------------------------------------------------------------
 
     def multidegree(self) -> tuple[int, int] | None:
         """(x1-degree, x2-degree) if homogeneous, else None; zero counts as (0, 0)."""
-        degs = {(w.count(1), w.count(2)) for w in self.terms}
+        degs = {(w.count(1), w.count(2)) for w in self.coords}
         if not degs:
             return (0, 0)
         if len(degs) > 1:
@@ -249,6 +290,82 @@ class NCPoly:
         return f"NCPoly({format_ncpoly(self)!r})"
 
 
+def _coefficient(n: int, vec, den: int = 1) -> NCPoly:
+    """The degree-0 polynomial vec / den at conductor n, for a nonzero
+    coordinate vector vec (Fraction coordinates allowed) and den > 0."""
+    if den == 1 and all(type(x) is int for x in vec):
+        return NCPoly._of(n, {(): tuple(vec)})
+    coords, d = clear_denominators({(): vec})
+    vec, den = coords[()], den * d
+    g = math.gcd(den, *vec)
+    return NCPoly._of(n, {(): tuple(x // g for x in vec)}, den // g)
+
+
+def _expand(sums) -> NCPoly:
+    """sum_s prod_i f_si over sums, tuples of NCPoly factors, each product
+    taken in the order given (the empty one is 1): the one routine in which
+    polynomials are added and multiplied.
+
+    Factor f_si holds integer coordinates F_si, lifted to the common
+    conductor n, over its denominator d_si.  With D_s = prod_i d_si and D the
+    lcm of the D_s, the value is N / D for N = sum_s (D / D_s) prod_i F_si.
+    Every term of N is formed in one ring `cyclotomic.Residues`, each factor
+    packed once, and decoded once; N / D is then reduced to the least
+    positive denominator, D / gcd(D, every coordinate of N).
+
+    The ring is exact on the coordinates of N once its bound is B = sum_s
+    (D / D_s) P_s (g phi)^(k_s - 1) prod_i |F_si|_inf over the products of
+    k_s factors, g = `cyclotomic.shift_gain`(n): a product of vectors has
+    |x y|_inf <= sum_e |x_e| |z^e y|_inf <= g phi |x|_inf |y|_inf, and a
+    word w is the concatenation u_1 ... u_k, u_i a word of f_si, in at most
+    P_s = prod_{i<k} l_i ways, l_i the number of distinct word lengths in
+    f_si (1 where it is homogeneous), as the lengths of u_1 ... u_(k-1) fix
+    u_k.  Where P_s = 1 no word arises twice in the product."""
+    n = 1
+    for fs in sums:
+        for f in fs:
+            if n % f.conductor:
+                n = canonical_conductor(math.lcm(n, f.conductor))
+    gain, plan = shift_gain(n) * euler_phi(n), []
+    for fs in sums:
+        d, top, splits, lengths = 1, 1, 1, 1
+        for f in fs:
+            splits *= lengths
+            _, lengths, inf = f._factor(n)
+            d, top = d * f.den, top * inf
+        if top:  # else a factor, and the product, is zero
+            plan.append((fs, d, splits, splits * top * gain ** (len(fs) - 1) if fs else 1))
+    den = math.lcm(*(d for _, d, _, _ in plan))
+    ring = Residues(n, sum(den // d * bound for _, d, _, bound in plan))
+    m, pack, total, packed = ring.modulus, ring.pack, {}, {}
+    for fs, d, splits, _ in plan:
+        for f in fs:
+            if id(f) not in packed:
+                packed[id(f)] = {w: pack(vec) for w, vec in f._factor(n)[0].items()}
+        acc = packed[id(fs[0])] if fs else {(): 1}
+        for i, f in enumerate(fs[1:], 1):
+            if i > 1:  # a partial product is reduced mod M
+                acc = {w: x % m for w, x in acc.items()}
+            right = packed[id(f)]
+            if splits == 1:
+                acc = {u + v: r * s for u, r in acc.items() for v, s in right.items()}
+                continue
+            step: dict = {}
+            for u, r in acc.items():
+                for v, s in right.items():
+                    step[u + v] = step.get(u + v, 0) + r * s
+            acc = step
+        if not total and den == d and len(fs) > 1:  # acc is built here
+            total = acc
+            continue
+        for w, x in acc.items():
+            total[w] = total.get(w, 0) + den // d * x
+    coords = {w: tuple(ring.decode(r)) for w, x in total.items() if (r := x % m)}
+    if den > 1 and (g := math.gcd(den, *chain.from_iterable(coords.values()))) > 1:
+        coords, den = {w: tuple(x // g for x in vec) for w, vec in coords.items()}, den // g
+    return NCPoly._of(n, coords, den)
+
+
 def tau0(t: FullBinaryTree, b: Braiding, a) -> NCPoly:
     """Iterated q-commutator of an extended node: the bracket of the Lyndon word of
     its label (`lyndon.christoffel`), so x2 at LGH, x1 at RGH, and otherwise
@@ -259,8 +376,9 @@ def tau0(t: FullBinaryTree, b: Braiding, a) -> NCPoly:
 def bracket_word(b: Braiding, u: str) -> NCPoly:
     """Bracket element of a Lyndon word: single letters map to the generators
     (a -> x2, b -> x1) and u = vw splits by the standard decomposition into
-    [w][v] - chi(deg w, deg v) [v][w].  Values are kept in the word table
-    of the braiding's context (`_engine`)."""
+    [w][v] - chi(deg w, deg v) [v][w], one `_expand` on integer coordinates
+    at the braiding's conductor, chi read by `Braiding.chi_at`.  Values are
+    kept in the word table of the braiding's context (`_engine`)."""
     table = _engine(b).brackets
     el = table.get(u)
     if el is None:
@@ -270,7 +388,8 @@ def bracket_word(b: Braiding, u: str) -> NCPoly:
         pv = bracket_word(b, v)
         pw = bracket_word(b, w)
         dv, dw = ((x.count("b"), x.count("a")) for x in (v, w))
-        el = table[u] = pw * pv - b.chi(dw, dv) * (pv * pw)
+        chi = _coefficient(b.conductor, [-x for x in b.chi_at(dw, dv, b.conductor)])
+        el = table[u] = _expand(((pw, pv), (chi, pv, pw)))
     return el
 
 
@@ -287,8 +406,6 @@ class _SymEngine:
     (`bracket_word`), and the per-tree part holds the heights and lambdas
     of `tree` (`admissibility`), None until read or grown."""
 
-    _letters = {"a": NCPoly.generator(2), "b": NCPoly.generator(1)}  # NCPoly is immutable
-
     def __init__(self, b: Braiding):
         self.b = b
         self.conductor = b.conductor
@@ -299,7 +416,9 @@ class _SymEngine:
         self._vec_cache: dict = {}
         self.pivot_words: dict[tuple[int, int], list[tuple[int, ...]]] = {(0, 0): [()]}
         self.frontier: dict = {}
-        self.brackets = dict(self._letters)
+        one = (1,) + (0,) * (self.deg - 1)  # the letters at the braiding's conductor
+        self.brackets = {"a": NCPoly._of(self.conductor, {(2,): one}),
+                         "b": NCPoly._of(self.conductor, {(1,): one})}
         self.tree = self.heights = self.lambdas = None
 
     def on_tree(self, t: FullBinaryTree) -> _SymEngine:
@@ -329,12 +448,16 @@ def _engine(b: Braiding) -> _SymEngine:
 
 def _conductor(b: Braiding, rho: NCPoly) -> int:
     """The canonical conductor of the braiding's entries and rho's coefficients."""
-    return canonical_conductor(math.lcm(b.conductor, *(c.conductor for c in rho.terms.values())))
+    return canonical_conductor(math.lcm(b.conductor, rho.conductor))
 
 
 def _integer_terms(rho: NCPoly, n: int) -> tuple[dict, int]:
-    """`clear_denominators` of the coefficients of rho lifted to conductor n."""
-    return clear_denominators({w: c._lift(n) for w, c in rho.terms.items()})
+    """(the coordinates of rho at conductor n, a multiple of its own, times
+    its denominator D; D): the integer vectors rho holds, lifted where n is
+    larger.  D stays the least that clears them, as Z[zeta_n] meets
+    Q(zeta_m) in Z[zeta_m] and both power bases are integral bases.  The
+    dict is shared, not to be changed."""
+    return rho._lifted(n), rho.den
 
 
 # -- skew derivations ----------------------------------------------------------
@@ -430,7 +553,7 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
     """
     if rho.is_zero():
         return True
-    degrees = {len(w) for w in rho.terms}
+    degrees = {len(w) for w in rho.coords}
     if len(degrees) > 1:
         raise BraidedError("zero test requires a polynomial homogeneous in total degree")
     n = _conductor(b, rho)

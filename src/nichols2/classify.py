@@ -29,8 +29,8 @@ from .fbtree import TREES, FullBinaryTree, serialize_tree
 from .admissibility import (AdmissibilityReport, PTableMismatch, ReconstructionError, heights,
                             is_admissible, lambda_table, p_table, reconstruct_tree)
 from .families import CONDITIONS, SAMPLES
-from .nicholscore import (NicholsError, TypeVerdict, _relation_generators, dimension,
-                          relation_set, top_total_degree, verify_type)
+from .nicholscore import (NicholsError, TypeVerdict, dimension, relation_set, top_total_degree,
+                          verify_type)
 
 
 def match_condition(b: Braiding) -> list[tuple[int, int]]:
@@ -158,10 +158,10 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
             except NicholsError as exc:
                 relations_error = str(exc)
             else:
-                gens = _relation_generators(tree, b)
-                degrees = [d for d, _ in gens if d <= degree_cap]  # those of relations
-                if len(gens) > len(degrees):
-                    notes.append(f"{len(gens) - len(degrees)} relation generators above "
+                # One generator per leaf, per extended inner node and per mixed node.
+                gens = len(tree.leaves()) + len(tree.nbar2()) + len(tree.mixed())
+                if gens > len(relations):
+                    notes.append(f"{gens - len(relations)} relation generators above "
                                  f"degree {degree_cap} not expanded")
             if not b.of_roots:
                 # The rank oracle, behind verification and the symmetrizer zero test,
@@ -175,9 +175,9 @@ def classify_full(b: Braiding, degree_cap: int = 8, weight_cap: int = 16) -> Cla
                     notes.append(f"{len(verdict.unexercised_nodes)} generators lie above "
                                  f"degree {verified_up_to}; their strata were not exercised")
                 if relations_error is None:
-                    relations_vanish = all(
+                    relations_vanish = all(  # a relation is homogeneous: any word's length
                         is_zero_in_nichols(b, rel) and is_zero_in_nichols(b, rel, "derivations")
-                        for rel, d in zip(relations, degrees) if d <= verified_up_to)
+                        for rel in relations if len(next(iter(rel.coords), ())) <= verified_up_to)
         adm = is_admissible(tree, b, degree_cap)
     return ClassificationReport(matches, tree, tree_failure, pbw, dim, relations,
                                 verified_up_to, verdict, relations_vanish,

@@ -690,6 +690,28 @@ def qfact(m: int, p: CycNum) -> CycNum:
     return acc
 
 
+def qfact_inv(m: int, k: int, d: int, n: int) -> tuple[list, int]:
+    """(N, D) with N / D the coordinates at the canonical conductor n of
+    ([m]_p!)^-1, p = zeta_d^k, where the canonical conductor of d divides n;
+    CycError where [m]_p! = 0.  No inverse is formed: [m]_1! = m!, and for
+    p != 1, [j]_p = (y - 1) / (p - 1) with y = p^j, of order e, so
+    [j]_p^-1 = (p - 1) S / e for S = sum_{i<e} i y^i, as (y - 1) S telescopes
+    to (e - 1) - sum_{0<i<e} y^i = e (the y^i, i < e, sum to 0 for e > 1)."""
+    one = power_vector(n, 0)
+    if not k % d:
+        return list(one), math.factorial(m)
+    mul, num, den = vector_product(n), list(one), 1
+    p_1 = [x - y for x, y in zip(_root_coords(k, d, n), one)]
+    for j in range(1, m + 1):
+        e = d // math.gcd(j * k, d)
+        if e == 1:
+            raise CycError(f"[{j}]_p = 0 for p = zeta_{d}^{k}")
+        s, x = root_power(j * k, d, n)  # y = s z^x
+        num, den = mul(mul(num, p_1), _substitute([i * s ** i for i in range(e)], x, n)), den * e
+    g = math.gcd(den, *num)
+    return [c // g for c in num], den // g
+
+
 # The largest conductor a command takes, of a scalar or of a braiding: at the
 # prime 499 every command measured at its default caps ran in under 6 s and
 # 70 MB (2-vCPU x86-64 VM, Python 3.11; README, "Guarantees and limits").

@@ -78,11 +78,12 @@ from functools import partial
 from typing import NamedTuple
 
 from ._linalg import exact_rank_vectors
-from .braidedalg import Braiding, BraidedError, NCPoly, _engine, _integer_terms, tau0
-from .cyclotomic import Residues, clear_denominators, qfact
+from .braidedalg import (Braiding, BraidedError, NCPoly, _coefficient, _engine, _expand,
+                         _integer_terms, tau0)
+from .cyclotomic import Residues, as_root_exponent, clear_denominators, qfact_inv, vector_product
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel
-from .admissibility import NicholsError, _qfact_zero, heights, mu_of, p_of
+from .admissibility import NicholsError, _mu_row, _qfact_zero, heights, p_of
 
 
 class _Ranked(NamedTuple):
@@ -261,12 +262,12 @@ def count_by_degree(monomials, up_to: int) -> tuple[int, ...]:
 
 def evaluate_monomial(t: FullBinaryTree, b: Braiding, mono: PBWMonomial) -> NCPoly:
     """Expand the monomial into the free algebra: the product of bracket
-    element powers, taken in ascending node order."""
-    acc = NCPoly.unit()
+    element powers, taken in ascending node order, one `braidedalg._expand`."""
+    factors = []
     for node, e in zip(mono.nodes, mono.exponents):
         if e:
-            acc = acc * tau0(t, b, node) ** e
-    return acc
+            factors += [tau0(t, b, node)] * e
+    return _expand((tuple(factors),))
 
 
 class TypeVerdict(NamedTuple):
@@ -354,19 +355,35 @@ def _relation_generators(t: FullBinaryTree, b: Braiding) -> list[tuple[int, Call
 
 
 def _mixed_relation(t: FullBinaryTree, b: Braiding, bb: int) -> NCPoly:
+    """The mixed commutation relation of node bb, for c = lgf bb with k =
+    rgfl and p = p_c: tau0(bb) tau0(lgf c) - chi(bb, lgf c) tau0(lgf c)
+    tau0(bb) - mu_bb [k+1]_p!^-1 tau0(c)^(k+1), one `braidedalg._expand` at
+    the braiding's conductor.  The coefficient is formed on coordinates: mu
+    from the rows of `admissibility._lambdas`, and the q-factorial's inverse
+    by its closed form `cyclotomic.qfact_inv`, refused where it vanishes
+    before any bracket is built."""
     c, k, _ = t.mixed()[bb]
     if _qfact_zero(k + 1, heights(t, b)[c]):
         raise NicholsError(f"inadmissible: vanishing q-factorial at node {bb}")
-    lgc, coeff = t.lgf(c), mu_of(t, b, bb) * qfact(k + 1, p_of(t, b, c)).inv()
-    return (tau0(t, b, bb) * tau0(t, b, lgc)
-            - b.chi_nodes(t, bb, lgc) * (tau0(t, b, lgc) * tau0(t, b, bb))
-            - coeff * tau0(t, b, c) ** (k + 1))
+    root = as_root_exponent(p_of(t, b, c))
+    if root is None:
+        raise NicholsError(f"tree/braiding mismatch: chi(a, a) at node {c!r} is "
+                           "not a root of unity")
+    n, lgc = b.conductor, t.lgf(c)
+    num, den = qfact_inv(k + 1, *root, n)
+    coeff = _coefficient(n, [-x for x in vector_product(n)(_mu_row(t, b, bb), num)], den)
+    chi = [-x for x in b.chi_at(t.stern_brocot(bb), t.stern_brocot(lgc), n)]
+    tb, tl = tau0(t, b, bb), tau0(t, b, lgc)
+    return _expand(((tb, tl), (_coefficient(n, chi), tl, tb),
+                    (coeff,) + (tau0(t, b, c),) * (k + 1)))
 
 
 def relation_set(t: FullBinaryTree, b: Braiding, max_degree: int | None = None) -> list[NCPoly]:
     """Generators of the relation ideal read off the tree: every leaf
     bracket, the order-power of every extended inner node bracket, and one
     mixed commutation relation per inner node whose left godfather is inner.
+    Each is expanded on integer coordinates at the braiding's conductor, by
+    one `braidedalg._expand`, and holds them (`NCPoly`) for both zero tests.
 
     Power relations grow like 2^degree when expanded, so max_degree bounds
     which generators are materialized (their degrees are known up front

@@ -6,9 +6,11 @@ import pytest
 from nichols2._linalg import exact_rank_vectors
 from nichols2.admissibility import (NuDenominatorError, ScalarDomainError, _lambdas, heights,
                                     lambda_of, p_of)
-from nichols2.cyclotomic import ONE, ZERO, CycNum, euler_phi, qnum, root_of_unity, vector_product
+from nichols2.cyclotomic import (ONE, ZERO, CycNum, euler_phi, qfact, qnum, root_of_unity,
+                                 vector_product)
 from nichols2.braidedalg import BraidedError, Braiding, NCPoly, _engine, bracket_word
 from nichols2.fbtree import LGH, RGH, FullBinaryTree
+from nichols2.lyndon import christoffel, shirshow
 
 
 def random_root(rng: random.Random, max_conductor: int = 12) -> CycNum:
@@ -201,6 +203,86 @@ def assert_tables_freed(old: list, t: FullBinaryTree, b: Braiding) -> None:
     new = context_tables(t, b)
     assert all(x is not y for x, y in zip(old, new))
     assert new[3] == {(0, 0): [()]}
+
+
+# -- relation references ----------------------------------------------------------
+
+# Polynomials as dicts word -> nonzero CycNum, multiplied term by term: the
+# reference for the integer expansion of `braidedalg._expand`.
+
+def reference_combination(*parts) -> dict:
+    """sum c * x over the pairs (c, x) of a CycNum and a polynomial dict."""
+    out: dict = {}
+    for c, x in parts:
+        for w, v in x.items():
+            s = out.get(w)
+            out[w] = c * v if s is None else s + c * v
+    return {w: v for w, v in out.items() if v}
+
+
+def reference_product(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for w1, c1 in x.items():
+        for w2, c2 in y.items():
+            s = out.get(w1 + w2)
+            out[w1 + w2] = c1 * c2 if s is None else s + c1 * c2
+    return {w: v for w, v in out.items() if v}
+
+
+@functools.lru_cache(maxsize=4096)
+def reference_bracket(b: Braiding, u: str) -> dict:
+    """The bracket element of a Lyndon word by the standard decomposition,
+    [u] = [w][v] - chi(deg w, deg v) [v][w] for u = vw, on CycNum dicts."""
+    if len(u) == 1:
+        return {(2 if u == "a" else 1,): ONE}
+    v, w = shirshow(u)
+    pv, pw = reference_bracket(b, v), reference_bracket(b, w)
+    dv, dw = ((x.count("b"), x.count("a")) for x in (v, w))
+    return reference_combination((ONE, reference_product(pw, pv)),
+                                 (-b.chi(dw, dv), reference_product(pv, pw)))
+
+
+def reference_tau0(t: FullBinaryTree, b: Braiding, a) -> dict:
+    return reference_bracket(b, christoffel(*t.stern_brocot(a)))
+
+
+def reference_mu(t: FullBinaryTree, b: Braiding, a: int) -> CycNum:
+    """mu as the product of lambdas up the right godfathers."""
+    if t.rch(t.lgf(a)) == a:
+        return lambda_of(t, b, a)
+    return lambda_of(t, b, a) * reference_mu(t, b, t.rgf(a))
+
+
+def reference_relations(t: FullBinaryTree, b: Braiding, max_degree: int) -> list:
+    """The relations of `nicholscore.relation_set` in its order, on CycNum
+    dicts: the leaf brackets, the order-powers, and the mixed relations
+    tau(bb) tau(lgf c) - chi(bb, lgf c) tau(lgf c) tau(bb)
+    - mu_bb [k+1]_p!^-1 tau(c)^(k+1), the q-factorial inverted by the norm."""
+    from nichols2.nicholscore import NicholsError, generator_orders
+
+    rels = [reference_tau0(t, b, a) for a in t.leaves() if t.weight(a) <= max_degree]
+    for a, o in zip(t.nbar2(), generator_orders(t, b)):
+        if o * t.weight(a) <= max_degree:
+            power = {(): ONE}
+            for _ in range(o):
+                power = reference_product(power, reference_tau0(t, b, a))
+            rels.append(power)
+    mixed = t.mixed()
+    for bb in t.nbar2():
+        if bb in mixed and mixed[bb][2] <= max_degree:
+            c, k, _ = mixed[bb]
+            fact = qfact(k + 1, p_of(t, b, c))
+            if not fact:
+                raise NicholsError(f"inadmissible: vanishing q-factorial at node {bb}")
+            lgc, power = t.lgf(c), {(): ONE}
+            for _ in range(k + 1):
+                power = reference_product(power, reference_tau0(t, b, c))
+            tb, tl = reference_tau0(t, b, bb), reference_tau0(t, b, lgc)
+            rels.append(reference_combination(
+                (ONE, reference_product(tb, tl)),
+                (-b.chi_nodes(t, bb, lgc), reference_product(tl, tb)),
+                (-reference_mu(t, b, bb) * fact.inv(), power)))
+    return [NCPoly(rel) for rel in rels]
 
 
 def naive_rank(matrix) -> int:

@@ -287,6 +287,24 @@ def test_relation_text_is_golden():
     assert doc["relations"] == GOLDEN_RELATIONS_4_1
 
 
+def test_classify_forms_relations_on_integer_coordinates(monkeypatch):
+    # Through the report, no relation term becomes a CycNum and no scalar is
+    # inverted; formatting the report reads the terms.
+    from nichols2 import braidedalg, cyclotomic
+
+    inverted, read = [], []
+    inv, terms = cyclotomic.CycNum.inv, braidedalg.NCPoly.terms
+    monkeypatch.setattr(cyclotomic.CycNum, "inv", lambda x: inverted.append(x) or inv(x))
+    monkeypatch.setattr(braidedalg.NCPoly, "terms",
+                        property(lambda rho: read.append(rho) or terms.fget(rho)))
+    for key, b in sorted(fixtures().items()):
+        report = classify_full(b, degree_cap=6)
+        assert report.relations and not inverted and not read, key
+        report.to_json_dict()
+        assert {id(rel) for rel in read} == {id(rel) for rel in report.relations}, key
+        read.clear()
+
+
 def test_classify_expands_each_relation_once(monkeypatch):
     from nichols2 import nicholscore
 

@@ -13,7 +13,8 @@ from nichols2.cyclotomic import (MAX_CONDUCTOR, CycError, CycNum, MINUS_ONE, ONE
                                  _demoted, _root_exponent, _substitute, as_root_exponent,
                                  canonical_conductor, cyclotomic_polynomial, divisors, euler_phi,
                                  format_scalar, growth, parse_scalar, power_vector, qfact,
-                                 qnum, root_of_unity, root_vectors, shift_gain, vector_product)
+                                 qfact_inv, qnum, root_of_unity, root_vectors, shift_gain,
+                                 vector_product)
 
 INVERSE_CONDUCTORS = (1, 3, 4, 5, 7, 9, 12, 15, 20, 24, 30)
 
@@ -467,6 +468,28 @@ def test_qfact_recursion(rng):
         p = root_of_unity(rng.randrange(n), n)
         for m in range(1, 11):
             assert qfact(m, p) == qnum(m, p) * qfact(m - 1, p)
+
+
+def test_qfact_inv_is_the_inverse_q_factorial():
+    # Every p = zeta_d^k, d <= 30 and gcd(k, d) = 1, and every m below the
+    # first vanishing q-integer (m <= 12 for p = 1): N / D, the closed form,
+    # has N [m]_p! = D, and up to d = 12 it equals the inverse by the norm.
+    cases = 0
+    for d in range(1, 31):
+        n = canonical_conductor(d)
+        for k in (k for k in range(d) if math.gcd(k, d) == 1):
+            p, fact = root_of_unity(k, d), ONE
+            for m in range(1, d if d > 1 else 13):
+                fact = fact * qnum(m, p)
+                num, den = qfact_inv(m, k, d, n)
+                assert CycNum(n, num) * fact == den, (m, k, d)
+                if d <= 12:
+                    assert CycNum(n, [Fraction(x, den) for x in num]) == qfact(m, p).inv()
+                cases += 1
+            if d > 1:
+                with pytest.raises(CycError):
+                    qfact_inv(d, k, d, n)
+    assert cases == 5335
 
 
 def test_scalar_grammar_round_trip():

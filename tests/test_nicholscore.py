@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import defaultdict
 
 import pytest
@@ -129,6 +130,58 @@ def test_relation_set_cartan():
     assert len(rels) == 5
     degrees = sorted(r.total_degree() for r in rels)
     assert degrees == [3, 3, 3, 3, 6]
+
+
+def assert_relations_match_the_reference(t, b, cap):
+    """relation_set and tau0 on t at b through degree cap equal the CycNum
+    expansion of `conftest.reference_relations`, refusals included: the
+    number of relations, None for a refusal."""
+    from conftest import reference_relations, reference_tau0
+
+    for a in t.nbar():
+        if t.weight(a) <= cap:
+            assert tau0(t, b, a) == NCPoly(reference_tau0(t, b, a)), (b, a)
+    try:
+        want = reference_relations(t, b, cap)
+    except NicholsError as exc:
+        with pytest.raises(NicholsError, match=re.escape(str(exc))):
+            relation_set(t, b, cap)
+        return None
+    assert relation_set(t, b, cap) == want, b
+    return len(want)
+
+
+def test_relations_match_the_reference_on_the_fixtures():
+    from nichols2.classify import fixtures
+
+    count = sum(assert_relations_match_the_reference(TREES[n], b, 8)
+                for (n, _), b in sorted(fixtures().items()))
+    assert count == 273
+
+
+def test_relations_match_the_reference_on_root_braidings():
+    # Every root braiding at N in {6, 8} with a finite tree, and the q12, q21
+    # rescalings by c in {2, zeta_5 + 1/3} of the classify JSON gate: a
+    # non-root q12, Fraction coordinates and conductor 40.
+    from fractions import Fraction
+
+    from nichols2.admissibility import ReconstructionError, reconstruct_tree
+    from nichols2.cyclotomic import CycNum
+
+    z = root_of_unity
+    braidings = [Braiding(z(a, N), z(c, N), ONE, z(d, N)) for N in (6, 8)
+                 for a, c, d in itertools.product(range(N), repeat=3)]
+    for c in (CycNum.from_rational(Fraction(2)), z(1, 5) + CycNum.from_rational(Fraction(1, 3))):
+        braidings += [Braiding(z(a, 8), z(k, 8) * c, c.inv(), z(d, 8))
+                      for a, k, d in itertools.product(range(8), repeat=3)]
+    counts = []
+    for b in braidings:
+        try:
+            t = reconstruct_tree(b, 16)
+        except ReconstructionError:
+            continue
+        counts.append(assert_relations_match_the_reference(t, b, 5))
+    assert (len(counts), counts.count(None), sum(filter(None, counts))) == (524, 56, 1534)
 
 
 def vanishes(b, rel):
