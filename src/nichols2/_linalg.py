@@ -12,8 +12,8 @@ Z[zeta_N] to F_p.
 1. Lower bound.  The entries are mapped at the first root and eliminated
    over F_p in input row order.  This gives pivot rows R and pivot columns
    C with a nonzero R x C minor mod p.  A minor that is nonzero modulo a
-   prime ideal is nonzero, so the rank is at least |R|.  If |R| is the
-   number of rows or of columns, that is the rank.
+   prime ideal is nonzero, so the rank is at least |R|.  If every nonzero
+   row is in R, |R| is the rank.
 2. Upper bound.  Otherwise, at every other root, the rows are eliminated
    on all columns in input row order, and must give the same R.  Each
    other row's coefficients c_k on the rows R, known at every root, are
@@ -26,8 +26,7 @@ Z[zeta_N] to F_p.
    D, the num_k, the rows and Phi_N (Cabay, SYMSAC 1971; `_modular`):
    E = 0 once 2 B < m, else the next prime joins.  Every row then lies in
    the span of R, so the rank is at most |R|.  The out-parameter
-   `dependencies` returns these proven combinations; it takes step 1's
-   exit only where every nonzero row is a pivot.
+   `dependencies` returns these proven combinations.
 
 A mod-p rank is never reported here without both certificates.  Where
 another root gives pivot rows other than R, or a lift fails or is
@@ -35,14 +34,12 @@ unproven, the next prime is tried.  Only finitely many primes are bad for
 a matrix, and the product of the good ones outgrows B, so some prime certifies.
 
 The pivot rows are then exactly the rows that raise the exact rank of the
-rows before them, provided every nonzero row is a pivot or the rank is
-below both dimensions.  In the first case there is nothing to show.  In
-the second, the upper bound was certified: elimination in row order
+rows before them.  Where every nonzero row is a pivot there is nothing to
+show.  Otherwise the upper bound was certified: elimination in row order
 writes each other row on the pivot rows before it only, and the bound
 proves that combination.  So each other row lies in the span of the
 pivot rows before it, and each pivot row, independent of them, raises the
-rank.  (A full column rank found by the lower bound alone can put a pivot
-after a row that is independent over Q(zeta_N) but not mod p.)
+rank.
 """
 
 from __future__ import annotations
@@ -59,10 +56,9 @@ def exact_rank_vectors(rows, conductor: int, pivot_rows: list[int] | None = None
     primes; then ArithmeticError reports a defect.
 
     If pivot_rows is given, its contents are replaced by the sorted input
-    indices of the pivot rows: those rows are independent and span the
-    row space.  If every nonzero row is a pivot or the rank is below both
-    dimensions, they are exactly the rows that raise the rank of the rows
-    before them (module docstring).
+    indices of the pivot rows: the rows that raise the rank of the rows
+    before them, so they are independent and span the row space (module
+    docstring).
 
     If dependencies is given, its contents are replaced by i: (D, nums) for
     every other row i: D row_i = sum_k nums[k] row_k exactly over the pivot

@@ -27,10 +27,10 @@ and from slot lists in C.
   1971): `_lift` checks num_k = D c_k (mod m) for the combination c_k
   found at each prime joined, whose product is m, so E = D row_i -
   sum_k num_k row_k vanishes mod m at every column.  A coordinate of
-  num_k row_k before reduction mod Phi_N is at most R_k |num_k|_1, for R_k
-  the largest |coordinate| of row k; reduction multiplies that by at most
-  1 + rho (`cyclotomic.growth`).  So |E| <= B_i = D R_i + (1 + rho)
-  sum_k R_k |num_k|_1, and E = 0 once 2 B_i < m.
+  num_k row_k is at most g R_k |num_k|_1, for R_k the largest |coordinate|
+  of row k and g = `cyclotomic.shift_gain`(N), as num_k x = sum_e num_ke
+  z^e x.  So |E| <= B_i = D R_i + g sum_k R_k |num_k|_1, and E = 0 once
+  2 B_i < m.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from functools import lru_cache
 from itertools import chain, islice
 from operator import mul
 
-from .cyclotomic import ROOT_TABLE_CACHE_SIZE, cyclotomic_polynomial, divisors, euler_phi, growth
+from .cyclotomic import (ROOT_TABLE_CACHE_SIZE, cyclotomic_polynomial, divisors, euler_phi,
+                         shift_gain)
 
 # Deterministic Miller-Rabin: these bases decide primality below 3.3e24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -226,10 +227,10 @@ _MAX_PRIMES = 159
 
 def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> list[int]:
     """The pivot rows of integer rows, certified at one or more split primes
-    (see the `_linalg` docstring): the rows independent of the rows before
-    them modulo the prime that certified.  If dependencies is given, it is
-    filled as `_linalg.exact_rank_vectors` describes.  Raises
-    ArithmeticError if _MAX_PRIMES primes do not certify."""
+    (see the `_linalg` docstring): the rows that raise the rank of the rows
+    before them.  If dependencies is given, it is filled as
+    `_linalg.exact_rank_vectors` describes.  Raises ArithmeticError if
+    _MAX_PRIMES primes do not certify."""
     n_rows = len(rows)
     # A zero row is never a pivot row and lies in every span.
     live = [i for i, row in enumerate(rows) if any(map(any, row))]
@@ -240,12 +241,10 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
                                 for i in range(n_rows) if i not in live)
         return live
     n_cols, rows = len(rows[0]), [rows[i] for i in live]
-    # Without dependencies, a rank equal to either dimension needs no lift.
-    full = len(rows) if dependencies is not None else min(len(rows), n_cols)
     best = None  # the key of the primes whose residues, mod their product m, are in acc
-    sizes, grow = None, 1 + growth(conductor)[2]  # each R_i, and 1 + rho, of the coordinate bound
+    sizes, gain = None, shift_gain(conductor)  # each R_i, and g, of the coordinate bound
     for p, powers, vinv in islice(_split_primes(conductor), _MAX_PRIMES):
-        mod_p = _at_prime(rows, n_cols, p, powers, vinv, full)
+        mod_p = _at_prime(rows, n_cols, p, powers, vinv)
         if mod_p is None:
             continue
         prows, residues = mod_p
@@ -268,7 +267,7 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
             if sizes is None:
                 sizes = [max(map(abs, chain.from_iterable(row))) for row in rows]
             # Every lifted combination is exact once 2 B_i < m (module docstring).
-            if any(2 * (den * sizes[i] + grow * sum(sizes[k] * sum(map(abs, vec))
+            if any(2 * (den * sizes[i] + gain * sum(sizes[k] * sum(map(abs, vec))
                                                      for k, vec in zip(prows, nums))) >= m
                    for i, den, nums in lifted):
                 continue
@@ -282,11 +281,12 @@ def certified_rank(rows, conductor: int, dependencies: dict | None = None) -> li
                           f"{conductor} in {_MAX_PRIMES} split primes")
 
 
-def _at_prime(rows, n_cols: int, p: int, powers, vinv, full: int):
+def _at_prime(rows, n_cols: int, p: int, powers, vinv):
     """(pivot rows, residues) of integer rows mod p at the first root, or
-    None where another root gives other pivot rows.  The residues, None at
-    rank full, are the power-basis coordinates mod p of each other row's
-    coefficients on the pivot rows, flat by (row, pivot row, coordinate)."""
+    None where another root gives other pivot rows.  The residues, None
+    where every row is a pivot, are the power-basis coordinates mod p of
+    each other row's coefficients on the pivot rows, flat by (row, pivot
+    row, coordinate)."""
     deg = len(vinv)
     step = _slot_bytes(p, deg, len(rows))
     # packed[r][a]: C_a of row r
@@ -297,7 +297,7 @@ def _at_prime(rows, n_cols: int, p: int, powers, vinv, full: int):
         return _eliminate([sum(map(mul, cs, pw)) for cs in packed], n_cols, p, step)
 
     prows, deps = at(powers[0])
-    if len(prows) == full:
+    if len(prows) == len(rows):
         return prows, None
     # Every root must give the same pivot rows, on all columns, for the
     # combinations to hold at every column (module docstring).

@@ -187,7 +187,10 @@ class NCPoly:
         return self._terms
 
     def _lifted(self, n: int) -> dict:
-        """coords lifted to the conductor n, a multiple of this one's."""
+        """coords lifted to the conductor n, a multiple of this one's: the
+        coordinates at n times den, which stays the least that clears them,
+        as Z[zeta_n] meets Q(zeta_m) in Z[zeta_m] and both power bases are
+        integral bases.  The dict is shared, not to be changed."""
         if n == self.conductor:
             return self.coords
         k = n // self.conductor
@@ -292,7 +295,8 @@ class NCPoly:
 
 def _coefficient(n: int, vec, den: int = 1) -> NCPoly:
     """The degree-0 polynomial vec / den at conductor n, for a nonzero
-    coordinate vector vec (Fraction coordinates allowed) and den > 0."""
+    coordinate vector vec and den > 0.  Where q12 and q21 are not roots of
+    unity, the chi and mu that callers pass hold Fraction coordinates."""
     if den == 1 and all(type(x) is int for x in vec):
         return NCPoly._of(n, {(): tuple(vec)})
     coords, d = clear_denominators({(): vec})
@@ -446,20 +450,6 @@ def _engine(b: Braiding) -> _SymEngine:
     return eng
 
 
-def _conductor(b: Braiding, rho: NCPoly) -> int:
-    """The canonical conductor of the braiding's entries and rho's coefficients."""
-    return canonical_conductor(math.lcm(b.conductor, rho.conductor))
-
-
-def _integer_terms(rho: NCPoly, n: int) -> tuple[dict, int]:
-    """(the coordinates of rho at conductor n, a multiple of its own, times
-    its denominator D; D): the integer vectors rho holds, lifted where n is
-    larger.  D stays the least that clears them, as Z[zeta_n] meets
-    Q(zeta_m) in Z[zeta_m] and both power bases are integral bases.  The
-    dict is shared, not to be changed."""
-    return rho._lifted(n), rho.den
-
-
 # -- skew derivations ----------------------------------------------------------
 
 
@@ -556,8 +546,8 @@ def is_zero_in_nichols(b: Braiding, rho: NCPoly, method: str = "symmetrizer") ->
     degrees = {len(w) for w in rho.coords}
     if len(degrees) > 1:
         raise BraidedError("zero test requires a polynomial homogeneous in total degree")
-    n = _conductor(b, rho)
-    terms = _integer_terms(rho, n)[0]
+    n = canonical_conductor(math.lcm(b.conductor, rho.conductor))
+    terms = rho._lifted(n)
     if method == "symmetrizer":
         # Imported here, as `nicholscore` imports this module.
         from .nicholscore import dim_at_degree

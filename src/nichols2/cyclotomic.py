@@ -27,9 +27,9 @@ k a unit other than 1, over the rational N(x) = x * prod sigma_k(x).
 A single product of coordinate vectors is formed and reduced modulo Phi_N
 in one place, `vector_product(N)`.  Sums of many products are formed in one
 integer image of Z[zeta_N], the residue ring `Residues`: z -> X = 2^W
-modulo Phi_N(X), W from a stated coordinate bound.  The constants of every
-coordinate bound, phi(N), kappa and rho, come from one helper, `growth(N)`,
-and the growth of a product by a root, g, from `shift_gain(N)`.
+modulo Phi_N(X), W from a stated coordinate bound.  Every coordinate bound
+has one constant, g = `shift_gain(N)`, through one lemma: |x y|_inf <=
+g |x|_1 |y|_inf <= g phi(N) |x|_inf |y|_inf, as x y = sum_e x_e z^e y.
 
 Every field map is one substitution z -> z^k (`_substitute`): the lift into a
 larger conductor, a Galois conjugate, and the fold of zeta_{2m} into zeta_m.
@@ -46,7 +46,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 
 class CycError(ValueError):
@@ -153,23 +152,11 @@ def power_vector(n: int, e: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def growth(n: int) -> tuple[int, int, int]:
-    """(phi, kappa, rho) at conductor n, the constants of every coordinate
-    bound over Z[zeta_n]: phi = phi(n); kappa the largest |coordinate| of
-    z^e, e < n; rho = max_j sum_t |z^(phi+t) mod Phi_n|_j over t < phi - 1,
-    so reducing a raw product multiplies its largest |coordinate| by at most
-    1 + rho."""
-    phi, rows = euler_phi(n), _reduction_rows(n)
-    kappa = max(map(abs, chain.from_iterable(rows[:n - phi])), default=1)
-    return phi, kappa, max((sum(map(abs, col)) for col in zip(*rows[:phi - 1])), default=0)
-
-
-@lru_cache(maxsize=None)
 def shift_gain(n: int) -> int:
     """g = max over k < n and j of sum_{i < phi} |(z^(i+k) mod Phi_n)_j|, so
     |z^k y|_inf <= g |y|_inf over Z[zeta_n]: coordinate j of z^k y = sum_i
     y_i z^(i+k) is sum_i y_i (z^(i+k))_j, and y_i = sign (z^(i+k))_j attains
-    it.  g <= kappa phi (`growth`).  The window of powers slides by one."""
+    it.  The window of powers slides by one."""
     phi = euler_phi(n)
     powers = [tuple(map(abs, power_vector(n, e))) for e in range(n)]
     window, best = [sum(col) for col in zip(*powers[:phi])], 0
@@ -226,30 +213,22 @@ class Residues:
     (`pack`); packed vectors multiply and add, the caller reduces mod M,
     and a residue decodes to coordinates (`decode`).
 
-    Let B = bound and H the largest |coefficient| of Phi_n, at most kappa
-    (`growth`), as Phi_n(z) = 0 makes them those of -z^phi; W makes
-    X > 2 B + H.  Then y = sum_j c_j z^j with every |c_j| <= B maps to
-    Y = sum_j c_j X^j, 2 |Y| <= 2 B (X^phi - 1) / (X - 1) < X^phi - H (X^phi
-    - 1) / (X - 1) <= M: the balanced residue is Y, 0 only for y = 0, and
-    its balanced base-X digits are the c_j."""
+    Let B = bound, g = `shift_gain`(n) and H the largest |coefficient| of
+    Phi_n; W makes X > 2 B + g.  Then g >= H: each |coordinate| of a z^e is
+    at most g, as z^e lies in some window of g, and Phi_n is monic, with
+    its other coefficients those of -z^phi, which the window at k = 1
+    holds.  So y = sum_j c_j z^j with every |c_j| <= B maps to Y = sum_j
+    c_j X^j, 2 |Y| <= 2 B (X^phi - 1) / (X - 1) < X^phi - H (X^phi - 1) /
+    (X - 1) <= M: the balanced residue is Y, 0 only for y = 0, and its
+    balanced base-X digits are the c_j."""
 
     __slots__ = ("n", "width", "modulus", "_phi", "_offset")
 
     def __init__(self, n: int, bound: int):
-        self.n, (self._phi, kappa, _) = n, growth(n)
-        self.width = (2 * bound + kappa).bit_length()
+        self.n, self._phi = n, euler_phi(n)
+        self.width = (2 * bound + shift_gain(n)).bit_length()
         self.modulus = self.pack(cyclotomic_polynomial(n))
         self._offset = self.pack([1 << self.width - 1] * self._phi)
-
-    @classmethod
-    def for_sums(cls, n: int, xs, ys, per_sum: int) -> Residues:
-        """The ring exact on every sum of at most per_sum products x y, x among
-        the vectors xs and y among ys (or supersets of them): a raw product
-        has coordinates at most phi |x|_inf |y|_inf, so the reduced one at
-        most (1 + rho) phi |x|_inf |y|_inf (`growth`)."""
-        phi, _, rho = growth(n)
-        x, y = (max(map(abs, chain.from_iterable(vs)), default=0) for vs in (xs, ys))
-        return cls(n, per_sum * (1 + rho) * phi * x * y)
 
     def pack(self, vec) -> int:
         """sum_j vec[j] X^j, the image of a coordinate vector before reduction."""

@@ -75,12 +75,13 @@ from collections import defaultdict
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 from ._linalg import exact_rank_vectors
-from .braidedalg import (Braiding, BraidedError, NCPoly, _coefficient, _engine, _expand,
-                         _integer_terms, tau0)
-from .cyclotomic import Residues, as_root_exponent, clear_denominators, qfact_inv, vector_product
+from .braidedalg import Braiding, BraidedError, NCPoly, _coefficient, _engine, _expand, tau0
+from .cyclotomic import (Residues, as_root_exponent, clear_denominators, qfact_inv, shift_gain,
+                         vector_product)
 from .fbtree import FullBinaryTree
 from .lyndon import christoffel
 from .admissibility import NicholsError, _mu_row, _qfact_zero, heights, p_of
@@ -101,7 +102,9 @@ def _pivot_words(eng, r: int, s: int) -> list:
     candidates b.j of the pivot rows of their derivative coordinates, read
     from the bidegrees below in eng.frontier, where this one goes in turn
     (module docstring and step 1).  Each row is assembled in one pass, its
-    sums reduced once in the block's one ring (`Residues.for_sums`)."""
+    sums reduced once in the block's one ring, exact on every sum of at most
+    per_sum products x y: one has coordinates at most g phi |x|_inf |y|_inf,
+    g = `cyclotomic.shift_gain`(n) (`cyclotomic` docstring)."""
     known, frontier, n = eng.pivot_words, eng.frontier, eng.conductor
 
     def split(bd):  # the x1-candidates of bd, and the columns of its first derivative
@@ -121,10 +124,12 @@ def _pivot_words(eng, r: int, s: int) -> list:
     ys = {(i, e, k): tuple(big // frontier[bd].den * x for x in vec) for i, bd in below.items()
           for e, comb in enumerate(frontier[bd].table) if type(comb) is dict
           for k, vec in comb.items()}
-    if ys:  # one ring for the block: each sum of at most per_sum products is exact in it
+    if ys:  # one ring for the block
         per_sum = max(len(frontier[bd].table) for bd in below.values())
-        ring = Residues.for_sums(n, (vec for bd in below.values() for row, _ in frontier[bd].rows
-                                     for vec in row), ys.values(), per_sum)
+        x = max(map(abs, chain.from_iterable(vec for bd in below.values()
+                                             for row, _ in frontier[bd].rows for vec in row)))
+        y = max(map(abs, chain.from_iterable(ys.values())))
+        ring = Residues(n, per_sum * shift_gain(n) * eng.deg * x * y)
         py = {b: ring.pack(v) for b, v in ys.items()}
     rows, dens = [], []
     for j, t in cands:
@@ -334,9 +339,9 @@ def _exact_monomial_rank(t: FullBinaryTree, b: Braiding, eng, group, words) -> i
     rows = []
     for mo in group:
         # The coefficients are products of chi values, so they lie in the
-        # engine's field; clearing their denominators scales the row by a
+        # engine's field; the integer coordinates held are them times a
         # positive integer, which leaves the rank unchanged.
-        terms = _integer_terms(evaluate_monomial(t, b, mo), eng.conductor)[0]
+        terms = evaluate_monomial(t, b, mo)._lifted(eng.conductor)
         img = eng.image_vectors(terms, eng.conductor, words)
         rows.append([img.get(w, zero) for w in words])
     return exact_rank_vectors(rows, eng.conductor)

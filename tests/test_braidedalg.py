@@ -13,9 +13,8 @@ from nichols2 import braidedalg
 from nichols2.admissibility import _qnum_zero
 from nichols2.cyclotomic import (CycNum, MINUS_ONE, ONE, ZERO, canonical_conductor, qfact,
                                  root_of_unity)
-from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, _integer_terms,
-                                 bracket_word, clear_caches, format_ncpoly, is_zero_in_nichols,
-                                 tau0)
+from nichols2.braidedalg import (Braiding, BraidedError, NCPoly, _engine, bracket_word,
+                                 clear_caches, format_ncpoly, is_zero_in_nichols, tau0)
 from nichols2.fbtree import LGH, RGH, TREES
 from nichols2.lyndon import gamma
 from nichols2.nicholscore import _mixed_relation
@@ -34,13 +33,17 @@ def lifted_image(eng, rho, n, words):
     """`image_vectors` of the terms of rho lifted to conductor n, and the
     positive integer D that cleared their denominators: the symmetrizer
     image of rho at the words, times D."""
-    terms, den = _integer_terms(rho, n)
-    return eng.image_vectors(terms, n, words), den
+    return eng.image_vectors(rho._lifted(n), n, words), rho.den
+
+
+def conductor(b, rho):
+    """The canonical conductor of the braiding's entries and rho's coefficients."""
+    return canonical_conductor(math.lcm(b.conductor, rho.conductor))
 
 
 def symmetrized(b, rho, words):
     """`lifted_image` at the conductor of b and rho, with CycNum values."""
-    n = braidedalg._conductor(b, rho)
+    n = conductor(b, rho)
     img, den = lifted_image(_engine(b), rho, n, words)
     return {u: CycNum(n, v) for u, v in img.items()}, den
 
@@ -463,8 +466,8 @@ def test_integer_derivation_test_matches_the_reference(rng):
 
 def test_residue_walk_at_its_coordinate_bound():
     # Under the trivial braiding d_1^m (c x1^m) = m! c exactly, which meets
-    # the walk's bound B_0 m! (kappa phi)^m at kappa = phi = 1: the scalar
-    # must decode, of either sign, and neither zero test may call it zero.
+    # the walk's bound B_0 m! g^m at g = 1: the scalar must decode, of
+    # either sign, and neither zero test may call it zero.
     b, m = Braiding(ONE, ONE, ONE, ONE), 12
     word = (1,) * m
     for c in ((1 << 80) - 3, 3 - (1 << 80)):
@@ -490,8 +493,8 @@ def test_residue_walk_decodes_under_a_large_twist():
             if not (d := skew_derivation(b, i, el)).is_zero():
                 yield from scalars(d, prefix + (i,))
 
-    n = braidedalg._conductor(b, rho)
-    got = dict(braidedalg._derivatives_along(b, _integer_terms(rho, n)[0], n))
+    n = conductor(b, rho)
+    got = dict(braidedalg._derivatives_along(b, rho._lifted(n), n))
     want = dict(scalars(rho))
     assert got.keys() == want.keys() and len(want) > 4
     ratios = {CycNum(n, got[u]) / want[u] for u in want}

@@ -12,7 +12,7 @@ from nichols2.braidedalg import Braiding, NCPoly
 from nichols2.cyclotomic import (MAX_CONDUCTOR, CycError, CycNum, MINUS_ONE, ONE, ZERO, Residues,
                                  _demoted, _root_exponent, _substitute, as_root_exponent,
                                  canonical_conductor, cyclotomic_polynomial, divisors, euler_phi,
-                                 format_scalar, growth, parse_scalar, power_vector, qfact,
+                                 format_scalar, parse_scalar, power_vector, qfact,
                                  qfact_inv, qnum, root_of_unity, root_vectors, shift_gain,
                                  vector_product)
 
@@ -54,7 +54,7 @@ def long_division_remainder(coeffs, n):
 def extreme_signs(n):
     """Sign vectors (x, y) that, by alternating ascent, make one coordinate
     of the reduced product x y large: the inputs nearest the product bound
-    (1 + rho) phi |x|_inf |y|_inf of `Residues.for_sums`."""
+    g phi |x|_inf |y|_inf of `product_ring`."""
     deg, best = euler_phi(n), (0,)
     for j in range(deg):
         a = [[power_vector(n, i + k)[j] for k in range(deg)] for i in range(deg)]
@@ -67,6 +67,14 @@ def extreme_signs(n):
         best = max(best, (sum(xi * yk * a[i][k] for i, xi in enumerate(x)
                               for k, yk in enumerate(y)), x, y))
     return best[1:]
+
+
+def product_ring(n, xs, ys, per_sum) -> Residues:
+    """The ring exact on every sum of at most per_sum products x y, x among
+    xs and y among ys, as the rank oracle sizes its block ring: one has
+    coordinates at most g phi |x|_inf |y|_inf, g = `shift_gain`(n)."""
+    x, y = (max(abs(c) for vec in vs for c in vec) for vs in (xs, ys))
+    return Residues(n, per_sum * shift_gain(n) * euler_phi(n) * x * y)
 
 
 def residue_sums(ring, xs, ys, products) -> dict:
@@ -86,8 +94,8 @@ def test_residue_sums_match_vector_products_at_the_product_bound(rng):
     # +-(2^bits - 1), of one sign or signed by `extreme_signs`.  The latter
     # put one reduced coordinate of x y above phi |x|_inf |y|_inf from
     # conductor 9 on (435 times at 105, against phi = 48), so a ring
-    # without the factor 1 + rho of `Residues.for_sums` would not decode
-    # them at 12, 15, 20, 24, 30 or 105.
+    # without the factor g of `product_ring` would not decode them at 12,
+    # 15, 20, 24, 30 or 105.
     for n in INVERSE_CONDUCTORS + (105,):
         deg = euler_phi(n)
         for extreme, (sx, sy) in enumerate((((1,) * deg, (1,) * deg), extreme_signs(n))):
@@ -96,7 +104,7 @@ def test_residue_sums_match_vector_products_at_the_product_bound(rng):
                     top = ((1 << xbits) - 1) * ((1 << ybits) - 1)
                     x = tuple(sign * s * ((1 << xbits) - 1) for s in sx)
                     y = tuple(s * ((1 << ybits) - 1) for s in sy)
-                    ring = Residues.for_sums(n, [x], [y], 3)
+                    ring = product_ring(n, [x], [y], 3)
                     want = [3 * c for c in schoolbook_product(x, y, n)]
                     assert residue_sums(ring, {0: x, 1: x, 2: x}, {0: y},
                                         [("t", k, 0) for k in range(3)]) == {"t": want}
@@ -111,7 +119,7 @@ def test_residue_sums_match_vector_products_at_the_product_bound(rng):
             add = schoolbook_product(xs[a], ys[b], n)
             want[t] = [u + v for u, v in zip(want.get(t, [0] * deg), add)]
         per_sum = max(sum(t == s for t, _, _ in products) for s in want)
-        ring = Residues.for_sums(n, xs.values(), ys.values(), per_sum)
+        ring = product_ring(n, xs.values(), ys.values(), per_sum)
         assert residue_sums(ring, xs, ys, products) == want
 
 
@@ -119,22 +127,21 @@ def test_residue_ring_carries_one_level_of_the_walk():
     # One level on coordinates near 2^80, against the reference on CycNum
     # polynomials: under the trivial braiding all five positions of x1^5
     # land on x1^4, a sum of 5 (2^80 - 1).  A level puts at most 5 moves on
-    # a word, each by +-z^e, so the ring of bound 5 kappa phi B_0 for input
-    # bound B_0 is exact on it (`braidedalg._derivatives_along`).  At
-    # conductor 105, kappa = 2.
+    # a word, each by +-z^e, so the ring of bound 5 g B_0 for input bound
+    # B_0 is exact on it (`braidedalg._derivatives_along`).  At conductor
+    # 105, g = 28.
     big = (1 << 80) - 1
     z3, z8, z105 = root_of_unity(1, 3), root_of_unity(1, 8), root_of_unity(1, 105)
-    assert growth(105) == (48, 2, 27)
+    assert shift_gain(105) == 28
     for b in (Braiding(ONE, ONE, ONE, ONE), Braiding(z3, z3 ** 2, ONE, z3),
               Braiding(z8, z8 ** 3, ONE, z8 ** 5),
               Braiding(z105 ** 2, z105 ** 103, ONE, root_of_unity(4, 15))):
         d = 21 if b.conductor == 105 else 9
         for rho in (NCPoly({(1,) * 5: CycNum.from_rational(big)}),
                     NCPoly({w: root_of_unity(k, d) * big for k, w in enumerate(basis_words(4))})):
-            n = braidedalg._conductor(b, rho)
+            n = canonical_conductor(math.lcm(b.conductor, rho.conductor))
             terms = {w: c._lift(n) for w, c in rho.terms.items()}
-            phi, kappa, _ = growth(n)
-            ring = Residues(n, 5 * kappa * phi * max(max(map(abs, v)) for v in terms.values()))
+            ring = Residues(n, 5 * shift_gain(n) * max(max(map(abs, v)) for v in terms.values()))
             packed = {w: ring.pack(vec) for w, vec in terms.items()}
             for i in (1, 2):
                 want = skew_derivation(b, i, rho)
@@ -152,10 +159,10 @@ def test_shift_gain_by_brute_force_and_attained_by_one_move():
     # gets, with B_0 the largest that width allows.
     want = {1: 1, 3: 2, 4: 1, 5: 2, 7: 2, 9: 2, 12: 2, 15: 6, 20: 2, 24: 2, 30: 6, 105: 28}
     for n, g in want.items():
-        phi, kappa, _ = growth(n)
+        phi = euler_phi(n)
         sums = {(k, j): sum(abs(power_vector(n, i + k)[j]) for i in range(phi))
                 for k in range(n) for j in range(phi)}
-        assert shift_gain(n) == max(sums.values()) == g <= kappa * phi
+        assert shift_gain(n) == max(sums.values()) == g
     k, j = max(sums, key=sums.get)  # of the last n, 105
     y = [(power_vector(n, i + k)[j] > 0) - (power_vector(n, i + k)[j] < 0) for i in range(phi)]
     big = ((1 << 80) - 3) // (2 * g)
@@ -168,6 +175,35 @@ def test_shift_gain_by_brute_force_and_attained_by_one_move():
         moved = list(vector_product(n)(power_vector(n, k), x))
         assert {w: ring.decode(r) for w, r in got.items()} == {(2,): moved}
         assert moved[j] == sign * g * big == sign * max(map(abs, moved))
+
+
+def product_bound_references(n) -> tuple[int, int, int]:
+    """(H, kappa, rho) at conductor n: H the largest |coefficient| of Phi_n,
+    kappa the largest |coordinate| of z^e, e < n, and rho the largest column
+    sum of |z^(phi+t) mod Phi_n| over t < phi - 1, so that reducing a raw
+    product multiplies its largest |coordinate| by at most 1 + rho."""
+    phi = euler_phi(n)
+    kappa = max(abs(c) for e in range(n) for c in power_vector(n, e))
+    raw = [power_vector(n, phi + t) for t in range(phi - 1)]
+    rho = max((sum(abs(vec[j]) for vec in raw) for j in range(phi)), default=0)
+    return max(map(abs, cyclotomic_polynomial(n))), kappa, rho
+
+
+def test_shift_gain_bounds_every_coordinate_and_every_product():
+    # g is the one constant of every coordinate bound over Z[zeta_n]: it
+    # bounds the coefficients of Phi_n (the `Residues` width), every
+    # coordinate of a power of z, and the growth 1 + rho by which reducing a
+    # raw product mod Phi_n can multiply its largest |coordinate|, with
+    # equality only at the six conductors below.
+    equal = []
+    for n in range(1, 211):
+        if canonical_conductor(n) == n:
+            h, kappa, rho = product_bound_references(n)
+            g = shift_gain(n)
+            assert h <= g and kappa <= g <= 1 + rho, n
+            if g == 1 + rho:
+                equal.append(n)
+    assert equal == [1, 3, 15, 105, 165, 195]
 
 
 def test_vector_product_matches_long_division(rng):

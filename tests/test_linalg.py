@@ -12,8 +12,8 @@ from nichols2._linalg import exact_rank_vectors
 from nichols2._modular import (_MAX_PRIMES, _eliminate, _is_prime, _slot_bytes,
                                _split_primes, certified_rank, pack_slots, split_prime,
                                split_roots, unpack_slots)
-from nichols2.cyclotomic import (CycNum, ZERO, _reduction_rows, canonical_conductor, euler_phi,
-                                 root_of_unity, vector_product)
+from nichols2.cyclotomic import (CycNum, ZERO, canonical_conductor, euler_phi, root_of_unity,
+                                 shift_gain, vector_product)
 from test_cyclotomic import _exact_div, vector_inverse
 
 
@@ -116,14 +116,11 @@ def primes_to_lift(bits: int, prime_bits: int) -> int:
 
 def coordinate_bound(rows, n: int, pivot_rows, deps: dict) -> int:
     """The largest B_i of the `_modular` docstring over the dependencies
-    i: (D, nums) on the pivot rows: D R_i + (1 + rho) sum_k R_k |nums_k|_1,
-    for R_j the largest |coordinate| of row j and rho the largest column sum
-    of |z^(phi(n)+t) mod Phi_n| over t < phi(n) - 1."""
-    red = _reduction_rows(n)[:euler_phi(n) - 1]
-    rho = max((sum(abs(row[j]) for row in red) for j in range(euler_phi(n))), default=0)
+    i: (D, nums) on the pivot rows: D R_i + g sum_k R_k |nums_k|_1, for R_j
+    the largest |coordinate| of row j and g = `shift_gain`(n)."""
     size = [max(abs(c) for vec in row for c in vec) for row in rows]
-    return max(den * size[i] + (1 + rho) * sum(size[k] * sum(map(abs, vec))
-                                               for k, vec in zip(pivot_rows, nums))
+    return max(den * size[i] + shift_gain(n) * sum(size[k] * sum(map(abs, vec))
+                                                   for k, vec in zip(pivot_rows, nums))
                for i, (den, nums) in deps.items())
 
 
@@ -289,7 +286,9 @@ def assert_valid_pivots(m, rank, pivot_rows):
 def test_certified_rank_with_cyclotomic_dependencies(rng, fallbacks, n):
     # Rows after the first few are combinations of two of those with
     # coefficients outside Q, so the certified route must lift non-rational
-    # dependencies; none of these matrices needs the fallback.
+    # dependencies.  Only a tall block of full column rank, whose rows
+    # depend on its pivot rows with generic coefficients, may need the
+    # fallback; the first prime certifies every other block.
     deficient = 0
     cb = root_of_unity(1, n) + CycNum.from_rational(Fraction(1, 3))
     for trial in range(12):
@@ -299,28 +298,30 @@ def test_certified_rank_with_cyclotomic_dependencies(rng, fallbacks, n):
             a, b = rng.sample(range(base), 2)
             ca = random_cyclotomic(rng, n)
             m.append([ca * x + cb * y for x, y in zip(m[a], m[b])])
-        rows = len(m)
+        rows, before = len(m), len(fallbacks)
         pivot_rows = []
         rank = lifted_rank(m, pivot_rows)
         assert rank == bareiss_rank(m) == naive_rank(m)
         assert_valid_pivots(m, rank, pivot_rows)
+        assert len(fallbacks) == before or rows > cols == rank
         deficient += rank < min(rows, cols)
     assert deficient > 0
-    assert fallbacks == []
 
 
 def test_certified_rank_of_fraction_rows(rng, fallbacks):
+    # As with cyclotomic dependencies, only a tall block of full column rank
+    # may need the fallback.
     for trial in range(20):
         rows, cols = rng.randrange(2, 6), rng.randrange(2, 6)
         m = random_matrix(rng, rows, cols, rational=True)
         q = CycNum.from_rational(Fraction(rng.randrange(1, 9), rng.randrange(2, 9)))
         m[-1] = [q * x + y for x, y in zip(m[0], m[rng.randrange(rows)])]
         assert any(c.denominator != 1 for row in m for e in row for c in e._lift(12))
-        pivot_rows = []
+        pivot_rows, before = [], len(fallbacks)
         rank = lifted_rank(m, pivot_rows)
         assert rank == bareiss_rank(m) == naive_rank(m)
         assert_valid_pivots(m, rank, pivot_rows)
-    assert fallbacks == []
+        assert len(fallbacks) == before or rows > cols == rank
 
 
 def test_fallback_when_the_prime_divides_an_entry(fallbacks):
@@ -402,10 +403,10 @@ def test_fallback_when_the_pivot_rows_vanish_at_another_root(fallbacks):
     pivot_rows, deps = [], {}
     assert exact_rank_vectors([[m, m], [m, m]], 12, pivot_rows, deps) == 1
     assert pivot_rows == [0] and deps == {1: (1, [[1, 0, 0, 0]])}
-    # The second prime's pivot rows are right, but its coordinate bound
-    # 2 B = 2 (w + 3 w) (rho = 2 at 12) exceeds it, so the third joins.
-    assert coordinate_bound([[m, m], [m, m]], 12, [0], deps) == 4 * w
-    assert fallbacks == [primes_to_certify(12, 4 * w, 1, skip=1)] == [3]
+    # The second prime's pivot rows are right, and its coordinate bound
+    # 2 B = 2 (w + 2 w) (g = 2 at 12) is below it: 6 w < p_2.
+    assert coordinate_bound([[m, m], [m, m]], 12, [0], deps) == 3 * w
+    assert fallbacks == [primes_to_certify(12, 3 * w, 1, skip=1)] == [2]
 
 
 def test_fallback_when_a_later_pivot_row_spans_at_the_first_root(fallbacks):
@@ -421,6 +422,22 @@ def test_fallback_when_a_later_pivot_row_spans_at_the_first_root(fallbacks):
     pivot_rows = []
     assert exact_rank_vectors(rows, 12, pivot_rows) == 2
     assert pivot_rows == [0, 1] and len(fallbacks) == 1 and fallbacks[0] > 1
+
+
+def test_a_tall_block_of_full_column_rank_certifies_its_pivot_rows(fallbacks):
+    # The rows (1, 0), (0, alpha), (0, 1) have rank 2, the number of columns,
+    # at the first prime too, but with the pivot rows [0, 2] there.  Asked
+    # for its pivot rows alone, the rank still certifies its upper bound, so
+    # the other roots reject that prime as they do when the dependencies are
+    # asked for, and both calls return [0, 1].
+    alpha = small_zero_at_the_first_root()
+    one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
+    rows = [[one, zero], [zero, alpha], [zero, one]]
+    plain, pivots, deps = [], [], {}
+    assert exact_rank_vectors(rows, 12, plain) == 2
+    assert exact_rank_vectors(rows, 12, pivots, deps) == 2
+    assert plain == pivots == [0, 1] and sorted(deps) == [2]
+    assert len(fallbacks) == 2 and fallbacks[0] == fallbacks[1] > 1
 
 
 def test_fallback_when_a_dependency_is_too_large_to_lift(rng, fallbacks):
@@ -554,8 +571,6 @@ def test_pivot_rows_raise_the_rank_of_the_rows_before_them(rng):
     # On square integer blocks at conductors 1 to 30, rank-deficient and
     # full, the pivot rows are exactly the rows that raise the exact rank of
     # the rows before them, by fraction-free elimination of every prefix.
-    # A square block meets the `_linalg` docstring's precondition: every
-    # nonzero row is a pivot, or the rank is below both dimensions.
     deficient = 0
     for trial in range(300):
         n = trial % 30 + 1
@@ -590,8 +605,8 @@ def test_dependencies_combine_the_pivot_rows_exactly(rng):
     # 1 to 30, square and tall (more rows than columns), with zero rows and
     # rows that combine others: every other row satisfies D row_i =
     # sum_k nums_k row_k exactly, a zero row gets the zero combination, and
-    # asking for dependencies leaves the pivot rows as they are.  A tall
-    # block of full column rank must not take the rank-only shortcut.
+    # asking for dependencies leaves the pivot rows as they are, tall
+    # blocks of full column rank among them.
     seen = {"zero": 0, "den > 1": 0, "tall full": 0}
     for trial in range(150):
         n = trial % 30 + 1
@@ -821,12 +836,12 @@ def test_exact_check_rejects_an_off_by_one_coefficient(rng, monkeypatch, fallbac
 def test_the_coordinate_bound_joins_a_second_prime(rng, fallbacks):
     # Row 2 = row 0 + row 1, rows of coordinates near 2^30: the unit
     # coefficients lift from the first prime, but the coordinate bound B =
-    # R_2 + 3 (R_0 + R_1), near 2^33, is above half of it, so the second
-    # prime joins.  rho = 2 at 12: Phi_12 = z^4 - z^2 + 1 reduces z^4, z^5
-    # and z^6 to z^2 - 1, z^3 - z and -1, whose absolute column sums are
-    # 2, 1, 1, 1.
+    # R_2 + 2 (R_0 + R_1), about 3 2^31, is above half of it, so the second
+    # prime joins.  g = 2 at 12: Phi_12 = z^4 - z^2 + 1 makes z^4, z^5 and
+    # z^6 the vectors of z^2 - 1, z^3 - z and -1, so no four consecutive
+    # powers have an absolute sum above 2 at any coordinate.
     one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
-    assert coordinate_bound([[one], [zero]], 12, [0], {1: (0, [one])}) == 3
+    assert coordinate_bound([[one], [zero]], 12, [0], {1: (0, [one])}) == 2
     near = [[tuple(2 ** 30 - rng.randrange(64) for _ in range(4)) for _ in range(3)]
             for _ in range(2)]
     rows = near + [[tuple(x + y for x, y in zip(a, b)) for a, b in zip(*near)]]

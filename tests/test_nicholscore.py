@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from collections import defaultdict
 
@@ -249,7 +250,7 @@ def test_relation_zero_test_agrees_with_both_full_tests(monkeypatch):
     # zero degree, where a bidegree has no basis words.
     from conftest import basis_words, derivations_vanish, reference_symmetrize
     from nichols2 import braidedalg
-    from nichols2.braidedalg import _conductor, _engine, clear_caches
+    from nichols2.braidedalg import _engine, clear_caches
     from nichols2.classify import fixtures
 
     # The skew derivations each test takes; the rank oracle takes none, and
@@ -269,7 +270,7 @@ def test_relation_zero_test_agrees_with_both_full_tests(monkeypatch):
 
     def verdict(b, rel):
         sym, der = zero_test(b, rel, "symmetrizer"), zero_test(b, rel, "derivations")
-        image = reference_symmetrize(b, rel, _conductor(b, rel),
+        image = reference_symmetrize(b, rel, math.lcm(b.conductor, rel.conductor),
                                      basis_words(len(min(rel.terms))))
         assert sym == (not any(map(any, image.values()))), (b, rel)
         assert der == derivations_vanish(b, rel) == sym, (b, rel)
