@@ -334,6 +334,53 @@ def test_relation_expansion_failure_fails_verification(monkeypatch):
                                                "simulated expansion failure")
 
 
+def test_classify_decides_each_relation_by_one_derivation_walk(monkeypatch):
+    # The symmetrizer test reads the derivation walk at a subset of its
+    # words, so the report runs only the walk, once per relation within the
+    # verified degree.
+    from nichols2 import classify
+
+    calls = []
+    zero_test = classify.is_zero_in_nichols
+
+    def counting(b, rho, method="symmetrizer"):
+        calls.append((method, rho))
+        return zero_test(b, rho, method)
+
+    monkeypatch.setattr(classify, "is_zero_in_nichols", counting)
+    for key, b in sorted(fixtures().items()):
+        report = classify_full(b, degree_cap=6)
+        tested = [rel for rel in report.relations if rel.total_degree() <= report.verified_up_to]
+        assert tested and report.relations_vanish is True, key
+        assert [(m, id(rho)) for m, rho in calls] == [("derivations", id(rel))
+                                                      for rel in tested], key
+        calls.clear()
+
+
+@pytest.mark.parametrize("key", [(7, 1), (4, 1)])
+def test_classify_rejects_relations_with_a_doubled_coefficient(monkeypatch, key):
+    # Criterion 7's perturbed relation, through the report: each relation
+    # gets the coefficient of its least word doubled, as in the CI relation
+    # zero-test gate.
+    from nichols2 import classify
+    from nichols2.braidedalg import NCPoly
+
+    relation_set = classify.relation_set
+
+    def doubled(t, b, cap):
+        out = []
+        for rel in relation_set(t, b, cap):
+            w = min(rel.terms)
+            out.append(rel + NCPoly({w: rel.terms[w]}))
+        return out
+
+    monkeypatch.setattr(classify, "relation_set", doubled)
+    report = classify_full(fixtures()[key], degree_cap=6)
+    assert report.relations_vanish is False and report.verdict.holds
+    assert report.verify_holds is False
+    assert report.verify_detail == "a relation fails to vanish"
+
+
 def test_fixture_matrix_reads_only_table_mismatches_as_failures():
     # A table mismatch is a failed row; any other assertion is a defect and
     # propagates.
